@@ -21,7 +21,6 @@ from .cobordism import (
     CobordismLedger,
     PivotMove,
     Rhombus,
-    SeamPair,
     TriangleFace,
     apply_pivot,
     pack,
@@ -55,7 +54,6 @@ __all__ = [
     "CobordismLedger",
     "PivotMove",
     "Rhombus",
-    "SeamPair",
     "TriangleFace",
     "apply_pivot",
     "pack",

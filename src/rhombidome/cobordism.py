@@ -8,15 +8,25 @@ planar pentagons off the front until nothing is left.  Every step is
 recorded as a replayable move so an independent checker can rebuild each
 intermediate curve bit for bit and verify the boundary bookkeeping.
 
-Move semantics (state = components keyed by stable integer ids):
+Move semantics (state = components keyed by stable integer ids).  A move
+records only the decision taken; everything else follows from the state it
+is replayed on:
 
-* ``PivotMove``      -- replace one vertex; emits one unit rhombus unless the
-                        vertex's neighbours coincide (degenerate: seams only).
-* ``SplitMove``      -- peel ``[v0 v1 v2 v3 z]`` off a component, leaving
-                        ``[v0 z v3 v4 ...]``; the two shared edges are seams.
-* ``PentagonMove``   -- consume a 5-cycle into two rhombi, one unit triangle
-                        and one seam through the apex.
+* ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
+                        unit distance from both neighbours.  The old point
+                        and the emitted cell ``[prev old next new]`` are read
+                        off the state; when the neighbours coincide the pivot
+                        is degenerate and emits no cell.
+* ``SplitMove``      -- peel ``[v0 v1 v2 v3 z]`` off a component as component
+                        ``new_component``, leaving ``[v0 z v3 v4 ...]``.
+* ``PentagonMove``   -- consume a 5-cycle into two recorded boundary rhombi
+                        and one recorded unit triangle.
 * ``CloseRhombusMove`` / ``CloseTriangleMove`` -- consume 4- and 3-cycles.
+
+Edges shared by two cells, or by a split's two pieces, cancel in the chain
+identity by orientation alone, so no seam is recorded.  ``MOVE_TABLE`` is
+the one place that maps a move's JSON ``type`` to its class, its fields and
+its replay step.
 
 Rhombi retained as boundary output are stored with reversed orientation so
 that the assembled 2-chain has boundary equal to (initial curve) + (rhombi).
@@ -24,7 +34,9 @@ that the assembled 2-chain has boundary equal to (initial curve) + (rhombi).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -51,13 +63,14 @@ from .geom import (
 __all__ = [
     "Rhombus",
     "TriangleFace",
-    "SeamPair",
     "PivotMove",
     "SplitMove",
     "PentagonMove",
     "CloseRhombusMove",
     "CloseTriangleMove",
     "Move",
+    "MoveSpec",
+    "MOVE_TABLE",
     "CobordismLedger",
     "PentagonSplit",
     "Replayer",
@@ -126,7 +139,7 @@ class Rhombus:
             raise ValueError("rhombus needs exactly 4 vertices")
         for i in range(4):
             side = dist(v[i], v[(i + 1) % 4])
-            if abs(side - 1.0) > tol.geom_eps:
+            if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
                 raise ValueError(f"rhombus side {i} has length {side}")
 
     def reversed(self) -> "Rhombus":
@@ -146,60 +159,45 @@ class TriangleFace:
             raise ValueError("triangle needs exactly 3 vertices")
         for i in range(3):
             side = dist(v[i], v[(i + 1) % 3])
-            if abs(side - 1.0) > tol.geom_eps:
+            if not abs(side - 1.0) <= tol.geom_eps:
                 raise ValueError(f"triangle side {i} has length {side}")
 
 
 @dataclass
-class SeamPair:
-    """Two oriented unit segments that coincide with opposite orientation."""
-
-    first: np.ndarray   # (2, 3)
-    second: np.ndarray  # (2, 3)
-
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        a = np.asarray(self.first, dtype=float)
-        b = np.asarray(self.second, dtype=float)
-        if dist(a[0], b[1]) > tol.geom_eps or dist(a[1], b[0]) > tol.geom_eps:
-            raise ValueError("seam segments do not cancel")
-
-
-@dataclass
 class PivotMove:
+    kind: ClassVar[str] = "pivot"
     component: int
     vertex: int
-    old_point: np.ndarray
     new_point: np.ndarray
-    rhombus: Rhombus | None
-    degenerate: bool
     stage: str = "pivot"
 
 
 @dataclass
 class SplitMove:
+    kind: ClassVar[str] = "split"
     component: int
     new_component: int
     z: np.ndarray
-    seam_indices: tuple[int, int] = (0, 0)
 
 
 @dataclass
 class PentagonMove:
+    kind: ClassVar[str] = "pentagon"
     component: int
-    apex: np.ndarray
     rhombus_indices: tuple[int, int]
     triangle_index: int
-    seam_index: int
 
 
 @dataclass
 class CloseRhombusMove:
+    kind: ClassVar[str] = "close_rhombus"
     component: int
     rhombus_index: int
 
 
 @dataclass
 class CloseTriangleMove:
+    kind: ClassVar[str] = "close_triangle"
     component: int
     triangle_index: int
 
@@ -212,7 +210,7 @@ class CobordismLedger:
     """Replayable record of one reduction run.
 
     ``final_rhombi`` are the boundary rhombi (reversed orientation, see module
-    docstring); rhombi attached by pivots live inside their moves.  ``stats``
+    docstring); the cells of pivots are derived on replay.  ``stats``
     carries the edge count n, the total number of rhombi used k, the upper
     bound ``budget`` and per-stage counters.
     """
@@ -220,7 +218,6 @@ class CobordismLedger:
     initial: IntegralCurve
     moves: list[Move] = field(default_factory=list)
     triangles: list[TriangleFace] = field(default_factory=list)
-    seams: list[SeamPair] = field(default_factory=list)
     final_rhombi: list[Rhombus] = field(default_factory=list)
     final_curve: IntegralCurve = field(default_factory=IntegralCurve)
     stats: dict = field(default_factory=dict)
@@ -240,13 +237,19 @@ def component_budget(n: int) -> int:
 
 
 class Replayer:
-    """Applies recorded moves to evolving component state, bit for bit."""
+    """Applies recorded moves to evolving component state, bit for bit.
+
+    Besides the component state it keeps, in move order, the indices of the
+    recorded triangles and boundary rhombi that the moves consume.
+    """
 
     def __init__(self, initial: IntegralCurve, tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
         self.components: dict[int, np.ndarray] = {
             i: np.asarray(c, dtype=float).copy() for i, c in enumerate(initial.components)
         }
+        self.triangle_refs: list[int] = []
+        self.rhombus_refs: list[int] = []
 
     def component(self, cid: int) -> np.ndarray:
         try:
@@ -254,34 +257,31 @@ class Replayer:
         except KeyError:
             raise ReplayMismatchError(f"component {cid} does not exist") from None
 
-    def apply(self, move: Move) -> None:
-        if isinstance(move, PivotMove):
-            self._apply_pivot(move)
-        elif isinstance(move, SplitMove):
-            self._apply_split(move)
-        elif isinstance(move, PentagonMove):
-            self._consume(move.component, 5)
-        elif isinstance(move, CloseRhombusMove):
-            self._consume(move.component, 4)
-        elif isinstance(move, CloseTriangleMove):
-            self._consume(move.component, 3)
-        else:
+    def apply(self, move: Move) -> Rhombus | None:
+        """Apply one move; a non-degenerate pivot returns its derived cell."""
+        spec = MOVE_TABLE.get(getattr(move, "kind", None))
+        if spec is None:
             raise ReplayMismatchError(f"unknown move type {type(move)!r}")
+        return spec.apply(self, move)
 
-    def _apply_pivot(self, move: PivotMove) -> None:
+    def _apply_pivot(self, move: PivotMove) -> Rhombus | None:
         v = self.component(move.component)
         n = len(v)
         if not 0 <= move.vertex < n:
             raise ReplayMismatchError("pivot vertex out of range")
-        if not np.array_equal(v[move.vertex], move.old_point):
-            raise ReplayMismatchError("pivot old point does not match state")
         prev = v[(move.vertex - 1) % n]
         nxt = v[(move.vertex + 1) % n]
+        new = np.asarray(move.new_point, dtype=float)
         for nb in (prev, nxt):
-            if abs(dist(nb, move.new_point) - 1.0) > self.tol.geom_eps:
+            side = dist(nb, new)
+            if not abs(side - 1.0) <= self.tol.geom_eps:  # NaN fails
                 raise NotOnPivotCircleError(
-                    "pivot target not at unit distance from a neighbour")
-        v[move.vertex] = move.new_point
+                    f"pivot target at distance {side} from a neighbour")
+        cell = None
+        if dist(prev, nxt) > self.tol.geom_eps:
+            cell = Rhombus(np.array([prev, v[move.vertex], nxt, new]))
+        v[move.vertex] = new
+        return cell
 
     def _apply_split(self, move: SplitMove) -> None:
         v = self.component(move.component)
@@ -295,6 +295,19 @@ class Replayer:
         self.components[move.new_component] = pentagon
         self.components[move.component] = remainder
 
+    def _apply_pentagon(self, move: PentagonMove) -> None:
+        self._consume(move.component, 5)
+        self.rhombus_refs.extend(move.rhombus_indices)
+        self.triangle_refs.append(move.triangle_index)
+
+    def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
+        self._consume(move.component, 4)
+        self.rhombus_refs.append(move.rhombus_index)
+
+    def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
+        self._consume(move.component, 3)
+        self.triangle_refs.append(move.triangle_index)
+
     def _consume(self, cid: int, expected_len: int) -> None:
         v = self.component(cid)
         if len(v) != expected_len:
@@ -306,37 +319,57 @@ class Replayer:
         return IntegralCurve([self.components[k].copy() for k in sorted(self.components)])
 
 
+class MoveSpec(NamedTuple):
+    """One row of the move table.
+
+    ``fields`` lists (JSON key, attribute, codec) with codec one of ``int``,
+    ``int_pair``, ``point`` or ``str``; ``files`` encodes and decodes by it.
+    """
+
+    cls: type
+    apply: Callable[[Replayer, Move], Rhombus | None]
+    fields: tuple[tuple[str, str, str], ...]
+
+
+_COMPONENT = ("component", "component", "int")
+
+# JSON ``type`` -> move class, replay step and fields.
+MOVE_TABLE: dict[str, MoveSpec] = {
+    "pivot": MoveSpec(PivotMove, Replayer._apply_pivot, (
+        _COMPONENT, ("vertex", "vertex", "int"), ("new", "new_point", "point"),
+        ("stage", "stage", "str"))),
+    "split": MoveSpec(SplitMove, Replayer._apply_split, (
+        _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"))),
+    "pentagon": MoveSpec(PentagonMove, Replayer._apply_pentagon, (
+        _COMPONENT, ("rhombi", "rhombus_indices", "int_pair"),
+        ("triangle", "triangle_index", "int"))),
+    "close_rhombus": MoveSpec(CloseRhombusMove, Replayer._apply_close_rhombus, (
+        _COMPONENT, ("rhombus", "rhombus_index", "int"))),
+    "close_triangle": MoveSpec(CloseTriangleMove, Replayer._apply_close_triangle, (
+        _COMPONENT, ("triangle", "triangle_index", "int"))),
+}
+
+
 # ---------------------------------------------------------------------------
 # single pivot
 
 
-def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray,
-                stage: str, seams: list[SeamPair],
-                tol: Tolerance) -> PivotMove | None:
-    """Build, validate, record and apply one pivot; None for a no-op."""
-    v = state.component(cid)
-    n = len(v)
-    old = v[i].copy()
+def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray, stage: str,
+                moves: list[Move], counters: Counter, tol: Tolerance) -> bool:
+    """Record and apply one pivot, counting it under ``stage``.
+
+    A target equal to the current vertex is a no-op: nothing is recorded
+    and False is returned.
+    """
     target = np.asarray(target, dtype=float).copy()
-    if dist(old, target) <= tol.geom_eps:
-        return None
-    prev = v[(i - 1) % n].copy()
-    nxt = v[(i + 1) % n].copy()
-    for nb in (prev, nxt):
-        if abs(dist(nb, target) - 1.0) > tol.geom_eps:
-            raise NotOnPivotCircleError(
-                f"pivot target at distance {dist(nb, target)} from a neighbour")
-    degenerate = dist(prev, nxt) <= tol.geom_eps
-    if degenerate:
-        rhombus = None
-        seams.append(SeamPair(np.vstack([prev, old]), np.vstack([old, prev])))
-        seams.append(SeamPair(np.vstack([prev, target]), np.vstack([target, prev])))
-    else:
-        rhombus = Rhombus(np.vstack([prev, old, nxt, target]))
-        rhombus.validate(tol)
-    move = PivotMove(cid, i, old, target, rhombus, degenerate, stage)
-    state.apply(move)
-    return move
+    if dist(state.component(cid)[i], target) <= tol.geom_eps:
+        return False
+    move = PivotMove(cid, i, target, stage)
+    if state.apply(move) is not None:
+        counters["rhombi"] += 1
+    counters[stage] += 1
+    moves.append(move)
+    return True
 
 
 def apply_pivot(curve: IntegralCurve, comp: int, i: int, p: np.ndarray,
@@ -349,11 +382,10 @@ def apply_pivot(curve: IntegralCurve, comp: int, i: int, p: np.ndarray,
     move None.
     """
     state = Replayer(curve, tol)
-    seams: list[SeamPair] = []
-    move = _make_pivot(state, comp, i, p, "pivot", seams, tol)
-    if move is None:
+    moves: list[Move] = []
+    if not _make_pivot(state, comp, i, p, "pivot", moves, Counter(), tol):
         return curve.copy(), None
-    return IntegralCurve([state.components[k] for k in sorted(state.components)]), move
+    return state.final_curve(), moves[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +431,7 @@ _PLANAR_STOP = 1e-10
 
 
 def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
-                  moves: list[Move], seams: list[SeamPair], counters: dict,
+                  moves: list[Move], counters: Counter,
                   tol: Tolerance, budget: int) -> None:
     """Drive every interior vertex of one path into the plane.
 
@@ -432,18 +464,12 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
                 f"pivot did not descend: {new_height} > {heights[j - 1]}")
         if counters["planarize"] + 1 > budget:
             raise PlanarizeBudgetError("planarize exceeded its move budget")
-        move = _make_pivot(state, cid, g, target, "planarize", seams, tol)
-        if move is None:
+        if not _make_pivot(state, cid, g, target, "planarize", moves, counters, tol):
             raise PlanarizeBudgetError("planarize produced a no-op pivot")
-        moves.append(move)
-        counters["planarize"] += 1
-        if move.rhombus is not None:
-            counters["rhombi"] += 1
 
 
 def _planarize_component(state: Replayer, cid: int, moves: list[Move],
-                         seams: list[SeamPair], counters: dict,
-                         tol: Tolerance) -> Plane:
+                         counters: Counter, tol: Tolerance) -> Plane:
     v = state.component(cid)
     existing = component_plane(v, tol)
     if existing is not None:
@@ -454,8 +480,8 @@ def _planarize_component(state: Replayer, cid: int, moves: list[Move],
     budget = n * (n - 1) // 2
     forward = [(iv + k) % n for k in range(((iw - iv) % n) + 1)]
     backward = [(iw + k) % n for k in range(((iv - iw) % n) + 1)]
-    _flatten_path(state, cid, forward, plane, moves, seams, counters, tol, budget)
-    _flatten_path(state, cid, backward, plane, moves, seams, counters, tol, budget)
+    _flatten_path(state, cid, forward, plane, moves, counters, tol, budget)
+    _flatten_path(state, cid, backward, plane, moves, counters, tol, budget)
     return plane
 
 
@@ -469,12 +495,10 @@ def planarize(curve: IntegralCurve,
     """
     curve.validate(tol)
     state = Replayer(curve, tol)
-    moves: list[Move] = []
-    seams: list[SeamPair] = []
+    moves: list[PivotMove] = []
     for cid in range(len(curve.components)):
-        counters = {"planarize": 0, "rhombi": 0}
-        _planarize_component(state, cid, moves, seams, counters, tol)
-    return state.final_curve(), [m for m in moves if isinstance(m, PivotMove)]
+        _planarize_component(state, cid, moves, Counter(), tol)
+    return state.final_curve(), moves
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +644,7 @@ def _plane_frame(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack_component(state: Replayer, cid: int, moves: list[Move],
-                    seams: list[SeamPair], counters: dict,
-                    tol: Tolerance) -> None:
+                    counters: Counter, tol: Tolerance) -> None:
     """Realize a bounded-prefix edge order with adjacent-transposition pivots.
 
     Swapping consecutive edge vectors u_j, u_{j+1} moves the shared vertex to
@@ -645,12 +668,7 @@ def _pack_component(state: Replayer, cid: int, moves: list[Move],
         for j in range(n - 1):
             if pos[arrangement[j]] > pos[arrangement[j + 1]]:
                 target = v[j] + (v[(j + 2) % n] - v[j + 1])
-                move = _make_pivot(state, cid, j + 1, target, "pack", seams, tol)
-                if move is not None:
-                    moves.append(move)
-                    counters["pack"] += 1
-                    if move.rhombus is not None:
-                        counters["rhombi"] += 1
+                _make_pivot(state, cid, j + 1, target, "pack", moves, counters, tol)
                 arrangement[j], arrangement[j + 1] = arrangement[j + 1], arrangement[j]
                 swapped = True
     radii = np.linalg.norm(v - v[0], axis=1)
@@ -663,14 +681,12 @@ def pack(curve: IntegralCurve,
     """Pivot each planar component until all vertices are within 2 of vertex 0."""
     curve.validate(tol)
     state = Replayer(curve, tol)
-    moves: list[Move] = []
-    seams: list[SeamPair] = []
+    moves: list[PivotMove] = []
     for cid, comp in enumerate(curve.components):
         if component_plane(comp, tol) is None:
             raise ValueError(f"component {cid} is not planar")
-        counters = {"pack": 0, "rhombi": 0}
-        _pack_component(state, cid, moves, seams, counters, tol)
-    return state.final_curve(), [m for m in moves if isinstance(m, PivotMove)]
+        _pack_component(state, cid, moves, Counter(), tol)
+    return state.final_curve(), moves
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +791,8 @@ def pentagon_split(pentagon: np.ndarray,
             "no sequence of <= 3 corrective pivots reaches circumradius < 1")
     fixes: list[PivotMove] = []
     state = Replayer(IntegralCurve([p]), tol)
-    seams: list[SeamPair] = []
     for i, target in plan:
-        move = _make_pivot(state, 0, i, target, "fix", seams, tol)
-        if move is not None:
-            fixes.append(move)
+        _make_pivot(state, 0, i, target, "fix", fixes, Counter(), tol)
     p = state.component(0)
     apex = apex_at_unit_distance(p[0], p[2], p[3], +1, tol)
     if apex is None:
@@ -820,36 +833,19 @@ def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
 
 
 def _consume_pentagon(state: Replayer, cid: int, ledger: CobordismLedger,
-                      counters: dict, tol: Tolerance) -> None:
-    p = state.component(cid)
-    split = pentagon_split(p, tol)
+                      counters: Counter, tol: Tolerance) -> None:
+    split = pentagon_split(state.component(cid), tol)
     for fix in split.fixes:
-        move = PivotMove(cid, fix.vertex, fix.old_point, fix.new_point,
-                         fix.rhombus, fix.degenerate, "fix")
-        state.apply(move)
-        ledger.moves.append(move)
-        counters["fixes"] += 1
-        if move.rhombus is not None:
-            counters["rhombi"] += 1
-        else:
-            v = state.component(cid)
-            nb = v[(move.vertex - 1) % len(v)].copy()
-            ledger.seams.append(SeamPair(np.vstack([nb, move.old_point]),
-                                         np.vstack([move.old_point, nb])))
-            ledger.seams.append(SeamPair(np.vstack([nb, move.new_point]),
-                                         np.vstack([move.new_point, nb])))
-    p = state.component(cid)
-    apex = split.apex
+        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix", ledger.moves,
+                    counters, tol)
     rho_a, rho_b = split.rhombi
     tri_index = len(ledger.triangles)
     ledger.triangles.append(split.triangle)
-    seam_index = len(ledger.seams)
-    ledger.seams.append(SeamPair(np.vstack([apex, p[0]]), np.vstack([p[0], apex])))
     ra_index = len(ledger.final_rhombi)
     ledger.final_rhombi.append(rho_a.reversed())
     ledger.final_rhombi.append(rho_b.reversed())
     counters["rhombi"] += 2
-    move = PentagonMove(cid, apex.copy(), (ra_index, ra_index + 1), tri_index, seam_index)
+    move = PentagonMove(cid, (ra_index, ra_index + 1), tri_index)
     state.apply(move)
     ledger.moves.append(move)
 
@@ -869,13 +865,13 @@ def reduce_to_rhombi(curve: IntegralCurve,
     state = Replayer(initial, tol)
     next_id = len(initial.components)
     per_component = []
-    totals = {"planarize": 0, "pack": 0, "splits": 0, "fixes": 0, "rhombi": 0}
+    totals: Counter = Counter()
 
     for root in range(len(initial.components)):
         n0 = len(initial.components[root])
         if n0 < 3:
             raise ComponentTooShortError(f"component {root} has fewer than 3 edges")
-        counters = {"planarize": 0, "pack": 0, "splits": 0, "fixes": 0, "rhombi": 0}
+        counters: Counter = Counter()
         if n0 == 3:
             tri = TriangleFace(state.component(root).copy())
             tri.validate(tol)
@@ -894,18 +890,14 @@ def reduce_to_rhombi(curve: IntegralCurve,
             state.apply(move)
             ledger.moves.append(move)
         else:
-            plane = _planarize_component(state, root, ledger.moves, ledger.seams,
-                                         counters, tol)
-            _pack_component(state, root, ledger.moves, ledger.seams, counters, tol)
+            plane = _planarize_component(state, root, ledger.moves, counters, tol)
+            _pack_component(state, root, ledger.moves, counters, tol)
             while len(state.component(root)) > 5:
                 v = state.component(root)
                 z = _choose_bridge(v, plane, tol)
                 pent_id = next_id
                 next_id += 1
-                s_index = len(ledger.seams)
-                ledger.seams.append(SeamPair(np.vstack([v[3], z]), np.vstack([z, v[3]])))
-                ledger.seams.append(SeamPair(np.vstack([z, v[0]]), np.vstack([v[0], z])))
-                move = SplitMove(root, pent_id, z.copy(), (s_index, s_index + 1))
+                move = SplitMove(root, pent_id, z.copy())
                 state.apply(move)
                 ledger.moves.append(move)
                 counters["splits"] += 1
@@ -917,8 +909,7 @@ def reduce_to_rhombi(curve: IntegralCurve,
                 f"component {root} used {counters['rhombi']} rhombi, budget {budget}")
         per_component.append({"component": root, "edges": n0,
                               "rhombi_used": counters["rhombi"], "budget": budget})
-        for key in totals:
-            totals[key] += counters[key]
+        totals.update(counters)
 
     ledger.final_curve = state.final_curve()
     ledger.stats = {
@@ -928,7 +919,7 @@ def reduce_to_rhombi(curve: IntegralCurve,
         "planarize_moves": totals["planarize"],
         "pack_moves": totals["pack"],
         "splits": totals["splits"],
-        "fixes": totals["fixes"],
+        "fixes": totals["fix"],
         "per_component": per_component,
     }
     return ledger

@@ -3,6 +3,13 @@
 Floats are serialized with Python's shortest-round-trip repr, so write ->
 read -> write is byte-identical and replay stays exact across the disk
 boundary.
+
+Ledger version 2 records decisions only: each move is written from its row
+of ``cobordism.MOVE_TABLE``, and pivot cells are derived on replay.  Version
+1 documents are still read; the keys version 2 dropped (``seams``, a
+pivot's ``old``, ``rhombus`` and ``degenerate``, a split's ``seams``, a
+pentagon's ``apex`` and ``seam``) are ignored, and the ledger is checked by
+the same derivation.  Writing always produces version 2.
 """
 
 from __future__ import annotations
@@ -11,18 +18,7 @@ import json
 
 import numpy as np
 
-from .cobordism import (
-    CloseRhombusMove,
-    CloseTriangleMove,
-    CobordismLedger,
-    Move,
-    PentagonMove,
-    PivotMove,
-    Rhombus,
-    SeamPair,
-    SplitMove,
-    TriangleFace,
-)
+from .cobordism import MOVE_TABLE, CobordismLedger, Move, Rhombus, TriangleFace
 from .curve import IntegralCurve
 
 __all__ = [
@@ -40,7 +36,7 @@ __all__ = [
 ]
 
 CURVE_VERSION = 1
-LEDGER_VERSION = 1
+LEDGER_VERSION = 2
 
 
 class FileFormatError(ValueError):
@@ -51,11 +47,18 @@ def _points(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _array(obj, shape_hint: str) -> np.ndarray:
+def _floats(obj, what: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"bad {shape_hint}: {exc}") from exc
+        raise FileFormatError(f"bad {what}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(f"bad {what}: non-finite coordinate")
+    return arr
+
+
+def _array(obj, shape_hint: str) -> np.ndarray:
+    arr = _floats(obj, shape_hint)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise FileFormatError(f"bad {shape_hint}: expected a list of 3-d points")
     return arr
@@ -77,80 +80,49 @@ def curve_from_obj(obj) -> IntegralCurve:
     return IntegralCurve([_array(c, "curve component") for c in comps])
 
 
-def _move_to_obj(move: Move) -> dict:
-    if isinstance(move, PivotMove):
-        return {
-            "type": "pivot",
-            "component": move.component,
-            "vertex": move.vertex,
-            "old": _points(move.old_point[None, :])[0],
-            "new": _points(move.new_point[None, :])[0],
-            "rhombus": None if move.rhombus is None else _points(move.rhombus.vertices),
-            "degenerate": move.degenerate,
-            "stage": move.stage,
-        }
-    if isinstance(move, SplitMove):
-        return {
-            "type": "split",
-            "component": move.component,
-            "new_component": move.new_component,
-            "z": _points(move.z[None, :])[0],
-            "seams": list(move.seam_indices),
-        }
-    if isinstance(move, PentagonMove):
-        return {
-            "type": "pentagon",
-            "component": move.component,
-            "apex": _points(move.apex[None, :])[0],
-            "rhombi": list(move.rhombus_indices),
-            "triangle": move.triangle_index,
-            "seam": move.seam_index,
-        }
-    if isinstance(move, CloseRhombusMove):
-        return {"type": "close_rhombus", "component": move.component,
-                "rhombus": move.rhombus_index}
-    if isinstance(move, CloseTriangleMove):
-        return {"type": "close_triangle", "component": move.component,
-                "triangle": move.triangle_index}
-    raise FileFormatError(f"unknown move type {type(move)!r}")
+def _int(obj, what: str) -> int:
+    if type(obj) is not int:
+        raise FileFormatError(f"bad {what}: expected an integer, got {obj!r}")
+    return obj
 
 
-def _point_from(obj, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+def _int_pair(obj, what: str) -> tuple[int, int]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise FileFormatError(f"bad {what}: expected two integers")
+    return _int(obj[0], what), _int(obj[1], what)
+
+
+def _point(obj, what: str) -> np.ndarray:
+    arr = _floats(obj, what)
     if arr.shape != (3,):
-        raise FileFormatError(f"bad {what}")
+        raise FileFormatError(f"bad {what}: expected a 3-d point")
     return arr
 
 
+def _str(obj, what: str) -> str:
+    if not isinstance(obj, str):
+        raise FileFormatError(f"bad {what}: expected a string")
+    return obj
+
+
+# codec name (see cobordism.MoveSpec) -> encoder / decoder
+_ENCODE = {"int": int, "int_pair": list, "point": _points, "str": str}
+_DECODE = {"int": _int, "int_pair": _int_pair, "point": _point, "str": _str}
+
+
+def _move_to_obj(move: Move) -> dict:
+    obj = {"type": move.kind}
+    for key, attr, codec in MOVE_TABLE[move.kind].fields:
+        obj[key] = _ENCODE[codec](getattr(move, attr))
+    return obj
+
+
 def _move_from_obj(obj) -> Move:
-    kind = obj.get("type")
-    if kind == "pivot":
-        rho = obj.get("rhombus")
-        return PivotMove(
-            component=int(obj["component"]),
-            vertex=int(obj["vertex"]),
-            old_point=_point_from(obj["old"], "pivot old point"),
-            new_point=_point_from(obj["new"], "pivot new point"),
-            rhombus=None if rho is None else Rhombus(_array(rho, "pivot rhombus")),
-            degenerate=bool(obj["degenerate"]),
-            stage=str(obj.get("stage", "pivot")),
-        )
-    if kind == "split":
-        seams = obj.get("seams", [0, 0])
-        return SplitMove(int(obj["component"]), int(obj["new_component"]),
-                         _point_from(obj["z"], "split point"),
-                         (int(seams[0]), int(seams[1])))
-    if kind == "pentagon":
-        rhombi = obj["rhombi"]
-        return PentagonMove(int(obj["component"]),
-                            _point_from(obj["apex"], "pentagon apex"),
-                            (int(rhombi[0]), int(rhombi[1])),
-                            int(obj["triangle"]), int(obj["seam"]))
-    if kind == "close_rhombus":
-        return CloseRhombusMove(int(obj["component"]), int(obj["rhombus"]))
-    if kind == "close_triangle":
-        return CloseTriangleMove(int(obj["component"]), int(obj["triangle"]))
-    raise FileFormatError(f"unknown move type {kind!r}")
+    if not isinstance(obj, dict) or obj.get("type") not in MOVE_TABLE:
+        raise FileFormatError(f"bad move: {obj!r:.80}")
+    spec = MOVE_TABLE[obj["type"]]
+    return spec.cls(**{attr: _DECODE[codec](obj[key], f"{obj['type']} {key}")
+                       for key, attr, codec in spec.fields})
 
 
 def ledger_to_obj(ledger: CobordismLedger) -> dict:
@@ -159,8 +131,6 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
         "initial": curve_to_obj(ledger.initial),
         "moves": [_move_to_obj(m) for m in ledger.moves],
         "triangles": [_points(t.vertices) for t in ledger.triangles],
-        "seams": [{"a": _points(s.first), "b": _points(s.second)}
-                  for s in ledger.seams],
         "rhombi": [_points(r.vertices) for r in ledger.final_rhombi],
         "final_curve": curve_to_obj(ledger.final_curve),
         "stats": ledger.stats,
@@ -168,18 +138,18 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
 
 
 def ledger_from_obj(obj) -> CobordismLedger:
-    if not isinstance(obj, dict) or obj.get("version") != LEDGER_VERSION:
+    if not isinstance(obj, dict) or obj.get("version") not in (1, LEDGER_VERSION):
         raise FileFormatError("unsupported ledger document")
     try:
+        if not isinstance(obj["stats"], dict):
+            raise FileFormatError("ledger stats must be an object")
         return CobordismLedger(
             initial=curve_from_obj(obj["initial"]),
             moves=[_move_from_obj(m) for m in obj["moves"]],
             triangles=[TriangleFace(_array(t, "triangle")) for t in obj["triangles"]],
-            seams=[SeamPair(_array(s["a"], "seam"), _array(s["b"], "seam"))
-                   for s in obj["seams"]],
             final_rhombi=[Rhombus(_array(r, "rhombus")) for r in obj["rhombi"]],
             final_curve=curve_from_obj(obj["final_curve"]),
-            stats=obj.get("stats", {}),
+            stats=obj["stats"],
         )
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed ledger document: {exc}") from exc

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +79,45 @@ def test_ledger_roundtrip_bytes(tmp_path):
     files.write_ledger(str(first), ledger)
     files.write_ledger(str(second), files.read_ledger(str(first)))
     assert first.read_bytes() == second.read_bytes()
+
+
+def _first_pivot(doc):
+    return next(m for m in doc["moves"] if m["type"] == "pivot")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["moves"][0].update(component="x"),
+    lambda doc: doc["moves"].__setitem__(0, [1, 2]),
+    lambda doc: doc.update(stats=None),
+    lambda doc: _first_pivot(doc)["new"].__setitem__(0, float("nan")),
+], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan"])
+def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit):
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    doc = files.ledger_to_obj(ledger)
+    edit(doc)
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(path)]) == 2
+    assert "unexpected error" not in capsys.readouterr().err
+
+
+V1_DIGON = Path(__file__).parent / "data" / "ledger_v1_collinear_digon.json"
+
+
+def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
+    # written by the version 1 writer for the collinear out-and-back digon
+    # (n = 6), whose degenerate pivots v1 recorded with seams
+    v1 = json.loads(V1_DIGON.read_text())
+    assert v1["version"] == 1 and v1["seams"]
+    assert any(m["type"] == "pivot" and m["degenerate"] for m in v1["moves"])
+    assert main(["validate", "--in", str(V1_DIGON)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    out = tmp_path / "v2.json"
+    files.write_ledger(str(out), files.read_ledger(str(V1_DIGON)))
+    v2 = json.loads(out.read_text())
+    assert v2["version"] == 2 and "seams" not in v2
+    assert v2["stats"]["k"] == v1["stats"]["k"]
+    assert validate_ledger(files.read_ledger(str(out))).passed
 
 
 def test_off_export(tmp_path, capsys):

@@ -40,12 +40,13 @@ def max_prefix_norm(vectors, order):
 
 def test_apply_pivot_square_to_doubled_path(unit_square):
     new_curve, move = apply_pivot(unit_square, 0, 1, np.array([0.0, 1.0, 0.0]))
-    assert move is not None and not move.degenerate
+    assert move is not None
     assert np.allclose(new_curve.components[0][1], [0, 1, 0])
-    # emitted rhombus is the original unit square
-    assert np.allclose(move.rhombus.vertices,
-                       [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    move.rhombus.validate()
+    # the cell replay derives for the pivot is the original unit square
+    cell = Replayer(unit_square).apply(move)
+    assert np.array_equal(cell.vertices,
+                          [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    cell.validate()
 
 
 def test_apply_pivot_noop(unit_square):
@@ -116,7 +117,7 @@ def test_planarize_each_pivot_descends():
         n = len(work)
         for move in moves:
             heights = np.abs((work - plane.base) @ plane.normal)
-            h_old = abs(float(np.dot(move.old_point - plane.base, plane.normal)))
+            h_old = heights[move.vertex]  # the old point is the replayed vertex
             h_new = abs(float(np.dot(move.new_point - plane.base, plane.normal)))
             h_prev = heights[(move.vertex - 1) % n]
             h_next = heights[(move.vertex + 1) % n]
@@ -380,7 +381,7 @@ def test_component_budget_values():
 # degenerate configurations
 
 
-def test_apply_pivot_degenerate_emits_seams_not_rhombus():
+def test_apply_pivot_degenerate_derives_no_rhombus():
     a = np.array([0.0, 0.0, 0.0])
     b = np.array([1.0, 0.0, 0.0])
     c = np.array([0.0, 1.0, 0.0])
@@ -388,7 +389,8 @@ def test_apply_pivot_degenerate_emits_seams_not_rhombus():
     curve = IntegralCurve([np.vstack([a, b, a, c, d])])
     curve.validate()
     new_curve, move = apply_pivot(curve, 0, 1, np.array([0.0, 0.0, 1.0]))
-    assert move.degenerate and move.rhombus is None
+    # both neighbours are a, so replay derives no cell for this pivot
+    assert move is not None and Replayer(curve).apply(move) is None
     assert np.allclose(new_curve.components[0][1], [0, 0, 1])
 
 
@@ -414,10 +416,12 @@ def test_reduce_collinear_out_and_back():
     digon = from_integer_curve([np.array([[0, 0, 0], [3, 0, 0.0]])])
     assert digon.edge_count == 6
     ledger = reduce_to_rhombi(digon)
-    degenerate = [m for m in ledger.moves
-                  if isinstance(m, PivotMove) and m.degenerate]
-    assert degenerate
-    assert all(m.rhombus is None for m in degenerate)
+    replay = Replayer(ledger.initial)
+    cells = [(m, replay.apply(m)) for m in ledger.moves]
+    pivots = [cell for m, cell in cells if isinstance(m, PivotMove)]
+    assert None in pivots  # some pivots are degenerate and derive no cell
+    derived = sum(cell is not None for cell in pivots)
+    assert ledger.stats["k"] == derived + len(ledger.final_rhombi)
     assert validate_ledger(ledger).passed
     assert ledger.stats["k"] <= 36
 

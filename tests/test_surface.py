@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import regular_polygon_curve
-from rhombidome.cobordism import Rhombus, reduce_to_rhombi
+from rhombidome.cobordism import (
+    CobordismLedger, PivotMove, Replayer, Rhombus, reduce_to_rhombi)
+from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import random_integral_curve
 from rhombidome.surface import (
     NotBoundaryEdgeError,
@@ -148,9 +151,12 @@ def test_assemble_pentagon_chain(regular_pentagon):
     assert len(chain.triangles) == 1
     assert chain.rhombus_cells == []  # no pivots were needed
     assert len(ledger.final_rhombi) == 2
-    # seams cover the apex spoke and cancel pairwise
-    for seam in chain.seams:
-        seam.validate()
+    # the apex spokes shared by the triangle and both rhombi cancel by
+    # orientation alone, leaving exactly the pentagon
+    residue = signed_segment_counts(
+        [chain.triangles[0].vertices],
+        [ledger.initial.components[0]] + [r.vertices for r in ledger.final_rhombi])
+    assert residue == {}
 
 
 def test_validator_passes_random_corpus():
@@ -199,7 +205,8 @@ def test_validator_flags_invalid_initial_curve():
 def test_validator_accepts_partial_ledger():
     # a pivots-only ledger between two curves is a valid equivalence record:
     # its chain balances with the nonempty final curve re-entering positively
-    from rhombidome.cobordism import CobordismLedger, component_budget, pack, planarize
+    from rhombidome.cobordism import (
+        CobordismLedger, Replayer, component_budget, pack, planarize)
 
     rng = np.random.default_rng(23)
     curve = random_integral_curve(10, rng)
@@ -207,11 +214,94 @@ def test_validator_accepts_partial_ledger():
     packed, m2 = pack(flat)
     moves = m1 + m2
     assert moves
-    k = sum(1 for m in moves if m.rhombus is not None)
+    replay = Replayer(curve)
+    k = sum(replay.apply(m) is not None for m in moves)
     ledger = CobordismLedger(
         initial=curve.copy(), moves=list(moves), final_curve=packed.copy(),
         stats={"n": 10, "k": k, "budget": component_budget(10)})
     assert validate_ledger(ledger).passed
+
+
+@pytest.mark.parametrize("edit, failed", [
+    (lambda ledger: setattr(ledger, "stats", None), ["budget"]),
+    (lambda ledger: ledger.stats["per_component"][0].update(rhombi_used=None),
+     ["budget"]),
+    (lambda ledger: ledger.triangles[0].vertices.__setitem__((0, 0), np.nan),
+     ["cells_unit", "chain_identity"]),
+    (lambda ledger: next(m for m in ledger.moves if isinstance(m, PivotMove))
+     .new_point.__setitem__(0, np.nan), ["replay"]),
+], ids=["stats_none", "rhombi_used_none", "triangle_nan", "pivot_point_nan"])
+def test_validator_reports_instead_of_raising(edit, failed):
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    edit(ledger)
+    report = validate_ledger(ledger)
+    assert [name for name, ok, _ in report.entries if not ok] == failed
+
+
+def _tamper_ledgers():
+    """A fixed n=9 ledger and the pivots-only prefix of it, as JSON documents.
+
+    The prefix stops before the first split, so its final curve is nonempty.
+    """
+    full = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    state = Replayer(full.initial)
+    moves, k = [], 0
+    for move in full.moves:
+        if not isinstance(move, PivotMove):
+            break
+        k += state.apply(move) is not None
+        moves.append(move)
+    prefix = CobordismLedger(initial=full.initial.copy(), moves=moves,
+                             final_curve=state.final_curve(),
+                             stats={"k": k, "budget": full.stats["budget"]})
+    return ledger_to_obj(full), ledger_to_obj(prefix)
+
+
+def _tamper_edits(full: dict, prefix: dict):
+    """Yield (name, document, path, value): set doc[path] to value."""
+    for i, move in enumerate(full["moves"]):
+        if move["type"] == "pivot":
+            yield f"move {i} new", full, ("moves", i, "new", 0), move["new"][0] + 1e-3
+    for key in ("triangles", "rhombi"):
+        for c, cell in enumerate(full[key]):
+            for v, point in enumerate(cell):
+                yield f"{key} {c} vertex {v}", full, (key, c, v, 0), point[0] + 1e-3
+    point = full["initial"]["components"][0][0]
+    yield "initial vertex", full, ("initial", "components", 0, 0, 0), point[0] + 1e-3
+    point = prefix["final_curve"]["components"][0][0]
+    yield "final vertex", prefix, ("final_curve", "components", 0, 0, 0), point[0] + 1e-3
+    for key in ("component", "new_component", "vertex", "rhombi", "triangle"):
+        in_use = sorted({x for m in full["moves"] if key in m
+                         for x in np.ravel(m[key]).tolist()})
+        for i, move in enumerate(full["moves"]):
+            slots = [()] if key != "rhombi" else [(0,), (1,)]
+            for slot in slots if key in move else []:
+                value = move[key][slot[0]] if slot else move[key]
+                other = next(x for x in in_use if x != value)
+                for bad in (-1, 10 ** 6, other):
+                    yield (f"move {i} {key}{list(slot)}={bad}", full,
+                           ("moves", i, key) + slot, bad)
+
+
+def test_validator_tamper_sweep():
+    # every single-field edit of a valid ledger must fail the report, and the
+    # validator must say so rather than raise
+    full, prefix = _tamper_ledgers()
+    assert validate_ledger(ledger_from_obj(full)).passed
+    assert validate_ledger(ledger_from_obj(prefix)).passed
+    missed = []
+    count = 0
+    for name, doc, path, value in _tamper_edits(full, prefix):
+        tampered = json.loads(json.dumps(doc))
+        holder = tampered
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        count += 1
+        if validate_ledger(ledger_from_obj(tampered)).passed:
+            missed.append(name)
+    assert count > 100
+    assert missed == []
 
 
 def test_signed_segment_counts_cancellation():

@@ -141,8 +141,11 @@ def ledger_from_obj(obj) -> CobordismLedger:
     if not isinstance(obj, dict) or obj.get("version") not in (1, LEDGER_VERSION):
         raise FileFormatError("unsupported ledger document")
     try:
-        if not isinstance(obj["stats"], dict):
-            raise FileFormatError("ledger stats must be an object")
+        for key, kind in (("moves", list), ("triangles", list), ("rhombi", list),
+                          ("stats", dict)):
+            if not isinstance(obj[key], kind):
+                raise FileFormatError(f"ledger {key} must be a JSON "
+                                      f"{'array' if kind is list else 'object'}")
         return CobordismLedger(
             initial=curve_from_obj(obj["initial"]),
             moves=[_move_from_obj(m) for m in obj["moves"]],

@@ -411,10 +411,15 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 
 @dataclass
 class DomeChain:
-    """Formal 2-chain realizing a reduction: triangles and pivot rhombus cells."""
+    """Formal 2-chain realizing a reduction: triangles and pivot rhombus cells.
+
+    ``closures``: per consuming move, its cycle, triangles and boundary rhombi.
+    """
 
     triangles: list[TriangleFace] = field(default_factory=list)
     rhombus_cells: list[Rhombus] = field(default_factory=list)
+    closures: list[tuple[np.ndarray, list[TriangleFace], list[Rhombus]]] = field(
+        default_factory=list)
     # Always empty: shared edges cancel by orientation.  Kept only because
     # the benchmark tracer (bench/spans.py) counts ``len(chain.seams)``.
     seams = ()
@@ -472,11 +477,16 @@ def assemble_from_ledger(ledger: CobordismLedger,
         if cell is not None:
             chain.rhombus_cells.append(cell)
 
-    if sorted(state.triangle_refs) != list(range(len(ledger.triangles))):
+    triangle_refs = [i for _, tris, _ in state.consumed for i in tris]
+    rhombus_refs = [i for _, _, rhos in state.consumed for i in rhos]
+    if sorted(triangle_refs) != list(range(len(ledger.triangles))):
         raise ReplayMismatchError("ledger triangles not in bijection with moves")
-    if sorted(state.rhombus_refs) != list(range(len(ledger.final_rhombi))):
+    if sorted(rhombus_refs) != list(range(len(ledger.final_rhombi))):
         raise ReplayMismatchError("ledger rhombi not in bijection with moves")
-    chain.triangles = [ledger.triangles[i] for i in state.triangle_refs]
+    chain.triangles = [ledger.triangles[i] for i in triangle_refs]
+    chain.closures = [(cycle, [ledger.triangles[i] for i in tris],
+                       [ledger.final_rhombi[i] for i in rhos])
+                      for cycle, tris, rhos in state.consumed]
     final = state.final_curve()
     recorded = ledger.final_curve
     if len(final.components) != len(recorded.components):
@@ -513,9 +523,10 @@ def validate_ledger(ledger: CobordismLedger,
     Every cell is checked for unit sides, including the pivot cells that
     replay derives.  Chain identity: the boundary of the assembled chain
     minus the initial curve minus the recorded rhombi must have signed
-    multiplicity zero on every quantized unit segment.  Budget: k, the
-    recorded boundary rhombi plus the derived pivot cells, must match the
-    stats and stay within the budget.  Failures become report entries, never
+    multiplicity zero on every quantized unit segment, and so must each
+    consumed cycle against the cells its move names, which ties every split's
+    ``z`` to recorded cells.  Budget: k, the recorded boundary rhombi plus the
+    derived pivot cells, must match the stats and stay within the budget.  Failures become report entries, never
     exceptions.
     """
     report = LedgerReport()
@@ -559,8 +570,12 @@ def validate_ledger(ledger: CobordismLedger,
     cycles_minus += [rho.vertices for rho in ledger.final_rhombi]
     try:
         residue = signed_segment_counts(cells_plus, cycles_minus, tol)
-        report.add("chain_identity", not residue,
-                   f"{len(residue)} unbalanced segments" if residue else "")
+        unbalanced = [i for i, (cycle, tris, rhos) in enumerate(chain.closures)
+                      if signed_segment_counts([t.vertices for t in tris],
+                                               [cycle] + [r.vertices for r in rhos], tol)]
+        report.add("chain_identity", not residue and not unbalanced,
+                   f"{len(residue)} unbalanced segments, unbalanced consumed cycles "
+                   f"{unbalanced[:5]}" if residue or unbalanced else "")
     except (ValueError, OverflowError) as exc:  # non-finite coordinates
         report.add("chain_identity", False, str(exc))
 

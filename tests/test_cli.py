@@ -90,7 +90,11 @@ def _first_pivot(doc):
     lambda doc: doc["moves"].__setitem__(0, [1, 2]),
     lambda doc: doc.update(stats=None),
     lambda doc: _first_pivot(doc)["new"].__setitem__(0, float("nan")),
-], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan"])
+    lambda doc: doc.update(moves={}),
+    lambda doc: doc.update(triangles={}),
+    lambda doc: doc.update(rhombi={}),
+], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
+        "moves_object", "triangles_object", "rhombi_object"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     doc = files.ledger_to_obj(ledger)

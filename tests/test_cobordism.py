@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import folded_rhombus_curve
 from rhombidome.cobordism import (
@@ -164,18 +166,20 @@ def test_steinitz_rejects_open_chain():
 
 
 def test_steinitz_fallback_searchers_directly():
-    from rhombidome.cobordism import _beam_order, _dfs_order
+    # the elimination fallback is the proof of the bound 2, so it must hold on
+    # any closed set, including those the first-fit pass handles itself
+    from rhombidome.cobordism import _elimination_order
 
-    ang = np.pi / 6.0 * np.arange(12)
-    vectors = np.column_stack([np.cos(ang), np.sin(ang)])
-    for order in (_dfs_order(vectors, 2.0 + 1e-9, node_cap=1_000_000),
-                  _beam_order(vectors, 2.0 + 1e-9, width=64)):
-        assert order is not None
-        assert sorted(order) == list(range(12))
+    def polygon(k):
+        return _unit(2.0 * np.pi * np.arange(k) / k)
+
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    lattice = np.repeat(square, 10, axis=0)[np.random.default_rng(0).permutation(40)]
+    digon = np.array([[1.0, 0.0]] * 3 + [[-1.0, 0.0]] * 3)
+    for vectors in (polygon(12), polygon(200), digon, lattice):
+        order = _elimination_order(vectors)
+        assert sorted(order) == list(range(len(vectors)))
         assert max_prefix_norm(vectors, order) <= 2.0 + 1e-9
-    # an infeasible bound makes both searchers report failure
-    assert _dfs_order(vectors, 0.5, node_cap=100_000) is None
-    assert _beam_order(vectors, 0.5, width=64) is None
 
 
 def test_steinitz_random_planar_curves():
@@ -191,6 +195,66 @@ def test_steinitz_random_planar_curves():
         order = steinitz_order(vecs)
         assert max_prefix_norm(vecs, order) <= 2.0 + 1e-9
         assert sorted(order) == list(range(n))
+
+
+def _unit(angles):
+    angles = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _closed(vectors):
+    """``vectors`` followed by unit vectors that bring their sum back to 0."""
+    parts = [vectors]
+    rest = -vectors.sum(axis=0)
+    while np.linalg.norm(rest) > 2.0:
+        step = rest / np.linalg.norm(rest)
+        parts.append(step[None, :])
+        rest = rest - step
+    half = 0.5 * rest
+    length = float(np.linalg.norm(half))
+    perp = np.array([-half[1], half[0]]) / length if length > 0 else np.array([1.0, 0.0])
+    rise = np.sqrt(max(0.0, 1.0 - length * length)) * perp
+    parts.append(np.array([half + rise, half - rise]))
+    return np.vstack(parts)
+
+
+_ANGLES = st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=10)
+
+
+@st.composite
+def closed_unit_vectors(draw):
+    """Closed unit plane vectors: random angles closed by two or more unit
+    vectors, 60- and 90-degree lattice pairs and triangles, and backtrack
+    pairs, in a drawn order."""
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["angles", "lattice", "backtrack"]),
+                              min_size=1, max_size=3)):
+        if kind == "angles":
+            parts.append(_closed(_unit(draw(_ANGLES))))
+        elif kind == "lattice":
+            sides = draw(st.sampled_from([4, 6]))
+            dirs = draw(st.lists(st.integers(0, sides - 1), min_size=1, max_size=8))
+            steps = [d for i in dirs for d in (i, i + sides // 2)]
+            if sides == 6:
+                steps += [d for i in draw(st.lists(st.integers(0, 1), max_size=3))
+                          for d in (i, i + 2, i + 4)]
+            parts.append(_unit(2.0 * np.pi * np.array(steps) / sides))
+        else:
+            angles = np.array(draw(_ANGLES))
+            parts.append(_unit(np.column_stack([angles, angles + np.pi]).ravel()))
+    vectors = np.vstack(parts)
+    return vectors[draw(st.permutations(range(len(vectors))))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(closed_unit_vectors())
+def test_steinitz_order_property(vectors):
+    # the elimination fallback is checked too: no drawn input reaches it
+    from rhombidome.cobordism import _elimination_order
+
+    for order in (steinitz_order(vectors), _elimination_order(vectors)):
+        assert sorted(order) == list(range(len(vectors)))
+        assert max_prefix_norm(vectors, order) <= 2.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +432,14 @@ def test_reduce_replay_is_bitwise():
         replay.apply(move)
     final = replay.final_curve()
     assert len(final.components) == len(ledger.final_curve.components) == 0
+
+
+def test_reduce_k_within_a_sixth_of_budget():
+    # the first-fit Steinitz order has few inversions, so few pack pivots
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        ledger = reduce_to_rhombi(random_integral_curve(48, rng))
+        assert ledger.stats["k"] <= ledger.stats["budget"] // 6
 
 
 def test_component_budget_values():

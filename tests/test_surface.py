@@ -262,6 +262,8 @@ def _tamper_edits(full: dict, prefix: dict):
     for i, move in enumerate(full["moves"]):
         if move["type"] == "pivot":
             yield f"move {i} new", full, ("moves", i, "new", 0), move["new"][0] + 1e-3
+        if move["type"] == "split":
+            yield f"move {i} z", full, ("moves", i, "z", 0), move["z"][0] + 1e-3
     for key in ("triangles", "rhombi"):
         for c, cell in enumerate(full[key]):
             for v, point in enumerate(cell):

@@ -43,6 +43,14 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(geom_eps=args.tol)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type of --tol: a float in (0, inf); NaN fails the comparison."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def parse_surface_spec(spec: str):
     """Resolve NAME or NAME:k=K into a catalog surface or ('polygon', K)."""
     name, _, params = spec.partition(":")
@@ -177,6 +185,12 @@ def cmd_moduli(args) -> int:
         return EXIT_USAGE
 
 
+def _row(seed: int, stats: dict) -> dict:
+    """One census row: the schema version, the seed and the ledger stats."""
+    return {"schema_version": CENSUS_SCHEMA, "seed": seed,
+            **{key: stats[key] for key in CENSUS_HEADER[2:]}}
+
+
 def _census_row(seed: int, n: int, tol: Tolerance) -> dict:
     rng = np.random.default_rng(seed)
     curve = random_integral_curve(n, rng)
@@ -187,17 +201,7 @@ def _census_row(seed: int, n: int, tol: Tolerance) -> dict:
     stats = ledger.stats
     if stats["k"] > stats["budget"]:
         raise RuntimeError(f"instance seed={seed} n={n} exceeded the rhombus budget")
-    return {
-        "schema_version": CENSUS_SCHEMA,
-        "seed": seed,
-        "n": stats["n"],
-        "k": stats["k"],
-        "budget": stats["budget"],
-        "planarize_moves": stats["planarize_moves"],
-        "pack_moves": stats["pack_moves"],
-        "splits": stats["splits"],
-        "fixes": stats["fixes"],
-    }
+    return _row(seed, stats)
 
 
 def _pentagon_fixture_row(tol: Tolerance) -> dict:
@@ -206,18 +210,7 @@ def _pentagon_fixture_row(tol: Tolerance) -> dict:
     pentagon = np.column_stack([radius * np.cos(angles),
                                 radius * np.sin(angles), np.zeros(5)])
     ledger = cobordism.reduce_to_rhombi(IntegralCurve([pentagon]), tol)
-    stats = ledger.stats
-    return {
-        "schema_version": CENSUS_SCHEMA,
-        "seed": -1,
-        "n": stats["n"],
-        "k": stats["k"],
-        "budget": stats["budget"],
-        "planarize_moves": stats["planarize_moves"],
-        "pack_moves": stats["pack_moves"],
-        "splits": stats["splits"],
-        "fixes": stats["fixes"],
-    }
+    return _row(-1, ledger.stats)
 
 
 def cmd_census(args) -> int:
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rhombidome",
         description="Reduce closed unit-edge curves to unit rhombi and "
                     "certify linkage-moduli facts.")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_positive_finite, default=1e-9,
                         help="geometric tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 

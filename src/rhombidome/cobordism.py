@@ -130,6 +130,16 @@ class ReplayMismatchError(RuntimeError):
 # cells and moves
 
 
+def _check_unit_cycle(v: np.ndarray, what: str, n: int, tol: Tolerance) -> None:
+    """Raise ValueError unless ``v`` is a closed n-gon with unit sides."""
+    if v.shape != (n, 3):
+        raise ValueError(f"{what} needs exactly {n} vertices")
+    for i in range(n):
+        side = dist(v[i], v[(i + 1) % n])
+        if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
+            raise ValueError(f"{what} side {i} has length {side}")
+
+
 @dataclass
 class Rhombus:
     """Closed 4-cycle with four unit sides (possibly non-planar)."""
@@ -137,13 +147,7 @@ class Rhombus:
     vertices: np.ndarray  # (4, 3)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.shape != (4, 3):
-            raise ValueError("rhombus needs exactly 4 vertices")
-        for i in range(4):
-            side = dist(v[i], v[(i + 1) % 4])
-            if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
-                raise ValueError(f"rhombus side {i} has length {side}")
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4, tol)
 
     def reversed(self) -> "Rhombus":
         v = np.asarray(self.vertices)
@@ -157,13 +161,7 @@ class TriangleFace:
     vertices: np.ndarray  # (3, 3)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.shape != (3, 3):
-            raise ValueError("triangle needs exactly 3 vertices")
-        for i in range(3):
-            side = dist(v[i], v[(i + 1) % 3])
-            if not abs(side - 1.0) <= tol.geom_eps:
-                raise ValueError(f"triangle side {i} has length {side}")
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3, tol)
 
 
 @dataclass
@@ -753,12 +751,7 @@ def pentagon_split(pentagon: np.ndarray,
     [v0 a v3 v4]; the face is [v2 v3 a].
     """
     p = np.asarray(pentagon, dtype=float).copy()
-    if p.shape != (5, 3):
-        raise ValueError("pentagon needs exactly 5 vertices")
-    for i in range(5):
-        side = dist(p[i], p[(i + 1) % 5])
-        if abs(side - 1.0) > tol.geom_eps:
-            raise ValueError(f"pentagon side {i} has length {side}")
+    _check_unit_cycle(p, "pentagon", 5, tol)
     radii = np.linalg.norm(p - p[0], axis=1)
     if float(np.max(radii)) > STEINITZ_BOUND + 10 * tol.geom_eps:
         raise ValueError("pentagon is not packed around vertex 0")

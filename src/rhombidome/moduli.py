@@ -1,8 +1,11 @@
 """Numerical linkage moduli: tangent spaces, a skew pairing, and certificates.
 
-Realizations live on schemes cut out by quadratic edge-length constraints
-plus linear closure/triangle/cycle constraints; tangent spaces are numerical
-kernels of the linearized constraints (SVD with a relative singular-value
+A polygon tuple or a polyhedron is a set of edge vectors with fixed lengths
+and some signed edge sums that must vanish (polygon closures; triangle and
+cycle sums).  Its scheme is linearized as ``[edge rows; signed-sum rows]``:
+one row per edge holding that edge's vector (``_edge_rows``), and three rows
+per signed sum, one per coordinate (``_sum_rows``).  Tangent spaces are
+numerical kernels of that matrix (SVD with a relative singular-value
 cutoff).  The skew pairing on polygon tangents is
 
     sum over edges of  det[t(f), t'(f), p(f)] / length(f)^2 ,
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, orth, subspace_angles
+from scipy.linalg import block_diag, null_space, orth, subspace_angles
 
 from .curve import random_integral_curve
 from .geom import DEFAULT_TOL, Tolerance
-from .surface import GraphSurface, is_oriented_consistently, ref_edge
+from .surface import GraphSurface, is_oriented_consistently
 
 __all__ = [
     "PolygonSystem",
@@ -74,6 +77,34 @@ _SO3_BASIS = np.array([
     [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
     [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
 ])
+
+# Size of the random tangent step in ``realize_surface``.
+_STEP = 0.15
+# Gauss-Newton reprojection: residual target and iteration cap.
+_PROJECTION_TARGET = 1e-13
+_PROJECTION_MAX_ITER = 60
+
+
+# ---------------------------------------------------------------------------
+# constraint rows
+
+
+def _edge_rows(vectors: np.ndarray) -> np.ndarray:
+    """(K, 3K) rows: row j holds vectors[j] in edge j's three columns."""
+    return block_diag(*vectors[:, None, :])
+
+
+def _sum_rows(coeff: np.ndarray) -> np.ndarray:
+    """(3m, 3K) rows: the m signed edge sums ``coeff`` (m, K), per coordinate."""
+    return np.kron(coeff, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
+
+
+def _tangent_basis(vectors: np.ndarray, sum_rows: np.ndarray,
+                   tol: Tolerance) -> np.ndarray:
+    """Orthonormal kernel (D, K, 3) of ``[edge rows; signed-sum rows]``."""
+    stacked = np.vstack([_edge_rows(vectors), sum_rows])
+    kernel = null_space(stacked, rcond=tol.rank_rel_eps)
+    return kernel.T.reshape(-1, len(vectors), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -148,55 +179,33 @@ def all_parallel_quad() -> PolygonPoint:
 
 def numerical_rank(matrix: np.ndarray, rel_eps: float) -> tuple[int, np.ndarray]:
     """Rank at a relative singular-value threshold, plus the spectrum."""
-    if matrix.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > rel_eps * s[0])), s
-
-
-def _polygon_constraint_matrix(point: PolygonPoint) -> np.ndarray:
-    """Stacked linearized constraints: per-edge orthogonality and closure."""
-    total = point.system.total
-    n = len(point.system.lengths)
-    rows = np.zeros((total + 3 * n, 3 * total))
-    for j in range(total):
-        rows[j, 3 * j:3 * j + 3] = point.vectors[j]
-    offsets = point.system.offsets
-    for i in range(n):
-        for j in range(offsets[i], offsets[i + 1]):
-            for c in range(3):
-                rows[total + 3 * i + c, 3 * j + c] = 1.0
-    return rows
+    report = _rank_with_gap(matrix, rel_eps)
+    return report["rank"], np.array(report["singular_values"])
 
 
 def polygon_tangent_basis(point: PolygonPoint,
                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
-    a = _polygon_constraint_matrix(point)
-    kernel = null_space(a, rcond=tol.rank_rel_eps)
-    return kernel.T.reshape(-1, point.system.total, 3)
+    closures = np.repeat(np.eye(len(point.system.lengths)), point.system.sizes, axis=1)
+    return _tangent_basis(point.vectors, _sum_rows(closures), tol)
 
 
 def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> float:
-    """Skew pairing: triple products of two tangents against the edge vectors."""
-    t1 = np.asarray(t1, dtype=float).reshape(point.system.total, 3)
-    t2 = np.asarray(t2, dtype=float).reshape(point.system.total, 3)
-    lengths = point.system.flat_lengths()
-    triple = np.einsum("ij,ij->i", t1, np.cross(t2, point.vectors))
-    return float(np.sum(triple / lengths ** 2))
+    """Skew pairing of two tangents, flat or (K, 3): entry [0, 1] of the Gram."""
+    return float(pairing_gram(point, np.stack([np.ravel(t1), np.ravel(t2)]))[0, 1])
 
 
 def pairing_gram(point: PolygonPoint, basis: np.ndarray) -> np.ndarray:
-    d = len(basis)
-    gram = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            val = symplectic_pairing(point, basis[a], basis[b])
-            gram[a, b] = val
-            gram[b, a] = -val
-    return gram
+    """Exactly skew Gram of the pairing on a stack of D tangents.
+
+    Entry [a, b] is  sum over edges of  t_a . (t_b x p) / length^2 ; the
+    strict upper triangle is computed and mirrored with the opposite sign.
+    """
+    basis = np.asarray(basis, dtype=float).reshape(len(basis), point.system.total, 3)
+    lengths = point.system.flat_lengths()
+    turned = np.cross(basis, point.vectors) / (lengths ** 2)[:, None]
+    upper = np.triu(np.einsum("aki,bki->ab", basis, turned), 1)
+    return upper - upper.T
 
 
 def rotation_orbit_basis(point: PolygonPoint,
@@ -290,73 +299,57 @@ class SurfaceRealization:
     surface: GraphSurface
     q: np.ndarray  # (n_edges, 3)
 
-    def vector(self, ref: int) -> np.ndarray:
-        eid, sign = ref_edge(ref)
-        return sign * self.q[eid]
+
+def _signed_refs(refs) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids and signs of an array of signed edge references."""
+    refs = np.asarray(refs, dtype=int)
+    if np.any(refs == 0):
+        raise ValueError("edge reference 0 is invalid")
+    return np.abs(refs) - 1, np.sign(refs)
 
 
 def _linear_constraint_rows(s: GraphSurface) -> np.ndarray:
     """Triangle-sum and cycle-sum rows (shared by realizations and tangents)."""
     n_edges = len(s.edges)
-    rows = []
-    for tri in s.triangles:
-        block = np.zeros((3, 3 * n_edges))
-        for ref in tri:
-            eid, sign = ref_edge(ref)
-            for c in range(3):
-                block[c, 3 * eid + c] += sign
-        rows.append(block)
-    for coeff in cycle_basis(s):
-        block = np.zeros((3, 3 * n_edges))
-        for eid, value in enumerate(coeff):
-            if value != 0.0:
-                for c in range(3):
-                    block[c, 3 * eid + c] += value
-        rows.append(block)
-    if not rows:
-        return np.zeros((0, 3 * n_edges))
-    return np.vstack(rows)
+    triangles = np.zeros((len(s.triangles), n_edges))
+    eid, sign = _signed_refs(s.triangles)
+    np.add.at(triangles, (np.arange(len(s.triangles))[:, None], eid), sign)
+    cycles = np.reshape(cycle_basis(s), (-1, n_edges))
+    return _sum_rows(np.vstack([triangles, cycles]))
 
 
 def surface_constraint_residual(s: GraphSurface, q: np.ndarray) -> float:
     """Max-norm residual of length, triangle and cycle constraints at q."""
     lengths = np.asarray(s.lengths, dtype=float)
-    res = [np.abs(np.einsum("ij,ij->i", q, q) - lengths ** 2)]
-    linear = _linear_constraint_rows(s)
-    if len(linear):
-        res.append(np.abs(linear @ q.reshape(-1)))
-    return float(np.max(np.concatenate(res)))
+    res_len = np.einsum("ij,ij->i", q, q) - lengths ** 2
+    res_lin = _linear_constraint_rows(s) @ q.reshape(-1)
+    return float(np.max(np.abs(np.concatenate([res_len, res_lin]))))
 
 
-def _project_to_constraints(s: GraphSurface, q: np.ndarray,
-                            target: float = 1e-13, max_iter: int = 60) -> np.ndarray:
+def _project_to_constraints(s: GraphSurface, q: np.ndarray) -> np.ndarray:
     linear = _linear_constraint_rows(s)
     lengths = np.asarray(s.lengths, dtype=float)
     x = q.reshape(-1).copy()
     n_edges = len(s.edges)
-    for _ in range(max_iter):
+    for _ in range(_PROJECTION_MAX_ITER):
         vecs = x.reshape(n_edges, 3)
         res_len = np.einsum("ij,ij->i", vecs, vecs) - lengths ** 2
-        res_lin = linear @ x if len(linear) else np.zeros(0)
-        residual = np.concatenate([res_len, res_lin])
-        if float(np.max(np.abs(residual))) <= target:
+        residual = np.concatenate([res_len, linear @ x])
+        if float(np.max(np.abs(residual))) <= _PROJECTION_TARGET:
             return x.reshape(n_edges, 3)
-        jac_len = np.zeros((n_edges, 3 * n_edges))
-        for j in range(n_edges):
-            jac_len[j, 3 * j:3 * j + 3] = 2.0 * vecs[j]
-        jac = np.vstack([jac_len, linear]) if len(linear) else jac_len
+        jac = np.vstack([_edge_rows(2 * vecs), linear])
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
         x = x + step
     raise ProjectionDivergedError("Gauss-Newton projection did not converge")
 
 
 def realize_surface(s: GraphSurface, seed: int | None = None,
-                    step: float = 0.15,
                     tol: Tolerance = DEFAULT_TOL) -> SurfaceRealization:
     """Realization from catalog coordinates, optionally perturbed on-manifold.
 
-    With a seed, a random tangent step of the given size is taken and then
-    reprojected onto the constraints by Gauss-Newton (residual <= 1e-12).
+    With a seed, a random unit tangent direction scaled by ``_STEP`` is taken
+    and then reprojected onto the constraints by Gauss-Newton (residual
+    <= 1e-12).
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
@@ -371,7 +364,7 @@ def realize_surface(s: GraphSurface, seed: int | None = None,
     weights = rng.normal(size=len(basis))
     direction = np.tensordot(weights, basis, axes=1)
     direction /= max(np.linalg.norm(direction), 1e-300)
-    q = _project_to_constraints(s, q + step * direction)
+    q = _project_to_constraints(s, q + _STEP * direction)
     if surface_constraint_residual(s, q) > 1e-12:
         raise ProjectionDivergedError("projection residual above 1e-12")
     return SurfaceRealization(s, q)
@@ -380,38 +373,35 @@ def realize_surface(s: GraphSurface, seed: int | None = None,
 def surface_tangent_basis(realization: SurfaceRealization,
                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (D, n_edges, 3) of the polyhedron scheme tangents."""
-    s = realization.surface
-    n_edges = len(s.edges)
-    ortho = np.zeros((n_edges, 3 * n_edges))
-    for j in range(n_edges):
-        ortho[j, 3 * j:3 * j + 3] = realization.q[j]
-    stacked = np.vstack([ortho, _linear_constraint_rows(s)])
-    kernel = null_space(stacked, rcond=tol.rank_rel_eps)
-    return kernel.T.reshape(-1, n_edges, 3)
+    return _tangent_basis(realization.q, _linear_constraint_rows(realization.surface), tol)
 
 
 def boundary_point(realization: SurfaceRealization) -> PolygonPoint:
     """Boundary polygons realized by precomposition with the boundary map."""
     s = realization.surface
-    lengths = [np.array([float(s.lengths[abs(r) - 1]) for r in walk])
-               for walk in s.walks]
-    vectors = np.vstack([
-        np.array([realization.vector(r) for r in walk]) for walk in s.walks
-    ])
-    return PolygonPoint(PolygonSystem(lengths), vectors)
+    eid, _ = _signed_refs(np.concatenate(s.walks))
+    lengths = np.asarray(s.lengths, dtype=float)[eid]
+    splits = np.cumsum([len(walk) for walk in s.walks])[:-1]
+    return PolygonPoint(PolygonSystem(np.split(lengths, splits)),
+                        boundary_differential(realization, realization.q))
 
 
 def boundary_differential(realization: SurfaceRealization,
                           tangent: np.ndarray) -> np.ndarray:
-    """Push a polyhedron tangent to a polygon tangent (precomposition)."""
+    """Push polyhedron tangents to polygon tangents (precomposition).
+
+    One tangent, flat or (n_edges, 3), maps to (K, 3); a stack
+    (D, n_edges, 3) maps to (D, K, 3), K being the total walk length.
+    """
     s = realization.surface
-    tangent = np.asarray(tangent, dtype=float).reshape(len(s.edges), 3)
-    rows = []
-    for walk in s.walks:
-        for r in walk:
-            eid, sign = ref_edge(r)
-            rows.append(sign * tangent[eid])
-    return np.array(rows)
+    tangent = np.asarray(tangent, dtype=float)
+    count = len(tangent) if tangent.ndim == 3 else 1
+    stacked = tangent.reshape(count, len(s.edges), 3)
+    eid, sign = _signed_refs(np.concatenate(s.walks))
+    # np.take keeps C order (fancy indexing after a slice does not), so BLAS
+    # products of the images round as those of per-tangent rows did
+    images = sign[:, None] * np.take(stacked, eid, axis=1)
+    return images if tangent.ndim == 3 else images[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +418,8 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20,
     full tangent basis at ``trials`` random on-manifold realizations,
     normalized by the largest pairing among all polygon tangents there.
     """
+    if trials < 1:
+        raise ValueError(f"isotropy needs at least one trial, got {trials}")
     s.validate()
     if not is_oriented_consistently(s):
         raise NotOrientableError(f"{s.name} is not consistently oriented")
@@ -443,8 +435,7 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20,
         basis = surface_tangent_basis(realization, tol)
         dims.add(len(basis))
         point = boundary_point(realization)
-        images = np.array([boundary_differential(realization, b) for b in basis])
-        gram_img = pairing_gram(point, images) if len(images) else np.zeros((0, 0))
+        gram_img = pairing_gram(point, boundary_differential(realization, basis))
         full = polygon_tangent_basis(point, tol)
         gram_full = pairing_gram(point, full)
         scale = float(np.max(np.abs(gram_full))) if gram_full.size else 0.0
@@ -508,8 +499,8 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0,
     realization = realize_surface(s, seed=seed, tol=tol)
     basis = surface_tangent_basis(realization, tol)
     point = boundary_point(realization)
-    images = np.array([boundary_differential(realization, b).reshape(-1)
-                       for b in basis])
+    pushed = boundary_differential(realization, basis)  # (D, 12, 3)
+    images = pushed.reshape(len(basis), -1)
 
     image_scale = float(np.linalg.svd(images, compute_uv=False)[0]) \
         if images.size else 0.0
@@ -519,8 +510,7 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0,
 
     two_point = PolygonPoint(PolygonSystem(point.system.lengths[:2]),
                              point.vectors[:8])
-    images_two = images.reshape(len(images), point.system.total, 3)[:, :8, :]
-    images_two = images_two.reshape(len(images), -1)
+    images_two = pushed[:, :8].reshape(len(basis), -1)
     orbit_two = rotation_orbit_basis(two_point, tol).reshape(-1, 24)
     proj_two = images_two - images_two @ orbit_two.T @ orbit_two
     projected = _rank_with_gap(proj_two, tol.rank_rel_eps, scale=image_scale)

@@ -153,6 +153,25 @@ def test_moduli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["moduli", "dims", "--surface", "nonexistent"]) == 2
     assert main(["moduli", "rank", "--surface", "pentagon_pants"]) == 1
+    for trials in ("0", "-3"):
+        assert main(["moduli", "isotropy", "--surface", "antiprism_band:k=4",
+                     "--trials", trials]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tolerance_is_usage_error(tol, pentagon_file, tmp_path, capsys):
+    ledger = str(tmp_path / "ledger.json")
+    assert main(["reduce", "--in", pentagon_file, "--out", ledger]) == 0
+    capsys.readouterr()
+    for argv in (["reduce", "--in", pentagon_file, "--out", ledger],
+                 ["validate", "--in", ledger],
+                 ["moduli", "dims", "--surface", "polygon:k=4"],
+                 ["census", "--samples", "0", "--csv", str(tmp_path / "c.csv")]):
+        assert main(["--tol", tol, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "positive and finite" in captured.err
 
 
 def test_census_rows_and_budget(tmp_path, capsys):

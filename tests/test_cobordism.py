@@ -373,6 +373,20 @@ def test_pentagon_split_apex_on_positive_side(regular_pentagon):
     assert float(np.dot(split.apex - p[0], normal)) > 0
 
 
+def test_pentagon_split_rejects_bad_sides(regular_pentagon):
+    good = regular_pentagon.components[0]
+    nan = good.copy()
+    nan[2, 0] = np.nan  # a NaN side must fail here, not later as a rhombus side
+    with pytest.raises(ValueError, match="pentagon side 1 "):
+        pentagon_split(nan)
+    lifted = good.copy()
+    lifted[1, 2] += 0.5
+    with pytest.raises(ValueError, match="pentagon side 0 "):
+        pentagon_split(lifted)
+    with pytest.raises(ValueError, match="pentagon needs exactly 5 vertices"):
+        pentagon_split(good[:4])
+
+
 # ---------------------------------------------------------------------------
 # full reduction
 

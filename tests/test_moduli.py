@@ -42,6 +42,26 @@ def test_pairing_is_skew():
     assert forward == pytest.approx(-backward, abs=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [[5], [4, 6]])
+def test_pairing_gram_matches_pairwise_reference(sizes):
+    rng = np.random.default_rng(36)
+    point = md.random_polygon_point(sizes, rng)
+    basis = md.polygon_tangent_basis(point)
+    p = point.vectors
+    len2 = np.sum(p * p, axis=1)
+    reference = np.array([[sum(float(np.dot(ta[k], np.cross(tb[k], p[k]))) / len2[k]
+                               for k in range(len(p)))
+                           for tb in basis] for ta in basis])
+    gram = md.pairing_gram(point, basis)
+    assert np.max(np.abs(gram - reference)) <= 1e-12
+    assert np.array_equal(gram, -gram.T)
+    assert np.all(np.diag(gram) == 0.0)
+    flat = basis.reshape(len(basis), -1)
+    assert np.array_equal(md.pairing_gram(point, flat), gram)
+    assert md.symplectic_pairing(point, flat[0], basis[1]) == pytest.approx(
+        gram[0, 1], abs=1e-15)
+
+
 def test_rotation_tangents_pair_to_zero():
     rng = np.random.default_rng(33)
     point = md.random_polygon_point([6], rng)
@@ -140,6 +160,57 @@ def test_boundary_differential_linearity_and_equivariance():
     assert np.allclose(image, point.vectors @ gen.T, atol=1e-12)
 
 
+def test_constraint_rows_match_loop_reference():
+    s = catalog("pentagon_pants")
+    realization = md.realize_surface(s, seed=5)
+    n_edges = len(s.edges)
+    blocks = []
+    for refs in s.triangles:
+        block = np.zeros((3, 3 * n_edges))
+        for ref in refs:
+            for c in range(3):
+                block[c, 3 * (abs(ref) - 1) + c] += 1 if ref > 0 else -1
+        blocks.append(block)
+    for coeff in md.cycle_basis(s):
+        block = np.zeros((3, 3 * n_edges))
+        for eid, value in enumerate(coeff):
+            for c in range(3):
+                block[c, 3 * eid + c] += value
+        blocks.append(block)
+    linear = md._linear_constraint_rows(s)
+    # bitwise: no -0.0 where the loops leave 0.0
+    assert linear.tobytes() == np.vstack(blocks).tobytes()
+    edge = np.zeros((n_edges, 3 * n_edges))
+    for j in range(n_edges):
+        edge[j, 3 * j:3 * j + 3] = realization.q[j]
+    assert np.array_equal(md._edge_rows(realization.q), edge)
+
+
+def test_boundary_differential_stacked_equals_per_tangent():
+    s = catalog("pentagon_pants")
+    realization = md.realize_surface(s, seed=4)
+    basis = md.surface_tangent_basis(realization)
+    stacked = md.boundary_differential(realization, basis)
+    walk_total = sum(len(w) for w in s.walks)
+    assert stacked.shape == (len(basis), walk_total, 3)
+    assert stacked.flags.c_contiguous
+    for tangent, image in zip(basis, stacked):
+        reference = [tangent[abs(r) - 1] * (1 if r > 0 else -1) for w in s.walks for r in w]
+        assert np.array_equal(image, reference)
+        assert np.array_equal(md.boundary_differential(realization, tangent), image)
+        flat = md.boundary_differential(realization, tangent.reshape(-1))
+        assert flat.shape == (walk_total, 3)
+        assert np.array_equal(flat, image)
+    with pytest.raises(ValueError):  # a stack must be (D, n_edges, 3)
+        md.boundary_differential(realization, basis.reshape(len(basis), -1))
+    point = md.boundary_point(realization)
+    assert np.array_equal(point.vectors,
+                          md.boundary_differential(realization, realization.q))
+    assert point.system.sizes == [len(w) for w in s.walks]
+    assert np.array_equal(point.system.flat_lengths(),
+                          [s.lengths[abs(r) - 1] for w in s.walks for r in w])
+
+
 def test_boundary_differential_commutes_with_collapse():
     s = catalog("antiprism_band", k=4)
     realization = md.realize_surface(s, seed=2)
@@ -181,6 +252,13 @@ def test_isotropy_certificates():
         report = md.isotropy_certificate(s, trials=5, seed=40)
         assert report["passed"], report
         assert report["max_rel_pairing"] <= 1e-8
+
+
+def test_isotropy_needs_a_trial():
+    s = catalog("antiprism_band", k=4)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least one trial"):
+            md.isotropy_certificate(s, trials=trials)
 
 
 def test_isotropy_triangle_disk_all_zero():

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, null_space, orth, subspace_angles
+from scipy.linalg import block_diag, null_space, orth, subspace_angles, svd
 
 from .curve import random_integral_curve
 from .geom import DEFAULT_TOL, Tolerance
@@ -225,10 +225,17 @@ def rotation_orbit_basis(point: PolygonPoint,
 
 def symplectic_kernel_basis(point: PolygonPoint,
                             tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Kernel of the pairing on the tangent space, in ambient coordinates."""
+    """Kernel of the pairing on the tangent space, in ambient coordinates.
+
+    Singular values of the Gram at or below ``rank_rel_eps`` times the
+    largest, or below the absolute floor 1e-12, count as zero: a Gram of pure
+    rounding (a polygon with no moduli) has the whole tangent space as kernel.
+    """
     basis = polygon_tangent_basis(point, tol)
     gram = pairing_gram(point, basis)
-    null = null_space(gram, rcond=tol.rank_rel_eps)
+    _, spectrum, vh = svd(gram)
+    cutoff = max(tol.rank_rel_eps * (spectrum[0] if len(spectrum) else 0.0), 1e-12)
+    null = vh[int(np.sum(spectrum > cutoff)):].T
     flat = basis.reshape(len(basis), -1)
     return (null.T @ flat).reshape(-1, point.system.total, 3)
 

@@ -49,7 +49,6 @@ __all__ = [
     "validate_ledger",
     "hexagon_join",
     "signed_segment_counts",
-    "quantize_point",
 ]
 
 
@@ -425,8 +424,74 @@ class DomeChain:
     seams = ()
 
 
-def quantize_point(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int, int]:
-    return tuple(int(round(float(x) / tol.geom_eps)) for x in p)
+# Largest |x / eps| the int64 segment keys accept; beyond it the cast would wrap.
+_GRID_LIMIT = 2.0 ** 62
+
+
+def _grid_keys(points: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """int64 keys ``rint(x / eps)``: the integers ``int(round(x / eps))`` gives.
+
+    Raises as ``int()`` would on the first non-finite quotient, and raises
+    OverflowError at or beyond 2**62 instead of letting the cast wrap.
+    """
+    with np.errstate(over="ignore"):
+        q = points / tol.geom_eps
+    finite = np.isfinite(q)
+    if not finite.all():
+        if np.isnan(q.flat[np.argmin(finite)]):
+            raise ValueError("cannot convert float NaN to integer")
+        raise OverflowError("cannot convert float infinity to integer")
+    if q.size and np.abs(q).max() >= _GRID_LIMIT:
+        raise OverflowError(f"coordinate beyond the int64 grid of eps = {tol.geom_eps}")
+    return np.rint(q).astype(np.int64)
+
+
+def _segment_residue(cycles: list, signs: list[int], groups: list[int],
+                     tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Net signed multiplicity of every quantized segment, in one sorted pass.
+
+    Row ``r`` of the result is ``[group, degenerate, a, b]`` (8 int64
+    columns), with ``a < b`` the lexicographically ordered endpoint keys of a
+    segment of a cycle of that group; a segment met as ``b -> a`` counts with
+    the opposite sign.  A degenerate segment (``a == b``) counts +1 whatever
+    its sign.  Only rows with a nonzero count or a degenerate segment are
+    returned, in lexicographic order, beside their counts.
+    """
+    arrays, sizes, row_signs, row_groups = [], [], [], []
+    for cycle, sign, group in zip(cycles, signs, groups):
+        v = np.asarray(cycle, dtype=float)
+        if v.size == 0:
+            continue
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError(f"cycle of shape {v.shape} is not a list of 3-d points")
+        arrays.append(v)
+        sizes.append(len(v))
+        row_signs.append(sign)
+        row_groups.append(group)
+    if not arrays:
+        return np.empty((0, 8), dtype=np.int64), np.empty(0, dtype=np.int64)
+    a = _grid_keys(np.concatenate(arrays), tol)
+    sizes = np.array(sizes)
+    ends = np.cumsum(sizes)
+    successor = np.arange(1, len(a) + 1)
+    successor[ends - 1] = ends - sizes
+    b = a[successor]
+    differ = a != b
+    moving = differ.any(axis=1)
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(a))
+    swap = moving & (a[rows, first] > b[rows, first])
+    sign = np.repeat(row_signs, sizes)
+    weight = np.where(moving, np.where(swap, -sign, sign), 1)
+    table = np.column_stack([np.repeat(row_groups, sizes), ~moving,
+                             np.where(swap[:, None], b, a),
+                             np.where(swap[:, None], a, b)])
+    order = np.lexsort(table.T[::-1])
+    table, weight = table[order], weight[order]
+    starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
+    table, counts = table[starts], np.add.reduceat(weight, starts)
+    keep = (counts != 0) | (table[:, 1] == 1)
+    return table[keep], counts[keep]
 
 
 def signed_segment_counts(cycles_plus: list[np.ndarray],
@@ -435,29 +500,80 @@ def signed_segment_counts(cycles_plus: list[np.ndarray],
     """Net signed multiplicity of every quantized oriented unit segment.
 
     Each cycle contributes its consecutive (cyclic) segments; orientation is
-    folded into the sign of a lexicographically ordered key.
+    folded into the sign of a lexicographically ordered key ``(a, b)`` of
+    endpoint grid points ``int(round(x / eps))``.  A segment with equal
+    endpoints is reported as ``("degenerate", a)``.  Only nonzero and
+    degenerate entries are returned, in sorted key order (degenerate last).
+    The keys are int64 internally: a non-finite coordinate, or one with
+    ``|x| / eps >= 2**62``, raises ValueError or OverflowError instead of
+    wrapping onto another point's key.
     """
-    counts: dict[tuple, int] = {}
+    cycles = list(cycles_plus) + list(cycles_minus)
+    signs = [1] * len(cycles_plus) + [-1] * len(cycles_minus)
+    table, counts = _segment_residue(cycles, signs, [0] * len(cycles), tol)
+    residue = {}
+    for row, count in zip(table.tolist(), counts.tolist()):
+        a, b = tuple(row[2:5]), tuple(row[5:])
+        residue[("degenerate", a) if row[1] else (a, b)] = count
+    return residue
 
-    def add(vertices: np.ndarray, sign: int) -> None:
-        keys = [quantize_point(p, tol) for p in np.asarray(vertices, dtype=float)]
-        m = len(keys)
-        for i in range(m):
-            a, b = keys[i], keys[(i + 1) % m]
-            if a == b:
-                counts[("degenerate", a)] = counts.get(("degenerate", a), 0) + 1
-                continue
-            if a < b:
-                key, s = (a, b), sign
-            else:
-                key, s = (b, a), -sign
-            counts[key] = counts.get(key, 0) + s
 
-    for cyc in cycles_plus:
-        add(cyc, +1)
-    for cyc in cycles_minus:
-        add(cyc, -1)
-    return {k: v for k, v in counts.items() if v != 0 or k[0] == "degenerate"}
+def _unbalanced_closures(closures: list, tol: Tolerance) -> list[int]:
+    """Indices of the consumed cycles that differ from their cells' boundary.
+
+    One batched pass: closure ``i`` contributes its triangles positively and
+    its cycle and rhombi negatively, all keyed under group ``i``.
+    """
+    cycles, signs, groups = [], [], []
+    for i, (cycle, tris, rhos) in enumerate(closures):
+        parts = [t.vertices for t in tris] + [cycle] + [r.vertices for r in rhos]
+        cycles += parts
+        signs += [1] * len(tris) + [-1] * (1 + len(rhos))
+        groups += [i] * len(parts)
+    table, _ = _segment_residue(cycles, signs, groups, tol)
+    return np.unique(table[:, 0]).tolist()
+
+
+def _residue_listing(residue: dict, tol: Tolerance) -> str:
+    """The first five residue entries as coordinates with their counts."""
+    def point(key):
+        return "(" + ", ".join(f"{x * tol.geom_eps:.12g}" for x in key) + ")"
+
+    shown = [f"{point(key[1])} degenerate: {count}" if key[0] == "degenerate"
+             else f"{point(key[0])} -> {point(key[1])}: {count:+d}"
+             for key, count in list(residue.items())[:5]]
+    return f" [{', '.join(shown)}]" if shown else ""
+
+
+# Slack between the batched side lengths and ``dist``, which may round apart.
+_SIDE_SLACK = 1e-12
+
+
+def _cell_failures(cells: list, what: str, n: int, label: str,
+                   tol: Tolerance) -> list[str]:
+    """``"{label} {i}: ..."`` for each cell that is not a closed unit n-gon.
+
+    All side lengths are computed at once.  Only a cell with a side not
+    clearly within tolerance is measured again side by side with ``dist``, so
+    its verdict and message are exactly the ones its own ``validate`` gives.
+    """
+    arrays = [np.asarray(cell.vertices, dtype=float) for cell in cells]
+    failures = {i: f"{what} needs exactly {n} vertices"
+                for i, v in enumerate(arrays) if v.shape != (n, 3)}
+    shaped = [i for i, v in enumerate(arrays) if v.shape == (n, 3)]
+    if shaped:
+        v = np.stack([arrays[i] for i in shaped])
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = v - np.roll(v, -1, axis=1)
+            sides = np.sqrt(np.einsum("cij,cij->ci", d, d))
+            clear = np.abs(sides - 1.0) <= tol.geom_eps - _SIDE_SLACK  # NaN fails
+        for c in np.flatnonzero(~clear.all(axis=1)):
+            for j in range(n):
+                side = dist(v[c, j], v[c, (j + 1) % n])
+                if not abs(side - 1.0) <= tol.geom_eps:
+                    failures[shaped[c]] = f"{what} side {j} has length {side}"
+                    break
+    return [f"{label} {i}: {failures[i]}" for i in sorted(failures)]
 
 
 def assemble_from_ledger(ledger: CobordismLedger,
@@ -521,13 +637,17 @@ def validate_ledger(ledger: CobordismLedger,
     """Check replay soundness, cell metrics, the chain identity and the budget.
 
     Every cell is checked for unit sides, including the pivot cells that
-    replay derives.  Chain identity: the boundary of the assembled chain
-    minus the initial curve minus the recorded rhombi must have signed
-    multiplicity zero on every quantized unit segment, and so must each
-    consumed cycle against the cells its move names, which ties every split's
-    ``z`` to recorded cells.  Budget: k, the recorded boundary rhombi plus the
-    derived pivot cells, must match the stats and stay within the budget.  Failures become report entries, never
-    exceptions.
+    replay derives, with all side lengths computed in one pass per cell kind.
+    Chain identity: the boundary of the assembled chain minus the initial
+    curve minus the recorded rhombi must have signed multiplicity zero on
+    every quantized unit segment; a failure names the first few unbalanced
+    segments by their endpoints and signed counts.  Each consumed cycle must
+    balance the same way against the cells its move names, which ties every
+    split's ``z`` to recorded cells; all consumed cycles are checked in one
+    batched pass.  A coordinate that is non-finite or too large for the int64 segment
+    keys fails the chain identity.  Budget: k, the recorded boundary rhombi
+    plus the derived pivot cells, must match the stats and stay within the
+    budget.  Failures become report entries, never exceptions.
     """
     report = LedgerReport()
     try:
@@ -544,22 +664,9 @@ def validate_ledger(ledger: CobordismLedger,
         report.add("replay", False, str(exc))
         return report
 
-    bad = []
-    for i, tri in enumerate(chain.triangles):
-        try:
-            tri.validate(tol)
-        except ValueError as exc:
-            bad.append(f"triangle {i}: {exc}")
-    for i, rho in enumerate(chain.rhombus_cells):
-        try:
-            rho.validate(tol)
-        except ValueError as exc:
-            bad.append(f"pivot rhombus {i}: {exc}")
-    for i, rho in enumerate(ledger.final_rhombi):
-        try:
-            rho.validate(tol)
-        except ValueError as exc:
-            bad.append(f"final rhombus {i}: {exc}")
+    bad = _cell_failures(chain.triangles, "triangle", 3, "triangle", tol)
+    bad += _cell_failures(chain.rhombus_cells, "rhombus", 4, "pivot rhombus", tol)
+    bad += _cell_failures(ledger.final_rhombi, "rhombus", 4, "final rhombus", tol)
     report.add("cells_unit", not bad, "; ".join(bad[:5]))
 
     cells_plus = [tri.vertices for tri in chain.triangles]
@@ -570,13 +677,12 @@ def validate_ledger(ledger: CobordismLedger,
     cycles_minus += [rho.vertices for rho in ledger.final_rhombi]
     try:
         residue = signed_segment_counts(cells_plus, cycles_minus, tol)
-        unbalanced = [i for i, (cycle, tris, rhos) in enumerate(chain.closures)
-                      if signed_segment_counts([t.vertices for t in tris],
-                                               [cycle] + [r.vertices for r in rhos], tol)]
+        unbalanced = _unbalanced_closures(chain.closures, tol)
         report.add("chain_identity", not residue and not unbalanced,
-                   f"{len(residue)} unbalanced segments, unbalanced consumed cycles "
-                   f"{unbalanced[:5]}" if residue or unbalanced else "")
-    except (ValueError, OverflowError) as exc:  # non-finite coordinates
+                   f"{len(residue)} unbalanced segments{_residue_listing(residue, tol)}, "
+                   f"unbalanced consumed cycles {unbalanced[:5]}"
+                   if residue or unbalanced else "")
+    except (ValueError, OverflowError) as exc:  # off the int64 grid
         report.add("chain_identity", False, str(exc))
 
     k = len(ledger.final_rhombi) + len(chain.rhombus_cells)

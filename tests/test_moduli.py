@@ -74,7 +74,7 @@ def test_rotation_tangents_pair_to_zero():
 
 def test_kernel_matches_rotation_orbit():
     rng = np.random.default_rng(34)
-    for sizes in ([4], [5], [4, 4], [5, 6]):
+    for sizes in ([4], [5], [4, 4], [5, 6], [3], [3, 3]):
         point = md.random_polygon_point(sizes, rng)
         kernel = md.symplectic_kernel_basis(point)
         orbit = md.rotation_orbit_basis(point)

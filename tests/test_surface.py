@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import regular_polygon_curve
+from rhombidome import surface
 from rhombidome.cobordism import (
     CobordismLedger, PivotMove, Replayer, Rhombus, reduce_to_rhombi)
 from rhombidome.files import ledger_from_obj, ledger_to_obj
-from rhombidome.curve import random_integral_curve
+from rhombidome.curve import IntegralCurve, random_integral_curve
+from rhombidome.geom import DEFAULT_TOL
 from rhombidome.surface import (
     NotBoundaryEdgeError,
     NotInTriangleError,
@@ -230,7 +233,12 @@ def test_validator_accepts_partial_ledger():
      ["cells_unit", "chain_identity"]),
     (lambda ledger: next(m for m in ledger.moves if isinstance(m, PivotMove))
      .new_point.__setitem__(0, np.nan), ["replay"]),
-], ids=["stats_none", "rhombi_used_none", "triangle_nan", "pivot_point_nan"])
+    (lambda ledger: ledger.final_rhombi[0].vertices.__setitem__((1, 2), 1e10),
+     ["cells_unit", "chain_identity"]),
+    (lambda ledger: ledger.final_rhombi[0].vertices.__setitem__((1, 2), np.inf),
+     ["cells_unit", "chain_identity"]),
+], ids=["stats_none", "rhombi_used_none", "triangle_nan", "pivot_point_nan",
+        "rhombus_off_grid", "rhombus_inf"])
 def test_validator_reports_instead_of_raising(edit, failed):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     edit(ledger)
@@ -312,6 +320,136 @@ def test_signed_segment_counts_cancellation():
     reversed_tri = tri[::-1]
     assert signed_segment_counts([tri, reversed_tri], []) == {}
     assert signed_segment_counts([tri], []) != {}
+
+
+def _segment_counts_reference(cycles_plus, cycles_minus, tol=DEFAULT_TOL):
+    """The per-point tuple loop the numpy pass replaced, kept as its oracle."""
+    counts = {}
+
+    def quantize(p):
+        return tuple(int(round(float(x) / tol.geom_eps)) for x in p)
+
+    def add(vertices, sign):
+        keys = [quantize(p) for p in np.asarray(vertices, dtype=float)]
+        for i, a in enumerate(keys):
+            b = keys[(i + 1) % len(keys)]
+            if a == b:
+                counts[("degenerate", a)] = counts.get(("degenerate", a), 0) + 1
+                continue
+            key, s = ((a, b), sign) if a < b else ((b, a), -sign)
+            counts[key] = counts.get(key, 0) + s
+
+    for cycle in cycles_plus:
+        add(cycle, +1)
+    for cycle in cycles_minus:
+        add(cycle, -1)
+    return {k: v for k, v in counts.items() if v != 0 or k[0] == "degenerate"}
+
+
+def _reference_ledgers():
+    """Reduced ledgers at n = 9, 24 and 48, and one of two components."""
+    rng = np.random.default_rng(40)
+    ledgers = [reduce_to_rhombi(random_integral_curve(n, rng)) for n in (9, 24, 48)]
+    tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
+    loop = random_integral_curve(11, rng).components[0] + np.array([5.0, 0, 0])
+    ledgers.append(reduce_to_rhombi(IntegralCurve([tri, loop])))
+    return ledgers
+
+
+def _chain_cycles(ledger):
+    chain = assemble_from_ledger(ledger)
+    plus = [t.vertices for t in chain.triangles] + [r.vertices for r in chain.rhombus_cells]
+    minus = list(ledger.initial.components) + [r.vertices for r in ledger.final_rhombi]
+    return plus, minus
+
+
+def test_signed_segment_counts_matches_reference():
+    cases = []
+    for ledger in _reference_ledgers():
+        plus, minus = _chain_cycles(ledger)
+        cases += [(plus, minus), (plus, minus[:-1]),
+                  ([c[::-1] for c in plus], [c[::-1] for c in minus])]
+    tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
+    repeated = np.vstack([tri[0], tri[1], tri[1], tri[2]])
+    cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], [])]
+    for plus, minus in cases:
+        got = signed_segment_counts(plus, minus)
+        assert got == _segment_counts_reference(plus, minus)
+    # the dropped rhombus and the repeated vertex leave a residue
+    assert signed_segment_counts(*cases[1]) != {}
+    assert signed_segment_counts([repeated], [tri]) == {
+        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1}
+
+
+def _closure_balance_reference(chain):
+    return [i for i, (cycle, tris, rhos) in enumerate(chain.closures)
+            if _segment_counts_reference([t.vertices for t in tris],
+                                         [cycle] + [r.vertices for r in rhos])]
+
+
+def test_closure_balance_matches_reference():
+    chains = [assemble_from_ledger(ledger) for ledger in _reference_ledgers()]
+    doc = ledger_to_obj(reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3))))
+    split = next(m for m in doc["moves"] if m["type"] == "split")
+    split["z"][0] += 1e-3
+    shifted = assemble_from_ledger(ledger_from_obj(doc))
+    for chain in chains + [shifted]:
+        assert (surface._unbalanced_closures(chain.closures, DEFAULT_TOL)
+                == _closure_balance_reference(chain))
+    assert _closure_balance_reference(shifted) != []
+
+
+def test_cells_unit_carries_cell_validate_messages(monkeypatch):
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    chain = assemble_from_ledger(ledger)
+    assert chain.rhombus_cells
+    chain.triangles[0].vertices[1, 2] += 1e-3
+    chain.rhombus_cells[0].vertices[2, 0] = np.nan
+    chain.rhombus_cells[-1] = Rhombus(chain.rhombus_cells[-1].vertices[:3])
+    ledger.final_rhombi[0].vertices[3, 1] += 1e-3
+    ledger.final_rhombi[-1].vertices[0, 0] = np.inf
+    monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
+    expected = []
+    for label, cells in (("triangle", chain.triangles),
+                         ("pivot rhombus", chain.rhombus_cells),
+                         ("final rhombus", ledger.final_rhombi)):
+        for i, cell in enumerate(cells):
+            try:
+                cell.validate(DEFAULT_TOL)
+            except ValueError as exc:
+                expected.append(f"{label} {i}: {exc}")
+    report = validate_ledger(ledger)
+    assert ("cells_unit", False, "; ".join(expected)) in report.entries
+    assert len(expected) == 5
+
+
+def test_signed_segment_counts_refuses_int64_wrap():
+    # a bare int64 cast maps both far triangles onto INT64_MIN and cancels them
+    tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
+    with pytest.raises(OverflowError):
+        signed_segment_counts([tri + 1e10], [tri + 2e10])
+
+
+_SEGMENT = re.compile(r"\(([^()]*)\) -> \(([^()]*)\): ([+-]\d+)")
+
+
+def test_chain_identity_names_unbalanced_segments():
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    moved = ledger.final_rhombi[0].vertices.copy()
+    # moving the rhombus away leaves its four segments unbalanced in place
+    ledger.final_rhombi[0] = Rhombus(moved + 100.0)
+    report = validate_ledger(ledger)
+    (detail,) = [d for name, ok, d in report.entries if name == "chain_identity" and not ok]
+    assert detail.startswith("8 unbalanced segments [")
+    listed = [(np.array(a.split(", "), dtype=float), np.array(b.split(", "), dtype=float),
+               int(count)) for a, b, count in _SEGMENT.findall(detail)]
+    assert len(listed) == 5
+    # the copy at +100 sorts last, so the first four are the vacated sides
+    sides = {tuple(sorted((tuple(np.round(moved[i], 6)), tuple(np.round(moved[(i + 1) % 4], 6)))))
+             for i in range(4)}
+    vacated = {(tuple(np.round(a, 6)), tuple(np.round(b, 6))) for a, b, _ in listed[:4]}
+    assert vacated == sides
+    assert all(abs(count) == 1 for _, _, count in listed)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def cmd_moduli(args) -> int:
                             moduli.BoundaryShapeMismatchError)):
             _err(str(exc))
             return EXIT_FAIL
-        _err(str(exc))
+        _err(str(exc.args[0]))  # str() of a KeyError would quote the message
         return EXIT_USAGE
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "component_plane",
     "is_planar",
     "is_packing",
-    "height_profile",
     "random_integral_curve",
 ]
 
@@ -153,11 +152,6 @@ def is_packing(component: np.ndarray, center: int, eps: float) -> bool:
     comp = np.asarray(component, dtype=float)
     d = np.linalg.norm(comp - comp[center], axis=1)
     return bool(np.all(d < eps))
-
-
-def height_profile(path: np.ndarray, h: Plane) -> np.ndarray:
-    """Unsigned distances of path vertices to the plane."""
-    return np.abs((np.asarray(path, dtype=float) - h.base) @ h.normal)
 
 
 def random_integral_curve(n: int, rng: np.random.Generator) -> IntegralCurve:

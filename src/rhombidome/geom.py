@@ -35,9 +35,7 @@ __all__ = [
     "apex_at_unit_distance",
     "reflect_across_line",
     "circle_basis",
-    "circle_point",
     "point_on_circle_nearest_plane",
-    "circle_plane_points",
 ]
 
 
@@ -247,11 +245,6 @@ def circle_basis(c: Circle3) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def circle_point(c: Circle3, theta: float) -> np.ndarray:
-    e1, e2 = circle_basis(c)
-    return c.center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
-
-
 def point_on_circle_nearest_plane(c: Circle3, h: Plane,
                                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Point of the circle minimizing unsigned distance to the plane.
@@ -275,33 +268,3 @@ def point_on_circle_nearest_plane(c: Circle3, h: Plane,
     else:
         theta = phi + (np.pi if s0 > 0 else 0.0)
     return c.center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
-
-
-def circle_plane_points(c: Circle3, h: Plane,
-                        tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Intersection points of a circle with a plane (0, 1 or 2 points).
-
-    A radius-0 circle yields its center when the center lies in the plane.
-    A circle contained in the plane is returned as empty; callers that can
-    hit that case must handle it themselves.
-    """
-    if c.radius <= 0.0:
-        if distance_to_plane(c.center, h) <= tol.geom_eps:
-            return [c.center.copy()]
-        return []
-    e1, e2 = circle_basis(c)
-    s0 = signed_plane_distance(c.center, h)
-    amp_a = c.radius * float(np.dot(e1, h.normal))
-    amp_b = c.radius * float(np.dot(e2, h.normal))
-    amp = float(np.hypot(amp_a, amp_b))
-    if amp <= 1e-15:
-        return []
-    if abs(s0) > amp * (1.0 + 1e-12) + 1e-15:
-        return []
-    phi = float(np.arctan2(amp_b, amp_a))
-    delta = float(np.arccos(np.clip(-s0 / amp, -1.0, 1.0)))
-    if delta <= 1e-8 or delta >= np.pi - 1e-8:  # tangency: a single point
-        thetas = [phi + delta]
-    else:
-        thetas = [phi + delta, phi - delta]
-    return [c.center + c.radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in thetas]

@@ -1,12 +1,16 @@
 """Numerical linkage moduli: tangent spaces, a skew pairing, and certificates.
 
-A polygon tuple or a polyhedron is a set of edge vectors with fixed lengths
-and some signed edge sums that must vanish (polygon closures; triangle and
-cycle sums).  Its scheme is linearized as ``[edge rows; signed-sum rows]``:
-one row per edge holding that edge's vector (``_edge_rows``), and three rows
-per signed sum, one per coordinate (``_sum_rows``).  Tangent spaces are
-numerical kernels of that matrix (SVD with a relative singular-value
-cutoff).  The skew pairing on polygon tangents is
+A polygon tuple is a set of edge vectors with fixed lengths whose per-polygon
+sums vanish.  Its scheme is linearized as ``[edge rows; closure rows]``: one
+row per edge holding that edge's vector (``_edge_rows``), and three rows per
+polygon closure, one per coordinate (``_sum_rows``).  A polyhedron is a set
+of vertex positions with fixed edge lengths, so its scheme is the length map
+on positions modulo translation; its linearization is the rigidity matrix
+(row e holds edge e's vector in its head's columns and the negated vector in
+its tail's).  Tangent spaces are numerical kernels of these matrices (SVD
+with a relative singular-value cutoff); polyhedron tangents are the
+rigidity kernel with vertex 0 pinned, mapped to edge vectors through the
+incidence.  The skew pairing on polygon tangents is
 
     sum over edges of  det[t(f), t'(f), p(f)] / length(f)^2 ,
 
@@ -21,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, null_space, orth, subspace_angles, svd
+# Factorizations come from scipy.linalg only: numpy and scipy each bundle an
+# OpenBLAS, and alternating between the two makes their thread pools contend.
+from scipy.linalg import block_diag, lstsq, null_space, orth, qr, subspace_angles, svd
 
 from .curve import random_integral_curve
 from .geom import DEFAULT_TOL, Tolerance
@@ -44,7 +50,6 @@ __all__ = [
     "rotation_orbit_basis",
     "symplectic_kernel_basis",
     "subspace_max_angle",
-    "cycle_basis",
     "realize_surface",
     "surface_constraint_residual",
     "surface_tangent_basis",
@@ -97,14 +102,6 @@ def _edge_rows(vectors: np.ndarray) -> np.ndarray:
 def _sum_rows(coeff: np.ndarray) -> np.ndarray:
     """(3m, 3K) rows: the m signed edge sums ``coeff`` (m, K), per coordinate."""
     return np.kron(coeff, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
-
-
-def _tangent_basis(vectors: np.ndarray, sum_rows: np.ndarray,
-                   tol: Tolerance) -> np.ndarray:
-    """Orthonormal kernel (D, K, 3) of ``[edge rows; signed-sum rows]``."""
-    stacked = np.vstack([_edge_rows(vectors), sum_rows])
-    kernel = null_space(stacked, rcond=tol.rank_rel_eps)
-    return kernel.T.reshape(-1, len(vectors), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,9 @@ def polygon_tangent_basis(point: PolygonPoint,
                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
     closures = np.repeat(np.eye(len(point.system.lengths)), point.system.sizes, axis=1)
-    return _tangent_basis(point.vectors, _sum_rows(closures), tol)
+    stacked = np.vstack([_edge_rows(point.vectors), _sum_rows(closures)])
+    kernel = null_space(stacked, rcond=tol.rank_rel_eps)
+    return kernel.T.reshape(-1, point.system.total, 3)
 
 
 def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> float:
@@ -252,59 +251,24 @@ def subspace_max_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 # polyhedron schemes
 
 
-def cycle_basis(s: GraphSurface) -> list[np.ndarray]:
-    """Fundamental cycles of a spanning tree of the 1-skeleton.
-
-    Returned as signed coefficient vectors over edge ids.  This basis spans
-    the whole cycle space of the skeleton, which is a valid (over-complete)
-    generator set: triangle relations already force their share to vanish.
-    """
-    n_edges = len(s.edges)
-    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(s.vertex_count)}
-    for eid, (tail, head) in enumerate(s.edges):
-        adjacency[tail].append((head, eid, +1))
-        adjacency[head].append((tail, eid, -1))
-    parent: dict[int, tuple[int, int, int] | None] = {0: None}
-    stack = [0]
-    tree_edges = set()
-    while stack:
-        v = stack.pop()
-        for w, eid, direction in adjacency[v]:
-            if w not in parent:
-                parent[w] = (v, eid, direction)
-                tree_edges.add(eid)
-                stack.append(w)
-    if len(parent) != s.vertex_count:
-        raise DisconnectedError("surface skeleton is not connected")
-
-    def root_chain(v: int) -> np.ndarray:
-        """Signed edge chain of the tree path root -> v."""
-        coeff = np.zeros(n_edges)
-        while parent[v] is not None:
-            up, eid, direction = parent[v]
-            coeff[eid] += direction  # direction +1 iff the edge points up -> v
-            v = up
-        return coeff
-
-    cycles = []
-    for eid, (tail, head) in enumerate(s.edges):
-        if eid in tree_edges:
-            continue
-        # closed walk: tail -> head along the edge, back through the tree
-        coeff = np.zeros(n_edges)
-        coeff[eid] = 1.0
-        coeff -= root_chain(head)
-        coeff += root_chain(tail)
-        cycles.append(coeff)
-    return cycles
-
-
 @dataclass
 class SurfaceRealization:
-    """Edge-vector realization of a graph surface (one 3-vector per edge pair)."""
+    """Vertex positions of a graph surface; edge vectors are derived."""
 
     surface: GraphSurface
-    q: np.ndarray  # (n_edges, 3)
+    x: np.ndarray  # (vertex_count, 3)
+
+    @property
+    def q(self) -> np.ndarray:
+        """Edge vectors (n_edges, 3): head position minus tail position."""
+        tails, heads = _edge_ends(self.surface)
+        return self.x[heads] - self.x[tails]
+
+
+def _edge_ends(s: GraphSurface) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head vertex ids of every edge."""
+    tails, heads = np.asarray(s.edges, dtype=int).reshape(-1, 2).T
+    return tails, heads
 
 
 def _signed_refs(refs) -> tuple[np.ndarray, np.ndarray]:
@@ -315,38 +279,55 @@ def _signed_refs(refs) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(refs) - 1, np.sign(refs)
 
 
-def _linear_constraint_rows(s: GraphSurface) -> np.ndarray:
-    """Triangle-sum and cycle-sum rows (shared by realizations and tangents)."""
-    n_edges = len(s.edges)
-    triangles = np.zeros((len(s.triangles), n_edges))
-    eid, sign = _signed_refs(s.triangles)
-    np.add.at(triangles, (np.arange(len(s.triangles))[:, None], eid), sign)
-    cycles = np.reshape(cycle_basis(s), (-1, n_edges))
-    return _sum_rows(np.vstack([triangles, cycles]))
+def _rigidity_matrix(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+    """(E, 3V) rows: row e holds q_e in its head's columns, -q_e in its tail's."""
+    tails, heads = _edge_ends(s)
+    q = x[heads] - x[tails]
+    rows = np.zeros((len(q), s.vertex_count, 3))
+    rows[np.arange(len(q)), heads] += q
+    rows[np.arange(len(q)), tails] -= q
+    return rows.reshape(len(q), -1)
 
 
-def surface_constraint_residual(s: GraphSurface, q: np.ndarray) -> float:
-    """Max-norm residual of length, triangle and cycle constraints at q."""
-    lengths = np.asarray(s.lengths, dtype=float)
-    res_len = np.einsum("ij,ij->i", q, q) - lengths ** 2
-    res_lin = _linear_constraint_rows(s) @ q.reshape(-1)
-    return float(np.max(np.abs(np.concatenate([res_len, res_lin]))))
+def _pinned_kernel(s: GraphSurface, x: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal kernel (3V - 3, D) of the rigidity matrix, vertex 0 pinned.
+
+    Pinning one vertex removes the translations only on a connected skeleton,
+    so a disconnected one raises.
+    """
+    reached = frontier = {0}
+    while frontier:  # breadth-first search from vertex 0
+        frontier = {w for edge in s.edges for v, w in (edge, edge[::-1])
+                    if v in frontier} - reached
+        reached = reached | frontier
+    if len(reached) != s.vertex_count:
+        raise DisconnectedError("surface skeleton is not connected")
+    return null_space(_rigidity_matrix(s, x)[:, 3:], rcond=tol.rank_rel_eps)
 
 
-def _project_to_constraints(s: GraphSurface, q: np.ndarray) -> np.ndarray:
-    linear = _linear_constraint_rows(s)
-    lengths = np.asarray(s.lengths, dtype=float)
-    x = q.reshape(-1).copy()
-    n_edges = len(s.edges)
+def _length_residual(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+    """Squared edge lengths at positions x minus their targets."""
+    q = SurfaceRealization(s, x).q
+    return np.einsum("ij,ij->i", q, q) - np.asarray(s.lengths, dtype=float) ** 2
+
+
+def surface_constraint_residual(s: GraphSurface, x: np.ndarray) -> float:
+    """Max-norm residual of the edge-length equations at vertex positions x."""
+    return float(np.max(np.abs(_length_residual(s, x))))
+
+
+def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the E length equations, Jacobian twice the rigidity matrix."""
     for _ in range(_PROJECTION_MAX_ITER):
-        vecs = x.reshape(n_edges, 3)
-        res_len = np.einsum("ij,ij->i", vecs, vecs) - lengths ** 2
-        residual = np.concatenate([res_len, linear @ x])
+        residual = _length_residual(s, x)
         if float(np.max(np.abs(residual))) <= _PROJECTION_TARGET:
-            return x.reshape(n_edges, 3)
-        jac = np.vstack([_edge_rows(2 * vecs), linear])
-        step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
-        x = x + step
+            return x
+        jac = 2 * _rigidity_matrix(s, x)
+        # A self-stress (three_rhombus_pants has one) leaves a singular value at
+        # rounding level, which grows with the matrix size: cut at eps * max(E, 3V)
+        # (numpy's default), not at scipy's default eps.
+        step, *_ = lstsq(jac, -residual, cond=np.finfo(float).eps * max(jac.shape))
+        x = x + step.reshape(-1, 3)
     raise ProjectionDivergedError("Gauss-Newton projection did not converge")
 
 
@@ -354,33 +335,44 @@ def realize_surface(s: GraphSurface, seed: int | None = None,
                     tol: Tolerance = DEFAULT_TOL) -> SurfaceRealization:
     """Realization from catalog coordinates, optionally perturbed on-manifold.
 
-    With a seed, a random unit tangent direction scaled by ``_STEP`` is taken
-    and then reprojected onto the constraints by Gauss-Newton (residual
-    <= 1e-12).
+    With a seed, the positions step ``_STEP`` along a random unit direction
+    of the rigidity kernel (vertex 0 pinned) and are then reprojected onto
+    the length equations by Gauss-Newton (residual <= 1e-12).
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
-    q = np.array([s.coords[head] - s.coords[tail] for tail, head in s.edges])
-    realization = SurfaceRealization(s, q)
+    x = np.array(s.coords, dtype=float)
     if seed is None:
-        return realization
+        return SurfaceRealization(s, x)
     rng = np.random.default_rng(seed)
-    basis = surface_tangent_basis(realization, tol)
-    if len(basis) == 0:
-        return realization
-    weights = rng.normal(size=len(basis))
-    direction = np.tensordot(weights, basis, axes=1)
+    kernel = _pinned_kernel(s, x, tol)
+    if kernel.shape[1] == 0:
+        return SurfaceRealization(s, x)
+    direction = kernel @ rng.normal(size=kernel.shape[1])
     direction /= max(np.linalg.norm(direction), 1e-300)
-    q = _project_to_constraints(s, q + _STEP * direction)
-    if surface_constraint_residual(s, q) > 1e-12:
+    x[1:] += _STEP * direction.reshape(-1, 3)
+    x = _project_to_constraints(s, x)
+    if surface_constraint_residual(s, x) > 1e-12:
         raise ProjectionDivergedError("projection residual above 1e-12")
-    return SurfaceRealization(s, q)
+    return SurfaceRealization(s, x)
 
 
 def surface_tangent_basis(realization: SurfaceRealization,
                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (D, n_edges, 3) of the polyhedron scheme tangents."""
-    return _tangent_basis(realization.q, _linear_constraint_rows(realization.surface), tol)
+    """Orthonormal basis (D, n_edges, 3) of the polyhedron scheme tangents.
+
+    The rigidity kernel (vertex motions keeping every length to first order,
+    vertex 0 pinned) is mapped to edge vectors through the incidence and
+    orthonormalized there by QR.
+    """
+    s = realization.surface
+    kernel = _pinned_kernel(s, realization.x, tol)
+    motions = np.vstack([np.zeros((3, kernel.shape[1])), kernel])
+    motions = motions.T.reshape(-1, s.vertex_count, 3)
+    tails, heads = _edge_ends(s)
+    edge_vectors = (motions[:, heads] - motions[:, tails]).reshape(len(motions), -1)
+    basis, _ = qr(edge_vectors.T, mode="economic")
+    return basis.T.reshape(-1, len(s.edges), 3)
 
 
 def boundary_point(realization: SurfaceRealization) -> PolygonPoint:
@@ -438,7 +430,7 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20,
     for t in range(trials):
         realization = realize_surface(s, seed=seed + 7919 * t, tol=tol)
         worst_residual = max(worst_residual,
-                             surface_constraint_residual(s, realization.q))
+                             surface_constraint_residual(s, realization.x))
         basis = surface_tangent_basis(realization, tol)
         dims.add(len(basis))
         point = boundary_point(realization)
@@ -539,7 +531,7 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0,
         "rank_projected": projected,
         "bound_moduli": 3,
         "bound_projected": 4,
-        "max_residual": surface_constraint_residual(s, realization.q),
+        "max_residual": surface_constraint_residual(s, realization.x),
         "tangent_dim": len(basis),
         "passed": bool(passed),
     }

@@ -389,7 +389,12 @@ def _three_rhombus_pants() -> GraphSurface:
 
 
 def catalog(name: str, k: int | None = None) -> GraphSurface:
-    """Named test surfaces with explicit unit-edge coordinates."""
+    """Named test surfaces with explicit unit-edge coordinates.
+
+    Only ``antiprism_band`` takes ``k``; giving it to another name raises.
+    """
+    if k is not None and name != "antiprism_band":
+        raise UnknownNameError(f"catalog surface {name!r} takes no parameter k")
     if name == "triangle_disk":
         s = _triangle_disk()
     elif name == "antiprism_band":

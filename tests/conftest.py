@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhombidome import IntegralCurve
+from rhombidome import GraphSurface, IntegralCurve
 
 
 def regular_polygon_curve(k: int) -> IntegralCurve:
@@ -26,6 +26,76 @@ def folded_rhombus_curve(angle: float = np.pi / 2) -> IntegralCurve:
     curve = IntegralCurve([np.vstack([a, b, c, d])])
     curve.validate()
     return curve
+
+
+def _cycle_basis(s: GraphSurface) -> list[np.ndarray]:
+    """Fundamental cycles of a spanning tree of the 1-skeleton.
+
+    Signed coefficient vectors over edge ids; together they span the whole
+    cycle space of the skeleton (an over-complete generator set beside the
+    triangle sums).
+    """
+    n_edges = len(s.edges)
+    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(s.vertex_count)}
+    for eid, (tail, head) in enumerate(s.edges):
+        adjacency[tail].append((head, eid, +1))
+        adjacency[head].append((tail, eid, -1))
+    parent: dict[int, tuple[int, int, int] | None] = {0: None}
+    stack = [0]
+    tree_edges = set()
+    while stack:
+        v = stack.pop()
+        for w, eid, direction in adjacency[v]:
+            if w not in parent:
+                parent[w] = (v, eid, direction)
+                tree_edges.add(eid)
+                stack.append(w)
+    assert len(parent) == s.vertex_count, "surface skeleton is not connected"
+
+    def root_chain(v: int) -> np.ndarray:
+        """Signed edge chain of the tree path root -> v."""
+        coeff = np.zeros(n_edges)
+        while parent[v] is not None:
+            up, eid, direction = parent[v]
+            coeff[eid] += direction  # direction +1 iff the edge points up -> v
+            v = up
+        return coeff
+
+    cycles = []
+    for eid, (tail, head) in enumerate(s.edges):
+        if eid in tree_edges:
+            continue
+        # closed walk: tail -> head along the edge, back through the tree
+        coeff = np.zeros(n_edges)
+        coeff[eid] = 1.0
+        coeff -= root_chain(head)
+        coeff += root_chain(tail)
+        cycles.append(coeff)
+    return cycles
+
+
+def edge_vector_constraint_rows(s: GraphSurface) -> np.ndarray:
+    """Triangle-sum and cycle-sum rows (3m, 3 n_edges) on edge vectors.
+
+    The edge-vector scheme's linear constraints, per coordinate: an edge
+    field they annihilate is a difference of vertex positions.  Kept as the
+    reference the vertex-position scheme of ``rhombidome.moduli`` is pinned to.
+    """
+    n_edges = len(s.edges)
+    blocks = []
+    for refs in s.triangles:
+        block = np.zeros((3, 3 * n_edges))
+        for ref in refs:
+            for c in range(3):
+                block[c, 3 * (abs(ref) - 1) + c] += 1 if ref > 0 else -1
+        blocks.append(block)
+    for coeff in _cycle_basis(s):
+        block = np.zeros((3, 3 * n_edges))
+        for eid, value in enumerate(coeff):
+            for c in range(3):
+                block[c, 3 * eid + c] += value
+        blocks.append(block)
+    return np.vstack(blocks) if blocks else np.zeros((0, 3 * n_edges))
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import regular_polygon_curve
+from conftest import edge_vector_constraint_rows, regular_polygon_curve
 from rhombidome import moduli as md
 from rhombidome.cobordism import (
     Rhombus,
@@ -212,8 +212,9 @@ def test_criterion_10_collapse_restriction():
             collapsed = collapse(s, tri_index, ref)
             keep = [e for e in range(len(s.edges)) if e != abs(ref) - 1]
             q2 = realization.q[keep]
-            worst = max(worst, md.surface_constraint_residual(collapsed, q2))
-            linear = md._linear_constraint_rows(collapsed)
+            linear = edge_vector_constraint_rows(collapsed)
+            worst = max(worst, md.surface_constraint_residual(collapsed, realization.x),
+                        float(np.max(np.abs(linear @ q2.reshape(-1)))))
             for tangent in basis:
                 t2 = tangent[keep]
                 ortho = max(abs(float(np.dot(t2[j], q2[j])))

@@ -152,11 +152,27 @@ def test_moduli_exit_codes(capsys):
     assert main(["moduli", "rank", "--surface", "three_rhombus_pants"]) == 0
     capsys.readouterr()
     assert main(["moduli", "dims", "--surface", "nonexistent"]) == 2
+    assert capsys.readouterr().err == "rhombidome: unknown catalog surface 'nonexistent'\n"
+    assert main(["moduli", "isotropy", "--surface", "triangle_disk:k=4"]) == 2
+    assert capsys.readouterr().err == (
+        "rhombidome: catalog surface 'triangle_disk' takes no parameter k\n")
+    assert main(["moduli", "dims", "--surface", "antiprism_band:k=2"]) == 2
+    assert capsys.readouterr().err == "rhombidome: antiprism_band needs k >= 3\n"
     assert main(["moduli", "rank", "--surface", "pentagon_pants"]) == 1
     for trials in ("0", "-3"):
         assert main(["moduli", "isotropy", "--surface", "antiprism_band:k=4",
                      "--trials", trials]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_moduli_benchmark_surface_dimension(capsys):
+    """The moduli benchmark's surface keeps its 29-dimensional tangent space."""
+    assert main(["moduli", "dims", "--surface", "antiprism_band:k=16"]) == 0
+    assert json.loads(capsys.readouterr().out)["tangent_dim"] == 29
+    assert main(["moduli", "isotropy", "--surface", "antiprism_band:k=16",
+                 "--trials", "1", "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tangent_dims"] == [29] and report["passed"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -8,12 +8,10 @@ from rhombidome.curve import (
     NonIntegerEdgeError,
     farthest_vertex_pair,
     from_integer_curve,
-    height_profile,
     is_packing,
     is_planar,
     random_integral_curve,
 )
-from rhombidome.geom import Plane, pt
 
 
 def test_from_integer_curve_unit_triangle_unchanged(unit_triangle):
@@ -93,14 +91,6 @@ def test_is_packing_monotone_in_eps():
     for eps in np.linspace(0.1, 4.0, 17):
         packed = is_packing(comp, 0, eps)
         assert packed == bool(radii[-1] < eps)
-
-
-def test_height_profile():
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
-    path = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 2.0]])
-    assert np.allclose(height_profile(path, plane), [0, 1, 2])
-    mixed = np.array([[0, 0, -1], [0, 0, 1.0]])
-    assert np.allclose(height_profile(mixed, plane), [1, 1])
 
 
 def test_random_integral_curve_is_valid():

@@ -9,8 +9,7 @@ from rhombidome.geom import (
     Plane,
     SeparatedError,
     apex_at_unit_distance,
-    circle_plane_points,
-    circle_point,
+    circle_basis,
     circumcenter,
     circumradius,
     distance_to_plane,
@@ -53,13 +52,18 @@ def test_unit_ball_intersection_circle_points_at_unit_distance():
         w = u + rng.uniform(0.1, 1.9) * _unit(rng.normal(size=3))
         circle = unit_ball_intersection(u, w)
         for theta in rng.uniform(0, 2 * np.pi, size=8):
-            p = circle_point(circle, theta)
+            p = _circle_point(circle, theta)
             assert np.linalg.norm(p - u) == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.norm(p - w) == pytest.approx(1.0, abs=1e-9)
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _circle_point(circle, theta):
+    e1, e2 = circle_basis(circle)
+    return circle.center + circle.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
 
 
 def test_circumradius_equilateral():
@@ -164,21 +168,6 @@ def test_point_on_circle_nearest_plane_crossing():
     plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
     p = point_on_circle_nearest_plane(circle, plane)
     assert abs(p[2]) < 1e-9
-    crossings = circle_plane_points(circle, plane)
-    assert len(crossings) == 2
-    for q in crossings:
-        assert abs(q[2]) < 1e-9
-        assert np.linalg.norm(q) == pytest.approx(1, abs=1e-9)
-        assert np.linalg.norm(q - top) == pytest.approx(1, abs=1e-9)
-
-
-def test_circle_plane_tangency_single_point():
-    # circle through (0,0,0)/(1,0,1) unit-ball intersection touches z=0 once
-    circle = unit_ball_intersection(pt(0, 0, 0), pt(1, 0, 1))
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
-    crossings = circle_plane_points(circle, plane)
-    assert len(crossings) == 1
-    assert np.allclose(crossings[0], [1, 0, 0], atol=1e-9)
 
 
 def test_point_on_circle_nearest_plane_minimizes():
@@ -190,7 +179,7 @@ def test_point_on_circle_nearest_plane_minimizes():
         circle = Circle3(center=center, radius=rng.uniform(0.1, 2.0), axis=axis)
         best = point_on_circle_nearest_plane(circle, plane)
         d_best = distance_to_plane(best, plane)
-        sampled = [distance_to_plane(circle_point(circle, t), plane)
+        sampled = [distance_to_plane(_circle_point(circle, t), plane)
                    for t in np.linspace(0, 2 * np.pi, 720, endpoint=False)]
         assert d_best <= min(sampled) + 1e-9
 

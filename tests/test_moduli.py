@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
+from conftest import edge_vector_constraint_rows
 from rhombidome import moduli as md
 from rhombidome.surface import GraphSurface, catalog, collapse
 
@@ -91,19 +93,49 @@ def test_pairing_nondegenerate_off_kernel():
     assert rank == len(basis) - len(md.rotation_orbit_basis(point))
 
 
+def _edge_vector_residual(s, realization) -> float:
+    """Max of the length residual and the reference rows' residual at q."""
+    linear = edge_vector_constraint_rows(s) @ realization.q.reshape(-1)
+    return max(md.surface_constraint_residual(s, realization.x),
+               float(np.max(np.abs(linear))))
+
+
 def test_realize_catalog_surfaces_exactly():
     for name, k in (("triangle_disk", None), ("antiprism_band", 4),
                     ("pentagon_pants", None), ("three_rhombus_pants", None)):
         s = catalog(name, k=k)
         realization = md.realize_surface(s)
-        assert md.surface_constraint_residual(s, realization.q) <= 1e-12
+        assert _edge_vector_residual(s, realization) <= 1e-12
 
 
 def test_perturbed_realization_stays_on_manifold():
     s = catalog("antiprism_band", k=5)
     for seed in range(5):
         realization = md.realize_surface(s, seed=seed)
-        assert md.surface_constraint_residual(s, realization.q) <= 1e-12
+        assert _edge_vector_residual(s, realization) <= 1e-12
+
+
+CATALOG = (("triangle_disk", None), ("antiprism_band", 4), ("antiprism_band", 16),
+           ("antiprism_band", 40), ("pentagon_pants", None),
+           ("three_rhombus_pants", None))
+
+
+@pytest.mark.parametrize("name, k", CATALOG)
+def test_tangents_match_edge_vector_scheme(name, k):
+    """The rigidity kernel, as edge vectors, is the edge-vector scheme's kernel."""
+    s = catalog(name, k=k)
+    linear = edge_vector_constraint_rows(s)
+    for seed in range(10):
+        realization = md.realize_surface(s, seed=seed)
+        assert _edge_vector_residual(s, realization) <= 1e-12
+        basis = md.surface_tangent_basis(realization)
+        reference = null_space(np.vstack([md._edge_rows(realization.q), linear]),
+                               rcond=md.DEFAULT_TOL.rank_rel_eps)
+        assert len(basis) == reference.shape[1]
+        assert md.subspace_max_angle(basis, reference.T) <= 1e-10
+        flat = basis.reshape(len(basis), -1)
+        assert np.max(np.abs(flat @ linear.T)) <= 1e-10
+        assert np.max(np.abs(flat @ flat.T - np.eye(len(basis)))) <= 1e-12
 
 
 def test_triangle_disk_is_rigid():
@@ -119,23 +151,8 @@ def test_surface_tangent_dim_stable_under_perturbation():
     assert dims.pop() >= 3
 
 
-def test_cycle_basis_betti_numbers():
-    for name, k, betti in (("triangle_disk", None, 0),
-                           ("antiprism_band", 4, 1),
-                           ("pentagon_pants", None, 2)):
-        s = catalog(name, k=k)
-        cycles = md.cycle_basis(s)
-        tri_rows = []
-        for tri in s.triangles:
-            row = np.zeros(len(s.edges))
-            for ref in tri:
-                row[abs(ref) - 1] += 1 if ref > 0 else -1
-            tri_rows.append(row)
-        tri_rank = np.linalg.matrix_rank(np.array(tri_rows)) if tri_rows else 0
-        assert len(cycles) - tri_rank == betti
-
-
-def test_cycle_basis_disconnected():
+def test_disconnected_surface_raises():
+    triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3.0) / 2, 0.0]])
     s = GraphSurface(
         name="two_triangles",
         vertex_count=6,
@@ -143,9 +160,12 @@ def test_cycle_basis_disconnected():
         lengths=np.ones(6),
         triangles=[(1, 2, 3), (4, 5, 6)],
         walks=[[1, 2, 3], [4, 5, 6]],
+        coords=np.vstack([triangle, triangle + [0.0, 0.0, 2.0]]),
     )
     with pytest.raises(md.DisconnectedError):
-        md.cycle_basis(s)
+        md.surface_tangent_basis(md.realize_surface(s))
+    with pytest.raises(md.DisconnectedError):
+        md.realize_surface(s, seed=0)
 
 
 def test_boundary_differential_linearity_and_equivariance():
@@ -164,22 +184,6 @@ def test_constraint_rows_match_loop_reference():
     s = catalog("pentagon_pants")
     realization = md.realize_surface(s, seed=5)
     n_edges = len(s.edges)
-    blocks = []
-    for refs in s.triangles:
-        block = np.zeros((3, 3 * n_edges))
-        for ref in refs:
-            for c in range(3):
-                block[c, 3 * (abs(ref) - 1) + c] += 1 if ref > 0 else -1
-        blocks.append(block)
-    for coeff in md.cycle_basis(s):
-        block = np.zeros((3, 3 * n_edges))
-        for eid, value in enumerate(coeff):
-            for c in range(3):
-                block[c, 3 * eid + c] += value
-        blocks.append(block)
-    linear = md._linear_constraint_rows(s)
-    # bitwise: no -0.0 where the loops leave 0.0
-    assert linear.tobytes() == np.vstack(blocks).tobytes()
     edge = np.zeros((n_edges, 3 * n_edges))
     for j in range(n_edges):
         edge[j, 3 * j:3 * j + 3] = realization.q[j]
@@ -220,7 +224,8 @@ def test_boundary_differential_commutes_with_collapse():
     collapsed = collapse(s, 0, ref)
     removed = abs(ref) - 1
     keep = [e for e in range(len(s.edges)) if e != removed]
-    restricted = md.SurfaceRealization(collapsed, realization.q[keep])
+    restricted = md.SurfaceRealization(collapsed, realization.x)
+    assert np.array_equal(restricted.q, realization.q[keep])
     for tangent in basis[:3]:
         small = md.boundary_differential(restricted, tangent[keep])
         assert small.shape[0] == sum(len(w) for w in collapsed.walks)
@@ -236,8 +241,9 @@ def test_restriction_satisfies_collapsed_constraints():
     removed = abs(ref) - 1
     keep = [e for e in range(len(s.edges)) if e != removed]
     q2 = realization.q[keep]
-    assert md.surface_constraint_residual(collapsed, q2) <= 1e-10
-    linear = md._linear_constraint_rows(collapsed)
+    linear = edge_vector_constraint_rows(collapsed)
+    assert md.surface_constraint_residual(collapsed, realization.x) <= 1e-10
+    assert np.max(np.abs(linear @ q2.reshape(-1))) <= 1e-10
     for tangent in basis:
         t2 = tangent[keep]
         ortho = max(abs(float(np.dot(t2[j], q2[j]))) for j in range(len(keep)))

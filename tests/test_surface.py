@@ -68,6 +68,9 @@ def test_catalog_three_rhombus_pants():
 def test_catalog_unknown_name():
     with pytest.raises(UnknownNameError):
         catalog("mystery_surface")
+    for name in ("triangle_disk", "pentagon_pants", "three_rhombus_pants"):
+        with pytest.raises(UnknownNameError, match="takes no parameter k"):
+            catalog(name, k=4)
 
 
 def test_boundary_polygons_antiprism():

@@ -218,6 +218,9 @@ def cmd_census(args) -> int:
     if args.n_min < 5 or args.n_max < args.n_min:
         _err("census needs 5 <= n-min <= n-max")
         return EXIT_USAGE
+    if args.samples < (0 if args.pentagon_fixture else 1):
+        _err("census needs --samples >= 1 (or 0 with --pentagon-fixture)")
+        return EXIT_USAGE
     rows = []
     try:
         if args.pentagon_fixture:

@@ -55,9 +55,9 @@ from .geom import (
     Plane,
     Tolerance,
     apex_at_unit_distance,
-    circle_basis,
     dist,
     normalize,
+    plane_basis,
     point_on_circle_nearest_plane,
     reflect_across_line,
     unit_ball_intersection,
@@ -213,7 +213,8 @@ class CobordismLedger:
     ``final_rhombi`` are the boundary rhombi (reversed orientation, see module
     docstring); the cells of pivots are derived on replay.  ``stats``
     carries the edge count n, the total number of rhombi used k, the upper
-    bound ``budget`` and per-stage counters.
+    bound ``budget``, per-stage counters and one row per input component,
+    as :meth:`Replayer.stats` computes them from the moves.
     """
 
     initial: IntegralCurve
@@ -240,9 +241,13 @@ def component_budget(n: int) -> int:
 class Replayer:
     """Applies recorded moves to evolving component state, bit for bit.
 
-    Besides the component state it keeps ``consumed``: for each move that
-    consumes a cycle, in move order, the replayed cycle and the indices of the
-    recorded triangles and boundary rhombi the move names for it.
+    Besides the component state it keeps ``moves``, every move applied, in
+    order, and ``consumed``: for each move that consumes a cycle, in move
+    order, the replayed cycle and the indices of the recorded triangles and
+    boundary rhombi the move names for it.  It also counts, per input
+    component, the rhombi the moves add to k, the pivots by stage and the
+    splits; a split's new piece counts toward its parent's input component.
+    :meth:`stats` reports these counts as a ledger's ``stats``.
     """
 
     def __init__(self, initial: IntegralCurve, tol: Tolerance = DEFAULT_TOL):
@@ -250,7 +255,13 @@ class Replayer:
         self.components: dict[int, np.ndarray] = {
             i: np.asarray(c, dtype=float).copy() for i, c in enumerate(initial.components)
         }
+        self.edges = [len(c) for c in self.components.values()]
+        self.moves: list[Move] = []
         self.consumed: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = []
+        # one Counter per input component; ``tally`` maps every component id,
+        # split pieces included, to the Counter of its input component
+        self.tallies = [Counter() for _ in self.edges]
+        self.tally: dict[int, Counter] = dict(enumerate(self.tallies))
 
     def component(self, cid: int) -> np.ndarray:
         try:
@@ -263,7 +274,9 @@ class Replayer:
         spec = MOVE_TABLE.get(getattr(move, "kind", None))
         if spec is None:
             raise ReplayMismatchError(f"unknown move type {type(move)!r}")
-        return spec.apply(self, move)
+        cell = spec.apply(self, move)
+        self.moves.append(move)
+        return cell
 
     def _apply_pivot(self, move: PivotMove) -> Rhombus | None:
         v = self.component(move.component)
@@ -278,9 +291,12 @@ class Replayer:
             if not abs(side - 1.0) <= self.tol.geom_eps:  # NaN fails
                 raise NotOnPivotCircleError(
                     f"pivot target at distance {side} from a neighbour")
+        tally = self.tally[move.component]
+        tally["pivot", move.stage] += 1
         cell = None
         if dist(prev, nxt) > self.tol.geom_eps:
             cell = Rhombus(np.array([prev, v[move.vertex], nxt, new]))
+            tally["rhombi"] += 1
         v[move.vertex] = new
         return cell
 
@@ -295,6 +311,8 @@ class Replayer:
         remainder = np.vstack([v[0:1], z[None, :], v[3:]])
         self.components[move.new_component] = pentagon
         self.components[move.component] = remainder
+        self.tally[move.new_component] = self.tally[move.component]
+        self.tally[move.component]["split"] += 1
 
     def _apply_pentagon(self, move: PentagonMove) -> None:
         self._consume(move.component, 5, (move.triangle_index,),
@@ -313,10 +331,28 @@ class Replayer:
             raise ReplayMismatchError(
                 f"component {cid} has {len(v)} vertices, expected {expected_len}")
         self.consumed.append((v, triangles, rhombi))
+        self.tally[cid]["rhombi"] += len(rhombi)
         del self.components[cid]
 
     def final_curve(self) -> IntegralCurve:
         return IntegralCurve([self.components[k].copy() for k in sorted(self.components)])
+
+    def stats(self) -> dict:
+        """The ledger ``stats`` of the moves applied so far."""
+        rows = [{"component": i, "edges": n, "rhombi_used": tally["rhombi"],
+                 "budget": component_budget(n)}
+                for i, (n, tally) in enumerate(zip(self.edges, self.tallies))]
+        total = sum(self.tallies, Counter())
+        return {
+            "n": sum(self.edges),
+            "k": sum(row["rhombi_used"] for row in rows),
+            "budget": sum(row["budget"] for row in rows),
+            "planarize_moves": total["pivot", "planarize"],
+            "pack_moves": total["pivot", "pack"],
+            "splits": total["split"],
+            "fixes": total["pivot", "fix"],
+            "per_component": rows,
+        }
 
 
 class MoveSpec(NamedTuple):
@@ -355,8 +391,8 @@ MOVE_TABLE: dict[str, MoveSpec] = {
 
 
 def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray, stage: str,
-                moves: list[Move], counters: Counter, tol: Tolerance) -> bool:
-    """Record and apply one pivot, counting it under ``stage``.
+                tol: Tolerance) -> bool:
+    """Apply, and so record, one pivot of ``stage``.
 
     A target equal to the current vertex is a no-op: nothing is recorded
     and False is returned.
@@ -364,11 +400,7 @@ def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray, stage: st
     target = np.asarray(target, dtype=float).copy()
     if dist(state.component(cid)[i], target) <= tol.geom_eps:
         return False
-    move = PivotMove(cid, i, target, stage)
-    if state.apply(move) is not None:
-        counters["rhombi"] += 1
-    counters[stage] += 1
-    moves.append(move)
+    state.apply(PivotMove(cid, i, target, stage))
     return True
 
 
@@ -382,10 +414,9 @@ def apply_pivot(curve: IntegralCurve, comp: int, i: int, p: np.ndarray,
     move None.
     """
     state = Replayer(curve, tol)
-    moves: list[Move] = []
-    if not _make_pivot(state, comp, i, p, "pivot", moves, Counter(), tol):
+    if not _make_pivot(state, comp, i, p, "pivot", tol):
         return curve.copy(), None
-    return state.final_curve(), moves[0]
+    return state.final_curve(), state.moves[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +451,7 @@ def _sphere_point_nearest_plane(center: np.ndarray, plane: Plane) -> np.ndarray:
     s = float(np.dot(center - plane.base, plane.normal))
     if abs(s) >= 1.0:
         return center - np.sign(s) * plane.normal
-    u = np.cross(plane.normal, np.array([1.0, 0.0, 0.0]))
-    if np.linalg.norm(u) <= 1e-6:
-        u = np.cross(plane.normal, np.array([0.0, 1.0, 0.0]))
-    u = normalize(u)
+    u = plane_basis(plane.normal)[0]
     return center - s * plane.normal + np.sqrt(1.0 - s * s) * u
 
 
@@ -431,7 +459,6 @@ _PLANAR_STOP = 1e-10
 
 
 def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
-                  moves: list[Move], counters: Counter,
                   tol: Tolerance, budget: int) -> None:
     """Drive every interior vertex of one path into the plane.
 
@@ -462,14 +489,13 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
         if new_height > heights[j - 1] + 1e-12:
             raise PlanarizeBudgetError(
                 f"pivot did not descend: {new_height} > {heights[j - 1]}")
-        if counters["planarize"] + 1 > budget:
+        if state.tally[cid]["pivot", "planarize"] + 1 > budget:
             raise PlanarizeBudgetError("planarize exceeded its move budget")
-        if not _make_pivot(state, cid, g, target, "planarize", moves, counters, tol):
+        if not _make_pivot(state, cid, g, target, "planarize", tol):
             raise PlanarizeBudgetError("planarize produced a no-op pivot")
 
 
-def _planarize_component(state: Replayer, cid: int, moves: list[Move],
-                         counters: Counter, tol: Tolerance) -> Plane:
+def _planarize_component(state: Replayer, cid: int, tol: Tolerance) -> Plane:
     v = state.component(cid)
     existing = component_plane(v, tol)
     if existing is not None:
@@ -480,8 +506,8 @@ def _planarize_component(state: Replayer, cid: int, moves: list[Move],
     budget = n * (n - 1) // 2
     forward = [(iv + k) % n for k in range(((iw - iv) % n) + 1)]
     backward = [(iw + k) % n for k in range(((iv - iw) % n) + 1)]
-    _flatten_path(state, cid, forward, plane, moves, counters, tol, budget)
-    _flatten_path(state, cid, backward, plane, moves, counters, tol, budget)
+    _flatten_path(state, cid, forward, plane, tol, budget)
+    _flatten_path(state, cid, backward, plane, tol, budget)
     return plane
 
 
@@ -495,10 +521,9 @@ def planarize(curve: IntegralCurve,
     """
     curve.validate(tol)
     state = Replayer(curve, tol)
-    moves: list[PivotMove] = []
     for cid in range(len(curve.components)):
-        _planarize_component(state, cid, moves, Counter(), tol)
-    return state.final_curve(), moves
+        _planarize_component(state, cid, tol)
+    return state.final_curve(), state.moves
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +635,7 @@ def steinitz_order(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     return _elimination_order(vectors)
 
 
-def _plane_frame(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
-    u = np.cross(plane.normal, np.array([1.0, 0.0, 0.0]))
-    if np.linalg.norm(u) <= 1e-6:
-        u = np.cross(plane.normal, np.array([0.0, 1.0, 0.0]))
-    e1 = normalize(u)
-    e2 = np.cross(plane.normal, e1)
-    return e1, e2
-
-
-def _pack_component(state: Replayer, cid: int, moves: list[Move],
-                    counters: Counter, tol: Tolerance) -> None:
+def _pack_component(state: Replayer, cid: int, tol: Tolerance) -> None:
     """Realize a bounded-prefix edge order with adjacent-transposition pivots.
 
     Swapping consecutive edge vectors u_j, u_{j+1} moves the shared vertex to
@@ -631,7 +646,7 @@ def _pack_component(state: Replayer, cid: int, moves: list[Move],
     v = state.component(cid)
     n = len(v)
     plane = fit_plane(v)
-    e1, e2 = _plane_frame(plane)
+    e1, e2 = plane_basis(plane.normal)
     edges = np.roll(v, -1, axis=0) - v
     vecs2d = edges @ np.column_stack([e1, e2])
     sigma = steinitz_order(vecs2d, tol)
@@ -644,7 +659,7 @@ def _pack_component(state: Replayer, cid: int, moves: list[Move],
         for j in range(n - 1):
             if pos[arrangement[j]] > pos[arrangement[j + 1]]:
                 target = v[j] + (v[(j + 2) % n] - v[j + 1])
-                _make_pivot(state, cid, j + 1, target, "pack", moves, counters, tol)
+                _make_pivot(state, cid, j + 1, target, "pack", tol)
                 arrangement[j], arrangement[j + 1] = arrangement[j + 1], arrangement[j]
                 swapped = True
     radii = np.linalg.norm(v - v[0], axis=1)
@@ -657,12 +672,11 @@ def pack(curve: IntegralCurve,
     """Pivot each planar component until all vertices are within 2 of vertex 0."""
     curve.validate(tol)
     state = Replayer(curve, tol)
-    moves: list[PivotMove] = []
     for cid, comp in enumerate(curve.components):
         if component_plane(comp, tol) is None:
             raise ValueError(f"component {cid} is not planar")
-        _pack_component(state, cid, moves, Counter(), tol)
-    return state.final_curve(), moves
+        _pack_component(state, cid, tol)
+    return state.final_curve(), state.moves
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +695,7 @@ def _best_circle_sample(p: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     if dist(p[1], p[3]) <= tol.geom_eps:
         return None
     circle = unit_ball_intersection(p[1], p[3], tol)
-    e1, e2 = circle_basis(circle)
+    e1, e2 = plane_basis(circle.axis)
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     pts = (circle.center
            + circle.radius * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2))
@@ -738,7 +752,6 @@ class PentagonSplit:
     triangle: TriangleFace
     fixes: list[PivotMove]
     apex: np.ndarray
-    pentagon: np.ndarray  # vertices after fixes
 
 
 def pentagon_split(pentagon: np.ndarray,
@@ -760,10 +773,9 @@ def pentagon_split(pentagon: np.ndarray,
     if plan is None:
         raise FixBudgetExceededError(
             "no sequence of <= 3 corrective pivots reaches circumradius < 1")
-    fixes: list[PivotMove] = []
     state = Replayer(IntegralCurve([p]), tol)
     for i, target in plan:
-        _make_pivot(state, 0, i, target, "fix", fixes, Counter(), tol)
+        _make_pivot(state, 0, i, target, "fix", tol)
     p = state.component(0)
     apex = apex_at_unit_distance(p[0], p[2], p[3], +1, tol)
     if apex is None:
@@ -774,7 +786,7 @@ def pentagon_split(pentagon: np.ndarray,
     rho_a.validate(tol)
     rho_b.validate(tol)
     face.validate(tol)
-    return PentagonSplit((rho_a, rho_b), face, fixes, apex, p.copy())
+    return PentagonSplit((rho_a, rho_b), face, state.moves, apex)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +807,7 @@ def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
         # unit circle around v1 inside the plane
         radial = (v1 - away) - np.dot(v1 - away, plane.normal) * plane.normal
         if np.linalg.norm(radial) <= tol.geom_eps:
-            radial = _plane_frame(plane)[0]
+            radial = plane_basis(plane.normal)[0]
         return v1 + normalize(radial)
     circle = unit_ball_intersection(v1, v4, tol)
     w = normalize(np.cross(circle.axis, plane.normal))
@@ -803,22 +815,30 @@ def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
     return max(cands, key=lambda q: dist(q, away))
 
 
+def _close(state: Replayer, ledger: CobordismLedger, cid: int,
+           triangles: list[TriangleFace], rhombi: list[Rhombus]) -> None:
+    """Record the cells that fill component ``cid``, then apply the move that
+    consumes it: a pentagon (two rhombi and a triangle), a 4-cycle (one
+    rhombus) or a 3-cycle (one triangle)."""
+    t, r = len(ledger.triangles), len(ledger.final_rhombi)
+    ledger.triangles += triangles
+    ledger.final_rhombi += rhombi
+    if len(rhombi) == 2:
+        move = PentagonMove(cid, (r, r + 1), t)
+    elif rhombi:
+        move = CloseRhombusMove(cid, r)
+    else:
+        move = CloseTriangleMove(cid, t)
+    state.apply(move)
+
+
 def _consume_pentagon(state: Replayer, cid: int, ledger: CobordismLedger,
-                      counters: Counter, tol: Tolerance) -> None:
+                      tol: Tolerance) -> None:
     split = pentagon_split(state.component(cid), tol)
     for fix in split.fixes:
-        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix", ledger.moves,
-                    counters, tol)
+        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix", tol)
     rho_a, rho_b = split.rhombi
-    tri_index = len(ledger.triangles)
-    ledger.triangles.append(split.triangle)
-    ra_index = len(ledger.final_rhombi)
-    ledger.final_rhombi.append(rho_a.reversed())
-    ledger.final_rhombi.append(rho_b.reversed())
-    counters["rhombi"] += 2
-    move = PentagonMove(cid, (ra_index, ra_index + 1), tri_index)
-    state.apply(move)
-    ledger.moves.append(move)
+    _close(state, ledger, cid, [split.triangle], [rho_a.reversed(), rho_b.reversed()])
 
 
 def reduce_to_rhombi(curve: IntegralCurve,
@@ -832,65 +852,35 @@ def reduce_to_rhombi(curve: IntegralCurve,
     """
     curve.validate(tol)
     initial = curve.copy()
-    ledger = CobordismLedger(initial=initial)
     state = Replayer(initial, tol)
+    ledger = CobordismLedger(initial=initial, moves=state.moves)
     next_id = len(initial.components)
-    per_component = []
-    totals: Counter = Counter()
 
-    for root in range(len(initial.components)):
-        n0 = len(initial.components[root])
+    for root, n0 in enumerate(state.edges):
         if n0 < 3:
             raise ComponentTooShortError(f"component {root} has fewer than 3 edges")
-        counters: Counter = Counter()
         if n0 == 3:
             tri = TriangleFace(state.component(root).copy())
             tri.validate(tol)
-            idx = len(ledger.triangles)
-            ledger.triangles.append(tri)
-            move = CloseTriangleMove(root, idx)
-            state.apply(move)
-            ledger.moves.append(move)
+            _close(state, ledger, root, [tri], [])
         elif n0 == 4:
             rho = Rhombus(state.component(root).copy()).reversed()
             rho.validate(tol)
-            idx = len(ledger.final_rhombi)
-            ledger.final_rhombi.append(rho)
-            counters["rhombi"] += 1
-            move = CloseRhombusMove(root, idx)
-            state.apply(move)
-            ledger.moves.append(move)
+            _close(state, ledger, root, [], [rho])
         else:
-            plane = _planarize_component(state, root, ledger.moves, counters, tol)
-            _pack_component(state, root, ledger.moves, counters, tol)
+            plane = _planarize_component(state, root, tol)
+            _pack_component(state, root, tol)
             while len(state.component(root)) > 5:
-                v = state.component(root)
-                z = _choose_bridge(v, plane, tol)
-                pent_id = next_id
+                z = _choose_bridge(state.component(root), plane, tol)
+                state.apply(SplitMove(root, next_id, z.copy()))
+                _consume_pentagon(state, next_id, ledger, tol)
                 next_id += 1
-                move = SplitMove(root, pent_id, z.copy())
-                state.apply(move)
-                ledger.moves.append(move)
-                counters["splits"] += 1
-                _consume_pentagon(state, pent_id, ledger, counters, tol)
-            _consume_pentagon(state, root, ledger, counters, tol)
-        budget = component_budget(n0)
-        if counters["rhombi"] > budget:
+            _consume_pentagon(state, root, ledger, tol)
+        used, budget = state.tally[root]["rhombi"], component_budget(n0)
+        if used > budget:
             raise PlanarizeBudgetError(
-                f"component {root} used {counters['rhombi']} rhombi, budget {budget}")
-        per_component.append({"component": root, "edges": n0,
-                              "rhombi_used": counters["rhombi"], "budget": budget})
-        totals.update(counters)
+                f"component {root} used {used} rhombi, budget {budget}")
 
     ledger.final_curve = state.final_curve()
-    ledger.stats = {
-        "n": initial.edge_count,
-        "k": totals["rhombi"],
-        "budget": sum(row["budget"] for row in per_component),
-        "planarize_moves": totals["planarize"],
-        "pack_moves": totals["pack"],
-        "splits": totals["splits"],
-        "fixes": totals["fix"],
-        "per_component": per_component,
-    }
+    ledger.stats = state.stats()
     return ledger

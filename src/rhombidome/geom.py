@@ -34,7 +34,7 @@ __all__ = [
     "circumradius",
     "apex_at_unit_distance",
     "reflect_across_line",
-    "circle_basis",
+    "plane_basis",
     "point_on_circle_nearest_plane",
 ]
 
@@ -230,18 +230,19 @@ def reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     return 2.0 * proj - p
 
 
-def circle_basis(c: Circle3) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the circle's plane.
+def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal basis of the plane with unit normal ``normal``.
 
-    e1 is the normalized cross product of the axis with global x, falling
-    back to global y when the axis is (nearly) parallel to x.  This fixes
-    the parameter angle 0 used by tie-breaks, so ledgers are deterministic.
+    e1 is the normalized cross product of the normal with global x, falling
+    back to global y when the normal is (nearly) parallel to x.  This fixes
+    the parameter angle 0 of a circle around that normal, used by
+    tie-breaks, so ledgers are deterministic.
     """
-    e1 = cross3(c.axis, _X)
+    e1 = cross3(normal, _X)
     if norm(e1) <= 1e-6:
-        e1 = cross3(c.axis, _Y)
+        e1 = cross3(normal, _Y)
     e1 = normalize(e1)
-    e2 = cross3(c.axis, e1)
+    e2 = cross3(normal, e1)
     return e1, e2
 
 
@@ -251,11 +252,11 @@ def point_on_circle_nearest_plane(c: Circle3, h: Plane,
 
     The signed distance along the circle is s0 + A cos(t) + B sin(t); the
     minimizer is closed-form.  When the whole circle is equidistant the
-    point at parameter angle 0 of :func:`circle_basis` is returned.
+    point at parameter angle 0 of :func:`plane_basis` is returned.
     """
     if c.radius <= 0.0:
         return c.center.copy()
-    e1, e2 = circle_basis(c)
+    e1, e2 = plane_basis(c.axis)
     s0 = signed_plane_distance(c.center, h)
     amp_a = c.radius * float(np.dot(e1, h.normal))
     amp_b = c.radius * float(np.dot(e2, h.normal))

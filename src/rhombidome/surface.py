@@ -24,7 +24,6 @@ from .cobordism import (
     ReplayMismatchError,
     Rhombus,
     TriangleFace,
-    component_budget,
 )
 from .curve import IntegralCurve
 from .geom import DEFAULT_TOL, Tolerance, apex_at_unit_distance, dist
@@ -91,10 +90,6 @@ class GraphSurface:
     walks: list[list[int]]
     coords: np.ndarray | None = None
     genus_hat: int = 0
-
-    @property
-    def edge_pair_count(self) -> int:
-        return len(self.edges)
 
     def validate(self) -> None:
         n_edges = len(self.edges)
@@ -418,12 +413,14 @@ class DomeChain:
     """Formal 2-chain realizing a reduction: triangles and pivot rhombus cells.
 
     ``closures``: per consuming move, its cycle, triangles and boundary rhombi.
+    ``stats``: the ledger stats the replay counts (:meth:`Replayer.stats`).
     """
 
     triangles: list[TriangleFace] = field(default_factory=list)
     rhombus_cells: list[Rhombus] = field(default_factory=list)
     closures: list[tuple[np.ndarray, list[TriangleFace], list[Rhombus]]] = field(
         default_factory=list)
+    stats: dict = field(default_factory=dict)
     # Always empty: shared edges cancel by orientation.  Kept only because
     # the benchmark tracer (bench/spans.py) counts ``len(chain.seams)``.
     seams = ()
@@ -608,6 +605,7 @@ def assemble_from_ledger(ledger: CobordismLedger,
     chain.closures = [(cycle, [ledger.triangles[i] for i in tris],
                        [ledger.final_rhombi[i] for i in rhos])
                       for cycle, tris, rhos in state.consumed]
+    chain.stats = state.stats()
     final = state.final_curve()
     recorded = ledger.final_curve
     if len(final.components) != len(recorded.components):
@@ -650,9 +648,12 @@ def validate_ledger(ledger: CobordismLedger,
     balance the same way against the cells its move names, which ties every
     split's ``z`` to recorded cells; all consumed cycles are checked in one
     batched pass.  A coordinate that is non-finite or too large for the int64 segment
-    keys fails the chain identity.  Budget: k, the recorded boundary rhombi
-    plus the derived pivot cells, must match the stats and stay within the
-    budget.  Failures become report entries, never exceptions.
+    keys fails the chain identity.  Budget: the replay recomputes the stats
+    (k counts the recorded boundary rhombi plus the derived pivot cells);
+    k and every component's rhombi must stay within budget, the stats must
+    record k and budget, and every recorded key must equal its replayed
+    value.  A failing detail names the keys that differ.  Failures become
+    report entries, never exceptions.
     """
     report = LedgerReport()
     try:
@@ -690,22 +691,17 @@ def validate_ledger(ledger: CobordismLedger,
     except (ValueError, OverflowError) as exc:  # off the int64 grid
         report.add("chain_identity", False, str(exc))
 
-    k = len(ledger.final_rhombi) + len(chain.rhombus_cells)
-    budget = sum(component_budget(len(c)) for c in ledger.initial.components)
+    replayed = chain.stats
+    k, budget = replayed["k"], replayed["budget"]
     stats = ledger.stats if isinstance(ledger.stats, dict) else {}
-    report.add("budget", k <= budget and _stats_agree(stats, k, budget),
-               f"k={k} budget={budget} stats_k={stats.get('k')}")
+    differ = [key for key in ("k", "budget") if key not in stats]
+    differ += [key for key, value in stats.items()
+               if key not in replayed or value != replayed[key]]
+    ok = (k <= budget and not differ
+          and all(row["rhombi_used"] <= row["budget"] for row in replayed["per_component"]))
+    report.add("budget", ok, f"k={k} budget={budget} stats_k={stats.get('k')}"
+               + (f"; stats differ: {', '.join(map(str, differ))}" if differ else ""))
     return report
-
-
-def _stats_agree(stats: dict, k: int, budget: int) -> bool:
-    """Recorded k and budget match, and every per-component row is in budget."""
-    try:
-        per_ok = all(row["rhombi_used"] <= row["budget"]
-                     for row in stats.get("per_component", []))
-    except (KeyError, TypeError):
-        return False
-    return per_ok and stats.get("k") == k and stats.get("budget") == budget
 
 
 # ---------------------------------------------------------------------------

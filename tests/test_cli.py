@@ -203,12 +203,18 @@ def test_census_rows_and_budget(tmp_path, capsys):
         assert int(row["budget"]) == 36
 
 
-def test_census_empty(tmp_path, capsys):
+def test_census_without_rows_is_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "empty.csv"
-    assert main(["census", "--n-min", "6", "--n-max", "6", "--samples", "0",
-                 "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert len(lines) == 1
+    for samples in ("0", "-2"):
+        assert main(["census", "--n-min", "6", "--n-max", "6", "--samples", samples,
+                     "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rhombidome: census needs --samples >= 1 (or 0 with --pentagon-fixture)\n")
+    assert main(["census", "--samples", "-1", "--pentagon-fixture",
+                 "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
 
 
 def test_census_pentagon_fixture(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -428,6 +429,27 @@ def test_reduce_multicomponent():
     assert [row["edges"] for row in rows] == [3, 7]
     for row in rows:
         assert row["rhombi_used"] <= row["budget"]
+
+
+def test_stats_count_the_recorded_moves(unit_triangle, unit_square):
+    # the producer and the checker both take the stats from the replay, so
+    # they are pinned here against a direct count of the recorded moves
+    loop = random_integral_curve(11, np.random.default_rng(8)).components[0]
+    curve = IntegralCurve([unit_triangle.components[0], loop + np.array([5.0, 0, 0]),
+                           unit_square.components[0] + np.array([-5.0, 0, 0])])
+    ledger = reduce_to_rhombi(curve)
+    stats = ledger.stats
+    kinds = Counter(getattr(m, "stage", m.kind) for m in ledger.moves)
+    assert kinds["split"] > 0 and kinds["pack"] > 0
+    assert stats == {
+        "n": 18, "k": stats["k"], "budget": component_budget(11) + 1,
+        "planarize_moves": kinds["planarize"], "pack_moves": kinds["pack"],
+        "splits": kinds["split"], "fixes": kinds["fix"],
+        "per_component": [
+            {"component": 0, "edges": 3, "rhombi_used": 0, "budget": 0},
+            {"component": 1, "edges": 11, "rhombi_used": stats["k"] - 1,
+             "budget": component_budget(11)},
+            {"component": 2, "edges": 4, "rhombi_used": 1, "budget": 1}]}
 
 
 def test_reduce_rejects_short_component():

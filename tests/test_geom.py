@@ -9,10 +9,10 @@ from rhombidome.geom import (
     Plane,
     SeparatedError,
     apex_at_unit_distance,
-    circle_basis,
     circumcenter,
     circumradius,
     distance_to_plane,
+    plane_basis,
     point_on_circle_nearest_plane,
     pt,
     reflect_across_line,
@@ -62,7 +62,7 @@ def _unit(v):
 
 
 def _circle_point(circle, theta):
-    e1, e2 = circle_basis(circle)
+    e1, e2 = plane_basis(circle.axis)
     return circle.center + circle.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
 
 

@@ -249,6 +249,24 @@ def test_validator_reports_instead_of_raising(edit, failed):
     assert [name for name, ok, _ in report.entries if not ok] == failed
 
 
+def test_validator_flags_component_over_budget():
+    # a square pivoted before it closes uses two rhombi against its budget
+    # of one; the other component's slack keeps k within the total budget
+    square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    loop = random_integral_curve(9, np.random.default_rng(3)).components[0]
+    ledger = reduce_to_rhombi(IntegralCurve([square, loop + np.array([5.0, 0, 0])]))
+    new = np.array([0.5, 0.5, np.sqrt(0.5)])
+    ledger.moves.insert(0, PivotMove(0, 1, new, "pivot"))
+    ledger.final_rhombi[ledger.moves[1].rhombus_index] = Rhombus(
+        np.array([square[0], new, square[2], square[3]])).reversed()
+    ledger.stats = assemble_from_ledger(ledger).stats
+    rows = ledger.stats["per_component"]
+    assert rows[0]["rhombi_used"] > rows[0]["budget"]
+    assert ledger.stats["k"] <= ledger.stats["budget"]
+    report = validate_ledger(ledger)
+    assert [name for name, ok, _ in report.entries if not ok] == ["budget"]
+
+
 def _tamper_ledgers():
     """A fixed n=9 ledger and the pivots-only prefix of it, as JSON documents.
 
@@ -294,6 +312,31 @@ def _tamper_edits(full: dict, prefix: dict):
                 for bad in (-1, 10 ** 6, other):
                     yield (f"move {i} {key}{list(slot)}={bad}", full,
                            ("moves", i, key) + slot, bad)
+    yield from _stats_edits(full)
+
+
+def _stats_edits(full: dict):
+    """Each stats counter, each field of the first per-component row, and
+    one pivot's stage: the edits only the recomputed stats can catch."""
+    stats = full["stats"]
+    for key, value in stats.items():
+        if key != "per_component":
+            yield f"stats {key}", full, ("stats", key), value + 1
+    for key, value in stats["per_component"][0].items():
+        yield (f"stats per_component[0] {key}", full,
+               ("stats", "per_component", 0, key), value + 1)
+    i, move = next((i, m) for i, m in enumerate(full["moves"]) if m["type"] == "pivot")
+    stage = "pack" if move["stage"] != "pack" else "planarize"
+    yield f"move {i} stage={stage}", full, ("moves", i, "stage"), stage
+
+
+def _tampered(doc: dict, path: tuple, value) -> dict:
+    tampered = json.loads(json.dumps(doc))
+    holder = tampered
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return tampered
 
 
 def test_validator_tamper_sweep():
@@ -305,16 +348,26 @@ def test_validator_tamper_sweep():
     missed = []
     count = 0
     for name, doc, path, value in _tamper_edits(full, prefix):
-        tampered = json.loads(json.dumps(doc))
-        holder = tampered
-        for key in path[:-1]:
-            holder = holder[key]
-        holder[path[-1]] = value
         count += 1
-        if validate_ledger(ledger_from_obj(tampered)).passed:
+        if validate_ledger(ledger_from_obj(_tampered(doc, path, value))).passed:
             missed.append(name)
     assert count > 100
     assert missed == []
+
+
+def test_validator_stats_edits_fail_budget_only():
+    # the stats are recomputed from the replay, so a stats edit or a renamed
+    # stage fails the budget entry alone, and the detail names the stats key
+    full, _ = _tamper_ledgers()
+    names = []
+    for name, doc, path, value in _stats_edits(full):
+        report = validate_ledger(ledger_from_obj(_tampered(doc, path, value)))
+        failed = [(entry, detail) for entry, ok, detail in report.entries if not ok]
+        assert [entry for entry, _ in failed] == ["budget"], name
+        names.append(name)
+        if path[0] == "stats":
+            assert failed[0][1].endswith(f"; stats differ: {path[1]}"), name
+    assert len(names) == 7 + 4 + 1
 
 
 def test_signed_segment_counts_cancellation():

@@ -37,6 +37,7 @@ that the assembled 2-chain has boundary equal to (initial curve) + (rhombi).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
@@ -134,8 +135,9 @@ def _check_unit_cycle(v: np.ndarray, what: str, n: int, tol: Tolerance) -> None:
     """Raise ValueError unless ``v`` is a closed n-gon with unit sides."""
     if v.shape != (n, 3):
         raise ValueError(f"{what} needs exactly {n} vertices")
+    pts = v.tolist()
     for i in range(n):
-        side = dist(v[i], v[(i + 1) % n])
+        side = math.dist(pts[i], pts[(i + 1) % n])
         if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
             raise ValueError(f"{what} side {i} has length {side}")
 
@@ -162,6 +164,11 @@ class TriangleFace:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3, tol)
+
+
+# the stages a pivot may record: the three the stats count, and ``pivot`` for
+# a lone :func:`apply_pivot`
+_PIVOT_STAGES = frozenset(("planarize", "pack", "fix", "pivot"))
 
 
 @dataclass
@@ -283,21 +290,26 @@ class Replayer:
         n = len(v)
         if not 0 <= move.vertex < n:
             raise ReplayMismatchError("pivot vertex out of range")
-        prev = v[(move.vertex - 1) % n]
-        nxt = v[(move.vertex + 1) % n]
-        new = np.asarray(move.new_point, dtype=float)
+        if move.stage not in _PIVOT_STAGES:
+            raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
+        # the would-be cell [prev old next new], gathered once: new must be at
+        # unit distance from prev and next, and prev and next apart for a cell
+        quad = v.take(((move.vertex - 1) % n, move.vertex, (move.vertex + 1) % n,
+                       move.vertex), axis=0)
+        quad[3] = move.new_point
+        prev, _, nxt, new = quad.tolist()
         for nb in (prev, nxt):
-            side = dist(nb, new)
+            side = math.dist(nb, new)
             if not abs(side - 1.0) <= self.tol.geom_eps:  # NaN fails
                 raise NotOnPivotCircleError(
                     f"pivot target at distance {side} from a neighbour")
         tally = self.tally[move.component]
         tally["pivot", move.stage] += 1
         cell = None
-        if dist(prev, nxt) > self.tol.geom_eps:
-            cell = Rhombus(np.array([prev, v[move.vertex], nxt, new]))
+        if math.dist(prev, nxt) > self.tol.geom_eps:
+            cell = Rhombus(quad)
             tally["rhombi"] += 1
-        v[move.vertex] = new
+        v[move.vertex] = quad[3]
         return cell
 
     def _apply_split(self, move: SplitMove) -> None:

@@ -50,7 +50,7 @@ def _points(arr: np.ndarray) -> list:
 def _floats(obj, what: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad {what}: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"bad {what}: non-finite coordinate")
@@ -105,9 +105,18 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# codec name (see cobordism.MoveSpec) -> encoder / decoder
+# codec name (see cobordism.MoveSpec) -> encoder / decoder; a point field is
+# decoded by the point decoder ``_moves_from_obj`` is given
 _ENCODE = {"int": int, "int_pair": list, "point": _points, "str": str}
-_DECODE = {"int": _int, "int_pair": _int_pair, "point": _point, "str": _str}
+_DECODE = {"int": _int, "int_pair": _int_pair, "str": _str}
+
+# JSON type -> (JSON key, attribute, decoder or None for a point, error label)
+# of each field, and the keys of its point fields
+_PLANS = {kind: tuple((key, attr, _DECODE.get(codec), f"{kind} {key}")
+                      for key, attr, codec in spec.fields)
+          for kind, spec in MOVE_TABLE.items()}
+_POINT_KEYS = {kind: tuple(key for key, _, decode, _ in plan if decode is None)
+               for kind, plan in _PLANS.items()}
 
 
 def _move_to_obj(move: Move) -> dict:
@@ -117,12 +126,41 @@ def _move_to_obj(move: Move) -> dict:
     return obj
 
 
-def _move_from_obj(obj) -> Move:
-    if not isinstance(obj, dict) or obj.get("type") not in MOVE_TABLE:
-        raise FileFormatError(f"bad move: {obj!r:.80}")
-    spec = MOVE_TABLE[obj["type"]]
-    return spec.cls(**{attr: _DECODE[codec](obj[key], f"{obj['type']} {key}")
-                       for key, attr, codec in spec.fields})
+def _moves_from_obj(objs: list, point) -> list[Move]:
+    """Decode moves in order; ``point(obj, what)`` decodes each point field."""
+    moves = []
+    for obj in objs:
+        if not isinstance(obj, dict) or obj.get("type") not in MOVE_TABLE:
+            raise FileFormatError(f"bad move: {obj!r:.80}")
+        kind = obj["type"]
+        moves.append(MOVE_TABLE[kind].cls(**{
+            attr: (decode or point)(obj[key], what)
+            for key, attr, decode, what in _PLANS[kind]}))
+    return moves
+
+
+def _stacked(items: list, shape: tuple[int, ...]) -> np.ndarray:
+    """``items`` as one finite float array of shape ``(len(items),) + shape``.
+
+    Raises ValueError when the items do not convert to that shape or hold a
+    non-finite value.
+    """
+    arr = np.asarray(items, dtype=float)
+    if arr.shape != (len(items),) + shape or not np.isfinite(arr).all():
+        raise ValueError("items do not stack")
+    return arr
+
+
+def _ledger(obj: dict, point, cells) -> CobordismLedger:
+    """Decode a ledger in document order with the given point and cell decoders."""
+    return CobordismLedger(
+        initial=curve_from_obj(obj["initial"]),
+        moves=_moves_from_obj(obj["moves"], point),
+        triangles=[TriangleFace(t) for t in cells(obj["triangles"], "triangle", 3)],
+        final_rhombi=[Rhombus(r) for r in cells(obj["rhombi"], "rhombus", 4)],
+        final_curve=curve_from_obj(obj["final_curve"]),
+        stats=obj["stats"],
+    )
 
 
 def ledger_to_obj(ledger: CobordismLedger) -> dict:
@@ -138,6 +176,14 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
 
 
 def ledger_from_obj(obj) -> CobordismLedger:
+    """Decode a ledger document.
+
+    Every move point, the triangles and the rhombi are each converted and
+    checked as one float array.  Any failure there, or a cell shape those
+    arrays do not cover, decodes the document again item by item, which
+    accepts or rejects it as a per-item decode always has and names its
+    first bad item in document order.
+    """
     if not isinstance(obj, dict) or obj.get("version") not in (1, LEDGER_VERSION):
         raise FileFormatError("unsupported ledger document")
     try:
@@ -146,20 +192,20 @@ def ledger_from_obj(obj) -> CobordismLedger:
             if not isinstance(obj[key], kind):
                 raise FileFormatError(f"ledger {key} must be a JSON "
                                       f"{'array' if kind is list else 'object'}")
-        return CobordismLedger(
-            initial=curve_from_obj(obj["initial"]),
-            moves=[_move_from_obj(m) for m in obj["moves"]],
-            triangles=[TriangleFace(_array(t, "triangle")) for t in obj["triangles"]],
-            final_rhombi=[Rhombus(_array(r, "rhombus")) for r in obj["rhombi"]],
-            final_curve=curve_from_obj(obj["final_curve"]),
-            stats=obj["stats"],
-        )
+        try:
+            raw = [m[key] for m in obj["moves"] for key in _POINT_KEYS[m["type"]]]
+            rows = iter(_stacked(raw, (3,)))  # read back in the order gathered
+            return _ledger(obj, lambda p, what: next(rows),
+                           lambda items, what, n: _stacked(items, (n, 3)))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return _ledger(obj, _point, lambda items, what, n: [_array(c, what) for c in items])
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed ledger document: {exc}") from exc
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One line of compact, key-sorted JSON (the C encoder's fast path)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_curve(path: str, curve: IntegralCurve) -> None:

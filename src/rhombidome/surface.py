@@ -547,7 +547,8 @@ def _residue_listing(residue: dict, tol: Tolerance) -> str:
     return f" [{', '.join(shown)}]" if shown else ""
 
 
-# Slack between the batched side lengths and ``dist``, which may round apart.
+# Slack between the batched side lengths and a cell's ``validate``, which may
+# round apart.
 _SIDE_SLACK = 1e-12
 
 
@@ -556,8 +557,8 @@ def _cell_failures(cells: list, what: str, n: int, label: str,
     """``"{label} {i}: ..."`` for each cell that is not a closed unit n-gon.
 
     All side lengths are computed at once.  Only a cell with a side not
-    clearly within tolerance is measured again side by side with ``dist``, so
-    its verdict and message are exactly the ones its own ``validate`` gives.
+    clearly within tolerance is measured again by its own ``validate``, so
+    its verdict and message are exactly the ones that gives.
     """
     arrays = [np.asarray(cell.vertices, dtype=float) for cell in cells]
     failures = {i: f"{what} needs exactly {n} vertices"
@@ -570,11 +571,10 @@ def _cell_failures(cells: list, what: str, n: int, label: str,
             sides = np.sqrt(np.einsum("cij,cij->ci", d, d))
             clear = np.abs(sides - 1.0) <= tol.geom_eps - _SIDE_SLACK  # NaN fails
         for c in np.flatnonzero(~clear.all(axis=1)):
-            for j in range(n):
-                side = dist(v[c, j], v[c, (j + 1) % n])
-                if not abs(side - 1.0) <= tol.geom_eps:
-                    failures[shaped[c]] = f"{what} side {j} has length {side}"
-                    break
+            try:
+                cells[shaped[c]].validate(tol)
+            except ValueError as exc:
+                failures[shaped[c]] = str(exc)
     return [f"{label} {i}: {failures[i]}" for i in sorted(failures)]
 
 
@@ -635,6 +635,20 @@ class LedgerReport:
         }
 
 
+def _same_json(value, expected) -> bool:
+    """``value == expected`` with JSON types compared as well, so ``9.0`` or
+    ``true`` does not stand for the integer 9 or 1; lists and objects are
+    compared item by item."""
+    if type(value) is not type(expected):
+        return False
+    if isinstance(expected, list):
+        return len(value) == len(expected) and all(map(_same_json, value, expected))
+    if isinstance(expected, dict):
+        return (value.keys() == expected.keys()
+                and all(_same_json(value[key], expected[key]) for key in expected))
+    return value == expected
+
+
 def validate_ledger(ledger: CobordismLedger,
                     tol: Tolerance = DEFAULT_TOL) -> LedgerReport:
     """Check replay soundness, cell metrics, the chain identity and the budget.
@@ -652,8 +666,9 @@ def validate_ledger(ledger: CobordismLedger,
     (k counts the recorded boundary rhombi plus the derived pivot cells);
     k and every component's rhombi must stay within budget, the stats must
     record k and budget, and every recorded key must equal its replayed
-    value.  A failing detail names the keys that differ.  Failures become
-    report entries, never exceptions.
+    value, JSON type included (an integer stat written as ``9.0`` or
+    ``true`` differs).  A failing detail names the keys that differ.
+    Failures become report entries, never exceptions.
     """
     report = LedgerReport()
     try:
@@ -696,7 +711,7 @@ def validate_ledger(ledger: CobordismLedger,
     stats = ledger.stats if isinstance(ledger.stats, dict) else {}
     differ = [key for key in ("k", "budget") if key not in stats]
     differ += [key for key, value in stats.items()
-               if key not in replayed or value != replayed[key]]
+               if key not in replayed or not _same_json(value, replayed[key])]
     ok = (k <= budget and not differ
           and all(row["rhombi_used"] <= row["budget"] for row in replayed["per_component"]))
     report.add("budget", ok, f"k={k} budget={budget} stats_k={stats.get('k')}"

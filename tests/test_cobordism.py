@@ -11,6 +11,7 @@ from rhombidome.cobordism import (
     ComponentTooShortError,
     NotClosedError,
     NotOnPivotCircleError,
+    PivotMove,
     Replayer,
     apply_pivot,
     component_budget,
@@ -61,6 +62,17 @@ def test_apply_pivot_noop(unit_square):
 def test_apply_pivot_rejects_off_circle(unit_square):
     with pytest.raises(NotOnPivotCircleError):
         apply_pivot(unit_square, 0, 1, np.array([1.5, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("target, side", [
+    ([1.5, 0.0, 0.0], "1.5"), ([0.0, 0.0, 1.0], "1.7320508075688772"),
+    ([np.nan, 1.0, 0.0], "nan")], ids=["prev", "next", "nan"])
+def test_replay_pivot_names_the_neighbour_distance(unit_square, target, side):
+    # the neighbour checked first is the previous vertex; NaN fails
+    move = PivotMove(0, 1, np.array(target), "pivot")
+    with pytest.raises(NotOnPivotCircleError,
+                       match=f"^pivot target at distance {side} from a neighbour$"):
+        Replayer(unit_square).apply(move)
 
 
 # ---------------------------------------------------------------------------

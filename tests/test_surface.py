@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from conftest import regular_polygon_curve
 from rhombidome import surface
 from rhombidome.cobordism import (
-    CobordismLedger, PivotMove, Replayer, Rhombus, reduce_to_rhombi)
+    CobordismLedger, PivotMove, Replayer, ReplayMismatchError, Rhombus, reduce_to_rhombi)
 from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.geom import DEFAULT_TOL
@@ -368,6 +368,44 @@ def test_validator_stats_edits_fail_budget_only():
         if path[0] == "stats":
             assert failed[0][1].endswith(f"; stats differ: {path[1]}"), name
     assert len(names) == 7 + 4 + 1
+
+
+@pytest.mark.parametrize("path, retype", [
+    (("stats", "k"), float),
+    (("stats", "fixes"), bool),
+    (("stats", "per_component", 0, "component"), bool),
+    (("stats", "per_component", 0, "rhombi_used"), float),
+], ids=["k_float", "fixes_true", "row_component_false", "row_rhombi_float"])
+def test_validator_stats_compared_with_json_type(path, retype):
+    # 18.0 == 18 and True == 1 in Python, but a ledger that records a count
+    # as a float or a boolean does not record the replayed integer
+    full, _ = _tamper_ledgers()
+    value = full
+    for key in path:
+        value = value[key]
+    assert type(value) is int and retype(value) == value
+    report = validate_ledger(ledger_from_obj(_tampered(full, path, retype(value))))
+    failed = [(entry, detail) for entry, ok, detail in report.entries if not ok]
+    assert [entry for entry, _ in failed] == ["budget"]
+    assert failed[0][1].endswith(f"; stats differ: {path[1]}")
+
+
+def test_validator_rejects_unknown_pivot_stage():
+    # relabelling a planarize pivot and lowering its counter kept every stat
+    # in step; the replay now refuses the stage, and the report says so
+    full, _ = _tamper_ledgers()
+    i = next(i for i, m in enumerate(full["moves"]) if m.get("stage") == "planarize")
+    doc = _tampered(full, ("moves", i, "stage"), "bogus")
+    doc["stats"]["planarize_moves"] -= 1
+    ledger = ledger_from_obj(doc)
+    state = Replayer(ledger.initial)
+    with pytest.raises(ReplayMismatchError, match="unknown pivot stage 'bogus'"):
+        for move in ledger.moves:
+            state.apply(move)
+    report = validate_ledger(ledger)
+    assert [(entry, ok) for entry, ok, _ in report.entries] == [
+        ("initial_curve", True), ("replay", False)]
+    assert report.entries[-1][2] == "unknown pivot stage 'bogus'"
 
 
 def test_signed_segment_counts_cancellation():

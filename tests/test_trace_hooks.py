@@ -23,13 +23,15 @@ def test_tracer_hooks_resolve_and_restore():
     spans = _load_spans()
     hooks = list(spans.SPANNED) + [(module, attr) for module, attr, _ in spans.COUNTED]
     originals = [getattr(module, attr) for module, attr in hooks]
-    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    curve = random_integral_curve(9, np.random.default_rng(3))
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert all(getattr(module, attr) is not original
                    for (module, attr), original in zip(hooks, originals))
-        report = tracer.item_span(0, surface.validate_ledger, ledger)
+        # the reduction calls ``dist``; the checker alone does not
+        report = tracer.item_span(
+            0, lambda: surface.validate_ledger(reduce_to_rhombi(curve)))
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is original

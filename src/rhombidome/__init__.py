@@ -18,10 +18,6 @@ from .curve import (
     random_integral_curve,
 )
 from .cobordism import (
-    CobordismLedger,
-    PivotMove,
-    Rhombus,
-    TriangleFace,
     apply_pivot,
     pack,
     pentagon_split,
@@ -30,8 +26,12 @@ from .cobordism import (
     steinitz_order,
 )
 from .surface import (
+    CobordismLedger,
     DomeChain,
     GraphSurface,
+    PivotMove,
+    Rhombus,
+    TriangleFace,
     assemble_from_ledger,
     boundary_polygons,
     catalog,

@@ -110,14 +110,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _moduli_dims(args, tol: Tolerance) -> int:
+def _moduli_dims(args) -> int:
     kind, payload = parse_surface_spec(args.surface)
     rng = np.random.default_rng(args.seed)
     if kind == "polygon":
         k = payload
         point = moduli.random_polygon_point([k], rng)
-        scheme = len(moduli.polygon_tangent_basis(point, tol))
-        orbit = len(moduli.rotation_orbit_basis(point, tol))
+        scheme = len(moduli.polygon_tangent_basis(point))
+        orbit = len(moduli.rotation_orbit_basis(point))
         expected_scheme = 2 * k - 3
         report = {
             "surface": args.surface,
@@ -131,8 +131,8 @@ def _moduli_dims(args, tol: Tolerance) -> int:
               and report["moduli_dim"] == report["expected_moduli_dim"])
     else:
         s = payload
-        realization = moduli.realize_surface(s, seed=args.seed, tol=tol)
-        dim = len(moduli.surface_tangent_basis(realization, tol))
+        realization = moduli.realize_surface(s, seed=args.seed)
+        dim = len(moduli.surface_tangent_basis(realization))
         report = {
             "surface": s.name,
             "seed": args.seed,
@@ -145,37 +145,35 @@ def _moduli_dims(args, tol: Tolerance) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _moduli_isotropy(args, tol: Tolerance) -> int:
+def _moduli_isotropy(args) -> int:
     kind, payload = parse_surface_spec(args.surface)
     if kind != "surface":
         _err("isotropy needs a catalog surface")
         return EXIT_USAGE
-    report = moduli.isotropy_certificate(payload, trials=args.trials,
-                                         seed=args.seed, tol=tol)
+    report = moduli.isotropy_certificate(payload, trials=args.trials, seed=args.seed)
     report["seed"] = args.seed
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-def _moduli_rank(args, tol: Tolerance) -> int:
+def _moduli_rank(args) -> int:
     kind, payload = parse_surface_spec(args.surface)
     if kind != "surface":
         _err("rank needs a catalog surface")
         return EXIT_USAGE
-    report = moduli.rank_certificate(payload, seed=args.seed, tol=tol)
+    report = moduli.rank_certificate(payload, seed=args.seed)
     report["seed"] = args.seed
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_moduli(args) -> int:
-    tol = _tolerance(args)
     try:
         if args.what == "dims":
-            return _moduli_dims(args, tol)
+            return _moduli_dims(args)
         if args.what == "isotropy":
-            return _moduli_isotropy(args, tol)
-        return _moduli_rank(args, tol)
+            return _moduli_isotropy(args)
+        return _moduli_rank(args)
     except (surface.UnknownNameError, ValueError) as exc:
         if isinstance(exc, (moduli.NotOrientableError,
                             moduli.BoundaryShapeMismatchError)):
@@ -248,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reduce closed unit-edge curves to unit rhombi and "
                     "certify linkage-moduli facts.")
     parser.add_argument("--tol", type=_positive_finite, default=1e-9,
-                        help="geometric tolerance (default 1e-9)")
+                        help="geometric tolerance of reduce, validate and census "
+                             "(default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_reduce = sub.add_parser("reduce", help="reduce a curve file to rhombi")

@@ -5,11 +5,14 @@ read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
 Ledger version 2 records decisions only: each move is written from its row
-of ``cobordism.MOVE_TABLE``, and pivot cells are derived on replay.  Version
+of ``surface.MOVE_TABLE``, and pivot cells are derived on replay.  Version
 1 documents are still read; the keys version 2 dropped (``seams``, a
 pivot's ``old``, ``rhombus`` and ``degenerate``, a split's ``seams``, a
 pentagon's ``apex`` and ``seam``) are ignored, and the ledger is checked by
 the same derivation.  Writing always produces version 2.
+
+The ledger types come from the checker's module, :mod:`rhombidome.surface`,
+so reading a ledger needs nothing of the producer.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import json
 
 import numpy as np
 
-from .cobordism import MOVE_TABLE, CobordismLedger, Move, Rhombus, TriangleFace
 from .curve import IntegralCurve
+from .surface import MOVE_TABLE, CobordismLedger, Move, Rhombus, TriangleFace
 
 __all__ = [
     "FileFormatError",
@@ -47,21 +50,23 @@ def _points(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _floats(obj, what: str) -> np.ndarray:
+def _floats(obj, what: str, expected: str, shape_ok) -> np.ndarray:
+    """``obj`` as a finite float array whose shape passes ``shape_ok``; any
+    other value is refused as ``bad {what}: expected {expected}``."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"bad {what}: {exc}") from exc
+        raise FileFormatError(f"bad {what}: expected {expected}") from exc
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"bad {what}: non-finite coordinate")
+    if not shape_ok(arr.shape):
+        raise FileFormatError(f"bad {what}: expected {expected}")
     return arr
 
 
-def _array(obj, shape_hint: str) -> np.ndarray:
-    arr = _floats(obj, shape_hint)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise FileFormatError(f"bad {shape_hint}: expected a list of 3-d points")
-    return arr
+def _array(obj, what: str) -> np.ndarray:
+    return _floats(obj, what, "a list of 3-d points",
+                   lambda shape: len(shape) == 2 and shape[1] == 3)
 
 
 def curve_to_obj(curve: IntegralCurve) -> dict:
@@ -93,10 +98,7 @@ def _int_pair(obj, what: str) -> tuple[int, int]:
 
 
 def _point(obj, what: str) -> np.ndarray:
-    arr = _floats(obj, what)
-    if arr.shape != (3,):
-        raise FileFormatError(f"bad {what}: expected a 3-d point")
-    return arr
+    return _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
 
 
 def _str(obj, what: str) -> str:
@@ -105,7 +107,7 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# codec name (see cobordism.MoveSpec) -> encoder / decoder; a point field is
+# codec name (see surface.MoveSpec) -> encoder / decoder; a point field is
 # decoded by the point decoder ``_moves_from_obj`` is given
 _ENCODE = {"int": int, "int_pair": list, "point": _points, "str": str}
 _DECODE = {"int": _int, "int_pair": _int_pair, "str": _str}

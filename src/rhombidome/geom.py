@@ -65,18 +65,14 @@ class DegenerateLineError(GeomError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Central numeric thresholds.
-
-    geom_eps governs coincidence/unit-length predicates; rank_rel_eps is the
-    relative singular-value cutoff used for numerical ranks.
-    """
+    """The geometric threshold: geom_eps governs coincidence and unit-length
+    predicates."""
 
     geom_eps: float = 1e-9
-    rank_rel_eps: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not (self.geom_eps > 0 and self.rank_rel_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not self.geom_eps > 0:
+            raise ValueError("geom_eps must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import block_diag, lstsq, null_space, orth, qr, subspace_angles, svd
 
 from .curve import random_integral_curve
-from .geom import DEFAULT_TOL, Tolerance
+from .geom import DEFAULT_TOL
 from .surface import GraphSurface, is_oriented_consistently
 
 __all__ = [
@@ -88,6 +88,8 @@ _STEP = 0.15
 # Gauss-Newton reprojection: residual target and iteration cap.
 _PROJECTION_TARGET = 1e-13
 _PROJECTION_MAX_ITER = 60
+# Relative singular-value cutoff of every numerical rank and kernel.
+_RANK_REL_EPS = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ class PolygonPoint:
     system: PolygonSystem
     vectors: np.ndarray  # (K, 3)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         lengths = self.system.flat_lengths()
         norms = np.linalg.norm(self.vectors, axis=1)
         if float(np.max(np.abs(norms - lengths))) > 1e-6:
@@ -180,12 +182,11 @@ def numerical_rank(matrix: np.ndarray, rel_eps: float) -> tuple[int, np.ndarray]
     return report["rank"], np.array(report["singular_values"])
 
 
-def polygon_tangent_basis(point: PolygonPoint,
-                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
     closures = np.repeat(np.eye(len(point.system.lengths)), point.system.sizes, axis=1)
     stacked = np.vstack([_edge_rows(point.vectors), _sum_rows(closures)])
-    kernel = null_space(stacked, rcond=tol.rank_rel_eps)
+    kernel = null_space(stacked, rcond=_RANK_REL_EPS)
     return kernel.T.reshape(-1, point.system.total, 3)
 
 
@@ -207,8 +208,7 @@ def pairing_gram(point: PolygonPoint, basis: np.ndarray) -> np.ndarray:
     return upper - upper.T
 
 
-def rotation_orbit_basis(point: PolygonPoint,
-                         tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def rotation_orbit_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis of the per-polygon rotation orbit directions."""
     total = point.system.total
     offsets = point.system.offsets
@@ -218,22 +218,21 @@ def rotation_orbit_basis(point: PolygonPoint,
             vec = np.zeros((total, 3))
             vec[offsets[i]:offsets[i + 1]] = point.vectors[offsets[i]:offsets[i + 1]] @ gen.T
             generators.append(vec.reshape(-1))
-    basis = orth(np.array(generators).T, rcond=tol.rank_rel_eps)
+    basis = orth(np.array(generators).T, rcond=_RANK_REL_EPS)
     return basis.T.reshape(-1, total, 3)
 
 
-def symplectic_kernel_basis(point: PolygonPoint,
-                            tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def symplectic_kernel_basis(point: PolygonPoint) -> np.ndarray:
     """Kernel of the pairing on the tangent space, in ambient coordinates.
 
-    Singular values of the Gram at or below ``rank_rel_eps`` times the
+    Singular values of the Gram at or below ``_RANK_REL_EPS`` times the
     largest, or below the absolute floor 1e-12, count as zero: a Gram of pure
     rounding (a polygon with no moduli) has the whole tangent space as kernel.
     """
-    basis = polygon_tangent_basis(point, tol)
+    basis = polygon_tangent_basis(point)
     gram = pairing_gram(point, basis)
     _, spectrum, vh = svd(gram)
-    cutoff = max(tol.rank_rel_eps * (spectrum[0] if len(spectrum) else 0.0), 1e-12)
+    cutoff = max(_RANK_REL_EPS * (spectrum[0] if len(spectrum) else 0.0), 1e-12)
     null = vh[int(np.sum(spectrum > cutoff)):].T
     flat = basis.reshape(len(basis), -1)
     return (null.T @ flat).reshape(-1, point.system.total, 3)
@@ -289,7 +288,7 @@ def _rigidity_matrix(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     return rows.reshape(len(q), -1)
 
 
-def _pinned_kernel(s: GraphSurface, x: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     """Orthonormal kernel (3V - 3, D) of the rigidity matrix, vertex 0 pinned.
 
     Pinning one vertex removes the translations only on a connected skeleton,
@@ -302,7 +301,7 @@ def _pinned_kernel(s: GraphSurface, x: np.ndarray, tol: Tolerance) -> np.ndarray
         reached = reached | frontier
     if len(reached) != s.vertex_count:
         raise DisconnectedError("surface skeleton is not connected")
-    return null_space(_rigidity_matrix(s, x)[:, 3:], rcond=tol.rank_rel_eps)
+    return null_space(_rigidity_matrix(s, x)[:, 3:], rcond=_RANK_REL_EPS)
 
 
 def _length_residual(s: GraphSurface, x: np.ndarray) -> np.ndarray:
@@ -331,8 +330,7 @@ def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     raise ProjectionDivergedError("Gauss-Newton projection did not converge")
 
 
-def realize_surface(s: GraphSurface, seed: int | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> SurfaceRealization:
+def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealization:
     """Realization from catalog coordinates, optionally perturbed on-manifold.
 
     With a seed, the positions step ``_STEP`` along a random unit direction
@@ -345,7 +343,7 @@ def realize_surface(s: GraphSurface, seed: int | None = None,
     if seed is None:
         return SurfaceRealization(s, x)
     rng = np.random.default_rng(seed)
-    kernel = _pinned_kernel(s, x, tol)
+    kernel = _pinned_kernel(s, x)
     if kernel.shape[1] == 0:
         return SurfaceRealization(s, x)
     direction = kernel @ rng.normal(size=kernel.shape[1])
@@ -357,8 +355,7 @@ def realize_surface(s: GraphSurface, seed: int | None = None,
     return SurfaceRealization(s, x)
 
 
-def surface_tangent_basis(realization: SurfaceRealization,
-                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def surface_tangent_basis(realization: SurfaceRealization) -> np.ndarray:
     """Orthonormal basis (D, n_edges, 3) of the polyhedron scheme tangents.
 
     The rigidity kernel (vertex motions keeping every length to first order,
@@ -366,7 +363,7 @@ def surface_tangent_basis(realization: SurfaceRealization,
     orthonormalized there by QR.
     """
     s = realization.surface
-    kernel = _pinned_kernel(s, realization.x, tol)
+    kernel = _pinned_kernel(s, realization.x)
     motions = np.vstack([np.zeros((3, kernel.shape[1])), kernel])
     motions = motions.T.reshape(-1, s.vertex_count, 3)
     tails, heads = _edge_ends(s)
@@ -407,9 +404,7 @@ def boundary_differential(realization: SurfaceRealization,
 # certificates
 
 
-def isotropy_certificate(s: GraphSurface, trials: int = 20,
-                         seed: int = 0,
-                         tol: Tolerance = DEFAULT_TOL) -> dict:
+def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> dict:
     """Max pairing of boundary-pushed tangents, relative to the ambient scale.
 
     For a consistently oriented surface the pushed-forward tangent pairs
@@ -428,14 +423,14 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20,
     worst_residual = 0.0
     dims = set()
     for t in range(trials):
-        realization = realize_surface(s, seed=seed + 7919 * t, tol=tol)
+        realization = realize_surface(s, seed=seed + 7919 * t)
         worst_residual = max(worst_residual,
                              surface_constraint_residual(s, realization.x))
-        basis = surface_tangent_basis(realization, tol)
+        basis = surface_tangent_basis(realization)
         dims.add(len(basis))
         point = boundary_point(realization)
         gram_img = pairing_gram(point, boundary_differential(realization, basis))
-        full = polygon_tangent_basis(point, tol)
+        full = polygon_tangent_basis(point)
         gram_full = pairing_gram(point, full)
         scale = float(np.max(np.abs(gram_full))) if gram_full.size else 0.0
         max_abs = float(np.max(np.abs(gram_img))) if gram_img.size else 0.0
@@ -482,8 +477,7 @@ def _rank_with_gap(matrix: np.ndarray, rel_eps: float,
     }
 
 
-def rank_certificate(s: GraphSurface, seed: int | None = 0,
-                     tol: Tolerance = DEFAULT_TOL) -> dict:
+def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
     """Rank bounds of the boundary differential on a 3-rhombus-boundary surface.
 
     Reports the rank of the pushed tangents modulo the rotation-orbit
@@ -493,31 +487,31 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0,
     s.validate()
     if len(s.walks) != 3 or any(len(w) != 4 for w in s.walks):
         raise BoundaryShapeMismatchError("need exactly three 4-gon boundaries")
-    if np.max(np.abs(np.asarray(s.lengths) - 1.0)) > tol.geom_eps:
+    if np.max(np.abs(np.asarray(s.lengths) - 1.0)) > DEFAULT_TOL.geom_eps:
         raise BoundaryShapeMismatchError("boundary rhombi must have unit edges")
-    realization = realize_surface(s, seed=seed, tol=tol)
-    basis = surface_tangent_basis(realization, tol)
+    realization = realize_surface(s, seed=seed)
+    basis = surface_tangent_basis(realization)
     point = boundary_point(realization)
     pushed = boundary_differential(realization, basis)  # (D, 12, 3)
     images = pushed.reshape(len(basis), -1)
 
     image_scale = float(np.linalg.svd(images, compute_uv=False)[0]) \
         if images.size else 0.0
-    orbit = rotation_orbit_basis(point, tol).reshape(-1, 3 * point.system.total)
+    orbit = rotation_orbit_basis(point).reshape(-1, 3 * point.system.total)
     proj = images - images @ orbit.T @ orbit
-    moduli = _rank_with_gap(proj, tol.rank_rel_eps, scale=image_scale)
+    moduli = _rank_with_gap(proj, _RANK_REL_EPS, scale=image_scale)
 
     two_point = PolygonPoint(PolygonSystem(point.system.lengths[:2]),
                              point.vectors[:8])
     images_two = pushed[:, :8].reshape(len(basis), -1)
-    orbit_two = rotation_orbit_basis(two_point, tol).reshape(-1, 24)
+    orbit_two = rotation_orbit_basis(two_point).reshape(-1, 24)
     proj_two = images_two - images_two @ orbit_two.T @ orbit_two
-    projected = _rank_with_gap(proj_two, tol.rank_rel_eps, scale=image_scale)
+    projected = _rank_with_gap(proj_two, _RANK_REL_EPS, scale=image_scale)
 
     one_point = PolygonPoint(PolygonSystem(point.system.lengths[:1]),
                              point.vectors[:4])
-    scheme_dim = len(polygon_tangent_basis(one_point, tol))
-    orbit_dim = len(rotation_orbit_basis(one_point, tol))
+    scheme_dim = len(polygon_tangent_basis(one_point))
+    orbit_dim = len(rotation_orbit_basis(one_point))
     m = scheme_dim - orbit_dim
 
     passed = (moduli["rank"] <= 3 and projected["rank"] <= 3

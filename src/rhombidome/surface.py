@@ -1,4 +1,4 @@
-"""Combinatorial surfaces with boundary, dome assembly and ledger validation.
+"""Combinatorial surfaces with boundary, the ledger model and its checker.
 
 A :class:`GraphSurface` is a 2-complex sitting inside a closed surface: a set
 of abstract edges (a multigraph is allowed), oriented triangles, and one
@@ -10,25 +10,67 @@ Orientation convention: boundary walks are oriented as seen from the complex
 surface the chain  sum(triangle boundaries) - sum(walks)  is zero edge by
 edge, and every edge is used by exactly two cell sides overall.  This is the
 checkable orientability test used by the certificates.
+
+The module also owns the reduction ledger: its cells, its moves, the
+:class:`Replayer` that applies them and :func:`validate_ledger`, the
+independent checker.  It depends on nothing in the producer
+(:mod:`rhombidome.cobordism`), which records its moves through this replay.
+
+Move semantics (state = components keyed by stable integer ids).  A move
+records only the decision taken; everything else follows from the state it
+is replayed on:
+
+* ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
+                        unit distance from both neighbours.  The old point
+                        and the emitted cell ``[prev old next new]`` are read
+                        off the state; when the neighbours coincide the pivot
+                        is degenerate and emits no cell.
+* ``SplitMove``      -- peel ``[v0 v1 v2 v3 z]`` off a component as component
+                        ``new_component``, leaving ``[v0 z v3 v4 ...]``; the
+                        bridge ``z`` must lie at unit distance from v0 and v3.
+* ``PentagonMove``   -- consume a 5-cycle into two recorded boundary rhombi
+                        and one recorded unit triangle.
+* ``CloseRhombusMove`` / ``CloseTriangleMove`` -- consume 4- and 3-cycles.
+
+The replay checks every edge a move creates, so once the initial curve is
+unit every replayed edge is, and so is every pivot cell.  Edges shared by
+two cells, or by a split's two pieces, cancel in the chain identity by
+orientation alone, so no seam is recorded.  ``MOVE_TABLE`` is the one place
+that maps a move's JSON ``type`` to its class, its fields and its replay
+step.
+
+Rhombi retained as boundary output are stored with reversed orientation so
+that the assembled 2-chain has boundary equal to (initial curve) + (rhombi).
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .cobordism import (
-    CobordismLedger,
-    Replayer,
-    ReplayMismatchError,
-    Rhombus,
-    TriangleFace,
-)
 from .curve import IntegralCurve
 from .geom import DEFAULT_TOL, Tolerance, apex_at_unit_distance, dist
 
 __all__ = [
+    "Rhombus",
+    "TriangleFace",
+    "PivotMove",
+    "SplitMove",
+    "PentagonMove",
+    "CloseRhombusMove",
+    "CloseTriangleMove",
+    "Move",
+    "MoveSpec",
+    "MOVE_TABLE",
+    "CobordismLedger",
+    "Replayer",
+    "NotOnPivotCircleError",
+    "ReplayMismatchError",
+    "component_budget",
     "GraphSurface",
     "SamplePolygon",
     "BoundaryMap",
@@ -69,6 +111,14 @@ class PositioningViolatedError(ValueError):
 
 class UnknownNameError(KeyError):
     """No catalog surface under this name."""
+
+
+class NotOnPivotCircleError(ValueError):
+    """Pivot target is not at unit distance from both neighbours."""
+
+
+class ReplayMismatchError(RuntimeError):
+    """A recorded move does not match the replayed curve state."""
 
 
 def ref_edge(ref: int) -> tuple[int, int]:
@@ -405,6 +455,286 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 
 
 # ---------------------------------------------------------------------------
+# cells and moves
+
+
+def _check_unit_cycle(v: np.ndarray, what: str, n: int, tol: Tolerance) -> None:
+    """Raise ValueError unless ``v`` is a closed n-gon with unit sides."""
+    if v.shape != (n, 3):
+        raise ValueError(f"{what} needs exactly {n} vertices")
+    pts = v.tolist()
+    for i in range(n):
+        side = math.dist(pts[i], pts[(i + 1) % n])
+        if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
+            raise ValueError(f"{what} side {i} has length {side}")
+
+
+@dataclass
+class Rhombus:
+    """Closed 4-cycle with four unit sides (possibly non-planar)."""
+
+    vertices: np.ndarray  # (4, 3)
+
+    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4, tol)
+
+    def reversed(self) -> "Rhombus":
+        v = np.asarray(self.vertices)
+        return Rhombus(np.vstack([v[0], v[3], v[2], v[1]]))
+
+
+@dataclass
+class TriangleFace:
+    """Unit equilateral triangle cell."""
+
+    vertices: np.ndarray  # (3, 3)
+
+    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3, tol)
+
+
+# the stages a pivot may record: the three the stats count, and ``pivot`` for
+# a lone :func:`rhombidome.cobordism.apply_pivot`
+_PIVOT_STAGES = frozenset(("planarize", "pack", "fix", "pivot"))
+
+
+@dataclass
+class PivotMove:
+    kind: ClassVar[str] = "pivot"
+    component: int
+    vertex: int
+    new_point: np.ndarray
+    stage: str = "pivot"
+
+
+@dataclass
+class SplitMove:
+    kind: ClassVar[str] = "split"
+    component: int
+    new_component: int
+    z: np.ndarray
+
+
+@dataclass
+class PentagonMove:
+    kind: ClassVar[str] = "pentagon"
+    component: int
+    rhombus_indices: tuple[int, int]
+    triangle_index: int
+
+
+@dataclass
+class CloseRhombusMove:
+    kind: ClassVar[str] = "close_rhombus"
+    component: int
+    rhombus_index: int
+
+
+@dataclass
+class CloseTriangleMove:
+    kind: ClassVar[str] = "close_triangle"
+    component: int
+    triangle_index: int
+
+
+Move = PivotMove | SplitMove | PentagonMove | CloseRhombusMove | CloseTriangleMove
+
+
+@dataclass
+class CobordismLedger:
+    """Replayable record of one reduction run.
+
+    ``final_rhombi`` are the boundary rhombi (reversed orientation, see module
+    docstring); the cells of pivots are derived on replay.  ``stats``
+    carries the edge count n, the total number of rhombi used k, the upper
+    bound ``budget``, per-stage counters and one row per input component,
+    as :meth:`Replayer.stats` computes them from the moves.
+    """
+
+    initial: IntegralCurve
+    moves: list[Move] = field(default_factory=list)
+    triangles: list[TriangleFace] = field(default_factory=list)
+    final_rhombi: list[Rhombus] = field(default_factory=list)
+    final_curve: IntegralCurve = field(default_factory=IntegralCurve)
+    stats: dict = field(default_factory=dict)
+
+
+def component_budget(n: int) -> int:
+    """Upper bound on rhombi used to reduce one component with n edges."""
+    if n >= 5:
+        return n * n + 2 * n - 12
+    if n == 4:
+        return 1
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+
+class Replayer:
+    """Applies recorded moves to evolving component state, bit for bit.
+
+    Besides the component state it keeps ``moves``, every move applied, in
+    order, and ``consumed``: for each move that consumes a cycle, in move
+    order, the replayed cycle and the indices of the recorded triangles and
+    boundary rhombi the move names for it.  It also counts, per input
+    component, the rhombi the moves add to k, the pivots by stage and the
+    splits; a split's new piece counts toward its parent's input component.
+    :meth:`stats` reports these counts as a ledger's ``stats``.
+    """
+
+    def __init__(self, initial: IntegralCurve, tol: Tolerance = DEFAULT_TOL):
+        self.tol = tol
+        self.components: dict[int, np.ndarray] = {
+            i: np.asarray(c, dtype=float).copy() for i, c in enumerate(initial.components)
+        }
+        self.edges = [len(c) for c in self.components.values()]
+        self.moves: list[Move] = []
+        self.consumed: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = []
+        # one Counter per input component; ``tally`` maps every component id,
+        # split pieces included, to the Counter of its input component
+        self.tallies = [Counter() for _ in self.edges]
+        self.tally: dict[int, Counter] = dict(enumerate(self.tallies))
+
+    def component(self, cid: int) -> np.ndarray:
+        try:
+            return self.components[cid]
+        except KeyError:
+            raise ReplayMismatchError(f"component {cid} does not exist") from None
+
+    def apply(self, move: Move) -> Rhombus | None:
+        """Apply one move; a non-degenerate pivot returns its derived cell."""
+        spec = MOVE_TABLE.get(getattr(move, "kind", None))
+        if spec is None:
+            raise ReplayMismatchError(f"unknown move type {type(move)!r}")
+        cell = spec.apply(self, move)
+        self.moves.append(move)
+        return cell
+
+    def _check_unit_from(self, point: list, ends: tuple, error: type[Exception],
+                         what: str) -> None:
+        """Raise ``error``, naming the distance and the end, unless ``point`` is
+        at unit distance from the end of every ``(name, end)`` pair."""
+        for name, end in ends:
+            side = math.dist(end, point)
+            if not abs(side - 1.0) <= self.tol.geom_eps:  # NaN fails
+                raise error(f"{what} at distance {side} from {name}")
+
+    def _apply_pivot(self, move: PivotMove) -> Rhombus | None:
+        v = self.component(move.component)
+        n = len(v)
+        if not 0 <= move.vertex < n:
+            raise ReplayMismatchError("pivot vertex out of range")
+        if move.stage not in _PIVOT_STAGES:
+            raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
+        # the would-be cell [prev old next new], gathered once: new must be at
+        # unit distance from prev and next, and prev and next apart for a cell
+        quad = v.take(((move.vertex - 1) % n, move.vertex, (move.vertex + 1) % n,
+                       move.vertex), axis=0)
+        quad[3] = move.new_point
+        prev, _, nxt, new = quad.tolist()
+        self._check_unit_from(new, (("a neighbour", prev), ("a neighbour", nxt)),
+                              NotOnPivotCircleError, "pivot target")
+        tally = self.tally[move.component]
+        tally["pivot", move.stage] += 1
+        cell = None
+        if math.dist(prev, nxt) > self.tol.geom_eps:
+            cell = Rhombus(quad)
+            tally["rhombi"] += 1
+        v[move.vertex] = quad[3]
+        return cell
+
+    def _apply_split(self, move: SplitMove) -> None:
+        v = self.component(move.component)
+        if len(v) < 6:
+            raise ReplayMismatchError("split needs a component with > 5 edges")
+        if move.new_component in self.components:
+            raise ReplayMismatchError("split target id already in use")
+        z = np.asarray(move.z, dtype=float)
+        self._check_unit_from(z.tolist(), (("vertex 0", v[0].tolist()),
+                                           ("vertex 3", v[3].tolist())),
+                              ReplayMismatchError, "split bridge")
+        pentagon = np.vstack([v[0:4], z[None, :]])
+        remainder = np.vstack([v[0:1], z[None, :], v[3:]])
+        self.components[move.new_component] = pentagon
+        self.components[move.component] = remainder
+        self.tally[move.new_component] = self.tally[move.component]
+        self.tally[move.component]["split"] += 1
+
+    def _apply_pentagon(self, move: PentagonMove) -> None:
+        self._consume(move.component, 5, (move.triangle_index,),
+                      tuple(move.rhombus_indices))
+
+    def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
+        self._consume(move.component, 4, (), (move.rhombus_index,))
+
+    def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
+        self._consume(move.component, 3, (move.triangle_index,), ())
+
+    def _consume(self, cid: int, expected_len: int, triangles: tuple[int, ...],
+                 rhombi: tuple[int, ...]) -> None:
+        v = self.component(cid)
+        if len(v) != expected_len:
+            raise ReplayMismatchError(
+                f"component {cid} has {len(v)} vertices, expected {expected_len}")
+        self.consumed.append((v, triangles, rhombi))
+        self.tally[cid]["rhombi"] += len(rhombi)
+        del self.components[cid]
+
+    def final_curve(self) -> IntegralCurve:
+        return IntegralCurve([self.components[k].copy() for k in sorted(self.components)])
+
+    def stats(self) -> dict:
+        """The ledger ``stats`` of the moves applied so far."""
+        rows = [{"component": i, "edges": n, "rhombi_used": tally["rhombi"],
+                 "budget": component_budget(n)}
+                for i, (n, tally) in enumerate(zip(self.edges, self.tallies))]
+        total = sum(self.tallies, Counter())
+        return {
+            "n": sum(self.edges),
+            "k": sum(row["rhombi_used"] for row in rows),
+            "budget": sum(row["budget"] for row in rows),
+            "planarize_moves": total["pivot", "planarize"],
+            "pack_moves": total["pivot", "pack"],
+            "splits": total["split"],
+            "fixes": total["pivot", "fix"],
+            "per_component": rows,
+        }
+
+
+class MoveSpec(NamedTuple):
+    """One row of the move table.
+
+    ``fields`` lists (JSON key, attribute, codec) with codec one of ``int``,
+    ``int_pair``, ``point`` or ``str``; ``files`` encodes and decodes by it.
+    """
+
+    cls: type
+    apply: Callable[[Replayer, Move], Rhombus | None]
+    fields: tuple[tuple[str, str, str], ...]
+
+
+_COMPONENT = ("component", "component", "int")
+
+# JSON ``type`` -> move class, replay step and fields.
+MOVE_TABLE: dict[str, MoveSpec] = {
+    "pivot": MoveSpec(PivotMove, Replayer._apply_pivot, (
+        _COMPONENT, ("vertex", "vertex", "int"), ("new", "new_point", "point"),
+        ("stage", "stage", "str"))),
+    "split": MoveSpec(SplitMove, Replayer._apply_split, (
+        _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"))),
+    "pentagon": MoveSpec(PentagonMove, Replayer._apply_pentagon, (
+        _COMPONENT, ("rhombi", "rhombus_indices", "int_pair"),
+        ("triangle", "triangle_index", "int"))),
+    "close_rhombus": MoveSpec(CloseRhombusMove, Replayer._apply_close_rhombus, (
+        _COMPONENT, ("rhombus", "rhombus_index", "int"))),
+    "close_triangle": MoveSpec(CloseTriangleMove, Replayer._apply_close_triangle, (
+        _COMPONENT, ("triangle", "triangle_index", "int"))),
+}
+
+
+# ---------------------------------------------------------------------------
 # dome chains and the ledger validator
 
 
@@ -653,8 +983,11 @@ def validate_ledger(ledger: CobordismLedger,
                     tol: Tolerance = DEFAULT_TOL) -> LedgerReport:
     """Check replay soundness, cell metrics, the chain identity and the budget.
 
-    Every cell is checked for unit sides, including the pivot cells that
-    replay derives, with all side lengths computed in one pass per cell kind.
+    The recorded cells, triangles and boundary rhombi, are checked for unit
+    sides, with all side lengths computed in one pass per cell kind.  A
+    pivot cell ``[prev old next new]`` is unit by construction: its first
+    two sides are edges of the curve, which start unit and which the replay
+    checks as each move creates them, and the replay checks the other two.
     Chain identity: the boundary of the assembled chain minus the initial
     curve minus the recorded rhombi must have signed multiplicity zero on
     every quantized unit segment; a failure names the first few unbalanced
@@ -686,7 +1019,6 @@ def validate_ledger(ledger: CobordismLedger,
         return report
 
     bad = _cell_failures(chain.triangles, "triangle", 3, "triangle", tol)
-    bad += _cell_failures(chain.rhombus_cells, "rhombus", 4, "pivot rhombus", tol)
     bad += _cell_failures(ledger.final_rhombi, "rhombus", 4, "final rhombus", tol)
     report.add("cells_unit", not bad, "; ".join(bad[:5]))
 

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from conftest import edge_vector_constraint_rows, regular_polygon_curve
 from rhombidome import moduli as md
 from rhombidome.cobordism import (
-    Rhombus,
     pack,
     pentagon_split,
     planarize,
@@ -24,6 +23,7 @@ from rhombidome.cobordism import (
 )
 from rhombidome.curve import component_plane, random_integral_curve
 from rhombidome.surface import (
+    Rhombus,
     catalog,
     collapse,
     hexagon_join,

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from conftest import folded_rhombus_curve
 from rhombidome.cobordism import (
     ComponentTooShortError,
+    FixBudgetExceededError,
     NotClosedError,
-    NotOnPivotCircleError,
-    PivotMove,
-    Replayer,
+    PlanarizeBudgetError,
     apply_pivot,
-    component_budget,
     pack,
     pentagon_split,
     planarize,
@@ -26,6 +24,14 @@ from rhombidome.curve import (
     component_plane,
     is_planar,
     random_integral_curve,
+)
+from rhombidome.surface import (
+    NotOnPivotCircleError,
+    PivotMove,
+    Replayer,
+    ReplayMismatchError,
+    SplitMove,
+    component_budget,
 )
 
 
@@ -73,6 +79,24 @@ def test_replay_pivot_names_the_neighbour_distance(unit_square, target, side):
     with pytest.raises(NotOnPivotCircleError,
                        match=f"^pivot target at distance {side} from a neighbour$"):
         Replayer(unit_square).apply(move)
+
+
+@pytest.mark.parametrize("z, side, end", [
+    ([0.5, 0.0, 0.0], "0.5", "vertex 0"), ([1.0, 1.0, 0.0], "2.23606797749979", "vertex 3"),
+    ([np.nan, 0.0, 0.0], "nan", "vertex 0")], ids=["v0", "v3", "nan"])
+def test_replay_split_names_the_bridge_distance(z, side, end):
+    # the bridge joins vertex 0 and vertex 3 (here 2 apart, so only the origin
+    # qualifies); vertex 0 is checked first, NaN fails, and nothing changes
+    h = np.sqrt(3.0) / 2.0
+    hexagon = IntegralCurve([np.array([[1.0, 0.0, 0.0], [0.5, h, 0.0], [-0.5, h, 0.0],
+                                       [-1.0, 0.0, 0.0], [-0.5, -h, 0.0], [0.5, -h, 0.0]])])
+    state = Replayer(hexagon)
+    with pytest.raises(ReplayMismatchError,
+                       match=f"^split bridge at distance {side} from {end}$"):
+        state.apply(SplitMove(0, 1, np.array(z)))
+    assert list(state.components) == [0] and state.moves == []
+    state.apply(SplitMove(0, 1, np.zeros(3)))
+    assert [len(c) for c in state.components.values()] == [5, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +554,6 @@ def test_reduce_collinear_out_and_back():
     # two length-3 edges out and back: everything is collinear and every
     # pack transposition across a backtrack is a degenerate pivot
     from rhombidome.curve import from_integer_curve
-    from rhombidome.cobordism import PivotMove
     from rhombidome.surface import validate_ledger
 
     digon = from_integer_curve([np.array([[0, 0, 0], [3, 0, 0.0]])])
@@ -544,6 +567,29 @@ def test_reduce_collinear_out_and_back():
     assert ledger.stats["k"] == derived + len(ledger.final_rhombi)
     assert validate_ledger(ledger).passed
     assert ledger.stats["k"] <= 36
+
+
+# Known defects: each case should reduce, and is pinned here until it does.
+@pytest.mark.xfail(strict=True, raises=FixBudgetExceededError,
+                   reason="no corrective pivot is tried when the pentagon is collinear")
+def test_reduce_collinear_backtracking_hexagon():
+    from rhombidome.surface import validate_ledger
+
+    hexagon = IntegralCurve([np.array([[0, 0, 0], [0, -1, 0], [0, 0, 0], [0, -1, 0],
+                                       [0, -2, 0], [0, -1, 0]], dtype=float)])
+    assert validate_ledger(reduce_to_rhombi(hexagon)).passed
+
+
+@pytest.mark.xfail(strict=True, raises=PlanarizeBudgetError,
+                   reason="planarize's absolute slacks sit near the coordinate ulp")
+def test_reduce_far_translated_curve():
+    from rhombidome.surface import validate_ledger
+
+    rng = np.random.default_rng(0)
+    curve = random_integral_curve(24, rng)
+    offset = rng.uniform(-1, 1, 3) * 1e6
+    shifted = IntegralCurve([c + offset for c in curve.components])
+    assert validate_ledger(reduce_to_rhombi(shifted)).passed
 
 
 def test_reduce_subdivided_triangles():

@@ -28,31 +28,32 @@ def _nan_then_bad_int(doc):
     doc["moves"][-1]["component"] = 1.5
 
 
-# Each message is the one the per-item decoder has always raised.
-@pytest.mark.parametrize("edit, message", [
+# Each message is the per-item decoder's, in the package's own words: a value
+# that does not convert to floats says what was expected, as a wrong shape
+# does, and keeps the conversion error as its cause.
+@pytest.mark.parametrize("edit, message, cause", [
     (lambda doc: doc["triangles"][0][1].__setitem__(2, float("nan")),
-     "bad triangle: non-finite coordinate"),
+     "bad triangle: non-finite coordinate", None),
     (lambda doc: doc["rhombi"][0][2].pop(),
-     "bad rhombus: setting an array element with a sequence. The requested array "
-     "has an inhomogeneous shape after 1 dimensions. The detected shape was (4,) "
-     "+ inhomogeneous part."),
+     "bad rhombus: expected a list of 3-d points", ValueError),
     (lambda doc: _first(doc, "pivot").__setitem__("new", [0.0, 1.0]),
-     "bad pivot new: expected a 3-d point"),
+     "bad pivot new: expected a 3-d point", None),
     (lambda doc: _first(doc, "split")["z"].__setitem__(1, float("inf")),
-     "bad split z: non-finite coordinate"),
+     "bad split z: non-finite coordinate", None),
     (lambda doc: _first(doc, "pivot").__setitem__("new", "0,0,1"),
-     "bad pivot new: could not convert string to float: '0,0,1'"),
-    (_nan_then_bad_int, "bad pivot new: non-finite coordinate"),
+     "bad pivot new: expected a 3-d point", ValueError),
+    (_nan_then_bad_int, "bad pivot new: non-finite coordinate", None),
     (lambda doc: _first(doc, "pivot")["new"].__setitem__(0, 10 ** 400),
-     "bad pivot new: int too large to convert to float"),
+     "bad pivot new: expected a 3-d point", OverflowError),
 ], ids=["triangle_nan", "rhombus_ragged", "pivot_new_2d", "split_z_inf",
         "point_is_string", "earlier_bad_point_first", "int_overflows_float"])
-def test_decode_error_names_first_bad_item(ledger, edit, message):
+def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)
     with pytest.raises(files.FileFormatError) as info:
         files.ledger_from_obj(json.loads(json.dumps(doc)))
     assert str(info.value) == message
+    assert type(info.value.__cause__) is (cause or type(None))
 
 
 def test_well_formed_ledger_decodes_in_batches(ledger, monkeypatch):

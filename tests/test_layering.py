@@ -1,0 +1,33 @@
+"""Module layering: the checker and the file formats stand apart from the producer."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rhombidome"
+
+
+def _package_imports(name: str) -> set[str]:
+    """The package modules ``name``.py imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rhombidome"):
+            parts = node.module.split(".")
+            found |= {parts[1]} if len(parts) > 1 else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("rhombidome.")}
+    return found
+
+
+def test_checker_imports_only_geometry_and_curves():
+    assert _package_imports("surface") <= {"geom", "curve"}
+
+
+def test_file_formats_do_not_import_the_producer():
+    # files takes the ledger model from the checker; seeing that import shows
+    # the finder finds imports at all
+    imports = _package_imports("files")
+    assert "surface" in imports and "cobordism" not in imports

@@ -130,7 +130,7 @@ def test_tangents_match_edge_vector_scheme(name, k):
         assert _edge_vector_residual(s, realization) <= 1e-12
         basis = md.surface_tangent_basis(realization)
         reference = null_space(np.vstack([md._edge_rows(realization.q), linear]),
-                               rcond=md.DEFAULT_TOL.rank_rel_eps)
+                               rcond=md._RANK_REL_EPS)
         assert len(basis) == reference.shape[1]
         assert md.subspace_max_angle(basis, reference.T) <= 1e-10
         flat = basis.reshape(len(basis), -1)

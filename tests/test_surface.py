@@ -8,15 +8,19 @@ from scipy.optimize import brentq
 
 from conftest import regular_polygon_curve
 from rhombidome import surface
-from rhombidome.cobordism import (
-    CobordismLedger, PivotMove, Replayer, ReplayMismatchError, Rhombus, reduce_to_rhombi)
+from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.geom import DEFAULT_TOL
 from rhombidome.surface import (
+    CobordismLedger,
     NotBoundaryEdgeError,
     NotInTriangleError,
+    PivotMove,
     PositioningViolatedError,
+    Replayer,
+    ReplayMismatchError,
+    Rhombus,
     UnknownNameError,
     assemble_from_ledger,
     boundary_polygons,
@@ -211,8 +215,8 @@ def test_validator_flags_invalid_initial_curve():
 def test_validator_accepts_partial_ledger():
     # a pivots-only ledger between two curves is a valid equivalence record:
     # its chain balances with the nonempty final curve re-entering positively
-    from rhombidome.cobordism import (
-        CobordismLedger, Replayer, component_budget, pack, planarize)
+    from rhombidome.cobordism import pack, planarize
+    from rhombidome.surface import component_budget
 
     rng = np.random.default_rng(23)
     curve = random_integral_curve(10, rng)
@@ -286,6 +290,19 @@ def _tamper_ledgers():
     return ledger_to_obj(full), ledger_to_obj(prefix)
 
 
+def _rotated_bridges(doc: dict, theta: float = 0.3):
+    """Yield (move index, z) for each split of ``doc``, with z turned by
+    ``theta`` about the axis through the split's vertices 0 and 3: still at
+    unit distance from both, so the replay accepts it."""
+    ledger = ledger_from_obj(doc)
+    state = Replayer(ledger.initial)
+    for i, move in enumerate(ledger.moves):
+        if move.kind == "split":
+            v0, v3 = state.component(move.component)[[0, 3]]
+            yield i, (v0 + _rotation(v3 - v0, theta) @ (move.z - v0)).tolist()
+        state.apply(move)
+
+
 def _tamper_edits(full: dict, prefix: dict):
     """Yield (name, document, path, value): set doc[path] to value."""
     for i, move in enumerate(full["moves"]):
@@ -293,6 +310,8 @@ def _tamper_edits(full: dict, prefix: dict):
             yield f"move {i} new", full, ("moves", i, "new", 0), move["new"][0] + 1e-3
         if move["type"] == "split":
             yield f"move {i} z", full, ("moves", i, "z", 0), move["z"][0] + 1e-3
+    for i, z in _rotated_bridges(full):
+        yield f"move {i} z rotated", full, ("moves", i, "z"), z
     for key in ("triangles", "rhombi"):
         for c, cell in enumerate(full[key]):
             for v, point in enumerate(cell):
@@ -484,28 +503,30 @@ def _closure_balance_reference(chain):
 def test_closure_balance_matches_reference():
     chains = [assemble_from_ledger(ledger) for ledger in _reference_ledgers()]
     doc = ledger_to_obj(reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3))))
-    split = next(m for m in doc["moves"] if m["type"] == "split")
-    split["z"][0] += 1e-3
-    shifted = assemble_from_ledger(ledger_from_obj(doc))
+    # a bridge turned on its unit circle passes the replay; only the balance
+    # of the cycles it closes catches it
+    i, z = next(_rotated_bridges(doc))
+    doc["moves"][i]["z"] = z
+    rotated = ledger_from_obj(doc)
+    shifted = assemble_from_ledger(rotated)
     for chain in chains + [shifted]:
         assert (surface._unbalanced_closures(chain.closures, DEFAULT_TOL)
                 == _closure_balance_reference(chain))
     assert _closure_balance_reference(shifted) != []
+    assert [name for name, ok, _ in validate_ledger(rotated).entries if not ok] == [
+        "chain_identity"]
 
 
 def test_cells_unit_carries_cell_validate_messages(monkeypatch):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     chain = assemble_from_ledger(ledger)
-    assert chain.rhombus_cells
     chain.triangles[0].vertices[1, 2] += 1e-3
-    chain.rhombus_cells[0].vertices[2, 0] = np.nan
-    chain.rhombus_cells[-1] = Rhombus(chain.rhombus_cells[-1].vertices[:3])
     ledger.final_rhombi[0].vertices[3, 1] += 1e-3
+    ledger.final_rhombi[1] = Rhombus(ledger.final_rhombi[1].vertices[:3])
     ledger.final_rhombi[-1].vertices[0, 0] = np.inf
     monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
     expected = []
     for label, cells in (("triangle", chain.triangles),
-                         ("pivot rhombus", chain.rhombus_cells),
                          ("final rhombus", ledger.final_rhombi)):
         for i, cell in enumerate(cells):
             try:
@@ -514,7 +535,7 @@ def test_cells_unit_carries_cell_validate_messages(monkeypatch):
                 expected.append(f"{label} {i}: {exc}")
     report = validate_ledger(ledger)
     assert ("cells_unit", False, "; ".join(expected)) in report.entries
-    assert len(expected) == 5
+    assert len(expected) == 4
 
 
 def test_signed_segment_counts_refuses_int64_wrap():

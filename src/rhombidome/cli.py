@@ -82,10 +82,14 @@ def cmd_reduce(args) -> int:
     except Exception as exc:
         _err(f"reduction failed: {exc}")
         return EXIT_FAIL
-    files.write_ledger(args.out, ledger)
-    if args.off:
-        chain = surface.assemble_from_ledger(ledger, tol)
-        files.export_off(args.off, chain.triangles, chain.rhombus_cells)
+    try:
+        files.write_ledger(args.out, ledger)
+        if args.off:
+            chain = surface.assemble_from_ledger(ledger, tol)
+            files.export_off(args.off, chain.triangles, chain.rhombus_cells)
+    except OSError as exc:
+        _err(str(exc))
+        return EXIT_USAGE
     print(json.dumps({"stats": {k: v for k, v in ledger.stats.items()
                                 if k != "per_component"},
                       "valid": report.passed}, sort_keys=True))
@@ -232,10 +236,14 @@ def cmd_census(args) -> int:
     except RuntimeError as exc:
         _err(str(exc))
         return EXIT_FAIL
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CENSUS_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CENSUS_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        _err(str(exc))
+        return EXIT_USAGE
     print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK
 

@@ -493,9 +493,6 @@ def pentagon_split(pentagon: np.ndarray,
     rho_a = Rhombus(np.vstack([p[0], p[1], p[2], apex]))
     rho_b = Rhombus(np.vstack([p[0], apex, p[3], p[4]]))
     face = TriangleFace(np.vstack([p[2], p[3], apex]))
-    rho_a.validate(tol)
-    rho_b.validate(tol)
-    face.validate(tol)
     return PentagonSplit((rho_a, rho_b), face, state.moves, apex)
 
 
@@ -525,30 +522,11 @@ def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
     return max(cands, key=lambda q: dist(q, away))
 
 
-def _close(state: Replayer, ledger: CobordismLedger, cid: int,
-           triangles: list[TriangleFace], rhombi: list[Rhombus]) -> None:
-    """Record the cells that fill component ``cid``, then apply the move that
-    consumes it: a pentagon (two rhombi and a triangle), a 4-cycle (one
-    rhombus) or a 3-cycle (one triangle)."""
-    t, r = len(ledger.triangles), len(ledger.final_rhombi)
-    ledger.triangles += triangles
-    ledger.final_rhombi += rhombi
-    if len(rhombi) == 2:
-        move = PentagonMove(cid, (r, r + 1), t)
-    elif rhombi:
-        move = CloseRhombusMove(cid, r)
-    else:
-        move = CloseTriangleMove(cid, t)
-    state.apply(move)
-
-
-def _consume_pentagon(state: Replayer, cid: int, ledger: CobordismLedger,
-                      tol: Tolerance) -> None:
+def _consume_pentagon(state: Replayer, cid: int, tol: Tolerance) -> None:
     split = pentagon_split(state.component(cid), tol)
     for fix in split.fixes:
         _make_pivot(state, cid, fix.vertex, fix.new_point, "fix", tol)
-    rho_a, rho_b = split.rhombi
-    _close(state, ledger, cid, [split.triangle], [rho_a.reversed(), rho_b.reversed()])
+    state.apply(PentagonMove(cid, split.apex))
 
 
 def reduce_to_rhombi(curve: IntegralCurve,
@@ -570,22 +548,18 @@ def reduce_to_rhombi(curve: IntegralCurve,
         if n0 < 3:
             raise ComponentTooShortError(f"component {root} has fewer than 3 edges")
         if n0 == 3:
-            tri = TriangleFace(state.component(root).copy())
-            tri.validate(tol)
-            _close(state, ledger, root, [tri], [])
+            state.apply(CloseTriangleMove(root))
         elif n0 == 4:
-            rho = Rhombus(state.component(root).copy()).reversed()
-            rho.validate(tol)
-            _close(state, ledger, root, [], [rho])
+            state.apply(CloseRhombusMove(root))
         else:
             plane = _planarize_component(state, root, tol)
             _pack_component(state, root, tol)
             while len(state.component(root)) > 5:
                 z = _choose_bridge(state.component(root), plane, tol)
                 state.apply(SplitMove(root, next_id, z.copy()))
-                _consume_pentagon(state, next_id, ledger, tol)
+                _consume_pentagon(state, next_id, tol)
                 next_id += 1
-            _consume_pentagon(state, root, ledger, tol)
+            _consume_pentagon(state, root, tol)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:
             raise PlanarizeBudgetError(

@@ -4,12 +4,15 @@ Floats are serialized with Python's shortest-round-trip repr, so write ->
 read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
-Ledger version 2 records decisions only: each move is written from its row
-of ``surface.MOVE_TABLE``, and pivot cells are derived on replay.  Version
-1 documents are still read; the keys version 2 dropped (``seams``, a
-pivot's ``old``, ``rhombus`` and ``degenerate``, a split's ``seams``, a
-pentagon's ``apex`` and ``seam``) are ignored, and the ledger is checked by
-the same derivation.  Writing always produces version 2.
+Ledger version 3 records decisions only: each move is written from its row
+of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
+pentagon's from its recorded ``apex``.  Versions 1 and 2, which also stored
+the ``triangles`` and boundary ``rhombi`` and had the consuming moves name
+them by index, are still read: a pentagon's apex is the third vertex of the
+triangle it names, and every other recorded cell, like the keys version 2
+dropped from version 1 (``seams``, a pivot's ``old``, ``rhombus`` and
+``degenerate``, a split's ``seams``, a pentagon's ``apex`` and ``seam``),
+is ignored.  Writing always produces version 3.
 
 The ledger types come from the checker's module, :mod:`rhombidome.surface`,
 so reading a ledger needs nothing of the producer.
@@ -39,7 +42,7 @@ __all__ = [
 ]
 
 CURVE_VERSION = 1
-LEDGER_VERSION = 2
+LEDGER_VERSION = 3
 
 
 class FileFormatError(ValueError):
@@ -76,8 +79,15 @@ def curve_to_obj(curve: IntegralCurve) -> dict:
     }
 
 
+def _version(obj, supported: tuple[int, ...]) -> int | None:
+    """The document's integer ``version`` if it is one of ``supported``;
+    ``true`` and ``2.0`` equal 1 and 2 in Python but are not versions."""
+    version = obj.get("version") if isinstance(obj, dict) else None
+    return version if type(version) is int and version in supported else None
+
+
 def curve_from_obj(obj) -> IntegralCurve:
-    if not isinstance(obj, dict) or obj.get("version") != CURVE_VERSION:
+    if _version(obj, (CURVE_VERSION,)) is None:
         raise FileFormatError("unsupported curve document")
     comps = obj.get("components")
     if not isinstance(comps, list):
@@ -89,12 +99,6 @@ def _int(obj, what: str) -> int:
     if type(obj) is not int:
         raise FileFormatError(f"bad {what}: expected an integer, got {obj!r}")
     return obj
-
-
-def _int_pair(obj, what: str) -> tuple[int, int]:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise FileFormatError(f"bad {what}: expected two integers")
-    return _int(obj[0], what), _int(obj[1], what)
 
 
 def _point(obj, what: str) -> np.ndarray:
@@ -109,8 +113,8 @@ def _str(obj, what: str) -> str:
 
 # codec name (see surface.MoveSpec) -> encoder / decoder; a point field is
 # decoded by the point decoder ``_moves_from_obj`` is given
-_ENCODE = {"int": int, "int_pair": list, "point": _points, "str": str}
-_DECODE = {"int": _int, "int_pair": _int_pair, "str": _str}
+_ENCODE = {"int": int, "point": _points, "str": str}
+_DECODE = {"int": _int, "str": _str}
 
 # JSON type -> (JSON key, attribute, decoder or None for a point, error label)
 # of each field, and the keys of its point fields
@@ -153,13 +157,11 @@ def _stacked(items: list, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _ledger(obj: dict, point, cells) -> CobordismLedger:
-    """Decode a ledger in document order with the given point and cell decoders."""
+def _ledger(obj: dict, point) -> CobordismLedger:
+    """Decode a ledger in document order with the given point decoder."""
     return CobordismLedger(
         initial=curve_from_obj(obj["initial"]),
         moves=_moves_from_obj(obj["moves"], point),
-        triangles=[TriangleFace(t) for t in cells(obj["triangles"], "triangle", 3)],
-        final_rhombi=[Rhombus(r) for r in cells(obj["rhombi"], "rhombus", 4)],
         final_curve=curve_from_obj(obj["final_curve"]),
         stats=obj["stats"],
     )
@@ -170,37 +172,56 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
         "version": LEDGER_VERSION,
         "initial": curve_to_obj(ledger.initial),
         "moves": [_move_to_obj(m) for m in ledger.moves],
-        "triangles": [_points(t.vertices) for t in ledger.triangles],
-        "rhombi": [_points(r.vertices) for r in ledger.final_rhombi],
         "final_curve": curve_to_obj(ledger.final_curve),
         "stats": ledger.stats,
     }
 
 
+def _with_apexes(obj: dict) -> dict:
+    """A version 1 or 2 document with each pentagon's ``apex`` set to the
+    third vertex of the triangle it names, as version 3 records it."""
+    triangles = obj["triangles"]
+    moves = []
+    for move in obj["moves"]:
+        if isinstance(move, dict) and move.get("type") == "pentagon":
+            t = _int(move["triangle"], "pentagon triangle")
+            if not 0 <= t < len(triangles):
+                raise FileFormatError(f"bad pentagon triangle: no triangle {t}")
+            triangle = _floats(triangles[t], "triangle", "three 3-d points",
+                               lambda shape: shape == (3, 3))
+            move = {**move, "apex": triangle[2].tolist()}
+        moves.append(move)
+    return {**obj, "moves": moves}
+
+
 def ledger_from_obj(obj) -> CobordismLedger:
     """Decode a ledger document.
 
-    Every move point, the triangles and the rhombi are each converted and
-    checked as one float array.  Any failure there, or a cell shape those
-    arrays do not cover, decodes the document again item by item, which
-    accepts or rejects it as a per-item decode always has and names its
-    first bad item in document order.
+    A version 1 or 2 document first takes each pentagon's apex from the
+    triangle it names.  Every move point is then converted and checked as
+    one float array.  Any failure there decodes the document again item by
+    item, which accepts or rejects it as a per-item decode always has and
+    names its first bad item in document order.
     """
-    if not isinstance(obj, dict) or obj.get("version") not in (1, LEDGER_VERSION):
+    version = _version(obj, (1, 2, LEDGER_VERSION))
+    if version is None:
         raise FileFormatError("unsupported ledger document")
     try:
-        for key, kind in (("moves", list), ("triangles", list), ("rhombi", list),
-                          ("stats", dict)):
+        kinds = {"moves": list, "stats": dict}
+        if version < LEDGER_VERSION:
+            kinds.update(triangles=list, rhombi=list)
+        for key, kind in kinds.items():
             if not isinstance(obj[key], kind):
                 raise FileFormatError(f"ledger {key} must be a JSON "
                                       f"{'array' if kind is list else 'object'}")
+        if version < LEDGER_VERSION:
+            obj = _with_apexes(obj)
         try:
             raw = [m[key] for m in obj["moves"] for key in _POINT_KEYS[m["type"]]]
             rows = iter(_stacked(raw, (3,)))  # read back in the order gathered
-            return _ledger(obj, lambda p, what: next(rows),
-                           lambda items, what, n: _stacked(items, (n, 3)))
+            return _ledger(obj, lambda p, what: next(rows))
         except (KeyError, TypeError, ValueError, OverflowError):
-            return _ledger(obj, _point, lambda items, what, n: [_array(c, what) for c in items])
+            return _ledger(obj, _point)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed ledger document: {exc}") from exc
 

@@ -24,6 +24,7 @@ from rhombidome.cobordism import (
 from rhombidome.curve import component_plane, random_integral_curve
 from rhombidome.surface import (
     Rhombus,
+    assemble_from_ledger,
     catalog,
     collapse,
     hexagon_join,
@@ -117,8 +118,9 @@ def test_criterion_4_pentagon_base_case():
     ledger = reduce_to_rhombi(pentagon)
     assert ledger.stats["k"] == 2
     assert ledger.stats["fixes"] == 0
-    assert len(ledger.final_rhombi) == 2
-    assert len(ledger.triangles) == 1
+    chain = assemble_from_ledger(ledger)
+    assert len(chain.rhombi) == 2
+    assert len(chain.triangles) == 1
     split = pentagon_split(pentagon.components[0])
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     s = 0.5 * (golden + 1.0 + golden)
@@ -132,14 +134,12 @@ def test_criterion_4_pentagon_base_case():
 
 
 def test_criterion_5_chain_identity(corpus):
-    from rhombidome.surface import assemble_from_ledger
-
     for ledger in corpus.ledgers:
         chain = assemble_from_ledger(ledger)
         cells = [t.vertices for t in chain.triangles]
         cells += [r.vertices for r in chain.rhombus_cells]
         minus = [c for c in ledger.initial.components]
-        minus += [r.vertices for r in ledger.final_rhombi]
+        minus += [r.vertices for r in chain.rhombi]
         assert signed_segment_counts(cells, minus) == {}
     print("PASS criterion 5: chain boundary - (curve + rhombi) is exactly zero "
           "on every ledger")

@@ -61,9 +61,9 @@ def test_validate_roundtrip_and_fault(tmp_path, pentagon_file, capsys):
     capsys.readouterr()
     assert main(["validate", "--in", str(out)]) == 0
     capsys.readouterr()
-    # corrupt one rhombus coordinate
+    # corrupt one apex coordinate: the boundary rhombi are derived from it
     doc = json.loads(out.read_text())
-    doc["rhombi"][0][0][0] += 1e-3
+    next(m for m in doc["moves"] if m["type"] == "pentagon")["apex"][0] += 1e-3
     out.write_text(json.dumps(doc))
     assert main(["validate", "--in", str(out)]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -85,16 +85,24 @@ def _first_pivot(doc):
     return next(m for m in doc["moves"] if m["type"] == "pivot")
 
 
+V1_DIGON = Path(__file__).parent / "data" / "ledger_v1_collinear_digon.json"
+V2_UNION = Path(__file__).parent / "data" / "ledger_v2_lattice_union.json"
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["moves"][0].update(component="x"),
     lambda doc: doc["moves"].__setitem__(0, [1, 2]),
     lambda doc: doc.update(stats=None),
     lambda doc: _first_pivot(doc)["new"].__setitem__(0, float("nan")),
     lambda doc: doc.update(moves={}),
-    lambda doc: doc.update(triangles={}),
-    lambda doc: doc.update(rhombi={}),
+    # versions 1 and 2 store cell arrays; the object must still be an array
+    lambda doc: doc.update(json.loads(V2_UNION.read_text()), triangles={}),
+    lambda doc: doc.update(json.loads(V2_UNION.read_text()), rhombi={}),
+    lambda doc: doc.update(version=True),
+    lambda doc: doc.update(version=3.0),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
-        "moves_object", "triangles_object", "rhombi_object"])
+        "moves_object", "triangles_object", "rhombi_object", "version_true",
+        "version_float"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     doc = files.ledger_to_obj(ledger)
@@ -105,9 +113,6 @@ def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit):
     assert "unexpected error" not in capsys.readouterr().err
 
 
-V1_DIGON = Path(__file__).parent / "data" / "ledger_v1_collinear_digon.json"
-
-
 def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
     # written by the version 1 writer for the collinear out-and-back digon
     # (n = 6), whose degenerate pivots v1 recorded with seams
@@ -116,12 +121,34 @@ def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
     assert any(m["type"] == "pivot" and m["degenerate"] for m in v1["moves"])
     assert main(["validate", "--in", str(V1_DIGON)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
-    out = tmp_path / "v2.json"
+    out = tmp_path / "v3.json"
     files.write_ledger(str(out), files.read_ledger(str(V1_DIGON)))
-    v2 = json.loads(out.read_text())
-    assert v2["version"] == 2 and "seams" not in v2
-    assert v2["stats"]["k"] == v1["stats"]["k"]
+    v3 = json.loads(out.read_text())
+    assert v3["version"] == 3
+    assert not {"seams", "triangles", "rhombi"} & v3.keys()
+    assert v3["stats"] == v1["stats"]
     assert validate_ledger(files.read_ledger(str(out))).passed
+
+
+def test_curve_version_true_exits_2(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"version": True, "components": [[[0, 0, 0], [1, 0, 0],
+                                                                  [0.5, 0.75 ** 0.5, 0]]]}))
+    assert main(["reduce", "--in", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert "unsupported curve document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--in", "{curve}", "--out", "{missing}/ledger.json"],
+    ["reduce", "--in", "{curve}", "--out", "{tmp}/ledger.json", "--off", "{missing}/dome.off"],
+    ["census", "--n-min", "5", "--n-max", "5", "--samples", "1", "--csv", "{missing}/c.csv"],
+], ids=["reduce_out", "reduce_off", "census_csv"])
+def test_unwritable_output_exits_2(tmp_path, pentagon_file, capsys, argv):
+    # a path in a missing directory is an input error, reported in the OS's words
+    paths = {"curve": pentagon_file, "tmp": str(tmp_path), "missing": str(tmp_path / "no")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "unexpected error" not in err
 
 
 def test_off_export(tmp_path, capsys):

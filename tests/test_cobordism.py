@@ -31,6 +31,7 @@ from rhombidome.surface import (
     Replayer,
     ReplayMismatchError,
     SplitMove,
+    assemble_from_ledger,
     component_budget,
 )
 
@@ -430,19 +431,20 @@ def test_pentagon_split_rejects_bad_sides(regular_pentagon):
 
 def test_reduce_triangle(unit_triangle):
     ledger = reduce_to_rhombi(unit_triangle)
-    assert len(ledger.triangles) == 1
-    assert ledger.final_rhombi == []
+    chain = assemble_from_ledger(ledger)
+    assert len(chain.triangles) == 1
+    assert chain.rhombi == []
     assert ledger.stats["k"] == 0
     assert ledger.final_curve.components == []
 
 
 def test_reduce_rhombus_identity(unit_square):
     ledger = reduce_to_rhombi(unit_square)
-    assert len(ledger.final_rhombi) == 1
+    (rhombus,) = assemble_from_ledger(ledger).rhombi
     assert ledger.stats["k"] == 1
     assert len(ledger.moves) == 1
-    # stored with reversed orientation relative to the curve
-    assert np.array_equal(ledger.final_rhombi[0].vertices,
+    # derived with reversed orientation relative to the curve
+    assert np.array_equal(rhombus.vertices,
                           unit_square.components[0][[0, 3, 2, 1]])
 
 
@@ -450,8 +452,9 @@ def test_reduce_regular_pentagon(regular_pentagon):
     ledger = reduce_to_rhombi(regular_pentagon)
     assert ledger.stats == {**ledger.stats, "k": 2, "planarize_moves": 0,
                             "pack_moves": 0, "splits": 0, "fixes": 0}
-    assert len(ledger.final_rhombi) == 2
-    assert len(ledger.triangles) == 1
+    chain = assemble_from_ledger(ledger)
+    assert len(chain.rhombi) == 2
+    assert len(chain.triangles) == 1
 
 
 def test_reduce_multicomponent():
@@ -564,7 +567,7 @@ def test_reduce_collinear_out_and_back():
     pivots = [cell for m, cell in cells if isinstance(m, PivotMove)]
     assert None in pivots  # some pivots are degenerate and derive no cell
     derived = sum(cell is not None for cell in pivots)
-    assert ledger.stats["k"] == derived + len(ledger.final_rhombi)
+    assert ledger.stats["k"] == derived + len(assemble_from_ledger(ledger).rhombi)
     assert validate_ledger(ledger).passed
     assert ledger.stats["k"] <= 36
 

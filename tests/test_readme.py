@@ -1,7 +1,10 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and its move table
+lists the moves the ledger format has."""
 
 import re
 from pathlib import Path
+
+from rhombidome.surface import MOVE_TABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,17 @@ def test_readme_library_example(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert "'budget': 156" in capsys.readouterr().out
+
+
+def test_readme_move_table_matches_move_table():
+    # rows read "| `type`[, `type`] | `key` what, `key` ... |" under the header
+    # "| move | fields |"; a row's backquoted words are its types, then its keys
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| move | fields |"):].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in table:
+        types, keys = row.strip("|").split("|")
+        for kind in re.findall(r"`(\w+)`", types):
+            documented[kind] = re.findall(r"`(\w+)`", keys)
+    assert documented == {kind: [key for key, _, _ in spec.fields]
+                          for kind, spec in MOVE_TABLE.items()}

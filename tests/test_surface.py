@@ -13,6 +13,7 @@ from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.geom import DEFAULT_TOL
 from rhombidome.surface import (
+    CloseRhombusMove,
     CobordismLedger,
     NotBoundaryEdgeError,
     NotInTriangleError,
@@ -151,7 +152,7 @@ def test_assemble_identity_rhombus(unit_square):
     chain = assemble_from_ledger(ledger)
     assert chain.triangles == [] and chain.rhombus_cells == []
     residue = signed_segment_counts(
-        [], [ledger.initial.components[0], ledger.final_rhombi[0].vertices])
+        [], [ledger.initial.components[0], chain.rhombi[0].vertices])
     assert residue == {}
 
 
@@ -160,12 +161,12 @@ def test_assemble_pentagon_chain(regular_pentagon):
     chain = assemble_from_ledger(ledger)
     assert len(chain.triangles) == 1
     assert chain.rhombus_cells == []  # no pivots were needed
-    assert len(ledger.final_rhombi) == 2
+    assert len(chain.rhombi) == 2
     # the apex spokes shared by the triangle and both rhombi cancel by
     # orientation alone, leaving exactly the pentagon
     residue = signed_segment_counts(
         [chain.triangles[0].vertices],
-        [ledger.initial.components[0]] + [r.vertices for r in ledger.final_rhombi])
+        [ledger.initial.components[0]] + [r.vertices for r in chain.rhombi])
     assert residue == {}
 
 
@@ -178,23 +179,40 @@ def test_validator_passes_random_corpus():
         assert report.passed, report.entries
 
 
-def test_validator_flags_perturbed_rhombus():
-    rng = np.random.default_rng(21)
-    ledger = reduce_to_rhombi(random_integral_curve(8, rng))
-    ledger.final_rhombi[0].vertices[0][0] += 1e-3
+def _first_pentagon(ledger):
+    """The first pentagon move and the 5-cycle it consumes."""
+    state = Replayer(ledger.initial)
+    for move in ledger.moves:
+        if move.kind == "pentagon":
+            return move, state.component(move.component).copy()
+        state.apply(move)
+
+
+def _replay_failure(ledger) -> str:
     report = validate_ledger(ledger)
-    failed = {name for name, ok, _ in report.entries if not ok}
-    assert failed & {"cells_unit", "chain_identity"}
+    assert [(name, ok) for name, ok, _ in report.entries] == [
+        ("initial_curve", True), ("replay", False)]
+    return report.entries[-1][2]
+
+
+def test_validator_flags_perturbed_rhombus():
+    # the apex is a vertex of both boundary rhombi; pushed away from v0 it
+    # breaks their shared side, and the replay names the vertex
+    ledger = reduce_to_rhombi(random_integral_curve(8, np.random.default_rng(21)))
+    move, v = _first_pentagon(ledger)
+    move.apex = move.apex + 1e-3 * (move.apex - v[0])
+    assert re.fullmatch(r"pentagon apex at distance 1\.00\d+ from vertex 0",
+                        _replay_failure(ledger))
 
 
 def test_validator_flags_perturbed_triangle():
-    rng = np.random.default_rng(22)
-    ledger = reduce_to_rhombi(random_integral_curve(9, rng))
-    assert ledger.triangles
-    ledger.triangles[0].vertices[1][2] += 1e-3
-    report = validate_ledger(ledger)
-    failed = {name for name, ok, _ in report.entries if not ok}
-    assert failed & {"cells_unit", "chain_identity"}
+    # turned on its unit sphere about v0, the apex stays a rhombus vertex but
+    # leaves the triangle [v2 v3 a]: the replay names vertex 2
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(22)))
+    move, v = _first_pentagon(ledger)
+    moved = move.apex - v[0] + 1e-3 * (move.apex - v[2])
+    move.apex = v[0] + moved / np.linalg.norm(moved)
+    assert _replay_failure(ledger).endswith(" from vertex 2")
 
 
 def test_validator_flags_wrong_stats():
@@ -236,21 +254,27 @@ def test_validator_accepts_partial_ledger():
     (lambda ledger: setattr(ledger, "stats", None), ["budget"]),
     (lambda ledger: ledger.stats["per_component"][0].update(rhombi_used=None),
      ["budget"]),
-    (lambda ledger: ledger.triangles[0].vertices.__setitem__((0, 0), np.nan),
-     ["cells_unit", "chain_identity"]),
+    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(0, np.nan), ["replay"]),
     (lambda ledger: next(m for m in ledger.moves if isinstance(m, PivotMove))
      .new_point.__setitem__(0, np.nan), ["replay"]),
-    (lambda ledger: ledger.final_rhombi[0].vertices.__setitem__((1, 2), 1e10),
-     ["cells_unit", "chain_identity"]),
-    (lambda ledger: ledger.final_rhombi[0].vertices.__setitem__((1, 2), np.inf),
-     ["cells_unit", "chain_identity"]),
-], ids=["stats_none", "rhombi_used_none", "triangle_nan", "pivot_point_nan",
-        "rhombus_off_grid", "rhombus_inf"])
+    (lambda ledger: _square_off_grid(ledger), ["chain_identity"]),
+    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(2, np.inf), ["replay"]),
+], ids=["stats_none", "rhombi_used_none", "apex_nan", "pivot_point_nan",
+        "rhombus_off_grid", "apex_inf"])
 def test_validator_reports_instead_of_raising(edit, failed):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     edit(ledger)
     report = validate_ledger(ledger)
     assert [name for name, ok, _ in report.entries if not ok] == failed
+
+
+def _square_off_grid(ledger):
+    """Make ``ledger`` close a unit square at x = 1e10: its sides are exactly
+    unit, but its derived rhombus lies beyond the int64 grid of eps = 1e-9."""
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]]) + [1e10, 0, 0]
+    ledger.initial, ledger.final_curve = IntegralCurve([square]), IntegralCurve()
+    ledger.moves = [CloseRhombusMove(0)]
+    ledger.stats = assemble_from_ledger(ledger).stats
 
 
 def test_validator_flags_component_over_budget():
@@ -261,8 +285,6 @@ def test_validator_flags_component_over_budget():
     ledger = reduce_to_rhombi(IntegralCurve([square, loop + np.array([5.0, 0, 0])]))
     new = np.array([0.5, 0.5, np.sqrt(0.5)])
     ledger.moves.insert(0, PivotMove(0, 1, new, "pivot"))
-    ledger.final_rhombi[ledger.moves[1].rhombus_index] = Rhombus(
-        np.array([square[0], new, square[2], square[3]])).reversed()
     ledger.stats = assemble_from_ledger(ledger).stats
     rows = ledger.stats["per_component"]
     assert rows[0]["rhombi_used"] > rows[0]["budget"]
@@ -310,28 +332,38 @@ def _tamper_edits(full: dict, prefix: dict):
             yield f"move {i} new", full, ("moves", i, "new", 0), move["new"][0] + 1e-3
         if move["type"] == "split":
             yield f"move {i} z", full, ("moves", i, "z", 0), move["z"][0] + 1e-3
-    for i, z in _rotated_bridges(full):
-        yield f"move {i} z rotated", full, ("moves", i, "z"), z
-    for key in ("triangles", "rhombi"):
-        for c, cell in enumerate(full[key]):
-            for v, point in enumerate(cell):
-                yield f"{key} {c} vertex {v}", full, (key, c, v, 0), point[0] + 1e-3
+        if move["type"] == "pentagon":
+            for c, x in enumerate(move["apex"]):
+                yield f"move {i} apex[{c}]", full, ("moves", i, "apex", c), x + 1e-3
     point = full["initial"]["components"][0][0]
     yield "initial vertex", full, ("initial", "components", 0, 0, 0), point[0] + 1e-3
     point = prefix["final_curve"]["components"][0][0]
     yield "final vertex", prefix, ("final_curve", "components", 0, 0, 0), point[0] + 1e-3
-    for key in ("component", "new_component", "vertex", "rhombi", "triangle"):
-        in_use = sorted({x for m in full["moves"] if key in m
-                         for x in np.ravel(m[key]).tolist()})
+    for key in ("component", "new_component", "vertex"):
+        in_use = sorted({m[key] for m in full["moves"] if key in m})
         for i, move in enumerate(full["moves"]):
-            slots = [()] if key != "rhombi" else [(0,), (1,)]
-            for slot in slots if key in move else []:
-                value = move[key][slot[0]] if slot else move[key]
-                other = next(x for x in in_use if x != value)
+            if key in move:
+                other = next(x for x in in_use if x != move[key])
                 for bad in (-1, 10 ** 6, other):
-                    yield (f"move {i} {key}{list(slot)}={bad}", full,
-                           ("moves", i, key) + slot, bad)
+                    yield f"move {i} {key}={bad}", full, ("moves", i, key), bad
     yield from _stats_edits(full)
+
+
+def test_rotated_bridge_is_another_valid_reduction():
+    # a bridge turned on its unit circle stays at unit distance from vertices
+    # 0 and 3, and every cell that touches it is derived from it: the edited
+    # ledger is a different reduction, with different boundary rhombi, and it
+    # holds as well
+    full, _ = _tamper_ledgers()
+    before = assemble_from_ledger(ledger_from_obj(full)).rhombi
+    count = 0
+    for i, z in _rotated_bridges(full):
+        ledger = ledger_from_obj(_tampered(full, ("moves", i, "z"), z))
+        assert validate_ledger(ledger).passed
+        after = assemble_from_ledger(ledger).rhombi
+        assert not all(np.array_equal(a.vertices, b.vertices) for a, b in zip(before, after))
+        count += 1
+    assert count == full["stats"]["splits"] > 0
 
 
 def _stats_edits(full: dict):
@@ -472,7 +504,7 @@ def _reference_ledgers():
 def _chain_cycles(ledger):
     chain = assemble_from_ledger(ledger)
     plus = [t.vertices for t in chain.triangles] + [r.vertices for r in chain.rhombus_cells]
-    minus = list(ledger.initial.components) + [r.vertices for r in ledger.final_rhombi]
+    minus = list(ledger.initial.components) + [r.vertices for r in chain.rhombi]
     return plus, minus
 
 
@@ -494,50 +526,6 @@ def test_signed_segment_counts_matches_reference():
         ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1}
 
 
-def _closure_balance_reference(chain):
-    return [i for i, (cycle, tris, rhos) in enumerate(chain.closures)
-            if _segment_counts_reference([t.vertices for t in tris],
-                                         [cycle] + [r.vertices for r in rhos])]
-
-
-def test_closure_balance_matches_reference():
-    chains = [assemble_from_ledger(ledger) for ledger in _reference_ledgers()]
-    doc = ledger_to_obj(reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3))))
-    # a bridge turned on its unit circle passes the replay; only the balance
-    # of the cycles it closes catches it
-    i, z = next(_rotated_bridges(doc))
-    doc["moves"][i]["z"] = z
-    rotated = ledger_from_obj(doc)
-    shifted = assemble_from_ledger(rotated)
-    for chain in chains + [shifted]:
-        assert (surface._unbalanced_closures(chain.closures, DEFAULT_TOL)
-                == _closure_balance_reference(chain))
-    assert _closure_balance_reference(shifted) != []
-    assert [name for name, ok, _ in validate_ledger(rotated).entries if not ok] == [
-        "chain_identity"]
-
-
-def test_cells_unit_carries_cell_validate_messages(monkeypatch):
-    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
-    chain = assemble_from_ledger(ledger)
-    chain.triangles[0].vertices[1, 2] += 1e-3
-    ledger.final_rhombi[0].vertices[3, 1] += 1e-3
-    ledger.final_rhombi[1] = Rhombus(ledger.final_rhombi[1].vertices[:3])
-    ledger.final_rhombi[-1].vertices[0, 0] = np.inf
-    monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
-    expected = []
-    for label, cells in (("triangle", chain.triangles),
-                         ("final rhombus", ledger.final_rhombi)):
-        for i, cell in enumerate(cells):
-            try:
-                cell.validate(DEFAULT_TOL)
-            except ValueError as exc:
-                expected.append(f"{label} {i}: {exc}")
-    report = validate_ledger(ledger)
-    assert ("cells_unit", False, "; ".join(expected)) in report.entries
-    assert len(expected) == 4
-
-
 def test_signed_segment_counts_refuses_int64_wrap():
     # a bare int64 cast maps both far triangles onto INT64_MIN and cancels them
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
@@ -548,11 +536,13 @@ def test_signed_segment_counts_refuses_int64_wrap():
 _SEGMENT = re.compile(r"\(([^()]*)\) -> \(([^()]*)\): ([+-]\d+)")
 
 
-def test_chain_identity_names_unbalanced_segments():
+def test_chain_identity_names_unbalanced_segments(monkeypatch):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
-    moved = ledger.final_rhombi[0].vertices.copy()
-    # moving the rhombus away leaves its four segments unbalanced in place
-    ledger.final_rhombi[0] = Rhombus(moved + 100.0)
+    chain = assemble_from_ledger(ledger)
+    moved = chain.rhombi[0].vertices.copy()
+    # moving a derived rhombus away leaves its four segments unbalanced in place
+    chain.rhombi[0] = Rhombus(moved + 100.0)
+    monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
     report = validate_ledger(ledger)
     (detail,) = [d for name, ok, d in report.entries if name == "chain_identity" and not ok]
     assert detail.startswith("8 unbalanced segments [")

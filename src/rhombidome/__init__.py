@@ -9,7 +9,7 @@ tangent dimensions, the kernel of the skew pairing, and the isotropy/rank
 bounds of the boundary map of oriented surfaces.
 """
 
-from .geom import DEFAULT_TOL, Circle3, Plane, Tolerance
+from .geom import EPS, Circle3, Plane
 from .curve import (
     IntegralCurve,
     from_integer_curve,
@@ -42,10 +42,9 @@ from .surface import (
 from . import moduli
 
 __all__ = [
-    "DEFAULT_TOL",
+    "EPS",
     "Circle3",
     "Plane",
-    "Tolerance",
     "IntegralCurve",
     "from_integer_curve",
     "is_packing",

@@ -22,7 +22,6 @@ from .curve import (
     from_integer_curve,
     random_integral_curve,
 )
-from .geom import Tolerance
 
 __all__ = ["main"]
 
@@ -37,18 +36,6 @@ CENSUS_HEADER = ["schema_version", "seed", "n", "k", "budget",
 
 def _err(message: str) -> None:
     print(f"rhombidome: {message}", file=sys.stderr)
-
-
-def _tolerance(args) -> Tolerance:
-    return Tolerance(geom_eps=args.tol)
-
-
-def _positive_finite(text: str) -> float:
-    """argparse type of --tol: a float in (0, inf); NaN fails the comparison."""
-    value = float(text)
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
 
 
 def parse_surface_spec(spec: str):
@@ -68,24 +55,23 @@ def parse_surface_spec(spec: str):
 
 
 def cmd_reduce(args) -> int:
-    tol = _tolerance(args)
     try:
         raw = files.read_curve(args.infile)
-        curve = from_integer_curve([np.asarray(c) for c in raw.components], tol)
+        curve = from_integer_curve([np.asarray(c) for c in raw.components])
     except (OSError, files.FileFormatError, NonIntegerEdgeError,
             InvalidCurveError) as exc:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        ledger = cobordism.reduce_to_rhombi(curve, tol)
-        report = surface.validate_ledger(ledger, tol)
+        ledger = cobordism.reduce_to_rhombi(curve)
+        report = surface.validate_ledger(ledger)
     except Exception as exc:
         _err(f"reduction failed: {exc}")
         return EXIT_FAIL
     try:
         files.write_ledger(args.out, ledger)
         if args.off:
-            chain = surface.assemble_from_ledger(ledger, tol)
+            chain = surface.assemble_from_ledger(ledger)
             files.export_off(args.off, chain.triangles, chain.rhombus_cells)
     except OSError as exc:
         _err(str(exc))
@@ -103,13 +89,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerance(args)
     try:
         ledger = files.read_ledger(args.infile)
     except (OSError, files.FileFormatError) as exc:
         _err(str(exc))
         return EXIT_USAGE
-    report = surface.validate_ledger(ledger, tol)
+    report = surface.validate_ledger(ledger)
     print(json.dumps(report.to_obj(), sort_keys=True, indent=2))
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -193,11 +178,11 @@ def _row(seed: int, stats: dict) -> dict:
             **{key: stats[key] for key in CENSUS_HEADER[2:]}}
 
 
-def _census_row(seed: int, n: int, tol: Tolerance) -> dict:
+def _census_row(seed: int, n: int) -> dict:
     rng = np.random.default_rng(seed)
     curve = random_integral_curve(n, rng)
-    ledger = cobordism.reduce_to_rhombi(curve, tol)
-    report = surface.validate_ledger(ledger, tol)
+    ledger = cobordism.reduce_to_rhombi(curve)
+    report = surface.validate_ledger(ledger)
     if not report.passed:
         raise RuntimeError(f"instance seed={seed} n={n} failed validation")
     stats = ledger.stats
@@ -206,17 +191,16 @@ def _census_row(seed: int, n: int, tol: Tolerance) -> dict:
     return _row(seed, stats)
 
 
-def _pentagon_fixture_row(tol: Tolerance) -> dict:
+def _pentagon_fixture_row() -> dict:
     radius = 1.0 / (2.0 * np.sin(np.pi / 5.0))
     angles = 2.0 * np.pi * np.arange(5) / 5.0
     pentagon = np.column_stack([radius * np.cos(angles),
                                 radius * np.sin(angles), np.zeros(5)])
-    ledger = cobordism.reduce_to_rhombi(IntegralCurve([pentagon]), tol)
+    ledger = cobordism.reduce_to_rhombi(IntegralCurve([pentagon]))
     return _row(-1, ledger.stats)
 
 
 def cmd_census(args) -> int:
-    tol = _tolerance(args)
     if args.n_min < 5 or args.n_max < args.n_min:
         _err("census needs 5 <= n-min <= n-max")
         return EXIT_USAGE
@@ -226,12 +210,12 @@ def cmd_census(args) -> int:
     rows = []
     try:
         if args.pentagon_fixture:
-            rows.append(_pentagon_fixture_row(tol))
+            rows.append(_pentagon_fixture_row())
         index = 0
         for n in range(args.n_min, args.n_max + 1):
             for _ in range(args.samples):
                 instance_seed = (args.seed + 1_000_003 * index) % (2 ** 63)
-                rows.append(_census_row(instance_seed, n, tol))
+                rows.append(_census_row(instance_seed, n))
                 index += 1
     except RuntimeError as exc:
         _err(str(exc))
@@ -253,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rhombidome",
         description="Reduce closed unit-edge curves to unit rhombi and "
                     "certify linkage-moduli facts.")
-    parser.add_argument("--tol", type=_positive_finite, default=1e-9,
-                        help="geometric tolerance of reduce, validate and census "
-                             "(default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_reduce = sub.add_parser("reduce", help="reduce a curve file to rhombi")

@@ -30,10 +30,9 @@ from .curve import (
     fit_plane,
 )
 from .geom import (
-    DEFAULT_TOL,
+    EPS,
     DegenerateError,
     Plane,
-    Tolerance,
     apex_at_unit_distance,
     dist,
     normalize,
@@ -49,9 +48,7 @@ from .surface import (
     PentagonMove,
     PivotMove,
     Replayer,
-    Rhombus,
     SplitMove,
-    TriangleFace,
     _check_unit_cycle,
     component_budget,
 )
@@ -100,22 +97,22 @@ class ComponentTooShortError(ValueError):
 # single pivot
 
 
-def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray, stage: str,
-                tol: Tolerance) -> bool:
+def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray,
+                stage: str) -> bool:
     """Apply, and so record, one pivot of ``stage``.
 
     A target equal to the current vertex is a no-op: nothing is recorded
     and False is returned.
     """
     target = np.asarray(target, dtype=float).copy()
-    if dist(state.component(cid)[i], target) <= tol.geom_eps:
+    if dist(state.component(cid)[i], target) <= EPS:
         return False
     state.apply(PivotMove(cid, i, target, stage))
     return True
 
 
-def apply_pivot(curve: IntegralCurve, comp: int, i: int, p: np.ndarray,
-                tol: Tolerance = DEFAULT_TOL) -> tuple[IntegralCurve, PivotMove | None]:
+def apply_pivot(curve: IntegralCurve, comp: int, i: int,
+                p: np.ndarray) -> tuple[IntegralCurve, PivotMove | None]:
     """Replace vertex ``i`` of component ``comp`` by ``p``.
 
     ``p`` must lie on the circle at unit distance from both cyclic
@@ -123,8 +120,8 @@ def apply_pivot(curve: IntegralCurve, comp: int, i: int, p: np.ndarray,
     to the current vertex is a no-op and returns the curve unchanged with
     move None.
     """
-    state = Replayer(curve, tol)
-    if not _make_pivot(state, comp, i, p, "pivot", tol):
+    state = Replayer(curve)
+    if not _make_pivot(state, comp, i, p, "pivot"):
         return curve.copy(), None
     return state.final_curve(), state.moves[0]
 
@@ -169,7 +166,7 @@ _PLANAR_STOP = 1e-10
 
 
 def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
-                  tol: Tolerance, budget: int) -> None:
+                  budget: int) -> None:
     """Drive every interior vertex of one path into the plane.
 
     Repeatedly pivots the leftmost highest interior vertex to the point of
@@ -190,24 +187,24 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
         g = path[j]
         prev = v[(g - 1) % n]
         nxt = v[(g + 1) % n]
-        if dist(prev, nxt) <= tol.geom_eps:
+        if dist(prev, nxt) <= EPS:
             target = _sphere_point_nearest_plane(prev, plane)
         else:
-            circle = unit_ball_intersection(prev, nxt, tol)
-            target = point_on_circle_nearest_plane(circle, plane, tol)
+            circle = unit_ball_intersection(prev, nxt)
+            target = point_on_circle_nearest_plane(circle, plane)
         new_height = abs(float(np.dot(target - plane.base, plane.normal)))
         if new_height > heights[j - 1] + 1e-12:
             raise PlanarizeBudgetError(
                 f"pivot did not descend: {new_height} > {heights[j - 1]}")
         if state.tally[cid]["pivot", "planarize"] + 1 > budget:
             raise PlanarizeBudgetError("planarize exceeded its move budget")
-        if not _make_pivot(state, cid, g, target, "planarize", tol):
+        if not _make_pivot(state, cid, g, target, "planarize"):
             raise PlanarizeBudgetError("planarize produced a no-op pivot")
 
 
-def _planarize_component(state: Replayer, cid: int, tol: Tolerance) -> Plane:
+def _planarize_component(state: Replayer, cid: int) -> Plane:
     v = state.component(cid)
-    existing = component_plane(v, tol)
+    existing = component_plane(v)
     if existing is not None:
         return existing
     n = len(v)
@@ -216,23 +213,22 @@ def _planarize_component(state: Replayer, cid: int, tol: Tolerance) -> Plane:
     budget = n * (n - 1) // 2
     forward = [(iv + k) % n for k in range(((iw - iv) % n) + 1)]
     backward = [(iw + k) % n for k in range(((iv - iw) % n) + 1)]
-    _flatten_path(state, cid, forward, plane, tol, budget)
-    _flatten_path(state, cid, backward, plane, tol, budget)
+    _flatten_path(state, cid, forward, plane, budget)
+    _flatten_path(state, cid, backward, plane, budget)
     return plane
 
 
-def planarize(curve: IntegralCurve,
-              tol: Tolerance = DEFAULT_TOL) -> tuple[IntegralCurve, list[PivotMove]]:
+def planarize(curve: IntegralCurve) -> tuple[IntegralCurve, list[PivotMove]]:
     """Pivot each component until it lies in a plane.
 
     Per component: a plane through a farthest vertex pair is chosen to
     minimize summed squared heights, then max-height pivots flatten the two
     paths between the pair.  Uses at most C(n, 2) moves per component.
     """
-    curve.validate(tol)
-    state = Replayer(curve, tol)
+    curve.validate()
+    state = Replayer(curve)
     for cid in range(len(curve.components)):
-        _planarize_component(state, cid, tol)
+        _planarize_component(state, cid)
     return state.final_curve(), state.moves
 
 
@@ -318,7 +314,7 @@ def _elimination_order(vectors: np.ndarray) -> np.ndarray:
     return order
 
 
-def steinitz_order(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     """Permutation keeping every prefix sum of unit plane vectors within 2.
 
     The identity is returned when it already qualifies.  Otherwise the
@@ -333,9 +329,9 @@ def steinitz_order(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     norms = np.linalg.norm(vectors, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-6:
         raise ValueError("vectors must be unit length")
-    if float(np.linalg.norm(vectors.sum(axis=0))) > max(1.0, n) * 10 * tol.geom_eps:
+    if float(np.linalg.norm(vectors.sum(axis=0))) > max(1.0, n) * 10 * EPS:
         raise NotClosedError("vectors do not sum to zero")
-    bound = STEINITZ_BOUND + tol.geom_eps
+    bound = STEINITZ_BOUND + EPS
     identity = np.arange(n)
     if _max_prefix_norm(vectors, identity) <= bound:
         return identity
@@ -345,7 +341,7 @@ def steinitz_order(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     return _elimination_order(vectors)
 
 
-def _pack_component(state: Replayer, cid: int, tol: Tolerance) -> None:
+def _pack_component(state: Replayer, cid: int) -> None:
     """Realize a bounded-prefix edge order with adjacent-transposition pivots.
 
     Swapping consecutive edge vectors u_j, u_{j+1} moves the shared vertex to
@@ -359,7 +355,7 @@ def _pack_component(state: Replayer, cid: int, tol: Tolerance) -> None:
     e1, e2 = plane_basis(plane.normal)
     edges = np.roll(v, -1, axis=0) - v
     vecs2d = edges @ np.column_stack([e1, e2])
-    sigma = steinitz_order(vecs2d, tol)
+    sigma = steinitz_order(vecs2d)
     pos = np.empty(n, dtype=int)
     pos[sigma] = np.arange(n)
     arrangement = list(range(n))
@@ -369,23 +365,22 @@ def _pack_component(state: Replayer, cid: int, tol: Tolerance) -> None:
         for j in range(n - 1):
             if pos[arrangement[j]] > pos[arrangement[j + 1]]:
                 target = v[j] + (v[(j + 2) % n] - v[j + 1])
-                _make_pivot(state, cid, j + 1, target, "pack", tol)
+                _make_pivot(state, cid, j + 1, target, "pack")
                 arrangement[j], arrangement[j + 1] = arrangement[j + 1], arrangement[j]
                 swapped = True
     radii = np.linalg.norm(v - v[0], axis=1)
-    if float(np.max(radii)) > STEINITZ_BOUND + tol.geom_eps:
+    if float(np.max(radii)) > STEINITZ_BOUND + EPS:
         raise SearchFailedError("packing postcondition violated")
 
 
-def pack(curve: IntegralCurve,
-         tol: Tolerance = DEFAULT_TOL) -> tuple[IntegralCurve, list[PivotMove]]:
+def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PivotMove]]:
     """Pivot each planar component until all vertices are within 2 of vertex 0."""
-    curve.validate(tol)
-    state = Replayer(curve, tol)
+    curve.validate()
+    state = Replayer(curve)
     for cid, comp in enumerate(curve.components):
-        if component_plane(comp, tol) is None:
+        if component_plane(comp) is None:
             raise ValueError(f"component {cid} is not planar")
-        _pack_component(state, cid, tol)
+        _pack_component(state, cid)
     return state.final_curve(), state.moves
 
 
@@ -393,18 +388,19 @@ def pack(curve: IntegralCurve,
 # pentagon base case
 
 
-def _pentagon_ready(p: np.ndarray, tol: Tolerance) -> bool:
+def _apex(p: np.ndarray) -> np.ndarray | None:
+    """The apex over [v0 v2 v3], or None while that triangle has none."""
     try:
-        return apex_at_unit_distance(p[0], p[2], p[3], +1, tol) is not None
+        return apex_at_unit_distance(p[0], p[2], p[3], +1)
     except DegenerateError:
-        return False
-
-
-def _best_circle_sample(p: np.ndarray, tol: Tolerance) -> np.ndarray | None:
-    """Point of vertex 2's full pivot circle minimizing circumradius([v0 . v3])."""
-    if dist(p[1], p[3]) <= tol.geom_eps:
         return None
-    circle = unit_ball_intersection(p[1], p[3], tol)
+
+
+def _best_circle_sample(p: np.ndarray) -> np.ndarray | None:
+    """Point of vertex 2's full pivot circle minimizing circumradius([v0 . v3])."""
+    if dist(p[1], p[3]) <= EPS:
+        return None
+    circle = unit_ball_intersection(p[1], p[3])
     e1, e2 = plane_basis(circle.axis)
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     pts = (circle.center
@@ -415,7 +411,7 @@ def _best_circle_sample(p: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     side_b = np.linalg.norm(rel3, axis=1)
     side_c = dist(p[0], p[3])
     area2 = np.linalg.norm(np.cross(rel0, p[3] - p[0]), axis=1)
-    radii = np.where(area2 > tol.geom_eps,
+    radii = np.where(area2 > EPS,
                      side_a * side_b * side_c / np.maximum(2.0 * area2, 1e-300),
                      np.inf)
     j = int(np.argmin(radii))
@@ -424,83 +420,73 @@ def _best_circle_sample(p: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     return pts[j]
 
 
-def _fix_candidates(p: np.ndarray, tol: Tolerance):
+def _fix_candidates(p: np.ndarray):
     """Candidate corrective pivots, deterministic order, lazily generated.
 
     Three in-line reflections first, then the best of a dense sweep of
     vertex 2's full pivot circle (minimizing the circumradius of [v0 v2 v3]).
     """
     for i, a, b in ((2, 1, 3), (1, 0, 2), (3, 2, 4)):
-        if dist(p[a], p[b]) <= tol.geom_eps:
+        if dist(p[a], p[b]) <= EPS:
             continue
-        target = reflect_across_line(p[i], p[a], p[b], tol)
-        if dist(target, p[i]) > tol.geom_eps:
+        target = reflect_across_line(p[i], p[a], p[b])
+        if dist(target, p[i]) > EPS:
             yield (i, target)
-    best = _best_circle_sample(p, tol)
-    if best is not None and dist(best, p[2]) > tol.geom_eps:
+    best = _best_circle_sample(p)
+    if best is not None and dist(best, p[2]) > EPS:
         yield (2, best)
 
 
-def _search_fixes(p: np.ndarray, depth: int,
-                  tol: Tolerance) -> list[tuple[int, np.ndarray]] | None:
-    if _pentagon_ready(p, tol):
-        return []
+def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], np.ndarray] | None:
+    """At most ``depth`` fix pivots of component 0 that open the apex, and
+    the apex they open, each pivot applied to a copy of ``p``."""
+    apex = _apex(p)
+    if apex is not None:
+        return [], apex
     if depth == 0:
         return None
-    for i, target in _fix_candidates(p, tol):
+    for i, target in _fix_candidates(p):
         trial = p.copy()
         trial[i] = target
-        rest = _search_fixes(trial, depth - 1, tol)
-        if rest is not None:
-            return [(i, target)] + rest
+        found = _search_fixes(trial, depth - 1)
+        if found is not None:
+            return [PivotMove(0, i, target, "fix")] + found[0], found[1]
     return None
 
 
 @dataclass
 class PentagonSplit:
-    rhombi: tuple[Rhombus, Rhombus]
-    triangle: TriangleFace
     fixes: list[PivotMove]
     apex: np.ndarray
 
 
-def pentagon_split(pentagon: np.ndarray,
-                   tol: Tolerance = DEFAULT_TOL) -> PentagonSplit:
-    """Split a unit pentagon into two unit rhombi and one unit triangle.
+def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
+    """Plan the split of a unit pentagon into two unit rhombi and one unit triangle.
 
-    An apex at unit distance from vertices 0, 2 and 3 exists once the
+    An apex a at unit distance from vertices 0, 2 and 3 exists once the
     circumradius of that triangle is below 1; up to three corrective pivots
-    establish this first when needed.  The rhombi are [v0 v1 v2 a] and
-    [v0 a v3 v4]; the face is [v2 v3 a].
+    of component 0, the ``fixes``, establish this first when needed.
+    Replaying the fixes and a :class:`~rhombidome.surface.PentagonMove`
+    through ``apex`` derives the rhombi [v0 v1 v2 a] and [v0 a v3 v4] and
+    the face [v2 v3 a].
     """
     p = np.asarray(pentagon, dtype=float).copy()
-    _check_unit_cycle(p, "pentagon", 5, tol)
+    _check_unit_cycle(p, "pentagon", 5)
     radii = np.linalg.norm(p - p[0], axis=1)
-    if float(np.max(radii)) > STEINITZ_BOUND + 10 * tol.geom_eps:
+    if float(np.max(radii)) > STEINITZ_BOUND + 10 * EPS:
         raise ValueError("pentagon is not packed around vertex 0")
-
-    plan = _search_fixes(p, FIX_PIVOT_BUDGET, tol)
-    if plan is None:
+    found = _search_fixes(p, FIX_PIVOT_BUDGET)
+    if found is None:
         raise FixBudgetExceededError(
             "no sequence of <= 3 corrective pivots reaches circumradius < 1")
-    state = Replayer(IntegralCurve([p]), tol)
-    for i, target in plan:
-        _make_pivot(state, 0, i, target, "fix", tol)
-    p = state.component(0)
-    apex = apex_at_unit_distance(p[0], p[2], p[3], +1, tol)
-    if apex is None:
-        raise FixBudgetExceededError("corrective pivots failed to open the apex")
-    rho_a = Rhombus(np.vstack([p[0], p[1], p[2], apex]))
-    rho_b = Rhombus(np.vstack([p[0], apex, p[3], p[4]]))
-    face = TriangleFace(np.vstack([p[2], p[3], apex]))
-    return PentagonSplit((rho_a, rho_b), face, state.moves, apex)
+    return PentagonSplit(*found)
 
 
 # ---------------------------------------------------------------------------
 # full reduction
 
 
-def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
+def _choose_bridge(v: np.ndarray, plane: Plane) -> np.ndarray:
     """Point of the plane at unit distance from v[0] and v[3].
 
     Of the two circle/plane intersection points, the one farther from the
@@ -510,27 +496,26 @@ def _choose_bridge(v: np.ndarray, plane: Plane, tol: Tolerance) -> np.ndarray:
     v1, v4 = v[0], v[3]
     away = 0.5 * (v[1] + v[2])
     d = dist(v1, v4)
-    if d <= tol.geom_eps:
+    if d <= EPS:
         # unit circle around v1 inside the plane
         radial = (v1 - away) - np.dot(v1 - away, plane.normal) * plane.normal
-        if np.linalg.norm(radial) <= tol.geom_eps:
+        if np.linalg.norm(radial) <= EPS:
             radial = plane_basis(plane.normal)[0]
         return v1 + normalize(radial)
-    circle = unit_ball_intersection(v1, v4, tol)
+    circle = unit_ball_intersection(v1, v4)
     w = normalize(np.cross(circle.axis, plane.normal))
     cands = [circle.center + circle.radius * w, circle.center - circle.radius * w]
     return max(cands, key=lambda q: dist(q, away))
 
 
-def _consume_pentagon(state: Replayer, cid: int, tol: Tolerance) -> None:
-    split = pentagon_split(state.component(cid), tol)
+def _consume_pentagon(state: Replayer, cid: int) -> None:
+    split = pentagon_split(state.component(cid))
     for fix in split.fixes:
-        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix", tol)
+        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix")
     state.apply(PentagonMove(cid, split.apex))
 
 
-def reduce_to_rhombi(curve: IntegralCurve,
-                     tol: Tolerance = DEFAULT_TOL) -> CobordismLedger:
+def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     """Reduce every component to unit rhombi, emitting a verifiable ledger.
 
     Components of length 3 become one triangle face, length 4 one boundary
@@ -538,9 +523,9 @@ def reduce_to_rhombi(curve: IntegralCurve,
     pentagons, each of which yields two rhombi and one triangle.  The total
     number of rhombi used stays within n^2 + 2n - 12 per component.
     """
-    curve.validate(tol)
+    curve.validate()
     initial = curve.copy()
-    state = Replayer(initial, tol)
+    state = Replayer(initial)
     ledger = CobordismLedger(initial=initial, moves=state.moves)
     next_id = len(initial.components)
 
@@ -552,14 +537,14 @@ def reduce_to_rhombi(curve: IntegralCurve,
         elif n0 == 4:
             state.apply(CloseRhombusMove(root))
         else:
-            plane = _planarize_component(state, root, tol)
-            _pack_component(state, root, tol)
+            plane = _planarize_component(state, root)
+            _pack_component(state, root)
             while len(state.component(root)) > 5:
-                z = _choose_bridge(state.component(root), plane, tol)
+                z = _choose_bridge(state.component(root), plane)
                 state.apply(SplitMove(root, next_id, z.copy()))
-                _consume_pentagon(state, next_id, tol)
+                _consume_pentagon(state, next_id)
                 next_id += 1
-            _consume_pentagon(state, root, tol)
+            _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:
             raise PlanarizeBudgetError(

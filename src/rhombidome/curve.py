@@ -7,11 +7,12 @@ and are split into unit steps by :func:`from_integer_curve`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, dist, normalize
+from .geom import EPS, Plane, dist, normalize
 
 __all__ = [
     "IntegralCurve",
@@ -50,7 +51,7 @@ class IntegralCurve:
 
     components: list[np.ndarray] = field(default_factory=list)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         for ci, comp in enumerate(self.components):
             comp = np.asarray(comp, dtype=float)
             if comp.ndim != 2 or comp.shape[1] != 3:
@@ -59,9 +60,14 @@ class IntegralCurve:
                 raise InvalidCurveError(f"component {ci} has fewer than 3 vertices")
             if not np.all(np.isfinite(comp)):
                 raise InvalidCurveError(f"component {ci} has non-finite coordinates")
-            lengths = np.linalg.norm(np.roll(comp, -1, axis=0) - comp, axis=1)
-            worst = float(np.max(np.abs(lengths - 1.0)))
-            if worst > tol.geom_eps:
+            with np.errstate(over="ignore"):  # an edge past 1e154 squares to inf
+                lengths = np.linalg.norm(np.roll(comp, -1, axis=0) - comp, axis=1)
+            off = np.abs(lengths - 1.0)
+            worst = float(np.max(off))
+            if worst == math.inf:  # measure the overflowed edges without squaring
+                worst = max(abs(math.dist(comp[i], comp[(i + 1) % len(comp)]) - 1.0)
+                            for i in np.flatnonzero(off == math.inf))
+            if worst > EPS:
                 raise InvalidCurveError(
                     f"component {ci} has a non-unit edge (off by {worst:.3g})")
 
@@ -74,12 +80,13 @@ class IntegralCurve:
         return IntegralCurve([c.copy() for c in self.components])
 
 
-def from_integer_curve(raw: list, tol: Tolerance = DEFAULT_TOL) -> IntegralCurve:
+def from_integer_curve(raw: list) -> IntegralCurve:
     """Normalize a curve with integer-length edges into unit steps.
 
     Each edge of length L gains L - 1 equally spaced collinear vertices.
     Raises :class:`NonIntegerEdgeError` with the offending component/index
-    when a consecutive distance is not a positive integer within tolerance.
+    when a consecutive distance is not a positive integer within
+    :data:`~rhombidome.geom.EPS`.
     """
     components: list[np.ndarray] = []
     for ci, comp in enumerate(raw):
@@ -93,14 +100,14 @@ def from_integer_curve(raw: list, tol: Tolerance = DEFAULT_TOL) -> IntegralCurve
             b = comp[(i + 1) % n]
             length = dist(a, b)
             steps = int(round(length))
-            if steps < 1 or abs(length - steps) > tol.geom_eps:
+            if steps < 1 or abs(length - steps) > EPS:
                 raise NonIntegerEdgeError(ci, i, length)
             out.append(a.copy())
             for j in range(1, steps):
                 out.append(a + (j / steps) * (b - a))
         components.append(np.array(out))
     curve = IntegralCurve(components)
-    curve.validate(tol)
+    curve.validate()
     return curve
 
 
@@ -131,20 +138,19 @@ def fit_plane(points: np.ndarray) -> Plane:
     return Plane(base=centroid, normal=normalize(eigvecs[:, 0]))
 
 
-def component_plane(component: np.ndarray,
-                    tol: Tolerance = DEFAULT_TOL) -> Plane | None:
+def component_plane(component: np.ndarray) -> Plane | None:
     """Best-fit plane of one component if all vertices lie on it, else None."""
     plane = fit_plane(component)
     residual = np.abs((np.asarray(component) - plane.base) @ plane.normal)
-    if float(np.max(residual)) <= tol.geom_eps:
+    if float(np.max(residual)) <= EPS:
         return plane
     return None
 
 
-def is_planar(curve: IntegralCurve, tol: Tolerance = DEFAULT_TOL) -> Plane | None:
+def is_planar(curve: IntegralCurve) -> Plane | None:
     """Best-fit plane of the whole curve if every vertex lies on it, else None."""
     points = np.vstack(curve.components)
-    return component_plane(points, tol)
+    return component_plane(points)
 
 
 def is_packing(component: np.ndarray, center: int, eps: float) -> bool:

@@ -21,6 +21,7 @@ so reading a ledger needs nothing of the producer.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -53,16 +54,26 @@ def _points(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+def _numbers(rows, depth: int) -> bool:
+    """True if every leaf of ``rows``, lists nested ``depth`` deep, is a JSON
+    number.  numpy would parse a string such as ``"0.5"`` and take ``true``
+    as 1.0; ``bool`` is a subclass of ``int`` but not a number here."""
+    for _ in range(depth - 1):
+        rows = chain.from_iterable(rows)
+    return set(map(type, rows)) <= {int, float}
+
+
 def _floats(obj, what: str, expected: str, shape_ok) -> np.ndarray:
-    """``obj`` as a finite float array whose shape passes ``shape_ok``; any
-    other value is refused as ``bad {what}: expected {expected}``."""
+    """``obj`` as a finite float array of JSON numbers whose shape passes
+    ``shape_ok``; any other value is refused as ``bad {what}: expected
+    {expected}``."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad {what}: expected {expected}") from exc
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"bad {what}: non-finite coordinate")
-    if not shape_ok(arr.shape):
+    if not shape_ok(arr.shape) or not _numbers(obj, arr.ndim):
         raise FileFormatError(f"bad {what}: expected {expected}")
     return arr
 
@@ -149,10 +160,11 @@ def _stacked(items: list, shape: tuple[int, ...]) -> np.ndarray:
     """``items`` as one finite float array of shape ``(len(items),) + shape``.
 
     Raises ValueError when the items do not convert to that shape or hold a
-    non-finite value.
+    non-finite value or a value that is not a JSON number.
     """
     arr = np.asarray(items, dtype=float)
-    if arr.shape != (len(items),) + shape or not np.isfinite(arr).all():
+    if (arr.shape != (len(items),) + shape or not np.isfinite(arr).all()
+            or not _numbers(items, arr.ndim)):
         raise ValueError("items do not stack")
     return arr
 

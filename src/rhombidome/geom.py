@@ -1,8 +1,11 @@
-"""Tolerance-aware Euclidean primitives used by every other module.
+"""Euclidean primitives used by every other module.
 
-Points are plain float64 numpy arrays of shape (3,).  Every predicate takes
-an explicit :class:`Tolerance` so results are reproducible across platforms;
-nothing in this module keeps state.
+Points are plain float64 numpy arrays of shape (3,).  Coincidence and
+unit-length predicates, here and in every other module, compare against one
+fixed absolute threshold, :data:`EPS` = 1e-9, so a verdict depends on its
+input alone.  Absolute means the inputs must sit where the float spacing is
+well below it: past about |x| = 4.5e6 the spacing of a coordinate reaches
+1e-9.  Nothing in this module keeps state.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "EPS",
     "Plane",
     "Circle3",
     "GeomError",
@@ -63,19 +65,8 @@ class DegenerateLineError(GeomError):
     """The two points meant to span a line coincide."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """The geometric threshold: geom_eps governs coincidence and unit-length
-    predicates."""
-
-    geom_eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not self.geom_eps > 0:
-            raise ValueError("geom_eps must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+# The geometric threshold of every coincidence and unit-length predicate.
+EPS = 1e-9
 
 _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
@@ -103,9 +94,9 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ])
 
 
-def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def normalize(v: np.ndarray) -> np.ndarray:
     n = norm(v)
-    if n <= eps:
+    if n <= 1e-12:
         raise DegenerateError("cannot normalize a (near-)zero vector")
     return np.asarray(v, dtype=float) / n
 
@@ -143,8 +134,7 @@ def distance_to_plane(p: np.ndarray, h: Plane) -> float:
     return abs(signed_plane_distance(p, h))
 
 
-def unit_ball_intersection(u: np.ndarray, w: np.ndarray,
-                           tol: Tolerance = DEFAULT_TOL) -> Circle3:
+def unit_ball_intersection(u: np.ndarray, w: np.ndarray) -> Circle3:
     """Circle of points at distance exactly 1 from both ``u`` and ``w``.
 
     Center is the midpoint of [u, w], axis the direction w - u, radius
@@ -153,57 +143,54 @@ def unit_ball_intersection(u: np.ndarray, w: np.ndarray,
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     d = dist(u, w)
-    if d > 2.0 + tol.geom_eps:
+    if d > 2.0 + EPS:
         raise SeparatedError(f"unit balls at distance {d} do not intersect")
-    if d <= tol.geom_eps:
+    if d <= EPS:
         raise CoincidentError("coincident centers: locus is a whole sphere")
     radius = float(np.sqrt(max(0.0, 1.0 - 0.25 * d * d)))
     return Circle3(center=0.5 * (u + w), radius=radius, axis=(w - u) / d)
 
 
-def _triangle_frame(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triangle_frame(a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge vectors u = b-a, v = c-a and their cross product, validated."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     u = b - a
     v = c - a
-    if norm(u) <= tol.geom_eps or norm(v) <= tol.geom_eps or dist(b, c) <= tol.geom_eps:
+    if norm(u) <= EPS or norm(v) <= EPS or dist(b, c) <= EPS:
         raise DegenerateError("coincident triangle vertices")
     n = cross3(u, v)
-    if norm(n) <= tol.geom_eps:
+    if norm(n) <= EPS:
         raise DegenerateError("collinear triangle vertices")
     return u, v, n
 
 
-def circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    u, v, n = _triangle_frame(a, b, c, tol)
+def circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    u, v, n = _triangle_frame(a, b, c)
     nn = float(np.dot(n, n))
     offset = (np.dot(v, v) * cross3(n, u) + np.dot(u, u) * cross3(v, n)) / (2.0 * nn)
     return np.asarray(a, dtype=float) + offset
 
 
-def circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
+def circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """|ab| * |bc| * |ca| / (4 * area)."""
-    u, v, n = _triangle_frame(a, b, c, tol)
+    u, v, n = _triangle_frame(a, b, c)
     area2 = norm(n)  # twice the triangle area
     return dist(a, b) * dist(b, c) * dist(c, a) / (2.0 * area2)
 
 
 def apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          side: int = +1,
-                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+                          side: int = +1) -> np.ndarray | None:
     """Point at distance 1 from all three vertices, or None if none exists.
 
     Exists iff the circumradius R is below 1; the apex sits at height
     sqrt(1 - R^2) over the circumcenter, on the side of the triangle plane
     selected by the sign of ``side`` (relative to (b-a) x (c-a)).
     """
-    u, v, n = _triangle_frame(a, b, c, tol)
-    center = circumcenter(a, b, c, tol)
+    u, v, n = _triangle_frame(a, b, c)
+    center = circumcenter(a, b, c)
     r2 = float(np.dot(center - np.asarray(a, dtype=float),
                       center - np.asarray(a, dtype=float)))
     if r2 >= 1.0:
@@ -212,15 +199,14 @@ def apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return center + (1 if side >= 0 else -1) * height * normalize(n)
 
 
-def reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray,
-                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reflect ``p`` across the line through ``a`` and ``b`` (an isometric involution)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     p = np.asarray(p, dtype=float)
     d = b - a
     dd = float(np.dot(d, d))
-    if dd <= tol.geom_eps * tol.geom_eps:
+    if dd <= EPS * EPS:
         raise DegenerateLineError("line endpoints coincide")
     proj = a + (np.dot(p - a, d) / dd) * d
     return 2.0 * proj - p
@@ -242,8 +228,7 @@ def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def point_on_circle_nearest_plane(c: Circle3, h: Plane,
-                                  tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
     """Point of the circle minimizing unsigned distance to the plane.
 
     The signed distance along the circle is s0 + A cos(t) + B sin(t); the

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import block_diag, lstsq, null_space, orth, qr, subspace_angles, svd
 
 from .curve import random_integral_curve
-from .geom import DEFAULT_TOL
+from .geom import EPS
 from .surface import GraphSurface, is_oriented_consistently
 
 __all__ = [
@@ -487,7 +487,7 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
     s.validate()
     if len(s.walks) != 3 or any(len(w) != 4 for w in s.walks):
         raise BoundaryShapeMismatchError("need exactly three 4-gon boundaries")
-    if np.max(np.abs(np.asarray(s.lengths) - 1.0)) > DEFAULT_TOL.geom_eps:
+    if np.max(np.abs(np.asarray(s.lengths) - 1.0)) > EPS:
         raise BoundaryShapeMismatchError("boundary rhombi must have unit edges")
     realization = realize_surface(s, seed=seed)
     basis = surface_tangent_basis(realization)

@@ -58,7 +58,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .curve import IntegralCurve
-from .geom import DEFAULT_TOL, Tolerance, apex_at_unit_distance, dist
+from .geom import EPS, apex_at_unit_distance, dist
 
 __all__ = [
     "Rhombus",
@@ -463,14 +463,14 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 # cells and moves
 
 
-def _check_unit_cycle(v: np.ndarray, what: str, n: int, tol: Tolerance) -> None:
+def _check_unit_cycle(v: np.ndarray, what: str, n: int) -> None:
     """Raise ValueError unless ``v`` is a closed n-gon with unit sides."""
     if v.shape != (n, 3):
         raise ValueError(f"{what} needs exactly {n} vertices")
     pts = v.tolist()
     for i in range(n):
         side = math.dist(pts[i], pts[(i + 1) % n])
-        if not abs(side - 1.0) <= tol.geom_eps:  # NaN fails
+        if not abs(side - 1.0) <= EPS:  # NaN fails
             raise ValueError(f"{what} side {i} has length {side}")
 
 
@@ -480,8 +480,8 @@ class Rhombus:
 
     vertices: np.ndarray  # (4, 3)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4, tol)
+    def validate(self) -> None:
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4)
 
     def reversed(self) -> "Rhombus":
         v = np.asarray(self.vertices)
@@ -494,8 +494,8 @@ class TriangleFace:
 
     vertices: np.ndarray  # (3, 3)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3, tol)
+    def validate(self) -> None:
+        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3)
 
 
 # the stages a pivot may record: the three the stats count, and ``pivot`` for
@@ -583,8 +583,7 @@ class Replayer:
     :meth:`stats` reports these counts as a ledger's ``stats``.
     """
 
-    def __init__(self, initial: IntegralCurve, tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self, initial: IntegralCurve):
         self.components: dict[int, np.ndarray] = {
             i: np.asarray(c, dtype=float).copy() for i, c in enumerate(initial.components)
         }
@@ -618,7 +617,7 @@ class Replayer:
         at unit distance from the end of every ``(name, end)`` pair."""
         for name, end in ends:
             side = math.dist(end, point)
-            if not abs(side - 1.0) <= self.tol.geom_eps:  # NaN fails
+            if not abs(side - 1.0) <= EPS:  # NaN fails
                 raise error(f"{what} at distance {side} from {name}")
 
     def _apply_pivot(self, move: PivotMove) -> Rhombus | None:
@@ -639,7 +638,7 @@ class Replayer:
         tally = self.tally[move.component]
         tally["pivot", move.stage] += 1
         cell = None
-        if math.dist(prev, nxt) > self.tol.geom_eps:
+        if math.dist(prev, nxt) > EPS:
             cell = Rhombus(quad)
             tally["rhombi"] += 1
         v[move.vertex] = quad[3]
@@ -773,30 +772,29 @@ class DomeChain:
     seams = ()
 
 
-# Largest |x / eps| the int64 segment keys accept; beyond it the cast would wrap.
+# Largest |x / EPS| the int64 segment keys accept; beyond it the cast would wrap.
 _GRID_LIMIT = 2.0 ** 62
 
 
-def _grid_keys(points: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """int64 keys ``rint(x / eps)``: the integers ``int(round(x / eps))`` gives.
+def _grid_keys(points: np.ndarray) -> np.ndarray:
+    """int64 keys ``rint(x / EPS)``: the integers ``int(round(x / EPS))`` gives.
 
     Raises as ``int()`` would on the first non-finite quotient, and raises
     OverflowError at or beyond 2**62 instead of letting the cast wrap.
     """
     with np.errstate(over="ignore"):
-        q = points / tol.geom_eps
+        q = points / EPS
     finite = np.isfinite(q)
     if not finite.all():
         if np.isnan(q.flat[np.argmin(finite)]):
             raise ValueError("cannot convert float NaN to integer")
         raise OverflowError("cannot convert float infinity to integer")
     if q.size and np.abs(q).max() >= _GRID_LIMIT:
-        raise OverflowError(f"coordinate beyond the int64 grid of eps = {tol.geom_eps}")
+        raise OverflowError(f"coordinate beyond the int64 grid of eps = {EPS}")
     return np.rint(q).astype(np.int64)
 
 
-def _segment_residue(cycles: list, signs: list[int],
-                     tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _segment_residue(cycles: list, signs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Net signed multiplicity of every quantized segment, in one sorted pass.
 
     Row ``r`` of the result is ``[degenerate, a, b]`` (7 int64 columns), with
@@ -818,7 +816,7 @@ def _segment_residue(cycles: list, signs: list[int],
         row_signs.append(sign)
     if not arrays:
         return np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = _grid_keys(np.concatenate(arrays), tol)
+    a = _grid_keys(np.concatenate(arrays))
     sizes = np.array(sizes)
     ends = np.cumsum(sizes)
     successor = np.arange(1, len(a) + 1)
@@ -842,22 +840,21 @@ def _segment_residue(cycles: list, signs: list[int],
 
 
 def signed_segment_counts(cycles_plus: list[np.ndarray],
-                          cycles_minus: list[np.ndarray],
-                          tol: Tolerance = DEFAULT_TOL) -> dict:
+                          cycles_minus: list[np.ndarray]) -> dict:
     """Net signed multiplicity of every quantized oriented unit segment.
 
     Each cycle contributes its consecutive (cyclic) segments; orientation is
     folded into the sign of a lexicographically ordered key ``(a, b)`` of
-    endpoint grid points ``int(round(x / eps))``.  A segment with equal
+    endpoint grid points ``int(round(x / EPS))``.  A segment with equal
     endpoints is reported as ``("degenerate", a)``.  Only nonzero and
     degenerate entries are returned, in sorted key order (degenerate last).
     The keys are int64 internally: a non-finite coordinate, or one with
-    ``|x| / eps >= 2**62``, raises ValueError or OverflowError instead of
+    ``|x| / EPS >= 2**62``, raises ValueError or OverflowError instead of
     wrapping onto another point's key.
     """
     cycles = list(cycles_plus) + list(cycles_minus)
     signs = [1] * len(cycles_plus) + [-1] * len(cycles_minus)
-    table, counts = _segment_residue(cycles, signs, tol)
+    table, counts = _segment_residue(cycles, signs)
     residue = {}
     for row, count in zip(table.tolist(), counts.tolist()):
         a, b = tuple(row[1:4]), tuple(row[4:])
@@ -865,10 +862,10 @@ def signed_segment_counts(cycles_plus: list[np.ndarray],
     return residue
 
 
-def _residue_listing(residue: dict, tol: Tolerance) -> str:
+def _residue_listing(residue: dict) -> str:
     """The first five residue entries as coordinates with their counts."""
     def point(key):
-        return "(" + ", ".join(f"{x * tol.geom_eps:.12g}" for x in key) + ")"
+        return "(" + ", ".join(f"{x * EPS:.12g}" for x in key) + ")"
 
     shown = [f"{point(key[1])} degenerate: {count}" if key[0] == "degenerate"
              else f"{point(key[0])} -> {point(key[1])}: {count:+d}"
@@ -876,8 +873,7 @@ def _residue_listing(residue: dict, tol: Tolerance) -> str:
     return f" [{', '.join(shown)}]" if shown else ""
 
 
-def assemble_from_ledger(ledger: CobordismLedger,
-                         tol: Tolerance = DEFAULT_TOL) -> DomeChain:
+def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     """Replay a ledger into a dome chain.
 
     Every non-degenerate pivot contributes the rhombus cell that replay
@@ -887,7 +883,7 @@ def assemble_from_ledger(ledger: CobordismLedger,
     do not replay.
     """
     chain = DomeChain()
-    state = Replayer(ledger.initial, tol)
+    state = Replayer(ledger.initial)
     for move in ledger.moves:
         cell = state.apply(move)
         if cell is not None:
@@ -937,8 +933,7 @@ def _same_json(value, expected) -> bool:
     return value == expected
 
 
-def validate_ledger(ledger: CobordismLedger,
-                    tol: Tolerance = DEFAULT_TOL) -> LedgerReport:
+def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
     """Check the initial curve, the replay, the chain identity and the budget.
 
     Every cell is derived on replay, and the replay checks each edge where a
@@ -960,14 +955,14 @@ def validate_ledger(ledger: CobordismLedger,
     """
     report = LedgerReport()
     try:
-        ledger.initial.validate(tol)
+        ledger.initial.validate()
         report.add("initial_curve", True,
                    f"{ledger.initial.edge_count} unit edges")
     except Exception as exc:
         report.add("initial_curve", False, str(exc))
         return report
     try:
-        chain = assemble_from_ledger(ledger, tol)
+        chain = assemble_from_ledger(ledger)
         report.add("replay", True, f"{len(ledger.moves)} moves")
     except Exception as exc:  # report, never raise
         report.add("replay", False, str(exc))
@@ -980,9 +975,9 @@ def validate_ledger(ledger: CobordismLedger,
     cycles_minus = [comp for comp in ledger.initial.components]
     cycles_minus += [rho.vertices for rho in chain.rhombi]
     try:
-        residue = signed_segment_counts(cells_plus, cycles_minus, tol)
+        residue = signed_segment_counts(cells_plus, cycles_minus)
         report.add("chain_identity", not residue,
-                   f"{len(residue)} unbalanced segments{_residue_listing(residue, tol)}"
+                   f"{len(residue)} unbalanced segments{_residue_listing(residue)}"
                    if residue else "")
     except (ValueError, OverflowError) as exc:  # off the int64 grid
         report.add("chain_identity", False, str(exc))
@@ -1004,8 +999,8 @@ def validate_ledger(ledger: CobordismLedger,
 # hexagon join (two rhombi sharing a vertex -> one hexagon via two triangles)
 
 
-def hexagon_join(rho: Rhombus, rho_prime: Rhombus,
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[IntegralCurve, tuple[TriangleFace, TriangleFace]]:
+def hexagon_join(rho: Rhombus,
+                 rho_prime: Rhombus) -> tuple[IntegralCurve, tuple[TriangleFace, TriangleFace]]:
     """Join two unit rhombi sharing their first vertex into a hexagon.
 
     Preconditions: v1 = v1' and |v2, v2'| = |v4, v4'| = 1.  Returns the
@@ -1015,18 +1010,18 @@ def hexagon_join(rho: Rhombus, rho_prime: Rhombus,
     """
     a = np.asarray(rho.vertices, dtype=float)
     b = np.asarray(rho_prime.vertices, dtype=float)
-    rho.validate(tol)
-    rho_prime.validate(tol)
-    if dist(a[0], b[0]) > tol.geom_eps:
+    rho.validate()
+    rho_prime.validate()
+    if dist(a[0], b[0]) > EPS:
         raise PositioningViolatedError("rhombi must share their first vertex")
-    if abs(dist(a[1], b[1]) - 1.0) > tol.geom_eps:
+    if abs(dist(a[1], b[1]) - 1.0) > EPS:
         raise PositioningViolatedError(f"|v2, v2'| = {dist(a[1], b[1])} != 1")
-    if abs(dist(a[3], b[3]) - 1.0) > tol.geom_eps:
+    if abs(dist(a[3], b[3]) - 1.0) > EPS:
         raise PositioningViolatedError(f"|v4, v4'| = {dist(a[3], b[3])} != 1")
     hexagon = IntegralCurve([np.vstack([a[3], a[2], a[1], b[1], b[2], b[3]])])
-    hexagon.validate(tol)
+    hexagon.validate()
     t1 = TriangleFace(np.vstack([a[0], a[1], b[1]]))
     t2 = TriangleFace(np.vstack([a[3], a[0], b[3]]))
-    t1.validate(tol)
-    t2.validate(tol)
+    t1.validate()
+    t2.validate()
     return hexagon, (t1, t2)

@@ -27,6 +27,7 @@ from rhombidome.curve import (
 )
 from rhombidome.surface import (
     NotOnPivotCircleError,
+    PentagonMove,
     PivotMove,
     Replayer,
     ReplayMismatchError,
@@ -353,13 +354,25 @@ def test_pack_permutes_the_edge_vectors():
 # pentagon base case
 
 
+def _assert_split_replays(pentagon, split):
+    """The split's fixes and its apex replay into two unit rhombi and one
+    unit triangle, which consume the pentagon."""
+    state = Replayer(IntegralCurve([pentagon]))
+    for fix in split.fixes:
+        assert fix.component == 0 and fix.stage == "fix"
+        state.apply(fix)
+    state.apply(PentagonMove(0, split.apex))
+    assert state.components == {}
+    assert len(state.rhombi) == 2 and len(state.triangles) == 1
+    for cell in state.rhombi + state.triangles:
+        cell.validate()
+    assert np.array_equal(state.triangles[0].vertices[2], split.apex)
+
+
 def test_pentagon_split_regular(regular_pentagon):
     split = pentagon_split(regular_pentagon.components[0])
     assert split.fixes == []
-    assert len(split.rhombi) == 2
-    split.rhombi[0].validate()
-    split.rhombi[1].validate()
-    split.triangle.validate()
+    _assert_split_replays(regular_pentagon.components[0], split)
     # apex height above the pentagon plane matches the closed-form value
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     s = 0.5 * (golden + 1.0 + golden)
@@ -391,9 +404,7 @@ def test_pentagon_split_flat_triangle_needs_fixes():
     assert circumradius(v0, v2, v3) >= 1.0
     split = pentagon_split(pentagon)
     assert 1 <= len(split.fixes) <= 3
-    for rho in split.rhombi:
-        rho.validate()
-    split.triangle.validate()
+    _assert_split_replays(pentagon, split)
 
 
 def _isoceles_between(a, b):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import folded_rhombus_curve, regular_polygon_curve
+from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import (
     IntegralCurve,
     InvalidCurveError,
@@ -12,6 +15,7 @@ from rhombidome.curve import (
     is_planar,
     random_integral_curve,
 )
+from rhombidome.surface import validate_ledger
 
 
 def test_from_integer_curve_unit_triangle_unchanged(unit_triangle):
@@ -51,6 +55,22 @@ def test_from_integer_curve_rejects_fractional_edge():
 def test_curve_validation_rejects_short_component():
     with pytest.raises(InvalidCurveError):
         IntegralCurve([np.array([[0, 0, 0], [1, 0, 0.0]])]).validate()
+
+
+def test_curve_validation_measures_huge_edges_without_overflow():
+    # squaring an edge near 1e300 overflows; the detail must still name the
+    # non-unit edge, not a RuntimeWarning (pytest turns warnings into errors)
+    rng = np.random.default_rng(3)
+    ledger = reduce_to_rhombi(random_integral_curve(9, rng))
+    ledger.initial.components[0][4, 1] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_ledger(ledger)
+        far = IntegralCurve([np.array([[0, 0, 0], [1.7e308, 0, 0], [-1.7e308, 0, 0]])])
+        with pytest.raises(InvalidCurveError, match=r"non-unit edge \(off by inf\)"):
+            far.validate()
+    assert report.entries == [
+        ("initial_curve", False, "component 0 has a non-unit edge (off by 1e+300)")]
 
 
 def test_farthest_pair_square(unit_square):

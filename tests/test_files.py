@@ -58,8 +58,21 @@ def _nan_then_bad_int(doc):
      "bad pivot new: expected a 3-d point", OverflowError),
     (lambda doc: _first(doc, "pentagon")["apex"].pop(),
      "bad pentagon apex: expected a 3-d point", None),
+    # numpy parses numeric strings and takes booleans as 0.0 and 1.0
+    (lambda doc: _first(doc, "pivot").__setitem__("new", ["0.5", "1", "2"]),
+     "bad pivot new: expected a 3-d point", None),
+    (lambda doc: _first(doc, "split").__setitem__("z", [True, 0.0, 0.0]),
+     "bad split z: expected a 3-d point", None),
+    (lambda doc: _first(doc, "pentagon").__setitem__("apex", [True, False, True]),
+     "bad pentagon apex: expected a 3-d point", None),
+    (lambda doc: doc["initial"]["components"][0].__setitem__(0, ["0", "0", "0"]),
+     "bad curve component: expected a list of 3-d points", None),
+    (lambda doc: doc["initial"]["components"][0][2].__setitem__(1, False),
+     "bad curve component: expected a list of 3-d points", None),
 ], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
-        "point_is_string", "earlier_bad_point_first", "int_overflows_float", "apex_2d"])
+        "point_is_string", "earlier_bad_point_first", "int_overflows_float", "apex_2d",
+        "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
+        "curve_bool"])
 def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)

@@ -11,7 +11,7 @@ from rhombidome import surface
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.geom import DEFAULT_TOL
+from rhombidome.geom import EPS
 from rhombidome.surface import (
     CloseRhombusMove,
     CobordismLedger,
@@ -467,12 +467,12 @@ def test_signed_segment_counts_cancellation():
     assert signed_segment_counts([tri], []) != {}
 
 
-def _segment_counts_reference(cycles_plus, cycles_minus, tol=DEFAULT_TOL):
+def _segment_counts_reference(cycles_plus, cycles_minus):
     """The per-point tuple loop the numpy pass replaced, kept as its oracle."""
     counts = {}
 
     def quantize(p):
-        return tuple(int(round(float(x) / tol.geom_eps)) for x in p)
+        return tuple(int(round(float(x) / EPS)) for x in p)
 
     def add(vertices, sign):
         keys = [quantize(p) for p in np.asarray(vertices, dtype=float)]

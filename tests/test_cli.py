@@ -202,15 +202,21 @@ def test_moduli_benchmark_surface_dimension(capsys):
     assert report["tangent_dims"] == [29] and report["passed"]
 
 
-def test_removed_tol_flag_is_usage_error(pentagon_file, tmp_path, capsys):
-    """The threshold is fixed at geom.EPS: a --tol flag is refused."""
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-9"])
+def test_bad_tolerance_is_usage_error(tol, pentagon_file, tmp_path, capsys):
+    """The threshold is fixed at geom.EPS: any --tol, good value or bad, is refused."""
     ledger = str(tmp_path / "ledger.json")
     assert main(["reduce", "--in", pentagon_file, "--out", ledger]) == 0
     capsys.readouterr()
-    assert main(["--tol", "1e-9", "validate", "--in", ledger]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage:" in captured.err
+    for argv in (["reduce", "--in", pentagon_file, "--out", ledger],
+                 ["validate", "--in", ledger],
+                 ["moduli", "dims", "--surface", "polygon:k=4"],
+                 ["census", "--samples", "0", "--csv", str(tmp_path / "c.csv")]):
+        for args in (["--tol", tol, *argv], [*argv, "--tol", tol]):
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage:" in captured.err
 
 
 def test_census_rows_and_budget(tmp_path, capsys):

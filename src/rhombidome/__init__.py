@@ -13,7 +13,6 @@ from .geom import EPS, Circle3, Plane
 from .curve import (
     IntegralCurve,
     from_integer_curve,
-    is_packing,
     is_planar,
     random_integral_curve,
 )
@@ -33,7 +32,6 @@ from .surface import (
     Rhombus,
     TriangleFace,
     assemble_from_ledger,
-    boundary_polygons,
     catalog,
     collapse,
     hexagon_join,
@@ -47,7 +45,6 @@ __all__ = [
     "Plane",
     "IntegralCurve",
     "from_integer_curve",
-    "is_packing",
     "is_planar",
     "random_integral_curve",
     "CobordismLedger",
@@ -63,7 +60,6 @@ __all__ = [
     "DomeChain",
     "GraphSurface",
     "assemble_from_ledger",
-    "boundary_polygons",
     "catalog",
     "collapse",
     "hexagon_join",

@@ -134,23 +134,15 @@ def _moduli_dims(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _moduli_isotropy(args) -> int:
+def _moduli_certificate(args) -> int:
     kind, payload = parse_surface_spec(args.surface)
     if kind != "surface":
-        _err("isotropy needs a catalog surface")
+        _err(f"{args.what} needs a catalog surface")
         return EXIT_USAGE
-    report = moduli.isotropy_certificate(payload, trials=args.trials, seed=args.seed)
-    report["seed"] = args.seed
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return EXIT_OK if report["passed"] else EXIT_FAIL
-
-
-def _moduli_rank(args) -> int:
-    kind, payload = parse_surface_spec(args.surface)
-    if kind != "surface":
-        _err("rank needs a catalog surface")
-        return EXIT_USAGE
-    report = moduli.rank_certificate(payload, seed=args.seed)
+    if args.what == "isotropy":
+        report = moduli.isotropy_certificate(payload, trials=args.trials, seed=args.seed)
+    else:
+        report = moduli.rank_certificate(payload, seed=args.seed)
     report["seed"] = args.seed
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -160,9 +152,7 @@ def cmd_moduli(args) -> int:
     try:
         if args.what == "dims":
             return _moduli_dims(args)
-        if args.what == "isotropy":
-            return _moduli_isotropy(args)
-        return _moduli_rank(args)
+        return _moduli_certificate(args)
     except (surface.UnknownNameError, ValueError) as exc:
         if isinstance(exc, (moduli.NotOrientableError,
                             moduli.BoundaryShapeMismatchError)):

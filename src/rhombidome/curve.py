@@ -23,7 +23,6 @@ __all__ = [
     "fit_plane",
     "component_plane",
     "is_planar",
-    "is_packing",
     "random_integral_curve",
 ]
 
@@ -60,13 +59,8 @@ class IntegralCurve:
                 raise InvalidCurveError(f"component {ci} has fewer than 3 vertices")
             if not np.all(np.isfinite(comp)):
                 raise InvalidCurveError(f"component {ci} has non-finite coordinates")
-            with np.errstate(over="ignore"):  # an edge past 1e154 squares to inf
-                lengths = np.linalg.norm(np.roll(comp, -1, axis=0) - comp, axis=1)
-            off = np.abs(lengths - 1.0)
-            worst = float(np.max(off))
-            if worst == math.inf:  # measure the overflowed edges without squaring
-                worst = max(abs(math.dist(comp[i], comp[(i + 1) % len(comp)]) - 1.0)
-                            for i in np.flatnonzero(off == math.inf))
+            pts = comp.tolist()
+            worst = max(abs(math.dist(p, q) - 1.0) for p, q in zip(pts, pts[1:] + pts[:1]))
             if worst > EPS:
                 raise InvalidCurveError(
                     f"component {ci} has a non-unit edge (off by {worst:.3g})")
@@ -151,13 +145,6 @@ def is_planar(curve: IntegralCurve) -> Plane | None:
     """Best-fit plane of the whole curve if every vertex lies on it, else None."""
     points = np.vstack(curve.components)
     return component_plane(points)
-
-
-def is_packing(component: np.ndarray, center: int, eps: float) -> bool:
-    """True iff every vertex is strictly within ``eps`` of the center vertex."""
-    comp = np.asarray(component, dtype=float)
-    d = np.linalg.norm(comp - comp[center], axis=1)
-    return bool(np.all(d < eps))
 
 
 def random_integral_curve(n: int, rng: np.random.Generator) -> IntegralCurve:

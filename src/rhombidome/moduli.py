@@ -57,7 +57,6 @@ __all__ = [
     "boundary_differential",
     "isotropy_certificate",
     "rank_certificate",
-    "numerical_rank",
 ]
 
 
@@ -142,17 +141,6 @@ class PolygonPoint:
     system: PolygonSystem
     vectors: np.ndarray  # (K, 3)
 
-    def validate(self) -> None:
-        lengths = self.system.flat_lengths()
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if float(np.max(np.abs(norms - lengths))) > 1e-6:
-            raise ValueError("edge vectors do not match the length function")
-        offsets = self.system.offsets
-        for i in range(len(self.system.lengths)):
-            closure = self.vectors[offsets[i]:offsets[i + 1]].sum(axis=0)
-            if float(np.linalg.norm(closure)) > 1e-6:
-                raise ValueError(f"polygon {i} does not close up")
-
 
 def polygon_point(edge_vector_lists: list[np.ndarray]) -> PolygonPoint:
     lengths = [np.linalg.norm(np.asarray(v, dtype=float), axis=1)
@@ -174,12 +162,6 @@ def all_parallel_quad() -> PolygonPoint:
     """The singular unit 4-gon with all edges on one line: (e, -e, e, -e)."""
     e = np.array([1.0, 0.0, 0.0])
     return polygon_point([np.vstack([e, -e, e, -e])])
-
-
-def numerical_rank(matrix: np.ndarray, rel_eps: float) -> tuple[int, np.ndarray]:
-    """Rank at a relative singular-value threshold, plus the spectrum."""
-    report = _rank_with_gap(matrix, rel_eps)
-    return report["rank"], np.array(report["singular_values"])
 
 
 def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
@@ -450,21 +432,19 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> di
     }
 
 
-def _rank_with_gap(matrix: np.ndarray, rel_eps: float,
-                   scale: float | None = None) -> dict:
-    """Numerical rank with an auditable gap report.
+def _rank_with_gap(matrix: np.ndarray, scale: float) -> dict:
+    """Numerical rank at ``_RANK_REL_EPS`` with an auditable gap report.
 
-    ``scale`` anchors the relative threshold (defaults to the matrix's own
-    largest singular value); pass the pre-projection scale when ranking a
-    projected matrix, so that a matrix annihilated by the projection reads
-    as rank zero instead of full of noise.
+    ``scale`` anchors the relative threshold: pass the pre-projection scale
+    when ranking a projected matrix, so that a matrix annihilated by the
+    projection reads as rank zero instead of full of noise.  A scale of zero
+    falls back to the matrix's own largest singular value.
     """
     spectrum = (np.linalg.svd(matrix, compute_uv=False)
                 if matrix.size else np.zeros(0))
-    smax = float(spectrum[0]) if len(spectrum) else 0.0
-    if scale is None or scale <= 0.0:
-        scale = smax
-    rank = int(np.sum(spectrum > rel_eps * scale)) if scale > 0 else 0
+    if scale <= 0.0:
+        scale = float(spectrum[0]) if len(spectrum) else 0.0
+    rank = int(np.sum(spectrum > _RANK_REL_EPS * scale)) if scale > 0 else 0
     kept = float(spectrum[rank - 1] / scale) if rank > 0 else float("inf")
     dropped = float(spectrum[rank] / scale) if rank < len(spectrum) and scale > 0 else 0.0
     return {
@@ -472,8 +452,8 @@ def _rank_with_gap(matrix: np.ndarray, rel_eps: float,
         "singular_values": [float(v) for v in spectrum],
         "kept_rel": kept,
         "dropped_rel": dropped,
-        "threshold_rel": rel_eps,
-        "gap_factor": (kept / rel_eps) if np.isfinite(kept) else float("inf"),
+        "threshold_rel": _RANK_REL_EPS,
+        "gap_factor": (kept / _RANK_REL_EPS) if np.isfinite(kept) else float("inf"),
     }
 
 
@@ -499,14 +479,14 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
         if images.size else 0.0
     orbit = rotation_orbit_basis(point).reshape(-1, 3 * point.system.total)
     proj = images - images @ orbit.T @ orbit
-    moduli = _rank_with_gap(proj, _RANK_REL_EPS, scale=image_scale)
+    moduli = _rank_with_gap(proj, image_scale)
 
     two_point = PolygonPoint(PolygonSystem(point.system.lengths[:2]),
                              point.vectors[:8])
     images_two = pushed[:, :8].reshape(len(basis), -1)
     orbit_two = rotation_orbit_basis(two_point).reshape(-1, 24)
     proj_two = images_two - images_two @ orbit_two.T @ orbit_two
-    projected = _rank_with_gap(proj_two, _RANK_REL_EPS, scale=image_scale)
+    projected = _rank_with_gap(proj_two, image_scale)
 
     one_point = PolygonPoint(PolygonSystem(point.system.lengths[:1]),
                              point.vectors[:4])

@@ -77,8 +77,6 @@ __all__ = [
     "ReplayMismatchError",
     "component_budget",
     "GraphSurface",
-    "SamplePolygon",
-    "BoundaryMap",
     "DomeChain",
     "LedgerReport",
     "NotBoundaryEdgeError",
@@ -87,7 +85,6 @@ __all__ = [
     "UnknownNameError",
     "SurfaceInvariantError",
     "ref_edge",
-    "boundary_polygons",
     "collapse",
     "catalog",
     "is_oriented_consistently",
@@ -183,7 +180,7 @@ class GraphSurface:
                 raise SurfaceInvariantError("coords shape mismatch")
             for eid, (tail, head) in enumerate(self.edges):
                 got = dist(self.coords[tail], self.coords[head])
-                if abs(got - float(self.lengths[eid])) > 1e-9:
+                if abs(got - float(self.lengths[eid])) > EPS:
                     raise SurfaceInvariantError(
                         f"edge {eid} realizes length {got}, expected {self.lengths[eid]}")
 
@@ -211,39 +208,6 @@ def is_oriented_consistently(s: GraphSurface) -> bool:
             eid, sign = ref_edge(r)
             acc[eid] -= sign
     return bool(np.all(acc == 0))
-
-
-# ---------------------------------------------------------------------------
-# boundary polygons
-
-
-@dataclass
-class SamplePolygon:
-    """Cyclic edge-length sequence of one boundary component."""
-
-    lengths: np.ndarray
-
-    def validate(self) -> None:
-        total = float(np.sum(self.lengths))
-        if np.any(2.0 * np.asarray(self.lengths) >= total):
-            raise SurfaceInvariantError("polygon violates the nondegeneracy condition")
-
-
-@dataclass
-class BoundaryMap:
-    """Per polygon, the signed surface edge each polygon edge maps onto."""
-
-    refs: list[list[int]]
-
-
-def boundary_polygons(s: GraphSurface) -> tuple[list[SamplePolygon], BoundaryMap]:
-    polygons = []
-    for walk in s.walks:
-        lengths = np.array([float(s.lengths[abs(r) - 1]) for r in walk])
-        poly = SamplePolygon(lengths)
-        poly.validate()
-        polygons.append(poly)
-    return polygons, BoundaryMap([list(walk) for walk in s.walks])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +333,7 @@ def _antiprism_band(k: int) -> GraphSurface:
         triangles.append((bot(i), -lat_b(i), -lat_a(i)))
         triangles.append((-topr(i), lat_b(i), lat_a(i + 1)))
     walk_bottom = [bot(i) for i in range(k)]
-    walk_top = [-topr(i) for i in reversed(range(k))]
+    walk_top = [-topr(i) for i in range(k - 1, -1, -1)]
     return GraphSurface(
         name=f"antiprism_band:k={k}",
         vertex_count=2 * k,
@@ -482,10 +446,6 @@ class Rhombus:
 
     def validate(self) -> None:
         _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4)
-
-    def reversed(self) -> "Rhombus":
-        v = np.asarray(self.vertices)
-        return Rhombus(np.vstack([v[0], v[3], v[2], v[1]]))
 
 
 @dataclass

@@ -248,7 +248,7 @@ def test_criterion_11_hexagon_join():
     assert worst <= 1e-9
     residue = signed_segment_counts(
         [t1.vertices, t2.vertices],
-        [edges, first.vertices, second.reversed().vertices])
+        [edges, first.vertices, second.vertices[[0, 3, 2, 1]]])
     assert residue == {}
     print(f"PASS criterion 11: hexagon edges unit to {worst:.2e}, chain "
           f"identity with both triangles is exact")

@@ -185,6 +185,9 @@ def test_moduli_exit_codes(capsys):
         "rhombidome: catalog surface 'triangle_disk' takes no parameter k\n")
     assert main(["moduli", "dims", "--surface", "antiprism_band:k=2"]) == 2
     assert capsys.readouterr().err == "rhombidome: antiprism_band needs k >= 3\n"
+    for what in ("isotropy", "rank"):
+        assert main(["moduli", what, "--surface", "polygon:k=4"]) == 2
+        assert capsys.readouterr().err == f"rhombidome: {what} needs a catalog surface\n"
     assert main(["moduli", "rank", "--surface", "pentagon_pants"]) == 1
     for trials in ("0", "-3"):
         assert main(["moduli", "isotropy", "--surface", "antiprism_band:k=4",

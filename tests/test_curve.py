@@ -11,7 +11,6 @@ from rhombidome.curve import (
     NonIntegerEdgeError,
     farthest_vertex_pair,
     from_integer_curve,
-    is_packing,
     is_planar,
     random_integral_curve,
 )
@@ -95,22 +94,6 @@ def test_is_planar(unit_square, unit_triangle):
     assert is_planar(unit_triangle) is not None
     folded = folded_rhombus_curve()
     assert is_planar(folded) is None
-
-
-def test_is_packing_strictness(regular_hexagon, unit_triangle):
-    assert is_packing(unit_triangle.components[0], 0, 2.0)
-    hexagon = regular_hexagon.components[0]
-    assert not is_packing(hexagon, 0, 2.0)  # opposite vertex exactly at 2
-    assert is_packing(hexagon, 0, 2.000001)
-
-
-def test_is_packing_monotone_in_eps():
-    rng = np.random.default_rng(5)
-    comp = random_integral_curve(9, rng).components[0]
-    radii = np.sort(np.linalg.norm(comp - comp[0], axis=1))
-    for eps in np.linspace(0.1, 4.0, 17):
-        packed = is_packing(comp, 0, eps)
-        assert packed == bool(radii[-1] < eps)
 
 
 def test_random_integral_curve_is_valid():

@@ -1,6 +1,7 @@
 """Ledger and curve files: decode errors, the batched decode and round trips."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rhombidome import files
 from rhombidome.cobordism import reduce_to_rhombi
-from rhombidome.curve import random_integral_curve
+from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.surface import PivotMove, Replayer, assemble_from_ledger, validate_ledger
 
 DATA = Path(__file__).parent / "data"
@@ -153,6 +154,38 @@ def test_indented_ledger_reads_to_the_same_bytes(ledger, tmp_path):
     indented.write_text(json.dumps(files.ledger_to_obj(ledger), indent=2, sort_keys=True) + "\n")
     files.write_ledger(str(again), files.read_ledger(str(indented)))
     assert again.read_bytes() == compact.read_bytes()
+
+
+def _integral_as_int(node):
+    """``node`` with every integral float written as a JSON integer; -0.0
+    stays a float, since the integer 0 reads back as +0.0."""
+    if isinstance(node, dict):
+        return {key: _integral_as_int(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_integral_as_int(value) for value in node]
+    if isinstance(node, float) and node.is_integer() and (node or math.copysign(1.0, node) > 0):
+        return int(node)
+    return node
+
+
+def test_integer_coordinates_read_as_floats(tmp_path):
+    """JSON integers are coordinates: a cubic-lattice ledger written with
+    integer coordinates reads, validates and re-writes to the float bytes."""
+    steps = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1],
+                      [0, -1, 0], [-1, 0, 0], [0, 0, -1], [-1, 0, 0]])
+    ledger = reduce_to_rhombi(IntegralCurve([np.cumsum(steps, axis=0).astype(float)]))
+    floats, ints, again = (tmp_path / name for name in ("f.json", "i.json", "a.json"))
+    files.write_ledger(str(floats), ledger)
+    doc = json.loads(floats.read_text())
+    rewritten = {**doc, **{key: _integral_as_int(doc[key])
+                           for key in ("initial", "moves", "final_curve")}}
+    # some move points are lattice points too, not only the initial walk
+    assert json.dumps(rewritten["moves"]) != json.dumps(doc["moves"])
+    ints.write_text(json.dumps(rewritten))
+    read = files.read_ledger(str(ints))
+    assert validate_ledger(read).passed
+    files.write_ledger(str(again), read)
+    assert again.read_bytes() == floats.read_bytes()
 
 
 def test_curve_file_round_trips(tmp_path):

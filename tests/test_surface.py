@@ -24,7 +24,6 @@ from rhombidome.surface import (
     Rhombus,
     UnknownNameError,
     assemble_from_ledger,
-    boundary_polygons,
     catalog,
     collapse,
     hexagon_join,
@@ -56,16 +55,13 @@ def test_catalog_antiprism_counts():
 
 def test_catalog_pentagon_pants():
     s = catalog("pentagon_pants")
-    polygons, bmap = boundary_polygons(s)
-    assert sorted(len(p.lengths) for p in polygons) == [4, 4, 5]
+    assert sorted(len(walk) for walk in s.walks) == [4, 4, 5]
     assert is_oriented_consistently(s)
-    assert len(bmap.refs) == 3
 
 
 def test_catalog_three_rhombus_pants():
     s = catalog("three_rhombus_pants")
-    polygons, _ = boundary_polygons(s)
-    assert [len(p.lengths) for p in polygons] == [4, 4, 4]
+    assert [len(walk) for walk in s.walks] == [4, 4, 4]
     assert len(s.triangles) == 2 and len(s.edges) == 9
     assert is_oriented_consistently(s)
 
@@ -79,11 +75,9 @@ def test_catalog_unknown_name():
 
 
 def test_boundary_polygons_antiprism():
-    polygons, _ = boundary_polygons(catalog("antiprism_band", k=4))
-    assert [len(p.lengths) for p in polygons] == [4, 4]
-    for p in polygons:
-        p.validate()
-        assert np.allclose(p.lengths, 1.0)
+    s = catalog("antiprism_band", k=4)
+    assert [len(walk) for walk in s.walks] == [4, 4]
+    assert np.all(s.lengths == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +590,7 @@ def test_hexagon_join_solved_pair():
     # the two triangles bound hexagon + rho - rho'
     residue = signed_segment_counts(
         [t1.vertices, t2.vertices],
-        [edges, first.vertices, second.reversed().vertices])
+        [edges, first.vertices, second.vertices[[0, 3, 2, 1]]])
     assert residue == {}
 
 

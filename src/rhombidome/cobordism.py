@@ -7,7 +7,8 @@ reordering of the edge vectors with adjacent transpositions, then peel
 planar pentagons off the front until nothing is left.  Each inversion of the
 reordering costs one pack pivot, so the order is a first-fit pass that
 prefers low indices; the Grinberg--Sevastyanov elimination, which proves the
-prefix bound 2 in the plane, is its fallback.  Every step is
+prefix bound 2 in the plane, is its fallback.  The pack is recorded as that
+order alone, and its replay runs the transpositions.  Every step is
 recorded as a replayable move so an independent checker can rebuild each
 intermediate curve bit for bit and verify the boundary bookkeeping.
 
@@ -45,6 +46,7 @@ from .surface import (
     CloseRhombusMove,
     CloseTriangleMove,
     CobordismLedger,
+    PackMove,
     PentagonMove,
     PivotMove,
     Replayer,
@@ -342,12 +344,13 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
 
 
 def _pack_component(state: Replayer, cid: int) -> None:
-    """Realize a bounded-prefix edge order with adjacent-transposition pivots.
+    """Realize a bounded-prefix edge order as one :class:`PackMove`.
 
-    Swapping consecutive edge vectors u_j, u_{j+1} moves the shared vertex to
-    v_j + u_{j+1}, which for a planar curve is its reflection across the line
-    through the neighbours.  Bubble sort realizes the target order with at
-    most C(n, 2) swaps; the base vertex 0 never moves.
+    Its replay swaps consecutive edge vectors u_j, u_{j+1} by moving the
+    shared vertex to v_j + u_{j+1}, which for a planar curve is its
+    reflection across the line through the neighbours.  Bubble sort realizes
+    the order with at most C(n, 2) swaps; the base vertex 0 never moves.  An
+    identity order records nothing.
     """
     v = state.component(cid)
     n = len(v)
@@ -356,25 +359,19 @@ def _pack_component(state: Replayer, cid: int) -> None:
     edges = np.roll(v, -1, axis=0) - v
     vecs2d = edges @ np.column_stack([e1, e2])
     sigma = steinitz_order(vecs2d)
-    pos = np.empty(n, dtype=int)
-    pos[sigma] = np.arange(n)
-    arrangement = list(range(n))
-    swapped = True
-    while swapped:
-        swapped = False
-        for j in range(n - 1):
-            if pos[arrangement[j]] > pos[arrangement[j + 1]]:
-                target = v[j] + (v[(j + 2) % n] - v[j + 1])
-                _make_pivot(state, cid, j + 1, target, "pack")
-                arrangement[j], arrangement[j + 1] = arrangement[j + 1], arrangement[j]
-                swapped = True
+    if np.any(sigma != np.arange(n)):
+        state.apply(PackMove(cid, sigma.tolist()))
     radii = np.linalg.norm(v - v[0], axis=1)
     if float(np.max(radii)) > STEINITZ_BOUND + EPS:
         raise SearchFailedError("packing postcondition violated")
 
 
-def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PivotMove]]:
-    """Pivot each planar component until all vertices are within 2 of vertex 0."""
+def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PackMove]]:
+    """Pivot each planar component until all vertices are within 2 of vertex 0.
+
+    Returns the packed curve and one :class:`PackMove` per component that
+    was not packed already.
+    """
     curve.validate()
     state = Replayer(curve)
     for cid, comp in enumerate(curve.components):

@@ -4,15 +4,17 @@ Floats are serialized with Python's shortest-round-trip repr, so write ->
 read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
-Ledger version 3 records decisions only: each move is written from its row
+Ledger version 4 records decisions only: each move is written from its row
 of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
-pentagon's from its recorded ``apex``.  Versions 1 and 2, which also stored
-the ``triangles`` and boundary ``rhombi`` and had the consuming moves name
-them by index, are still read: a pentagon's apex is the third vertex of the
-triangle it names, and every other recorded cell, like the keys version 2
-dropped from version 1 (``seams``, a pivot's ``old``, ``rhombus`` and
+pentagon's from its recorded ``apex``, a pack's swaps and their cells from
+its recorded ``order``.  Version 3 wrote each pack swap as a pivot of stage
+``pack``; such pivots still replay as pivots.  Versions 1 and 2, which also
+stored the ``triangles`` and boundary ``rhombi`` and had the consuming moves
+name them by index, are still read: a pentagon's apex is the third vertex of
+the triangle it names, and every other recorded cell, like the keys version
+2 dropped from version 1 (``seams``, a pivot's ``old``, ``rhombus`` and
 ``degenerate``, a split's ``seams``, a pentagon's ``apex`` and ``seam``),
-is ignored.  Writing always produces version 3.
+is ignored.  Writing always produces version 4.
 
 The ledger types come from the checker's module, :mod:`rhombidome.surface`,
 so reading a ledger needs nothing of the producer.
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 CURVE_VERSION = 1
-LEDGER_VERSION = 3
+LEDGER_VERSION = 4
 
 
 class FileFormatError(ValueError):
@@ -112,6 +114,12 @@ def _int(obj, what: str) -> int:
     return obj
 
 
+def _ints(obj, what: str) -> list[int]:
+    if not isinstance(obj, list) or not set(map(type, obj)) <= {int}:
+        raise FileFormatError(f"bad {what}: expected a list of integers")
+    return list(obj)
+
+
 def _point(obj, what: str) -> np.ndarray:
     return _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
 
@@ -124,8 +132,8 @@ def _str(obj, what: str) -> str:
 
 # codec name (see surface.MoveSpec) -> encoder / decoder; a point field is
 # decoded by the point decoder ``_moves_from_obj`` is given
-_ENCODE = {"int": int, "point": _points, "str": str}
-_DECODE = {"int": _int, "str": _str}
+_ENCODE = {"int": int, "ints": lambda xs: list(map(int, xs)), "point": _points, "str": str}
+_DECODE = {"int": _int, "ints": _ints, "str": _str}
 
 # JSON type -> (JSON key, attribute, decoder or None for a point, error label)
 # of each field, and the keys of its point fields
@@ -191,7 +199,7 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
 
 def _with_apexes(obj: dict) -> dict:
     """A version 1 or 2 document with each pentagon's ``apex`` set to the
-    third vertex of the triangle it names, as version 3 records it."""
+    third vertex of the triangle it names, as later versions record it."""
     triangles = obj["triangles"]
     moves = []
     for move in obj["moves"]:
@@ -215,18 +223,19 @@ def ledger_from_obj(obj) -> CobordismLedger:
     item, which accepts or rejects it as a per-item decode always has and
     names its first bad item in document order.
     """
-    version = _version(obj, (1, 2, LEDGER_VERSION))
+    version = _version(obj, (1, 2, 3, LEDGER_VERSION))
     if version is None:
         raise FileFormatError("unsupported ledger document")
+    stores_cells = version < 3
     try:
         kinds = {"moves": list, "stats": dict}
-        if version < LEDGER_VERSION:
+        if stores_cells:
             kinds.update(triangles=list, rhombi=list)
         for key, kind in kinds.items():
             if not isinstance(obj[key], kind):
                 raise FileFormatError(f"ledger {key} must be a JSON "
                                       f"{'array' if kind is list else 'object'}")
-        if version < LEDGER_VERSION:
+        if stores_cells:
             obj = _with_apexes(obj)
         try:
             raw = [m[key] for m in obj["moves"] for key in _POINT_KEYS[m["type"]]]

@@ -25,6 +25,13 @@ is replayed on:
                         and the emitted cell ``[prev old next new]`` are read
                         off the state; when the neighbours coincide the pivot
                         is degenerate and emits no cell.
+* ``PackMove``       -- realize ``order``, a permutation of the component's
+                        edges, by bubble sort: each adjacent transposition
+                        is a pivot of stage ``pack`` that moves vertex j+1 to
+                        ``v[j] + (v[j+2] - v[j+1])``, checked and counted like
+                        a recorded pivot, unless that point is within EPS of
+                        the old one (equal edges swap as a no-op).  No swap is
+                        recorded: the order and the state fix every one.
 * ``SplitMove``      -- peel ``[v0 v1 v2 v3 z]`` off a component as component
                         ``new_component``, leaving ``[v0 z v3 v4 ...]``; the
                         bridge ``z`` must lie at unit distance from v0 and v3.
@@ -64,6 +71,7 @@ __all__ = [
     "Rhombus",
     "TriangleFace",
     "PivotMove",
+    "PackMove",
     "SplitMove",
     "PentagonMove",
     "CloseRhombusMove",
@@ -473,6 +481,13 @@ class PivotMove:
 
 
 @dataclass
+class PackMove:
+    kind: ClassVar[str] = "pack"
+    component: int
+    order: list[int]
+
+
+@dataclass
 class SplitMove:
     kind: ClassVar[str] = "split"
     component: int
@@ -499,7 +514,7 @@ class CloseTriangleMove:
     component: int
 
 
-Move = PivotMove | SplitMove | PentagonMove | CloseRhombusMove | CloseTriangleMove
+Move = PivotMove | PackMove | SplitMove | PentagonMove | CloseRhombusMove | CloseTriangleMove
 
 
 @dataclass
@@ -536,8 +551,9 @@ class Replayer:
     """Applies recorded moves to evolving component state, bit for bit.
 
     Besides the component state it keeps ``moves``, every move applied, in
-    order, and the cells the consuming moves derive, in move order:
-    ``triangles`` and the boundary ``rhombi``.  It also counts, per input
+    order, and the cells the moves derive, in move order: the pivot and pack
+    cells ``rhombus_cells``, and from the consuming moves ``triangles`` and
+    the boundary ``rhombi``.  It also counts, per input
     component, the rhombi the moves add to k, the pivots by stage and the
     splits; a split's new piece counts toward its parent's input component.
     :meth:`stats` reports these counts as a ledger's ``stats``.
@@ -549,6 +565,7 @@ class Replayer:
         }
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
+        self.rhombus_cells: list[Rhombus] = []
         self.triangles: list[TriangleFace] = []
         self.rhombi: list[Rhombus] = []
         # one Counter per input component; ``tally`` maps every component id,
@@ -562,14 +579,14 @@ class Replayer:
         except KeyError:
             raise ReplayMismatchError(f"component {cid} does not exist") from None
 
-    def apply(self, move: Move) -> Rhombus | None:
-        """Apply one move; a non-degenerate pivot returns its derived cell."""
+    def apply(self, move: Move) -> None:
+        """Apply one move, and keep the cells it derives.  A move that does not
+        replay raises and leaves the state as it was."""
         spec = MOVE_TABLE.get(getattr(move, "kind", None))
         if spec is None:
             raise ReplayMismatchError(f"unknown move type {type(move)!r}")
-        cell = spec.apply(self, move)
+        spec.apply(self, move)
         self.moves.append(move)
-        return cell
 
     def _check_unit_from(self, point: list, ends: tuple, error: type[Exception],
                          what: str) -> None:
@@ -580,29 +597,65 @@ class Replayer:
             if not abs(side - 1.0) <= EPS:  # NaN fails
                 raise error(f"{what} at distance {side} from {name}")
 
-    def _apply_pivot(self, move: PivotMove) -> Rhombus | None:
+    def _pivot_cells(self, prev: list, old: list, nxt: list, new: list) -> list[Rhombus]:
+        """The cell ``[prev old next new]`` of a pivot to ``new``, or none when
+        the neighbours coincide; raises unless ``new`` is at unit distance
+        from both neighbours."""
+        self._check_unit_from(new, (("a neighbour", prev), ("a neighbour", nxt)),
+                              NotOnPivotCircleError, "pivot target")
+        if math.dist(prev, nxt) > EPS:
+            return [Rhombus(np.array([prev, old, nxt, new]))]
+        return []
+
+    def _count_pivots(self, cid: int, stage: str, pivots: int,
+                      cells: list[Rhombus]) -> None:
+        tally = self.tally[cid]
+        tally["pivot", stage] += pivots
+        tally["rhombi"] += len(cells)
+        self.rhombus_cells += cells
+
+    def _apply_pivot(self, move: PivotMove) -> None:
         v = self.component(move.component)
         n = len(v)
         if not 0 <= move.vertex < n:
             raise ReplayMismatchError("pivot vertex out of range")
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        # the would-be cell [prev old next new], gathered once: new must be at
-        # unit distance from prev and next, and prev and next apart for a cell
+        # [prev old next new], gathered once
         quad = v.take(((move.vertex - 1) % n, move.vertex, (move.vertex + 1) % n,
                        move.vertex), axis=0)
         quad[3] = move.new_point
-        prev, _, nxt, new = quad.tolist()
-        self._check_unit_from(new, (("a neighbour", prev), ("a neighbour", nxt)),
-                              NotOnPivotCircleError, "pivot target")
-        tally = self.tally[move.component]
-        tally["pivot", move.stage] += 1
-        cell = None
-        if math.dist(prev, nxt) > EPS:
-            cell = Rhombus(quad)
-            tally["rhombi"] += 1
+        self._count_pivots(move.component, move.stage, 1, self._pivot_cells(*quad.tolist()))
         v[move.vertex] = quad[3]
-        return cell
+
+    def _apply_pack(self, move: PackMove) -> None:
+        v = self.component(move.component)
+        n = len(v)
+        order = move.order
+        if len(order) != n or sorted(order) != list(range(n)):
+            raise ReplayMismatchError(f"pack order is not a permutation of range({n})")
+        # rank[j]: the position in ``order`` of the edge now at slot j
+        rank = [0] * n
+        for position, edge in enumerate(order):
+            rank[edge] = position
+        pts = v.tolist()
+        cells, pivots = [], 0
+        swapped = True
+        while swapped:
+            swapped = False
+            for j in range(n - 1):
+                if rank[j] > rank[j + 1]:
+                    rank[j], rank[j + 1] = rank[j + 1], rank[j]
+                    swapped = True
+                    prev, old, nxt = pts[j], pts[j + 1], pts[(j + 2) % n]
+                    new = [a + (c - b) for a, b, c in zip(prev, old, nxt)]
+                    if math.dist(old, new) <= EPS:  # equal edges: a no-op
+                        continue
+                    cells += self._pivot_cells(prev, old, nxt, new)
+                    pivots += 1
+                    pts[j + 1] = new
+        self._count_pivots(move.component, "pack", pivots, cells)
+        v[:] = pts
 
     def _apply_split(self, move: SplitMove) -> None:
         v = self.component(move.component)
@@ -685,11 +738,11 @@ class MoveSpec(NamedTuple):
     """One row of the move table.
 
     ``fields`` lists (JSON key, attribute, codec) with codec one of ``int``,
-    ``point`` or ``str``; ``files`` encodes and decodes by it.
+    ``ints``, ``point`` or ``str``; ``files`` encodes and decodes by it.
     """
 
     cls: type
-    apply: Callable[[Replayer, Move], Rhombus | None]
+    apply: Callable[[Replayer, Move], None]
     fields: tuple[tuple[str, str, str], ...]
 
 
@@ -700,6 +753,8 @@ MOVE_TABLE: dict[str, MoveSpec] = {
     "pivot": MoveSpec(PivotMove, Replayer._apply_pivot, (
         _COMPONENT, ("vertex", "vertex", "int"), ("new", "new_point", "point"),
         ("stage", "stage", "str"))),
+    "pack": MoveSpec(PackMove, Replayer._apply_pack, (
+        _COMPONENT, ("order", "order", "ints"))),
     "split": MoveSpec(SplitMove, Replayer._apply_split, (
         _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"))),
     "pentagon": MoveSpec(PentagonMove, Replayer._apply_pentagon, (
@@ -836,18 +891,17 @@ def _residue_listing(residue: dict) -> str:
 def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     """Replay a ledger into a dome chain.
 
-    Every non-degenerate pivot contributes the rhombus cell that replay
-    derives for it, and every consuming move the triangles and boundary
-    rhombi it derives from the cycle it consumes.  Raises
+    Every non-degenerate pivot, recorded or swapped by a pack, contributes
+    the rhombus cell that replay derives for it, and every consuming move the
+    triangles and boundary rhombi it derives from the cycle it consumes.  Raises
     :class:`ReplayMismatchError` (or the replay's own error) when the moves
     do not replay.
     """
     chain = DomeChain()
     state = Replayer(ledger.initial)
     for move in ledger.moves:
-        cell = state.apply(move)
-        if cell is not None:
-            chain.rhombus_cells.append(cell)
+        state.apply(move)
+    chain.rhombus_cells = state.rhombus_cells
     chain.triangles, chain.rhombi = state.triangles, state.rhombi
     chain.stats = state.stats()
     final = state.final_curve()
@@ -897,9 +951,10 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
     """Check the initial curve, the replay, the chain identity and the budget.
 
     Every cell is derived on replay, and the replay checks each edge where a
-    move creates it (a pivot's target, a split's bridge, a pentagon's apex),
-    so once the initial curve is unit every cell is unit, and every consumed
-    cycle equals the boundary of its cells, by construction.  Chain
+    move creates it (a pivot's or pack swap's target, a split's bridge, a
+    pentagon's apex), so once the initial curve is unit every cell is unit,
+    and every consumed cycle equals the boundary of its cells, by
+    construction.  Chain
     identity: the boundary of the assembled chain minus the initial curve
     minus the boundary rhombi must have signed multiplicity zero on every
     quantized unit segment; a degenerate pivot whose neighbours straddle a

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rhombidome import GraphSurface, IntegralCurve
+from rhombidome.geom import EPS, dist
+from rhombidome.surface import CobordismLedger, PivotMove, Replayer
 
 
 def regular_polygon_curve(k: int) -> IntegralCurve:
@@ -26,6 +28,43 @@ def folded_rhombus_curve(angle: float = np.pi / 2) -> IntegralCurve:
     curve = IntegralCurve([np.vstack([a, b, c, d])])
     curve.validate()
     return curve
+
+
+def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
+    """``ledger`` with each pack move written out as the pivots of stage
+    ``pack`` that realize it, as ledger version 3 recorded them.
+
+    The reference for the pack replay: the version 3 producer's bubble sort,
+    which pivots vertex j + 1 to ``v[j] + (v[j+2] - v[j+1])`` for each
+    adjacent transposition and records nothing when that point is within
+    EPS of the old one.
+    """
+    state = Replayer(ledger.initial)
+    moves = []
+    for move in ledger.moves:
+        if move.kind != "pack":
+            state.apply(move)
+            moves.append(move)
+            continue
+        v = state.component(move.component)
+        n = len(v)
+        pos = np.empty(n, dtype=int)
+        pos[move.order] = np.arange(n)
+        arrangement = list(range(n))
+        swapped = True
+        while swapped:
+            swapped = False
+            for j in range(n - 1):
+                if pos[arrangement[j]] > pos[arrangement[j + 1]]:
+                    target = v[j] + (v[(j + 2) % n] - v[j + 1])
+                    if dist(v[j + 1], target) > EPS:
+                        pivot = PivotMove(move.component, j + 1, target, "pack")
+                        state.apply(pivot)
+                        moves.append(pivot)
+                    arrangement[j], arrangement[j + 1] = arrangement[j + 1], arrangement[j]
+                    swapped = True
+    return CobordismLedger(ledger.initial.copy(), moves, ledger.final_curve.copy(),
+                           dict(ledger.stats))
 
 
 def _cycle_basis(s: GraphSurface) -> list[np.ndarray]:

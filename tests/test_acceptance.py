@@ -23,6 +23,7 @@ from rhombidome.cobordism import (
 )
 from rhombidome.curve import component_plane, random_integral_curve
 from rhombidome.surface import (
+    Replayer,
     Rhombus,
     assemble_from_ledger,
     catalog,
@@ -91,7 +92,10 @@ def test_criterion_3_pack(corpus):
         n = curve.edge_count
         flat, _ = planarize(curve)
         packed, moves = pack(flat)
-        assert len(moves) <= n * (n - 1) // 2
+        state = Replayer(flat)
+        for move in moves:
+            state.apply(move)
+        assert state.stats()["pack_moves"] <= n * (n - 1) // 2
         v = packed.components[0]
         worst_radius = max(worst_radius,
                            float(np.max(np.linalg.norm(v - v[0], axis=1))))

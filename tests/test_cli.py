@@ -81,36 +81,46 @@ def test_ledger_roundtrip_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _first_pivot(doc):
-    return next(m for m in doc["moves"] if m["type"] == "pivot")
+def _first(doc, kind):
+    return next(m for m in doc["moves"] if m["type"] == kind)
 
 
 V1_DIGON = Path(__file__).parent / "data" / "ledger_v1_collinear_digon.json"
 V2_UNION = Path(__file__).parent / "data" / "ledger_v2_lattice_union.json"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["moves"][0].update(component="x"),
-    lambda doc: doc["moves"].__setitem__(0, [1, 2]),
-    lambda doc: doc.update(stats=None),
-    lambda doc: _first_pivot(doc)["new"].__setitem__(0, float("nan")),
-    lambda doc: doc.update(moves={}),
+_BAD_ORDER = "bad pack order: expected a list of integers"
+
+
+# ``message``: a part of what validate prints, if the edit pins one
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["moves"][0].update(component="x"), ""),
+    (lambda doc: doc["moves"].__setitem__(0, [1, 2]), ""),
+    (lambda doc: doc.update(stats=None), ""),
+    (lambda doc: _first(doc, "pivot")["new"].__setitem__(0, float("nan")), ""),
+    (lambda doc: doc.update(moves={}), ""),
     # versions 1 and 2 store cell arrays; the object must still be an array
-    lambda doc: doc.update(json.loads(V2_UNION.read_text()), triangles={}),
-    lambda doc: doc.update(json.loads(V2_UNION.read_text()), rhombi={}),
-    lambda doc: doc.update(version=True),
-    lambda doc: doc.update(version=3.0),
+    (lambda doc: doc.update(json.loads(V2_UNION.read_text()), triangles={}), ""),
+    (lambda doc: doc.update(json.loads(V2_UNION.read_text()), rhombi={}), ""),
+    (lambda doc: doc.update(version=True), ""),
+    (lambda doc: doc.update(version=3.0), ""),
+    (lambda doc: _first(doc, "pack").update(order=5), _BAD_ORDER),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(0, "0"), _BAD_ORDER),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(1, True), _BAD_ORDER),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(0, 3.0), _BAD_ORDER),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
         "moves_object", "triangles_object", "rhombi_object", "version_true",
-        "version_float"])
-def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit):
-    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+        "version_float", "order_not_array", "order_string", "order_true", "order_float"])
+def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
+    # seed 5 gives a ledger with a pack move
+    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5)))
     doc = files.ledger_to_obj(ledger)
     edit(doc)
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--in", str(path)]) == 2
-    assert "unexpected error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err and message in err
 
 
 def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
@@ -121,12 +131,12 @@ def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
     assert any(m["type"] == "pivot" and m["degenerate"] for m in v1["moves"])
     assert main(["validate", "--in", str(V1_DIGON)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
-    out = tmp_path / "v3.json"
+    out = tmp_path / "v4.json"
     files.write_ledger(str(out), files.read_ledger(str(V1_DIGON)))
-    v3 = json.loads(out.read_text())
-    assert v3["version"] == 3
-    assert not {"seams", "triangles", "rhombi"} & v3.keys()
-    assert v3["stats"] == v1["stats"]
+    v4 = json.loads(out.read_text())
+    assert v4["version"] == 4
+    assert not {"seams", "triangles", "rhombi"} & v4.keys()
+    assert v4["stats"] == v1["stats"]
     assert validate_ledger(files.read_ledger(str(out))).passed
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import folded_rhombus_curve
+from conftest import folded_rhombus_curve, pack_as_pivots
 from rhombidome.cobordism import (
     ComponentTooShortError,
     FixBudgetExceededError,
@@ -27,6 +27,7 @@ from rhombidome.curve import (
 )
 from rhombidome.surface import (
     NotOnPivotCircleError,
+    PackMove,
     PentagonMove,
     PivotMove,
     Replayer,
@@ -55,7 +56,9 @@ def test_apply_pivot_square_to_doubled_path(unit_square):
     assert move is not None
     assert np.allclose(new_curve.components[0][1], [0, 1, 0])
     # the cell replay derives for the pivot is the original unit square
-    cell = Replayer(unit_square).apply(move)
+    state = Replayer(unit_square)
+    state.apply(move)
+    (cell,) = state.rhombus_cells
     assert np.array_equal(cell.vertices,
                           [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
     cell.validate()
@@ -301,8 +304,10 @@ def test_steinitz_order_property(vectors):
 
 
 def test_pack_identity_when_already_packed(regular_pentagon):
+    # an identity order records nothing and moves nothing
     packed, moves = pack(regular_pentagon)
     assert moves == []
+    assert np.array_equal(packed.components[0], regular_pentagon.components[0])
 
 
 def test_pack_hexagon_boundary_case(regular_hexagon):
@@ -320,7 +325,13 @@ def test_pack_random_curves():
         packed, moves = pack(flat)
         v = packed.components[0]
         assert float(np.max(np.linalg.norm(v - v[0], axis=1))) <= 2.0 + 1e-9
-        assert len(moves) <= n * (n - 1) // 2
+        # one pack move, which bubble sort realizes in at most C(n, 2) swaps
+        assert all(isinstance(move, PackMove) for move in moves) and len(moves) <= 1
+        state = Replayer(flat)
+        for move in moves:
+            state.apply(move)
+        assert state.stats()["pack_moves"] == len(state.rhombus_cells) <= n * (n - 1) // 2
+        assert np.array_equal(state.final_curve().components[0], v)
         packed.validate()
 
 
@@ -348,6 +359,43 @@ def test_pack_permutes_the_edge_vectors():
                     break
             assert match is not None
             used.add(match)
+
+
+def _pack_parity_curves():
+    for n in (6, 24, 96):
+        for seed in range(5):
+            yield random_integral_curve(n, np.random.default_rng(seed))
+    rng = np.random.default_rng(12)
+    yield IntegralCurve([random_integral_curve(m, rng).components[0] + [10.0 * i, 0, 0]
+                         for i, m in enumerate((3, 4, 7, 12))])
+
+
+def test_pack_move_replays_as_its_pivots():
+    # the pack replay against the reference expansion into recorded pivots:
+    # same stats, the same cells bit for bit and in order, the same final curve
+    from rhombidome.surface import validate_ledger
+
+    packs = 0
+    for curve in _pack_parity_curves():
+        ledger = reduce_to_rhombi(curve)
+        expanded = pack_as_pivots(ledger)
+        packs += sum(isinstance(m, PackMove) for m in ledger.moves)
+        assert not any(isinstance(m, PackMove) for m in expanded.moves)
+        replays = []
+        for record in (ledger, expanded):
+            state = Replayer(record.initial)
+            for move in record.moves:
+                state.apply(move)
+            replays.append(state)
+            assert validate_ledger(record).passed
+        a, b = replays
+        assert a.stats() == b.stats() == ledger.stats
+        for name in ("rhombus_cells", "triangles", "rhombi"):
+            assert ([cell.vertices.tobytes() for cell in getattr(a, name)]
+                    == [cell.vertices.tobytes() for cell in getattr(b, name)])
+        assert ([c.tobytes() for c in a.final_curve().components]
+                == [c.tobytes() for c in b.final_curve().components])
+    assert packs > 10
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +537,9 @@ def test_stats_count_the_recorded_moves(unit_triangle, unit_square):
                            unit_square.components[0] + np.array([-5.0, 0, 0])])
     ledger = reduce_to_rhombi(curve)
     stats = ledger.stats
-    kinds = Counter(getattr(m, "stage", m.kind) for m in ledger.moves)
+    # each pack swap is counted as a pivot of stage pack, as if recorded
+    kinds = Counter(getattr(m, "stage", m.kind) for m in pack_as_pivots(ledger).moves)
+    assert any(isinstance(m, PackMove) for m in ledger.moves)
     assert kinds["split"] > 0 and kinds["pack"] > 0
     assert stats == {
         "n": 18, "k": stats["k"], "budget": component_budget(11) + 1,
@@ -547,8 +597,11 @@ def test_apply_pivot_degenerate_derives_no_rhombus():
     curve = IntegralCurve([np.vstack([a, b, a, c, d])])
     curve.validate()
     new_curve, move = apply_pivot(curve, 0, 1, np.array([0.0, 0.0, 1.0]))
+    assert move is not None
     # both neighbours are a, so replay derives no cell for this pivot
-    assert move is not None and Replayer(curve).apply(move) is None
+    state = Replayer(curve)
+    state.apply(move)
+    assert state.rhombus_cells == [] and state.stats()["k"] == 0
     assert np.allclose(new_curve.components[0][1], [0, 0, 1])
 
 
@@ -574,11 +627,15 @@ def test_reduce_collinear_out_and_back():
     assert digon.edge_count == 6
     ledger = reduce_to_rhombi(digon)
     replay = Replayer(ledger.initial)
-    cells = [(m, replay.apply(m)) for m in ledger.moves]
-    pivots = [cell for m, cell in cells if isinstance(m, PivotMove)]
-    assert None in pivots  # some pivots are degenerate and derive no cell
-    derived = sum(cell is not None for cell in pivots)
-    assert ledger.stats["k"] == derived + len(assemble_from_ledger(ledger).rhombi)
+    pack_cells = 0
+    for move in ledger.moves:
+        before = len(replay.rhombus_cells)
+        replay.apply(move)
+        if isinstance(move, PackMove):
+            pack_cells += len(replay.rhombus_cells) - before
+    # some swaps of the pack move are degenerate pivots: counted, with no cell
+    assert ledger.stats["pack_moves"] > pack_cells
+    assert ledger.stats["k"] == len(replay.rhombus_cells) + len(replay.rhombi)
     assert validate_ledger(ledger).passed
     assert ledger.stats["k"] <= 36
 

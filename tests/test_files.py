@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rhombidome import files
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.surface import PivotMove, Replayer, assemble_from_ledger, validate_ledger
+from rhombidome.surface import PackMove, Replayer, assemble_from_ledger, validate_ledger
 
 DATA = Path(__file__).parent / "data"
 V1_DIGON = DATA / "ledger_v1_collinear_digon.json"
@@ -20,11 +20,16 @@ V1_DIGON = DATA / "ledger_v1_collinear_digon.json"
 # a backtrack (splits, fix pivots, a degenerate pivot), a unit triangle and a
 # unit square
 V2_UNION = DATA / "ledger_v2_lattice_union.json"
+# written by the version 3 writer for a closed 8-step cubic-lattice walk:
+# planarize pivots, six pack pivots of which two are degenerate, splits and
+# fix pivots
+V3_WALK = DATA / "ledger_v3_lattice_walk.json"
 
 
 @pytest.fixture(scope="module")
 def ledger():
-    return reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    # planarize pivots, a pack, splits, a fix pivot and pentagons
+    return reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5)))
 
 
 def _first(doc, kind):
@@ -70,10 +75,18 @@ def _nan_then_bad_int(doc):
      "bad curve component: expected a list of 3-d points", None),
     (lambda doc: doc["initial"]["components"][0][2].__setitem__(1, False),
      "bad curve component: expected a list of 3-d points", None),
+    (lambda doc: _first(doc, "pack").__setitem__("order", {"0": 0}),
+     "bad pack order: expected a list of integers", None),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(1, "1"),
+     "bad pack order: expected a list of integers", None),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(1, True),
+     "bad pack order: expected a list of integers", None),
+    (lambda doc: _first(doc, "pack")["order"].__setitem__(1, 3.0),
+     "bad pack order: expected a list of integers", None),
 ], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
         "point_is_string", "earlier_bad_point_first", "int_overflows_float", "apex_2d",
         "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
-        "curve_bool"])
+        "curve_bool", "order_object", "order_string", "order_true", "order_float"])
 def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)
@@ -110,12 +123,16 @@ def test_empty_cell_lists_decode(ledger):
 
 def test_ledger_document_records_no_cells(ledger):
     doc = files.ledger_to_obj(ledger)
-    assert doc["version"] == 3 and "triangles" not in doc and "rhombi" not in doc
+    assert doc["version"] == 4 and "triangles" not in doc and "rhombi" not in doc
     pentagon = _first(doc, "pentagon")
     assert sorted(pentagon) == ["apex", "component", "type"]
+    # the pack records its order, and none of its swaps
+    assert sorted(_first(doc, "pack")) == ["component", "order", "type"]
+    assert not [m for m in doc["moves"] if m["type"] == "pivot" and m["stage"] == "pack"]
 
 
-@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", None, 4, 0])
+# "4" is the current version written as a string
+@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", "4", None, 5, 0])
 def test_ledger_version_must_be_a_supported_integer(ledger, version):
     # True == 1 and 2.0 == 2 in Python, but neither is a version
     doc = files.ledger_to_obj(ledger)
@@ -171,8 +188,7 @@ def _integral_as_int(node):
 def test_integer_coordinates_read_as_floats(tmp_path):
     """JSON integers are coordinates: a cubic-lattice ledger written with
     integer coordinates reads, validates and re-writes to the float bytes."""
-    steps = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1],
-                      [0, -1, 0], [-1, 0, 0], [0, 0, -1], [-1, 0, 0]])
+    steps = np.array([[1, 0, 0], [0, 0, -1], [0, -1, 0], [0, 0, 1], [-1, 0, 0], [0, 1, 0]])
     ledger = reduce_to_rhombi(IntegralCurve([np.cumsum(steps, axis=0).astype(float)]))
     floats, ints, again = (tmp_path / name for name in ("f.json", "i.json", "a.json"))
     files.write_ledger(str(floats), ledger)
@@ -181,6 +197,7 @@ def test_integer_coordinates_read_as_floats(tmp_path):
                            for key in ("initial", "moves", "final_curve")}}
     # some move points are lattice points too, not only the initial walk
     assert json.dumps(rewritten["moves"]) != json.dumps(doc["moves"])
+    assert any(move["type"] == "pack" for move in doc["moves"])
     ints.write_text(json.dumps(rewritten))
     read = files.read_ledger(str(ints))
     assert validate_ledger(read).passed
@@ -215,25 +232,55 @@ def test_v2_fixture_derives_its_recorded_cells_bitwise():
     assert validate_ledger(ledger).passed
     stats = doc["stats"]
     assert stats["splits"] > 0 and stats["fixes"] > 0
-    state = Replayer(ledger.initial)
-    cells = [state.apply(move) for move in ledger.moves]
-    assert any(isinstance(move, PivotMove) and cell is None
-               for move, cell in zip(ledger.moves, cells))  # a degenerate pivot
-    assert {m["type"] for m in doc["moves"]} >= {"close_triangle", "close_rhombus"}
     chain = assemble_from_ledger(ledger)
+    # a degenerate pivot derives no cell
+    assert len(chain.rhombus_cells) < sum(move.kind == "pivot" for move in ledger.moves)
+    assert {m["type"] for m in doc["moves"]} >= {"close_triangle", "close_rhombus"}
     # the shortest round-trip repr tells every float apart, -0.0 from 0.0 too
     for key, derived in (("triangles", chain.triangles), ("rhombi", chain.rhombi)):
         assert json.dumps([c.vertices.tolist() for c in derived]) == json.dumps(doc[key])
 
 
-def test_v2_fixture_rewrites_as_v3(tmp_path):
-    out = tmp_path / "v3.json"
+def test_v2_fixture_rewrites_as_v4(tmp_path):
+    out = tmp_path / "v4.json"
     files.write_ledger(str(out), files.read_ledger(str(V2_UNION)))
-    v3 = json.loads(out.read_text())
+    v4 = json.loads(out.read_text())
     v2 = json.loads(V2_UNION.read_text())
-    assert v3["version"] == 3 and "triangles" not in v3 and "rhombi" not in v3
-    assert v3["stats"] == v2["stats"]
-    assert [m["type"] for m in v3["moves"]] == [m["type"] for m in v2["moves"]]
+    assert v4["version"] == 4 and "triangles" not in v4 and "rhombi" not in v4
+    assert v4["stats"] == v2["stats"]
+    assert [m["type"] for m in v4["moves"]] == [m["type"] for m in v2["moves"]]
+    assert validate_ledger(files.read_ledger(str(out))).passed
+
+
+def _pack_cells(ledger) -> int:
+    """The cells that the pack pivots, recorded or swapped by a pack move, derive."""
+    state, count = Replayer(ledger.initial), 0
+    for move in ledger.moves:
+        before = len(state.rhombus_cells)
+        state.apply(move)
+        if move.kind == "pack" or getattr(move, "stage", "") == "pack":
+            count += len(state.rhombus_cells) - before
+    return count
+
+
+def test_v3_fixture_replays_as_its_v4_ledger(tmp_path):
+    # version 3 recorded each pack swap as a pivot; the pack move of the
+    # same curve derives the same cells, bit for bit and in order
+    doc = json.loads(V3_WALK.read_text())
+    assert doc["version"] == 3
+    v3 = files.ledger_from_obj(doc)
+    assert validate_ledger(v3).passed
+    v4 = reduce_to_rhombi(v3.initial)
+    assert [type(m) for m in v4.moves if m.kind == "pack"] == [PackMove]
+    assert v4.stats == v3.stats
+    assert v3.stats["pack_moves"] == 6 and _pack_cells(v3) == _pack_cells(v4) == 4
+    old, new = assemble_from_ledger(v3), assemble_from_ledger(v4)
+    for name in ("rhombus_cells", "triangles", "rhombi"):
+        assert ([cell.vertices.tobytes() for cell in getattr(old, name)]
+                == [cell.vertices.tobytes() for cell in getattr(new, name)])
+    out = tmp_path / "v4.json"
+    files.write_ledger(str(out), v3)
+    assert json.loads(out.read_text())["version"] == 4
     assert validate_ledger(files.read_ledger(str(out))).passed
 
 
@@ -296,11 +343,14 @@ def test_round_trip_and_one_field_edits(n, seed, data):
     read = files.ledger_from_obj(json.loads(text))
     assert validate_ledger(read).passed
     assert files.dump_json(files.ledger_to_obj(read)) == text
-    # each apex coordinate, then one field anywhere: the reader refuses the
-    # document or the validator reports, and neither raises anything else
+    # each apex coordinate and pack order entry, then one field anywhere: the
+    # reader refuses the document or the validator reports, and neither
+    # raises anything else
     doc = json.loads(text)
     targets = [("moves", i, "apex", c) for i, move in enumerate(doc["moves"])
                if move["type"] == "pentagon" for c in range(3)]
+    targets += [("moves", i, "order", j) for i, move in enumerate(doc["moves"])
+                if move["type"] == "pack" for j in range(len(move["order"]))]
     targets.append(data.draw(st.sampled_from(list(_paths(doc)))))
     for path in targets:
         original = doc

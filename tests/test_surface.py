@@ -17,6 +17,7 @@ from rhombidome.surface import (
     CobordismLedger,
     NotBoundaryEdgeError,
     NotInTriangleError,
+    PackMove,
     PivotMove,
     PositioningViolatedError,
     Replayer,
@@ -235,9 +236,11 @@ def test_validator_accepts_partial_ledger():
     flat, m1 = planarize(curve)
     packed, m2 = pack(flat)
     moves = m1 + m2
-    assert moves
+    assert m1 and m2
     replay = Replayer(curve)
-    k = sum(replay.apply(m) is not None for m in moves)
+    for move in moves:
+        replay.apply(move)
+    k = len(replay.rhombus_cells)
     ledger = CobordismLedger(
         initial=curve.copy(), moves=list(moves), final_curve=packed.copy(),
         stats={"n": 10, "k": k, "budget": component_budget(10)})
@@ -287,22 +290,23 @@ def test_validator_flags_component_over_budget():
     assert [name for name, ok, _ in report.entries if not ok] == ["budget"]
 
 
-def _tamper_ledgers():
-    """A fixed n=9 ledger and the pivots-only prefix of it, as JSON documents.
+def _tamper_ledgers(seed: int = 5):
+    """A fixed n=9 ledger and its prefix of pivots and packs, as JSON
+    documents.  At the default seed the ledger has every kind of move but
+    the closing ones.
 
     The prefix stops before the first split, so its final curve is nonempty.
     """
-    full = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    full = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(seed)))
     state = Replayer(full.initial)
-    moves, k = [], 0
     for move in full.moves:
-        if not isinstance(move, PivotMove):
+        if move.kind not in ("pivot", "pack"):
             break
-        k += state.apply(move) is not None
-        moves.append(move)
-    prefix = CobordismLedger(initial=full.initial.copy(), moves=moves,
+        state.apply(move)
+    prefix = CobordismLedger(initial=full.initial.copy(), moves=state.moves,
                              final_curve=state.final_curve(),
-                             stats={"k": k, "budget": full.stats["budget"]})
+                             stats={"k": len(state.rhombus_cells),
+                                    "budget": full.stats["budget"]})
     return ledger_to_obj(full), ledger_to_obj(prefix)
 
 
@@ -329,6 +333,10 @@ def _tamper_edits(full: dict, prefix: dict):
         if move["type"] == "pentagon":
             for c, x in enumerate(move["apex"]):
                 yield f"move {i} apex[{c}]", full, ("moves", i, "apex", c), x + 1e-3
+        if move["type"] == "pack":
+            # a transposition changes the parity of the swap count
+            for name, order in _order_edits(move["order"]):
+                yield f"move {i} order {name}", full, ("moves", i, "order"), order
     point = full["initial"]["components"][0][0]
     yield "initial vertex", full, ("initial", "components", 0, 0, 0), point[0] + 1e-3
     point = prefix["final_curve"]["components"][0][0]
@@ -343,12 +351,30 @@ def _tamper_edits(full: dict, prefix: dict):
     yield from _stats_edits(full)
 
 
+def _order_edits(order: list):
+    """(name, order): every transposition of two entries, then orders that
+    are not permutations."""
+    n = len(order)
+    for a in range(n):
+        for b in range(a + 1, n):
+            edited = list(order)
+            edited[a], edited[b] = edited[b], edited[a]
+            yield f"swap {a} {b}", edited
+    yield "short", order[:-1]
+    yield "long", order + [n]
+    yield "duplicate", order[:1] + order[:1] + order[2:]
+    yield "-1", [-1] + order[1:]
+    yield "n", order[:-1] + [n]
+
+
 def test_rotated_bridge_is_another_valid_reduction():
     # a bridge turned on its unit circle stays at unit distance from vertices
     # 0 and 3, and every cell that touches it is derived from it: the edited
     # ledger is a different reduction, with different boundary rhombi, and it
-    # holds as well
-    full, _ = _tamper_ledgers()
+    # holds as well.  At seed 3 no recorded pivot has a bridge for a
+    # neighbour; at seed 5 a fix pivot does, and a turned bridge moves it off
+    # its circle.
+    full, _ = _tamper_ledgers(seed=3)
     before = assemble_from_ledger(ledger_from_obj(full)).rhombi
     count = 0
     for i, z in _rotated_bridges(full):
@@ -398,6 +424,33 @@ def test_validator_tamper_sweep():
             missed.append(name)
     assert count > 100
     assert missed == []
+
+
+@pytest.mark.parametrize("edit", ["short", "long", "duplicate", "-1", "n"])
+def test_validator_refuses_an_order_that_is_no_permutation(edit):
+    full, _ = _tamper_ledgers()
+    i, move = next((i, m) for i, m in enumerate(full["moves"]) if m["type"] == "pack")
+    order = dict(_order_edits(move["order"]))[edit]
+    report = validate_ledger(ledger_from_obj(_tampered(full, ("moves", i, "order"), order)))
+    assert [(entry, ok) for entry, ok, _ in report.entries] == [
+        ("initial_curve", True), ("replay", False)]
+    assert report.entries[-1][2] == "pack order is not a permutation of range(9)"
+
+
+def test_pack_swap_of_equal_edges_is_a_no_op():
+    # a 2 x 1 rectangle: edges 0 and 1 are equal, so swapping them moves
+    # nothing, counts nothing and derives nothing
+    rect = IntegralCurve([np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0],
+                                    [1, 1, 0], [0, 1, 0.0]])])
+    state = Replayer(rect)
+    state.apply(PackMove(0, [1, 0, 2, 3, 4, 5]))
+    assert state.stats()["pack_moves"] == 0 and state.rhombus_cells == []
+    assert np.array_equal(state.component(0), rect.components[0])
+    # swapping edges 1 and 2 pivots vertex 2 and derives the unit square
+    state.apply(PackMove(0, [0, 2, 1, 3, 4, 5]))
+    assert state.stats()["pack_moves"] == 1
+    (cell,) = state.rhombus_cells
+    assert np.array_equal(cell.vertices, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
 
 
 def test_validator_stats_edits_fail_budget_only():

@@ -29,8 +29,6 @@ from .surface import (
     DomeChain,
     GraphSurface,
     PivotMove,
-    Rhombus,
-    TriangleFace,
     assemble_from_ledger,
     catalog,
     collapse,
@@ -49,8 +47,6 @@ __all__ = [
     "random_integral_curve",
     "CobordismLedger",
     "PivotMove",
-    "Rhombus",
-    "TriangleFace",
     "apply_pivot",
     "pack",
     "pentagon_split",

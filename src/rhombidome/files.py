@@ -8,7 +8,8 @@ Ledger version 4 records decisions only: each move is written from its row
 of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
 pentagon's from its recorded ``apex``, a pack's swaps and their cells from
 its recorded ``order``.  Version 3 wrote each pack swap as a pivot of stage
-``pack``; such pivots still replay as pivots.  Versions 1 and 2, which also
+``pack``; such pivots still replay as pivots, and a ``pack`` move in a
+version 1-3 document is refused as a bad move.  Versions 1 and 2, which also
 stored the ``triangles`` and boundary ``rhombi`` and had the consuming moves
 name them by index, are still read: a pentagon's apex is the third vertex of
 the triangle it names, and every other recorded cell, like the keys version
@@ -28,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .curve import IntegralCurve
-from .surface import MOVE_TABLE, CobordismLedger, Move, Rhombus, TriangleFace
+from .surface import MOVE_TABLE, CobordismLedger, Move
 
 __all__ = [
     "FileFormatError",
@@ -142,6 +143,9 @@ _PLANS = {kind: tuple((key, attr, _DECODE.get(codec), f"{kind} {key}")
           for kind, spec in MOVE_TABLE.items()}
 _POINT_KEYS = {kind: tuple(key for key, _, decode, _ in plan if decode is None)
                for kind, plan in _PLANS.items()}
+# the JSON types a version 1-3 document may hold: no writer before version 4
+# recorded a pack move
+_PRE_PACK_KINDS = frozenset(MOVE_TABLE) - {"pack"}
 
 
 def _move_to_obj(move: Move) -> dict:
@@ -151,11 +155,12 @@ def _move_to_obj(move: Move) -> dict:
     return obj
 
 
-def _moves_from_obj(objs: list, point) -> list[Move]:
-    """Decode moves in order; ``point(obj, what)`` decodes each point field."""
+def _moves_from_obj(objs: list, point, kinds) -> list[Move]:
+    """Decode moves in order, each of a JSON ``type`` in ``kinds``;
+    ``point(obj, what)`` decodes each point field."""
     moves = []
     for obj in objs:
-        if not isinstance(obj, dict) or obj.get("type") not in MOVE_TABLE:
+        if not isinstance(obj, dict) or obj.get("type") not in kinds:
             raise FileFormatError(f"bad move: {obj!r:.80}")
         kind = obj["type"]
         moves.append(MOVE_TABLE[kind].cls(**{
@@ -179,9 +184,10 @@ def _stacked(items: list, shape: tuple[int, ...]) -> np.ndarray:
 
 def _ledger(obj: dict, point) -> CobordismLedger:
     """Decode a ledger in document order with the given point decoder."""
+    kinds = MOVE_TABLE if obj["version"] == LEDGER_VERSION else _PRE_PACK_KINDS
     return CobordismLedger(
         initial=curve_from_obj(obj["initial"]),
-        moves=_moves_from_obj(obj["moves"], point),
+        moves=_moves_from_obj(obj["moves"], point, kinds),
         final_curve=curve_from_obj(obj["final_curve"]),
         stats=obj["stats"],
     )
@@ -280,9 +286,9 @@ def read_ledger(path: str) -> CobordismLedger:
     return ledger_from_obj(obj)
 
 
-def export_off(path: str, triangles: list[TriangleFace],
-               rhombus_cells: list[Rhombus]) -> None:
-    """Write chain cells as an OFF mesh (visualization only).
+def export_off(path: str, triangles: np.ndarray, rhombus_cells: np.ndarray) -> None:
+    """Write chain cells, (m, 3, 3) triangles and (m, 4, 3) rhombus cells, as
+    an OFF mesh (visualization only).
 
     Rhombus cells are triangulated along their first diagonal purely for
     export; the split edges are not part of the chain.
@@ -298,11 +304,9 @@ def export_off(path: str, triangles: list[TriangleFace],
         return index[key]
 
     faces: list[tuple[int, int, int]] = []
-    for tri in triangles:
-        v = tri.vertices
+    for v in triangles:
         faces.append((vid(v[0]), vid(v[1]), vid(v[2])))
-    for rho in rhombus_cells:
-        v = rho.vertices
+    for v in rhombus_cells:
         faces.append((vid(v[0]), vid(v[1]), vid(v[2])))
         faces.append((vid(v[0]), vid(v[2]), vid(v[3])))
 

@@ -11,10 +11,13 @@ surface the chain  sum(triangle boundaries) - sum(walks)  is zero edge by
 edge, and every edge is used by exactly two cell sides overall.  This is the
 checkable orientability test used by the certificates.
 
-The module also owns the reduction ledger: its cells, its moves, the
-:class:`Replayer` that applies them and :func:`validate_ledger`, the
-independent checker.  It depends on nothing in the producer
-(:mod:`rhombidome.cobordism`), which records its moves through this replay.
+The module also owns the reduction ledger: its moves, the :class:`Replayer`
+that applies them and :func:`validate_ledger`, the independent checker.  It
+depends on nothing in the producer (:mod:`rhombidome.cobordism`), which
+records its moves through this replay.  A cell -- a unit triangle or a unit
+rhombus, possibly non-planar -- is nothing but its vertex rows ``[x, y, z]``
+in cyclic order: the replay derives each as a list of rows, and
+:class:`DomeChain` stacks each kind into one (m, k, 3) array.
 
 Move semantics (state = components keyed by stable integer ids).  A move
 records only the decision taken; everything else follows from the state it
@@ -68,8 +71,6 @@ from .curve import IntegralCurve
 from .geom import EPS, apex_at_unit_distance, dist
 
 __all__ = [
-    "Rhombus",
-    "TriangleFace",
     "PivotMove",
     "PackMove",
     "SplitMove",
@@ -435,8 +436,10 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 # cells and moves
 
 
-def _check_unit_cycle(v: np.ndarray, what: str, n: int) -> None:
-    """Raise ValueError unless ``v`` is a closed n-gon with unit sides."""
+def _check_unit_cycle(v, what: str, n: int) -> None:
+    """Raise ValueError unless ``v``, vertex rows, is a closed n-gon with unit
+    sides."""
+    v = np.asarray(v, dtype=float)
     if v.shape != (n, 3):
         raise ValueError(f"{what} needs exactly {n} vertices")
     pts = v.tolist()
@@ -444,26 +447,6 @@ def _check_unit_cycle(v: np.ndarray, what: str, n: int) -> None:
         side = math.dist(pts[i], pts[(i + 1) % n])
         if not abs(side - 1.0) <= EPS:  # NaN fails
             raise ValueError(f"{what} side {i} has length {side}")
-
-
-@dataclass
-class Rhombus:
-    """Closed 4-cycle with four unit sides (possibly non-planar)."""
-
-    vertices: np.ndarray  # (4, 3)
-
-    def validate(self) -> None:
-        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "rhombus", 4)
-
-
-@dataclass
-class TriangleFace:
-    """Unit equilateral triangle cell."""
-
-    vertices: np.ndarray  # (3, 3)
-
-    def validate(self) -> None:
-        _check_unit_cycle(np.asarray(self.vertices, dtype=float), "triangle", 3)
 
 
 # the stages a pivot may record: the three the stats count, and ``pivot`` for
@@ -553,7 +536,9 @@ class Replayer:
     Besides the component state it keeps ``moves``, every move applied, in
     order, and the cells the moves derive, in move order: the pivot and pack
     cells ``rhombus_cells``, and from the consuming moves ``triangles`` and
-    the boundary ``rhombi``.  It also counts, per input
+    the boundary ``rhombi``.  Each cell is a list of its vertex rows, float
+    lists ``[x, y, z]``; the component state is one (n, 3) array per
+    component, which :meth:`component` returns live.  It also counts, per input
     component, the rhombi the moves add to k, the pivots by stage and the
     splits; a split's new piece counts toward its parent's input component.
     :meth:`stats` reports these counts as a ledger's ``stats``.
@@ -565,9 +550,9 @@ class Replayer:
         }
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
-        self.rhombus_cells: list[Rhombus] = []
-        self.triangles: list[TriangleFace] = []
-        self.rhombi: list[Rhombus] = []
+        self.rhombus_cells: list[list] = []
+        self.triangles: list[list] = []
+        self.rhombi: list[list] = []
         # one Counter per input component; ``tally`` maps every component id,
         # split pieces included, to the Counter of its input component
         self.tallies = [Counter() for _ in self.edges]
@@ -597,18 +582,18 @@ class Replayer:
             if not abs(side - 1.0) <= EPS:  # NaN fails
                 raise error(f"{what} at distance {side} from {name}")
 
-    def _pivot_cells(self, prev: list, old: list, nxt: list, new: list) -> list[Rhombus]:
+    def _pivot_cells(self, prev: list, old: list, nxt: list, new: list) -> list[list]:
         """The cell ``[prev old next new]`` of a pivot to ``new``, or none when
         the neighbours coincide; raises unless ``new`` is at unit distance
         from both neighbours."""
         self._check_unit_from(new, (("a neighbour", prev), ("a neighbour", nxt)),
                               NotOnPivotCircleError, "pivot target")
         if math.dist(prev, nxt) > EPS:
-            return [Rhombus(np.array([prev, old, nxt, new]))]
+            return [[prev, old, nxt, new]]
         return []
 
     def _count_pivots(self, cid: int, stage: str, pivots: int,
-                      cells: list[Rhombus]) -> None:
+                      cells: list[list]) -> None:
         tally = self.tally[cid]
         tally["pivot", stage] += pivots
         tally["rhombi"] += len(cells)
@@ -679,22 +664,19 @@ class Replayer:
         q = np.empty((6, 3))
         q[:5] = self._cycle(move.component, 5)
         q[5] = move.apex
-        p = q.tolist()
-        self._check_unit_from(p[5], (("vertex 0", p[0]), ("vertex 2", p[2]),
-                                     ("vertex 3", p[3])),
+        p0, p1, p2, p3, p4, a = q.tolist()
+        self._check_unit_from(a, (("vertex 0", p0), ("vertex 2", p2), ("vertex 3", p3)),
                               ReplayMismatchError, "pentagon apex")
         # [v2 v3 a], and [v0 v1 v2 a] and [v0 a v3 v4] reversed
-        cells = q[[2, 3, 5, 0, 5, 2, 1, 0, 4, 3, 5]]
-        self._consume(move.component, [TriangleFace(cells[:3])],
-                      [Rhombus(cells[3:7]), Rhombus(cells[7:])])
+        self._consume(move.component, [[p2, p3, a]], [[p0, a, p2, p1], [p0, p4, p3, a]])
 
     def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
         v = self._cycle(move.component, 4)
-        self._consume(move.component, [], [Rhombus(v[[0, 3, 2, 1]])])  # reversed
+        self._consume(move.component, [], [v[[0, 3, 2, 1]].tolist()])  # reversed
 
     def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
         v = self._cycle(move.component, 3)
-        self._consume(move.component, [TriangleFace(v)], [])
+        self._consume(move.component, [v.tolist()], [])
 
     def _cycle(self, cid: int, expected_len: int) -> np.ndarray:
         """Component ``cid``, which a move consumes and which must have
@@ -705,8 +687,7 @@ class Replayer:
                 f"component {cid} has {len(v)} vertices, expected {expected_len}")
         return v
 
-    def _consume(self, cid: int, triangles: list[TriangleFace],
-                 rhombi: list[Rhombus]) -> None:
+    def _consume(self, cid: int, triangles: list[list], rhombi: list[list]) -> None:
         """Record the cells that fill component ``cid`` and drop it."""
         self.triangles += triangles
         self.rhombi += rhombi
@@ -774,14 +755,17 @@ MOVE_TABLE: dict[str, MoveSpec] = {
 class DomeChain:
     """Formal 2-chain realizing a reduction: triangles and pivot rhombus cells.
 
-    ``rhombi``: the boundary rhombi, reversed (see module docstring).
+    Each kind of cell is one float array of vertex rows, cells in move order:
+    ``triangles`` (T, 3, 3), the pivot and pack cells ``rhombus_cells``
+    (R, 4, 3) and the boundary ``rhombi`` (B, 4, 3), reversed (see module
+    docstring); a kind with no cell has shape (0, k, 3).
     ``stats``: the ledger stats the replay counts (:meth:`Replayer.stats`).
     """
 
-    triangles: list[TriangleFace] = field(default_factory=list)
-    rhombus_cells: list[Rhombus] = field(default_factory=list)
-    rhombi: list[Rhombus] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    triangles: np.ndarray
+    rhombus_cells: np.ndarray
+    rhombi: np.ndarray
+    stats: dict
     # Always empty: shared edges cancel by orientation.  Kept only because
     # the benchmark tracer (bench/spans.py) counts ``len(chain.seams)``.
     seams = ()
@@ -809,34 +793,35 @@ def _grid_keys(points: np.ndarray) -> np.ndarray:
     return np.rint(q).astype(np.int64)
 
 
-def _segment_residue(cycles: list, signs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _segment_residue(stacks: list, signs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Net signed multiplicity of every quantized segment, in one sorted pass.
 
-    Row ``r`` of the result is ``[degenerate, a, b]`` (7 int64 columns), with
-    ``a < b`` the lexicographically ordered endpoint keys of a segment of a
-    cycle; a segment met as ``b -> a`` counts with the opposite sign.  A
-    degenerate segment (``a == b``) counts +1 whatever its sign.  Only rows
-    with a nonzero count or a degenerate segment are returned, in
+    Each entry of ``stacks`` is one (k, 3) cycle or an (m, k, 3) stack of m
+    cycles.  Row ``r`` of the result is ``[degenerate, a, b]`` (7 int64
+    columns), with ``a < b`` the lexicographically ordered endpoint keys of a
+    segment of a cycle; a segment met as ``b -> a`` counts with the opposite
+    sign.  A degenerate segment (``a == b``) counts +1 whatever its sign.
+    Only rows with a nonzero count or a degenerate segment are returned, in
     lexicographic order, beside their counts.
     """
-    arrays, sizes, row_signs = [], [], []
-    for cycle, sign in zip(cycles, signs):
-        v = np.asarray(cycle, dtype=float)
+    arrays, row_signs = [], []
+    for stack, sign in zip(stacks, signs):
+        v = np.asarray(stack, dtype=float)
         if v.size == 0:
             continue
-        if v.ndim != 2 or v.shape[1] != 3:
+        if v.ndim not in (2, 3) or v.shape[-1] != 3:
             raise ValueError(f"cycle of shape {v.shape} is not a list of 3-d points")
-        arrays.append(v)
-        sizes.append(len(v))
+        arrays.append(v.reshape(-1, v.shape[-2], 3))
         row_signs.append(sign)
     if not arrays:
         return np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = _grid_keys(np.concatenate(arrays))
-    sizes = np.array(sizes)
-    ends = np.cumsum(sizes)
-    successor = np.arange(1, len(a) + 1)
-    successor[ends - 1] = ends - sizes
-    b = a[successor]
+    # one quantization of every point in entry order: the first bad
+    # coordinate names the error, however the cycles are stacked
+    a = _grid_keys(np.concatenate([v.reshape(-1, 3) for v in arrays]))
+    sizes = [v.size // 3 for v in arrays]
+    # each point's successor on its cycle
+    b = np.concatenate([np.roll(keys.reshape(v.shape), -1, axis=1).reshape(-1, 3)
+                        for keys, v in zip(np.split(a, np.cumsum(sizes)[:-1]), arrays)])
     differ = a != b
     moving = differ.any(axis=1)
     first = differ.argmax(axis=1)
@@ -858,7 +843,9 @@ def signed_segment_counts(cycles_plus: list[np.ndarray],
                           cycles_minus: list[np.ndarray]) -> dict:
     """Net signed multiplicity of every quantized oriented unit segment.
 
-    Each cycle contributes its consecutive (cyclic) segments; orientation is
+    Each entry is one (k, 3) cycle or an (m, k, 3) stack of cycles, such as
+    one kind of :class:`DomeChain` cell.  Each cycle contributes its
+    consecutive (cyclic) segments; orientation is
     folded into the sign of a lexicographically ordered key ``(a, b)`` of
     endpoint grid points ``int(round(x / EPS))``.  A segment with equal
     endpoints is reported as ``("degenerate", a)``.  Only nonzero and
@@ -888,6 +875,11 @@ def _residue_listing(residue: dict) -> str:
     return f" [{', '.join(shown)}]" if shown else ""
 
 
+def _stack(cells: list, k: int) -> np.ndarray:
+    """Cells of k vertex rows each as one (len(cells), k, 3) float array."""
+    return np.array(cells, dtype=float).reshape(-1, k, 3)
+
+
 def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     """Replay a ledger into a dome chain.
 
@@ -897,13 +889,12 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     :class:`ReplayMismatchError` (or the replay's own error) when the moves
     do not replay.
     """
-    chain = DomeChain()
     state = Replayer(ledger.initial)
     for move in ledger.moves:
         state.apply(move)
-    chain.rhombus_cells = state.rhombus_cells
-    chain.triangles, chain.rhombi = state.triangles, state.rhombi
-    chain.stats = state.stats()
+    chain = DomeChain(triangles=_stack(state.triangles, 3),
+                      rhombus_cells=_stack(state.rhombus_cells, 4),
+                      rhombi=_stack(state.rhombi, 4), stats=state.stats())
     final = state.final_curve()
     recorded = ledger.final_curve
     if len(final.components) != len(recorded.components):
@@ -983,14 +974,11 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
         report.add("replay", False, str(exc))
         return report
 
-    cells_plus = [tri.vertices for tri in chain.triangles]
-    cells_plus += [rho.vertices for rho in chain.rhombus_cells]
-    # a not-fully-reduced final curve re-enters the balance positively
-    cells_plus += [comp for comp in ledger.final_curve.components]
-    cycles_minus = [comp for comp in ledger.initial.components]
-    cycles_minus += [rho.vertices for rho in chain.rhombi]
     try:
-        residue = signed_segment_counts(cells_plus, cycles_minus)
+        # a not-fully-reduced final curve re-enters the balance positively
+        residue = signed_segment_counts(
+            [chain.triangles, chain.rhombus_cells, *ledger.final_curve.components],
+            [*ledger.initial.components, chain.rhombi])
         report.add("chain_identity", not residue,
                    f"{len(residue)} unbalanced segments{_residue_listing(residue)}"
                    if residue else "")
@@ -1014,19 +1002,20 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
 # hexagon join (two rhombi sharing a vertex -> one hexagon via two triangles)
 
 
-def hexagon_join(rho: Rhombus,
-                 rho_prime: Rhombus) -> tuple[IntegralCurve, tuple[TriangleFace, TriangleFace]]:
-    """Join two unit rhombi sharing their first vertex into a hexagon.
+def hexagon_join(rho: np.ndarray,
+                 rho_prime: np.ndarray) -> tuple[IntegralCurve, tuple[np.ndarray, np.ndarray]]:
+    """Join two unit rhombi, (4, 3) vertex rows sharing their first vertex,
+    into a hexagon.
 
     Preconditions: v1 = v1' and |v2, v2'| = |v4, v4'| = 1.  Returns the
-    hexagon [v4 v3 v2 v2' v3' v4'] and the triangles [v1 v2 v2'] and
+    hexagon [v4 v3 v2 v2' v3' v4'] and the (3, 3) triangles [v1 v2 v2'] and
     [v4 v1 v4'].  With rho oriented as given and rho' reversed, the two
     triangles' boundary equals hexagon + rho - rho' segment for segment.
     """
-    a = np.asarray(rho.vertices, dtype=float)
-    b = np.asarray(rho_prime.vertices, dtype=float)
-    rho.validate()
-    rho_prime.validate()
+    a = np.asarray(rho, dtype=float)
+    b = np.asarray(rho_prime, dtype=float)
+    _check_unit_cycle(a, "rhombus", 4)
+    _check_unit_cycle(b, "rhombus", 4)
     if dist(a[0], b[0]) > EPS:
         raise PositioningViolatedError("rhombi must share their first vertex")
     if abs(dist(a[1], b[1]) - 1.0) > EPS:
@@ -1035,8 +1024,8 @@ def hexagon_join(rho: Rhombus,
         raise PositioningViolatedError(f"|v4, v4'| = {dist(a[3], b[3])} != 1")
     hexagon = IntegralCurve([np.vstack([a[3], a[2], a[1], b[1], b[2], b[3]])])
     hexagon.validate()
-    t1 = TriangleFace(np.vstack([a[0], a[1], b[1]]))
-    t2 = TriangleFace(np.vstack([a[3], a[0], b[3]]))
-    t1.validate()
-    t2.validate()
+    t1 = np.vstack([a[0], a[1], b[1]])
+    t2 = np.vstack([a[3], a[0], b[3]])
+    _check_unit_cycle(t1, "triangle", 3)
+    _check_unit_cycle(t2, "triangle", 3)
     return hexagon, (t1, t2)

@@ -24,7 +24,6 @@ from rhombidome.cobordism import (
 from rhombidome.curve import component_plane, random_integral_curve
 from rhombidome.surface import (
     Replayer,
-    Rhombus,
     assemble_from_ledger,
     catalog,
     collapse,
@@ -140,10 +139,10 @@ def test_criterion_4_pentagon_base_case():
 def test_criterion_5_chain_identity(corpus):
     for ledger in corpus.ledgers:
         chain = assemble_from_ledger(ledger)
-        cells = [t.vertices for t in chain.triangles]
-        cells += [r.vertices for r in chain.rhombus_cells]
+        cells = list(chain.triangles)
+        cells += list(chain.rhombus_cells)
         minus = [c for c in ledger.initial.components]
-        minus += [r.vertices for r in chain.rhombi]
+        minus += list(chain.rhombi)
         assert signed_segment_counts(cells, minus) == {}
     print("PASS criterion 5: chain boundary - (curve + rhombi) is exactly zero "
           "on every ledger")
@@ -233,7 +232,7 @@ def test_criterion_10_collapse_restriction():
 def test_criterion_11_hexagon_join():
     u = np.array([1.0, 0.0, 0.0])
     w = np.array([0.0, 1.0, 0.0])
-    first = Rhombus(np.vstack([np.zeros(3), u, u + w, w]))
+    first = np.vstack([np.zeros(3), u, u + w, w])
     axis = (u + w) / np.linalg.norm(u + w)
     skew = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
                      [-axis[1], axis[0], 0]])
@@ -244,15 +243,15 @@ def test_criterion_11_hexagon_join():
     theta = brentq(lambda t: np.linalg.norm(rotation(t) @ u - u) - 1.0,
                    0.1, np.pi - 0.1)
     rot = rotation(theta)
-    second = Rhombus(np.vstack([np.zeros(3), rot @ u, rot @ (u + w), rot @ w]))
+    second = np.vstack([np.zeros(3), rot @ u, rot @ (u + w), rot @ w])
     hexagon, (t1, t2) = hexagon_join(first, second)
     edges = hexagon.components[0]
     lengths = np.linalg.norm(np.roll(edges, -1, axis=0) - edges, axis=1)
     worst = float(np.max(np.abs(lengths - 1.0)))
     assert worst <= 1e-9
     residue = signed_segment_counts(
-        [t1.vertices, t2.vertices],
-        [edges, first.vertices, second.vertices[[0, 3, 2, 1]]])
+        [t1, t2],
+        [edges, first, second[[0, 3, 2, 1]]])
     assert residue == {}
     print(f"PASS criterion 11: hexagon edges unit to {worst:.2e}, chain "
           f"identity with both triangles is exact")

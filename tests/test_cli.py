@@ -9,7 +9,7 @@ from rhombidome import files
 from rhombidome.cli import main
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import random_integral_curve
-from rhombidome.surface import validate_ledger
+from rhombidome.surface import assemble_from_ledger, validate_ledger
 
 
 @pytest.fixture
@@ -108,9 +108,11 @@ _BAD_ORDER = "bad pack order: expected a list of integers"
     (lambda doc: _first(doc, "pack")["order"].__setitem__(0, "0"), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(1, True), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(0, 3.0), _BAD_ORDER),
+    (lambda doc: doc.update(version=3), "bad move: {'type': 'pack'"),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
         "moves_object", "triangles_object", "rhombi_object", "version_true",
-        "version_float", "order_not_array", "order_string", "order_true", "order_float"])
+        "version_float", "order_not_array", "order_string", "order_true", "order_float",
+        "pack_in_v3"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
     # seed 5 gives a ledger with a pack move
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5)))
@@ -174,6 +176,14 @@ def test_off_export(tmp_path, capsys):
     n_vert, n_face, _ = map(int, lines[2].split())
     assert n_vert > 0 and n_face > 0
     assert len(lines) == 3 + n_vert + n_face
+    # the faces, read back as coordinates, are the triangles and then each
+    # pivot cell's two halves along its first diagonal, in chain order
+    points = np.array([line.split() for line in lines[3:3 + n_vert]], dtype=float)
+    faces = points[[list(map(int, line.split()[1:])) for line in lines[3 + n_vert:]]]
+    chain = assemble_from_ledger(files.read_ledger(str(out)))
+    halves = chain.rhombus_cells[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 3)
+    assert len(chain.triangles) > 0 and len(halves) > 0
+    assert np.array_equal(faces, np.concatenate([chain.triangles, halves]))
 
 
 def test_moduli_exit_codes(capsys):

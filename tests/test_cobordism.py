@@ -33,6 +33,7 @@ from rhombidome.surface import (
     Replayer,
     ReplayMismatchError,
     SplitMove,
+    _check_unit_cycle,
     assemble_from_ledger,
     component_budget,
 )
@@ -59,9 +60,9 @@ def test_apply_pivot_square_to_doubled_path(unit_square):
     state = Replayer(unit_square)
     state.apply(move)
     (cell,) = state.rhombus_cells
-    assert np.array_equal(cell.vertices,
+    assert np.array_equal(cell,
                           [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    cell.validate()
+    _check_unit_cycle(cell, "rhombus", 4)
 
 
 def test_apply_pivot_noop(unit_square):
@@ -391,8 +392,8 @@ def test_pack_move_replays_as_its_pivots():
         a, b = replays
         assert a.stats() == b.stats() == ledger.stats
         for name in ("rhombus_cells", "triangles", "rhombi"):
-            assert ([cell.vertices.tobytes() for cell in getattr(a, name)]
-                    == [cell.vertices.tobytes() for cell in getattr(b, name)])
+            assert ([np.array(cell).tobytes() for cell in getattr(a, name)]
+                    == [np.array(cell).tobytes() for cell in getattr(b, name)])
         assert ([c.tobytes() for c in a.final_curve().components]
                 == [c.tobytes() for c in b.final_curve().components])
     assert packs > 10
@@ -413,8 +414,8 @@ def _assert_split_replays(pentagon, split):
     assert state.components == {}
     assert len(state.rhombi) == 2 and len(state.triangles) == 1
     for cell in state.rhombi + state.triangles:
-        cell.validate()
-    assert np.array_equal(state.triangles[0].vertices[2], split.apex)
+        _check_unit_cycle(cell, "cell", len(cell))
+    assert np.array_equal(state.triangles[0][2], split.apex)
 
 
 def test_pentagon_split_regular(regular_pentagon):
@@ -492,7 +493,7 @@ def test_reduce_triangle(unit_triangle):
     ledger = reduce_to_rhombi(unit_triangle)
     chain = assemble_from_ledger(ledger)
     assert len(chain.triangles) == 1
-    assert chain.rhombi == []
+    assert len(chain.rhombi) == 0
     assert ledger.stats["k"] == 0
     assert ledger.final_curve.components == []
 
@@ -503,7 +504,7 @@ def test_reduce_rhombus_identity(unit_square):
     assert ledger.stats["k"] == 1
     assert len(ledger.moves) == 1
     # derived with reversed orientation relative to the curve
-    assert np.array_equal(rhombus.vertices,
+    assert np.array_equal(rhombus,
                           unit_square.components[0][[0, 3, 2, 1]])
 
 

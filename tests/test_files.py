@@ -83,10 +83,14 @@ def _nan_then_bad_int(doc):
      "bad pack order: expected a list of integers", None),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(1, 3.0),
      "bad pack order: expected a list of integers", None),
+    # no writer before version 4 recorded a pack move
+    (lambda doc: doc.update(version=3),
+     "bad move: {'type': 'pack', 'component': 0, 'order': [0, 3, 4, 1, 5, 6, 2, 7, 8]}", None),
 ], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
         "point_is_string", "earlier_bad_point_first", "int_overflows_float", "apex_2d",
         "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
-        "curve_bool", "order_object", "order_string", "order_true", "order_float"])
+        "curve_bool", "order_object", "order_string", "order_true", "order_float",
+        "pack_in_v3"])
 def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)
@@ -118,7 +122,7 @@ def test_empty_cell_lists_decode(ledger):
     doc.update(version=2, moves=[], triangles=[], rhombi=[], final_curve=doc["initial"])
     decoded = files.ledger_from_obj(doc)
     chain = assemble_from_ledger(decoded)
-    assert decoded.moves == [] and chain.triangles == [] and chain.rhombi == []
+    assert decoded.moves == [] and len(chain.triangles) == 0 and len(chain.rhombi) == 0
 
 
 def test_ledger_document_records_no_cells(ledger):
@@ -238,7 +242,7 @@ def test_v2_fixture_derives_its_recorded_cells_bitwise():
     assert {m["type"] for m in doc["moves"]} >= {"close_triangle", "close_rhombus"}
     # the shortest round-trip repr tells every float apart, -0.0 from 0.0 too
     for key, derived in (("triangles", chain.triangles), ("rhombi", chain.rhombi)):
-        assert json.dumps([c.vertices.tolist() for c in derived]) == json.dumps(doc[key])
+        assert json.dumps([c.tolist() for c in derived]) == json.dumps(doc[key])
 
 
 def test_v2_fixture_rewrites_as_v4(tmp_path):
@@ -276,8 +280,8 @@ def test_v3_fixture_replays_as_its_v4_ledger(tmp_path):
     assert v3.stats["pack_moves"] == 6 and _pack_cells(v3) == _pack_cells(v4) == 4
     old, new = assemble_from_ledger(v3), assemble_from_ledger(v4)
     for name in ("rhombus_cells", "triangles", "rhombi"):
-        assert ([cell.vertices.tobytes() for cell in getattr(old, name)]
-                == [cell.vertices.tobytes() for cell in getattr(new, name)])
+        assert ([cell.tobytes() for cell in getattr(old, name)]
+                == [cell.tobytes() for cell in getattr(new, name)])
     out = tmp_path / "v4.json"
     files.write_ledger(str(out), v3)
     assert json.loads(out.read_text())["version"] == 4

@@ -1,6 +1,7 @@
 """Module layering: the checker and the file formats stand apart from the producer."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rhombidome"
@@ -31,3 +32,14 @@ def test_file_formats_do_not_import_the_producer():
     # the finder finds imports at all
     imports = _package_imports("files")
     assert "surface" in imports and "cobordism" not in imports
+
+
+def test_every_exported_name_resolves_once():
+    # a name deleted from a module but left in an ``__all__`` only fails a
+    # star import, so look each one up
+    for path in [PACKAGE / "__init__.py", *sorted(PACKAGE.glob("[!_]*.py"))]:
+        name = "rhombidome" if path.stem == "__init__" else f"rhombidome.{path.stem}"
+        module = importlib.import_module(name)
+        exported = module.__all__
+        assert len(exported) == len(set(exported)), name
+        assert [n for n in exported if not hasattr(module, n)] == [], name

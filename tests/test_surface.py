@@ -22,8 +22,8 @@ from rhombidome.surface import (
     PositioningViolatedError,
     Replayer,
     ReplayMismatchError,
-    Rhombus,
     UnknownNameError,
+    _check_unit_cycle,
     assemble_from_ledger,
     catalog,
     collapse,
@@ -145,9 +145,9 @@ def test_collapse_rejects_foreign_edge():
 def test_assemble_identity_rhombus(unit_square):
     ledger = reduce_to_rhombi(unit_square)
     chain = assemble_from_ledger(ledger)
-    assert chain.triangles == [] and chain.rhombus_cells == []
+    assert len(chain.triangles) == 0 and len(chain.rhombus_cells) == 0
     residue = signed_segment_counts(
-        [], [ledger.initial.components[0], chain.rhombi[0].vertices])
+        [], [ledger.initial.components[0], chain.rhombi[0]])
     assert residue == {}
 
 
@@ -155,13 +155,13 @@ def test_assemble_pentagon_chain(regular_pentagon):
     ledger = reduce_to_rhombi(regular_pentagon)
     chain = assemble_from_ledger(ledger)
     assert len(chain.triangles) == 1
-    assert chain.rhombus_cells == []  # no pivots were needed
+    assert len(chain.rhombus_cells) == 0  # no pivots were needed
     assert len(chain.rhombi) == 2
     # the apex spokes shared by the triangle and both rhombi cancel by
     # orientation alone, leaving exactly the pentagon
     residue = signed_segment_counts(
-        [chain.triangles[0].vertices],
-        [ledger.initial.components[0]] + [r.vertices for r in chain.rhombi])
+        [chain.triangles[0]],
+        [ledger.initial.components[0]] + list(chain.rhombi))
     assert residue == {}
 
 
@@ -381,7 +381,7 @@ def test_rotated_bridge_is_another_valid_reduction():
         ledger = ledger_from_obj(_tampered(full, ("moves", i, "z"), z))
         assert validate_ledger(ledger).passed
         after = assemble_from_ledger(ledger).rhombi
-        assert not all(np.array_equal(a.vertices, b.vertices) for a, b in zip(before, after))
+        assert not all(np.array_equal(a, b) for a, b in zip(before, after))
         count += 1
     assert count == full["stats"]["splits"] > 0
 
@@ -450,7 +450,7 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     state.apply(PackMove(0, [0, 2, 1, 3, 4, 5]))
     assert state.stats()["pack_moves"] == 1
     (cell,) = state.rhombus_cells
-    assert np.array_equal(cell.vertices, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
+    assert np.array_equal(cell, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
 
 
 def test_validator_stats_edits_fail_budget_only():
@@ -548,19 +548,27 @@ def _reference_ledgers():
     return ledgers
 
 
-def _chain_cycles(ledger):
-    chain = assemble_from_ledger(ledger)
-    plus = [t.vertices for t in chain.triangles] + [r.vertices for r in chain.rhombus_cells]
-    minus = list(ledger.initial.components) + [r.vertices for r in chain.rhombi]
-    return plus, minus
+def _single_cycles(entries):
+    """The entries with every (m, k, 3) stack split into its m cycles."""
+    return [cycle for entry in entries
+            for cycle in (entry if np.ndim(entry) == 3 else [entry])]
 
 
 def test_signed_segment_counts_matches_reference():
-    cases = []
+    cases, stacked = [], []
     for ledger in _reference_ledgers():
-        plus, minus = _chain_cycles(ledger)
+        chain = assemble_from_ledger(ledger)
+        plus = [chain.triangles, chain.rhombus_cells]
+        minus = [*ledger.initial.components, chain.rhombi]
+        stacked += [(plus, minus), (plus, minus[:-1]),
+                    ([chain.rhombus_cells[:, ::-1], np.empty((0, 4, 3))], [chain.rhombi])]
+        plus, minus = _single_cycles(plus), _single_cycles(minus)
         cases += [(plus, minus), (plus, minus[:-1]),
                   ([c[::-1] for c in plus], [c[::-1] for c in minus])]
+    # the chain's stacks count as their cells one by one
+    for plus, minus in stacked:
+        got = signed_segment_counts(plus, minus)
+        assert got == _segment_counts_reference(_single_cycles(plus), _single_cycles(minus))
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     repeated = np.vstack([tri[0], tri[1], tri[1], tri[2]])
     cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], [])]
@@ -586,9 +594,9 @@ _SEGMENT = re.compile(r"\(([^()]*)\) -> \(([^()]*)\): ([+-]\d+)")
 def test_chain_identity_names_unbalanced_segments(monkeypatch):
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
     chain = assemble_from_ledger(ledger)
-    moved = chain.rhombi[0].vertices.copy()
+    moved = chain.rhombi[0].copy()
     # moving a derived rhombus away leaves its four segments unbalanced in place
-    chain.rhombi[0] = Rhombus(moved + 100.0)
+    chain.rhombi[0] = moved + 100.0
     monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
     report = validate_ledger(ledger)
     (detail,) = [d for name, ok, d in report.entries if name == "chain_identity" and not ok]
@@ -619,7 +627,7 @@ def _joined_pair():
     that |v2, v2'| = |v4, v4'| = 1.  The angle is solved numerically."""
     u = np.array([1.0, 0.0, 0.0])
     w = np.array([0.0, 1.0, 0.0])
-    first = Rhombus(np.vstack([np.zeros(3), u, u + w, w]))
+    first = np.vstack([np.zeros(3), u, u + w, w])
     axis = u + w
 
     def gap(theta):
@@ -627,7 +635,7 @@ def _joined_pair():
 
     theta = brentq(gap, 0.1, np.pi - 0.1)
     rot = _rotation(axis, theta)
-    second = Rhombus(np.vstack([np.zeros(3), rot @ u, rot @ (u + w), rot @ w]))
+    second = np.vstack([np.zeros(3), rot @ u, rot @ (u + w), rot @ w])
     return first, second, theta
 
 
@@ -638,18 +646,18 @@ def test_hexagon_join_solved_pair():
     edges = hexagon.components[0]
     lengths = np.linalg.norm(np.roll(edges, -1, axis=0) - edges, axis=1)
     assert float(np.max(np.abs(lengths - 1.0))) <= 1e-9
-    t1.validate()
-    t2.validate()
+    _check_unit_cycle(t1, "triangle", 3)
+    _check_unit_cycle(t2, "triangle", 3)
     # the two triangles bound hexagon + rho - rho'
     residue = signed_segment_counts(
-        [t1.vertices, t2.vertices],
-        [edges, first.vertices, second.vertices[[0, 3, 2, 1]]])
+        [t1, t2],
+        [edges, first, second[[0, 3, 2, 1]]])
     assert residue == {}
 
 
 def test_hexagon_join_rejects_bad_gap():
     first, second, _ = _joined_pair()
-    shifted = Rhombus(second.vertices + np.array([0.0, 0.0, 0.2]))
+    shifted = second + np.array([0.0, 0.0, 0.2])
     with pytest.raises(PositioningViolatedError):
         hexagon_join(first, shifted)
 
@@ -657,4 +665,4 @@ def test_hexagon_join_rejects_bad_gap():
 def test_hexagon_join_rejects_coincident_pair():
     first, _, _ = _joined_pair()
     with pytest.raises(PositioningViolatedError):
-        hexagon_join(first, Rhombus(first.vertices.copy()))
+        hexagon_join(first, first.copy())

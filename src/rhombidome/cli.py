@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -70,9 +71,8 @@ def cmd_reduce(args) -> int:
         return EXIT_FAIL
     try:
         files.write_ledger(args.out, ledger)
-        if args.off:
-            chain = surface.assemble_from_ledger(ledger)
-            files.export_off(args.off, chain.triangles, chain.rhombus_cells)
+        if args.off and report.chain is not None:
+            files.export_off(args.off, report.chain.triangles, report.chain.rhombus_cells)
     except OSError as exc:
         _err(str(exc))
         return EXIT_USAGE
@@ -222,7 +222,9 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rhombidome",
         description="Reduce closed unit-edge curves to unit rhombi and "

@@ -20,6 +20,7 @@ each move through the same replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,9 @@ from .geom import (
     DegenerateError,
     Plane,
     apex_at_unit_distance,
+    cross3,
     dist,
+    distance_to_plane,
     normalize,
     plane_basis,
     point_on_circle_nearest_plane,
@@ -145,7 +148,7 @@ def _best_plane_through(points: np.ndarray, iv: int, iw: int) -> Plane:
     if abs(float(np.dot(seed, d))) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])
     e1 = normalize(seed - np.dot(seed, d) * d)
-    e2 = np.cross(d, e1)
+    e2 = cross3(d, e1)
     rel = points - v
     m = rel.T @ rel
     basis = np.column_stack([e1, e2])
@@ -174,16 +177,17 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
     Repeatedly pivots the leftmost highest interior vertex to the point of
     its pivot circle nearest the plane.  The chosen vertex always satisfies
     h[j-1] < h[j] >= h[j+1], and the replacement height never exceeds
-    h[j-1]; both are asserted because the move budget rests on them.
+    h[j-1]; both are asserted because the move budget rests on them.  The
+    path's heights are measured once; a pivot changes only its own vertex's.
     """
     v = state.component(cid)
     n = len(v)
-    while True:
-        heights = np.abs((v[path] - plane.base) @ plane.normal)
-        interior = heights[1:-1]
-        if len(interior) == 0 or float(np.max(interior)) <= _PLANAR_STOP:
+    heights = np.abs((v[path] - plane.base) @ plane.normal).tolist()
+    interior = range(1, len(path) - 1)
+    while interior:
+        j = max(interior, key=heights.__getitem__)  # the first maximum
+        if heights[j] <= _PLANAR_STOP:
             return
-        j = 1 + int(np.argmax(interior))
         if not (heights[j - 1] < heights[j] >= heights[j + 1]):
             raise PlanarizeBudgetError("height maximum selection is inconsistent")
         g = path[j]
@@ -194,7 +198,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
         else:
             circle = unit_ball_intersection(prev, nxt)
             target = point_on_circle_nearest_plane(circle, plane)
-        new_height = abs(float(np.dot(target - plane.base, plane.normal)))
+        new_height = distance_to_plane(target, plane)
         if new_height > heights[j - 1] + 1e-12:
             raise PlanarizeBudgetError(
                 f"pivot did not descend: {new_height} > {heights[j - 1]}")
@@ -202,6 +206,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
             raise PlanarizeBudgetError("planarize exceeded its move budget")
         if not _make_pivot(state, cid, g, target, "planarize"):
             raise PlanarizeBudgetError("planarize produced a no-op pivot")
+        heights[j] = new_height
 
 
 def _planarize_component(state: Replayer, cid: int) -> Plane:
@@ -252,20 +257,23 @@ def _max_prefix_norm(vectors: np.ndarray, order: np.ndarray) -> float:
 
 def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
     """First fit: each step takes the lowest-index remaining vector whose new
-    prefix norm is at most ``_FIRST_FIT_RADIUS``, or else the one with the
-    smallest new prefix norm.  Taking low indices first keeps the order's inversions, and
-    so the pack pivots that realize it, few.
+    prefix norm is at most ``_FIRST_FIT_RADIUS`` (within ``EPS``), or else
+    the one with the smallest new prefix norm.  Taking low indices first
+    keeps the order's inversions, and so the pack pivots that realize it, few.
     """
-    remaining = np.arange(len(vectors))
-    acc = np.zeros(vectors.shape[1])
+    pts = vectors.tolist()
+    remaining = list(range(len(pts)))
+    back = [0.0] * vectors.shape[1]  # minus the prefix sum
     order = []
-    while len(remaining):
-        norms = np.linalg.norm(acc + vectors[remaining], axis=1)
-        fits = np.flatnonzero(norms <= _FIRST_FIT_RADIUS)
-        j = int(fits[0]) if len(fits) else int(np.argmin(norms))
-        acc = acc + vectors[remaining[j]]
-        order.append(int(remaining[j]))
-        remaining = np.delete(remaining, j)
+    while remaining:
+        # |prefix + u| is the distance from u to minus the prefix
+        norms = [math.dist(pts[i], back) for i in remaining]
+        j = next((k for k, r in enumerate(norms) if r <= _FIRST_FIT_RADIUS + EPS), None)
+        if j is None:
+            j = norms.index(min(norms))
+        i = remaining.pop(j)
+        back = [b - x for b, x in zip(back, pts[i])]
+        order.append(i)
     return np.array(order, dtype=int)
 
 
@@ -469,8 +477,8 @@ def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
     """
     p = np.asarray(pentagon, dtype=float).copy()
     _check_unit_cycle(p, "pentagon", 5)
-    radii = np.linalg.norm(p - p[0], axis=1)
-    if float(np.max(radii)) > STEINITZ_BOUND + 10 * EPS:
+    pts = p.tolist()
+    if max(math.dist(q, pts[0]) for q in pts) > STEINITZ_BOUND + 10 * EPS:
         raise ValueError("pentagon is not packed around vertex 0")
     found = _search_fixes(p, FIX_PIVOT_BUDGET)
     if found is None:
@@ -500,7 +508,7 @@ def _choose_bridge(v: np.ndarray, plane: Plane) -> np.ndarray:
             radial = plane_basis(plane.normal)[0]
         return v1 + normalize(radial)
     circle = unit_ball_intersection(v1, v4)
-    w = normalize(np.cross(circle.axis, plane.normal))
+    w = normalize(cross3(circle.axis, plane.normal))
     cands = [circle.center + circle.radius * w, circle.center - circle.radius * w]
     return max(cands, key=lambda q: dist(q, away))
 

@@ -6,6 +6,15 @@ fixed absolute threshold, :data:`EPS` = 1e-9, so a verdict depends on its
 input alone.  Absolute means the inputs must sit where the float spacing is
 well below it: past about |x| = 4.5e6 the spacing of a coordinate reaches
 1e-9.  Nothing in this module keeps state.
+
+The kernels take and return numpy arrays but compute on Python floats:
+``tolist()`` coordinates, ``math`` functions and one rounding per
+operation.  On single 3-vectors numpy's per-call cost dwarfs the
+arithmetic, and numpy would route a dot product through the BLAS (which
+may fuse its multiply-adds) and ``arctan2``, ``arccos`` and ``hypot``
+through its SIMD loops, whose last bits vary with the build and the CPU.
+So the bits of the points the reduction records in a ledger depend on the
+interpreter's float arithmetic and libm alone.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ __all__ = [
     "DegenerateError",
     "DegenerateLineError",
     "pt",
-    "norm",
     "dist",
     "normalize",
     "cross3",
@@ -68,37 +76,54 @@ class DegenerateLineError(GeomError):
 # The geometric threshold of every coincidence and unit-length predicate.
 EPS = 1e-9
 
-_X = np.array([1.0, 0.0, 0.0])
-_Y = np.array([0.0, 1.0, 0.0])
+_X = (1.0, 0.0, 0.0)
+_Y = (0.0, 1.0, 0.0)
 
 
 def pt(x: float, y: float, z: float) -> np.ndarray:
     return np.array([float(x), float(y), float(z)])
 
 
-def norm(v: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(v, v)))
+# Helpers on 3-vectors held as lists of Python floats.
+
+
+def _xyz(v) -> list[float]:
+    """The coordinates of a point or vector as Python floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+def _sub(a: list, b: list) -> list[float]:
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _dot(a: list, b: list) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: list, b: list) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _unit(v: list) -> list[float]:
+    n = math.hypot(*v)
+    if n <= 1e-12:
+        raise DegenerateError("cannot normalize a (near-)zero vector")
+    return [x / n for x in v]
 
 
 def dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.asarray(a) - np.asarray(b)
-    return math.sqrt(float(np.dot(d, d)))
+    return math.dist(_xyz(a), _xyz(b))
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors without numpy's axis bookkeeping."""
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    return np.array(_cross(_xyz(a), _xyz(b)))
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    n = norm(v)
-    if n <= 1e-12:
-        raise DegenerateError("cannot normalize a (near-)zero vector")
-    return np.asarray(v, dtype=float) / n
+    return np.array(_unit(_xyz(v)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +152,7 @@ class Circle3:
 
 
 def signed_plane_distance(p: np.ndarray, h: Plane) -> float:
-    return float(np.dot(np.asarray(p) - h.base, h.normal))
+    return _dot(_sub(_xyz(p), _xyz(h.base)), _xyz(h.normal))
 
 
 def distance_to_plane(p: np.ndarray, h: Plane) -> float:
@@ -140,45 +165,47 @@ def unit_ball_intersection(u: np.ndarray, w: np.ndarray) -> Circle3:
     Center is the midpoint of [u, w], axis the direction w - u, radius
     sqrt(1 - |u,w|^2 / 4).  At |u,w| = 2 the radius degenerates to 0.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d = dist(u, w)
+    u, w = _xyz(u), _xyz(w)
+    d = math.dist(u, w)
     if d > 2.0 + EPS:
         raise SeparatedError(f"unit balls at distance {d} do not intersect")
     if d <= EPS:
         raise CoincidentError("coincident centers: locus is a whole sphere")
-    radius = float(np.sqrt(max(0.0, 1.0 - 0.25 * d * d)))
-    return Circle3(center=0.5 * (u + w), radius=radius, axis=(w - u) / d)
+    radius = math.sqrt(max(0.0, 1.0 - 0.25 * d * d))
+    return Circle3(center=np.array([0.5 * (p + q) for p, q in zip(u, w)]),
+                   radius=radius, axis=np.array([(q - p) / d for p, q in zip(u, w)]))
 
 
-def _triangle_frame(a: np.ndarray, b: np.ndarray,
-                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge vectors u = b-a, v = c-a and their cross product, validated."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    u = b - a
-    v = c - a
-    if norm(u) <= EPS or norm(v) <= EPS or dist(b, c) <= EPS:
+def _triangle_frame(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[list, ...]:
+    """Vertex a, edge vectors u = b-a, v = c-a and their cross product,
+    validated, as float lists."""
+    a, b, c = _xyz(a), _xyz(b), _xyz(c)
+    if math.dist(a, b) <= EPS or math.dist(a, c) <= EPS or math.dist(b, c) <= EPS:
         raise DegenerateError("coincident triangle vertices")
-    n = cross3(u, v)
-    if norm(n) <= EPS:
+    u, v = _sub(b, a), _sub(c, a)
+    n = _cross(u, v)
+    if math.hypot(*n) <= EPS:
         raise DegenerateError("collinear triangle vertices")
-    return u, v, n
+    return a, u, v, n
+
+
+def _circumcenter(a: list, u: list, v: list, n: list) -> list[float]:
+    """Circumcenter of the triangle with frame ``a, u, v, n``."""
+    scale = 2.0 * _dot(n, n)
+    uu, vv = _dot(u, u), _dot(v, v)
+    return [x + (vv * p + uu * q) / scale
+            for x, p, q in zip(a, _cross(n, u), _cross(v, n))]
 
 
 def circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    u, v, n = _triangle_frame(a, b, c)
-    nn = float(np.dot(n, n))
-    offset = (np.dot(v, v) * cross3(n, u) + np.dot(u, u) * cross3(v, n)) / (2.0 * nn)
-    return np.asarray(a, dtype=float) + offset
+    return np.array(_circumcenter(*_triangle_frame(a, b, c)))
 
 
 def circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """|ab| * |bc| * |ca| / (4 * area)."""
-    u, v, n = _triangle_frame(a, b, c)
-    area2 = norm(n)  # twice the triangle area
-    return dist(a, b) * dist(b, c) * dist(c, a) / (2.0 * area2)
+    a, u, v, n = _triangle_frame(a, b, c)
+    area2 = math.hypot(*n)  # twice the triangle area
+    return math.hypot(*u) * math.dist(u, v) * math.hypot(*v) / (2.0 * area2)
 
 
 def apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -189,27 +216,32 @@ def apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     sqrt(1 - R^2) over the circumcenter, on the side of the triangle plane
     selected by the sign of ``side`` (relative to (b-a) x (c-a)).
     """
-    u, v, n = _triangle_frame(a, b, c)
-    center = circumcenter(a, b, c)
-    r2 = float(np.dot(center - np.asarray(a, dtype=float),
-                      center - np.asarray(a, dtype=float)))
+    a, u, v, n = _triangle_frame(a, b, c)
+    center = _circumcenter(a, u, v, n)
+    r2 = math.dist(center, a) ** 2
     if r2 >= 1.0:
         return None
-    height = float(np.sqrt(1.0 - r2))
-    return center + (1 if side >= 0 else -1) * height * normalize(n)
+    lift = (1 if side >= 0 else -1) * math.sqrt(1.0 - r2)
+    return np.array([x + lift * y for x, y in zip(center, _unit(n))])
 
 
 def reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reflect ``p`` across the line through ``a`` and ``b`` (an isometric involution)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = b - a
-    dd = float(np.dot(d, d))
+    p, a, b = _xyz(p), _xyz(a), _xyz(b)
+    d = _sub(b, a)
+    dd = _dot(d, d)
     if dd <= EPS * EPS:
         raise DegenerateLineError("line endpoints coincide")
-    proj = a + (np.dot(p - a, d) / dd) * d
-    return 2.0 * proj - p
+    t = _dot(_sub(p, a), d) / dd
+    return np.array([2.0 * (x + t * y) - z for x, y, z in zip(a, d, p)])
+
+
+def _plane_basis(normal: list) -> tuple[list, list]:
+    e1 = _cross(normal, _X)
+    if math.hypot(*e1) <= 1e-6:
+        e1 = _cross(normal, _Y)
+    e1 = _unit(e1)
+    return e1, _cross(normal, e1)
 
 
 def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,12 +252,8 @@ def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the parameter angle 0 of a circle around that normal, used by
     tie-breaks, so ledgers are deterministic.
     """
-    e1 = cross3(normal, _X)
-    if norm(e1) <= 1e-6:
-        e1 = cross3(normal, _Y)
-    e1 = normalize(e1)
-    e2 = cross3(normal, e1)
-    return e1, e2
+    e1, e2 = _plane_basis(_xyz(normal))
+    return np.array(e1), np.array(e2)
 
 
 def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
@@ -237,16 +265,18 @@ def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
     """
     if c.radius <= 0.0:
         return c.center.copy()
-    e1, e2 = plane_basis(c.axis)
+    r, center, normal = c.radius, _xyz(c.center), _xyz(h.normal)
+    e1, e2 = _plane_basis(_xyz(c.axis))
     s0 = signed_plane_distance(c.center, h)
-    amp_a = c.radius * float(np.dot(e1, h.normal))
-    amp_b = c.radius * float(np.dot(e2, h.normal))
-    amp = float(np.hypot(amp_a, amp_b))
+    amp_a = r * _dot(e1, normal)
+    amp_b = r * _dot(e2, normal)
+    amp = math.hypot(amp_a, amp_b)
     if amp <= 1e-15:
-        return c.center + c.radius * e1
-    phi = float(np.arctan2(amp_b, amp_a))
+        return np.array([x + r * y for x, y in zip(center, e1)])
+    phi = math.atan2(amp_b, amp_a)
     if abs(s0) <= amp:
-        theta = phi + float(np.arccos(np.clip(-s0 / amp, -1.0, 1.0)))
+        theta = phi + math.acos(min(1.0, max(-1.0, -s0 / amp)))
     else:
-        theta = phi + (np.pi if s0 > 0 else 0.0)
-    return c.center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
+        theta = phi + (math.pi if s0 > 0 else 0.0)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return np.array([x + r * (cos_t * p + sin_t * q) for x, p, q in zip(center, e1, e2)])

@@ -652,8 +652,14 @@ class Replayer:
         self._check_unit_from(z.tolist(), (("vertex 0", v[0].tolist()),
                                            ("vertex 3", v[3].tolist())),
                               ReplayMismatchError, "split bridge")
-        pentagon = np.vstack([v[0:4], z[None, :]])
-        remainder = np.vstack([v[0:1], z[None, :], v[3:]])
+        # [v0 v1 v2 v3 z] and [v0 z v3 ... v(n-1)]
+        pentagon = np.empty((5, 3))
+        pentagon[:4] = v[:4]
+        pentagon[4] = z
+        remainder = np.empty((len(v) - 1, 3))
+        remainder[0] = v[0]
+        remainder[1] = z
+        remainder[2:] = v[3:]
         self.components[move.new_component] = pentagon
         self.components[move.component] = remainder
         self.tally[move.new_component] = self.tally[move.component]
@@ -907,7 +913,11 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
 
 @dataclass
 class LedgerReport:
+    """The checks' entries, and the chain the replay assembled (None when the
+    replay did not run or failed)."""
+
     entries: list[tuple[str, bool, str]] = field(default_factory=list)
+    chain: DomeChain | None = field(default=None, repr=False, compare=False)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.entries.append((name, passed, detail))
@@ -958,6 +968,8 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
     key must equal its replayed value, JSON type included (an integer stat
     written as ``9.0`` or ``true`` differs).  A failing detail names the
     keys that differ.  Failures become report entries, never exceptions.
+    The report keeps the chain the replay assembled, so a caller that
+    exports it does not replay the ledger again.
     """
     report = LedgerReport()
     try:
@@ -968,7 +980,7 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
         report.add("initial_curve", False, str(exc))
         return report
     try:
-        chain = assemble_from_ledger(ledger)
+        chain = report.chain = assemble_from_ledger(ledger)
         report.add("replay", True, f"{len(ledger.moves)} moves")
     except Exception as exc:  # report, never raise
         report.add("replay", False, str(exc))

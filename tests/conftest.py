@@ -1,8 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from rhombidome import GraphSurface, IntegralCurve
-from rhombidome.geom import EPS, dist
+from rhombidome.geom import (
+    EPS,
+    Circle3,
+    CoincidentError,
+    DegenerateError,
+    DegenerateLineError,
+    Plane,
+    SeparatedError,
+    dist,
+)
 from rhombidome.surface import CobordismLedger, PivotMove, Replayer
 
 
@@ -135,6 +146,126 @@ def edge_vector_constraint_rows(s: GraphSurface) -> np.ndarray:
                 block[c, 3 * eid + c] += value
         blocks.append(block)
     return np.vstack(blocks) if blocks else np.zeros((0, 3 * n_edges))
+
+
+# ---------------------------------------------------------------------------
+# numpy references of the geom kernels
+#
+# The kernels of ``rhombidome.geom`` compute on Python floats; these are the
+# numpy bodies they replaced, which tests/test_geom.py pins them to.
+
+
+def _numpy_norm(v: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def numpy_dist(a: np.ndarray, b: np.ndarray) -> float:
+    d = np.asarray(a) - np.asarray(b)
+    return math.sqrt(float(np.dot(d, d)))
+
+
+def numpy_cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.cross(a, b)
+
+
+def numpy_normalize(v: np.ndarray) -> np.ndarray:
+    n = _numpy_norm(v)
+    if n <= 1e-12:
+        raise DegenerateError("cannot normalize a (near-)zero vector")
+    return np.asarray(v, dtype=float) / n
+
+
+def numpy_signed_plane_distance(p: np.ndarray, h: Plane) -> float:
+    return float(np.dot(np.asarray(p) - h.base, h.normal))
+
+
+def numpy_unit_ball_intersection(u: np.ndarray, w: np.ndarray) -> Circle3:
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    d = numpy_dist(u, w)
+    if d > 2.0 + EPS:
+        raise SeparatedError(f"unit balls at distance {d} do not intersect")
+    if d <= EPS:
+        raise CoincidentError("coincident centers: locus is a whole sphere")
+    radius = float(np.sqrt(max(0.0, 1.0 - 0.25 * d * d)))
+    return Circle3(center=0.5 * (u + w), radius=radius, axis=(w - u) / d)
+
+
+def _numpy_triangle_frame(a, b, c):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    u = b - a
+    v = c - a
+    if _numpy_norm(u) <= EPS or _numpy_norm(v) <= EPS or numpy_dist(b, c) <= EPS:
+        raise DegenerateError("coincident triangle vertices")
+    n = np.cross(u, v)
+    if _numpy_norm(n) <= EPS:
+        raise DegenerateError("collinear triangle vertices")
+    return u, v, n
+
+
+def numpy_circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    u, v, n = _numpy_triangle_frame(a, b, c)
+    nn = float(np.dot(n, n))
+    offset = (np.dot(v, v) * np.cross(n, u) + np.dot(u, u) * np.cross(v, n)) / (2.0 * nn)
+    return np.asarray(a, dtype=float) + offset
+
+
+def numpy_circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    u, v, n = _numpy_triangle_frame(a, b, c)
+    return numpy_dist(a, b) * numpy_dist(b, c) * numpy_dist(c, a) / (2.0 * _numpy_norm(n))
+
+
+def numpy_apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                                side: int = +1) -> np.ndarray | None:
+    u, v, n = _numpy_triangle_frame(a, b, c)
+    center = numpy_circumcenter(a, b, c)
+    r2 = float(np.dot(center - np.asarray(a, dtype=float),
+                      center - np.asarray(a, dtype=float)))
+    if r2 >= 1.0:
+        return None
+    height = float(np.sqrt(1.0 - r2))
+    return center + (1 if side >= 0 else -1) * height * numpy_normalize(n)
+
+
+def numpy_reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    p = np.asarray(p, dtype=float)
+    d = b - a
+    dd = float(np.dot(d, d))
+    if dd <= EPS * EPS:
+        raise DegenerateLineError("line endpoints coincide")
+    proj = a + (np.dot(p - a, d) / dd) * d
+    return 2.0 * proj - p
+
+
+def numpy_plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e1 = np.cross(normal, [1.0, 0.0, 0.0])
+    if _numpy_norm(e1) <= 1e-6:
+        e1 = np.cross(normal, [0.0, 1.0, 0.0])
+    e1 = numpy_normalize(e1)
+    e2 = np.cross(normal, e1)
+    return e1, e2
+
+
+def numpy_point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
+    if c.radius <= 0.0:
+        return c.center.copy()
+    e1, e2 = numpy_plane_basis(c.axis)
+    s0 = float(np.dot(c.center - h.base, h.normal))
+    amp_a = c.radius * float(np.dot(e1, h.normal))
+    amp_b = c.radius * float(np.dot(e2, h.normal))
+    amp = float(np.hypot(amp_a, amp_b))
+    if amp <= 1e-15:
+        return c.center + c.radius * e1
+    phi = float(np.arctan2(amp_b, amp_a))
+    if abs(s0) <= amp:
+        theta = phi + float(np.arccos(np.clip(-s0 / amp, -1.0, 1.0)))
+    else:
+        theta = phi + (np.pi if s0 > 0 else 0.0)
+    return c.center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
 
 
 @pytest.fixture

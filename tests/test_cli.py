@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import regular_polygon_curve
-from rhombidome import files
-from rhombidome.cli import main
+from rhombidome import files, surface
+from rhombidome.cli import build_parser, main
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import random_integral_curve
 from rhombidome.surface import assemble_from_ledger, validate_ledger
@@ -184,6 +184,47 @@ def test_off_export(tmp_path, capsys):
     halves = chain.rhombus_cells[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 3)
     assert len(chain.triangles) > 0 and len(halves) > 0
     assert np.array_equal(faces, np.concatenate([chain.triangles, halves]))
+
+
+def test_reduce_off_replays_once(tmp_path, monkeypatch, capsys):
+    # the OFF export takes the chain that validation assembled
+    infile = tmp_path / "curve.json"
+    files.write_curve(str(infile), random_integral_curve(9, np.random.default_rng(51)))
+    out, off = tmp_path / "ledger.json", tmp_path / "dome.off"
+    calls = []
+
+    def counted(ledger):
+        calls.append(ledger)
+        return assemble_from_ledger(ledger)
+
+    monkeypatch.setattr(surface, "assemble_from_ledger", counted)
+    assert main(["reduce", "--in", str(infile), "--out", str(out),
+                 "--off", str(off)]) == 0
+    assert len(calls) == 1
+    # the bytes an export of a second replay writes
+    chain = assemble_from_ledger(files.read_ledger(str(out)))
+    again = tmp_path / "again.off"
+    files.export_off(str(again), chain.triangles, chain.rhombus_cells)
+    assert off.read_bytes() == again.read_bytes()
+
+
+def test_one_parser_serves_every_call(tmp_path, pentagon_file, capsys):
+    assert build_parser() is build_parser()
+    ledger = str(tmp_path / "ledger.json")
+    assert main(["reduce", "--in", pentagon_file, "--out", ledger]) == 0
+    capsys.readouterr()
+    assert main(["validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "the following arguments are required: --in" in captured.err
+    assert main(["validate", "--in", ledger]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert main(["moduli", "dims", "--surface", "polygon:k=4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["scheme_dim"] == 5 and report["passed"] is True
+    assert main(["moduli", "dims", "--surface", "nonexistent"]) == 2
+    assert capsys.readouterr().err == "rhombidome: unknown catalog surface 'nonexistent'\n"
 
 
 def test_moduli_exit_codes(capsys):

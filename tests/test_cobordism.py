@@ -579,6 +579,18 @@ def test_reduce_k_within_a_sixth_of_budget():
         assert ledger.stats["k"] <= ledger.stats["budget"] // 6
 
 
+def test_decisions_ignore_last_bit_noise():
+    # moving every coordinate by one ulp keeps every decision, the first-fit
+    # test included: it compares within EPS, as every other predicate does
+    for n in range(6, 61, 3):
+        for seed in range(5):
+            curve = random_integral_curve(n, np.random.default_rng(seed))
+            stats = reduce_to_rhombi(curve).stats
+            for toward in (np.inf, -np.inf):
+                moved = IntegralCurve([np.nextafter(c, toward) for c in curve.components])
+                assert reduce_to_rhombi(moved).stats == stats, (n, seed, toward)
+
+
 def test_component_budget_values():
     assert component_budget(3) == 0
     assert component_budget(4) == 1

@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhombidome import files
-from rhombidome.cobordism import reduce_to_rhombi
+from rhombidome.cobordism import _pack_component, reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.surface import PackMove, Replayer, assemble_from_ledger, validate_ledger
+from rhombidome.surface import (
+    CobordismLedger,
+    PackMove,
+    Replayer,
+    assemble_from_ledger,
+    validate_ledger,
+)
 
 DATA = Path(__file__).parent / "data"
 V1_DIGON = DATA / "ledger_v1_collinear_digon.json"
@@ -268,13 +274,22 @@ def _pack_cells(ledger) -> int:
 
 
 def test_v3_fixture_replays_as_its_v4_ledger(tmp_path):
-    # version 3 recorded each pack swap as a pivot; the pack move of the
-    # same curve derives the same cells, bit for bit and in order
+    # version 3 recorded each pack swap as a pivot; on the v3 ledger's own
+    # state, the pack move the producer makes there derives the same cells,
+    # bit for bit and in order
     doc = json.loads(V3_WALK.read_text())
     assert doc["version"] == 3
     v3 = files.ledger_from_obj(doc)
     assert validate_ledger(v3).passed
-    v4 = reduce_to_rhombi(v3.initial)
+    packs = [i for i, m in enumerate(v3.moves) if getattr(m, "stage", "") == "pack"]
+    assert packs == list(range(packs[0], packs[0] + 6))  # one component's pack
+    state = Replayer(v3.initial)
+    for move in v3.moves[:packs[0]]:
+        state.apply(move)
+    _pack_component(state, v3.moves[packs[0]].component)
+    for move in v3.moves[packs[-1] + 1:]:
+        state.apply(move)
+    v4 = CobordismLedger(v3.initial, state.moves, state.final_curve(), state.stats())
     assert [type(m) for m in v4.moves if m.kind == "pack"] == [PackMove]
     assert v4.stats == v3.stats
     assert v3.stats["pack_moves"] == 6 and _pack_cells(v3) == _pack_cells(v4) == 4

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import conftest
+from rhombidome import geom
 from rhombidome.geom import (
     Circle3,
     CoincidentError,
@@ -196,3 +198,119 @@ def test_distance_to_plane():
     assert distance_to_plane(pt(3, -2, 0), plane) == 0.0
     assert distance_to_plane(pt(1, 1, 1), plane) == 1.0
     assert distance_to_plane(pt(1, 1, -1), plane) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the float kernels against their numpy references (tests/conftest.py)
+
+
+def _points(k: int, scale: float = 1.0):
+    return lambda rng: list(rng.normal(scale=scale, size=(k, 3)))
+
+
+def _ball_pair(rng):
+    u = rng.normal(size=3)
+    return [u, u + rng.uniform(0.05, 1.95) * _unit(rng.normal(size=3))]
+
+
+def _apex_args(rng):
+    return _points(3, 0.5)(rng) + [int(rng.choice([-1, 1]))]
+
+
+def _point_and_plane(rng):
+    return [rng.normal(size=3), Plane.make(rng.normal(size=3), rng.normal(size=3))]
+
+
+def _circle_and_plane(rng):
+    circle = Circle3(center=rng.normal(size=3), radius=float(rng.uniform(0.1, 2.0)),
+                     axis=_unit(rng.normal(size=3)))
+    return [circle, Plane.make(rng.normal(size=3), rng.normal(size=3))]
+
+
+# kernel name -> draw of its random arguments
+KERNELS = {
+    "dist": _points(2),
+    "cross3": _points(2),
+    "normalize": _points(1),
+    "unit_ball_intersection": _ball_pair,
+    "circumcenter": _points(3),
+    "circumradius": _points(3),
+    "apex_at_unit_distance": _apex_args,
+    "reflect_across_line": _points(3),
+    "plane_basis": lambda rng: [_unit(rng.normal(size=3))],
+    "signed_plane_distance": _point_and_plane,
+    "point_on_circle_nearest_plane": _circle_and_plane,
+}
+
+
+def _pair(name: str):
+    return getattr(geom, name), getattr(conftest, f"numpy_{name}")
+
+
+def _assert_agree(got, want):
+    """Same kind of result, and values within 1e-12."""
+    if want is None:
+        assert got is None
+    elif isinstance(want, Circle3):
+        assert isinstance(got, Circle3)
+        _assert_agree((got.center, got.radius, got.axis),
+                      (want.center, want.radius, want.axis))
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_agree(g, w)
+    else:
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape and got.dtype == np.float64
+        else:
+            assert type(got) is float
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_float_kernel_matches_numpy_reference(name):
+    kernel, reference = _pair(name)
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        args = KERNELS[name](rng)
+        _assert_agree(kernel(*args), reference(*args))
+
+
+_TANGENT = (pt(0, 0, 0), pt(2, 0, 0))
+_Z_PLANE = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
+
+
+@pytest.mark.parametrize("name, args, error", [
+    ("unit_ball_intersection", (pt(1, 2, 3), pt(1, 2, 3)), CoincidentError),
+    ("unit_ball_intersection", (pt(0, 0, 0), pt(0, 2.5, 0)), SeparatedError),
+    ("normalize", (pt(0, 0, 0),), DegenerateError),
+    ("circumcenter", (pt(0, 0, 0), pt(0, 0, 0), pt(1, 1, 0)), DegenerateError),
+    ("circumradius", (pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0)), DegenerateError),
+    ("apex_at_unit_distance", (pt(0, 0, 0), pt(1, 0, 0), pt(1, 0, 0)), DegenerateError),
+    ("apex_at_unit_distance", (pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)), DegenerateError),
+    ("reflect_across_line", (pt(0, 1, 0), pt(1, 1, 1), pt(1, 1, 1)), DegenerateLineError),
+], ids=["coincident_balls", "separated_balls", "zero_vector", "coincident_circumcenter",
+        "collinear_circumradius", "coincident_apex", "collinear_apex", "coincident_line"])
+def test_float_kernel_raises_as_reference(name, args, error):
+    messages = []
+    for fn in _pair(name):
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert type(info.value) is error
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("unit_ball_intersection", _TANGENT),
+    ("point_on_circle_nearest_plane", (unit_ball_intersection(*_TANGENT), _Z_PLANE)),
+    # the whole circle equidistant from the plane: parameter angle 0
+    ("point_on_circle_nearest_plane", (Circle3(pt(0, 0, 1), 1.0, pt(0, 0, 1)), _Z_PLANE)),
+    ("plane_basis", (pt(1, 0, 0),)),
+    ("plane_basis", (pt(-1, 0, 0),)),
+    ("plane_basis", (_unit(pt(1, 1e-7, 0)),)),
+], ids=["tangent_circle", "radius_zero", "equidistant", "x_axis", "minus_x_axis", "near_x"])
+def test_float_kernel_degenerate_values_match_reference(name, args):
+    kernel, reference = _pair(name)
+    _assert_agree(kernel(*args), reference(*args))

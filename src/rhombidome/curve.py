@@ -105,20 +105,41 @@ def from_integer_curve(raw: list) -> IntegralCurve:
     return curve
 
 
+# Rows per block of ``farthest_vertex_pair``: a block holds 256 x n distances.
+_PAIR_BLOCK = 256
+
+
 def farthest_vertex_pair(component: np.ndarray) -> tuple[int, int]:
-    """Indices of a maximum-distance vertex pair, first lexicographic on ties."""
+    """Indices of a maximum-distance vertex pair, first lexicographic on ties.
+
+    Rows i of a block are measured against every later vertex j > i at once.
+    Each distance is sqrt((dx^2 + dy^2) + dz^2), summed in the order of
+    ``np.linalg.norm(comp[j] - comp[i])``, so the values, and with them the
+    ties, are those of one norm per vertex.  Each row keeps its first maximum;
+    the running best changes only on a gain of more than 1e-15.
+    """
     comp = np.asarray(component, dtype=float)
     n = len(comp)
     best = (0, 1)
     best_d = -1.0
-    for i in range(n):
-        d = np.linalg.norm(comp[i + 1:] - comp[i], axis=1)
-        if len(d) == 0:
-            continue
-        j = int(np.argmax(d))
-        if float(d[j]) > best_d + 1e-15:
-            best_d = float(d[j])
-            best = (i, i + 1 + j)
+    x, y, z = comp.T
+    for start in range(0, n - 1, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, n - 1)
+        # entry [r, c]: vertex i = start + r against vertex j = start + 1 + c
+        d = x[None, start + 1:] - x[start:stop, None]
+        d *= d
+        for coord in (y, z):
+            step = coord[None, start + 1:] - coord[start:stop, None]
+            d += step * step
+        np.sqrt(d, out=d)
+        rows, width = len(d), min(len(d), d.shape[1])
+        d[:, :width][np.tri(rows, width, -1, dtype=bool)] = -np.inf  # j <= i
+        cols = np.argmax(d, axis=1)
+        for r, (c, dij) in enumerate(zip(cols.tolist(),
+                                         d[np.arange(rows), cols].tolist())):
+            if dij > best_d + 1e-15:
+                best_d = dij
+                best = (start + r, start + 1 + c)
     return best
 
 

@@ -10,7 +10,11 @@ on positions modulo translation; its linearization is the rigidity matrix
 its tail's).  Tangent spaces are numerical kernels of these matrices (SVD
 with a relative singular-value cutoff); polyhedron tangents are the
 rigidity kernel with vertex 0 pinned, mapped to edge vectors through the
-incidence.  The skew pairing on polygon tangents is
+incidence.  A perturbed polyhedron is reprojected onto its length equations
+by Gauss-Newton; each step is the minimum-norm least-squares solution from
+QR with column pivoting and a complete orthogonal factorization (LAPACK
+gelsy), with rank cut at eps * max(E, 3V).  The skew pairing on polygon
+tangents is
 
     sum over edges of  det[t(f), t'(f), p(f)] / length(f)^2 ,
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 # Factorizations come from scipy.linalg only: numpy and scipy each bundle an
 # OpenBLAS, and alternating between the two makes their thread pools contend.
-from scipy.linalg import block_diag, lstsq, null_space, orth, qr, subspace_angles, svd
+from scipy.linalg import lstsq, null_space, orth, qr, subspace_angles, svd
 
 from .curve import random_integral_curve
 from .geom import EPS
@@ -97,7 +101,10 @@ _RANK_REL_EPS = 1e-7
 
 def _edge_rows(vectors: np.ndarray) -> np.ndarray:
     """(K, 3K) rows: row j holds vectors[j] in edge j's three columns."""
-    return block_diag(*vectors[:, None, :])
+    count = len(vectors)
+    rows = np.zeros((count, count, 3))
+    rows[np.arange(count), np.arange(count)] = vectors
+    return rows.reshape(count, 3 * count)
 
 
 def _sum_rows(coeff: np.ndarray) -> np.ndarray:
@@ -276,12 +283,19 @@ def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     Pinning one vertex removes the translations only on a connected skeleton,
     so a disconnected one raises.
     """
-    reached = frontier = {0}
-    while frontier:  # breadth-first search from vertex 0
-        frontier = {w for edge in s.edges for v, w in (edge, edge[::-1])
-                    if v in frontier} - reached
-        reached = reached | frontier
-    if len(reached) != s.vertex_count:
+    neighbours = [[] for _ in range(s.vertex_count)]
+    for tail, head in s.edges:
+        neighbours[tail].append(head)
+        neighbours[head].append(tail)
+    reached = [False] * s.vertex_count
+    reached[0] = True
+    stack = [0]
+    while stack:  # depth-first search from vertex 0, O(V + E)
+        for w in neighbours[stack.pop()]:
+            if not reached[w]:
+                reached[w] = True
+                stack.append(w)
+    if not all(reached):
         raise DisconnectedError("surface skeleton is not connected")
     return null_space(_rigidity_matrix(s, x)[:, 3:], rcond=_RANK_REL_EPS)
 
@@ -304,20 +318,26 @@ def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
         if float(np.max(np.abs(residual))) <= _PROJECTION_TARGET:
             return x
         jac = 2 * _rigidity_matrix(s, x)
-        # A self-stress (three_rhombus_pants has one) leaves a singular value at
-        # rounding level, which grows with the matrix size: cut at eps * max(E, 3V)
-        # (numpy's default), not at scipy's default eps.
-        step, *_ = lstsq(jac, -residual, cond=np.finfo(float).eps * max(jac.shape))
+        # The minimum-norm step from QR with column pivoting and a complete
+        # orthogonal factorization (gelsy), at QR cost rather than an SVD's.
+        # A self-stress (three_rhombus_pants has one) leaves R a diagonal entry
+        # at rounding level, which grows with the matrix size: cut at
+        # eps * max(E, 3V) (numpy's default), not at scipy's default eps.
+        step, *_ = lstsq(jac, -residual, cond=np.finfo(float).eps * max(jac.shape),
+                         lapack_driver="gelsy")
         x = x + step.reshape(-1, 3)
     raise ProjectionDivergedError("Gauss-Newton projection did not converge")
 
 
-def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealization:
+def realize_surface(s: GraphSurface, seed: int | None = None, *,
+                    kernel: np.ndarray | None = None) -> SurfaceRealization:
     """Realization from catalog coordinates, optionally perturbed on-manifold.
 
     With a seed, the positions step ``_STEP`` along a random unit direction
     of the rigidity kernel (vertex 0 pinned) and are then reprojected onto
-    the length equations by Gauss-Newton (residual <= 1e-12).
+    the length equations by Gauss-Newton (residual <= 1e-12).  ``kernel``,
+    if given, must be ``_pinned_kernel(s, s.coords)``; it saves recomputing
+    that kernel when one surface is realized at many seeds.
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
@@ -325,7 +345,8 @@ def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealizat
     if seed is None:
         return SurfaceRealization(s, x)
     rng = np.random.default_rng(seed)
-    kernel = _pinned_kernel(s, x)
+    if kernel is None:
+        kernel = _pinned_kernel(s, x)
     if kernel.shape[1] == 0:
         return SurfaceRealization(s, x)
     direction = kernel @ rng.normal(size=kernel.shape[1])
@@ -404,8 +425,9 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> di
     scale_seen = 0.0
     worst_residual = 0.0
     dims = set()
+    kernel = _pinned_kernel(s, realize_surface(s).x)  # the same for every trial
     for t in range(trials):
-        realization = realize_surface(s, seed=seed + 7919 * t)
+        realization = realize_surface(s, seed=seed + 7919 * t, kernel=kernel)
         worst_residual = max(worst_residual,
                              surface_constraint_residual(s, realization.x))
         basis = surface_tangent_basis(realization)

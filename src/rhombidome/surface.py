@@ -156,17 +156,18 @@ class GraphSurface:
         n_edges = len(self.edges)
         if len(self.lengths) != n_edges:
             raise SurfaceInvariantError("one length per edge pair required")
-        if np.any(np.asarray(self.lengths) <= 0):
+        lengths = np.asarray(self.lengths).tolist()
+        if any(length <= 0 for length in lengths):
             raise SurfaceInvariantError("edge lengths must be positive")
         for tail, head in self.edges:
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise SurfaceInvariantError("edge endpoint out of range")
-        usage = np.zeros(n_edges, dtype=int)
+        usage = [0] * n_edges
         for t in self.triangles:
             if len(t) != 3:
                 raise SurfaceInvariantError("triangles need exactly 3 edge refs")
             self._check_cycle(t, "triangle")
-            a, b, c = (self.lengths[abs(r) - 1] for r in t)
+            a, b, c = (lengths[abs(r) - 1] for r in t)
             if not (a + b > c and b + c > a and c + a > b):
                 raise SurfaceInvariantError("triangle inequality violated")
             for r in t:
@@ -177,7 +178,7 @@ class GraphSurface:
             self._check_cycle(walk, "boundary walk")
             for r in walk:
                 usage[abs(r) - 1] += 1
-        if np.any(usage != 2):
+        if any(count != 2 for count in usage):
             raise SurfaceInvariantError(
                 "every edge must be used exactly twice across triangles and walks")
         chi = self.vertex_count - n_edges + len(self.triangles) + len(self.walks)
@@ -187,11 +188,12 @@ class GraphSurface:
         if self.coords is not None:
             if self.coords.shape != (self.vertex_count, 3):
                 raise SurfaceInvariantError("coords shape mismatch")
+            coords = np.asarray(self.coords, dtype=float).tolist()
             for eid, (tail, head) in enumerate(self.edges):
-                got = dist(self.coords[tail], self.coords[head])
-                if abs(got - float(self.lengths[eid])) > EPS:
+                got = math.dist(coords[tail], coords[head])
+                if abs(got - float(lengths[eid])) > EPS:
                     raise SurfaceInvariantError(
-                        f"edge {eid} realizes length {got}, expected {self.lengths[eid]}")
+                        f"edge {eid} realizes length {got}, expected {lengths[eid]}")
 
     def _check_cycle(self, refs, what: str) -> None:
         ends = [self.ref_endpoints(r) for r in refs]

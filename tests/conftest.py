@@ -148,6 +148,24 @@ def edge_vector_constraint_rows(s: GraphSurface) -> np.ndarray:
     return np.vstack(blocks) if blocks else np.zeros((0, 3 * n_edges))
 
 
+def loop_farthest_vertex_pair(component: np.ndarray) -> tuple[int, int]:
+    """One ``np.linalg.norm`` per vertex: the reference of the blocked
+    ``rhombidome.curve.farthest_vertex_pair`` and of its tie rule."""
+    comp = np.asarray(component, dtype=float)
+    n = len(comp)
+    best = (0, 1)
+    best_d = -1.0
+    for i in range(n):
+        d = np.linalg.norm(comp[i + 1:] - comp[i], axis=1)
+        if len(d) == 0:
+            continue
+        j = int(np.argmax(d))
+        if float(d[j]) > best_d + 1e-15:
+            best_d = float(d[j])
+            best = (i, i + 1 + j)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # numpy references of the geom kernels
 #

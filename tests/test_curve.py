@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import folded_rhombus_curve, regular_polygon_curve
+from conftest import folded_rhombus_curve, loop_farthest_vertex_pair, regular_polygon_curve
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import (
     IntegralCurve,
@@ -87,6 +87,26 @@ def test_farthest_pair_hexagon(regular_hexagon):
     d = np.linalg.norm(regular_hexagon.components[0][i] -
                        regular_hexagon.components[0][j])
     assert d == pytest.approx(2.0, abs=1e-12)
+
+
+def _out_and_back_walk(rng: np.random.Generator, longest: int = 30) -> np.ndarray:
+    """Vertices of a closed cubic-lattice walk that retraces its steps."""
+    axes = rng.integers(0, 3, size=int(rng.integers(2, longest)))
+    steps = np.eye(3)[axes] * rng.choice([-1.0, 1.0], size=(len(axes), 1))
+    steps = np.vstack([steps, -steps[::-1]])
+    return np.cumsum(steps, axis=0)
+
+
+def test_farthest_pair_matches_loop_reference():
+    # lattice walks are full of exact ties; n = 400 and the long walks span
+    # more than one block of 256 rows
+    rng = np.random.default_rng(17)
+    comps = [random_integral_curve(n, rng).components[0]
+             for n in [*range(3, 60), 96, 400]]
+    comps += [_out_and_back_walk(rng) for _ in range(300)]
+    comps += [_out_and_back_walk(rng, longest=400) for _ in range(3)]
+    for comp in comps:
+        assert farthest_vertex_pair(comp) == loop_farthest_vertex_pair(comp)
 
 
 def test_is_planar(unit_square, unit_triangle):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -168,6 +170,23 @@ def test_disconnected_surface_raises():
         md.realize_surface(s, seed=0)
 
 
+def test_isolated_vertex_is_disconnected():
+    disk = catalog("triangle_disk")
+    s = GraphSurface(
+        name="triangle_and_point",
+        vertex_count=4,
+        edges=disk.edges,
+        lengths=disk.lengths,
+        triangles=disk.triangles,
+        walks=disk.walks,
+        coords=np.vstack([disk.coords, [[0.0, 0.0, 5.0]]]),
+    )
+    with pytest.raises(md.DisconnectedError):
+        md.realize_surface(s, seed=0)
+    with pytest.raises(md.DisconnectedError):
+        md.surface_tangent_basis(md.realize_surface(s))
+
+
 def test_boundary_differential_linearity_and_equivariance():
     s = catalog("antiprism_band", k=4)
     realization = md.realize_surface(s, seed=1)
@@ -258,6 +277,28 @@ def test_isotropy_certificates():
         report = md.isotropy_certificate(s, trials=5, seed=40)
         assert report["passed"], report
         assert report["max_rel_pairing"] <= 1e-8
+
+
+@pytest.mark.parametrize("name, k", (("antiprism_band", 16), ("pentagon_pants", None),
+                                     ("three_rhombus_pants", None)))
+def test_isotropy_computes_the_reference_kernel_once(monkeypatch, name, k):
+    """``trials + 1`` pinned kernels, and the report of one kernel per trial."""
+    s = catalog(name, k=k)
+    trials = 4
+    calls = []
+    kernel = md._pinned_kernel
+    monkeypatch.setattr(md, "_pinned_kernel", lambda *a: calls.append(1) or kernel(*a))
+    report = md.isotropy_certificate(s, trials=trials, seed=3)
+    assert len(calls) == trials + 1
+
+    # the same certificate with each trial recomputing the kernel at s.coords
+    realize = md.realize_surface
+    monkeypatch.setattr(md, "realize_surface",
+                        lambda s, seed=None, kernel=None: realize(s, seed))
+    calls.clear()
+    reference = md.isotropy_certificate(s, trials=trials, seed=3)
+    assert len(calls) == 2 * trials + 1
+    assert json.dumps(report) == json.dumps(reference)
 
 
 def test_isotropy_needs_a_trial():

@@ -175,10 +175,7 @@ def _census_row(seed: int, n: int) -> dict:
     report = surface.validate_ledger(ledger)
     if not report.passed:
         raise RuntimeError(f"instance seed={seed} n={n} failed validation")
-    stats = ledger.stats
-    if stats["k"] > stats["budget"]:
-        raise RuntimeError(f"instance seed={seed} n={n} exceeded the rhombus budget")
-    return _row(seed, stats)
+    return _row(seed, ledger.stats)
 
 
 def _pentagon_fixture_row() -> dict:

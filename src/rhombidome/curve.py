@@ -80,7 +80,7 @@ def from_integer_curve(raw: list) -> IntegralCurve:
     Each edge of length L gains L - 1 equally spaced collinear vertices.
     Raises :class:`NonIntegerEdgeError` with the offending component/index
     when a consecutive distance is not a positive integer within
-    :data:`~rhombidome.geom.EPS`.
+    :data:`~rhombidome.geom.EPS`; an infinite distance is not.
     """
     components: list[np.ndarray] = []
     for ci, comp in enumerate(raw):
@@ -93,7 +93,7 @@ def from_integer_curve(raw: list) -> IntegralCurve:
             a = comp[i]
             b = comp[(i + 1) % n]
             length = dist(a, b)
-            steps = int(round(length))
+            steps = int(round(length)) if math.isfinite(length) else 0
             if steps < 1 or abs(length - steps) > EPS:
                 raise NonIntegerEdgeError(ci, i, length)
             out.append(a.copy())

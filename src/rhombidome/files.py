@@ -169,19 +169,6 @@ def _moves_from_obj(objs: list, point, kinds) -> list[Move]:
     return moves
 
 
-def _stacked(items: list, shape: tuple[int, ...]) -> np.ndarray:
-    """``items`` as one finite float array of shape ``(len(items),) + shape``.
-
-    Raises ValueError when the items do not convert to that shape or hold a
-    non-finite value or a value that is not a JSON number.
-    """
-    arr = np.asarray(items, dtype=float)
-    if (arr.shape != (len(items),) + shape or not np.isfinite(arr).all()
-            or not _numbers(items, arr.ndim)):
-        raise ValueError("items do not stack")
-    return arr
-
-
 def _ledger(obj: dict, point) -> CobordismLedger:
     """Decode a ledger in document order with the given point decoder."""
     kinds = MOVE_TABLE if obj["version"] == LEDGER_VERSION else _PRE_PACK_KINDS
@@ -245,7 +232,10 @@ def ledger_from_obj(obj) -> CobordismLedger:
             obj = _with_apexes(obj)
         try:
             raw = [m[key] for m in obj["moves"] for key in _POINT_KEYS[m["type"]]]
-            rows = iter(_stacked(raw, (3,)))  # read back in the order gathered
+            # read back in the order gathered; a refusal is a FileFormatError,
+            # so a ValueError, and decodes the document again item by item
+            rows = iter(_floats(raw, "move points", "3-d points",
+                                lambda shape: shape == (len(raw), 3)))
             return _ledger(obj, lambda p, what: next(rows))
         except (KeyError, TypeError, ValueError, OverflowError):
             return _ledger(obj, _point)
@@ -263,13 +253,18 @@ def write_curve(path: str, curve: IntegralCurve) -> None:
         fh.write(dump_json(curve_to_obj(curve)))
 
 
-def read_curve(path: str) -> IntegralCurve:
+def _read_json(path: str):
+    """The JSON document at ``path``; text that is not UTF-8 or not JSON, or
+    nests past the decoder's recursion limit, is refused as not valid JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FileFormatError(f"not valid JSON: {exc}") from exc
-    return curve_from_obj(obj)
+
+
+def read_curve(path: str) -> IntegralCurve:
+    return curve_from_obj(_read_json(path))
 
 
 def write_ledger(path: str, ledger: CobordismLedger) -> None:
@@ -278,12 +273,7 @@ def write_ledger(path: str, ledger: CobordismLedger) -> None:
 
 
 def read_ledger(path: str) -> CobordismLedger:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"not valid JSON: {exc}") from exc
-    return ledger_from_obj(obj)
+    return ledger_from_obj(_read_json(path))
 
 
 def export_off(path: str, triangles: np.ndarray, rhombus_cells: np.ndarray) -> None:

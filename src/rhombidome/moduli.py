@@ -1,9 +1,11 @@
 """Numerical linkage moduli: tangent spaces, a skew pairing, and certificates.
 
 A polygon tuple is a set of edge vectors with fixed lengths whose per-polygon
-sums vanish.  Its scheme is linearized as ``[edge rows; closure rows]``: one
-row per edge holding that edge's vector (``_edge_rows``), and three rows per
-polygon closure, one per coordinate (``_sum_rows``).  A polyhedron is a set
+sums vanish; a ``PolygonPoint`` holds its edge ``vectors`` (K, 3), their
+``lengths`` (K,) and the polygons' ``sizes``, one edge count each.  Its
+scheme is linearized as ``[edge rows; closure rows]``: one row per edge
+holding that edge's vector (``_edge_rows``), and three rows per polygon
+closure, one per coordinate (``_sum_rows``).  A polyhedron is a set
 of vertex positions with fixed edge lengths, so its scheme is the length map
 on positions modulo translation; its linearization is the rigidity matrix
 (row e holds edge e's vector in its head's columns and the negated vector in
@@ -38,7 +40,6 @@ from .geom import EPS
 from .surface import GraphSurface, is_oriented_consistently
 
 __all__ = [
-    "PolygonSystem",
     "PolygonPoint",
     "SurfaceRealization",
     "DisconnectedError",
@@ -117,43 +118,19 @@ def _sum_rows(coeff: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PolygonSystem:
-    """Edge lengths of a tuple of combinatorial polygons."""
-
-    lengths: list[np.ndarray]
-
-    @property
-    def sizes(self) -> list[int]:
-        return [len(l) for l in self.lengths]
-
-    @property
-    def offsets(self) -> list[int]:
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return out
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    def flat_lengths(self) -> np.ndarray:
-        return np.concatenate(self.lengths)
-
-
-@dataclass
 class PolygonPoint:
     """Realization of a polygon tuple: one 3-vector per edge, closed per polygon."""
 
-    system: PolygonSystem
-    vectors: np.ndarray  # (K, 3)
+    vectors: np.ndarray  # (K, 3), polygon by polygon
+    lengths: np.ndarray  # (K,) fixed edge lengths
+    sizes: tuple[int, ...]  # edge count of each polygon
 
 
 def polygon_point(edge_vector_lists: list[np.ndarray]) -> PolygonPoint:
-    lengths = [np.linalg.norm(np.asarray(v, dtype=float), axis=1)
-               for v in edge_vector_lists]
-    vectors = np.vstack([np.asarray(v, dtype=float) for v in edge_vector_lists])
-    return PolygonPoint(PolygonSystem(lengths), vectors)
+    parts = [np.asarray(v, dtype=float) for v in edge_vector_lists]
+    vectors = np.vstack(parts)
+    return PolygonPoint(vectors, np.linalg.norm(vectors, axis=1),
+                        tuple(len(v) for v in parts))
 
 
 def random_polygon_point(sizes: list[int], rng: np.random.Generator) -> PolygonPoint:
@@ -173,10 +150,10 @@ def all_parallel_quad() -> PolygonPoint:
 
 def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
-    closures = np.repeat(np.eye(len(point.system.lengths)), point.system.sizes, axis=1)
+    closures = np.repeat(np.eye(len(point.sizes)), point.sizes, axis=1)
     stacked = np.vstack([_edge_rows(point.vectors), _sum_rows(closures)])
     kernel = null_space(stacked, rcond=_RANK_REL_EPS)
-    return kernel.T.reshape(-1, point.system.total, 3)
+    return kernel.T.reshape(-1, len(point.vectors), 3)
 
 
 def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> float:
@@ -190,25 +167,24 @@ def pairing_gram(point: PolygonPoint, basis: np.ndarray) -> np.ndarray:
     Entry [a, b] is  sum over edges of  t_a . (t_b x p) / length^2 ; the
     strict upper triangle is computed and mirrored with the opposite sign.
     """
-    basis = np.asarray(basis, dtype=float).reshape(len(basis), point.system.total, 3)
-    lengths = point.system.flat_lengths()
-    turned = np.cross(basis, point.vectors) / (lengths ** 2)[:, None]
+    basis = np.asarray(basis, dtype=float).reshape(len(basis), len(point.vectors), 3)
+    turned = np.cross(basis, point.vectors) / (point.lengths ** 2)[:, None]
     upper = np.triu(np.einsum("aki,bki->ab", basis, turned), 1)
     return upper - upper.T
 
 
 def rotation_orbit_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis of the per-polygon rotation orbit directions."""
-    total = point.system.total
-    offsets = point.system.offsets
     generators = []
-    for i in range(len(point.system.lengths)):
+    stop = 0
+    for size in point.sizes:
+        start, stop = stop, stop + size
         for gen in _SO3_BASIS:
-            vec = np.zeros((total, 3))
-            vec[offsets[i]:offsets[i + 1]] = point.vectors[offsets[i]:offsets[i + 1]] @ gen.T
+            vec = np.zeros(point.vectors.shape)
+            vec[start:stop] = point.vectors[start:stop] @ gen.T
             generators.append(vec.reshape(-1))
     basis = orth(np.array(generators).T, rcond=_RANK_REL_EPS)
-    return basis.T.reshape(-1, total, 3)
+    return basis.T.reshape(-1, len(point.vectors), 3)
 
 
 def symplectic_kernel_basis(point: PolygonPoint) -> np.ndarray:
@@ -224,7 +200,7 @@ def symplectic_kernel_basis(point: PolygonPoint) -> np.ndarray:
     cutoff = max(_RANK_REL_EPS * (spectrum[0] if len(spectrum) else 0.0), 1e-12)
     null = vh[int(np.sum(spectrum > cutoff)):].T
     flat = basis.reshape(len(basis), -1)
-    return (null.T @ flat).reshape(-1, point.system.total, 3)
+    return (null.T @ flat).reshape(-1, len(point.vectors), 3)
 
 
 def subspace_max_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
@@ -379,10 +355,9 @@ def boundary_point(realization: SurfaceRealization) -> PolygonPoint:
     """Boundary polygons realized by precomposition with the boundary map."""
     s = realization.surface
     eid, _ = _signed_refs(np.concatenate(s.walks))
-    lengths = np.asarray(s.lengths, dtype=float)[eid]
-    splits = np.cumsum([len(walk) for walk in s.walks])[:-1]
-    return PolygonPoint(PolygonSystem(np.split(lengths, splits)),
-                        boundary_differential(realization, realization.q))
+    return PolygonPoint(boundary_differential(realization, realization.q),
+                        np.asarray(s.lengths, dtype=float)[eid],
+                        tuple(len(walk) for walk in s.walks))
 
 
 def boundary_differential(realization: SurfaceRealization,
@@ -499,19 +474,17 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
 
     image_scale = float(np.linalg.svd(images, compute_uv=False)[0]) \
         if images.size else 0.0
-    orbit = rotation_orbit_basis(point).reshape(-1, 3 * point.system.total)
+    orbit = rotation_orbit_basis(point).reshape(-1, point.vectors.size)
     proj = images - images @ orbit.T @ orbit
     moduli = _rank_with_gap(proj, image_scale)
 
-    two_point = PolygonPoint(PolygonSystem(point.system.lengths[:2]),
-                             point.vectors[:8])
+    two_point = PolygonPoint(point.vectors[:8], point.lengths[:8], point.sizes[:2])
     images_two = pushed[:, :8].reshape(len(basis), -1)
     orbit_two = rotation_orbit_basis(two_point).reshape(-1, 24)
     proj_two = images_two - images_two @ orbit_two.T @ orbit_two
     projected = _rank_with_gap(proj_two, image_scale)
 
-    one_point = PolygonPoint(PolygonSystem(point.system.lengths[:1]),
-                             point.vectors[:4])
+    one_point = PolygonPoint(point.vectors[:4], point.lengths[:4], point.sizes[:1])
     scheme_dim = len(polygon_tangent_basis(one_point))
     orbit_dim = len(rotation_orbit_basis(one_point))
     m = scheme_dim - orbit_dim

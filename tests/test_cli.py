@@ -150,6 +150,29 @@ def test_curve_version_true_exits_2(tmp_path, capsys):
     assert "unsupported curve document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000],
+                         ids=["not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("command", ["reduce", "validate"])
+def test_unreadable_json_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = [command, "--in", str(path)]
+    if command == "reduce":
+        argv += ["--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("rhombidome: not valid JSON: ")
+
+
+def test_reduce_overflowing_edge_exits_2(tmp_path, capsys):
+    # the first edge, from x = 1e308 to x = -1e308, has length inf
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"version": 1, "components": [
+        [[1e308, 0, 0], [-1e308, 0, 0], [0, 0, 0]]]}))
+    assert main(["reduce", "--in", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == (
+        "rhombidome: edge 0 of component 0 has non-integer length inf\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--in", "{curve}", "--out", "{missing}/ledger.json"],
     ["reduce", "--in", "{curve}", "--out", "{tmp}/ledger.json", "--off", "{missing}/dome.off"],

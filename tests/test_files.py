@@ -54,6 +54,11 @@ def _nan_then_bad_int(doc):
     doc["moves"][-1]["component"] = 1.5
 
 
+def _bad_int_then_nan(doc):
+    _first(doc, "pivot")["component"] = 1.5
+    doc["moves"][-1]["apex"][0] = float("nan")
+
+
 # Each message is the per-item decoder's, in the package's own words: a value
 # that does not convert to floats says what was expected, as a wrong shape
 # does, and keeps the conversion error as its cause.
@@ -66,6 +71,7 @@ def _nan_then_bad_int(doc):
     (lambda doc: _first(doc, "pivot").__setitem__("new", "0,0,1"),
      "bad pivot new: expected a 3-d point", ValueError),
     (_nan_then_bad_int, "bad pivot new: non-finite coordinate", None),
+    (_bad_int_then_nan, "bad pivot component: expected an integer, got 1.5", None),
     (lambda doc: _first(doc, "pivot")["new"].__setitem__(0, 10 ** 400),
      "bad pivot new: expected a 3-d point", OverflowError),
     (lambda doc: _first(doc, "pentagon")["apex"].pop(),
@@ -93,7 +99,8 @@ def _nan_then_bad_int(doc):
     (lambda doc: doc.update(version=3),
      "bad move: {'type': 'pack', 'component': 0, 'order': [0, 3, 4, 1, 5, 6, 2, 7, 8]}", None),
 ], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
-        "point_is_string", "earlier_bad_point_first", "int_overflows_float", "apex_2d",
+        "point_is_string", "earlier_bad_point_first", "earlier_bad_int_first",
+        "int_overflows_float", "apex_2d",
         "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
         "curve_bool", "order_object", "order_string", "order_true", "order_float",
         "pack_in_v3"])

@@ -229,8 +229,8 @@ def test_boundary_differential_stacked_equals_per_tangent():
     point = md.boundary_point(realization)
     assert np.array_equal(point.vectors,
                           md.boundary_differential(realization, realization.q))
-    assert point.system.sizes == [len(w) for w in s.walks]
-    assert np.array_equal(point.system.flat_lengths(),
+    assert point.sizes == tuple(len(w) for w in s.walks)
+    assert np.array_equal(point.lengths,
                           [s.lengths[abs(r) - 1] for w in s.walks for r in w])
 
 

@@ -64,7 +64,6 @@ __all__ = [
     "NotClosedError",
     "SearchFailedError",
     "FixBudgetExceededError",
-    "ComponentTooShortError",
     "apply_pivot",
     "planarize",
     "steinitz_order",
@@ -92,10 +91,6 @@ class SearchFailedError(RuntimeError):
 
 class FixBudgetExceededError(RuntimeError):
     """Pentagon corrective pivots could not reach circumradius < 1."""
-
-
-class ComponentTooShortError(ValueError):
-    """A component with fewer than 3 edges cannot be reduced."""
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +177,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
     """
     v = state.component(cid)
     n = len(v)
-    heights = np.abs((v[path] - plane.base) @ plane.normal).tolist()
+    heights = np.abs((np.array([v[g] for g in path]) - plane.base) @ plane.normal).tolist()
     interior = range(1, len(path) - 1)
     while interior:
         j = max(interior, key=heights.__getitem__)  # the first maximum
@@ -210,7 +205,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
 
 
 def _planarize_component(state: Replayer, cid: int) -> Plane:
-    v = state.component(cid)
+    v = np.array(state.component(cid))
     existing = component_plane(v)
     if existing is not None:
         return existing
@@ -360,7 +355,7 @@ def _pack_component(state: Replayer, cid: int) -> None:
     the order with at most C(n, 2) swaps; the base vertex 0 never moves.  An
     identity order records nothing.
     """
-    v = state.component(cid)
+    v = np.array(state.component(cid))
     n = len(v)
     plane = fit_plane(v)
     e1, e2 = plane_basis(plane.normal)
@@ -369,6 +364,7 @@ def _pack_component(state: Replayer, cid: int) -> None:
     sigma = steinitz_order(vecs2d)
     if np.any(sigma != np.arange(n)):
         state.apply(PackMove(cid, sigma.tolist()))
+        v = np.array(state.component(cid))
     radii = np.linalg.norm(v - v[0], axis=1)
     if float(np.max(radii)) > STEINITZ_BOUND + EPS:
         raise SearchFailedError("packing postcondition violated")
@@ -535,8 +531,6 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     next_id = len(initial.components)
 
     for root, n0 in enumerate(state.edges):
-        if n0 < 3:
-            raise ComponentTooShortError(f"component {root} has fewer than 3 edges")
         if n0 == 3:
             state.apply(CloseTriangleMove(root))
         elif n0 == 4:
@@ -545,8 +539,8 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             plane = _planarize_component(state, root)
             _pack_component(state, root)
             while len(state.component(root)) > 5:
-                z = _choose_bridge(state.component(root), plane)
-                state.apply(SplitMove(root, next_id, z.copy()))
+                z = _choose_bridge(np.array(state.component(root)[:4]), plane)
+                state.apply(SplitMove(root, next_id, z))
                 _consume_pentagon(state, next_id)
                 next_id += 1
             _consume_pentagon(state, root)

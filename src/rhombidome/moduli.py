@@ -4,12 +4,11 @@ A polygon tuple is a set of edge vectors with fixed lengths whose per-polygon
 sums vanish; a ``PolygonPoint`` holds its edge ``vectors`` (K, 3), their
 ``lengths`` (K,) and the polygons' ``sizes``, one edge count each.  Its
 scheme is linearized as ``[edge rows; closure rows]``: one row per edge
-holding that edge's vector (``_edge_rows``), and three rows per polygon
-closure, one per coordinate (``_sum_rows``).  A polyhedron is a set
-of vertex positions with fixed edge lengths, so its scheme is the length map
-on positions modulo translation; its linearization is the rigidity matrix
-(row e holds edge e's vector in its head's columns and the negated vector in
-its tail's).  Tangent spaces are numerical kernels of these matrices (SVD
+holding that edge's vector, and three rows per polygon closure, one per
+coordinate.  A polyhedron is a set of vertex positions with fixed edge
+lengths, so its scheme is the length map on positions modulo translation;
+its linearization is the rigidity matrix (row e holds edge e's vector in
+its head's columns and the negated vector in its tail's).  Tangent spaces are numerical kernels of these matrices (SVD
 with a relative singular-value cutoff); polyhedron tangents are the
 rigidity kernel with vertex 0 pinned, mapped to edge vectors through the
 incidence.  A perturbed polyhedron is reprojected onto its length equations
@@ -97,23 +96,6 @@ _RANK_REL_EPS = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# constraint rows
-
-
-def _edge_rows(vectors: np.ndarray) -> np.ndarray:
-    """(K, 3K) rows: row j holds vectors[j] in edge j's three columns."""
-    count = len(vectors)
-    rows = np.zeros((count, count, 3))
-    rows[np.arange(count), np.arange(count)] = vectors
-    return rows.reshape(count, 3 * count)
-
-
-def _sum_rows(coeff: np.ndarray) -> np.ndarray:
-    """(3m, 3K) rows: the m signed edge sums ``coeff`` (m, K), per coordinate."""
-    return np.kron(coeff, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
-
-
-# ---------------------------------------------------------------------------
 # polygon schemes
 
 
@@ -150,10 +132,16 @@ def all_parallel_quad() -> PolygonPoint:
 
 def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
+    count = len(point.vectors)
+    # (K, 3K) edge rows: row j holds edge j's vector in its three columns
+    edge_rows = np.zeros((count, count, 3))
+    edge_rows[np.arange(count), np.arange(count)] = point.vectors
+    # (3m, 3K) closure rows: each polygon's edge sum, per coordinate
     closures = np.repeat(np.eye(len(point.sizes)), point.sizes, axis=1)
-    stacked = np.vstack([_edge_rows(point.vectors), _sum_rows(closures)])
+    sum_rows = np.kron(closures, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
+    stacked = np.vstack([edge_rows.reshape(count, 3 * count), sum_rows])
     kernel = null_space(stacked, rcond=_RANK_REL_EPS)
-    return kernel.T.reshape(-1, len(point.vectors), 3)
+    return kernel.T.reshape(-1, count, 3)
 
 
 def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> float:
@@ -305,24 +293,28 @@ def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     raise ProjectionDivergedError("Gauss-Newton projection did not converge")
 
 
-def realize_surface(s: GraphSurface, seed: int | None = None, *,
-                    kernel: np.ndarray | None = None) -> SurfaceRealization:
+def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealization:
     """Realization from catalog coordinates, optionally perturbed on-manifold.
 
     With a seed, the positions step ``_STEP`` along a random unit direction
     of the rigidity kernel (vertex 0 pinned) and are then reprojected onto
-    the length equations by Gauss-Newton (residual <= 1e-12).  ``kernel``,
-    if given, must be ``_pinned_kernel(s, s.coords)``; it saves recomputing
-    that kernel when one surface is realized at many seeds.
+    the length equations by Gauss-Newton (residual <= 1e-12).
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
     x = np.array(s.coords, dtype=float)
     if seed is None:
         return SurfaceRealization(s, x)
+    return _perturbed(s, x, _pinned_kernel(s, x), seed)
+
+
+def _perturbed(s: GraphSurface, x: np.ndarray, kernel: np.ndarray,
+               seed: int) -> SurfaceRealization:
+    """:func:`realize_surface` at ``seed`` from the positions ``x``, whose
+    pinned rigidity kernel is ``kernel``; ``x`` itself is left as it was, so
+    one kernel serves every seed."""
+    x = x.copy()
     rng = np.random.default_rng(seed)
-    if kernel is None:
-        kernel = _pinned_kernel(s, x)
     if kernel.shape[1] == 0:
         return SurfaceRealization(s, x)
     direction = kernel @ rng.normal(size=kernel.shape[1])
@@ -400,9 +392,10 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> di
     scale_seen = 0.0
     worst_residual = 0.0
     dims = set()
-    kernel = _pinned_kernel(s, realize_surface(s).x)  # the same for every trial
+    x = realize_surface(s).x
+    kernel = _pinned_kernel(s, x)  # the same for every trial
     for t in range(trials):
-        realization = realize_surface(s, seed=seed + 7919 * t, kernel=kernel)
+        realization = _perturbed(s, x, kernel, seed + 7919 * t)
         worst_residual = max(worst_residual,
                              surface_constraint_residual(s, realization.x))
         basis = surface_tangent_basis(realization)

@@ -19,9 +19,9 @@ rhombus, possibly non-planar -- is nothing but its vertex rows ``[x, y, z]``
 in cyclic order: the replay derives each as a list of rows, and
 :class:`DomeChain` stacks each kind into one (m, k, 3) array.
 
-Move semantics (state = components keyed by stable integer ids).  A move
-records only the decision taken; everything else follows from the state it
-is replayed on:
+Move semantics (state = components keyed by stable integer ids, each a list
+of vertex rows like a cell).  A move records only the decision taken;
+everything else follows from the state it is replayed on:
 
 * ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
                         unit distance from both neighbours.  The old point
@@ -539,16 +539,18 @@ class Replayer:
     order, and the cells the moves derive, in move order: the pivot and pack
     cells ``rhombus_cells``, and from the consuming moves ``triangles`` and
     the boundary ``rhombi``.  Each cell is a list of its vertex rows, float
-    lists ``[x, y, z]``; the component state is one (n, 3) array per
-    component, which :meth:`component` returns live.  It also counts, per input
-    component, the rhombi the moves add to k, the pivots by stage and the
-    splits; a split's new piece counts toward its parent's input component.
-    :meth:`stats` reports these counts as a ledger's ``stats``.
+    lists ``[x, y, z]``; the component state is one list of such rows per
+    component, which :meth:`component` returns live.  A move replaces rows
+    and never edits one in place, so cells and split pieces may share rows.
+    It also counts, per input component, the rhombi the moves add to k, the
+    pivots by stage and the splits; a split's new piece counts toward its
+    parent's input component.  :meth:`stats` reports these counts as a
+    ledger's ``stats``.
     """
 
     def __init__(self, initial: IntegralCurve):
-        self.components: dict[int, np.ndarray] = {
-            i: np.asarray(c, dtype=float).copy() for i, c in enumerate(initial.components)
+        self.components: dict[int, list[list[float]]] = {
+            i: np.asarray(c, dtype=float).tolist() for i, c in enumerate(initial.components)
         }
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
@@ -560,7 +562,7 @@ class Replayer:
         self.tallies = [Counter() for _ in self.edges]
         self.tally: dict[int, Counter] = dict(enumerate(self.tallies))
 
-    def component(self, cid: int) -> np.ndarray:
+    def component(self, cid: int) -> list[list[float]]:
         try:
             return self.components[cid]
         except KeyError:
@@ -603,17 +605,15 @@ class Replayer:
 
     def _apply_pivot(self, move: PivotMove) -> None:
         v = self.component(move.component)
-        n = len(v)
-        if not 0 <= move.vertex < n:
+        n, i = len(v), move.vertex
+        if not 0 <= i < n:
             raise ReplayMismatchError("pivot vertex out of range")
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        # [prev old next new], gathered once
-        quad = v.take(((move.vertex - 1) % n, move.vertex, (move.vertex + 1) % n,
-                       move.vertex), axis=0)
-        quad[3] = move.new_point
-        self._count_pivots(move.component, move.stage, 1, self._pivot_cells(*quad.tolist()))
-        v[move.vertex] = quad[3]
+        new = np.asarray(move.new_point, dtype=float).tolist()
+        self._count_pivots(move.component, move.stage, 1,
+                           self._pivot_cells(v[i - 1], v[i], v[(i + 1) % n], new))
+        v[i] = new
 
     def _apply_pack(self, move: PackMove) -> None:
         v = self.component(move.component)
@@ -625,7 +625,8 @@ class Replayer:
         rank = [0] * n
         for position, edge in enumerate(order):
             rank[edge] = position
-        pts = v.tolist()
+        # sort a copy: a swap that fails leaves the component as it was
+        pts = v[:]
         cells, pivots = [], 0
         swapped = True
         while swapped:
@@ -650,29 +651,18 @@ class Replayer:
             raise ReplayMismatchError("split needs a component with > 5 edges")
         if move.new_component in self.components:
             raise ReplayMismatchError("split target id already in use")
-        z = np.asarray(move.z, dtype=float)
-        self._check_unit_from(z.tolist(), (("vertex 0", v[0].tolist()),
-                                           ("vertex 3", v[3].tolist())),
+        z = np.asarray(move.z, dtype=float).tolist()
+        self._check_unit_from(z, (("vertex 0", v[0]), ("vertex 3", v[3])),
                               ReplayMismatchError, "split bridge")
         # [v0 v1 v2 v3 z] and [v0 z v3 ... v(n-1)]
-        pentagon = np.empty((5, 3))
-        pentagon[:4] = v[:4]
-        pentagon[4] = z
-        remainder = np.empty((len(v) - 1, 3))
-        remainder[0] = v[0]
-        remainder[1] = z
-        remainder[2:] = v[3:]
-        self.components[move.new_component] = pentagon
-        self.components[move.component] = remainder
+        self.components[move.new_component] = v[:4] + [z]
+        self.components[move.component] = [v[0], z] + v[3:]
         self.tally[move.new_component] = self.tally[move.component]
         self.tally[move.component]["split"] += 1
 
     def _apply_pentagon(self, move: PentagonMove) -> None:
-        # rows 0-4 the pentagon, row 5 the apex a
-        q = np.empty((6, 3))
-        q[:5] = self._cycle(move.component, 5)
-        q[5] = move.apex
-        p0, p1, p2, p3, p4, a = q.tolist()
+        p0, p1, p2, p3, p4 = self._cycle(move.component, 5)
+        a = np.asarray(move.apex, dtype=float).tolist()
         self._check_unit_from(a, (("vertex 0", p0), ("vertex 2", p2), ("vertex 3", p3)),
                               ReplayMismatchError, "pentagon apex")
         # [v2 v3 a], and [v0 v1 v2 a] and [v0 a v3 v4] reversed
@@ -680,13 +670,12 @@ class Replayer:
 
     def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
         v = self._cycle(move.component, 4)
-        self._consume(move.component, [], [v[[0, 3, 2, 1]].tolist()])  # reversed
+        self._consume(move.component, [], [[v[0], v[3], v[2], v[1]]])  # reversed
 
     def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
-        v = self._cycle(move.component, 3)
-        self._consume(move.component, [v.tolist()], [])
+        self._consume(move.component, [self._cycle(move.component, 3)], [])
 
-    def _cycle(self, cid: int, expected_len: int) -> np.ndarray:
+    def _cycle(self, cid: int, expected_len: int) -> list[list[float]]:
         """Component ``cid``, which a move consumes and which must have
         ``expected_len`` vertices."""
         v = self.component(cid)
@@ -703,7 +692,7 @@ class Replayer:
         del self.components[cid]
 
     def final_curve(self) -> IntegralCurve:
-        return IntegralCurve([self.components[k].copy() for k in sorted(self.components)])
+        return IntegralCurve([np.array(self.components[k]) for k in sorted(self.components)])
 
     def stats(self) -> dict:
         """The ledger ``stats`` of the moves applied so far."""

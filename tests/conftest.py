@@ -57,8 +57,7 @@ def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
             state.apply(move)
             moves.append(move)
             continue
-        v = state.component(move.component)
-        n = len(v)
+        n = len(state.component(move.component))
         pos = np.empty(n, dtype=int)
         pos[move.order] = np.arange(n)
         arrangement = list(range(n))
@@ -67,6 +66,7 @@ def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
             swapped = False
             for j in range(n - 1):
                 if pos[arrangement[j]] > pos[arrangement[j + 1]]:
+                    v = np.array(state.component(move.component))
                     target = v[j] + (v[(j + 2) % n] - v[j + 1])
                     if dist(v[j + 1], target) > EPS:
                         pivot = PivotMove(move.component, j + 1, target, "pack")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,18 @@ def test_reduce_overflowing_edge_exits_2(tmp_path, capsys):
     assert main(["reduce", "--in", str(path), "--out", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().err == (
         "rhombidome: edge 0 of component 0 has non-integer length inf\n")
+
+
+def test_reduce_refuses_too_many_unit_edges(tmp_path, capsys):
+    # a 3-4-5 triangle scaled by 1e9 would subdivide into 1.2e10 unit edges
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"version": 1, "components": [
+        [[0, 0, 0], [3e9, 0, 0], [3e9, 4e9, 0]]]}))
+    start = time.perf_counter()
+    assert main(["reduce", "--in", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "rhombidome: curve has 12000000000 unit edges, more than the limit of 1000000\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import folded_rhombus_curve, pack_as_pivots
 from rhombidome.cobordism import (
-    ComponentTooShortError,
     FixBudgetExceededError,
     NotClosedError,
     PlanarizeBudgetError,
@@ -21,6 +20,7 @@ from rhombidome.cobordism import (
 )
 from rhombidome.curve import (
     IntegralCurve,
+    InvalidCurveError,
     component_plane,
     is_planar,
     random_integral_curve,
@@ -554,9 +554,7 @@ def test_stats_count_the_recorded_moves(unit_triangle, unit_square):
 
 
 def test_reduce_rejects_short_component():
-    from rhombidome.curve import InvalidCurveError
-
-    with pytest.raises((ComponentTooShortError, InvalidCurveError)):
+    with pytest.raises(InvalidCurveError):
         reduce_to_rhombi(IntegralCurve([np.array([[0, 0, 0], [1, 0, 0.0]])]))
 
 

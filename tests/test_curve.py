@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import folded_rhombus_curve, loop_farthest_vertex_pair, regular_polygon_curve
+from rhombidome import curve as curve_module
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import (
     IntegralCurve,
@@ -41,6 +42,23 @@ def test_from_integer_curve_preserves_points_and_length():
     assert out.edge_count == 21
     for original in scaled:
         assert min(np.linalg.norm(out.components[0] - original, axis=1)) < 1e-9
+
+
+def test_from_integer_curve_keeps_negative_zero():
+    # each edge starts at its input row itself, signed zeros included
+    raw = np.array([[-0.0, 0.0, -0.0], [3.0, -0.0, 0.0], [3.0, 4.0, 0.0]])
+    out = from_integer_curve([raw]).components[0]
+    assert np.signbit(out[0]).tolist() == [True, False, True]
+    assert np.signbit(out[3]).tolist() == [False, True, False]
+    assert np.array_equal(out[[0, 3, 7]], raw)
+
+
+def test_from_integer_curve_limits_the_unit_edges(monkeypatch):
+    monkeypatch.setattr(curve_module, "MAX_UNIT_EDGES", 12)
+    triangle = np.array([[0, 0, 0], [3, 0, 0], [3, 4, 0]], dtype=float)
+    assert from_integer_curve([triangle]).edge_count == 12
+    with pytest.raises(InvalidCurveError, match="curve has 14 unit edges"):
+        from_integer_curve([triangle, np.array([[0, 0, 5], [1, 0, 5.0]])])
 
 
 def test_from_integer_curve_rejects_fractional_edge():

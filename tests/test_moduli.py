@@ -9,6 +9,16 @@ from rhombidome import moduli as md
 from rhombidome.surface import GraphSurface, catalog, collapse
 
 
+def loop_edge_rows(vectors: np.ndarray) -> np.ndarray:
+    """(K, 3K) rows, one per edge, holding that edge's vector in its three
+    columns: the scheme's edge rows, built one edge at a time."""
+    count = len(vectors)
+    rows = np.zeros((count, 3 * count))
+    for j in range(count):
+        rows[j, 3 * j:3 * j + 3] = vectors[j]
+    return rows
+
+
 def test_polygon_scheme_dimensions():
     rng = np.random.default_rng(30)
     for k in range(3, 9):
@@ -131,7 +141,7 @@ def test_tangents_match_edge_vector_scheme(name, k):
         realization = md.realize_surface(s, seed=seed)
         assert _edge_vector_residual(s, realization) <= 1e-12
         basis = md.surface_tangent_basis(realization)
-        reference = null_space(np.vstack([md._edge_rows(realization.q), linear]),
+        reference = null_space(np.vstack([loop_edge_rows(realization.q), linear]),
                                rcond=md._RANK_REL_EPS)
         assert len(basis) == reference.shape[1]
         assert md.subspace_max_angle(basis, reference.T) <= 1e-10
@@ -200,13 +210,20 @@ def test_boundary_differential_linearity_and_equivariance():
 
 
 def test_constraint_rows_match_loop_reference():
-    s = catalog("pentagon_pants")
-    realization = md.realize_surface(s, seed=5)
-    n_edges = len(s.edges)
-    edge = np.zeros((n_edges, 3 * n_edges))
-    for j in range(n_edges):
-        edge[j, 3 * j:3 * j + 3] = realization.q[j]
-    assert np.array_equal(md._edge_rows(realization.q), edge)
+    """The polygon scheme's tangents are the kernel of the edge and closure
+    rows built one edge at a time, bit for bit."""
+    point = md.boundary_point(md.realize_surface(catalog("pentagon_pants"), seed=5))
+    count = len(point.vectors)
+    closure = np.zeros((3 * len(point.sizes), 3 * count))
+    first = 0
+    for p, size in enumerate(point.sizes):
+        for j in range(first, first + size):
+            closure[3 * p:3 * p + 3, 3 * j:3 * j + 3] = np.eye(3)
+        first += size
+    reference = null_space(np.vstack([loop_edge_rows(point.vectors), closure]),
+                           rcond=md._RANK_REL_EPS)
+    assert np.array_equal(md.polygon_tangent_basis(point),
+                          reference.T.reshape(-1, count, 3))
 
 
 def test_boundary_differential_stacked_equals_per_tangent():
@@ -292,13 +309,18 @@ def test_isotropy_computes_the_reference_kernel_once(monkeypatch, name, k):
     assert len(calls) == trials + 1
 
     # the same certificate with each trial recomputing the kernel at s.coords
-    realize = md.realize_surface
-    monkeypatch.setattr(md, "realize_surface",
-                        lambda s, seed=None, kernel=None: realize(s, seed))
+    perturbed = md._perturbed
+    monkeypatch.setattr(md, "_perturbed", lambda s, x, kernel, seed:
+                        perturbed(s, x, md._pinned_kernel(s, x), seed))
     calls.clear()
     reference = md.isotropy_certificate(s, trials=trials, seed=3)
     assert len(calls) == 2 * trials + 1
     assert json.dumps(report) == json.dumps(reference)
+
+    # each trial perturbs a copy of the reference positions
+    x = np.array(s.coords, dtype=float)
+    perturbed(s, x, kernel(s, x), 3)
+    assert np.array_equal(x, s.coords)
 
 
 def test_isotropy_needs_a_trial():

@@ -17,11 +17,13 @@ from rhombidome.surface import (
     CobordismLedger,
     NotBoundaryEdgeError,
     NotInTriangleError,
+    NotOnPivotCircleError,
     PackMove,
     PivotMove,
     PositioningViolatedError,
     Replayer,
     ReplayMismatchError,
+    SplitMove,
     UnknownNameError,
     _check_unit_cycle,
     assemble_from_ledger,
@@ -318,7 +320,7 @@ def _rotated_bridges(doc: dict, theta: float = 0.3):
     state = Replayer(ledger.initial)
     for i, move in enumerate(ledger.moves):
         if move.kind == "split":
-            v0, v3 = state.component(move.component)[[0, 3]]
+            v0, v3 = np.array(state.component(move.component))[[0, 3]]
             yield i, (v0 + _rotation(v3 - v0, theta) @ (move.z - v0)).tolist()
         state.apply(move)
 
@@ -451,6 +453,36 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     assert state.stats()["pack_moves"] == 1
     (cell,) = state.rhombus_cells
     assert np.array_equal(cell, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
+
+
+def test_failed_pack_leaves_the_state_as_it_was():
+    # slot 0 swaps, then the swap of edges 2 and 3 moves vertex 3 to a point
+    # at distance 1.5 (edge 3's length) from its neighbour: the move raises,
+    # and the swap it already made must not show
+    rows = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 2.5, 0], [0, 1.5, 0.5]]
+    state = Replayer(IntegralCurve([rows]))
+    stats = state.stats()
+    with pytest.raises(NotOnPivotCircleError, match="distance 1.5 from a neighbour"):
+        state.apply(PackMove(0, [1, 0, 3, 2, 4, 5]))
+    assert np.array_equal(state.component(0), rows)
+    assert state.rhombus_cells == [] and state.moves == [] and state.stats() == stats
+
+
+def test_pivot_after_a_split_leaves_shared_rows_alone():
+    # the pentagon [v0 v1 v2 v3 z] and the remainder [v0 z v3 v4 v5] share
+    # the bridge row z, and each pivot cell shares the rows it was read from
+    s3 = 0.75 ** 0.5
+    hexagon = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 1, 0], [-1, 0, 0]]
+    state = Replayer(IntegralCurve([np.array(hexagon, dtype=float)]))
+    state.apply(PivotMove(0, 1, [0.5, 0.5, 0.5 ** 0.5]))
+    state.apply(SplitMove(0, 1, [0, 0.5, s3]))
+    state.apply(PivotMove(0, 1, [s3, 0.5, 0]))
+    before = json.dumps([state.component(1), state.rhombus_cells])
+    # the remainder's bridge vertex moves again
+    state.apply(PivotMove(0, 1, [0, 0.5, -s3]))
+    assert state.component(1)[4] == [0, 0.5, s3]
+    assert json.dumps([state.component(1), state.rhombus_cells[:2]]) == before
+    assert state.component(0)[1] == [0, 0.5, -s3]
 
 
 def test_validator_stats_edits_fail_budget_only():

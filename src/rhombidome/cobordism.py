@@ -97,15 +97,15 @@ class FixBudgetExceededError(RuntimeError):
 # single pivot
 
 
-def _make_pivot(state: Replayer, cid: int, i: int, target: np.ndarray,
-                stage: str) -> bool:
-    """Apply, and so record, one pivot of ``stage``.
+def _make_pivot(state: Replayer, cid: int, i: int, target, stage: str) -> bool:
+    """Apply, and so record, one pivot of ``stage`` to ``target``, which the
+    move holds as a new row of floats.
 
     A target equal to the current vertex is a no-op: nothing is recorded
     and False is returned.
     """
-    target = np.asarray(target, dtype=float).copy()
-    if dist(state.component(cid)[i], target) <= EPS:
+    target = list(map(float, target))
+    if math.dist(state.component(cid)[i], target) <= EPS:
         return False
     state.apply(PivotMove(cid, i, target, stage))
     return True
@@ -421,13 +421,20 @@ def _best_circle_sample(p: np.ndarray) -> np.ndarray | None:
     return pts[j]
 
 
+# (vertex, its neighbours) of the in-line reflections
+_REFLECTED = ((2, 1, 3), (1, 0, 2), (3, 2, 4))
+
+
 def _fix_candidates(p: np.ndarray):
     """Candidate corrective pivots, deterministic order, lazily generated.
 
     Three in-line reflections first, then the best of a dense sweep of
     vertex 2's full pivot circle (minimizing the circumradius of [v0 v2 v3]).
+    Last, each of vertices 2, 1, 3 and 4 whose two neighbours coincide is
+    turned half a turn about them: such a vertex may move anywhere on the
+    unit sphere around them, and neither the reflections nor the sweep move it.
     """
-    for i, a, b in ((2, 1, 3), (1, 0, 2), (3, 2, 4)):
+    for i, a, b in _REFLECTED:
         if dist(p[a], p[b]) <= EPS:
             continue
         target = reflect_across_line(p[i], p[a], p[b])
@@ -436,14 +443,17 @@ def _fix_candidates(p: np.ndarray):
     best = _best_circle_sample(p)
     if best is not None and dist(best, p[2]) > EPS:
         yield (2, best)
+    for i, a, b in _REFLECTED + ((4, 3, 0),):
+        if dist(p[a], p[b]) <= EPS:
+            yield (i, 2.0 * p[a] - p[i])
 
 
-def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], np.ndarray] | None:
+def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], list[float]] | None:
     """At most ``depth`` fix pivots of component 0 that open the apex, and
     the apex they open, each pivot applied to a copy of ``p``."""
     apex = _apex(p)
     if apex is not None:
-        return [], apex
+        return [], apex.tolist()
     if depth == 0:
         return None
     for i, target in _fix_candidates(p):
@@ -451,14 +461,14 @@ def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], np.ndarra
         trial[i] = target
         found = _search_fixes(trial, depth - 1)
         if found is not None:
-            return [PivotMove(0, i, target, "fix")] + found[0], found[1]
+            return [PivotMove(0, i, target.tolist(), "fix")] + found[0], found[1]
     return None
 
 
 @dataclass
 class PentagonSplit:
     fixes: list[PivotMove]
-    apex: np.ndarray
+    apex: list[float]
 
 
 def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
@@ -540,7 +550,7 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             _pack_component(state, root)
             while len(state.component(root)) > 5:
                 z = _choose_bridge(np.array(state.component(root)[:4]), plane)
-                state.apply(SplitMove(root, next_id, z))
+                state.apply(SplitMove(root, next_id, z.tolist()))
                 _consume_pentagon(state, next_id)
                 next_id += 1
             _consume_pentagon(state, root)

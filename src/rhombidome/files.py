@@ -24,6 +24,7 @@ so reading a ledger needs nothing of the producer.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -47,14 +48,11 @@ __all__ = [
 
 CURVE_VERSION = 1
 LEDGER_VERSION = 4
+_NUMBER_TYPES = frozenset((int, float))  # the Python types of a JSON number
 
 
 class FileFormatError(ValueError):
     """Malformed or unsupported input document."""
-
-
-def _points(arr: np.ndarray) -> list:
-    return np.asarray(arr, dtype=float).tolist()
 
 
 def _numbers(rows, depth: int) -> bool:
@@ -63,7 +61,7 @@ def _numbers(rows, depth: int) -> bool:
     as 1.0; ``bool`` is a subclass of ``int`` but not a number here."""
     for _ in range(depth - 1):
         rows = chain.from_iterable(rows)
-    return set(map(type, rows)) <= {int, float}
+    return set(map(type, rows)) <= _NUMBER_TYPES
 
 
 def _floats(obj, what: str, expected: str, shape_ok) -> np.ndarray:
@@ -89,7 +87,7 @@ def _array(obj, what: str) -> np.ndarray:
 def curve_to_obj(curve: IntegralCurve) -> dict:
     return {
         "version": CURVE_VERSION,
-        "components": [_points(c) for c in curve.components],
+        "components": [np.asarray(c, dtype=float).tolist() for c in curve.components],
     }
 
 
@@ -121,8 +119,18 @@ def _ints(obj, what: str) -> list[int]:
     return list(obj)
 
 
-def _point(obj, what: str) -> np.ndarray:
-    return _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
+def _point(obj, what: str) -> list[float]:
+    """``obj``, a JSON list of three finite numbers, as a row of floats;
+    anything else is refused in :func:`_floats`' words."""
+    try:
+        if type(obj) is list and len(obj) == 3 and set(map(type, obj)) <= _NUMBER_TYPES:
+            row = list(map(float, obj))
+            if all(map(math.isfinite, row)):
+                return row
+    except OverflowError:  # an integer past the float range
+        pass
+    _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
+    raise FileFormatError(f"bad {what}: expected a 3-d point")  # not a JSON list
 
 
 def _str(obj, what: str) -> str:
@@ -131,18 +139,15 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# codec name (see surface.MoveSpec) -> encoder / decoder; a point field is
-# decoded by the point decoder ``_moves_from_obj`` is given
-_ENCODE = {"int": int, "ints": lambda xs: list(map(int, xs)), "point": _points, "str": str}
-_DECODE = {"int": _int, "ints": _ints, "str": _str}
+# codec name (see surface.MoveSpec) -> encoder / decoder
+_ENCODE = {"int": int, "ints": lambda xs: list(map(int, xs)),
+           "point": lambda p: list(map(float, p)), "str": str}
+_DECODE = {"int": _int, "ints": _ints, "point": _point, "str": _str}
 
-# JSON type -> (JSON key, attribute, decoder or None for a point, error label)
-# of each field, and the keys of its point fields
-_PLANS = {kind: tuple((key, attr, _DECODE.get(codec), f"{kind} {key}")
+# JSON type -> (JSON key, attribute, decoder, error label) of each field
+_PLANS = {kind: tuple((key, attr, _DECODE[codec], f"{kind} {key}")
                       for key, attr, codec in spec.fields)
           for kind, spec in MOVE_TABLE.items()}
-_POINT_KEYS = {kind: tuple(key for key, _, decode, _ in plan if decode is None)
-               for kind, plan in _PLANS.items()}
 # the JSON types a version 1-3 document may hold: no writer before version 4
 # recorded a pack move
 _PRE_PACK_KINDS = frozenset(MOVE_TABLE) - {"pack"}
@@ -155,29 +160,16 @@ def _move_to_obj(move: Move) -> dict:
     return obj
 
 
-def _moves_from_obj(objs: list, point, kinds) -> list[Move]:
-    """Decode moves in order, each of a JSON ``type`` in ``kinds``;
-    ``point(obj, what)`` decodes each point field."""
+def _moves_from_obj(objs: list, kinds) -> list[Move]:
+    """Decode moves in order, each of a JSON ``type`` in ``kinds``."""
     moves = []
     for obj in objs:
         if not isinstance(obj, dict) or obj.get("type") not in kinds:
             raise FileFormatError(f"bad move: {obj!r:.80}")
         kind = obj["type"]
         moves.append(MOVE_TABLE[kind].cls(**{
-            attr: (decode or point)(obj[key], what)
-            for key, attr, decode, what in _PLANS[kind]}))
+            attr: decode(obj[key], what) for key, attr, decode, what in _PLANS[kind]}))
     return moves
-
-
-def _ledger(obj: dict, point) -> CobordismLedger:
-    """Decode a ledger in document order with the given point decoder."""
-    kinds = MOVE_TABLE if obj["version"] == LEDGER_VERSION else _PRE_PACK_KINDS
-    return CobordismLedger(
-        initial=curve_from_obj(obj["initial"]),
-        moves=_moves_from_obj(obj["moves"], point, kinds),
-        final_curve=curve_from_obj(obj["final_curve"]),
-        stats=obj["stats"],
-    )
 
 
 def ledger_to_obj(ledger: CobordismLedger) -> dict:
@@ -208,13 +200,11 @@ def _with_apexes(obj: dict) -> dict:
 
 
 def ledger_from_obj(obj) -> CobordismLedger:
-    """Decode a ledger document.
+    """Decode a ledger document, item by item in document order, so a
+    refusal names the first bad item.
 
     A version 1 or 2 document first takes each pentagon's apex from the
-    triangle it names.  Every move point is then converted and checked as
-    one float array.  Any failure there decodes the document again item by
-    item, which accepts or rejects it as a per-item decode always has and
-    names its first bad item in document order.
+    triangle it names.  Each move point becomes a row of three floats.
     """
     version = _version(obj, (1, 2, 3, LEDGER_VERSION))
     if version is None:
@@ -230,15 +220,13 @@ def ledger_from_obj(obj) -> CobordismLedger:
                                       f"{'array' if kind is list else 'object'}")
         if stores_cells:
             obj = _with_apexes(obj)
-        try:
-            raw = [m[key] for m in obj["moves"] for key in _POINT_KEYS[m["type"]]]
-            # read back in the order gathered; a refusal is a FileFormatError,
-            # so a ValueError, and decodes the document again item by item
-            rows = iter(_floats(raw, "move points", "3-d points",
-                                lambda shape: shape == (len(raw), 3)))
-            return _ledger(obj, lambda p, what: next(rows))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            return _ledger(obj, _point)
+        return CobordismLedger(
+            initial=curve_from_obj(obj["initial"]),
+            moves=_moves_from_obj(obj["moves"], MOVE_TABLE if version == LEDGER_VERSION
+                                  else _PRE_PACK_KINDS),
+            final_curve=curve_from_obj(obj["final_curve"]),
+            stats=obj["stats"],
+        )
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed ledger document: {exc}") from exc
 

@@ -20,8 +20,9 @@ in cyclic order: the replay derives each as a list of rows, and
 :class:`DomeChain` stacks each kind into one (m, k, 3) array.
 
 Move semantics (state = components keyed by stable integer ids, each a list
-of vertex rows like a cell).  A move records only the decision taken;
-everything else follows from the state it is replayed on:
+of vertex rows like a cell, as is each point of a move).  A move records
+only the decision taken; everything else follows from the state it is
+replayed on:
 
 * ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
                         unit distance from both neighbours.  The old point
@@ -196,6 +197,9 @@ class GraphSurface:
                         f"edge {eid} realizes length {got}, expected {lengths[eid]}")
 
     def _check_cycle(self, refs, what: str) -> None:
+        for r in refs:
+            if not 0 < abs(r) <= len(self.edges):
+                raise SurfaceInvariantError(f"{what} edge reference {r} names no edge")
         ends = [self.ref_endpoints(r) for r in refs]
         for (_, head), (tail, _) in zip(ends, ends[1:] + ends[:1]):
             if head != tail:
@@ -461,7 +465,7 @@ class PivotMove:
     kind: ClassVar[str] = "pivot"
     component: int
     vertex: int
-    new_point: np.ndarray
+    new_point: list[float]
     stage: str = "pivot"
 
 
@@ -477,14 +481,14 @@ class SplitMove:
     kind: ClassVar[str] = "split"
     component: int
     new_component: int
-    z: np.ndarray
+    z: list[float]
 
 
 @dataclass
 class PentagonMove:
     kind: ClassVar[str] = "pentagon"
     component: int
-    apex: np.ndarray
+    apex: list[float]
 
 
 @dataclass
@@ -540,8 +544,9 @@ class Replayer:
     cells ``rhombus_cells``, and from the consuming moves ``triangles`` and
     the boundary ``rhombi``.  Each cell is a list of its vertex rows, float
     lists ``[x, y, z]``; the component state is one list of such rows per
-    component, which :meth:`component` returns live.  A move replaces rows
-    and never edits one in place, so cells and split pieces may share rows.
+    component, which :meth:`component` returns live, and a move's point is
+    one such row, taken as given.  A move replaces rows and never edits one
+    in place, so cells, split pieces and moves may share rows.
     It also counts, per input component, the rhombi the moves add to k, the
     pivots by stage and the splits; a split's new piece counts toward its
     parent's input component.  :meth:`stats` reports these counts as a
@@ -610,7 +615,7 @@ class Replayer:
             raise ReplayMismatchError("pivot vertex out of range")
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        new = np.asarray(move.new_point, dtype=float).tolist()
+        new = move.new_point
         self._count_pivots(move.component, move.stage, 1,
                            self._pivot_cells(v[i - 1], v[i], v[(i + 1) % n], new))
         v[i] = new
@@ -651,7 +656,7 @@ class Replayer:
             raise ReplayMismatchError("split needs a component with > 5 edges")
         if move.new_component in self.components:
             raise ReplayMismatchError("split target id already in use")
-        z = np.asarray(move.z, dtype=float).tolist()
+        z = move.z
         self._check_unit_from(z, (("vertex 0", v[0]), ("vertex 3", v[3])),
                               ReplayMismatchError, "split bridge")
         # [v0 v1 v2 v3 z] and [v0 z v3 ... v(n-1)]
@@ -662,7 +667,7 @@ class Replayer:
 
     def _apply_pentagon(self, move: PentagonMove) -> None:
         p0, p1, p2, p3, p4 = self._cycle(move.component, 5)
-        a = np.asarray(move.apex, dtype=float).tolist()
+        a = move.apex
         self._check_unit_from(a, (("vertex 0", p0), ("vertex 2", p2), ("vertex 3", p3)),
                               ReplayMismatchError, "pentagon apex")
         # [v2 v3 a], and [v0 v1 v2 a] and [v0 a v3 v4] reversed

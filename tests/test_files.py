@@ -1,4 +1,4 @@
-"""Ledger and curve files: decode errors, the batched decode and round trips."""
+"""Ledger and curve files: decode errors, decoded move points and round trips."""
 
 import json
 import math
@@ -13,6 +13,7 @@ from rhombidome import files
 from rhombidome.cobordism import _pack_component, reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.surface import (
+    MOVE_TABLE,
     CobordismLedger,
     PackMove,
     Replayer,
@@ -113,20 +114,16 @@ def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     assert type(info.value.__cause__) is (cause or type(None))
 
 
-def test_well_formed_ledger_decodes_in_batches(ledger, monkeypatch):
-    # the per-item decoders are the error path only (curves still use
-    # ``_array``); the batched decode gives back the written ledger bit for bit
-    seen = []
-    array = files._array
-    monkeypatch.setattr(files, "_point", lambda obj, what: seen.append(what))
-    monkeypatch.setattr(files, "_array",
-                        lambda obj, what: seen.append(what) or array(obj, what))
+def test_move_points_are_float_rows_and_round_trip(ledger):
+    # the reduction and the decoder both give each point field as a row of
+    # three Python floats, so decoded moves compare equal to the written ones
     decoded = files.ledger_from_obj(json.loads(files.dump_json(files.ledger_to_obj(ledger))))
-    assert set(seen) == {"curve component"}
-    for a, b in zip(decoded.moves, ledger.moves, strict=True):
-        assert type(a) is type(b)
-        for name, value in vars(b).items():
-            assert np.array_equal(getattr(a, name), value)
+    for moves in (ledger.moves, decoded.moves):
+        points = [getattr(move, attr) for move in moves
+                  for _, attr, codec in MOVE_TABLE[move.kind].fields if codec == "point"]
+        assert {move.kind for move in moves} >= {"pivot", "split", "pentagon"}
+        assert all(type(p) is list and list(map(type, p)) == [float] * 3 for p in points)
+    assert decoded.moves == ledger.moves
 
 
 def test_empty_cell_lists_decode(ledger):

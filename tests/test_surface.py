@@ -24,6 +24,7 @@ from rhombidome.surface import (
     Replayer,
     ReplayMismatchError,
     SplitMove,
+    SurfaceInvariantError,
     UnknownNameError,
     _check_unit_cycle,
     assemble_from_ledger,
@@ -75,6 +76,17 @@ def test_catalog_unknown_name():
     for name in ("triangle_disk", "pentagon_pants", "three_rhombus_pants"):
         with pytest.raises(UnknownNameError, match="takes no parameter k"):
             catalog(name, k=4)
+
+
+@pytest.mark.parametrize("part, refs, bad", [
+    ("triangles", [(1, 2, 4)], "4"), ("triangles", [(1, 0, 3)], "0"),
+    ("walks", [[1, 2, -4]], "-4"), ("walks", [[0, 2, 3]], "0")],
+    ids=["triangle_past_end", "triangle_zero", "walk_past_end", "walk_zero"])
+def test_validate_names_a_bad_edge_reference(part, refs, bad):
+    s = catalog("triangle_disk")
+    setattr(s, part, refs)
+    with pytest.raises(SurfaceInvariantError, match=f"edge reference {bad} names no edge$"):
+        s.validate()
 
 
 def test_boundary_polygons_antiprism():
@@ -197,7 +209,8 @@ def test_validator_flags_perturbed_rhombus():
     # breaks their shared side, and the replay names the vertex
     ledger = reduce_to_rhombi(random_integral_curve(8, np.random.default_rng(21)))
     move, v = _first_pentagon(ledger)
-    move.apex = move.apex + 1e-3 * (move.apex - v[0])
+    apex, v = np.array(move.apex), np.array(v)
+    move.apex = (apex + 1e-3 * (apex - v[0])).tolist()
     assert re.fullmatch(r"pentagon apex at distance 1\.00\d+ from vertex 0",
                         _replay_failure(ledger))
 
@@ -207,8 +220,9 @@ def test_validator_flags_perturbed_triangle():
     # leaves the triangle [v2 v3 a]: the replay names vertex 2
     ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(22)))
     move, v = _first_pentagon(ledger)
-    moved = move.apex - v[0] + 1e-3 * (move.apex - v[2])
-    move.apex = v[0] + moved / np.linalg.norm(moved)
+    apex, v = np.array(move.apex), np.array(v)
+    moved = apex - v[0] + 1e-3 * (apex - v[2])
+    move.apex = (v[0] + moved / np.linalg.norm(moved)).tolist()
     assert _replay_failure(ledger).endswith(" from vertex 2")
 
 

@@ -1,11 +1,18 @@
 """Rhombus pivots and the constructive reduction of a curve to unit rhombi.
 
-The pipeline per component is: flatten into a plane by pivoting the highest
-vertex onto the point of its pivot circle nearest the plane, gather all
-vertices within distance 2 of the base vertex by realizing a bounded-prefix
+The pipeline per component peels pentagons where the curve is already
+tight: while more than 5 vertices remain, the pentagon [v_i .. v_i+3 z] is
+split off at the window of four vertices with the least span |v_i - v_i+3|.
+Once that span is within 2, the pentagon is packed around v_i with no pivot,
+and ``pentagon_split`` takes it as it is; the bridge z is the point at unit
+distance from v_i and v_i+3 farthest from the midpoint of v_i+1 and v_i+2.
+A remainder with no tight window, or no unique bridge, takes the paper's
+construction as the fallback: flatten it into a plane by pivoting the
+highest vertex onto the point of its pivot circle nearest the plane, gather
+all vertices within distance 2 of vertex 0 by realizing a bounded-prefix
 reordering of the edge vectors with adjacent transpositions, then peel
-planar pentagons off the front until nothing is left.  Each inversion of the
-reordering costs one pack pivot, so the order is a first-fit pass that
+planar pentagons off the front until nothing is left.  Each inversion of
+the reordering costs one pack pivot, so the order is a first-fit pass that
 prefers low indices; the Grinberg--Sevastyanov elimination, which proves the
 prefix bound 2 in the plane, is its fallback.  The pack is recorded as that
 order alone, and its replay runs the transpositions.  Every step is
@@ -74,7 +81,6 @@ __all__ = [
 
 STEINITZ_BOUND = 2.0
 FIX_PIVOT_BUDGET = 3
-_CIRCLE_SAMPLES = 360
 
 
 class PlanarizeBudgetError(RuntimeError):
@@ -397,30 +403,6 @@ def _apex(p: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _best_circle_sample(p: np.ndarray) -> np.ndarray | None:
-    """Point of vertex 2's full pivot circle minimizing circumradius([v0 . v3])."""
-    if dist(p[1], p[3]) <= EPS:
-        return None
-    circle = unit_ball_intersection(p[1], p[3])
-    e1, e2 = plane_basis(circle.axis)
-    theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-    pts = (circle.center
-           + circle.radius * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2))
-    rel0 = pts - p[0]
-    rel3 = pts - p[3]
-    side_a = np.linalg.norm(rel0, axis=1)
-    side_b = np.linalg.norm(rel3, axis=1)
-    side_c = dist(p[0], p[3])
-    area2 = np.linalg.norm(np.cross(rel0, p[3] - p[0]), axis=1)
-    radii = np.where(area2 > EPS,
-                     side_a * side_b * side_c / np.maximum(2.0 * area2, 1e-300),
-                     np.inf)
-    j = int(np.argmin(radii))
-    if not np.isfinite(radii[j]):
-        return None
-    return pts[j]
-
-
 # (vertex, its neighbours) of the in-line reflections
 _REFLECTED = ((2, 1, 3), (1, 0, 2), (3, 2, 4))
 
@@ -428,11 +410,10 @@ _REFLECTED = ((2, 1, 3), (1, 0, 2), (3, 2, 4))
 def _fix_candidates(p: np.ndarray):
     """Candidate corrective pivots, deterministic order, lazily generated.
 
-    Three in-line reflections first, then the best of a dense sweep of
-    vertex 2's full pivot circle (minimizing the circumradius of [v0 v2 v3]).
-    Last, each of vertices 2, 1, 3 and 4 whose two neighbours coincide is
-    turned half a turn about them: such a vertex may move anywhere on the
-    unit sphere around them, and neither the reflections nor the sweep move it.
+    Three in-line reflections first.  Then each of vertices 2, 1, 3 and 4
+    whose two neighbours coincide is turned half a turn about them: such a
+    vertex may move anywhere on the unit sphere around them, and no
+    reflection moves it.
     """
     for i, a, b in _REFLECTED:
         if dist(p[a], p[b]) <= EPS:
@@ -440,9 +421,6 @@ def _fix_candidates(p: np.ndarray):
         target = reflect_across_line(p[i], p[a], p[b])
         if dist(target, p[i]) > EPS:
             yield (i, target)
-    best = _best_circle_sample(p)
-    if best is not None and dist(best, p[2]) > EPS:
-        yield (2, best)
     for i, a, b in _REFLECTED + ((4, 3, 0),):
         if dist(p[a], p[b]) <= EPS:
             yield (i, 2.0 * p[a] - p[i])
@@ -526,13 +504,78 @@ def _consume_pentagon(state: Replayer, cid: int) -> None:
     state.apply(PentagonMove(cid, split.apex))
 
 
+# A local pentagon [v_i .. v_i+3 z] is packed around v_i once |v_i - v_i+3|
+# is within this; the margin keeps the bridge circle's radius above 1e-3.
+_TIGHT_SPAN = STEINITZ_BOUND - 1e-6
+
+
+def _local_bridge(v: list[list[float]], i: int) -> list[float] | None:
+    """Point at unit distance from v[i] and v[i+3] (cyclic) farthest from the
+    midpoint m of v[i+1] and v[i+2], or None when none is uniquely farthest.
+
+    The points at unit distance form a circle about the midpoint c of v[i]
+    and v[i+3], or the unit sphere about it when the two coincide; the
+    farthest from m lies along c - m, projected onto the circle's plane.
+    """
+    n = len(v)
+    p, q, r, s = v[i], v[(i + 1) % n], v[(i + 2) % n], v[(i + 3) % n]
+    center = [0.5 * (a + b) for a, b in zip(p, s)]
+    away = [c - 0.5 * (a + b) for c, a, b in zip(center, q, r)]
+    span = math.dist(p, s)
+    radius = 1.0
+    if span > EPS:
+        axis = [(b - a) / span for a, b in zip(p, s)]
+        along = sum(x * u for x, u in zip(away, axis))
+        away = [x - along * u for x, u in zip(away, axis)]
+        radius = math.sqrt(1.0 - 0.25 * span * span)
+    norm = math.hypot(*away)
+    if norm <= EPS:
+        return None
+    return [c + radius * x / norm for c, x in zip(center, away)]
+
+
+def _peel_tight(state: Replayer, cid: int, next_id: int) -> int:
+    """Peel pentagons off component ``cid`` at its tightest window while one
+    qualifies, and return the next free component id.
+
+    Window i is [v_i .. v_i+3] (cyclic), its span |v_i - v_i+3|.  Each peel
+    takes the first window of least span, if that span is within
+    ``_TIGHT_SPAN`` and :func:`_local_bridge` finds its bridge, and stops at
+    5 vertices or when no window qualifies.  The remainder [v_i z v_i+3 ..
+    v_i-1] starts at v_i, so its spans are the old ones rotated, except for
+    the four windows that meet the bridge.
+    """
+    v = state.component(cid)
+    n = len(v)
+    spans = [math.dist(v[j], v[(j + 3) % n]) for j in range(n)]
+    while n > 5:
+        tight = min(spans)
+        i = spans.index(tight)
+        z = _local_bridge(v, i) if tight <= _TIGHT_SPAN else None
+        if z is None:
+            break
+        state.apply(SplitMove(cid, next_id, z, at=i))
+        _consume_pentagon(state, next_id)
+        next_id += 1
+        v = state.component(cid)
+        kept = (i + 3) % n
+        n -= 1
+        spans = ([math.dist(v[0], v[3]), math.dist(v[1], v[4])]
+                 + (spans[kept:] + spans[:kept])[:n - 4]
+                 + [math.dist(v[n - 2], v[1]), math.dist(v[n - 1], v[2])])
+    return next_id
+
+
 def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     """Reduce every component to unit rhombi, emitting a verifiable ledger.
 
     Components of length 3 become one triangle face, length 4 one boundary
-    rhombus; longer components are flattened, packed, and peeled into
-    pentagons, each of which yields two rhombi and one triangle.  The total
-    number of rhombi used stays within n^2 + 2n - 12 per component.
+    rhombus.  A longer component is peeled into pentagons, each of which
+    yields two rhombi and one triangle: each peel is local, at the tightest
+    window of four vertices (:func:`_peel_tight`).  A remainder of more than
+    5 vertices with no tight window is flattened, packed, and peeled at
+    vertex 0.  A 5-vertex component is packed around vertex 0 already.  The
+    total number of rhombi used stays within n^2 + 2n - 12 per component.
     """
     curve.validate()
     initial = curve.copy()
@@ -546,13 +589,15 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
         elif n0 == 4:
             state.apply(CloseRhombusMove(root))
         else:
-            plane = _planarize_component(state, root)
-            _pack_component(state, root)
-            while len(state.component(root)) > 5:
-                z = _choose_bridge(np.array(state.component(root)[:4]), plane)
-                state.apply(SplitMove(root, next_id, z.tolist()))
-                _consume_pentagon(state, next_id)
-                next_id += 1
+            next_id = _peel_tight(state, root, next_id)
+            if len(state.component(root)) > 5:
+                plane = _planarize_component(state, root)
+                _pack_component(state, root)
+                while len(state.component(root)) > 5:
+                    z = _choose_bridge(np.array(state.component(root)[:4]), plane)
+                    state.apply(SplitMove(root, next_id, z.tolist()))
+                    _consume_pentagon(state, next_id)
+                    next_id += 1
             _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:

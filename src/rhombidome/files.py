@@ -4,18 +4,20 @@ Floats are serialized with Python's shortest-round-trip repr, so write ->
 read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
-Ledger version 4 records decisions only: each move is written from its row
+Ledger version 5 records decisions only: each move is written from its row
 of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
 pentagon's from its recorded ``apex``, a pack's swaps and their cells from
-its recorded ``order``.  Version 3 wrote each pack swap as a pivot of stage
-``pack``; such pivots still replay as pivots, and a ``pack`` move in a
-version 1-3 document is refused as a bad move.  Versions 1 and 2, which also
-stored the ``triangles`` and boundary ``rhombi`` and had the consuming moves
-name them by index, are still read: a pentagon's apex is the third vertex of
-the triangle it names, and every other recorded cell, like the keys version
-2 dropped from version 1 (``seams``, a pivot's ``old``, ``rhombus`` and
-``degenerate``, a split's ``seams``, a pentagon's ``apex`` and ``seam``),
-is ignored.  Writing always produces version 4.
+its recorded ``order``, a split's pieces from its position ``at``.
+Version 4 recorded the same moves without ``at``: every split of versions
+1-4 peeled at vertex 0, and reads with ``at`` 0.  Version 3 wrote each pack
+swap as a pivot of stage ``pack``; such pivots still replay as pivots, and
+a ``pack`` move in a version 1-3 document is refused as a bad move.
+Versions 1 and 2, which also stored the ``triangles`` and boundary
+``rhombi`` and had the consuming moves name them by index, are still read:
+a pentagon's apex is the third vertex of the triangle it names, and every
+other recorded cell, like the keys version 2 dropped from version 1
+(``seams``, a pivot's ``old``, ``rhombus`` and ``degenerate``, a split's
+``seams``, a pentagon's ``apex`` and ``seam``), is ignored.  Writing always produces version 5.
 
 The ledger types come from the checker's module, :mod:`rhombidome.surface`,
 so reading a ledger needs nothing of the producer.
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 CURVE_VERSION = 1
-LEDGER_VERSION = 4
+LEDGER_VERSION = 5
 _NUMBER_TYPES = frozenset((int, float))  # the Python types of a JSON number
 
 
@@ -199,14 +201,23 @@ def _with_apexes(obj: dict) -> dict:
     return {**obj, "moves": moves}
 
 
+def _split_at_zero(obj: dict) -> dict:
+    """A version 1-4 document with ``"at": 0`` on each split, the position
+    every split of those versions peeled at."""
+    return {**obj, "moves": [{**move, "at": 0}
+                             if isinstance(move, dict) and move.get("type") == "split"
+                             else move for move in obj["moves"]]}
+
+
 def ledger_from_obj(obj) -> CobordismLedger:
     """Decode a ledger document, item by item in document order, so a
     refusal names the first bad item.
 
     A version 1 or 2 document first takes each pentagon's apex from the
-    triangle it names.  Each move point becomes a row of three floats.
+    triangle it names, and a version 1-4 document gives each split
+    ``at`` 0.  Each move point becomes a row of three floats.
     """
-    version = _version(obj, (1, 2, 3, LEDGER_VERSION))
+    version = _version(obj, (1, 2, 3, 4, LEDGER_VERSION))
     if version is None:
         raise FileFormatError("unsupported ledger document")
     stores_cells = version < 3
@@ -220,9 +231,11 @@ def ledger_from_obj(obj) -> CobordismLedger:
                                       f"{'array' if kind is list else 'object'}")
         if stores_cells:
             obj = _with_apexes(obj)
+        if version < LEDGER_VERSION:
+            obj = _split_at_zero(obj)
         return CobordismLedger(
             initial=curve_from_obj(obj["initial"]),
-            moves=_moves_from_obj(obj["moves"], MOVE_TABLE if version == LEDGER_VERSION
+            moves=_moves_from_obj(obj["moves"], MOVE_TABLE if version >= 4
                                   else _PRE_PACK_KINDS),
             final_curve=curve_from_obj(obj["final_curve"]),
             stats=obj["stats"],

@@ -36,9 +36,12 @@ replayed on:
                         a recorded pivot, unless that point is within EPS of
                         the old one (equal edges swap as a no-op).  No swap is
                         recorded: the order and the state fix every one.
-* ``SplitMove``      -- peel ``[v0 v1 v2 v3 z]`` off a component as component
-                        ``new_component``, leaving ``[v0 z v3 v4 ...]``; the
-                        bridge ``z`` must lie at unit distance from v0 and v3.
+* ``SplitMove``      -- peel ``[v_at .. v_at+3 z]`` (indices cyclic) off a
+                        component as component ``new_component``, leaving
+                        ``[v_at z v_at+3 .. v_at-1]``, which starts at v_at; the
+                        bridge ``z`` must lie at unit distance from v_at and
+                        v_at+3.  With ``at`` 0 the pieces are ``[v0 v1 v2 v3 z]``
+                        and ``[v0 z v3 v4 ...]``.
 * ``PentagonMove``   -- consume a 5-cycle ``[v0 .. v4]`` through its recorded
                         ``apex`` a, which must lie at unit distance from v0,
                         v2 and v3: the triangle ``[v2 v3 a]`` and the boundary
@@ -198,7 +201,8 @@ class GraphSurface:
 
     def _check_cycle(self, refs, what: str) -> None:
         for r in refs:
-            if not 0 < abs(r) <= len(self.edges):
+            # a float such as 2.5 or 3.0 names no edge, whatever its size
+            if not isinstance(r, (int, np.integer)) or not 0 < abs(r) <= len(self.edges):
                 raise SurfaceInvariantError(f"{what} edge reference {r} names no edge")
         ends = [self.ref_endpoints(r) for r in refs]
         for (_, head), (tail, _) in zip(ends, ends[1:] + ends[:1]):
@@ -482,6 +486,7 @@ class SplitMove:
     component: int
     new_component: int
     z: list[float]
+    at: int = 0
 
 
 @dataclass
@@ -652,14 +657,18 @@ class Replayer:
 
     def _apply_split(self, move: SplitMove) -> None:
         v = self.component(move.component)
-        if len(v) < 6:
+        n, i = len(v), move.at
+        if n < 6:
             raise ReplayMismatchError("split needs a component with > 5 edges")
         if move.new_component in self.components:
             raise ReplayMismatchError("split target id already in use")
+        if not 0 <= i < n:
+            raise ReplayMismatchError(f"split position {i} out of range({n})")
+        v = v[i:] + v[:i]  # from v_at on
         z = move.z
-        self._check_unit_from(z, (("vertex 0", v[0]), ("vertex 3", v[3])),
+        self._check_unit_from(z, ((f"vertex {i}", v[0]), (f"vertex {(i + 3) % n}", v[3])),
                               ReplayMismatchError, "split bridge")
-        # [v0 v1 v2 v3 z] and [v0 z v3 ... v(n-1)]
+        # [v_at .. v_at+3 z] and [v_at z v_at+3 .. v_at-1]
         self.components[move.new_component] = v[:4] + [z]
         self.components[move.component] = [v[0], z] + v[3:]
         self.tally[move.new_component] = self.tally[move.component]
@@ -739,7 +748,8 @@ MOVE_TABLE: dict[str, MoveSpec] = {
     "pack": MoveSpec(PackMove, Replayer._apply_pack, (
         _COMPONENT, ("order", "order", "ints"))),
     "split": MoveSpec(SplitMove, Replayer._apply_split, (
-        _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"))),
+        _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"),
+        ("at", "at", "int"))),
     "pentagon": MoveSpec(PentagonMove, Replayer._apply_pentagon, (
         _COMPONENT, ("apex", "apex", "point"))),
     "close_rhombus": MoveSpec(CloseRhombusMove, Replayer._apply_close_rhombus, (

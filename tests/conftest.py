@@ -29,6 +29,34 @@ def regular_polygon_curve(k: int) -> IntegralCurve:
     return curve
 
 
+def crown_curve(k: int = 12, height: float = 0.3) -> IntegralCurve:
+    """Unit-edge crown: a regular k-gon (k even) whose vertices sit at heights
+    +height and -height in turn, at the radius that makes every edge unit.
+
+    Every span |v_i - v_i+3| exceeds 2 for height below about 0.39, so no
+    pentagon peels locally and :func:`~rhombidome.cobordism.reduce_to_rhombi`
+    takes the whole fallback: planarize, pack and peel at vertex 0 (at the
+    defaults 6 planarize, 18 pack and 4 fix pivots).
+    """
+    radius = math.sqrt(1.0 - 4.0 * height * height) / (2.0 * np.sin(np.pi / k))
+    angles = 2.0 * np.pi * np.arange(k) / k
+    vertices = np.column_stack([radius * np.cos(angles), radius * np.sin(angles),
+                                height * (-1.0) ** np.arange(k)])
+    curve = IntegralCurve([vertices])
+    curve.validate()
+    return curve
+
+
+def crown_union(seed: int) -> IntegralCurve:
+    """The default crown and, 10 away along x, the random n = 9 curve of
+    ``seed``: its ledger holds every kind of move but the closing ones, with
+    splits at vertex 0 (the crown's) and at other positions (the loop's)."""
+    from rhombidome.curve import random_integral_curve
+
+    loop = random_integral_curve(9, np.random.default_rng(seed)).components[0]
+    return IntegralCurve([crown_curve().components[0], loop + np.array([10.0, 0, 0])])
+
+
 def folded_rhombus_curve(angle: float = np.pi / 2) -> IntegralCurve:
     """Unit rhombus folded by ``angle`` along the diagonal (a, c)."""
     s3 = np.sqrt(3.0) / 2.0

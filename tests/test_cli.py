@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import regular_polygon_curve
+from conftest import crown_curve, crown_union, regular_polygon_curve
 from rhombidome import files, surface
 from rhombidome.cli import build_parser, main
 from rhombidome.cobordism import reduce_to_rhombi
@@ -91,6 +91,7 @@ V2_UNION = Path(__file__).parent / "data" / "ledger_v2_lattice_union.json"
 
 
 _BAD_ORDER = "bad pack order: expected a list of integers"
+_BAD_AT = "bad split at: expected an integer"
 
 
 # ``message``: a part of what validate prints, if the edit pins one
@@ -110,13 +111,16 @@ _BAD_ORDER = "bad pack order: expected a list of integers"
     (lambda doc: _first(doc, "pack")["order"].__setitem__(1, True), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(0, 3.0), _BAD_ORDER),
     (lambda doc: doc.update(version=3), "bad move: {'type': 'pack'"),
+    (lambda doc: _first(doc, "split").update(at=True), _BAD_AT),
+    (lambda doc: _first(doc, "split").update(at=1.5), _BAD_AT),
+    (lambda doc: _first(doc, "split").update(at="0"), _BAD_AT),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
         "moves_object", "triangles_object", "rhombi_object", "version_true",
         "version_float", "order_not_array", "order_string", "order_true", "order_float",
-        "pack_in_v3"])
+        "pack_in_v3", "at_true", "at_float", "at_string"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
-    # seed 5 gives a ledger with a pack move
-    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5)))
+    # the crown's ledger has a pack move
+    ledger = reduce_to_rhombi(crown_union(5))
     doc = files.ledger_to_obj(ledger)
     edit(doc)
     path = tmp_path / "ledger.json"
@@ -134,12 +138,12 @@ def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
     assert any(m["type"] == "pivot" and m["degenerate"] for m in v1["moves"])
     assert main(["validate", "--in", str(V1_DIGON)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
-    out = tmp_path / "v4.json"
+    out = tmp_path / "v5.json"
     files.write_ledger(str(out), files.read_ledger(str(V1_DIGON)))
-    v4 = json.loads(out.read_text())
-    assert v4["version"] == 4
-    assert not {"seams", "triangles", "rhombi"} & v4.keys()
-    assert v4["stats"] == v1["stats"]
+    v5 = json.loads(out.read_text())
+    assert v5["version"] == 5
+    assert not {"seams", "triangles", "rhombi"} & v5.keys()
+    assert v5["stats"] == v1["stats"]
     assert validate_ledger(files.read_ledger(str(out))).passed
 
 
@@ -200,9 +204,9 @@ def test_unwritable_output_exits_2(tmp_path, pentagon_file, capsys, argv):
 
 
 def test_off_export(tmp_path, capsys):
-    rng = np.random.default_rng(51)
+    # the crown's pack derives pivot cells
     infile = tmp_path / "curve.json"
-    files.write_curve(str(infile), random_integral_curve(9, rng))
+    files.write_curve(str(infile), crown_curve())
     out = tmp_path / "ledger.json"
     off = tmp_path / "dome.off"
     assert main(["reduce", "--in", str(infile), "--out", str(out),

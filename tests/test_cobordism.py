@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import folded_rhombus_curve, pack_as_pivots
+from conftest import crown_curve, folded_rhombus_curve, pack_as_pivots
 from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
@@ -363,12 +363,17 @@ def test_pack_permutes_the_edge_vectors():
 
 
 def _pack_parity_curves():
+    # random curves peel locally; the crowns take the pack
     for n in (6, 24, 96):
         for seed in range(5):
             yield random_integral_curve(n, np.random.default_rng(seed))
+    for k in (12, 14, 16, 20, 24, 48):
+        for height in (0.1, 0.3):
+            yield crown_curve(k, height)
     rng = np.random.default_rng(12)
     yield IntegralCurve([random_integral_curve(m, rng).components[0] + [10.0 * i, 0, 0]
-                         for i, m in enumerate((3, 4, 7, 12))])
+                         for i, m in enumerate((3, 4, 7))]
+                        + [crown_curve().components[0] + [30.0, 0, 0]])
 
 
 def test_pack_move_replays_as_its_pivots():
@@ -532,9 +537,10 @@ def test_reduce_multicomponent():
 
 def test_stats_count_the_recorded_moves(unit_triangle, unit_square):
     # the producer and the checker both take the stats from the replay, so
-    # they are pinned here against a direct count of the recorded moves
-    loop = random_integral_curve(11, np.random.default_rng(8)).components[0]
-    curve = IntegralCurve([unit_triangle.components[0], loop + np.array([5.0, 0, 0]),
+    # they are pinned here against a direct count of the recorded moves; the
+    # crown takes every stage
+    crown = crown_curve().components[0]
+    curve = IntegralCurve([unit_triangle.components[0], crown + np.array([5.0, 0, 0]),
                            unit_square.components[0] + np.array([-5.0, 0, 0])])
     ledger = reduce_to_rhombi(curve)
     stats = ledger.stats
@@ -542,14 +548,15 @@ def test_stats_count_the_recorded_moves(unit_triangle, unit_square):
     kinds = Counter(getattr(m, "stage", m.kind) for m in pack_as_pivots(ledger).moves)
     assert any(isinstance(m, PackMove) for m in ledger.moves)
     assert kinds["split"] > 0 and kinds["pack"] > 0
+    assert kinds["planarize"] > 0 and kinds["fix"] > 0
     assert stats == {
-        "n": 18, "k": stats["k"], "budget": component_budget(11) + 1,
+        "n": 19, "k": stats["k"], "budget": component_budget(12) + 1,
         "planarize_moves": kinds["planarize"], "pack_moves": kinds["pack"],
         "splits": kinds["split"], "fixes": kinds["fix"],
         "per_component": [
             {"component": 0, "edges": 3, "rhombi_used": 0, "budget": 0},
-            {"component": 1, "edges": 11, "rhombi_used": stats["k"] - 1,
-             "budget": component_budget(11)},
+            {"component": 1, "edges": 12, "rhombi_used": stats["k"] - 1,
+             "budget": component_budget(12)},
             {"component": 2, "edges": 4, "rhombi_used": 1, "budget": 1}]}
 
 
@@ -570,23 +577,36 @@ def test_reduce_replay_is_bitwise():
 
 
 def test_reduce_k_within_a_sixth_of_budget():
-    # the first-fit Steinitz order has few inversions, so few pack pivots
+    # a local peel needs no pack; where the crown takes the fallback, the
+    # first-fit Steinitz order has few inversions, so few pack pivots
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        ledger = reduce_to_rhombi(random_integral_curve(48, rng))
+    for curve in [random_integral_curve(48, rng) for _ in range(5)] + [crown_curve(48)]:
+        ledger = reduce_to_rhombi(curve)
         assert ledger.stats["k"] <= ledger.stats["budget"] // 6
+
+
+# The rows of ``census --n-min 5 --n-max 80 --samples 3 --seed 0`` whose
+# remainder no local peel takes
+_FALLBACK_CENSUS_INSTANCES = ((136000408, 50), (164000492, 59), (177000531, 64),
+                              (211000633, 75), (215000645, 76))
 
 
 def test_decisions_ignore_last_bit_noise():
     # moving every coordinate by one ulp keeps every decision, the first-fit
-    # test included: it compares within EPS, as every other predicate does
-    for n in range(6, 61, 3):
-        for seed in range(5):
-            curve = random_integral_curve(n, np.random.default_rng(seed))
-            stats = reduce_to_rhombi(curve).stats
-            for toward in (np.inf, -np.inf):
-                moved = IntegralCurve([np.nextafter(c, toward) for c in curve.components])
-                assert reduce_to_rhombi(moved).stats == stats, (n, seed, toward)
+    # test included: it compares within EPS, as every other predicate does.
+    # The census instances (seed, n) at the end hand a remainder to the
+    # fallback, and so run first fit.
+    curves = [random_integral_curve(n, np.random.default_rng(seed))
+              for n in range(6, 61, 3) for seed in range(5)]
+    curves += [random_integral_curve(n, np.random.default_rng(seed))
+               for seed, n in _FALLBACK_CENSUS_INSTANCES]
+    for i, curve in enumerate(curves):
+        stats = reduce_to_rhombi(curve).stats
+        if i >= len(curves) - len(_FALLBACK_CENSUS_INSTANCES):
+            assert stats["pack_moves"] > 0, i
+        for toward in (np.inf, -np.inf):
+            moved = IntegralCurve([np.nextafter(c, toward) for c in curve.components])
+            assert reduce_to_rhombi(moved).stats == stats, (i, toward)
 
 
 def test_component_budget_values():
@@ -706,7 +726,8 @@ def _component(draw) -> np.ndarray:
 def _placed_union(draw) -> IntegralCurve:
     """One or two components, turned by a drawn rotation and then moved by a
     drawn offset of size 0, 1 or 1e2; farther offsets can fail in planarize
-    (see test_reduce_far_translated_curve)."""
+    when a remainder takes the fallback (see
+    test_planarize_far_translated_curve)."""
     from scipy.spatial.transform import Rotation
 
     components = draw(st.lists(_component(), min_size=1, max_size=2))
@@ -732,17 +753,30 @@ def test_reduce_property_every_ledger_validates_and_round_trips(curve):
     assert files.dump_json(files.ledger_to_obj(again)) == text
 
 
-# Known defect: the case should reduce, and is pinned here until it does.
-@pytest.mark.xfail(strict=True, raises=PlanarizeBudgetError,
-                   reason="planarize's absolute slacks sit near the coordinate ulp")
-def test_reduce_far_translated_curve():
-    from rhombidome.surface import validate_ledger
-
+def _far_translated_curve() -> IntegralCurve:
+    """A random n = 24 curve moved by an offset of about 1e6."""
     rng = np.random.default_rng(0)
     curve = random_integral_curve(24, rng)
     offset = rng.uniform(-1, 1, 3) * 1e6
-    shifted = IntegralCurve([c + offset for c in curve.components])
-    assert validate_ledger(reduce_to_rhombi(shifted)).passed
+    return IntegralCurve([c + offset for c in curve.components])
+
+
+def test_reduce_far_translated_curve():
+    # every pentagon of this curve peels locally, so it never reaches planarize
+    from rhombidome.surface import validate_ledger
+
+    ledger = reduce_to_rhombi(_far_translated_curve())
+    assert ledger.stats["planarize_moves"] == ledger.stats["pack_moves"] == 0
+    assert validate_ledger(ledger).passed
+
+
+# Known defect: a remainder that takes the fallback should flatten wherever it
+# sits, and is pinned here until it does.
+@pytest.mark.xfail(strict=True, raises=PlanarizeBudgetError,
+                   reason="planarize's absolute slacks sit near the coordinate ulp")
+def test_planarize_far_translated_curve():
+    flat, _ = planarize(_far_translated_curve())
+    assert all(component_plane(c) is not None for c in flat.components)
 
 
 def test_reduce_subdivided_triangles():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import crown_curve, crown_union
 from rhombidome import files
 from rhombidome.cobordism import _pack_component, reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
@@ -35,8 +36,9 @@ V3_WALK = DATA / "ledger_v3_lattice_walk.json"
 
 @pytest.fixture(scope="module")
 def ledger():
-    # planarize pivots, a pack, splits, a fix pivot and pentagons
-    return reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5)))
+    # planarize pivots, a pack, splits at vertex 0 and elsewhere, fix pivots
+    # and pentagons
+    return reduce_to_rhombi(crown_union(5))
 
 
 def _first(doc, kind):
@@ -98,13 +100,21 @@ def _bad_int_then_nan(doc):
      "bad pack order: expected a list of integers", None),
     # no writer before version 4 recorded a pack move
     (lambda doc: doc.update(version=3),
-     "bad move: {'type': 'pack', 'component': 0, 'order': [0, 3, 4, 1, 5, 6, 2, 7, 8]}", None),
+     "bad move: {'type': 'pack', 'component': 0, 'order': [0, 3, 5, 9, 1, 6, 7, 2, 8, 11, 4, 10]",
+     None),
+    (lambda doc: _first(doc, "split").update(at=True),
+     "bad split at: expected an integer, got True", None),
+    (lambda doc: _first(doc, "split").update(at=1.5),
+     "bad split at: expected an integer, got 1.5", None),
+    (lambda doc: _first(doc, "split").update(at="0"),
+     "bad split at: expected an integer, got '0'", None),
+    (lambda doc: _first(doc, "split").pop("at"), "malformed ledger document: 'at'", KeyError),
 ], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
         "point_is_string", "earlier_bad_point_first", "earlier_bad_int_first",
         "int_overflows_float", "apex_2d",
         "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
         "curve_bool", "order_object", "order_string", "order_true", "order_float",
-        "pack_in_v3"])
+        "pack_in_v3", "at_true", "at_float", "at_string", "at_missing"])
 def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)
@@ -137,16 +147,19 @@ def test_empty_cell_lists_decode(ledger):
 
 def test_ledger_document_records_no_cells(ledger):
     doc = files.ledger_to_obj(ledger)
-    assert doc["version"] == 4 and "triangles" not in doc and "rhombi" not in doc
+    assert doc["version"] == 5 and "triangles" not in doc and "rhombi" not in doc
     pentagon = _first(doc, "pentagon")
     assert sorted(pentagon) == ["apex", "component", "type"]
+    # a split records its position and its bridge
+    assert sorted(_first(doc, "split")) == ["at", "component", "new_component", "type", "z"]
+    assert {m["at"] for m in doc["moves"] if m["type"] == "split"} > {0}
     # the pack records its order, and none of its swaps
     assert sorted(_first(doc, "pack")) == ["component", "order", "type"]
     assert not [m for m in doc["moves"] if m["type"] == "pivot" and m["stage"] == "pack"]
 
 
-# "4" is the current version written as a string
-@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", "4", None, 5, 0])
+# "4" and "5" are an older and the current version written as strings
+@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", "4", "5", None, 6, 0])
 def test_ledger_version_must_be_a_supported_integer(ledger, version):
     # True == 1 and 2.0 == 2 in Python, but neither is a version
     doc = files.ledger_to_obj(ledger)
@@ -201,8 +214,10 @@ def _integral_as_int(node):
 
 def test_integer_coordinates_read_as_floats(tmp_path):
     """JSON integers are coordinates: a cubic-lattice ledger written with
-    integer coordinates reads, validates and re-writes to the float bytes."""
-    steps = np.array([[1, 0, 0], [0, 0, -1], [0, -1, 0], [0, 0, 1], [-1, 0, 0], [0, 1, 0]])
+    integer coordinates reads, validates and re-writes to the float bytes.
+    Every span of three steps around the 3 x 3 square is 3 or sqrt(5), so
+    the walk takes the pack."""
+    steps = np.repeat([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], 3, axis=0)
     ledger = reduce_to_rhombi(IntegralCurve([np.cumsum(steps, axis=0).astype(float)]))
     floats, ints, again = (tmp_path / name for name in ("f.json", "i.json", "a.json"))
     files.write_ledger(str(floats), ledger)
@@ -255,15 +270,41 @@ def test_v2_fixture_derives_its_recorded_cells_bitwise():
         assert json.dumps([c.tolist() for c in derived]) == json.dumps(doc[key])
 
 
-def test_v2_fixture_rewrites_as_v4(tmp_path):
-    out = tmp_path / "v4.json"
+def test_v2_fixture_rewrites_as_v5(tmp_path):
+    out = tmp_path / "v5.json"
     files.write_ledger(str(out), files.read_ledger(str(V2_UNION)))
-    v4 = json.loads(out.read_text())
+    v5 = json.loads(out.read_text())
     v2 = json.loads(V2_UNION.read_text())
-    assert v4["version"] == 4 and "triangles" not in v4 and "rhombi" not in v4
-    assert v4["stats"] == v2["stats"]
-    assert [m["type"] for m in v4["moves"]] == [m["type"] for m in v2["moves"]]
+    assert v5["version"] == 5 and "triangles" not in v5 and "rhombi" not in v5
+    assert v5["stats"] == v2["stats"]
+    assert [m["type"] for m in v5["moves"]] == [m["type"] for m in v2["moves"]]
+    # every split of versions 1-4 peeled at vertex 0
+    assert [m["at"] for m in v5["moves"] if m["type"] == "split"] == [0, 0, 0]
     assert validate_ledger(files.read_ledger(str(out))).passed
+
+
+def test_v4_document_splits_at_vertex_0():
+    # a version 4 document has no ``at``: each split peels at vertex 0, as
+    # the fallback's do, so the crown's ledger written as version 4 reads to
+    # the same ledger, verdict and stats
+    doc = files.ledger_to_obj(reduce_to_rhombi(crown_curve()))
+    splits = [m for m in doc["moves"] if m["type"] == "split"]
+    assert splits and all(m["at"] == 0 for m in splits)
+    v4 = json.loads(json.dumps(doc))
+    v4["version"] = 4
+    for move in v4["moves"]:
+        move.pop("at", None)
+    read, report = files.ledger_from_obj(v4), validate_ledger(files.ledger_from_obj(doc))
+    assert validate_ledger(read).entries == report.entries and report.passed
+    assert read.stats == doc["stats"]
+    assert files.ledger_to_obj(read) == doc
+    # the position of a version 4 split is 0, whatever the document says
+    curve = random_integral_curve(9, np.random.default_rng(5))
+    local = files.ledger_to_obj(reduce_to_rhombi(curve))
+    assert validate_ledger(files.ledger_from_obj(local)).passed
+    read = files.ledger_from_obj({**local, "version": 4})
+    assert {m.at for m in read.moves if m.kind == "split"} == {0}
+    assert not validate_ledger(read).passed
 
 
 def _pack_cells(ledger) -> int:
@@ -301,9 +342,9 @@ def test_v3_fixture_replays_as_its_v4_ledger(tmp_path):
     for name in ("rhombus_cells", "triangles", "rhombi"):
         assert ([cell.tobytes() for cell in getattr(old, name)]
                 == [cell.tobytes() for cell in getattr(new, name)])
-    out = tmp_path / "v4.json"
+    out = tmp_path / "v5.json"
     files.write_ledger(str(out), v3)
-    assert json.loads(out.read_text())["version"] == 4
+    assert json.loads(out.read_text())["version"] == 5
     assert validate_ledger(files.read_ledger(str(out))).passed
 
 
@@ -359,21 +400,29 @@ def _values(original):
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_round_trip_and_one_field_edits(n, seed, data):
-    ledger = reduce_to_rhombi(random_integral_curve(n, np.random.default_rng(seed)))
+@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1), crown=st.booleans(),
+       data=st.data())
+def test_round_trip_and_one_field_edits(n, seed, crown, data):
+    # with the crown beside it, the ledger has a pack too
+    curve = random_integral_curve(n, np.random.default_rng(seed))
+    if crown:
+        curve = IntegralCurve(curve.components
+                              + [crown_curve().components[0] + np.array([10.0, 0, 0])])
+    ledger = reduce_to_rhombi(curve)
     text = files.dump_json(files.ledger_to_obj(ledger))
     read = files.ledger_from_obj(json.loads(text))
     assert validate_ledger(read).passed
     assert files.dump_json(files.ledger_to_obj(read)) == text
-    # each apex coordinate and pack order entry, then one field anywhere: the
-    # reader refuses the document or the validator reports, and neither
-    # raises anything else
+    # each apex coordinate, pack order entry and split position, then one
+    # field anywhere: the reader refuses the document or the validator
+    # reports, and neither raises anything else
     doc = json.loads(text)
     targets = [("moves", i, "apex", c) for i, move in enumerate(doc["moves"])
                if move["type"] == "pentagon" for c in range(3)]
     targets += [("moves", i, "order", j) for i, move in enumerate(doc["moves"])
                 if move["type"] == "pack" for j in range(len(move["order"]))]
+    targets += [("moves", i, "at") for i, move in enumerate(doc["moves"])
+                if move["type"] == "split"]
     targets.append(data.draw(st.sampled_from(list(_paths(doc)))))
     for path in targets:
         original = doc

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import regular_polygon_curve
+from conftest import crown_curve, crown_union, regular_polygon_curve
 from rhombidome import surface
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
@@ -80,8 +80,10 @@ def test_catalog_unknown_name():
 
 @pytest.mark.parametrize("part, refs, bad", [
     ("triangles", [(1, 2, 4)], "4"), ("triangles", [(1, 0, 3)], "0"),
-    ("walks", [[1, 2, -4]], "-4"), ("walks", [[0, 2, 3]], "0")],
-    ids=["triangle_past_end", "triangle_zero", "walk_past_end", "walk_zero"])
+    ("walks", [[1, 2, -4]], "-4"), ("walks", [[0, 2, 3]], "0"),
+    ("walks", [[1, 2, 2.5]], "2.5"), ("triangles", [(1, 2, 3.0)], "3.0")],
+    ids=["triangle_past_end", "triangle_zero", "walk_past_end", "walk_zero",
+         "walk_not_integer", "triangle_float"])
 def test_validate_names_a_bad_edge_reference(part, refs, bad):
     s = catalog("triangle_disk")
     setattr(s, part, refs)
@@ -275,7 +277,7 @@ def test_validator_accepts_partial_ledger():
 ], ids=["stats_none", "rhombi_used_none", "apex_nan", "pivot_point_nan",
         "rhombus_off_grid", "apex_inf"])
 def test_validator_reports_instead_of_raising(edit, failed):
-    ledger = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(3)))
+    ledger = reduce_to_rhombi(crown_union(3))
     edit(ledger)
     report = validate_ledger(ledger)
     assert [name for name, ok, _ in report.entries if not ok] == failed
@@ -307,13 +309,13 @@ def test_validator_flags_component_over_budget():
 
 
 def _tamper_ledgers(seed: int = 5):
-    """A fixed n=9 ledger and its prefix of pivots and packs, as JSON
-    documents.  At the default seed the ledger has every kind of move but
-    the closing ones.
+    """The ledger of ``crown_union(seed)`` and its prefix of pivots and packs,
+    as JSON documents.  The ledger has every kind of move but the closing
+    ones, and splits at vertex 0 and elsewhere.
 
     The prefix stops before the first split, so its final curve is nonempty.
     """
-    full = reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(seed)))
+    full = reduce_to_rhombi(crown_union(seed))
     state = Replayer(full.initial)
     for move in full.moves:
         if move.kind not in ("pivot", "pack"):
@@ -328,24 +330,39 @@ def _tamper_ledgers(seed: int = 5):
 
 def _rotated_bridges(doc: dict, theta: float = 0.3):
     """Yield (move index, z) for each split of ``doc``, with z turned by
-    ``theta`` about the axis through the split's vertices 0 and 3: still at
-    unit distance from both, so the replay accepts it."""
+    ``theta`` about the axis through the split's vertices at and at + 3:
+    still at unit distance from both, so the replay accepts it."""
     ledger = ledger_from_obj(doc)
     state = Replayer(ledger.initial)
     for i, move in enumerate(ledger.moves):
         if move.kind == "split":
-            v0, v3 = np.array(state.component(move.component))[[0, 3]]
-            yield i, (v0 + _rotation(v3 - v0, theta) @ (move.z - v0)).tolist()
+            v = state.component(move.component)
+            a, b = np.array([v[move.at], v[(move.at + 3) % len(v)]])
+            yield i, (a + _rotation(b - a, theta) @ (move.z - a)).tolist()
         state.apply(move)
+
+
+def _split_sizes(doc: dict) -> dict[int, int]:
+    """The size of the component each split of ``doc`` peels, by move index."""
+    ledger = ledger_from_obj(doc)
+    state, sizes = Replayer(ledger.initial), {}
+    for i, move in enumerate(ledger.moves):
+        if move.kind == "split":
+            sizes[i] = len(state.component(move.component))
+        state.apply(move)
+    return sizes
 
 
 def _tamper_edits(full: dict, prefix: dict):
     """Yield (name, document, path, value): set doc[path] to value."""
+    sizes = _split_sizes(full)
     for i, move in enumerate(full["moves"]):
         if move["type"] == "pivot":
             yield f"move {i} new", full, ("moves", i, "new", 0), move["new"][0] + 1e-3
         if move["type"] == "split":
             yield f"move {i} z", full, ("moves", i, "z", 0), move["z"][0] + 1e-3
+            for bad in (-1, sizes[i]):
+                yield f"move {i} at={bad}", full, ("moves", i, "at"), bad
         if move["type"] == "pentagon":
             for c, x in enumerate(move["apex"]):
                 yield f"move {i} apex[{c}]", full, ("moves", i, "apex", c), x + 1e-3
@@ -385,12 +402,14 @@ def _order_edits(order: list):
 
 def test_rotated_bridge_is_another_valid_reduction():
     # a bridge turned on its unit circle stays at unit distance from vertices
-    # 0 and 3, and every cell that touches it is derived from it: the edited
-    # ledger is a different reduction, with different boundary rhombi, and it
-    # holds as well.  At seed 3 no recorded pivot has a bridge for a
-    # neighbour; at seed 5 a fix pivot does, and a turned bridge moves it off
-    # its circle.
-    full, _ = _tamper_ledgers(seed=3)
+    # at and at + 3, and every cell that touches it is derived from it: the
+    # edited ledger is a different reduction, with different boundary rhombi,
+    # and it holds as well.  At seed 35 the n = 9 curve peels at positions 2,
+    # 3, 0 and 2, and no later move rests on a bridge; at seed 3 a later
+    # pentagon's apex is at unit distance from one, and a turned bridge moves
+    # it off.
+    full = ledger_to_obj(reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(35))))
+    assert [m["at"] for m in full["moves"] if m["type"] == "split"] == [2, 3, 0, 2]
     before = assemble_from_ledger(ledger_from_obj(full)).rhombi
     count = 0
     for i, z in _rotated_bridges(full):
@@ -450,7 +469,21 @@ def test_validator_refuses_an_order_that_is_no_permutation(edit):
     report = validate_ledger(ledger_from_obj(_tampered(full, ("moves", i, "order"), order)))
     assert [(entry, ok) for entry, ok, _ in report.entries] == [
         ("initial_curve", True), ("replay", False)]
-    assert report.entries[-1][2] == "pack order is not a permutation of range(9)"
+    assert report.entries[-1][2] == "pack order is not a permutation of range(12)"
+
+
+@pytest.mark.parametrize("edit", ["-1", "size"])
+def test_validator_refuses_a_split_position_out_of_range(edit):
+    full, _ = _tamper_ledgers()
+    sizes = _split_sizes(full)
+    # the last split is the loop's, which peels away from vertex 0
+    i = max(sizes)
+    assert full["moves"][i]["at"] != 0
+    at = -1 if edit == "-1" else sizes[i]
+    report = validate_ledger(ledger_from_obj(_tampered(full, ("moves", i, "at"), at)))
+    assert [(entry, ok) for entry, ok, _ in report.entries] == [
+        ("initial_curve", True), ("replay", False)]
+    assert report.entries[-1][2] == f"split position {at} out of range({sizes[i]})"
 
 
 def test_pack_swap_of_equal_edges_is_a_no_op():
@@ -522,8 +555,9 @@ def test_validator_stats_edits_fail_budget_only():
 ], ids=["k_float", "fixes_true", "row_component_false", "row_rhombi_float"])
 def test_validator_stats_compared_with_json_type(path, retype):
     # 18.0 == 18 and True == 1 in Python, but a ledger that records a count
-    # as a float or a boolean does not record the replayed integer
-    full, _ = _tamper_ledgers()
+    # as a float or a boolean does not record the replayed integer; at seed 5
+    # the n = 9 curve needs one fix
+    full = ledger_to_obj(reduce_to_rhombi(random_integral_curve(9, np.random.default_rng(5))))
     value = full
     for key in path:
         value = value[key]
@@ -585,12 +619,14 @@ def _segment_counts_reference(cycles_plus, cycles_minus):
 
 
 def _reference_ledgers():
-    """Reduced ledgers at n = 9, 24 and 48, and one of two components."""
+    """Reduced ledgers at n = 9, 24 and 48, one of two components, and the
+    crown's, whose pack derives most of its pivot cells."""
     rng = np.random.default_rng(40)
     ledgers = [reduce_to_rhombi(random_integral_curve(n, rng)) for n in (9, 24, 48)]
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     loop = random_integral_curve(11, rng).components[0] + np.array([5.0, 0, 0])
     ledgers.append(reduce_to_rhombi(IntegralCurve([tri, loop])))
+    ledgers.append(reduce_to_rhombi(crown_curve()))
     return ledgers
 
 

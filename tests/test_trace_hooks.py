@@ -3,11 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
+from conftest import crown_curve
 from rhombidome import surface
 from rhombidome.cobordism import reduce_to_rhombi
-from rhombidome.curve import random_integral_curve
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -23,13 +21,14 @@ def test_tracer_hooks_resolve_and_restore():
     spans = _load_spans()
     hooks = list(spans.SPANNED) + [(module, attr) for module, attr, _ in spans.COUNTED]
     originals = [getattr(module, attr) for module, attr in hooks]
-    curve = random_integral_curve(9, np.random.default_rng(3))
+    curve = crown_curve()
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert all(getattr(module, attr) is not original
                    for (module, attr), original in zip(hooks, originals))
-        # the reduction calls ``dist``; the checker alone does not
+        # the crown's reduction, which takes the fallback, calls ``dist``;
+        # the checker alone does not
         report = tracer.item_span(
             0, lambda: surface.validate_ledger(reduce_to_rhombi(curve)))
     finally:

@@ -23,6 +23,16 @@ The ledger model -- cells, moves, the move table, the ledger and its
 :class:`~rhombidome.surface.Replayer` -- belongs to that checker, in
 :mod:`rhombidome.surface`.  The reduction produces its ledger by applying
 each move through the same replay.
+
+Points are rows, lists of three Python floats, as in the replay and in
+:mod:`rhombidome.geom`: the per-point steps (the local peel, the pentagon
+base case, each planarize pivot and each fallback bridge) take rows and
+record rows.  The public :func:`pentagon_split` and :func:`apply_pivot`
+convert their input to rows once.  The array algorithms stay numpy: the
+plane fits (``eigh``), the height pass (``@``), the Steinitz orders
+(``cumsum``, ``svd``) and the farthest vertex pair.  So does every
+``np.dot`` of two 3-vectors: the BLAS may round a dot product differently
+from the left-to-right Python sum, and a ledger's bytes must not move.
 """
 
 from __future__ import annotations
@@ -103,14 +113,14 @@ class FixBudgetExceededError(RuntimeError):
 # single pivot
 
 
-def _make_pivot(state: Replayer, cid: int, i: int, target, stage: str) -> bool:
-    """Apply, and so record, one pivot of ``stage`` to ``target``, which the
-    move holds as a new row of floats.
+def _make_pivot(state: Replayer, cid: int, i: int, target: list[float],
+                stage: str) -> bool:
+    """Apply, and so record, one pivot of ``stage`` to the row ``target``,
+    which the move holds.
 
     A target equal to the current vertex is a no-op: nothing is recorded
     and False is returned.
     """
-    target = list(map(float, target))
     if math.dist(state.component(cid)[i], target) <= EPS:
         return False
     state.apply(PivotMove(cid, i, target, stage))
@@ -127,7 +137,7 @@ def apply_pivot(curve: IntegralCurve, comp: int, i: int,
     move None.
     """
     state = Replayer(curve)
-    if not _make_pivot(state, comp, i, p, "pivot"):
+    if not _make_pivot(state, comp, i, list(map(float, p)), "pivot"):
         return curve.copy(), None
     return state.final_curve(), state.moves[0]
 
@@ -144,28 +154,29 @@ def _best_plane_through(points: np.ndarray, iv: int, iw: int) -> Plane:
     eigenvector of its smaller eigenvalue (closed form via ``eigh``).
     """
     v = points[iv]
-    d = normalize(points[iw] - v)
-    seed = np.array([1.0, 0.0, 0.0])
+    d = normalize((points[iw] - v).tolist())
+    seed = [1.0, 0.0, 0.0]
     if abs(float(np.dot(seed, d))) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = normalize(seed - np.dot(seed, d) * d)
-    e2 = cross3(d, e1)
+        seed = [0.0, 1.0, 0.0]
+    along = float(np.dot(seed, d))
+    e1 = normalize([s - along * x for s, x in zip(seed, d)])
     rel = points - v
     m = rel.T @ rel
-    basis = np.column_stack([e1, e2])
+    basis = np.column_stack([e1, cross3(d, e1)])
     restricted = basis.T @ m @ basis
     eigvals, eigvecs = np.linalg.eigh(restricted)
-    normal = basis @ eigvecs[:, 0]
-    return Plane(base=v.copy(), normal=normalize(normal))
+    return Plane(base=v.tolist(), normal=normalize((basis @ eigvecs[:, 0]).tolist()))
 
 
-def _sphere_point_nearest_plane(center: np.ndarray, plane: Plane) -> np.ndarray:
+def _sphere_point_nearest_plane(center: list[float], plane: Plane) -> list[float]:
     """Deterministic point of the unit sphere around ``center`` nearest the plane."""
-    s = float(np.dot(center - plane.base, plane.normal))
+    s = float(np.dot(np.subtract(center, plane.base), plane.normal))
     if abs(s) >= 1.0:
-        return center - np.sign(s) * plane.normal
+        sign = 1.0 if s > 0 else -1.0
+        return [c - sign * x for c, x in zip(center, plane.normal)]
+    r = math.sqrt(1.0 - s * s)
     u = plane_basis(plane.normal)[0]
-    return center - s * plane.normal + np.sqrt(1.0 - s * s) * u
+    return [c - s * x + r * y for c, x, y in zip(center, plane.normal, u)]
 
 
 _PLANAR_STOP = 1e-10
@@ -395,7 +406,7 @@ def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PackMove]]:
 # pentagon base case
 
 
-def _apex(p: np.ndarray) -> np.ndarray | None:
+def _apex(p: list[list[float]]) -> list[float] | None:
     """The apex over [v0 v2 v3], or None while that triangle has none."""
     try:
         return apex_at_unit_distance(p[0], p[2], p[3], +1)
@@ -407,7 +418,7 @@ def _apex(p: np.ndarray) -> np.ndarray | None:
 _REFLECTED = ((2, 1, 3), (1, 0, 2), (3, 2, 4))
 
 
-def _fix_candidates(p: np.ndarray):
+def _fix_candidates(p: list[list[float]]):
     """Candidate corrective pivots, deterministic order, lazily generated.
 
     Three in-line reflections first.  Then each of vertices 2, 1, 3 and 4
@@ -423,15 +434,16 @@ def _fix_candidates(p: np.ndarray):
             yield (i, target)
     for i, a, b in _REFLECTED + ((4, 3, 0),):
         if dist(p[a], p[b]) <= EPS:
-            yield (i, 2.0 * p[a] - p[i])
+            yield (i, [2.0 * x - y for x, y in zip(p[a], p[i])])
 
 
-def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], list[float]] | None:
+def _search_fixes(p: list[list[float]],
+                  depth: int) -> tuple[list[PivotMove], list[float]] | None:
     """At most ``depth`` fix pivots of component 0 that open the apex, and
     the apex they open, each pivot applied to a copy of ``p``."""
     apex = _apex(p)
     if apex is not None:
-        return [], apex.tolist()
+        return [], apex
     if depth == 0:
         return None
     for i, target in _fix_candidates(p):
@@ -439,7 +451,7 @@ def _search_fixes(p: np.ndarray, depth: int) -> tuple[list[PivotMove], list[floa
         trial[i] = target
         found = _search_fixes(trial, depth - 1)
         if found is not None:
-            return [PivotMove(0, i, target.tolist(), "fix")] + found[0], found[1]
+            return [PivotMove(0, i, target, "fix")] + found[0], found[1]
     return None
 
 
@@ -459,10 +471,9 @@ def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
     through ``apex`` derives the rhombi [v0 v1 v2 a] and [v0 a v3 v4] and
     the face [v2 v3 a].
     """
-    p = np.asarray(pentagon, dtype=float).copy()
+    p = np.asarray(pentagon, dtype=float).tolist()
     _check_unit_cycle(p, "pentagon", 5)
-    pts = p.tolist()
-    if max(math.dist(q, pts[0]) for q in pts) > STEINITZ_BOUND + 10 * EPS:
+    if max(math.dist(q, p[0]) for q in p) > STEINITZ_BOUND + 10 * EPS:
         raise ValueError("pentagon is not packed around vertex 0")
     found = _search_fixes(p, FIX_PIVOT_BUDGET)
     if found is None:
@@ -475,7 +486,7 @@ def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
 # full reduction
 
 
-def _choose_bridge(v: np.ndarray, plane: Plane) -> np.ndarray:
+def _choose_bridge(v: list[list[float]], plane: Plane) -> list[float]:
     """Point of the plane at unit distance from v[0] and v[3].
 
     Of the two circle/plane intersection points, the one farther from the
@@ -483,17 +494,21 @@ def _choose_bridge(v: np.ndarray, plane: Plane) -> np.ndarray:
     straight back onto the remaining curve.
     """
     v1, v4 = v[0], v[3]
-    away = 0.5 * (v[1] + v[2])
+    away = [0.5 * (a + b) for a, b in zip(v[1], v[2])]
     d = dist(v1, v4)
     if d <= EPS:
         # unit circle around v1 inside the plane
-        radial = (v1 - away) - np.dot(v1 - away, plane.normal) * plane.normal
+        rel = [a - b for a, b in zip(v1, away)]
+        along = float(np.dot(rel, plane.normal))
+        radial = [x - along * y for x, y in zip(rel, plane.normal)]
         if np.linalg.norm(radial) <= EPS:
             radial = plane_basis(plane.normal)[0]
-        return v1 + normalize(radial)
+        return [a + b for a, b in zip(v1, normalize(radial))]
     circle = unit_ball_intersection(v1, v4)
     w = normalize(cross3(circle.axis, plane.normal))
-    cands = [circle.center + circle.radius * w, circle.center - circle.radius * w]
+    r = circle.radius
+    cands = [[c + r * x for c, x in zip(circle.center, w)],
+             [c - r * x for c, x in zip(circle.center, w)]]
     return max(cands, key=lambda q: dist(q, away))
 
 
@@ -594,8 +609,8 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
                 plane = _planarize_component(state, root)
                 _pack_component(state, root)
                 while len(state.component(root)) > 5:
-                    z = _choose_bridge(np.array(state.component(root)[:4]), plane)
-                    state.apply(SplitMove(root, next_id, z.tolist()))
+                    z = _choose_bridge(state.component(root), plane)
+                    state.apply(SplitMove(root, next_id, z))
                     _consume_pentagon(state, next_id)
                     next_id += 1
             _consume_pentagon(state, root)

@@ -169,7 +169,7 @@ def fit_plane(points: np.ndarray) -> Plane:
     centered = points - centroid
     moments = centered.T @ centered
     eigvals, eigvecs = np.linalg.eigh(moments)
-    return Plane(base=centroid, normal=normalize(eigvecs[:, 0]))
+    return Plane(base=centroid.tolist(), normal=normalize(eigvecs[:, 0].tolist()))
 
 
 def component_plane(component: np.ndarray) -> Plane | None:

@@ -1,28 +1,26 @@
 """Euclidean primitives used by every other module.
 
-Points are plain float64 numpy arrays of shape (3,).  Coincidence and
-unit-length predicates, here and in every other module, compare against one
-fixed absolute threshold, :data:`EPS` = 1e-9, so a verdict depends on its
-input alone.  Absolute means the inputs must sit where the float spacing is
-well below it: past about |x| = 4.5e6 the spacing of a coordinate reaches
-1e-9.  Nothing in this module keeps state.
-
-The kernels take and return numpy arrays but compute on Python floats:
-``tolist()`` coordinates, ``math`` functions and one rounding per
-operation.  On single 3-vectors numpy's per-call cost dwarfs the
-arithmetic, and numpy would route a dot product through the BLAS (which
-may fuse its multiply-adds) and ``arctan2``, ``arccos`` and ``hypot``
+Points and vectors are rows: lists of three Python floats.  Every kernel
+takes rows and returns rows, and computes on them with ``math`` functions
+and one rounding per operation; a caller that holds numpy arrays converts
+them once, at its own boundary.  On single 3-vectors numpy's per-call cost
+dwarfs the arithmetic, and numpy would route a dot product through the BLAS
+(which may fuse its multiply-adds) and ``arctan2``, ``arccos`` and ``hypot``
 through its SIMD loops, whose last bits vary with the build and the CPU.
-So the bits of the points the reduction records in a ledger depend on the
+So the bits of every point these kernels return depend on the
 interpreter's float arithmetic and libm alone.
+
+Coincidence and unit-length predicates, here and in every other module,
+compare against one fixed absolute threshold, :data:`EPS` = 1e-9, so a
+verdict depends on its input alone.  Absolute means the inputs must sit
+where the float spacing is well below it: past about |x| = 4.5e6 the
+spacing of a coordinate reaches 1e-9.  Nothing in this module keeps state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "EPS",
@@ -80,16 +78,11 @@ _X = (1.0, 0.0, 0.0)
 _Y = (0.0, 1.0, 0.0)
 
 
-def pt(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
+def pt(x: float, y: float, z: float) -> list[float]:
+    return [float(x), float(y), float(z)]
 
 
-# Helpers on 3-vectors held as lists of Python floats.
-
-
-def _xyz(v) -> list[float]:
-    """The coordinates of a point or vector as Python floats."""
-    return np.asarray(v, dtype=float).tolist()
+dist = math.dist
 
 
 def _sub(a: list, b: list) -> list[float]:
@@ -100,151 +93,121 @@ def _dot(a: list, b: list) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a: list, b: list) -> list[float]:
+def cross3(a: list, b: list) -> list[float]:
     return [a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0]]
 
 
-def _unit(v: list) -> list[float]:
+def normalize(v: list) -> list[float]:
     n = math.hypot(*v)
     if n <= 1e-12:
         raise DegenerateError("cannot normalize a (near-)zero vector")
     return [x / n for x in v]
 
 
-def dist(a: np.ndarray, b: np.ndarray) -> float:
-    return math.dist(_xyz(a), _xyz(b))
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors without numpy's axis bookkeeping."""
-    return np.array(_cross(_xyz(a), _xyz(b)))
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    return np.array(_unit(_xyz(v)))
-
-
 @dataclass(frozen=True)
 class Plane:
     """Affine plane through ``base`` with unit ``normal``."""
 
-    base: np.ndarray
-    normal: np.ndarray
+    base: list[float]
+    normal: list[float]
 
     @staticmethod
-    def make(base: np.ndarray, normal: np.ndarray) -> "Plane":
-        return Plane(np.asarray(base, dtype=float), normalize(normal))
+    def make(base: list, normal: list) -> "Plane":
+        return Plane(list(base), normalize(normal))
 
 
 @dataclass(frozen=True)
 class Circle3:
     """Circle in 3-space: center, radius and the unit normal of its plane."""
 
-    center: np.ndarray
+    center: list[float]
     radius: float
-    axis: np.ndarray
+    axis: list[float]
 
     def __post_init__(self) -> None:
         if self.radius < 0:
             raise ValueError("circle radius must be nonnegative")
 
 
-def signed_plane_distance(p: np.ndarray, h: Plane) -> float:
-    return _dot(_sub(_xyz(p), _xyz(h.base)), _xyz(h.normal))
+def signed_plane_distance(p: list, h: Plane) -> float:
+    return _dot(_sub(p, h.base), h.normal)
 
 
-def distance_to_plane(p: np.ndarray, h: Plane) -> float:
+def distance_to_plane(p: list, h: Plane) -> float:
     return abs(signed_plane_distance(p, h))
 
 
-def unit_ball_intersection(u: np.ndarray, w: np.ndarray) -> Circle3:
+def unit_ball_intersection(u: list, w: list) -> Circle3:
     """Circle of points at distance exactly 1 from both ``u`` and ``w``.
 
     Center is the midpoint of [u, w], axis the direction w - u, radius
     sqrt(1 - |u,w|^2 / 4).  At |u,w| = 2 the radius degenerates to 0.
     """
-    u, w = _xyz(u), _xyz(w)
     d = math.dist(u, w)
     if d > 2.0 + EPS:
         raise SeparatedError(f"unit balls at distance {d} do not intersect")
     if d <= EPS:
         raise CoincidentError("coincident centers: locus is a whole sphere")
     radius = math.sqrt(max(0.0, 1.0 - 0.25 * d * d))
-    return Circle3(center=np.array([0.5 * (p + q) for p, q in zip(u, w)]),
-                   radius=radius, axis=np.array([(q - p) / d for p, q in zip(u, w)]))
+    return Circle3(center=[0.5 * (p + q) for p, q in zip(u, w)],
+                   radius=radius, axis=[(q - p) / d for p, q in zip(u, w)])
 
 
-def _triangle_frame(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[list, ...]:
-    """Vertex a, edge vectors u = b-a, v = c-a and their cross product,
-    validated, as float lists."""
-    a, b, c = _xyz(a), _xyz(b), _xyz(c)
+def _triangle_frame(a: list, b: list, c: list) -> tuple[list, ...]:
+    """The circumcenter, the edge vectors u = b-a and v = c-a and their cross
+    product n of a triangle that is validated as proper."""
     if math.dist(a, b) <= EPS or math.dist(a, c) <= EPS or math.dist(b, c) <= EPS:
         raise DegenerateError("coincident triangle vertices")
     u, v = _sub(b, a), _sub(c, a)
-    n = _cross(u, v)
+    n = cross3(u, v)
     if math.hypot(*n) <= EPS:
         raise DegenerateError("collinear triangle vertices")
-    return a, u, v, n
-
-
-def _circumcenter(a: list, u: list, v: list, n: list) -> list[float]:
-    """Circumcenter of the triangle with frame ``a, u, v, n``."""
     scale = 2.0 * _dot(n, n)
     uu, vv = _dot(u, u), _dot(v, v)
-    return [x + (vv * p + uu * q) / scale
-            for x, p, q in zip(a, _cross(n, u), _cross(v, n))]
+    center = [x + (vv * p + uu * q) / scale
+              for x, p, q in zip(a, cross3(n, u), cross3(v, n))]
+    return center, u, v, n
 
 
-def circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.array(_circumcenter(*_triangle_frame(a, b, c)))
+def circumcenter(a: list, b: list, c: list) -> list[float]:
+    return _triangle_frame(a, b, c)[0]
 
 
-def circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+def circumradius(a: list, b: list, c: list) -> float:
     """|ab| * |bc| * |ca| / (4 * area)."""
-    a, u, v, n = _triangle_frame(a, b, c)
+    _, u, v, n = _triangle_frame(a, b, c)
     area2 = math.hypot(*n)  # twice the triangle area
     return math.hypot(*u) * math.dist(u, v) * math.hypot(*v) / (2.0 * area2)
 
 
-def apex_at_unit_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          side: int = +1) -> np.ndarray | None:
+def apex_at_unit_distance(a: list, b: list, c: list, side: int = +1) -> list[float] | None:
     """Point at distance 1 from all three vertices, or None if none exists.
 
     Exists iff the circumradius R is below 1; the apex sits at height
     sqrt(1 - R^2) over the circumcenter, on the side of the triangle plane
     selected by the sign of ``side`` (relative to (b-a) x (c-a)).
     """
-    a, u, v, n = _triangle_frame(a, b, c)
-    center = _circumcenter(a, u, v, n)
+    center, _, _, n = _triangle_frame(a, b, c)
     r2 = math.dist(center, a) ** 2
     if r2 >= 1.0:
         return None
     lift = (1 if side >= 0 else -1) * math.sqrt(1.0 - r2)
-    return np.array([x + lift * y for x, y in zip(center, _unit(n))])
+    return [x + lift * y for x, y in zip(center, normalize(n))]
 
 
-def reflect_across_line(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def reflect_across_line(p: list, a: list, b: list) -> list[float]:
     """Reflect ``p`` across the line through ``a`` and ``b`` (an isometric involution)."""
-    p, a, b = _xyz(p), _xyz(a), _xyz(b)
     d = _sub(b, a)
     dd = _dot(d, d)
     if dd <= EPS * EPS:
         raise DegenerateLineError("line endpoints coincide")
     t = _dot(_sub(p, a), d) / dd
-    return np.array([2.0 * (x + t * y) - z for x, y, z in zip(a, d, p)])
+    return [2.0 * (x + t * y) - z for x, y, z in zip(a, d, p)]
 
 
-def _plane_basis(normal: list) -> tuple[list, list]:
-    e1 = _cross(normal, _X)
-    if math.hypot(*e1) <= 1e-6:
-        e1 = _cross(normal, _Y)
-    e1 = _unit(e1)
-    return e1, _cross(normal, e1)
-
-
-def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def plane_basis(normal: list) -> tuple[list[float], list[float]]:
     """Deterministic orthonormal basis of the plane with unit normal ``normal``.
 
     e1 is the normalized cross product of the normal with global x, falling
@@ -252,11 +215,14 @@ def plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the parameter angle 0 of a circle around that normal, used by
     tie-breaks, so ledgers are deterministic.
     """
-    e1, e2 = _plane_basis(_xyz(normal))
-    return np.array(e1), np.array(e2)
+    e1 = cross3(normal, _X)
+    if math.hypot(*e1) <= 1e-6:
+        e1 = cross3(normal, _Y)
+    e1 = normalize(e1)
+    return e1, cross3(normal, e1)
 
 
-def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
+def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> list[float]:
     """Point of the circle minimizing unsigned distance to the plane.
 
     The signed distance along the circle is s0 + A cos(t) + B sin(t); the
@@ -264,19 +230,19 @@ def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
     point at parameter angle 0 of :func:`plane_basis` is returned.
     """
     if c.radius <= 0.0:
-        return c.center.copy()
-    r, center, normal = c.radius, _xyz(c.center), _xyz(h.normal)
-    e1, e2 = _plane_basis(_xyz(c.axis))
-    s0 = signed_plane_distance(c.center, h)
-    amp_a = r * _dot(e1, normal)
-    amp_b = r * _dot(e2, normal)
+        return list(c.center)
+    r, center = c.radius, c.center
+    e1, e2 = plane_basis(c.axis)
+    s0 = signed_plane_distance(center, h)
+    amp_a = r * _dot(e1, h.normal)
+    amp_b = r * _dot(e2, h.normal)
     amp = math.hypot(amp_a, amp_b)
     if amp <= 1e-15:
-        return np.array([x + r * y for x, y in zip(center, e1)])
+        return [x + r * y for x, y in zip(center, e1)]
     phi = math.atan2(amp_b, amp_a)
     if abs(s0) <= amp:
         theta = phi + math.acos(min(1.0, max(-1.0, -s0 / amp)))
     else:
         theta = phi + (math.pi if s0 > 0 else 0.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    return np.array([x + r * (cos_t * p + sin_t * q) for x, p, q in zip(center, e1, e2)])
+    return [x + r * (cos_t * p + sin_t * q) for x, p, q in zip(center, e1, e2)]

@@ -367,7 +367,7 @@ def _antiprism_band(k: int) -> GraphSurface:
 def _pentagon_pants() -> GraphSurface:
     radius = 1.0 / (2.0 * np.sin(np.pi / 5.0))
     penta = _regular_polygon(5, radius, 0.0)
-    apex = apex_at_unit_distance(penta[0], penta[2], penta[3], +1)
+    apex = apex_at_unit_distance(*penta[[0, 2, 3]].tolist())
     assert apex is not None
     coords = np.vstack([penta, apex])
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),   # pentagon sides, ids 0..4
@@ -446,15 +446,13 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 # cells and moves
 
 
-def _check_unit_cycle(v, what: str, n: int) -> None:
+def _check_unit_cycle(v: list[list[float]], what: str, n: int) -> None:
     """Raise ValueError unless ``v``, vertex rows, is a closed n-gon with unit
     sides."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n, 3):
+    if len(v) != n or any(len(p) != 3 for p in v):
         raise ValueError(f"{what} needs exactly {n} vertices")
-    pts = v.tolist()
     for i in range(n):
-        side = math.dist(pts[i], pts[(i + 1) % n])
+        side = math.dist(v[i], v[(i + 1) % n])
         if not abs(side - 1.0) <= EPS:  # NaN fails
             raise ValueError(f"{what} side {i} has length {side}")
 

@@ -222,7 +222,7 @@ def numpy_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def numpy_signed_plane_distance(p: np.ndarray, h: Plane) -> float:
-    return float(np.dot(np.asarray(p) - h.base, h.normal))
+    return float(np.dot(np.asarray(p) - np.asarray(h.base), np.asarray(h.normal)))
 
 
 def numpy_unit_ball_intersection(u: np.ndarray, w: np.ndarray) -> Circle3:
@@ -297,21 +297,22 @@ def numpy_plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def numpy_point_on_circle_nearest_plane(c: Circle3, h: Plane) -> np.ndarray:
+    center, base, normal = np.array(c.center), np.asarray(h.base), np.asarray(h.normal)
     if c.radius <= 0.0:
-        return c.center.copy()
-    e1, e2 = numpy_plane_basis(c.axis)
-    s0 = float(np.dot(c.center - h.base, h.normal))
-    amp_a = c.radius * float(np.dot(e1, h.normal))
-    amp_b = c.radius * float(np.dot(e2, h.normal))
+        return center
+    e1, e2 = numpy_plane_basis(np.asarray(c.axis))
+    s0 = float(np.dot(center - base, normal))
+    amp_a = c.radius * float(np.dot(e1, normal))
+    amp_b = c.radius * float(np.dot(e2, normal))
     amp = float(np.hypot(amp_a, amp_b))
     if amp <= 1e-15:
-        return c.center + c.radius * e1
+        return center + c.radius * e1
     phi = float(np.arctan2(amp_b, amp_a))
     if abs(s0) <= amp:
         theta = phi + float(np.arccos(np.clip(-s0 / amp, -1.0, 1.0)))
     else:
         theta = phi + (np.pi if s0 > 0 else 0.0)
-    return c.center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
+    return center + c.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crown_curve, folded_rhombus_curve, pack_as_pivots
+from conftest import crown_curve, crown_union, folded_rhombus_curve, pack_as_pivots
 from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
@@ -163,7 +163,7 @@ def test_planarize_each_pivot_descends():
         for move in moves:
             heights = np.abs((work - plane.base) @ plane.normal)
             h_old = heights[move.vertex]  # the old point is the replayed vertex
-            h_new = abs(float(np.dot(move.new_point - plane.base, plane.normal)))
+            h_new = abs(float(np.dot(np.subtract(move.new_point, plane.base), plane.normal)))
             h_prev = heights[(move.vertex - 1) % n]
             h_next = heights[(move.vertex + 1) % n]
             # replacement height is bounded by the path predecessor, which is
@@ -437,8 +437,9 @@ def test_pentagon_split_regular(regular_pentagon):
     assert abs(split.apex[2]) == pytest.approx(0.5257311121, abs=1e-6)
 
 
-def test_pentagon_split_flat_triangle_needs_fixes():
-    # pentagon with |v0 v2| = |v0 v3| = 1.95: circumradius(v0, v2, v3) > 1
+def _flat_triangle_pentagon() -> np.ndarray:
+    """A unit pentagon with |v0 v2| = |v0 v3| = 1.95, so that
+    circumradius(v0, v2, v3) > 1."""
     leg = 1.95
     v0 = np.array([0.0, 0.0, 0.0])
     v2 = np.array([leg, 0.5, 0.0])
@@ -450,12 +451,16 @@ def test_pentagon_split_flat_triangle_needs_fixes():
     v3 = rot @ v2
     v1 = _isoceles_between(v0, v2)
     v4 = _isoceles_between(v3, v0)
-    pentagon = np.vstack([v0, v1, v2, v3, v4])
+    return np.vstack([v0, v1, v2, v3, v4])
+
+
+def test_pentagon_split_flat_triangle_needs_fixes():
+    pentagon = _flat_triangle_pentagon()
     lengths = np.linalg.norm(np.roll(pentagon, -1, axis=0) - pentagon, axis=1)
     assert np.allclose(lengths, 1.0, atol=1e-9)
     from rhombidome.geom import circumradius
 
-    assert circumradius(v0, v2, v3) >= 1.0
+    assert circumradius(*pentagon[[0, 2, 3]].tolist()) >= 1.0
     split = pentagon_split(pentagon)
     assert 1 <= len(split.fixes) <= 3
     _assert_split_replays(pentagon, split)
@@ -474,6 +479,29 @@ def test_pentagon_split_apex_on_positive_side(regular_pentagon):
     p = regular_pentagon.components[0]
     normal = np.cross(p[2] - p[0], p[3] - p[0])
     assert float(np.dot(split.apex - p[0], normal)) > 0
+
+
+def _assert_rows(points):
+    """Each point is a row: a list of three Python floats."""
+    for q in points:
+        assert type(q) is list and len(q) == 3
+        assert all(type(x) is float for x in q)
+
+
+def test_public_entry_points_take_arrays_and_rows(regular_pentagon, unit_square):
+    # pentagon_split and apply_pivot convert their input once: an array and
+    # its rows give equal results, and what they record is rows
+    for pentagon in (regular_pentagon.components[0], _flat_triangle_pentagon()):
+        split = pentagon_split(pentagon)
+        assert split == pentagon_split(pentagon.tolist())
+        _assert_rows([split.apex] + [fix.new_point for fix in split.fixes])
+    assert split.fixes  # the flat triangle's
+    target = np.array([0.0, 1.0, 0.0])
+    from_array, move = apply_pivot(unit_square, 0, 1, target)
+    from_rows, same = apply_pivot(unit_square, 0, 1, target.tolist())
+    assert move == same
+    assert np.array_equal(from_array.components[0], from_rows.components[0])
+    _assert_rows([move.new_point])
 
 
 def test_pentagon_split_rejects_bad_sides(regular_pentagon):
@@ -704,6 +732,19 @@ def test_reduce_lattice_walk_with_coinciding_neighbours(steps):
     from rhombidome.surface import validate_ledger
 
     assert validate_ledger(reduce_to_rhombi(IntegralCurve([_walk(steps)]))).passed
+
+
+@pytest.mark.parametrize("curve", [
+    crown_union(3),
+    IntegralCurve([_walk(_CUBIC_STEPS[[2, 2, 5, 2, 5, 3, 0, 2, 5, 2, 5, 5]])]),
+], ids=["crown_union", "out_and_back_walk"])
+def test_reduction_records_rows_of_floats(curve):
+    points = []
+    for move in reduce_to_rhombi(curve).moves:
+        points += [getattr(move, name) for name in ("new_point", "z", "apex")
+                   if hasattr(move, name)]
+    assert points
+    _assert_rows(points)
 
 
 @st.composite

@@ -52,7 +52,7 @@ def test_unit_ball_intersection_circle_points_at_unit_distance():
     for _ in range(50):
         u = rng.normal(size=3)
         w = u + rng.uniform(0.1, 1.9) * _unit(rng.normal(size=3))
-        circle = unit_ball_intersection(u, w)
+        circle = unit_ball_intersection(u.tolist(), w.tolist())
         for theta in rng.uniform(0, 2 * np.pi, size=8):
             p = _circle_point(circle, theta)
             assert np.linalg.norm(p - u) == pytest.approx(1.0, abs=1e-9)
@@ -64,8 +64,8 @@ def _unit(v):
 
 
 def _circle_point(circle, theta):
-    e1, e2 = plane_basis(circle.axis)
-    return circle.center + circle.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
+    e1, e2 = np.array(plane_basis(circle.axis))
+    return np.array(circle.center) + circle.radius * (np.cos(theta) * e1 + np.sin(theta) * e2)
 
 
 def test_circumradius_equilateral():
@@ -78,7 +78,7 @@ def test_circumradius_pentagon_triangle_matches_heron():
     radius = 1.0 / (2.0 * np.sin(np.pi / 5.0))
     ang = 2.0 * np.pi * np.arange(5) / 5.0
     p = np.column_stack([radius * np.cos(ang), radius * np.sin(ang), np.zeros(5)])
-    got = circumradius(p[0], p[2], p[3])
+    got = circumradius(*p[[0, 2, 3]].tolist())
     assert np.linalg.norm(p[0] - p[2]) == pytest.approx(GOLDEN, abs=1e-12)
     want = heron_circumradius(GOLDEN, 1.0, GOLDEN)
     assert got == pytest.approx(want, abs=1e-12)
@@ -95,12 +95,12 @@ def test_circumradius_degenerate():
 def test_circumcenter_is_equidistant():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        a, b, c = rng.normal(size=(3, 3))
+        a, b, c = rng.normal(size=(3, 3)).tolist()
         try:
             center = circumcenter(a, b, c)
         except DegenerateError:
             continue
-        da, db, dc = (np.linalg.norm(center - x) for x in (a, b, c))
+        da, db, dc = (np.linalg.norm(np.subtract(center, x)) for x in (a, b, c))
         assert da == pytest.approx(db, abs=1e-9)
         assert da == pytest.approx(dc, abs=1e-9)
         assert da == pytest.approx(circumradius(a, b, c), abs=1e-9)
@@ -112,14 +112,14 @@ def test_apex_tetrahedron_height():
     assert apex is not None
     assert apex[2] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
     for x in (a, b, c):
-        assert np.linalg.norm(apex - x) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(np.subtract(apex, x)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apex_pentagon_height_and_nonexistence():
     radius = 1.0 / (2.0 * np.sin(np.pi / 5.0))
     ang = 2.0 * np.pi * np.arange(5) / 5.0
     p = np.column_stack([radius * np.cos(ang), radius * np.sin(ang), np.zeros(5)])
-    apex = apex_at_unit_distance(p[0], p[2], p[3], +1)
+    apex = apex_at_unit_distance(*p[[0, 2, 3]].tolist(), +1)
     want = np.sqrt(1.0 - heron_circumradius(GOLDEN, 1.0, GOLDEN) ** 2)
     assert abs(apex[2]) == pytest.approx(want, abs=1e-9)
     assert apex_at_unit_distance(pt(0, 0, 0), pt(2, 0, 0), pt(1, 1.2, 0)) is None
@@ -149,8 +149,9 @@ def test_reflect_is_isometric_involution():
         p, a, b = rng.normal(size=(3, 3))
         if np.linalg.norm(a - b) < 1e-3:
             continue
-        q = reflect_across_line(p, a, b)
-        assert np.allclose(reflect_across_line(q, a, b), p, atol=1e-12)
+        q = np.array(reflect_across_line(p.tolist(), a.tolist(), b.tolist()))
+        assert np.allclose(reflect_across_line(q.tolist(), a.tolist(), b.tolist()), p,
+                           atol=1e-12)
         assert np.linalg.norm(q - a) == pytest.approx(np.linalg.norm(p - a), abs=1e-9)
         assert np.linalg.norm(q - b) == pytest.approx(np.linalg.norm(p - b), abs=1e-9)
 
@@ -160,7 +161,7 @@ def test_point_on_circle_nearest_plane_parallel():
     plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
     p = point_on_circle_nearest_plane(circle, plane)
     assert distance_to_plane(p, plane) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(p - circle.center) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(np.subtract(p, circle.center)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_point_on_circle_nearest_plane_crossing():
@@ -174,11 +175,11 @@ def test_point_on_circle_nearest_plane_crossing():
 
 def test_point_on_circle_nearest_plane_minimizes():
     rng = np.random.default_rng(3)
-    plane = Plane.make(pt(0.2, -0.1, 0.4), _unit(np.array([0.3, -1.0, 0.5])))
+    plane = Plane.make(pt(0.2, -0.1, 0.4), _unit(np.array([0.3, -1.0, 0.5])).tolist())
     for _ in range(50):
-        center = rng.normal(size=3)
-        axis = _unit(rng.normal(size=3))
-        circle = Circle3(center=center, radius=rng.uniform(0.1, 2.0), axis=axis)
+        center = rng.normal(size=3).tolist()
+        axis = _unit(rng.normal(size=3)).tolist()
+        circle = Circle3(center=center, radius=float(rng.uniform(0.1, 2.0)), axis=axis)
         best = point_on_circle_nearest_plane(circle, plane)
         d_best = distance_to_plane(best, plane)
         sampled = [distance_to_plane(_circle_point(circle, t), plane)
@@ -205,26 +206,30 @@ def test_distance_to_plane():
 
 
 def _points(k: int, scale: float = 1.0):
-    return lambda rng: list(rng.normal(scale=scale, size=(k, 3)))
+    return lambda rng: rng.normal(scale=scale, size=(k, 3)).tolist()
 
 
 def _ball_pair(rng):
     u = rng.normal(size=3)
-    return [u, u + rng.uniform(0.05, 1.95) * _unit(rng.normal(size=3))]
+    return [u.tolist(), (u + rng.uniform(0.05, 1.95) * _unit(rng.normal(size=3))).tolist()]
 
 
 def _apex_args(rng):
     return _points(3, 0.5)(rng) + [int(rng.choice([-1, 1]))]
 
 
+def _row(rng) -> list[float]:
+    return rng.normal(size=3).tolist()
+
+
 def _point_and_plane(rng):
-    return [rng.normal(size=3), Plane.make(rng.normal(size=3), rng.normal(size=3))]
+    return [_row(rng), Plane.make(_row(rng), _row(rng))]
 
 
 def _circle_and_plane(rng):
-    circle = Circle3(center=rng.normal(size=3), radius=float(rng.uniform(0.1, 2.0)),
-                     axis=_unit(rng.normal(size=3)))
-    return [circle, Plane.make(rng.normal(size=3), rng.normal(size=3))]
+    circle = Circle3(center=_row(rng), radius=float(rng.uniform(0.1, 2.0)),
+                     axis=_unit(rng.normal(size=3)).tolist())
+    return [circle, Plane.make(_row(rng), _row(rng))]
 
 
 # kernel name -> draw of its random arguments
@@ -237,7 +242,7 @@ KERNELS = {
     "circumradius": _points(3),
     "apex_at_unit_distance": _apex_args,
     "reflect_across_line": _points(3),
-    "plane_basis": lambda rng: [_unit(rng.normal(size=3))],
+    "plane_basis": lambda rng: [_unit(rng.normal(size=3)).tolist()],
     "signed_plane_distance": _point_and_plane,
     "point_on_circle_nearest_plane": _circle_and_plane,
 }
@@ -248,7 +253,8 @@ def _pair(name: str):
 
 
 def _assert_agree(got, want):
-    """Same kind of result, and values within 1e-12."""
+    """Same kind of result, a row of Python floats for an array, and values
+    within 1e-12."""
     if want is None:
         assert got is None
     elif isinstance(want, Circle3):
@@ -261,8 +267,8 @@ def _assert_agree(got, want):
             _assert_agree(g, w)
     else:
         if isinstance(want, np.ndarray):
-            assert isinstance(got, np.ndarray)
-            assert got.shape == want.shape and got.dtype == np.float64
+            assert type(got) is list and len(got) == len(want) == 3
+            assert all(type(x) is float for x in got)
         else:
             assert type(got) is float
         assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
@@ -309,7 +315,7 @@ def test_float_kernel_raises_as_reference(name, args, error):
     ("point_on_circle_nearest_plane", (Circle3(pt(0, 0, 1), 1.0, pt(0, 0, 1)), _Z_PLANE)),
     ("plane_basis", (pt(1, 0, 0),)),
     ("plane_basis", (pt(-1, 0, 0),)),
-    ("plane_basis", (_unit(pt(1, 1e-7, 0)),)),
+    ("plane_basis", (_unit(pt(1, 1e-7, 0)).tolist(),)),
 ], ids=["tangent_circle", "radius_zero", "equidistant", "x_axis", "minus_x_axis", "near_x"])
 def test_float_kernel_degenerate_values_match_reference(name, args):
     kernel, reference = _pair(name)

@@ -43,3 +43,14 @@ def test_every_exported_name_resolves_once():
         exported = module.__all__
         assert len(exported) == len(set(exported)), name
         assert [n for n in exported if not hasattr(module, n)] == [], name
+
+
+def test_geometry_kernels_import_neither_numpy_nor_the_package():
+    # geom computes on rows of Python floats and sits below every module
+    tree = ast.parse((PACKAGE / "geom.py").read_text(encoding="utf-8"))
+    modules = {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "numpy" not in modules
+    assert _package_imports("geom") == set()

@@ -653,7 +653,14 @@ def test_signed_segment_counts_matches_reference():
         assert got == _segment_counts_reference(_single_cycles(plus), _single_cycles(minus))
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     repeated = np.vstack([tri[0], tri[1], tri[1], tri[2]])
-    cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], [])]
+    # distinct points with one grid key are one point, and a segment
+    # between two of them is degenerate
+    nudged = tri + np.array([[0, 0, 0], [3e-10, 0, 0], [0, 1e-10, 0]])
+    assert not np.array_equal(nudged, tri)
+    assert np.array_equal(np.rint(nudged / EPS), np.rint(tri / EPS))
+    doubled = np.vstack([tri[0], tri[1], nudged[1], nudged[2], tri[2]])
+    cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], []),
+              ([tri], [nudged]), ([doubled], [nudged]), ([doubled, nudged[::-1]], [repeated])]
     for plus, minus in cases:
         got = signed_segment_counts(plus, minus)
         assert got == _segment_counts_reference(plus, minus)
@@ -661,6 +668,10 @@ def test_signed_segment_counts_matches_reference():
     assert signed_segment_counts(*cases[1]) != {}
     assert signed_segment_counts([repeated], [tri]) == {
         ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1}
+    assert signed_segment_counts([tri], [nudged]) == {}
+    assert signed_segment_counts([doubled], [nudged]) == {
+        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1,
+        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[2])): 1}
 
 
 def test_signed_segment_counts_refuses_int64_wrap():

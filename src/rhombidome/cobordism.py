@@ -27,8 +27,9 @@ each move through the same replay.
 Points are rows, lists of three Python floats, as in the replay and in
 :mod:`rhombidome.geom`: the per-point steps (the local peel, the pentagon
 base case, each planarize pivot and each fallback bridge) take rows and
-record rows.  The public :func:`pentagon_split` and :func:`apply_pivot`
-convert their input to rows once.  The array algorithms stay numpy: the
+record rows.  The public :func:`pentagon_split` takes a list of rows as
+given and converts any other input once; :func:`apply_pivot` converts its
+target once.  The array algorithms stay numpy: the
 plane fits (``eigh``), the height pass (``@``), the Steinitz orders
 (``cumsum``, ``svd``) and the farthest vertex pair.  So does every
 ``np.dot`` of two 3-vectors: the BLAS may round a dot product differently
@@ -461,8 +462,11 @@ class PentagonSplit:
     apex: list[float]
 
 
-def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
+def pentagon_split(pentagon: list | np.ndarray) -> PentagonSplit:
     """Plan the split of a unit pentagon into two unit rhombi and one unit triangle.
+
+    ``pentagon`` is a list of five rows, taken as given, or anything else
+    numpy reads as five points, converted to rows once.
 
     An apex a at unit distance from vertices 0, 2 and 3 exists once the
     circumradius of that triangle is below 1; up to three corrective pivots
@@ -471,9 +475,11 @@ def pentagon_split(pentagon: np.ndarray) -> PentagonSplit:
     through ``apex`` derives the rhombi [v0 v1 v2 a] and [v0 a v3 v4] and
     the face [v2 v3 a].
     """
-    p = np.asarray(pentagon, dtype=float).tolist()
+    p = pentagon if type(pentagon) is list else np.asarray(pentagon, dtype=float).tolist()
     _check_unit_cycle(p, "pentagon", 5)
-    if max(math.dist(q, p[0]) for q in p) > STEINITZ_BOUND + 10 * EPS:
+    v0, bound = p[0], STEINITZ_BOUND + 10 * EPS
+    if (math.dist(p[1], v0) > bound or math.dist(p[2], v0) > bound
+            or math.dist(p[3], v0) > bound or math.dist(p[4], v0) > bound):
         raise ValueError("pentagon is not packed around vertex 0")
     found = _search_fixes(p, FIX_PIVOT_BUDGET)
     if found is None:

@@ -124,6 +124,12 @@ def _ints(obj, what: str) -> list[int]:
 def _point(obj, what: str) -> list[float]:
     """``obj``, a JSON list of three finite numbers, as a row of floats;
     anything else is refused in :func:`_floats`' words."""
+    if type(obj) is list and len(obj) == 3:
+        x, y, z = obj
+        # the common case, three finite floats; a sum that overflows takes
+        # the full check below, like any other value
+        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
+            return [x, y, z]
     try:
         if type(obj) is list and len(obj) == 3 and set(map(type, obj)) <= _NUMBER_TYPES:
             row = list(map(float, obj))
@@ -146,9 +152,10 @@ _ENCODE = {"int": int, "ints": lambda xs: list(map(int, xs)),
            "point": lambda p: list(map(float, p)), "str": str}
 _DECODE = {"int": _int, "ints": _ints, "point": _point, "str": _str}
 
-# JSON type -> (JSON key, attribute, decoder, error label) of each field
-_PLANS = {kind: tuple((key, attr, _DECODE[codec], f"{kind} {key}")
-                      for key, attr, codec in spec.fields)
+# JSON type -> the move class, and the (JSON key, decoder, error label) of
+# each field, in the order of the class's fields
+_PLANS = {kind: (spec.cls, tuple((key, _DECODE[codec], f"{kind} {key}")
+                                 for key, _, codec in spec.fields))
           for kind, spec in MOVE_TABLE.items()}
 # the JSON types a version 1-3 document may hold: no writer before version 4
 # recorded a pack move
@@ -168,9 +175,8 @@ def _moves_from_obj(objs: list, kinds) -> list[Move]:
     for obj in objs:
         if not isinstance(obj, dict) or obj.get("type") not in kinds:
             raise FileFormatError(f"bad move: {obj!r:.80}")
-        kind = obj["type"]
-        moves.append(MOVE_TABLE[kind].cls(**{
-            attr: decode(obj[key], what) for key, attr, decode, what in _PLANS[kind]}))
+        cls, plan = _PLANS[obj["type"]]
+        moves.append(cls(*[decode(obj[key], what) for key, decode, what in plan]))
     return moves
 
 

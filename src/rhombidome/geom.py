@@ -31,7 +31,6 @@ __all__ = [
     "CoincidentError",
     "DegenerateError",
     "DegenerateLineError",
-    "pt",
     "dist",
     "normalize",
     "cross3",
@@ -78,10 +77,6 @@ _X = (1.0, 0.0, 0.0)
 _Y = (0.0, 1.0, 0.0)
 
 
-def pt(x: float, y: float, z: float) -> list[float]:
-    return [float(x), float(y), float(z)]
-
-
 dist = math.dist
 
 
@@ -112,10 +107,6 @@ class Plane:
 
     base: list[float]
     normal: list[float]
-
-    @staticmethod
-    def make(base: list, normal: list) -> "Plane":
-        return Plane(list(base), normalize(normal))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,25 @@ checkable orientability test used by the certificates.
 The module also owns the reduction ledger: its moves, the :class:`Replayer`
 that applies them and :func:`validate_ledger`, the independent checker.  It
 depends on nothing in the producer (:mod:`rhombidome.cobordism`), which
-records its moves through this replay.  A cell -- a unit triangle or a unit
-rhombus, possibly non-planar -- is nothing but its vertex rows ``[x, y, z]``
-in cyclic order: the replay derives each as a list of rows, and
-:class:`DomeChain` stacks each kind into one (m, k, 3) array.
+records its moves through this replay.
+
+Points and cells.  A point is a row ``[x, y, z]`` of floats.  The replay
+appends every point it creates to one point table, in creation order, and
+a point's vertex id is its index there: the initial vertices come first,
+component by component, and then each pivot or pack target, split bridge
+``z`` and pentagon apex as its move creates it.  A cell -- a unit triangle
+or a unit rhombus, possibly non-planar -- is nothing but the ids of its
+vertices in cyclic order, an id row: the replay derives each cell as one,
+and :class:`DomeChain` holds the table as one (P, 3) array and each kind of
+cell as one (m, k) int array.  The chain identity quantizes the table once
+on a 1e-9 coordinate grid, which stays the witness: two ids whose points
+share a grid point are one vertex there.  An exact pass on the ids alone
+(ROADMAP item 5) comes later.
 
 Move semantics (state = components keyed by stable integer ids, each a list
-of vertex rows like a cell, as is each point of a move).  A move records
-only the decision taken; everything else follows from the state it is
-replayed on:
+of vertex rows with their vertex ids beside them; each point of a move is a
+row).  A move records only the decision taken; everything else follows
+from the state it is replayed on:
 
 * ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
                         unit distance from both neighbours.  The old point
@@ -64,6 +74,7 @@ equal to (initial curve) + (rhombi).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -449,7 +460,7 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
 def _check_unit_cycle(v: list[list[float]], what: str, n: int) -> None:
     """Raise ValueError unless ``v``, vertex rows, is a closed n-gon with unit
     sides."""
-    if len(v) != n or any(len(p) != 3 for p in v):
+    if len(v) != n or [*map(len, v)] != [3] * n:
         raise ValueError(f"{what} needs exactly {n} vertices")
     for i in range(n):
         side = math.dist(v[i], v[(i + 1) % n])
@@ -460,6 +471,34 @@ def _check_unit_cycle(v: list[list[float]], what: str, n: int) -> None:
 # the stages a pivot may record: the three the stats count, and ``pivot`` for
 # a lone :func:`rhombidome.cobordism.apply_pivot`
 _PIVOT_STAGES = frozenset(("planarize", "pack", "fix", "pivot"))
+
+
+def _cut(cycle: list, i: int, j: int, new) -> tuple[list, list]:
+    """The pieces ``[c_i .. c_j new]`` and ``[c_i new c_j .. c_i-1]`` of the
+    cyclic list ``cycle``, with j = i + 3 taken cyclically."""
+    if j > i:
+        return cycle[i:j + 1] + [new], [cycle[i], new] + cycle[j:] + cycle[:i]
+    return cycle[i:] + cycle[:j + 1] + [new], [cycle[i], new] + cycle[j:i]
+
+
+def _off_unit(point: list, ends: tuple) -> tuple[int, float] | None:
+    """``(k, distance)`` for the first ``ends[k]`` not at unit distance from
+    ``point``, or None when every end is."""
+    for k, end in enumerate(ends):
+        side = math.dist(end, point)
+        if not abs(side - 1.0) <= EPS:  # NaN fails
+            return k, side
+    return None
+
+
+def _pivot_derives_cell(prev: list, nxt: list, new: list) -> bool:
+    """Whether a pivot to ``new`` between ``prev`` and ``nxt`` derives a cell,
+    which it does unless the neighbours coincide; raises unless ``new`` is
+    at unit distance from both neighbours."""
+    off = _off_unit(new, (prev, nxt))
+    if off:
+        raise NotOnPivotCircleError(f"pivot target at distance {off[1]} from a neighbour")
+    return math.dist(prev, nxt) > EPS
 
 
 @dataclass
@@ -542,29 +581,40 @@ def component_budget(n: int) -> int:
 class Replayer:
     """Applies recorded moves to evolving component state, bit for bit.
 
-    Besides the component state it keeps ``moves``, every move applied, in
-    order, and the cells the moves derive, in move order: the pivot and pack
-    cells ``rhombus_cells``, and from the consuming moves ``triangles`` and
-    the boundary ``rhombi``.  Each cell is a list of its vertex rows, float
-    lists ``[x, y, z]``; the component state is one list of such rows per
-    component, which :meth:`component` returns live, and a move's point is
-    one such row, taken as given.  A move replaces rows and never edits one
-    in place, so cells, split pieces and moves may share rows.
-    It also counts, per input component, the rhombi the moves add to k, the
-    pivots by stage and the splits; a split's new piece counts toward its
-    parent's input component.  :meth:`stats` reports these counts as a
-    ledger's ``stats``.
+    Every point the replay creates is appended once to the point table
+    ``points``, in creation order: the initial vertices, component by
+    component, then each pivot and pack target, split bridge and pentagon
+    apex as its move is applied.  A point is a row, a float list ``[x, y,
+    z]``, and a move's point is taken as given; its vertex id is its index
+    in ``points``.  The component state is one list of rows per component,
+    which :meth:`component` returns live, and ``ids`` holds each
+    component's vertex ids beside its rows.  A move replaces rows and ids
+    and never edits a row in place, so points, components and moves may
+    share rows.
+
+    Besides the state it keeps ``moves``, every move applied, in order, and
+    the cells the moves derive, in move order, as id rows (lists of vertex
+    ids): the pivot and pack cells ``rhombus_cells``, and from the consuming
+    moves ``triangles`` and the boundary ``rhombi``.  It also counts, per
+    input component, the rhombi the moves add to k, the pivots by stage and
+    the splits; a split's new piece counts toward its parent's input
+    component.  :meth:`stats` reports these counts as a ledger's ``stats``.
     """
 
     def __init__(self, initial: IntegralCurve):
-        self.components: dict[int, list[list[float]]] = {
-            i: np.asarray(c, dtype=float).tolist() for i, c in enumerate(initial.components)
-        }
+        self.points: list[list[float]] = []
+        self.components: dict[int, list[list[float]]] = {}
+        self.ids: dict[int, list[int]] = {}
+        for cid, c in enumerate(initial.components):
+            rows = np.asarray(c, dtype=float).tolist()
+            self.components[cid] = rows
+            self.ids[cid] = list(range(len(self.points), len(self.points) + len(rows)))
+            self.points += rows
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
-        self.rhombus_cells: list[list] = []
-        self.triangles: list[list] = []
-        self.rhombi: list[list] = []
+        self.rhombus_cells: list[list[int]] = []
+        self.triangles: list[list[int]] = []
+        self.rhombi: list[list[int]] = []
         # one Counter per input component; ``tally`` maps every component id,
         # split pieces included, to the Counter of its input component
         self.tallies = [Counter() for _ in self.edges]
@@ -585,27 +635,8 @@ class Replayer:
         spec.apply(self, move)
         self.moves.append(move)
 
-    def _check_unit_from(self, point: list, ends: tuple, error: type[Exception],
-                         what: str) -> None:
-        """Raise ``error``, naming the distance and the end, unless ``point`` is
-        at unit distance from the end of every ``(name, end)`` pair."""
-        for name, end in ends:
-            side = math.dist(end, point)
-            if not abs(side - 1.0) <= EPS:  # NaN fails
-                raise error(f"{what} at distance {side} from {name}")
-
-    def _pivot_cells(self, prev: list, old: list, nxt: list, new: list) -> list[list]:
-        """The cell ``[prev old next new]`` of a pivot to ``new``, or none when
-        the neighbours coincide; raises unless ``new`` is at unit distance
-        from both neighbours."""
-        self._check_unit_from(new, (("a neighbour", prev), ("a neighbour", nxt)),
-                              NotOnPivotCircleError, "pivot target")
-        if math.dist(prev, nxt) > EPS:
-            return [[prev, old, nxt, new]]
-        return []
-
     def _count_pivots(self, cid: int, stage: str, pivots: int,
-                      cells: list[list]) -> None:
+                      cells: list[list[int]]) -> None:
         tally = self.tally[cid]
         tally["pivot", stage] += pivots
         tally["rhombi"] += len(cells)
@@ -613,18 +644,23 @@ class Replayer:
 
     def _apply_pivot(self, move: PivotMove) -> None:
         v = self.component(move.component)
+        ids = self.ids[move.component]
         n, i = len(v), move.vertex
         if not 0 <= i < n:
             raise ReplayMismatchError("pivot vertex out of range")
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        new = move.new_point
+        new, j = move.new_point, (i + 1) % n
+        cell = _pivot_derives_cell(v[i - 1], v[j], new)
+        new_id = len(self.points)
+        self.points.append(new)
         self._count_pivots(move.component, move.stage, 1,
-                           self._pivot_cells(v[i - 1], v[i], v[(i + 1) % n], new))
-        v[i] = new
+                           [[ids[i - 1], ids[i], ids[j], new_id]] if cell else [])
+        v[i], ids[i] = new, new_id
 
     def _apply_pack(self, move: PackMove) -> None:
         v = self.component(move.component)
+        ids = self.ids[move.component]
         n = len(v)
         order = move.order
         if len(order) != n or sorted(order) != list(range(n)):
@@ -633,9 +669,10 @@ class Replayer:
         rank = [0] * n
         for position, edge in enumerate(order):
             rank[edge] = position
-        # sort a copy: a swap that fails leaves the component as it was
-        pts = v[:]
-        cells, pivots = [], 0
+        # sort copies, and add the new targets to the table at the end: a
+        # swap that fails leaves the state as it was
+        pts, vids, fresh = v[:], ids[:], []
+        cells = []
         swapped = True
         while swapped:
             swapped = False
@@ -643,15 +680,19 @@ class Replayer:
                 if rank[j] > rank[j + 1]:
                     rank[j], rank[j + 1] = rank[j + 1], rank[j]
                     swapped = True
-                    prev, old, nxt = pts[j], pts[j + 1], pts[(j + 2) % n]
+                    k = (j + 2) % n
+                    prev, old, nxt = pts[j], pts[j + 1], pts[k]
                     new = [a + (c - b) for a, b, c in zip(prev, old, nxt)]
                     if math.dist(old, new) <= EPS:  # equal edges: a no-op
                         continue
-                    cells += self._pivot_cells(prev, old, nxt, new)
-                    pivots += 1
-                    pts[j + 1] = new
-        self._count_pivots(move.component, "pack", pivots, cells)
-        v[:] = pts
+                    new_id = len(self.points) + len(fresh)
+                    if _pivot_derives_cell(prev, nxt, new):
+                        cells.append([vids[j], vids[j + 1], vids[k], new_id])
+                    fresh.append(new)
+                    pts[j + 1], vids[j + 1] = new, new_id
+        self.points += fresh
+        self._count_pivots(move.component, "pack", len(fresh), cells)
+        v[:], ids[:] = pts, vids
 
     def _apply_split(self, move: SplitMove) -> None:
         v = self.component(move.component)
@@ -662,46 +703,55 @@ class Replayer:
             raise ReplayMismatchError("split target id already in use")
         if not 0 <= i < n:
             raise ReplayMismatchError(f"split position {i} out of range({n})")
-        v = v[i:] + v[:i]  # from v_at on
-        z = move.z
-        self._check_unit_from(z, ((f"vertex {i}", v[0]), (f"vertex {(i + 3) % n}", v[3])),
-                              ReplayMismatchError, "split bridge")
-        # [v_at .. v_at+3 z] and [v_at z v_at+3 .. v_at-1]
-        self.components[move.new_component] = v[:4] + [z]
-        self.components[move.component] = [v[0], z] + v[3:]
+        j, z = (i + 3) % n, move.z
+        off = _off_unit(z, (v[i], v[j]))
+        if off:
+            raise ReplayMismatchError(
+                f"split bridge at distance {off[1]} from vertex {(i, j)[off[0]]}")
+        z_id = len(self.points)
+        self.points.append(z)
+        self.components[move.new_component], self.components[move.component] = _cut(v, i, j, z)
+        self.ids[move.new_component], self.ids[move.component] = _cut(
+            self.ids[move.component], i, j, z_id)
         self.tally[move.new_component] = self.tally[move.component]
         self.tally[move.component]["split"] += 1
 
     def _apply_pentagon(self, move: PentagonMove) -> None:
-        p0, p1, p2, p3, p4 = self._cycle(move.component, 5)
+        w0, w1, w2, w3, w4 = self._cycle(move.component, 5)
         a = move.apex
-        self._check_unit_from(a, (("vertex 0", p0), ("vertex 2", p2), ("vertex 3", p3)),
-                              ReplayMismatchError, "pentagon apex")
+        off = _off_unit(a, (self.points[w0], self.points[w2], self.points[w3]))
+        if off:
+            raise ReplayMismatchError(
+                f"pentagon apex at distance {off[1]} from vertex {(0, 2, 3)[off[0]]}")
+        x = len(self.points)
+        self.points.append(a)
         # [v2 v3 a], and [v0 v1 v2 a] and [v0 a v3 v4] reversed
-        self._consume(move.component, [[p2, p3, a]], [[p0, a, p2, p1], [p0, p4, p3, a]])
+        self._consume(move.component, [[w2, w3, x]], [[w0, x, w2, w1], [w0, w4, w3, x]])
 
     def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
-        v = self._cycle(move.component, 4)
-        self._consume(move.component, [], [[v[0], v[3], v[2], v[1]]])  # reversed
+        w = self._cycle(move.component, 4)
+        self._consume(move.component, [], [[w[0], w[3], w[2], w[1]]])  # reversed
 
     def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
         self._consume(move.component, [self._cycle(move.component, 3)], [])
 
-    def _cycle(self, cid: int, expected_len: int) -> list[list[float]]:
-        """Component ``cid``, which a move consumes and which must have
-        ``expected_len`` vertices."""
+    def _cycle(self, cid: int, expected_len: int) -> list[int]:
+        """The vertex ids of component ``cid``, which a move consumes and
+        which must have ``expected_len`` vertices."""
         v = self.component(cid)
         if len(v) != expected_len:
             raise ReplayMismatchError(
                 f"component {cid} has {len(v)} vertices, expected {expected_len}")
-        return v
+        return self.ids[cid]
 
-    def _consume(self, cid: int, triangles: list[list], rhombi: list[list]) -> None:
-        """Record the cells that fill component ``cid`` and drop it."""
+    def _consume(self, cid: int, triangles: list[list[int]],
+                 rhombi: list[list[int]]) -> None:
+        """Record the cells, as id rows, that fill component ``cid`` and drop
+        it."""
         self.triangles += triangles
         self.rhombi += rhombi
         self.tally[cid]["rhombi"] += len(rhombi)
-        del self.components[cid]
+        del self.components[cid], self.ids[cid]
 
     def final_curve(self) -> IntegralCurve:
         return IntegralCurve([np.array(self.components[k]) for k in sorted(self.components)])
@@ -727,8 +777,9 @@ class Replayer:
 class MoveSpec(NamedTuple):
     """One row of the move table.
 
-    ``fields`` lists (JSON key, attribute, codec) with codec one of ``int``,
-    ``ints``, ``point`` or ``str``; ``files`` encodes and decodes by it.
+    ``fields`` lists (JSON key, attribute, codec) in the order of the
+    class's fields, with codec one of ``int``, ``ints``, ``point`` or
+    ``str``; ``files`` encodes by it and decodes each move positionally.
     """
 
     cls: type
@@ -765,20 +816,40 @@ MOVE_TABLE: dict[str, MoveSpec] = {
 class DomeChain:
     """Formal 2-chain realizing a reduction: triangles and pivot rhombus cells.
 
-    Each kind of cell is one float array of vertex rows, cells in move order:
-    ``triangles`` (T, 3, 3), the pivot and pack cells ``rhombus_cells``
-    (R, 4, 3) and the boundary ``rhombi`` (B, 4, 3), reversed (see module
-    docstring); a kind with no cell has shape (0, k, 3).
-    ``stats``: the ledger stats the replay counts (:meth:`Replayer.stats`).
+    ``points`` is the replay's point table as one (P, 3) float array (see
+    :class:`Replayer`), and each kind of cell is one int array of id rows,
+    cells in move order: ``triangle_ids`` (T, 3), the pivot and pack cells
+    ``rhombus_cell_ids`` (R, 4) and the boundary ``rhombi_ids`` (B, 4),
+    reversed (see module docstring).  ``initial_ids`` and ``final_ids`` hold
+    one id cycle per component of the initial and the final curve.
+    ``triangles``, ``rhombus_cells`` and ``rhombi`` are the cells as
+    (m, k, 3) float arrays of vertex rows, ``points[ids]``; a kind with no
+    cell has shape (0, k, 3).  ``stats``: the ledger stats the replay
+    counts (:meth:`Replayer.stats`).
     """
 
-    triangles: np.ndarray
-    rhombus_cells: np.ndarray
-    rhombi: np.ndarray
+    points: np.ndarray
+    triangle_ids: np.ndarray
+    rhombus_cell_ids: np.ndarray
+    rhombi_ids: np.ndarray
+    initial_ids: list[np.ndarray]
+    final_ids: list[list[int]]
     stats: dict
     # Always empty: shared edges cancel by orientation.  Kept only because
     # the benchmark tracer (bench/spans.py) counts ``len(chain.seams)``.
     seams = ()
+
+    @property
+    def triangles(self) -> np.ndarray:
+        return self.points[self.triangle_ids]
+
+    @property
+    def rhombus_cells(self) -> np.ndarray:
+        return self.points[self.rhombus_cell_ids]
+
+    @property
+    def rhombi(self) -> np.ndarray:
+        return self.points[self.rhombi_ids]
 
 
 # Largest |x / EPS| the int64 segment keys accept; beyond it the cast would wrap.
@@ -803,74 +874,75 @@ def _grid_keys(points: np.ndarray) -> np.ndarray:
     return np.rint(q).astype(np.int64)
 
 
-def _segment_residue(stacks: list, signs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Net signed multiplicity of every quantized segment, in one sorted pass.
-
-    Each entry of ``stacks`` is one (k, 3) cycle or an (m, k, 3) stack of m
-    cycles.  Row ``r`` of the result is ``[degenerate, a, b]`` (7 int64
-    columns), with ``a < b`` the lexicographically ordered endpoint keys of a
-    segment of a cycle; a segment met as ``b -> a`` counts with the opposite
-    sign.  A degenerate segment (``a == b``) counts +1 whatever its sign.
-    Only rows with a nonzero count or a degenerate segment are returned, in
-    lexicographic order, beside their counts.
-    """
-    arrays, row_signs = [], []
-    for stack, sign in zip(stacks, signs):
-        v = np.asarray(stack, dtype=float)
-        if v.size == 0:
-            continue
-        if v.ndim not in (2, 3) or v.shape[-1] != 3:
-            raise ValueError(f"cycle of shape {v.shape} is not a list of 3-d points")
-        arrays.append(v.reshape(-1, v.shape[-2], 3))
-        row_signs.append(sign)
-    if not arrays:
-        return np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64)
-    # one quantization of every point in entry order: the first bad
-    # coordinate names the error, however the cycles are stacked
-    a = _grid_keys(np.concatenate([v.reshape(-1, 3) for v in arrays]))
-    sizes = [v.size // 3 for v in arrays]
-    # each point's successor on its cycle
-    b = np.concatenate([np.roll(keys.reshape(v.shape), -1, axis=1).reshape(-1, 3)
-                        for keys, v in zip(np.split(a, np.cumsum(sizes)[:-1]), arrays)])
-    differ = a != b
-    moving = differ.any(axis=1)
-    first = differ.argmax(axis=1)
-    rows = np.arange(len(a))
-    swap = moving & (a[rows, first] > b[rows, first])
-    sign = np.repeat(row_signs, sizes)
-    weight = np.where(moving, np.where(swap, -sign, sign), 1)
-    table = np.column_stack([~moving, np.where(swap[:, None], b, a),
-                             np.where(swap[:, None], a, b)])
-    order = np.lexsort(table.T[::-1])
-    table, weight = table[order], weight[order]
-    starts = np.flatnonzero(np.r_[True, (table[1:] != table[:-1]).any(axis=1)])
-    table, counts = table[starts], np.add.reduceat(weight, starts)
-    keep = (counts != 0) | (table[:, 0] == 1)
-    return table[keep], counts[keep]
-
-
-def signed_segment_counts(cycles_plus: list[np.ndarray],
-                          cycles_minus: list[np.ndarray]) -> dict:
+def signed_segment_counts(points: np.ndarray, cycles_plus: list,
+                          cycles_minus: list) -> dict:
     """Net signed multiplicity of every quantized oriented unit segment.
 
-    Each entry is one (k, 3) cycle or an (m, k, 3) stack of cycles, such as
-    one kind of :class:`DomeChain` cell.  Each cycle contributes its
-    consecutive (cyclic) segments; orientation is
-    folded into the sign of a lexicographically ordered key ``(a, b)`` of
-    endpoint grid points ``int(round(x / EPS))``.  A segment with equal
-    endpoints is reported as ``("degenerate", a)``.  Only nonzero and
-    degenerate entries are returned, in sorted key order (degenerate last).
-    The keys are int64 internally: a non-finite coordinate, or one with
-    ``|x| / EPS >= 2**62``, raises ValueError or OverflowError instead of
-    wrapping onto another point's key.
+    ``points`` is a (P, 3) point table, and each cycle entry names vertices
+    by their rows in it: one (k,) id cycle or an (m, k) stack of cycles, such
+    as one kind of :class:`DomeChain` cell.  Each cycle contributes its
+    consecutive (cyclic) segments.  The points the cycles use are quantized
+    once, to grid points ``int(round(x / EPS))``, and points on one grid
+    point count as one.  Orientation is folded into the sign of a key
+    ``(a, b)`` of endpoint grid points with ``a < b`` lexicographically; a
+    segment with equal endpoints is reported as ``("degenerate", a)`` and
+    counts +1 whatever its sign.  Only nonzero and degenerate entries are
+    returned, in sorted key order (degenerate last).  The keys are int64: a
+    non-finite coordinate, or one with ``|x| / EPS >= 2**62``, raises
+    ValueError or OverflowError, named by the first such point in table
+    order, instead of wrapping onto another point's key.
     """
-    cycles = list(cycles_plus) + list(cycles_minus)
-    signs = [1] * len(cycles_plus) + [-1] * len(cycles_minus)
-    table, counts = _segment_residue(cycles, signs)
+    stacks, signs = [], []
+    for sign, cycles in ((True, cycles_plus), (False, cycles_minus)):
+        for cycle in cycles:
+            ids = np.asarray(cycle, dtype=np.intp)
+            if ids.size:
+                stacks.append(ids.reshape(-1, ids.shape[-1]))
+                signs.append(sign)
+    if not stacks:
+        return {}
+    tail = np.concatenate([stack.ravel() for stack in stacks])
+    # each vertex's successor on its cycle: the next one, or the cycle's first
+    successor, start = np.arange(1, len(tail) + 1), 0
+    for stack in stacks:
+        m, k = stack.shape
+        successor[start + k - 1:start + m * k:k] -= k
+        start += m * k
+    head = tail[successor]
+    plus = np.repeat(signs, [stack.size for stack in stacks])
+    # canonical ids: the rank of each used point's grid key among the keys
+    table = np.asarray(points, dtype=float).reshape(-1, 3)
+    used = np.zeros(len(table), dtype=bool)
+    used[tail] = True
+    rows = np.flatnonzero(used)
+    keys = _grid_keys(table[rows])
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    canonical = np.empty(len(table), dtype=np.int64)
+    canonical[rows[order]] = np.cumsum(first) - 1
+    keys = keys[first]
+    a, b = canonical[tail], canonical[head]
+    # segment codes, lo * d + hi for lo < hi and then d * d + a for a == b,
+    # each sorted with its sign in the lowest bit
+    d = len(keys)
+    degenerate = d * d
+    same = a == b
+    code = np.where(same, degenerate + a, np.minimum(a, b) * d + np.maximum(a, b))
+    code = np.sort(2 * code + (same | ((a < b) == plus)))
+    starts = np.flatnonzero(np.concatenate(([True], code[1:] >> 1 != code[:-1] >> 1)))
+    counts = np.add.reduceat(2 * (code & 1) - 1, starts)
+    code = code[starts] >> 1
+    keep = (counts != 0) | (code >= degenerate)
+    if not keep.any():
+        return {}
+    points_of = [tuple(key) for key in keys.tolist()]
     residue = {}
-    for row, count in zip(table.tolist(), counts.tolist()):
-        a, b = tuple(row[1:4]), tuple(row[4:])
-        residue[("degenerate", a) if row[0] else (a, b)] = count
+    for c, count in zip(code[keep].tolist(), counts[keep].tolist()):
+        if c >= degenerate:
+            residue["degenerate", points_of[c - degenerate]] = count
+        else:
+            residue[points_of[c // d], points_of[c % d]] = count
     return residue
 
 
@@ -885,9 +957,9 @@ def _residue_listing(residue: dict) -> str:
     return f" [{', '.join(shown)}]" if shown else ""
 
 
-def _stack(cells: list, k: int) -> np.ndarray:
-    """Cells of k vertex rows each as one (len(cells), k, 3) float array."""
-    return np.array(cells, dtype=float).reshape(-1, k, 3)
+def _array(rows: list, k: int, dtype: type) -> np.ndarray:
+    """Rows of k numbers each as one (len(rows), k) array of ``dtype``."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype, len(rows) * k).reshape(-1, k)
 
 
 def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
@@ -902,9 +974,6 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     state = Replayer(ledger.initial)
     for move in ledger.moves:
         state.apply(move)
-    chain = DomeChain(triangles=_stack(state.triangles, 3),
-                      rhombus_cells=_stack(state.rhombus_cells, 4),
-                      rhombi=_stack(state.rhombi, 4), stats=state.stats())
     final = state.final_curve()
     recorded = ledger.final_curve
     if len(final.components) != len(recorded.components):
@@ -912,7 +981,15 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     for a, b in zip(final.components, recorded.components):
         if not np.array_equal(a, b):
             raise ReplayMismatchError("final curve does not match replay")
-    return chain
+    # the initial vertices are the first points, component by component
+    initial_ids = np.split(np.arange(sum(state.edges)), np.cumsum(state.edges)[:-1])
+    return DomeChain(points=_array(state.points, 3, float),
+                     triangle_ids=_array(state.triangles, 3, np.intp),
+                     rhombus_cell_ids=_array(state.rhombus_cells, 4, np.intp),
+                     rhombi_ids=_array(state.rhombi, 4, np.intp),
+                     initial_ids=initial_ids,
+                     final_ids=[state.ids[cid] for cid in sorted(state.ids)],
+                     stats=state.stats())
 
 
 @dataclass
@@ -993,8 +1070,9 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
     try:
         # a not-fully-reduced final curve re-enters the balance positively
         residue = signed_segment_counts(
-            [chain.triangles, chain.rhombus_cells, *ledger.final_curve.components],
-            [*ledger.initial.components, chain.rhombi])
+            chain.points,
+            [chain.triangle_ids, chain.rhombus_cell_ids, *chain.final_ids],
+            [*chain.initial_ids, chain.rhombi_ids])
         report.add("chain_identity", not residue,
                    f"{len(residue)} unbalanced segments{_residue_listing(residue)}"
                    if residue else "")

@@ -14,7 +14,7 @@ from rhombidome.geom import (
     SeparatedError,
     dist,
 )
-from rhombidome.surface import CobordismLedger, PivotMove, Replayer
+from rhombidome.surface import CobordismLedger, PivotMove, Replayer, signed_segment_counts
 
 
 def regular_polygon_curve(k: int) -> IntegralCurve:
@@ -104,6 +104,28 @@ def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
                     swapped = True
     return CobordismLedger(ledger.initial.copy(), moves, ledger.final_curve.copy(),
                            dict(ledger.stats))
+
+
+def segment_counts(cycles_plus: list, cycles_minus: list) -> dict:
+    """:func:`~rhombidome.surface.signed_segment_counts` of coordinate cycles,
+    each entry a (k, 3) cycle or an (m, k, 3) stack of cycles: the entries'
+    points, in entry order, are the point table."""
+    tables, ids = [], ([], [])
+    for side, cycles in zip(ids, (cycles_plus, cycles_minus)):
+        for cycle in cycles:
+            v = np.asarray(cycle, dtype=float)
+            if v.size:
+                start = sum(map(len, tables))
+                tables.append(v.reshape(-1, 3))
+                side.append(np.arange(start, start + len(tables[-1])).reshape(v.shape[:-1]))
+    points = np.concatenate(tables) if tables else np.empty((0, 3))
+    return signed_segment_counts(points, *ids)
+
+
+def replayed_cells(state: Replayer, kind: str) -> list:
+    """The cells of ``kind`` (``triangles``, ``rhombus_cells`` or ``rhombi``)
+    that ``state`` derived, each as its list of vertex rows."""
+    return [[state.points[i] for i in cell] for cell in getattr(state, kind)]
 
 
 def _cycle_basis(s: GraphSurface) -> list[np.ndarray]:

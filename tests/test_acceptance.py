@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import edge_vector_constraint_rows, regular_polygon_curve
+from conftest import edge_vector_constraint_rows, regular_polygon_curve, segment_counts
 from rhombidome import moduli as md
 from rhombidome.cobordism import (
     pack,
@@ -28,7 +28,6 @@ from rhombidome.surface import (
     catalog,
     collapse,
     hexagon_join,
-    signed_segment_counts,
     validate_ledger,
 )
 
@@ -143,7 +142,7 @@ def test_criterion_5_chain_identity(corpus):
         cells += list(chain.rhombus_cells)
         minus = [c for c in ledger.initial.components]
         minus += list(chain.rhombi)
-        assert signed_segment_counts(cells, minus) == {}
+        assert segment_counts(cells, minus) == {}
     print("PASS criterion 5: chain boundary - (curve + rhombi) is exactly zero "
           "on every ledger")
 
@@ -249,7 +248,7 @@ def test_criterion_11_hexagon_join():
     lengths = np.linalg.norm(np.roll(edges, -1, axis=0) - edges, axis=1)
     worst = float(np.max(np.abs(lengths - 1.0)))
     assert worst <= 1e-9
-    residue = signed_segment_counts(
+    residue = segment_counts(
         [t1, t2],
         [edges, first, second[[0, 3, 2, 1]]])
     assert residue == {}

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crown_curve, crown_union, folded_rhombus_curve, pack_as_pivots
+from conftest import (
+    crown_curve,
+    crown_union,
+    folded_rhombus_curve,
+    pack_as_pivots,
+    replayed_cells,
+)
 from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
@@ -59,7 +65,7 @@ def test_apply_pivot_square_to_doubled_path(unit_square):
     # the cell replay derives for the pivot is the original unit square
     state = Replayer(unit_square)
     state.apply(move)
-    (cell,) = state.rhombus_cells
+    (cell,) = replayed_cells(state, "rhombus_cells")
     assert np.array_equal(cell,
                           [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
     _check_unit_cycle(cell, "rhombus", 4)
@@ -397,8 +403,8 @@ def test_pack_move_replays_as_its_pivots():
         a, b = replays
         assert a.stats() == b.stats() == ledger.stats
         for name in ("rhombus_cells", "triangles", "rhombi"):
-            assert ([np.array(cell).tobytes() for cell in getattr(a, name)]
-                    == [np.array(cell).tobytes() for cell in getattr(b, name)])
+            assert ([np.array(cell).tobytes() for cell in replayed_cells(a, name)]
+                    == [np.array(cell).tobytes() for cell in replayed_cells(b, name)])
         assert ([c.tobytes() for c in a.final_curve().components]
                 == [c.tobytes() for c in b.final_curve().components])
     assert packs > 10
@@ -418,9 +424,10 @@ def _assert_split_replays(pentagon, split):
     state.apply(PentagonMove(0, split.apex))
     assert state.components == {}
     assert len(state.rhombi) == 2 and len(state.triangles) == 1
-    for cell in state.rhombi + state.triangles:
+    triangles = replayed_cells(state, "triangles")
+    for cell in replayed_cells(state, "rhombi") + triangles:
         _check_unit_cycle(cell, "cell", len(cell))
-    assert np.array_equal(state.triangles[0][2], split.apex)
+    assert np.array_equal(triangles[0][2], split.apex)
 
 
 def test_pentagon_split_regular(regular_pentagon):

@@ -1,5 +1,6 @@
 """Ledger and curve files: decode errors, decoded move points and round trips."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -134,6 +135,22 @@ def test_move_points_are_float_rows_and_round_trip(ledger):
         assert {move.kind for move in moves} >= {"pivot", "split", "pentagon"}
         assert all(type(p) is list and list(map(type, p)) == [float] * 3 for p in points)
     assert decoded.moves == ledger.moves
+
+
+def test_move_table_fields_follow_each_class():
+    # the decoder builds each move positionally from its table row
+    for spec in MOVE_TABLE.values():
+        assert ([attr for _, attr, _ in spec.fields]
+                == [f.name for f in dataclasses.fields(spec.cls)])
+
+
+def test_points_decode_to_float_rows_on_either_path():
+    # three finite floats take the fast path; an int, or floats whose sum
+    # overflows, take the full check, and every path gives a row of floats
+    for point in ([0.5, 0.25, 2.0], [1.0, 2, 3.5], [1e308, 1e308, -1e308]):
+        row = files._point(point, "point")
+        assert row == point and row is not point
+        assert list(map(type, row)) == [float] * 3
 
 
 def test_empty_cell_lists_decode(ledger):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from rhombidome.geom import (
     circumcenter,
     circumradius,
     distance_to_plane,
+    normalize,
     plane_basis,
     point_on_circle_nearest_plane,
-    pt,
     reflect_across_line,
     unit_ball_intersection,
 )
@@ -31,20 +33,20 @@ def heron_circumradius(a: float, b: float, c: float) -> float:
 
 
 def test_unit_ball_intersection_generic():
-    circle = unit_ball_intersection(pt(0, 0, 0), pt(1, 0, 0))
+    circle = unit_ball_intersection([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert np.allclose(circle.center, [0.5, 0, 0])
     assert circle.radius == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
     assert np.allclose(circle.axis, [1, 0, 0])
 
 
 def test_unit_ball_intersection_tangent_and_errors():
-    circle = unit_ball_intersection(pt(0, 0, 0), pt(2, 0, 0))
+    circle = unit_ball_intersection([0.0, 0.0, 0.0], [2.0, 0.0, 0.0])
     assert circle.radius == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(circle.center, [1, 0, 0])
     with pytest.raises(SeparatedError):
-        unit_ball_intersection(pt(0, 0, 0), pt(3, 0, 0))
+        unit_ball_intersection([0.0, 0.0, 0.0], [3.0, 0.0, 0.0])
     with pytest.raises(CoincidentError):
-        unit_ball_intersection(pt(0, 0, 0), pt(0, 0, 0))
+        unit_ball_intersection([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_unit_ball_intersection_circle_points_at_unit_distance():
@@ -69,7 +71,7 @@ def _circle_point(circle, theta):
 
 
 def test_circumradius_equilateral():
-    r = circumradius(pt(0, 0, 0), pt(1, 0, 0), pt(0.5, np.sqrt(3) / 2, 0))
+    r = circumradius([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0])
     assert r == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
 
 
@@ -87,9 +89,9 @@ def test_circumradius_pentagon_triangle_matches_heron():
 
 def test_circumradius_degenerate():
     with pytest.raises(DegenerateError):
-        circumradius(pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0))
+        circumradius([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
     with pytest.raises(DegenerateError):
-        circumradius(pt(0, 0, 0), pt(0, 0, 0), pt(1, 1, 0))
+        circumradius([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
 
 
 def test_circumcenter_is_equidistant():
@@ -107,7 +109,7 @@ def test_circumcenter_is_equidistant():
 
 
 def test_apex_tetrahedron_height():
-    a, b, c = pt(0, 0, 0), pt(1, 0, 0), pt(0.5, np.sqrt(3) / 2, 0)
+    a, b, c = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0]
     apex = apex_at_unit_distance(a, b, c, +1)
     assert apex is not None
     assert apex[2] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
@@ -122,25 +124,25 @@ def test_apex_pentagon_height_and_nonexistence():
     apex = apex_at_unit_distance(*p[[0, 2, 3]].tolist(), +1)
     want = np.sqrt(1.0 - heron_circumradius(GOLDEN, 1.0, GOLDEN) ** 2)
     assert abs(apex[2]) == pytest.approx(want, abs=1e-9)
-    assert apex_at_unit_distance(pt(0, 0, 0), pt(2, 0, 0), pt(1, 1.2, 0)) is None
+    assert apex_at_unit_distance([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.2, 0.0]) is None
 
 
 def test_apex_side_selection():
-    a, b, c = pt(0, 0, 0), pt(1, 0, 0), pt(0.5, np.sqrt(3) / 2, 0)
+    a, b, c = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0]
     up = apex_at_unit_distance(a, b, c, +1)
     down = apex_at_unit_distance(a, b, c, -1)
     assert up[2] > 0 > down[2]
 
 
 def test_reflect_across_line_examples():
-    assert np.allclose(reflect_across_line(pt(0, 1, 0), pt(0, 0, 0), pt(1, 0, 0)),
+    assert np.allclose(reflect_across_line([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
                        [0, -1, 0])
-    on_line = reflect_across_line(pt(0.3, 0, 0), pt(0, 0, 0), pt(1, 0, 0))
+    on_line = reflect_across_line([0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert np.allclose(on_line, [0.3, 0, 0])
-    corner = reflect_across_line(pt(1, 0, 0), pt(0, 0, 0), pt(1, 1, 0))
+    corner = reflect_across_line([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
     assert np.allclose(corner, [0, 1, 0], atol=1e-12)
     with pytest.raises(DegenerateLineError):
-        reflect_across_line(pt(0, 1, 0), pt(0, 0, 0), pt(0, 0, 0))
+        reflect_across_line([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_reflect_is_isometric_involution():
@@ -157,8 +159,8 @@ def test_reflect_is_isometric_involution():
 
 
 def test_point_on_circle_nearest_plane_parallel():
-    circle = Circle3(center=pt(0, 0, 1), radius=1.0, axis=pt(0, 0, 1))
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
+    circle = Circle3(center=[0.0, 0.0, 1.0], radius=1.0, axis=[0.0, 0.0, 1.0])
+    plane = Plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     p = point_on_circle_nearest_plane(circle, plane)
     assert distance_to_plane(p, plane) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(np.subtract(p, circle.center)) == pytest.approx(1.0, abs=1e-12)
@@ -166,16 +168,16 @@ def test_point_on_circle_nearest_plane_parallel():
 
 def test_point_on_circle_nearest_plane_crossing():
     # circle of points at unit distance from (0,0,0) and (1,0,0.5) crosses z=0
-    top = pt(1, 0, 0.5)
-    circle = unit_ball_intersection(pt(0, 0, 0), top)
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
+    top = [1.0, 0.0, 0.5]
+    circle = unit_ball_intersection([0.0, 0.0, 0.0], top)
+    plane = Plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     p = point_on_circle_nearest_plane(circle, plane)
     assert abs(p[2]) < 1e-9
 
 
 def test_point_on_circle_nearest_plane_minimizes():
     rng = np.random.default_rng(3)
-    plane = Plane.make(pt(0.2, -0.1, 0.4), _unit(np.array([0.3, -1.0, 0.5])).tolist())
+    plane = Plane([0.2, -0.1, 0.4], normalize([0.3, -1.0, 0.5]))
     for _ in range(50):
         center = rng.normal(size=3).tolist()
         axis = _unit(rng.normal(size=3)).tolist()
@@ -188,17 +190,17 @@ def test_point_on_circle_nearest_plane_minimizes():
 
 
 def test_point_on_circle_radius_zero():
-    circle = Circle3(center=pt(1, 2, 3), radius=0.0, axis=pt(0, 0, 1))
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
+    circle = Circle3(center=[1.0, 2.0, 3.0], radius=0.0, axis=[0.0, 0.0, 1.0])
+    plane = Plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert np.allclose(point_on_circle_nearest_plane(circle, plane), [1, 2, 3])
 
 
 def test_distance_to_plane():
-    plane = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
-    assert distance_to_plane(pt(0, 0, 5), plane) == 5.0
-    assert distance_to_plane(pt(3, -2, 0), plane) == 0.0
-    assert distance_to_plane(pt(1, 1, 1), plane) == 1.0
-    assert distance_to_plane(pt(1, 1, -1), plane) == 1.0
+    plane = Plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    assert distance_to_plane([0.0, 0.0, 5.0], plane) == 5.0
+    assert distance_to_plane([3.0, -2.0, 0.0], plane) == 0.0
+    assert distance_to_plane([1.0, 1.0, 1.0], plane) == 1.0
+    assert distance_to_plane([1.0, 1.0, -1.0], plane) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +225,13 @@ def _row(rng) -> list[float]:
 
 
 def _point_and_plane(rng):
-    return [_row(rng), Plane.make(_row(rng), _row(rng))]
+    return [_row(rng), Plane(_row(rng), normalize(_row(rng)))]
 
 
 def _circle_and_plane(rng):
     circle = Circle3(center=_row(rng), radius=float(rng.uniform(0.1, 2.0)),
                      axis=_unit(rng.normal(size=3)).tolist())
-    return [circle, Plane.make(_row(rng), _row(rng))]
+    return [circle, Plane(_row(rng), normalize(_row(rng)))]
 
 
 # kernel name -> draw of its random arguments
@@ -283,19 +285,22 @@ def test_float_kernel_matches_numpy_reference(name):
         _assert_agree(kernel(*args), reference(*args))
 
 
-_TANGENT = (pt(0, 0, 0), pt(2, 0, 0))
-_Z_PLANE = Plane.make(pt(0, 0, 0), pt(0, 0, 1))
+_TANGENT = ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+_Z_PLANE = Plane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("name, args, error", [
-    ("unit_ball_intersection", (pt(1, 2, 3), pt(1, 2, 3)), CoincidentError),
-    ("unit_ball_intersection", (pt(0, 0, 0), pt(0, 2.5, 0)), SeparatedError),
-    ("normalize", (pt(0, 0, 0),), DegenerateError),
-    ("circumcenter", (pt(0, 0, 0), pt(0, 0, 0), pt(1, 1, 0)), DegenerateError),
-    ("circumradius", (pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0)), DegenerateError),
-    ("apex_at_unit_distance", (pt(0, 0, 0), pt(1, 0, 0), pt(1, 0, 0)), DegenerateError),
-    ("apex_at_unit_distance", (pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)), DegenerateError),
-    ("reflect_across_line", (pt(0, 1, 0), pt(1, 1, 1), pt(1, 1, 1)), DegenerateLineError),
+    ("unit_ball_intersection", ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), CoincidentError),
+    ("unit_ball_intersection", ([0.0, 0.0, 0.0], [0.0, 2.5, 0.0]), SeparatedError),
+    ("normalize", ([0.0, 0.0, 0.0],), DegenerateError),
+    ("circumcenter", ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]), DegenerateError),
+    ("circumradius", ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]), DegenerateError),
+    ("apex_at_unit_distance", ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+     DegenerateError),
+    ("apex_at_unit_distance", ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),
+     DegenerateError),
+    ("reflect_across_line", ([0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+     DegenerateLineError),
 ], ids=["coincident_balls", "separated_balls", "zero_vector", "coincident_circumcenter",
         "collinear_circumradius", "coincident_apex", "collinear_apex", "coincident_line"])
 def test_float_kernel_raises_as_reference(name, args, error):
@@ -312,10 +317,10 @@ def test_float_kernel_raises_as_reference(name, args, error):
     ("unit_ball_intersection", _TANGENT),
     ("point_on_circle_nearest_plane", (unit_ball_intersection(*_TANGENT), _Z_PLANE)),
     # the whole circle equidistant from the plane: parameter angle 0
-    ("point_on_circle_nearest_plane", (Circle3(pt(0, 0, 1), 1.0, pt(0, 0, 1)), _Z_PLANE)),
-    ("plane_basis", (pt(1, 0, 0),)),
-    ("plane_basis", (pt(-1, 0, 0),)),
-    ("plane_basis", (_unit(pt(1, 1e-7, 0)).tolist(),)),
+    ("point_on_circle_nearest_plane", (Circle3([0.0, 0.0, 1.0], 1.0, [0.0, 0.0, 1.0]), _Z_PLANE)),
+    ("plane_basis", ([1.0, 0.0, 0.0],)),
+    ("plane_basis", ([-1.0, 0.0, 0.0],)),
+    ("plane_basis", (_unit([1.0, 1e-7, 0.0]).tolist(),)),
 ], ids=["tangent_circle", "radius_zero", "equidistant", "x_axis", "minus_x_axis", "near_x"])
 def test_float_kernel_degenerate_values_match_reference(name, args):
     kernel, reference = _pair(name)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import crown_curve, crown_union, regular_polygon_curve
+from conftest import (
+    crown_curve,
+    crown_union,
+    regular_polygon_curve,
+    replayed_cells,
+    segment_counts,
+)
 from rhombidome import surface
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
@@ -32,7 +38,6 @@ from rhombidome.surface import (
     collapse,
     hexagon_join,
     is_oriented_consistently,
-    signed_segment_counts,
     validate_ledger,
 )
 
@@ -162,7 +167,7 @@ def test_assemble_identity_rhombus(unit_square):
     ledger = reduce_to_rhombi(unit_square)
     chain = assemble_from_ledger(ledger)
     assert len(chain.triangles) == 0 and len(chain.rhombus_cells) == 0
-    residue = signed_segment_counts(
+    residue = segment_counts(
         [], [ledger.initial.components[0], chain.rhombi[0]])
     assert residue == {}
 
@@ -175,7 +180,7 @@ def test_assemble_pentagon_chain(regular_pentagon):
     assert len(chain.rhombi) == 2
     # the apex spokes shared by the triangle and both rhombi cancel by
     # orientation alone, leaving exactly the pentagon
-    residue = signed_segment_counts(
+    residue = segment_counts(
         [chain.triangles[0]],
         [ledger.initial.components[0]] + list(chain.rhombi))
     assert residue == {}
@@ -498,7 +503,7 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     # swapping edges 1 and 2 pivots vertex 2 and derives the unit square
     state.apply(PackMove(0, [0, 2, 1, 3, 4, 5]))
     assert state.stats()["pack_moves"] == 1
-    (cell,) = state.rhombus_cells
+    (cell,) = replayed_cells(state, "rhombus_cells")
     assert np.array_equal(cell, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
 
 
@@ -513,6 +518,32 @@ def test_failed_pack_leaves_the_state_as_it_was():
         state.apply(PackMove(0, [1, 0, 3, 2, 4, 5]))
     assert np.array_equal(state.component(0), rows)
     assert state.rhombus_cells == [] and state.moves == [] and state.stats() == stats
+    assert state.points == rows
+
+
+def test_point_table_holds_each_point_in_creation_order():
+    # the initial vertices first, then each point a move creates: a pivot's
+    # target, one per counted pack swap, a bridge, an apex; every component's
+    # ids name its rows, and every cell's ids name rows of the table
+    ledger = reduce_to_rhombi(crown_union(5))
+    state = Replayer(ledger.initial)
+    assert state.points == [row for c in ledger.initial.components for row in c.tolist()]
+    for move in ledger.moves:
+        before, swaps = len(state.points), state.stats()["pack_moves"]
+        state.apply(move)
+        created = state.points[before:]
+        if move.kind == "pack":
+            assert len(created) == state.stats()["pack_moves"] - swaps > 0
+        else:
+            made = [getattr(move, name) for name in ("new_point", "z", "apex")
+                    if hasattr(move, name)]
+            assert all(a is b for a, b in zip(created, made)) and len(created) == len(made)
+        for cid, rows in state.components.items():
+            assert all(state.points[i] is row for i, row in zip(state.ids[cid], rows, strict=True))
+    assert {move.kind for move in ledger.moves} >= {"pivot", "pack", "split", "pentagon"}
+    for kind, k in (("triangles", 3), ("rhombus_cells", 4), ("rhombi", 4)):
+        cells = getattr(state, kind)
+        assert cells and all(len(cell) == k and max(cell) < len(state.points) for cell in cells)
 
 
 def test_pivot_after_a_split_leaves_shared_rows_alone():
@@ -524,11 +555,11 @@ def test_pivot_after_a_split_leaves_shared_rows_alone():
     state.apply(PivotMove(0, 1, [0.5, 0.5, 0.5 ** 0.5]))
     state.apply(SplitMove(0, 1, [0, 0.5, s3]))
     state.apply(PivotMove(0, 1, [s3, 0.5, 0]))
-    before = json.dumps([state.component(1), state.rhombus_cells])
+    before = json.dumps([state.component(1), replayed_cells(state, "rhombus_cells")])
     # the remainder's bridge vertex moves again
     state.apply(PivotMove(0, 1, [0, 0.5, -s3]))
     assert state.component(1)[4] == [0, 0.5, s3]
-    assert json.dumps([state.component(1), state.rhombus_cells[:2]]) == before
+    assert json.dumps([state.component(1), replayed_cells(state, "rhombus_cells")[:2]]) == before
     assert state.component(0)[1] == [0, 0.5, -s3]
 
 
@@ -588,10 +619,10 @@ def test_validator_rejects_unknown_pivot_stage():
 
 def test_signed_segment_counts_cancellation():
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
-    assert signed_segment_counts([tri], [tri]) == {}
+    assert segment_counts([tri], [tri]) == {}
     reversed_tri = tri[::-1]
-    assert signed_segment_counts([tri, reversed_tri], []) == {}
-    assert signed_segment_counts([tri], []) != {}
+    assert segment_counts([tri, reversed_tri], []) == {}
+    assert segment_counts([tri], []) != {}
 
 
 def _segment_counts_reference(cycles_plus, cycles_minus):
@@ -649,7 +680,7 @@ def test_signed_segment_counts_matches_reference():
                   ([c[::-1] for c in plus], [c[::-1] for c in minus])]
     # the chain's stacks count as their cells one by one
     for plus, minus in stacked:
-        got = signed_segment_counts(plus, minus)
+        got = segment_counts(plus, minus)
         assert got == _segment_counts_reference(_single_cycles(plus), _single_cycles(minus))
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     repeated = np.vstack([tri[0], tri[1], tri[1], tri[2]])
@@ -662,14 +693,14 @@ def test_signed_segment_counts_matches_reference():
     cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], []),
               ([tri], [nudged]), ([doubled], [nudged]), ([doubled, nudged[::-1]], [repeated])]
     for plus, minus in cases:
-        got = signed_segment_counts(plus, minus)
+        got = segment_counts(plus, minus)
         assert got == _segment_counts_reference(plus, minus)
     # the dropped rhombus and the repeated vertex leave a residue
-    assert signed_segment_counts(*cases[1]) != {}
-    assert signed_segment_counts([repeated], [tri]) == {
+    assert segment_counts(*cases[1]) != {}
+    assert segment_counts([repeated], [tri]) == {
         ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1}
-    assert signed_segment_counts([tri], [nudged]) == {}
-    assert signed_segment_counts([doubled], [nudged]) == {
+    assert segment_counts([tri], [nudged]) == {}
+    assert segment_counts([doubled], [nudged]) == {
         ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1,
         ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[2])): 1}
 
@@ -678,7 +709,7 @@ def test_signed_segment_counts_refuses_int64_wrap():
     # a bare int64 cast maps both far triangles onto INT64_MIN and cancels them
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     with pytest.raises(OverflowError):
-        signed_segment_counts([tri + 1e10], [tri + 2e10])
+        segment_counts([tri + 1e10], [tri + 2e10])
 
 
 _SEGMENT = re.compile(r"\(([^()]*)\) -> \(([^()]*)\): ([+-]\d+)")
@@ -689,7 +720,8 @@ def test_chain_identity_names_unbalanced_segments(monkeypatch):
     chain = assemble_from_ledger(ledger)
     moved = chain.rhombi[0].copy()
     # moving a derived rhombus away leaves its four segments unbalanced in place
-    chain.rhombi[0] = moved + 100.0
+    chain.rhombi_ids[0] = len(chain.points) + np.arange(4)
+    chain.points = np.vstack([chain.points, moved + 100.0])
     monkeypatch.setattr(surface, "assemble_from_ledger", lambda *args: chain)
     report = validate_ledger(ledger)
     (detail,) = [d for name, ok, d in report.entries if name == "chain_identity" and not ok]
@@ -742,7 +774,7 @@ def test_hexagon_join_solved_pair():
     _check_unit_cycle(t1, "triangle", 3)
     _check_unit_cycle(t2, "triangle", 3)
     # the two triangles bound hexagon + rho - rho'
-    residue = signed_segment_counts(
+    residue = segment_counts(
         [t1, t2],
         [edges, first, second[[0, 3, 2, 1]]])
     assert residue == {}

@@ -25,13 +25,13 @@ The ledger model -- cells, moves, the move table, the ledger and its
 each move through the same replay.
 
 Points are rows, lists of three Python floats, as in the replay and in
-:mod:`rhombidome.geom`: the per-point steps (the local peel, the pentagon
-base case, each planarize pivot and each fallback bridge) take rows and
-record rows.  The public :func:`pentagon_split` takes a list of rows as
-given and converts any other input once; :func:`apply_pivot` converts its
-target once.  The array algorithms stay numpy: the
-plane fits (``eigh``), the height pass (``@``), the Steinitz orders
-(``cumsum``, ``svd``) and the farthest vertex pair.  So does every
+:mod:`rhombidome.geom`.  A replayed component is its id cycle, its points
+``points[ids]``: the planarize pivots and the local peel read them through
+the ids, the rest copy them with ``Replayer.rows``.  The public
+:func:`pentagon_split` takes a list of rows as given and converts any other
+input once, and :func:`apply_pivot` its target.  The array algorithms stay
+numpy: the plane fits (``eigh``), the height pass (``@``), the Steinitz
+orders (``cumsum``, ``svd``) and the farthest vertex pair.  So does every
 ``np.dot`` of two 3-vectors: the BLAS may round a dot product differently
 from the left-to-right Python sum, and a ledger's bytes must not move.
 """
@@ -122,7 +122,7 @@ def _make_pivot(state: Replayer, cid: int, i: int, target: list[float],
     A target equal to the current vertex is a no-op: nothing is recorded
     and False is returned.
     """
-    if math.dist(state.component(cid)[i], target) <= EPS:
+    if math.dist(state.points[state.component(cid)[i]], target) <= EPS:
         return False
     state.apply(PivotMove(cid, i, target, stage))
     return True
@@ -193,9 +193,9 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
     h[j-1]; both are asserted because the move budget rests on them.  The
     path's heights are measured once; a pivot changes only its own vertex's.
     """
-    v = state.component(cid)
-    n = len(v)
-    heights = np.abs((np.array([v[g] for g in path]) - plane.base) @ plane.normal).tolist()
+    ids, points = state.component(cid), state.points
+    n = len(ids)
+    heights = np.abs((np.array(state.rows(cid))[path] - plane.base) @ plane.normal).tolist()
     interior = range(1, len(path) - 1)
     while interior:
         j = max(interior, key=heights.__getitem__)  # the first maximum
@@ -204,8 +204,8 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
         if not (heights[j - 1] < heights[j] >= heights[j + 1]):
             raise PlanarizeBudgetError("height maximum selection is inconsistent")
         g = path[j]
-        prev = v[(g - 1) % n]
-        nxt = v[(g + 1) % n]
+        prev = points[ids[(g - 1) % n]]
+        nxt = points[ids[(g + 1) % n]]
         if dist(prev, nxt) <= EPS:
             target = _sphere_point_nearest_plane(prev, plane)
         else:
@@ -223,7 +223,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
 
 
 def _planarize_component(state: Replayer, cid: int) -> Plane:
-    v = np.array(state.component(cid))
+    v = np.array(state.rows(cid))
     existing = component_plane(v)
     if existing is not None:
         return existing
@@ -373,7 +373,7 @@ def _pack_component(state: Replayer, cid: int) -> None:
     the order with at most C(n, 2) swaps; the base vertex 0 never moves.  An
     identity order records nothing.
     """
-    v = np.array(state.component(cid))
+    v = np.array(state.rows(cid))
     n = len(v)
     plane = fit_plane(v)
     e1, e2 = plane_basis(plane.normal)
@@ -382,7 +382,7 @@ def _pack_component(state: Replayer, cid: int) -> None:
     sigma = steinitz_order(vecs2d)
     if np.any(sigma != np.arange(n)):
         state.apply(PackMove(cid, sigma.tolist()))
-        v = np.array(state.component(cid))
+        v = np.array(state.rows(cid))
     radii = np.linalg.norm(v - v[0], axis=1)
     if float(np.max(radii)) > STEINITZ_BOUND + EPS:
         raise SearchFailedError("packing postcondition violated")
@@ -519,7 +519,7 @@ def _choose_bridge(v: list[list[float]], plane: Plane) -> list[float]:
 
 
 def _consume_pentagon(state: Replayer, cid: int) -> None:
-    split = pentagon_split(state.component(cid))
+    split = pentagon_split(state.rows(cid))
     for fix in split.fixes:
         _make_pivot(state, cid, fix.vertex, fix.new_point, "fix")
     state.apply(PentagonMove(cid, split.apex))
@@ -530,16 +530,18 @@ def _consume_pentagon(state: Replayer, cid: int) -> None:
 _TIGHT_SPAN = STEINITZ_BOUND - 1e-6
 
 
-def _local_bridge(v: list[list[float]], i: int) -> list[float] | None:
+def _local_bridge(points: list[list[float]], v: list[int], i: int) -> list[float] | None:
     """Point at unit distance from v[i] and v[i+3] (cyclic) farthest from the
-    midpoint m of v[i+1] and v[i+2], or None when none is uniquely farthest.
+    midpoint m of v[i+1] and v[i+2], or None when none is uniquely farthest;
+    ``v`` is an id cycle into ``points``.
 
     The points at unit distance form a circle about the midpoint c of v[i]
     and v[i+3], or the unit sphere about it when the two coincide; the
     farthest from m lies along c - m, projected onto the circle's plane.
     """
     n = len(v)
-    p, q, r, s = v[i], v[(i + 1) % n], v[(i + 2) % n], v[(i + 3) % n]
+    p, q = points[v[i]], points[v[(i + 1) % n]]
+    r, s = points[v[(i + 2) % n]], points[v[(i + 3) % n]]
     center = [0.5 * (a + b) for a, b in zip(p, s)]
     away = [c - 0.5 * (a + b) for c, a, b in zip(center, q, r)]
     span = math.dist(p, s)
@@ -566,24 +568,23 @@ def _peel_tight(state: Replayer, cid: int, next_id: int) -> int:
     v_i-1] starts at v_i, so its spans are the old ones rotated, except for
     the four windows that meet the bridge.
     """
-    v = state.component(cid)
-    n = len(v)
-    spans = [math.dist(v[j], v[(j + 3) % n]) for j in range(n)]
+    ids, points = state.component(cid), state.points
+    n = len(ids)
+    spans = [math.dist(points[ids[j]], points[ids[(j + 3) % n]]) for j in range(n)]
     while n > 5:
         tight = min(spans)
         i = spans.index(tight)
-        z = _local_bridge(v, i) if tight <= _TIGHT_SPAN else None
+        z = _local_bridge(points, ids, i) if tight <= _TIGHT_SPAN else None
         if z is None:
             break
         state.apply(SplitMove(cid, next_id, z, at=i))
         _consume_pentagon(state, next_id)
         next_id += 1
-        v = state.component(cid)
+        ids = state.component(cid)
         kept = (i + 3) % n
         n -= 1
-        spans = ([math.dist(v[0], v[3]), math.dist(v[1], v[4])]
-                 + (spans[kept:] + spans[:kept])[:n - 4]
-                 + [math.dist(v[n - 2], v[1]), math.dist(v[n - 1], v[2])])
+        ends = [math.dist(points[ids[j]], points[ids[(j + 3) % n]]) for j in (0, 1, -2, -1)]
+        spans = ends[:2] + (spans[kept:] + spans[:kept])[:n - 4] + ends[2:]
     return next_id
 
 
@@ -615,7 +616,7 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
                 plane = _planarize_component(state, root)
                 _pack_component(state, root)
                 while len(state.component(root)) > 5:
-                    z = _choose_bridge(state.component(root), plane)
+                    z = _choose_bridge(state.rows(root), plane)
                     state.apply(SplitMove(root, next_id, z))
                     _consume_pentagon(state, next_id)
                     next_id += 1

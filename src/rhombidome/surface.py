@@ -29,10 +29,10 @@ on a 1e-9 coordinate grid, which stays the witness: two ids whose points
 share a grid point are one vertex there.  An exact pass on the ids alone
 (ROADMAP item 5) comes later.
 
-Move semantics (state = components keyed by stable integer ids, each a list
-of vertex rows with their vertex ids beside them; each point of a move is a
-row).  A move records only the decision taken; everything else follows
-from the state it is replayed on:
+Move semantics (state = components keyed by stable integer ids, each its
+cycle of vertex ids, whose points are ``points[ids]``; each point of a move
+is a row).  A move records only the decision taken; everything else
+follows from the state it is replayed on:
 
 * ``PivotMove``      -- move one vertex to ``new_point``, which must lie at
                         unit distance from both neighbours.  The old point
@@ -172,11 +172,16 @@ class GraphSurface:
         if len(self.lengths) != n_edges:
             raise SurfaceInvariantError("one length per edge pair required")
         lengths = np.asarray(self.lengths).tolist()
-        if any(length <= 0 for length in lengths):
-            raise SurfaceInvariantError("edge lengths must be positive")
-        for tail, head in self.edges:
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
-                raise SurfaceInvariantError("edge endpoint out of range")
+        if not all(0 < length < math.inf for length in lengths):  # NaN fails
+            raise SurfaceInvariantError("edge lengths must be finite and positive")
+        for edge in self.edges:
+            try:
+                tail, head = edge
+            except (TypeError, ValueError):
+                raise SurfaceInvariantError(f"edge {edge!r} is not a vertex pair") from None
+            for end in (tail, head):
+                if not isinstance(end, (int, np.integer)) or not 0 <= end < self.vertex_count:
+                    raise SurfaceInvariantError(f"edge endpoint {end!r} names no vertex")
         usage = [0] * n_edges
         for t in self.triangles:
             if len(t) != 3:
@@ -201,12 +206,13 @@ class GraphSurface:
             raise SurfaceInvariantError(
                 f"Euler characteristic {chi} != {2 - 2 * self.genus_hat}")
         if self.coords is not None:
-            if self.coords.shape != (self.vertex_count, 3):
-                raise SurfaceInvariantError("coords shape mismatch")
+            if (not isinstance(self.coords, np.ndarray)
+                    or self.coords.shape != (self.vertex_count, 3)):
+                raise SurfaceInvariantError(f"coords must be a ({self.vertex_count}, 3) array")
             coords = np.asarray(self.coords, dtype=float).tolist()
             for eid, (tail, head) in enumerate(self.edges):
                 got = math.dist(coords[tail], coords[head])
-                if abs(got - float(lengths[eid])) > EPS:
+                if not abs(got - float(lengths[eid])) <= EPS:  # NaN fails
                     raise SurfaceInvariantError(
                         f"edge {eid} realizes length {got}, expected {lengths[eid]}")
 
@@ -586,11 +592,11 @@ class Replayer:
     component, then each pivot and pack target, split bridge and pentagon
     apex as its move is applied.  A point is a row, a float list ``[x, y,
     z]``, and a move's point is taken as given; its vertex id is its index
-    in ``points``.  The component state is one list of rows per component,
-    which :meth:`component` returns live, and ``ids`` holds each
-    component's vertex ids beside its rows.  A move replaces rows and ids
-    and never edits a row in place, so points, components and moves may
-    share rows.
+    in ``points``.  The component state is one id cycle per component,
+    which :meth:`component` returns live; the component's points are
+    ``points[ids]``, and :meth:`rows` returns them as a fresh list.  A move
+    edits or replaces id cycles and never edits a row in place, so points
+    and moves may share rows.
 
     Besides the state it keeps ``moves``, every move applied, in order, and
     the cells the moves derive, in move order, as id rows (lists of vertex
@@ -603,12 +609,10 @@ class Replayer:
 
     def __init__(self, initial: IntegralCurve):
         self.points: list[list[float]] = []
-        self.components: dict[int, list[list[float]]] = {}
-        self.ids: dict[int, list[int]] = {}
+        self.components: dict[int, list[int]] = {}
         for cid, c in enumerate(initial.components):
             rows = np.asarray(c, dtype=float).tolist()
-            self.components[cid] = rows
-            self.ids[cid] = list(range(len(self.points), len(self.points) + len(rows)))
+            self.components[cid] = list(range(len(self.points), len(self.points) + len(rows)))
             self.points += rows
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
@@ -620,11 +624,15 @@ class Replayer:
         self.tallies = [Counter() for _ in self.edges]
         self.tally: dict[int, Counter] = dict(enumerate(self.tallies))
 
-    def component(self, cid: int) -> list[list[float]]:
+    def component(self, cid: int) -> list[int]:
         try:
             return self.components[cid]
         except KeyError:
             raise ReplayMismatchError(f"component {cid} does not exist") from None
+
+    def rows(self, cid: int) -> list[list[float]]:
+        """A fresh list of the points of component ``cid``, ``points[ids]``."""
+        return list(map(self.points.__getitem__, self.component(cid)))
 
     def apply(self, move: Move) -> None:
         """Apply one move, and keep the cells it derives.  A move that does not
@@ -643,25 +651,23 @@ class Replayer:
         self.rhombus_cells += cells
 
     def _apply_pivot(self, move: PivotMove) -> None:
-        v = self.component(move.component)
-        ids = self.ids[move.component]
-        n, i = len(v), move.vertex
+        ids = self.component(move.component)
+        n, i = len(ids), move.vertex
         if not 0 <= i < n:
             raise ReplayMismatchError("pivot vertex out of range")
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        new, j = move.new_point, (i + 1) % n
-        cell = _pivot_derives_cell(v[i - 1], v[j], new)
-        new_id = len(self.points)
-        self.points.append(new)
+        new, j, points = move.new_point, (i + 1) % n, self.points
+        cell = _pivot_derives_cell(points[ids[i - 1]], points[ids[j]], new)
+        new_id = len(points)
+        points.append(new)
         self._count_pivots(move.component, move.stage, 1,
                            [[ids[i - 1], ids[i], ids[j], new_id]] if cell else [])
-        v[i], ids[i] = new, new_id
+        ids[i] = new_id
 
     def _apply_pack(self, move: PackMove) -> None:
-        v = self.component(move.component)
-        ids = self.ids[move.component]
-        n = len(v)
+        ids = self.component(move.component)
+        n = len(ids)
         order = move.order
         if len(order) != n or sorted(order) != list(range(n)):
             raise ReplayMismatchError(f"pack order is not a permutation of range({n})")
@@ -671,7 +677,7 @@ class Replayer:
             rank[edge] = position
         # sort copies, and add the new targets to the table at the end: a
         # swap that fails leaves the state as it was
-        pts, vids, fresh = v[:], ids[:], []
+        pts, vids, fresh = self.rows(move.component), ids[:], []
         cells = []
         swapped = True
         while swapped:
@@ -692,11 +698,11 @@ class Replayer:
                     pts[j + 1], vids[j + 1] = new, new_id
         self.points += fresh
         self._count_pivots(move.component, "pack", len(fresh), cells)
-        v[:], ids[:] = pts, vids
+        ids[:] = vids
 
     def _apply_split(self, move: SplitMove) -> None:
-        v = self.component(move.component)
-        n, i = len(v), move.at
+        ids = self.component(move.component)
+        n, i = len(ids), move.at
         if n < 6:
             raise ReplayMismatchError("split needs a component with > 5 edges")
         if move.new_component in self.components:
@@ -704,15 +710,14 @@ class Replayer:
         if not 0 <= i < n:
             raise ReplayMismatchError(f"split position {i} out of range({n})")
         j, z = (i + 3) % n, move.z
-        off = _off_unit(z, (v[i], v[j]))
+        off = _off_unit(z, (self.points[ids[i]], self.points[ids[j]]))
         if off:
             raise ReplayMismatchError(
                 f"split bridge at distance {off[1]} from vertex {(i, j)[off[0]]}")
         z_id = len(self.points)
         self.points.append(z)
-        self.components[move.new_component], self.components[move.component] = _cut(v, i, j, z)
-        self.ids[move.new_component], self.ids[move.component] = _cut(
-            self.ids[move.component], i, j, z_id)
+        self.components[move.new_component], self.components[move.component] = _cut(
+            ids, i, j, z_id)
         self.tally[move.new_component] = self.tally[move.component]
         self.tally[move.component]["split"] += 1
 
@@ -738,11 +743,11 @@ class Replayer:
     def _cycle(self, cid: int, expected_len: int) -> list[int]:
         """The vertex ids of component ``cid``, which a move consumes and
         which must have ``expected_len`` vertices."""
-        v = self.component(cid)
-        if len(v) != expected_len:
+        ids = self.component(cid)
+        if len(ids) != expected_len:
             raise ReplayMismatchError(
-                f"component {cid} has {len(v)} vertices, expected {expected_len}")
-        return self.ids[cid]
+                f"component {cid} has {len(ids)} vertices, expected {expected_len}")
+        return ids
 
     def _consume(self, cid: int, triangles: list[list[int]],
                  rhombi: list[list[int]]) -> None:
@@ -751,10 +756,10 @@ class Replayer:
         self.triangles += triangles
         self.rhombi += rhombi
         self.tally[cid]["rhombi"] += len(rhombi)
-        del self.components[cid], self.ids[cid]
+        del self.components[cid]
 
     def final_curve(self) -> IntegralCurve:
-        return IntegralCurve([np.array(self.components[k]) for k in sorted(self.components)])
+        return IntegralCurve([np.array(self.rows(k)) for k in sorted(self.components)])
 
     def stats(self) -> dict:
         """The ledger ``stats`` of the moves applied so far."""
@@ -988,7 +993,7 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
                      rhombus_cell_ids=_array(state.rhombus_cells, 4, np.intp),
                      rhombi_ids=_array(state.rhombi, 4, np.intp),
                      initial_ids=initial_ids,
-                     final_ids=[state.ids[cid] for cid in sorted(state.ids)],
+                     final_ids=[state.components[cid] for cid in sorted(state.components)],
                      stats=state.stats())
 
 

@@ -94,7 +94,7 @@ def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
             swapped = False
             for j in range(n - 1):
                 if pos[arrangement[j]] > pos[arrangement[j + 1]]:
-                    v = np.array(state.component(move.component))
+                    v = np.array(state.rows(move.component))
                     target = v[j] + (v[(j + 2) % n] - v[j + 1])
                     if dist(v[j + 1], target) > EPS:
                         pivot = PivotMove(move.component, j + 1, target, "pack")

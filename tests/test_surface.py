@@ -18,6 +18,7 @@ from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
 from rhombidome.curve import IntegralCurve, random_integral_curve
 from rhombidome.geom import EPS
+from rhombidome.moduli import isotropy_certificate
 from rhombidome.surface import (
     CloseRhombusMove,
     CobordismLedger,
@@ -93,6 +94,49 @@ def test_validate_names_a_bad_edge_reference(part, refs, bad):
     s = catalog("triangle_disk")
     setattr(s, part, refs)
     with pytest.raises(SurfaceInvariantError, match=f"edge reference {bad} names no edge$"):
+        s.validate()
+
+
+@pytest.mark.parametrize("drop_coords", [False, True], ids=["coords", "no_coords"])
+@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+def test_validate_refuses_a_non_finite_or_non_positive_length(length, drop_coords):
+    # edge 0, a pentagon side, lies on walks only: no triangle inequality
+    # reads its length, and without coords nothing realizes it either
+    s = catalog("pentagon_pants")
+    s.lengths[0] = length
+    if drop_coords:
+        s.coords = None
+    with pytest.raises(SurfaceInvariantError, match="^edge lengths must be finite and positive$"):
+        s.validate()
+    with pytest.raises(SurfaceInvariantError):
+        isotropy_certificate(s, trials=1)
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((0, 1, 2), "edge (0, 1, 2) is not a vertex pair"), ((0,), "edge (0,) is not a vertex pair"),
+    (7, "edge 7 is not a vertex pair"), ((0.0, 1), "edge endpoint 0.0 names no vertex"),
+    (("0", 1), "edge endpoint '0' names no vertex"), ((-1, 1), "edge endpoint -1 names no vertex"),
+    ((0, 6), "edge endpoint 6 names no vertex")])
+def test_validate_refuses_an_edge_that_is_not_a_vertex_pair(edge, message):
+    s = catalog("pentagon_pants")
+    s.edges[0] = edge
+    with pytest.raises(SurfaceInvariantError, match=f"^{re.escape(message)}$"):
+        s.validate()
+
+
+def test_validate_refuses_coords_that_are_not_a_vertex_array():
+    s = catalog("pentagon_pants")
+    for coords in (s.coords.tolist(), s.coords[:, :2], s.coords[:5]):
+        s.coords = coords
+        with pytest.raises(SurfaceInvariantError, match=r"^coords must be a \(6, 3\) array$"):
+            s.validate()
+
+
+def test_validate_refuses_a_nan_coordinate():
+    # the apex, vertex 5, ends edges 5, 6 and 7; NaN fails the length check
+    s = catalog("pentagon_pants")
+    s.coords[5, 0] = np.nan
+    with pytest.raises(SurfaceInvariantError, match="^edge 5 realizes length nan, expected 1.0$"):
         s.validate()
 
 
@@ -200,7 +244,7 @@ def _first_pentagon(ledger):
     state = Replayer(ledger.initial)
     for move in ledger.moves:
         if move.kind == "pentagon":
-            return move, state.component(move.component).copy()
+            return move, state.rows(move.component)
         state.apply(move)
 
 
@@ -341,7 +385,7 @@ def _rotated_bridges(doc: dict, theta: float = 0.3):
     state = Replayer(ledger.initial)
     for i, move in enumerate(ledger.moves):
         if move.kind == "split":
-            v = state.component(move.component)
+            v = state.rows(move.component)
             a, b = np.array([v[move.at], v[(move.at + 3) % len(v)]])
             yield i, (a + _rotation(b - a, theta) @ (move.z - a)).tolist()
         state.apply(move)
@@ -499,7 +543,7 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     state = Replayer(rect)
     state.apply(PackMove(0, [1, 0, 2, 3, 4, 5]))
     assert state.stats()["pack_moves"] == 0 and state.rhombus_cells == []
-    assert np.array_equal(state.component(0), rect.components[0])
+    assert np.array_equal(state.rows(0), rect.components[0])
     # swapping edges 1 and 2 pivots vertex 2 and derives the unit square
     state.apply(PackMove(0, [0, 2, 1, 3, 4, 5]))
     assert state.stats()["pack_moves"] == 1
@@ -516,15 +560,16 @@ def test_failed_pack_leaves_the_state_as_it_was():
     stats = state.stats()
     with pytest.raises(NotOnPivotCircleError, match="distance 1.5 from a neighbour"):
         state.apply(PackMove(0, [1, 0, 3, 2, 4, 5]))
-    assert np.array_equal(state.component(0), rows)
+    assert np.array_equal(state.rows(0), rows)
     assert state.rhombus_cells == [] and state.moves == [] and state.stats() == stats
     assert state.points == rows
 
 
 def test_point_table_holds_each_point_in_creation_order():
     # the initial vertices first, then each point a move creates: a pivot's
-    # target, one per counted pack swap, a bridge, an apex; every component's
-    # ids name its rows, and every cell's ids name rows of the table
+    # target, one per counted pack swap, a bridge, an apex; every cell's ids
+    # name rows of the table, and ``rows`` reads a component's points through
+    # its ids into a fresh list
     ledger = reduce_to_rhombi(crown_union(5))
     state = Replayer(ledger.initial)
     assert state.points == [row for c in ledger.initial.components for row in c.tolist()]
@@ -538,8 +583,11 @@ def test_point_table_holds_each_point_in_creation_order():
             made = [getattr(move, name) for name in ("new_point", "z", "apex")
                     if hasattr(move, name)]
             assert all(a is b for a, b in zip(created, made)) and len(created) == len(made)
-        for cid, rows in state.components.items():
-            assert all(state.points[i] is row for i, row in zip(state.ids[cid], rows, strict=True))
+        for cid, ids in state.components.items():
+            rows, table = state.rows(cid), [state.points[i] for i in ids]
+            assert rows == table
+            rows[0] = None  # changing the fresh list leaves the state alone
+            assert state.rows(cid) == table and state.component(cid) is ids
     assert {move.kind for move in ledger.moves} >= {"pivot", "pack", "split", "pentagon"}
     for kind, k in (("triangles", 3), ("rhombus_cells", 4), ("rhombi", 4)):
         cells = getattr(state, kind)
@@ -548,19 +596,20 @@ def test_point_table_holds_each_point_in_creation_order():
 
 def test_pivot_after_a_split_leaves_shared_rows_alone():
     # the pentagon [v0 v1 v2 v3 z] and the remainder [v0 z v3 v4 v5] share
-    # the bridge row z, and each pivot cell shares the rows it was read from
+    # the bridge id z (point 7), and each pivot cell holds the ids it was
+    # read from
     s3 = 0.75 ** 0.5
     hexagon = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 1, 0], [-1, 0, 0]]
     state = Replayer(IntegralCurve([np.array(hexagon, dtype=float)]))
     state.apply(PivotMove(0, 1, [0.5, 0.5, 0.5 ** 0.5]))
     state.apply(SplitMove(0, 1, [0, 0.5, s3]))
+    assert state.component(1) == [0, 6, 2, 3, 7] and state.component(0) == [0, 7, 3, 4, 5]
     state.apply(PivotMove(0, 1, [s3, 0.5, 0]))
-    before = json.dumps([state.component(1), replayed_cells(state, "rhombus_cells")])
     # the remainder's bridge vertex moves again
     state.apply(PivotMove(0, 1, [0, 0.5, -s3]))
-    assert state.component(1)[4] == [0, 0.5, s3]
-    assert json.dumps([state.component(1), replayed_cells(state, "rhombus_cells")[:2]]) == before
-    assert state.component(0)[1] == [0, 0.5, -s3]
+    assert state.component(1) == [0, 6, 2, 3, 7] and state.component(0) == [0, 9, 3, 4, 5]
+    assert state.rhombus_cells == [[0, 1, 2, 6], [0, 7, 3, 8], [0, 8, 3, 9]]
+    assert state.points[7] == [0, 0.5, s3] and state.points[9] == [0, 0.5, -s3]
 
 
 def test_validator_stats_edits_fail_budget_only():

@@ -7,17 +7,11 @@ boundary.
 Ledger version 5 records decisions only: each move is written from its row
 of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
 pentagon's from its recorded ``apex``, a pack's swaps and their cells from
-its recorded ``order``, a split's pieces from its position ``at``.
-Version 4 recorded the same moves without ``at``: every split of versions
-1-4 peeled at vertex 0, and reads with ``at`` 0.  Version 3 wrote each pack
-swap as a pivot of stage ``pack``; such pivots still replay as pivots, and
-a ``pack`` move in a version 1-3 document is refused as a bad move.
-Versions 1 and 2, which also stored the ``triangles`` and boundary
-``rhombi`` and had the consuming moves name them by index, are still read:
-a pentagon's apex is the third vertex of the triangle it names, and every
-other recorded cell, like the keys version 2 dropped from version 1
-(``seams``, a pivot's ``old``, ``rhombus`` and ``degenerate``, a split's
-``seams``, a pentagon's ``apex`` and ``seam``), is ignored.  Writing always produces version 5.
+its recorded ``order``, a split's pieces from its position ``at``.  It is
+the only version read or written; a document of any other version is
+refused.  An older ledger's ``initial`` is a version 1 curve document, so
+reducing it gives a version 5 ledger of the same curve (a new reduction,
+not the old moves).
 
 The ledger types come from the checker's module, :mod:`rhombidome.surface`,
 so reading a ledger needs nothing of the producer.
@@ -93,15 +87,15 @@ def curve_to_obj(curve: IntegralCurve) -> dict:
     }
 
 
-def _version(obj, supported: tuple[int, ...]) -> int | None:
-    """The document's integer ``version`` if it is one of ``supported``;
-    ``true`` and ``2.0`` equal 1 and 2 in Python but are not versions."""
-    version = obj.get("version") if isinstance(obj, dict) else None
-    return version if type(version) is int and version in supported else None
+def _has_version(obj, version: int) -> bool:
+    """True if the document's ``version`` is the integer ``version``; ``true``
+    and ``1.0`` equal 1 in Python but are not versions."""
+    found = obj.get("version") if isinstance(obj, dict) else None
+    return type(found) is int and found == version
 
 
 def curve_from_obj(obj) -> IntegralCurve:
-    if _version(obj, (CURVE_VERSION,)) is None:
+    if not _has_version(obj, CURVE_VERSION):
         raise FileFormatError("unsupported curve document")
     comps = obj.get("components")
     if not isinstance(comps, list):
@@ -157,9 +151,6 @@ _DECODE = {"int": _int, "ints": _ints, "point": _point, "str": _str}
 _PLANS = {kind: (spec.cls, tuple((key, _DECODE[codec], f"{kind} {key}")
                                  for key, _, codec in spec.fields))
           for kind, spec in MOVE_TABLE.items()}
-# the JSON types a version 1-3 document may hold: no writer before version 4
-# recorded a pack move
-_PRE_PACK_KINDS = frozenset(MOVE_TABLE) - {"pack"}
 
 
 def _move_to_obj(move: Move) -> dict:
@@ -169,11 +160,11 @@ def _move_to_obj(move: Move) -> dict:
     return obj
 
 
-def _moves_from_obj(objs: list, kinds) -> list[Move]:
-    """Decode moves in order, each of a JSON ``type`` in ``kinds``."""
+def _moves_from_obj(objs: list) -> list[Move]:
+    """Decode moves in order, each of a JSON ``type`` in ``MOVE_TABLE``."""
     moves = []
     for obj in objs:
-        if not isinstance(obj, dict) or obj.get("type") not in kinds:
+        if not isinstance(obj, dict) or obj.get("type") not in _PLANS:
             raise FileFormatError(f"bad move: {obj!r:.80}")
         cls, plan = _PLANS[obj["type"]]
         moves.append(cls(*[decode(obj[key], what) for key, decode, what in plan]))
@@ -190,59 +181,21 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
     }
 
 
-def _with_apexes(obj: dict) -> dict:
-    """A version 1 or 2 document with each pentagon's ``apex`` set to the
-    third vertex of the triangle it names, as later versions record it."""
-    triangles = obj["triangles"]
-    moves = []
-    for move in obj["moves"]:
-        if isinstance(move, dict) and move.get("type") == "pentagon":
-            t = _int(move["triangle"], "pentagon triangle")
-            if not 0 <= t < len(triangles):
-                raise FileFormatError(f"bad pentagon triangle: no triangle {t}")
-            triangle = _floats(triangles[t], "triangle", "three 3-d points",
-                               lambda shape: shape == (3, 3))
-            move = {**move, "apex": triangle[2].tolist()}
-        moves.append(move)
-    return {**obj, "moves": moves}
-
-
-def _split_at_zero(obj: dict) -> dict:
-    """A version 1-4 document with ``"at": 0`` on each split, the position
-    every split of those versions peeled at."""
-    return {**obj, "moves": [{**move, "at": 0}
-                             if isinstance(move, dict) and move.get("type") == "split"
-                             else move for move in obj["moves"]]}
-
-
 def ledger_from_obj(obj) -> CobordismLedger:
-    """Decode a ledger document, item by item in document order, so a
-    refusal names the first bad item.
-
-    A version 1 or 2 document first takes each pentagon's apex from the
-    triangle it names, and a version 1-4 document gives each split
-    ``at`` 0.  Each move point becomes a row of three floats.
+    """Decode a version 5 ledger document, item by item in document order,
+    so a refusal names the first bad item.  Each move point becomes a row
+    of three floats.
     """
-    version = _version(obj, (1, 2, 3, 4, LEDGER_VERSION))
-    if version is None:
+    if not _has_version(obj, LEDGER_VERSION):
         raise FileFormatError("unsupported ledger document")
-    stores_cells = version < 3
     try:
-        kinds = {"moves": list, "stats": dict}
-        if stores_cells:
-            kinds.update(triangles=list, rhombi=list)
-        for key, kind in kinds.items():
+        for key, kind in (("moves", list), ("stats", dict)):
             if not isinstance(obj[key], kind):
                 raise FileFormatError(f"ledger {key} must be a JSON "
                                       f"{'array' if kind is list else 'object'}")
-        if stores_cells:
-            obj = _with_apexes(obj)
-        if version < LEDGER_VERSION:
-            obj = _split_at_zero(obj)
         return CobordismLedger(
             initial=curve_from_obj(obj["initial"]),
-            moves=_moves_from_obj(obj["moves"], MOVE_TABLE if version >= 4
-                                  else _PRE_PACK_KINDS),
+            moves=_moves_from_obj(obj["moves"]),
             final_curve=curve_from_obj(obj["final_curve"]),
             stats=obj["stats"],
         )

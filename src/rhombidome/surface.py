@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
@@ -172,7 +173,9 @@ class GraphSurface:
         if len(self.lengths) != n_edges:
             raise SurfaceInvariantError("one length per edge pair required")
         lengths = np.asarray(self.lengths).tolist()
-        if not all(0 < length < math.inf for length in lengths):  # NaN fails
+        # NaN fails; a string or None is no length, and is not parsed as one
+        if not all(isinstance(length, numbers.Real) and 0 < length < math.inf
+                   for length in lengths):
             raise SurfaceInvariantError("edge lengths must be finite and positive")
         for edge in self.edges:
             try:

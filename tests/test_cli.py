@@ -1,12 +1,11 @@
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import crown_curve, crown_union, regular_polygon_curve
-from rhombidome import files, surface
+from rhombidome import cobordism, files, surface
 from rhombidome.cli import build_parser, main
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import random_integral_curve
@@ -86,10 +85,6 @@ def _first(doc, kind):
     return next(m for m in doc["moves"] if m["type"] == kind)
 
 
-V1_DIGON = Path(__file__).parent / "data" / "ledger_v1_collinear_digon.json"
-V2_UNION = Path(__file__).parent / "data" / "ledger_v2_lattice_union.json"
-
-
 _BAD_ORDER = "bad pack order: expected a list of integers"
 _BAD_AT = "bad split at: expected an integer"
 
@@ -101,21 +96,19 @@ _BAD_AT = "bad split at: expected an integer"
     (lambda doc: doc.update(stats=None), ""),
     (lambda doc: _first(doc, "pivot")["new"].__setitem__(0, float("nan")), ""),
     (lambda doc: doc.update(moves={}), ""),
-    # versions 1 and 2 store cell arrays; the object must still be an array
-    (lambda doc: doc.update(json.loads(V2_UNION.read_text()), triangles={}), ""),
-    (lambda doc: doc.update(json.loads(V2_UNION.read_text()), rhombi={}), ""),
     (lambda doc: doc.update(version=True), ""),
     (lambda doc: doc.update(version=3.0), ""),
     (lambda doc: _first(doc, "pack").update(order=5), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(0, "0"), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(1, True), _BAD_ORDER),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(0, 3.0), _BAD_ORDER),
-    (lambda doc: doc.update(version=3), "bad move: {'type': 'pack'"),
+    # only version 5 is read
+    (lambda doc: doc.update(version=3), "unsupported ledger document"),
     (lambda doc: _first(doc, "split").update(at=True), _BAD_AT),
     (lambda doc: _first(doc, "split").update(at=1.5), _BAD_AT),
     (lambda doc: _first(doc, "split").update(at="0"), _BAD_AT),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
-        "moves_object", "triangles_object", "rhombi_object", "version_true",
+        "moves_object", "version_true",
         "version_float", "order_not_array", "order_string", "order_true", "order_float",
         "pack_in_v3", "at_true", "at_float", "at_string"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
@@ -128,23 +121,6 @@ def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
     assert main(["validate", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "unexpected error" not in err and message in err
-
-
-def test_v1_ledger_validates_and_migrates(tmp_path, capsys):
-    # written by the version 1 writer for the collinear out-and-back digon
-    # (n = 6), whose degenerate pivots v1 recorded with seams
-    v1 = json.loads(V1_DIGON.read_text())
-    assert v1["version"] == 1 and v1["seams"]
-    assert any(m["type"] == "pivot" and m["degenerate"] for m in v1["moves"])
-    assert main(["validate", "--in", str(V1_DIGON)]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"]
-    out = tmp_path / "v5.json"
-    files.write_ledger(str(out), files.read_ledger(str(V1_DIGON)))
-    v5 = json.loads(out.read_text())
-    assert v5["version"] == 5
-    assert not {"seams", "triangles", "rhombi"} & v5.keys()
-    assert v5["stats"] == v1["stats"]
-    assert validate_ledger(files.read_ledger(str(out))).passed
 
 
 def test_curve_version_true_exits_2(tmp_path, capsys):
@@ -246,6 +222,40 @@ def test_reduce_off_replays_once(tmp_path, monkeypatch, capsys):
     again = tmp_path / "again.off"
     files.export_off(str(again), chain.triangles, chain.rhombus_cells)
     assert off.read_bytes() == again.read_bytes()
+
+
+def test_reduce_failure_exits_1_and_writes_nothing(pentagon_file, tmp_path, monkeypatch,
+                                                   capsys):
+    def failing(curve):
+        raise RuntimeError("pivot did not descend")
+
+    monkeypatch.setattr(cobordism, "reduce_to_rhombi", failing)
+    out = tmp_path / "ledger.json"
+    assert main(["reduce", "--in", pentagon_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rhombidome: reduction failed: pivot did not descend\n"
+    assert not out.exists()
+
+
+def test_reduce_invalid_ledger_exits_1_and_names_each_failure(pentagon_file, tmp_path,
+                                                              monkeypatch, capsys):
+    # two of the report's entries fail; the ledger is still written
+    def failing(ledger):
+        report = validate_ledger(ledger)
+        for i in (1, 3):
+            report.entries[i] = (report.entries[i][0], False, f"tampered {i}")
+        return report
+
+    monkeypatch.setattr(surface, "validate_ledger", failing)
+    out = tmp_path / "ledger.json"
+    assert main(["reduce", "--in", pentagon_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["valid"] is False
+    names = [name for name, _, _ in validate_ledger(files.read_ledger(str(out))).entries]
+    assert captured.err == ("rhombidome: ledger failed validation\n"
+                            f"rhombidome:   {names[1]}: tampered 1\n"
+                            f"rhombidome:   {names[3]}: tampered 3\n")
 
 
 def test_one_parser_serves_every_call(tmp_path, pentagon_file, capsys):

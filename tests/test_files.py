@@ -12,27 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import crown_curve, crown_union
 from rhombidome import files
-from rhombidome.cobordism import _pack_component, reduce_to_rhombi
+from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.surface import (
-    MOVE_TABLE,
-    CobordismLedger,
-    PackMove,
-    Replayer,
-    assemble_from_ledger,
-    validate_ledger,
-)
+from rhombidome.surface import MOVE_TABLE, assemble_from_ledger, validate_ledger
 
 DATA = Path(__file__).parent / "data"
-V1_DIGON = DATA / "ledger_v1_collinear_digon.json"
-# written by the version 2 writer for a closed 8-step cubic-lattice walk with
-# a backtrack (splits, fix pivots, a degenerate pivot), a unit triangle and a
-# unit square
-V2_UNION = DATA / "ledger_v2_lattice_union.json"
-# written by the version 3 writer for a closed 8-step cubic-lattice walk:
-# planarize pivots, six pack pivots of which two are degenerate, splits and
-# fix pivots
-V3_WALK = DATA / "ledger_v3_lattice_walk.json"
+# the reduction of a closed 8-step cubic-lattice walk with a backtrack
+# (splits, fix pivots, a degenerate pivot), a unit triangle and a unit square,
+# made by an older reducer; its cells file holds the triangles and boundary
+# rhombi that reducer recorded beside the moves
+LATTICE_UNION = DATA / "ledger_lattice_union.json"
+LATTICE_CELLS = DATA / "cells_lattice_union.json"
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +34,6 @@ def ledger():
 
 def _first(doc, kind):
     return next(m for m in doc["moves"] if m["type"] == kind)
-
-
-def _v2_triangle_nan(doc):
-    # a version 2 pentagon takes its apex from the triangle it names
-    doc.clear()
-    doc.update(json.loads(V2_UNION.read_text()))
-    doc["triangles"][0][1][2] = float("nan")
 
 
 def _nan_then_bad_int(doc):
@@ -67,7 +50,6 @@ def _bad_int_then_nan(doc):
 # that does not convert to floats says what was expected, as a wrong shape
 # does, and keeps the conversion error as its cause.
 @pytest.mark.parametrize("edit, message, cause", [
-    (_v2_triangle_nan, "bad triangle: non-finite coordinate", None),
     (lambda doc: _first(doc, "pivot").__setitem__("new", [0.0, 1.0]),
      "bad pivot new: expected a 3-d point", None),
     (lambda doc: _first(doc, "split")["z"].__setitem__(1, float("inf")),
@@ -99,10 +81,6 @@ def _bad_int_then_nan(doc):
      "bad pack order: expected a list of integers", None),
     (lambda doc: _first(doc, "pack")["order"].__setitem__(1, 3.0),
      "bad pack order: expected a list of integers", None),
-    # no writer before version 4 recorded a pack move
-    (lambda doc: doc.update(version=3),
-     "bad move: {'type': 'pack', 'component': 0, 'order': [0, 3, 5, 9, 1, 6, 7, 2, 8, 11, 4, 10]",
-     None),
     (lambda doc: _first(doc, "split").update(at=True),
      "bad split at: expected an integer, got True", None),
     (lambda doc: _first(doc, "split").update(at=1.5),
@@ -110,12 +88,12 @@ def _bad_int_then_nan(doc):
     (lambda doc: _first(doc, "split").update(at="0"),
      "bad split at: expected an integer, got '0'", None),
     (lambda doc: _first(doc, "split").pop("at"), "malformed ledger document: 'at'", KeyError),
-], ids=["triangle_nan", "pivot_new_2d", "split_z_inf",
+], ids=["pivot_new_2d", "split_z_inf",
         "point_is_string", "earlier_bad_point_first", "earlier_bad_int_first",
         "int_overflows_float", "apex_2d",
         "pivot_new_strings", "split_z_mixed_bool", "apex_bools", "curve_strings",
         "curve_bool", "order_object", "order_string", "order_true", "order_float",
-        "pack_in_v3", "at_true", "at_float", "at_string", "at_missing"])
+        "at_true", "at_float", "at_string", "at_missing"])
 def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     doc = files.ledger_to_obj(ledger)
     edit(doc)
@@ -154,9 +132,9 @@ def test_points_decode_to_float_rows_on_either_path():
 
 
 def test_empty_cell_lists_decode(ledger):
-    # a version 2 document without moves stores empty cell lists
+    # a ledger without moves leaves its initial curve and derives no cell
     doc = files.ledger_to_obj(ledger)
-    doc.update(version=2, moves=[], triangles=[], rhombi=[], final_curve=doc["initial"])
+    doc.update(moves=[], final_curve=doc["initial"])
     decoded = files.ledger_from_obj(doc)
     chain = assemble_from_ledger(decoded)
     assert decoded.moves == [] and len(chain.triangles) == 0 and len(chain.rhombi) == 0
@@ -175,8 +153,10 @@ def test_ledger_document_records_no_cells(ledger):
     assert not [m for m in doc["moves"] if m["type"] == "pivot" and m["stage"] == "pack"]
 
 
-# "4" and "5" are an older and the current version written as strings
-@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", "4", "5", None, 6, 0])
+# "4" and "5" are an older and the current version written as strings; v1-v4
+# are the older versions, which are no longer read
+@pytest.mark.parametrize("version", [True, 2.0, 3.0, "3", "4", "5", None, 6, 0] + [
+    pytest.param(old, id=f"v{old}") for old in (1, 2, 3, 4)])
 def test_ledger_version_must_be_a_supported_integer(ledger, version):
     # True == 1 and 2.0 == 2 in Python, but neither is a version
     doc = files.ledger_to_obj(ledger)
@@ -260,20 +240,8 @@ def test_curve_file_round_trips(tmp_path):
     assert first.read_text().count("\n") == 1
 
 
-def test_v1_fixture_still_validates():
-    assert "\n  " in V1_DIGON.read_text()  # written indented by the version 1 writer
-    assert validate_ledger(files.read_ledger(str(V1_DIGON))).passed
-    # version 1 also recorded each pentagon's apex; the reader takes the third
-    # vertex of the pentagon's triangle, which is the same point
-    doc = json.loads(V1_DIGON.read_text())
-    pentagons = [m for m in doc["moves"] if m["type"] == "pentagon"]
-    assert pentagons and all(m["apex"] == doc["triangles"][m["triangle"]][2]
-                             for m in pentagons)
-
-
-def test_v2_fixture_derives_its_recorded_cells_bitwise():
-    doc = json.loads(V2_UNION.read_text())
-    assert doc["version"] == 2
+def test_lattice_union_derives_its_recorded_cells_bitwise():
+    doc, recorded = json.loads(LATTICE_UNION.read_text()), json.loads(LATTICE_CELLS.read_text())
     ledger = files.ledger_from_obj(doc)
     assert validate_ledger(ledger).passed
     stats = doc["stats"]
@@ -284,102 +252,7 @@ def test_v2_fixture_derives_its_recorded_cells_bitwise():
     assert {m["type"] for m in doc["moves"]} >= {"close_triangle", "close_rhombus"}
     # the shortest round-trip repr tells every float apart, -0.0 from 0.0 too
     for key, derived in (("triangles", chain.triangles), ("rhombi", chain.rhombi)):
-        assert json.dumps([c.tolist() for c in derived]) == json.dumps(doc[key])
-
-
-def test_v2_fixture_rewrites_as_v5(tmp_path):
-    out = tmp_path / "v5.json"
-    files.write_ledger(str(out), files.read_ledger(str(V2_UNION)))
-    v5 = json.loads(out.read_text())
-    v2 = json.loads(V2_UNION.read_text())
-    assert v5["version"] == 5 and "triangles" not in v5 and "rhombi" not in v5
-    assert v5["stats"] == v2["stats"]
-    assert [m["type"] for m in v5["moves"]] == [m["type"] for m in v2["moves"]]
-    # every split of versions 1-4 peeled at vertex 0
-    assert [m["at"] for m in v5["moves"] if m["type"] == "split"] == [0, 0, 0]
-    assert validate_ledger(files.read_ledger(str(out))).passed
-
-
-def test_v4_document_splits_at_vertex_0():
-    # a version 4 document has no ``at``: each split peels at vertex 0, as
-    # the fallback's do, so the crown's ledger written as version 4 reads to
-    # the same ledger, verdict and stats
-    doc = files.ledger_to_obj(reduce_to_rhombi(crown_curve()))
-    splits = [m for m in doc["moves"] if m["type"] == "split"]
-    assert splits and all(m["at"] == 0 for m in splits)
-    v4 = json.loads(json.dumps(doc))
-    v4["version"] = 4
-    for move in v4["moves"]:
-        move.pop("at", None)
-    read, report = files.ledger_from_obj(v4), validate_ledger(files.ledger_from_obj(doc))
-    assert validate_ledger(read).entries == report.entries and report.passed
-    assert read.stats == doc["stats"]
-    assert files.ledger_to_obj(read) == doc
-    # the position of a version 4 split is 0, whatever the document says
-    curve = random_integral_curve(9, np.random.default_rng(5))
-    local = files.ledger_to_obj(reduce_to_rhombi(curve))
-    assert validate_ledger(files.ledger_from_obj(local)).passed
-    read = files.ledger_from_obj({**local, "version": 4})
-    assert {m.at for m in read.moves if m.kind == "split"} == {0}
-    assert not validate_ledger(read).passed
-
-
-def _pack_cells(ledger) -> int:
-    """The cells that the pack pivots, recorded or swapped by a pack move, derive."""
-    state, count = Replayer(ledger.initial), 0
-    for move in ledger.moves:
-        before = len(state.rhombus_cells)
-        state.apply(move)
-        if move.kind == "pack" or getattr(move, "stage", "") == "pack":
-            count += len(state.rhombus_cells) - before
-    return count
-
-
-def test_v3_fixture_replays_as_its_v4_ledger(tmp_path):
-    # version 3 recorded each pack swap as a pivot; on the v3 ledger's own
-    # state, the pack move the producer makes there derives the same cells,
-    # bit for bit and in order
-    doc = json.loads(V3_WALK.read_text())
-    assert doc["version"] == 3
-    v3 = files.ledger_from_obj(doc)
-    assert validate_ledger(v3).passed
-    packs = [i for i, m in enumerate(v3.moves) if getattr(m, "stage", "") == "pack"]
-    assert packs == list(range(packs[0], packs[0] + 6))  # one component's pack
-    state = Replayer(v3.initial)
-    for move in v3.moves[:packs[0]]:
-        state.apply(move)
-    _pack_component(state, v3.moves[packs[0]].component)
-    for move in v3.moves[packs[-1] + 1:]:
-        state.apply(move)
-    v4 = CobordismLedger(v3.initial, state.moves, state.final_curve(), state.stats())
-    assert [type(m) for m in v4.moves if m.kind == "pack"] == [PackMove]
-    assert v4.stats == v3.stats
-    assert v3.stats["pack_moves"] == 6 and _pack_cells(v3) == _pack_cells(v4) == 4
-    old, new = assemble_from_ledger(v3), assemble_from_ledger(v4)
-    for name in ("rhombus_cells", "triangles", "rhombi"):
-        assert ([cell.tobytes() for cell in getattr(old, name)]
-                == [cell.tobytes() for cell in getattr(new, name)])
-    out = tmp_path / "v5.json"
-    files.write_ledger(str(out), v3)
-    assert json.loads(out.read_text())["version"] == 5
-    assert validate_ledger(files.read_ledger(str(out))).passed
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda doc, move: move.update(triangle=len(doc["triangles"])),
-     "bad pentagon triangle: no triangle 5"),
-    (lambda doc, move: move.update(triangle=-1), "bad pentagon triangle: no triangle -1"),
-    (lambda doc, move: move.update(triangle=True),
-     "bad pentagon triangle: expected an integer, got True"),
-    (lambda doc, move: doc["triangles"][move["triangle"]].pop(),
-     "bad triangle: expected three 3-d points"),
-], ids=["index_past_end", "index_negative", "index_bool", "triangle_two_points"])
-def test_v2_pentagon_needs_a_good_triangle(edit, message):
-    doc = json.loads(V2_UNION.read_text())
-    edit(doc, _first(doc, "pentagon"))
-    with pytest.raises(files.FileFormatError) as info:
-        files.ledger_from_obj(doc)
-    assert str(info.value) == message
+        assert json.dumps([c.tolist() for c in derived]) == json.dumps(recorded[key])
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,33 @@ def test_validate_names_a_bad_edge_reference(part, refs, bad):
         s.validate()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"lengths": np.ones(2)}, "one length per edge pair required"),
+    ({"triangles": [(1, 2)]}, "triangles need exactly 3 edge refs"),
+    ({"lengths": np.array([1.0, 1.0, 3.0]), "coords": None}, "triangle inequality violated"),
+    ({"walks": [[1, 2, 3], []]}, "empty boundary walk"),
+    ({"walks": [[1, 2, 3], [1, 2, 3]]},
+     "every edge must be used exactly twice across triangles and walks"),
+    ({"genus_hat": 1}, "Euler characteristic 2 != 0"),
+    ({"triangles": [(1, 3, 2)]}, "triangle is not a closed edge cycle"),
+], ids=["lengths_short", "triangle_two_refs", "triangle_inequality", "walk_empty",
+        "edge_used_thrice", "euler_characteristic", "triangle_not_a_cycle"])
+def test_validate_names_each_invariant_it_refuses(changes, message):
+    s = catalog("triangle_disk")
+    for part, value in changes.items():
+        setattr(s, part, value)
+    with pytest.raises(SurfaceInvariantError, match=f"^{re.escape(message)}$"):
+        s.validate()
+
+
 @pytest.mark.parametrize("drop_coords", [False, True], ids=["coords", "no_coords"])
-@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0, "1", None])
 def test_validate_refuses_a_non_finite_or_non_positive_length(length, drop_coords):
     # edge 0, a pentagon side, lies on walks only: no triangle inequality
     # reads its length, and without coords nothing realizes it either
     s = catalog("pentagon_pants")
+    if not isinstance(length, float):  # a value that is not a number
+        s.lengths = s.lengths.astype(object)
     s.lengths[0] = length
     if drop_coords:
         s.coords = None
@@ -201,6 +222,13 @@ def test_collapse_rejects_foreign_edge():
     ref = _boundary_ref_of(s, 0)
     with pytest.raises(NotInTriangleError):
         collapse(s, 1, ref)
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_collapse_rejects_a_missing_triangle(index):
+    # -1 would name the last triangle as a Python index
+    with pytest.raises(NotInTriangleError, match=f"^no triangle {index}$"):
+        collapse(catalog("triangle_disk"), index, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +342,42 @@ def test_validator_accepts_partial_ledger():
     assert validate_ledger(ledger).passed
 
 
-@pytest.mark.parametrize("edit, failed", [
-    (lambda ledger: setattr(ledger, "stats", None), ["budget"]),
+@pytest.mark.parametrize("edit, failed, message", [
+    (lambda ledger: setattr(ledger, "stats", None), ["budget"], ""),
     (lambda ledger: ledger.stats["per_component"][0].update(rhombi_used=None),
-     ["budget"]),
-    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(0, np.nan), ["replay"]),
+     ["budget"], ""),
+    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(0, np.nan), ["replay"], ""),
     (lambda ledger: next(m for m in ledger.moves if isinstance(m, PivotMove))
-     .new_point.__setitem__(0, np.nan), ["replay"]),
-    (lambda ledger: _square_off_grid(ledger), ["chain_identity"]),
-    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(2, np.inf), ["replay"]),
+     .new_point.__setitem__(0, np.nan), ["replay"], ""),
+    (lambda ledger: _square_off_grid(ledger), ["chain_identity"], ""),
+    (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(2, np.inf), ["replay"], ""),
+    (lambda ledger: _split_into_itself(ledger), ["replay"], "split target id already in use"),
+    (lambda ledger: _split_a_pentagon(ledger), ["replay"],
+     "split needs a component with > 5 edges"),
+    (lambda ledger: ledger.moves.insert(1, object()), ["replay"], "unknown move type"),
+    (lambda ledger: ledger.final_curve.components.append(regular_polygon_curve(3).components[0]),
+     ["replay"], "final curve component count mismatch"),
 ], ids=["stats_none", "rhombi_used_none", "apex_nan", "pivot_point_nan",
-        "rhombus_off_grid", "apex_inf"])
-def test_validator_reports_instead_of_raising(edit, failed):
+        "rhombus_off_grid", "apex_inf", "split_target_in_use", "split_a_pentagon",
+        "move_without_kind", "final_curve_extra_component"])
+def test_validator_reports_instead_of_raising(edit, failed, message):
     ledger = reduce_to_rhombi(crown_union(3))
     edit(ledger)
     report = validate_ledger(ledger)
     assert [name for name, ok, _ in report.entries if not ok] == failed
+    assert all(message in detail for _, ok, detail in report.entries if not ok)
+
+
+def _split_into_itself(ledger):
+    split = next(m for m in ledger.moves if isinstance(m, SplitMove))
+    split.new_component = split.component
+
+
+def _split_a_pentagon(ledger):
+    """Split the component of the first pentagon move just before that move."""
+    i, pentagon = next((i, m) for i, m in enumerate(ledger.moves) if m.kind == "pentagon")
+    new_component = max(m.new_component for m in ledger.moves if isinstance(m, SplitMove)) + 1
+    ledger.moves.insert(i, SplitMove(pentagon.component, new_component, [0.0, 0.0, 0.0]))
 
 
 def _square_off_grid(ledger):

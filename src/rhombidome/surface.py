@@ -24,10 +24,8 @@ component by component, and then each pivot or pack target, split bridge
 or a unit rhombus, possibly non-planar -- is nothing but the ids of its
 vertices in cyclic order, an id row: the replay derives each cell as one,
 and :class:`DomeChain` holds the table as one (P, 3) array and each kind of
-cell as one (m, k) int array.  The chain identity quantizes the table once
-on a 1e-9 coordinate grid, which stays the witness: two ids whose points
-share a grid point are one vertex there.  An exact pass on the ids alone
-(ROADMAP item 5) comes later.
+cell as one (m, k) int array.  The chain identity is decided on the ids
+alone, exactly: no coordinate is compared in it.
 
 Move semantics (state = components keyed by stable integer ids, each its
 cycle of vertex ids, whose points are ``points[ids]``; each point of a move
@@ -38,7 +36,8 @@ follows from the state it is replayed on:
                         unit distance from both neighbours.  The old point
                         and the emitted cell ``[prev old next new]`` are read
                         off the state; when the neighbours coincide the pivot
-                        is degenerate and emits no cell.
+                        is degenerate and records that row as a fold, which
+                        k does not count.
 * ``PackMove``       -- realize ``order``, a permutation of the component's
                         edges, by bubble sort: each adjacent transposition
                         is a pivot of stage ``pack`` that moves vertex j+1 to
@@ -61,15 +60,16 @@ follows from the state it is replayed on:
                         triangle.
 
 The replay checks every edge a move creates, so once the initial curve is
-unit every replayed edge is, and so is every derived cell; a consumed cycle
-equals the boundary of its cells by construction.  Edges shared by two
-cells, or by a split's two pieces, cancel in the chain identity by
-orientation alone, so no seam is recorded.  ``MOVE_TABLE`` is the one place
-that maps a move's JSON ``type`` to its class, its fields and its replay
-step.
+unit every replayed edge is, and so is every derived cell.  On vertex ids
+the chain identity holds move by move: a pivot's row ``[prev old next new]``
+(cell or fold) bounds the segments it takes out of the cycle minus those it
+puts in, a consumed cycle equals the boundary of its cells, and a split's two
+pieces share the bridge segments with opposite orientation, so no seam is
+recorded.  ``MOVE_TABLE`` is the one place that maps a move's JSON ``type``
+to its class, its fields and its replay step.
 
-Boundary rhombi are reversed so that the assembled 2-chain has boundary
-equal to (initial curve) + (rhombi).
+Boundary rhombi are reversed so that the assembled 2-chain, folds included,
+has boundary equal to (initial curve) + (rhombi).
 """
 
 from __future__ import annotations
@@ -502,8 +502,8 @@ def _off_unit(point: list, ends: tuple) -> tuple[int, float] | None:
 
 def _pivot_derives_cell(prev: list, nxt: list, new: list) -> bool:
     """Whether a pivot to ``new`` between ``prev`` and ``nxt`` derives a cell,
-    which it does unless the neighbours coincide; raises unless ``new`` is
-    at unit distance from both neighbours."""
+    which it does unless the neighbours coincide and it derives a fold;
+    raises unless ``new`` is at unit distance from both neighbours."""
     off = _off_unit(new, (prev, nxt))
     if off:
         raise NotOnPivotCircleError(f"pivot target at distance {off[1]} from a neighbour")
@@ -603,11 +603,12 @@ class Replayer:
 
     Besides the state it keeps ``moves``, every move applied, in order, and
     the cells the moves derive, in move order, as id rows (lists of vertex
-    ids): the pivot and pack cells ``rhombus_cells``, and from the consuming
-    moves ``triangles`` and the boundary ``rhombi``.  It also counts, per
-    input component, the rhombi the moves add to k, the pivots by stage and
-    the splits; a split's new piece counts toward its parent's input
-    component.  :meth:`stats` reports these counts as a ledger's ``stats``.
+    ids): the pivot and pack cells ``rhombus_cells``, the rows of degenerate
+    pivots ``folds``, and from the consuming moves ``triangles`` and the
+    boundary ``rhombi``.  It also counts, per input component, the rhombi
+    the moves add to k, the pivots by stage and the splits; a split's new
+    piece counts toward its parent's input component.  :meth:`stats`
+    reports these counts as a ledger's ``stats``.
     """
 
     def __init__(self, initial: IntegralCurve):
@@ -620,6 +621,7 @@ class Replayer:
         self.edges = [len(c) for c in self.components.values()]
         self.moves: list[Move] = []
         self.rhombus_cells: list[list[int]] = []
+        self.folds: list[list[int]] = []
         self.triangles: list[list[int]] = []
         self.rhombi: list[list[int]] = []
         # one Counter per input component; ``tally`` maps every component id,
@@ -646,12 +648,13 @@ class Replayer:
         spec.apply(self, move)
         self.moves.append(move)
 
-    def _count_pivots(self, cid: int, stage: str, pivots: int,
-                      cells: list[list[int]]) -> None:
+    def _count_pivots(self, cid: int, stage: str, cells: list[list[int]],
+                      folds: list[list[int]]) -> None:
         tally = self.tally[cid]
-        tally["pivot", stage] += pivots
+        tally["pivot", stage] += len(cells) + len(folds)
         tally["rhombi"] += len(cells)
         self.rhombus_cells += cells
+        self.folds += folds
 
     def _apply_pivot(self, move: PivotMove) -> None:
         ids = self.component(move.component)
@@ -661,12 +664,11 @@ class Replayer:
         if move.stage not in _PIVOT_STAGES:
             raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
         new, j, points = move.new_point, (i + 1) % n, self.points
-        cell = _pivot_derives_cell(points[ids[i - 1]], points[ids[j]], new)
-        new_id = len(points)
+        cells, folds, row = [], [], [ids[i - 1], ids[i], ids[j], len(points)]
+        (cells if _pivot_derives_cell(points[row[0]], points[row[2]], new) else folds).append(row)
+        ids[i] = len(points)
         points.append(new)
-        self._count_pivots(move.component, move.stage, 1,
-                           [[ids[i - 1], ids[i], ids[j], new_id]] if cell else [])
-        ids[i] = new_id
+        self._count_pivots(move.component, move.stage, cells, folds)
 
     def _apply_pack(self, move: PackMove) -> None:
         ids = self.component(move.component)
@@ -681,7 +683,7 @@ class Replayer:
         # sort copies, and add the new targets to the table at the end: a
         # swap that fails leaves the state as it was
         pts, vids, fresh = self.rows(move.component), ids[:], []
-        cells = []
+        cells, folds = [], []
         swapped = True
         while swapped:
             swapped = False
@@ -695,12 +697,12 @@ class Replayer:
                     if math.dist(old, new) <= EPS:  # equal edges: a no-op
                         continue
                     new_id = len(self.points) + len(fresh)
-                    if _pivot_derives_cell(prev, nxt, new):
-                        cells.append([vids[j], vids[j + 1], vids[k], new_id])
+                    (cells if _pivot_derives_cell(prev, nxt, new) else folds).append(
+                        [vids[j], vids[j + 1], vids[k], new_id])
                     fresh.append(new)
                     pts[j + 1], vids[j + 1] = new, new_id
         self.points += fresh
-        self._count_pivots(move.component, "pack", len(fresh), cells)
+        self._count_pivots(move.component, "pack", cells, folds)
         ids[:] = vids
 
     def _apply_split(self, move: SplitMove) -> None:
@@ -827,9 +829,12 @@ class DomeChain:
     ``points`` is the replay's point table as one (P, 3) float array (see
     :class:`Replayer`), and each kind of cell is one int array of id rows,
     cells in move order: ``triangle_ids`` (T, 3), the pivot and pack cells
-    ``rhombus_cell_ids`` (R, 4) and the boundary ``rhombi_ids`` (B, 4),
-    reversed (see module docstring).  ``initial_ids`` and ``final_ids`` hold
-    one id cycle per component of the initial and the final curve.
+    ``rhombus_cell_ids`` (R, 4), the boundary ``rhombi_ids`` (B, 4),
+    reversed (see module docstring), and ``fold_ids`` (F, 4), the rows of
+    degenerate pivots.  Folds balance the chain identity on ids; they are
+    no rhombi, so k, the cell arrays below and every export leave them out.
+    ``initial_ids`` and ``final_ids`` hold one id cycle per component of the
+    initial and the final curve.
     ``triangles``, ``rhombus_cells`` and ``rhombi`` are the cells as
     (m, k, 3) float arrays of vertex rows, ``points[ids]``; a kind with no
     cell has shape (0, k, 3).  ``stats``: the ledger stats the replay
@@ -840,6 +845,7 @@ class DomeChain:
     triangle_ids: np.ndarray
     rhombus_cell_ids: np.ndarray
     rhombi_ids: np.ndarray
+    fold_ids: np.ndarray
     initial_ids: list[np.ndarray]
     final_ids: list[list[int]]
     stats: dict
@@ -860,45 +866,16 @@ class DomeChain:
         return self.points[self.rhombi_ids]
 
 
-# Largest |x / EPS| the int64 segment keys accept; beyond it the cast would wrap.
-_GRID_LIMIT = 2.0 ** 62
+def signed_segment_counts(cycles_plus: list, cycles_minus: list) -> dict:
+    """Net signed multiplicity of every oriented segment between vertex ids.
 
-
-def _grid_keys(points: np.ndarray) -> np.ndarray:
-    """int64 keys ``rint(x / EPS)``: the integers ``int(round(x / EPS))`` gives.
-
-    Raises as ``int()`` would on the first non-finite quotient, and raises
-    OverflowError at or beyond 2**62 instead of letting the cast wrap.
-    """
-    with np.errstate(over="ignore"):
-        q = points / EPS
-    finite = np.isfinite(q)
-    if not finite.all():
-        if np.isnan(q.flat[np.argmin(finite)]):
-            raise ValueError("cannot convert float NaN to integer")
-        raise OverflowError("cannot convert float infinity to integer")
-    if q.size and np.abs(q).max() >= _GRID_LIMIT:
-        raise OverflowError(f"coordinate beyond the int64 grid of eps = {EPS}")
-    return np.rint(q).astype(np.int64)
-
-
-def signed_segment_counts(points: np.ndarray, cycles_plus: list,
-                          cycles_minus: list) -> dict:
-    """Net signed multiplicity of every quantized oriented unit segment.
-
-    ``points`` is a (P, 3) point table, and each cycle entry names vertices
-    by their rows in it: one (k,) id cycle or an (m, k) stack of cycles, such
-    as one kind of :class:`DomeChain` cell.  Each cycle contributes its
-    consecutive (cyclic) segments.  The points the cycles use are quantized
-    once, to grid points ``int(round(x / EPS))``, and points on one grid
-    point count as one.  Orientation is folded into the sign of a key
-    ``(a, b)`` of endpoint grid points with ``a < b`` lexicographically; a
-    segment with equal endpoints is reported as ``("degenerate", a)`` and
-    counts +1 whatever its sign.  Only nonzero and degenerate entries are
-    returned, in sorted key order (degenerate last).  The keys are int64: a
-    non-finite coordinate, or one with ``|x| / EPS >= 2**62``, raises
-    ValueError or OverflowError, named by the first such point in table
-    order, instead of wrapping onto another point's key.
+    Each cycle entry is one (k,) id cycle or an (m, k) stack of cycles, such
+    as one kind of :class:`DomeChain` cell; each cycle contributes its
+    consecutive (cyclic) segments, +1 on the plus side and -1 on the minus
+    side.  Orientation is folded into the sign of a key ``(a, b)`` with
+    ``a < b``, so a segment from b to a counts -1 there; a segment from an
+    id to itself is its own reversal and counts nothing.  Only nonzero
+    entries are returned, in sorted key order.
     """
     stacks, signs = [], []
     for sign, cycles in ((True, cycles_plus), (False, cycles_minus)):
@@ -918,50 +895,25 @@ def signed_segment_counts(points: np.ndarray, cycles_plus: list,
         start += m * k
     head = tail[successor]
     plus = np.repeat(signs, [stack.size for stack in stacks])
-    # canonical ids: the rank of each used point's grid key among the keys
-    table = np.asarray(points, dtype=float).reshape(-1, 3)
-    used = np.zeros(len(table), dtype=bool)
-    used[tail] = True
-    rows = np.flatnonzero(used)
-    keys = _grid_keys(table[rows])
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
-    canonical = np.empty(len(table), dtype=np.int64)
-    canonical[rows[order]] = np.cumsum(first) - 1
-    keys = keys[first]
-    a, b = canonical[tail], canonical[head]
-    # segment codes, lo * d + hi for lo < hi and then d * d + a for a == b,
-    # each sorted with its sign in the lowest bit
-    d = len(keys)
-    degenerate = d * d
-    same = a == b
-    code = np.where(same, degenerate + a, np.minimum(a, b) * d + np.maximum(a, b))
-    code = np.sort(2 * code + (same | ((a < b) == plus)))
+    # segment codes lo * d + hi, each sorted with its sign in the lowest bit
+    lo, hi, d = np.minimum(tail, head), np.maximum(tail, head), int(tail.max()) + 1
+    code = np.sort((2 * (lo * d + hi) + ((tail < head) == plus))[lo != hi])
+    if not code.size:
+        return {}
     starts = np.flatnonzero(np.concatenate(([True], code[1:] >> 1 != code[:-1] >> 1)))
     counts = np.add.reduceat(2 * (code & 1) - 1, starts)
-    code = code[starts] >> 1
-    keep = (counts != 0) | (code >= degenerate)
-    if not keep.any():
-        return {}
-    points_of = [tuple(key) for key in keys.tolist()]
-    residue = {}
-    for c, count in zip(code[keep].tolist(), counts[keep].tolist()):
-        if c >= degenerate:
-            residue["degenerate", points_of[c - degenerate]] = count
-        else:
-            residue[points_of[c // d], points_of[c % d]] = count
-    return residue
+    keep = counts != 0
+    return {(c // d, c % d): count
+            for c, count in zip((code[starts] >> 1)[keep].tolist(), counts[keep].tolist())}
 
 
-def _residue_listing(residue: dict) -> str:
+def _residue_listing(residue: dict, points: np.ndarray) -> str:
     """The first five residue entries as coordinates with their counts."""
-    def point(key):
-        return "(" + ", ".join(f"{x * EPS:.12g}" for x in key) + ")"
+    def point(i):
+        return "(" + ", ".join(f"{x:.12g}" for x in points[i].tolist()) + ")"
 
-    shown = [f"{point(key[1])} degenerate: {count}" if key[0] == "degenerate"
-             else f"{point(key[0])} -> {point(key[1])}: {count:+d}"
-             for key, count in list(residue.items())[:5]]
+    shown = [f"{point(a)} -> {point(b)}: {count:+d}"
+             for (a, b), count in list(residue.items())[:5]]
     return f" [{', '.join(shown)}]" if shown else ""
 
 
@@ -973,11 +925,11 @@ def _array(rows: list, k: int, dtype: type) -> np.ndarray:
 def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     """Replay a ledger into a dome chain.
 
-    Every non-degenerate pivot, recorded or swapped by a pack, contributes
-    the rhombus cell that replay derives for it, and every consuming move the
-    triangles and boundary rhombi it derives from the cycle it consumes.  Raises
-    :class:`ReplayMismatchError` (or the replay's own error) when the moves
-    do not replay.
+    Every pivot, recorded or swapped by a pack, contributes the row that
+    replay derives for it, a rhombus cell or, when degenerate, a fold, and
+    every consuming move the triangles and boundary rhombi it derives from
+    the cycle it consumes.  Raises :class:`ReplayMismatchError` (or the
+    replay's own error) when the moves do not replay.
     """
     state = Replayer(ledger.initial)
     for move in ledger.moves:
@@ -995,6 +947,7 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
                      triangle_ids=_array(state.triangles, 3, np.intp),
                      rhombus_cell_ids=_array(state.rhombus_cells, 4, np.intp),
                      rhombi_ids=_array(state.rhombi, 4, np.intp),
+                     fold_ids=_array(state.folds, 4, np.intp),
                      initial_ids=initial_ids,
                      final_ids=[state.components[cid] for cid in sorted(state.components)],
                      stats=state.stats())
@@ -1044,21 +997,18 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
     move creates it (a pivot's or pack swap's target, a split's bridge, a
     pentagon's apex), so once the initial curve is unit every cell is unit,
     and every consumed cycle equals the boundary of its cells, by
-    construction.  Chain
-    identity: the boundary of the assembled chain minus the initial curve
-    minus the boundary rhombi must have signed multiplicity zero on every
-    quantized unit segment; a degenerate pivot whose neighbours straddle a
-    grid cell can break it.  A failure names the first few unbalanced
-    segments by their endpoints and signed counts, and a coordinate that is
-    non-finite or too large for the int64 segment keys fails it with a
-    message.  Budget: the replay recomputes the stats (k counts the boundary
-    rhombi plus the pivot cells); k and every component's rhombi must stay
-    within budget, the stats must record k and budget, and every recorded
-    key must equal its replayed value, JSON type included (an integer stat
-    written as ``9.0`` or ``true`` differs).  A failing detail names the
-    keys that differ.  Failures become report entries, never exceptions.
-    The report keeps the chain the replay assembled, so a caller that
-    exports it does not replay the ledger again.
+    construction.  Chain identity: the boundary of the assembled chain,
+    folds included, minus the initial curve minus the boundary rhombi must
+    have signed multiplicity zero on every segment between vertex ids.  A
+    failure names the first few unbalanced segments by their endpoints and
+    signed counts.  Budget: the replay recomputes the stats (k counts the
+    boundary rhombi plus the pivot cells); k and every component's rhombi
+    must stay within budget, the stats must record k and budget, and every
+    recorded key must equal its replayed value, JSON type included (an
+    integer stat written as ``9.0`` or ``true`` differs).  A failing detail
+    names the keys that differ.  Failures become report entries, never
+    exceptions.  The report keeps the chain the replay assembled, so a
+    caller that exports it does not replay the ledger again.
     """
     report = LedgerReport()
     try:
@@ -1075,17 +1025,13 @@ def validate_ledger(ledger: CobordismLedger) -> LedgerReport:
         report.add("replay", False, str(exc))
         return report
 
-    try:
-        # a not-fully-reduced final curve re-enters the balance positively
-        residue = signed_segment_counts(
-            chain.points,
-            [chain.triangle_ids, chain.rhombus_cell_ids, *chain.final_ids],
-            [*chain.initial_ids, chain.rhombi_ids])
-        report.add("chain_identity", not residue,
-                   f"{len(residue)} unbalanced segments{_residue_listing(residue)}"
-                   if residue else "")
-    except (ValueError, OverflowError) as exc:  # off the int64 grid
-        report.add("chain_identity", False, str(exc))
+    # a not-fully-reduced final curve re-enters the balance positively
+    residue = signed_segment_counts(
+        [chain.triangle_ids, chain.rhombus_cell_ids, chain.fold_ids, *chain.final_ids],
+        [*chain.initial_ids, chain.rhombi_ids])
+    report.add("chain_identity", not residue,
+               f"{len(residue)} unbalanced segments{_residue_listing(residue, chain.points)}"
+               if residue else "")
 
     replayed = chain.stats
     k, budget = replayed["k"], replayed["budget"]

@@ -108,18 +108,15 @@ def pack_as_pivots(ledger: CobordismLedger) -> CobordismLedger:
 
 def segment_counts(cycles_plus: list, cycles_minus: list) -> dict:
     """:func:`~rhombidome.surface.signed_segment_counts` of coordinate cycles,
-    each entry a (k, 3) cycle or an (m, k, 3) stack of cycles: the entries'
-    points, in entry order, are the point table."""
-    tables, ids = [], ([], [])
-    for side, cycles in zip(ids, (cycles_plus, cycles_minus)):
-        for cycle in cycles:
-            v = np.asarray(cycle, dtype=float)
-            if v.size:
-                start = sum(map(len, tables))
-                tables.append(v.reshape(-1, 3))
-                side.append(np.arange(start, start + len(tables[-1])).reshape(v.shape[:-1]))
-    points = np.concatenate(tables) if tables else np.empty((0, 3))
-    return signed_segment_counts(points, *ids)
+    each entry a (k, 3) cycle or an (m, k, 3) stack of cycles: rows that are
+    exactly equal name one vertex id."""
+    entries = [np.asarray(cycle, dtype=float) for cycle in (*cycles_plus, *cycles_minus)]
+    rows = [v.reshape(-1, 3) for v in entries]
+    _, inverse = np.unique(np.concatenate(rows) if rows else np.empty((0, 3)), axis=0,
+                           return_inverse=True)
+    ids = np.split(inverse.ravel(), np.cumsum([len(r) for r in rows])[:-1])
+    ids = [cycle.reshape(v.shape[:-1]) for cycle, v in zip(ids, entries)]
+    return signed_segment_counts(ids[:len(cycles_plus)], ids[len(cycles_plus):])
 
 
 def replayed_cells(state: Replayer, kind: str) -> list:

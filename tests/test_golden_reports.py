@@ -6,8 +6,9 @@ no ``cos`` or ``sin`` of the host goes into them.  Besides the four passing
 ledgers there is one tampered ledger per kind of edit of the tamper sweep
 (``test_surface._tamper_edits``, run on the stored crown union), whose
 reports name the failing replay step or budget key, and two hand-built
-ledgers that replay but fail the chain identity: one whose degenerate pivot
-has neighbours in two grid cells, and one off the int64 grid.
+ledgers that pass: regression pins of former false refusals by a chain
+identity on a 1e-9 coordinate grid, one whose degenerate pivot has
+neighbours in two grid cells, and one beyond the grid's int64 keys.
 """
 
 import functools
@@ -21,7 +22,13 @@ from rhombidome import files
 from rhombidome.cli import main
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import IntegralCurve
-from rhombidome.surface import CobordismLedger, PivotMove, Replayer
+from rhombidome.surface import (
+    CobordismLedger,
+    PivotMove,
+    Replayer,
+    assemble_from_ledger,
+    validate_ledger,
+)
 from test_surface import _tamper_edits, _tampered
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -61,12 +68,13 @@ def _tamper_docs():
 
 
 def _chain_identity_docs():
-    """Two ledgers that replay but whose chain identity fails.
+    """Two correct ledgers that a chain identity on a 1e-9 coordinate grid
+    refused, pinned as regressions.
 
     A 4-gon with vertex 2 at 0.6 EPS from vertex 0: the pivot of vertex 1
-    is degenerate and derives no cell, but its neighbours quantize to two
-    grid points, so the segments it moves stay unbalanced.  A unit square
-    at x = 1e10, past the int64 grid of the segment keys.
+    is degenerate and derives a fold, not a cell, though its neighbours
+    fell in two grid cells.  A unit square at x = 1e10, beyond the int64
+    keys of that grid.
     """
     near = IntegralCurve([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [6e-10, 0.0, 0.0],
                            [0.0, 1.0, 0.0]]])
@@ -151,9 +159,9 @@ GOLDEN = {
     "tamper move # stage=pack":
         (1, "562a87c3d76974da55dd42e035969ac0192c0746375e64cc15d52d89aebd32c2"),
     "straddling degenerate pivot":
-        (1, "3d1f85ad964a0f567e7f89ae5870bbdc26479c434b2e19189263802badbb612f"),
+        (0, "6f6751e6085dcb1326f7f1ad8c75e6a2f8e840f8f2f9ca9b020b2c929f9d536d"),
     "off the grid":
-        (1, "45c796d8e1e6edd5e2c358cff3bac3fdeeb69febb44995aebe1f3bdf7daaf672"),
+        (0, "b4f8c1becd57aa9ff154e9013c443a6a2c0f45ee2f56e4063668786833c3f6da"),
 }
 
 # sha256 of the OFF file ``reduce --off`` writes for the stored crown_curve(12, 0.3)
@@ -180,6 +188,14 @@ def test_every_document_has_a_golden_report():
 def test_validate_report_matches_golden(name, tmp_path, capsys):
     code, out = _validate_stdout(tmp_path, capsys, _documents()[name])
     assert (code, _sha(out.encode("utf-8"))) == GOLDEN[name]
+
+
+def test_degenerate_pivot_records_a_fold():
+    ledger = files.ledger_from_obj(_documents()["straddling degenerate pivot"])
+    chain = assemble_from_ledger(ledger)
+    assert chain.fold_ids.tolist() == [[0, 1, 2, 4]]
+    assert len(chain.rhombus_cell_ids) == 0 and chain.stats["k"] == 0
+    assert validate_ledger(ledger).passed
 
 
 def test_off_export_matches_golden(tmp_path, capsys):

@@ -16,8 +16,7 @@ from conftest import (
 from rhombidome import surface
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.files import ledger_from_obj, ledger_to_obj
-from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.geom import EPS
+from rhombidome.curve import IntegralCurve, from_integer_curve, random_integral_curve
 from rhombidome.moduli import isotropy_certificate
 from rhombidome.surface import (
     CloseRhombusMove,
@@ -39,6 +38,7 @@ from rhombidome.surface import (
     collapse,
     hexagon_join,
     is_oriented_consistently,
+    signed_segment_counts,
     validate_ledger,
 )
 
@@ -349,7 +349,7 @@ def test_validator_accepts_partial_ledger():
     (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(0, np.nan), ["replay"], ""),
     (lambda ledger: next(m for m in ledger.moves if isinstance(m, PivotMove))
      .new_point.__setitem__(0, np.nan), ["replay"], ""),
-    (lambda ledger: _square_off_grid(ledger), ["chain_identity"], ""),
+    (lambda ledger: _square_off_grid(ledger), [], ""),
     (lambda ledger: _first_pentagon(ledger)[0].apex.__setitem__(2, np.inf), ["replay"], ""),
     (lambda ledger: _split_into_itself(ledger), ["replay"], "split target id already in use"),
     (lambda ledger: _split_a_pentagon(ledger), ["replay"],
@@ -381,8 +381,9 @@ def _split_a_pentagon(ledger):
 
 
 def _square_off_grid(ledger):
-    """Make ``ledger`` close a unit square at x = 1e10: its sides are exactly
-    unit, but its derived rhombus lies beyond the int64 grid of eps = 1e-9."""
+    """Make ``ledger`` close a unit square at x = 1e10, whose sides are
+    exactly unit: a correct ledger, which a chain identity on a 1e-9
+    coordinate grid with int64 keys refused."""
     square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]]) + [1e10, 0, 0]
     ledger.initial, ledger.final_curve = IntegralCurve([square]), IntegralCurve()
     ledger.moves = [CloseRhombusMove(0)]
@@ -723,90 +724,70 @@ def test_signed_segment_counts_cancellation():
 
 
 def _segment_counts_reference(cycles_plus, cycles_minus):
-    """The per-point tuple loop the numpy pass replaced, kept as its oracle."""
-    counts = {}
-
-    def quantize(p):
-        return tuple(int(round(float(x) / EPS)) for x in p)
-
-    def add(vertices, sign):
-        keys = [quantize(p) for p in np.asarray(vertices, dtype=float)]
-        for i, a in enumerate(keys):
-            b = keys[(i + 1) % len(keys)]
-            if a == b:
-                counts[("degenerate", a)] = counts.get(("degenerate", a), 0) + 1
-                continue
-            key, s = ((a, b), sign) if a < b else ((b, a), -sign)
-            counts[key] = counts.get(key, 0) + s
-
-    for cycle in cycles_plus:
-        add(cycle, +1)
-    for cycle in cycles_minus:
-        add(cycle, -1)
-    return {k: v for k, v in counts.items() if v != 0 or k[0] == "degenerate"}
+    """The per-segment loop over id cycles, kept as the numpy pass's oracle."""
+    counts = Counter()
+    for sign, cycles in ((1, cycles_plus), (-1, cycles_minus)):
+        for cycle in cycles:
+            ids = [int(i) for i in cycle]
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                if a != b:
+                    counts[min(a, b), max(a, b)] += sign if a < b else -sign
+    return {key: counts[key] for key in sorted(counts) if counts[key]}
 
 
 def _reference_ledgers():
-    """Reduced ledgers at n = 9, 24 and 48, one of two components, and the
-    crown's, whose pack derives most of its pivot cells."""
+    """Reduced ledgers at n = 9, 24 and 48, one of two components, the
+    crown's, whose pack derives most of its pivot cells, and a collinear
+    out-and-back walk's, whose pack swaps are folds."""
     rng = np.random.default_rng(40)
     ledgers = [reduce_to_rhombi(random_integral_curve(n, rng)) for n in (9, 24, 48)]
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     loop = random_integral_curve(11, rng).components[0] + np.array([5.0, 0, 0])
     ledgers.append(reduce_to_rhombi(IntegralCurve([tri, loop])))
     ledgers.append(reduce_to_rhombi(crown_curve()))
+    ledgers.append(reduce_to_rhombi(from_integer_curve([np.array([[0, 0, 0], [3, 0, 0.0]])])))
     return ledgers
 
 
 def _single_cycles(entries):
-    """The entries with every (m, k, 3) stack split into its m cycles."""
+    """The entries with every (m, k) stack split into its m cycles."""
     return [cycle for entry in entries
-            for cycle in (entry if np.ndim(entry) == 3 else [entry])]
+            for cycle in (entry if np.ndim(entry) == 2 else [entry])]
+
+
+def _random_id_cycles(rng):
+    """A few id cycles and (m, k) stacks over 8 ids, repeats allowed."""
+    return [rng.integers(0, 8, size=rng.integers(1, 7) if rng.random() < 0.7
+                         else (rng.integers(0, 4), rng.integers(1, 5)))
+            for _ in range(rng.integers(0, 4))]
 
 
 def test_signed_segment_counts_matches_reference():
-    cases, stacked = [], []
+    cases, folds = [], 0
     for ledger in _reference_ledgers():
         chain = assemble_from_ledger(ledger)
-        plus = [chain.triangles, chain.rhombus_cells]
-        minus = [*ledger.initial.components, chain.rhombi]
-        stacked += [(plus, minus), (plus, minus[:-1]),
-                    ([chain.rhombus_cells[:, ::-1], np.empty((0, 4, 3))], [chain.rhombi])]
+        folds += len(chain.fold_ids)
+        plus = [chain.triangle_ids, chain.rhombus_cell_ids, chain.fold_ids, *chain.final_ids]
+        minus = [*chain.initial_ids, chain.rhombi_ids]
+        unfolded = [*plus[:2], *plus[3:]]
+        assert signed_segment_counts(plus, minus) == {}
+        # the dropped rhombi leave a residue, and so do dropped folds
+        assert signed_segment_counts(plus, minus[:-1]) != {}
+        assert (signed_segment_counts(unfolded, minus) != {}) == bool(len(chain.fold_ids))
+        cases += [(plus, minus), (plus, minus[:-1]), (unfolded, minus),
+                  ([chain.rhombus_cell_ids[:, ::-1], np.empty((0, 4), dtype=int)],
+                   [chain.rhombi_ids])]
         plus, minus = _single_cycles(plus), _single_cycles(minus)
-        cases += [(plus, minus), (plus, minus[:-1]),
-                  ([c[::-1] for c in plus], [c[::-1] for c in minus])]
-    # the chain's stacks count as their cells one by one
-    for plus, minus in stacked:
-        got = segment_counts(plus, minus)
-        assert got == _segment_counts_reference(_single_cycles(plus), _single_cycles(minus))
-    tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
-    repeated = np.vstack([tri[0], tri[1], tri[1], tri[2]])
-    # distinct points with one grid key are one point, and a segment
-    # between two of them is degenerate
-    nudged = tri + np.array([[0, 0, 0], [3e-10, 0, 0], [0, 1e-10, 0]])
-    assert not np.array_equal(nudged, tri)
-    assert np.array_equal(np.rint(nudged / EPS), np.rint(tri / EPS))
-    doubled = np.vstack([tri[0], tri[1], nudged[1], nudged[2], tri[2]])
-    cases += [([repeated], [tri]), ([tri], [repeated[::-1]]), ([], []),
-              ([tri], [nudged]), ([doubled], [nudged]), ([doubled, nudged[::-1]], [repeated])]
+        cases += [(plus, minus[:-1]), ([c[::-1] for c in plus], [c[::-1] for c in minus])]
+    assert folds
+    rng = np.random.default_rng(41)
+    cases += [(_random_id_cycles(rng), _random_id_cycles(rng)) for _ in range(200)]
+    cases.append(([], []))
+    # the stacks count as their cycles one by one
     for plus, minus in cases:
-        got = segment_counts(plus, minus)
-        assert got == _segment_counts_reference(plus, minus)
-    # the dropped rhombus and the repeated vertex leave a residue
-    assert segment_counts(*cases[1]) != {}
-    assert segment_counts([repeated], [tri]) == {
-        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1}
-    assert segment_counts([tri], [nudged]) == {}
-    assert segment_counts([doubled], [nudged]) == {
-        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[1])): 1,
-        ("degenerate", tuple(int(round(x / 1e-9)) for x in tri[2])): 1}
-
-
-def test_signed_segment_counts_refuses_int64_wrap():
-    # a bare int64 cast maps both far triangles onto INT64_MIN and cancels them
-    tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
-    with pytest.raises(OverflowError):
-        segment_counts([tri + 1e10], [tri + 2e10])
+        got = signed_segment_counts(plus, minus)
+        assert got == _segment_counts_reference(_single_cycles(plus), _single_cycles(minus))
+        assert list(got) == sorted(got)
 
 
 _SEGMENT = re.compile(r"\(([^()]*)\) -> \(([^()]*)\): ([+-]\d+)")
@@ -826,11 +807,14 @@ def test_chain_identity_names_unbalanced_segments(monkeypatch):
     listed = [(np.array(a.split(", "), dtype=float), np.array(b.split(", "), dtype=float),
                int(count)) for a, b, count in _SEGMENT.findall(detail)]
     assert len(listed) == 5
-    # the copy at +100 sorts last, so the first four are the vacated sides
-    sides = {tuple(sorted((tuple(np.round(moved[i], 6)), tuple(np.round(moved[(i + 1) % 4], 6)))))
-             for i in range(4)}
-    vacated = {(tuple(np.round(a, 6)), tuple(np.round(b, 6))) for a, b, _ in listed[:4]}
-    assert vacated == sides
+
+    def ends(a, b):
+        return frozenset((tuple(np.round(a, 6)), tuple(np.round(b, 6))))
+
+    # the copy at +100 has the highest ids, so the first four are the
+    # vacated sides; a segment lists its ends in id order
+    sides = {ends(moved[i], moved[(i + 1) % 4]) for i in range(4)}
+    assert {ends(a, b) for a, b, _ in listed[:4]} == sides
     assert all(abs(count) == 1 for _, _, count in listed)
 
 

@@ -4,20 +4,23 @@ The pipeline per component peels pentagons where the curve is already
 tight: while more than 5 vertices remain, the pentagon [v_i .. v_i+3 z] is
 split off at the window of four vertices with the least span |v_i - v_i+3|.
 Once that span is within 2, the pentagon is packed around v_i with no pivot,
-and ``pentagon_split`` takes it as it is; the bridge z is the point at unit
-distance from v_i and v_i+3 farthest from the midpoint of v_i+1 and v_i+2.
-A remainder with no tight window, or no unique bridge, takes the paper's
-construction as the fallback: flatten it into a plane by pivoting the
-highest vertex onto the point of its pivot circle nearest the plane, gather
-all vertices within distance 2 of vertex 0 by realizing a bounded-prefix
-reordering of the edge vectors with adjacent transpositions, then peel
-planar pentagons off the front until nothing is left.  Each inversion of
-the reordering costs one pack pivot, so the order is a first-fit pass that
-prefers low indices; the Grinberg--Sevastyanov elimination, which proves the
-prefix bound 2 in the plane, is its fallback.  The pack is recorded as that
-order alone, and its replay runs the transpositions.  Every step is
-recorded as a replayable move so an independent checker can rebuild each
-intermediate curve bit for bit and verify the boundary bookkeeping.
+and ``pentagon_split`` takes it as it is.  One rule, :func:`_local_bridge`,
+places every bridge: z is the point at unit distance from v_i and v_i+3
+farthest from the midpoint of v_i+1 and v_i+2.  A remainder with no tight
+window, or no unique bridge, takes the paper's construction as the
+fallback: flatten it into a plane by pivoting the highest vertex onto the
+point of its pivot circle nearest the plane, gather all vertices within
+distance 2 of vertex 0 by realizing a bounded-prefix reordering of the edge
+vectors with adjacent transpositions, then peel planar pentagons off the
+front until nothing is left.  Their bridges follow the same rule, and one
+with no farthest point is taken in the plane, along the axis v_i+3 - v_i
+crossed with the plane's normal.  Each inversion of the reordering costs
+one pack pivot, so the order is a first-fit pass that prefers low indices;
+the Grinberg--Sevastyanov elimination, which proves the prefix bound 2 in
+the plane, is its fallback.  The pack is recorded as that order alone, and
+its replay runs the transpositions.  Every step is recorded as a replayable
+move so an independent checker can rebuild each intermediate curve bit for
+bit and verify the boundary bookkeeping.
 
 The ledger model -- cells, moves, the move table, the ledger and its
 :class:`~rhombidome.surface.Replayer` -- belongs to that checker, in
@@ -483,39 +486,15 @@ def pentagon_split(pentagon: list | np.ndarray) -> PentagonSplit:
         raise ValueError("pentagon is not packed around vertex 0")
     found = _search_fixes(p, FIX_PIVOT_BUDGET)
     if found is None:
+        rows = ", ".join("(" + ", ".join(f"{x:.12g}" for x in row) + ")" for row in p)
         raise FixBudgetExceededError(
-            "no sequence of <= 3 corrective pivots reaches circumradius < 1")
+            "no sequence of <= 3 corrective pivots reaches circumradius < 1"
+            f" on the pentagon {rows}")
     return PentagonSplit(*found)
 
 
 # ---------------------------------------------------------------------------
 # full reduction
-
-
-def _choose_bridge(v: list[list[float]], plane: Plane) -> list[float]:
-    """Point of the plane at unit distance from v[0] and v[3].
-
-    Of the two circle/plane intersection points, the one farther from the
-    midpoint of v[1], v[2] is taken so the peeled pentagon does not fold
-    straight back onto the remaining curve.
-    """
-    v1, v4 = v[0], v[3]
-    away = [0.5 * (a + b) for a, b in zip(v[1], v[2])]
-    d = dist(v1, v4)
-    if d <= EPS:
-        # unit circle around v1 inside the plane
-        rel = [a - b for a, b in zip(v1, away)]
-        along = float(np.dot(rel, plane.normal))
-        radial = [x - along * y for x, y in zip(rel, plane.normal)]
-        if np.linalg.norm(radial) <= EPS:
-            radial = plane_basis(plane.normal)[0]
-        return [a + b for a, b in zip(v1, normalize(radial))]
-    circle = unit_ball_intersection(v1, v4)
-    w = normalize(cross3(circle.axis, plane.normal))
-    r = circle.radius
-    cands = [[c + r * x for c, x in zip(circle.center, w)],
-             [c - r * x for c, x in zip(circle.center, w)]]
-    return max(cands, key=lambda q: dist(q, away))
 
 
 def _consume_pentagon(state: Replayer, cid: int) -> None:
@@ -530,14 +509,22 @@ def _consume_pentagon(state: Replayer, cid: int) -> None:
 _TIGHT_SPAN = STEINITZ_BOUND - 1e-6
 
 
-def _local_bridge(points: list[list[float]], v: list[int], i: int) -> list[float] | None:
-    """Point at unit distance from v[i] and v[i+3] (cyclic) farthest from the
-    midpoint m of v[i+1] and v[i+2], or None when none is uniquely farthest;
+def _local_bridge(points: list[list[float]], v: list[int], i: int,
+                  normal: list[float] | None = None) -> list[float] | None:
+    """The bridge of every split: the point at unit distance from v[i] and
+    v[i+3] (cyclic) farthest from the midpoint m of v[i+1] and v[i+2];
     ``v`` is an id cycle into ``points``.
 
     The points at unit distance form a circle about the midpoint c of v[i]
     and v[i+3], or the unit sphere about it when the two coincide; the
-    farthest from m lies along c - m, projected onto the circle's plane.
+    farthest from m lies along the part of c - m across the axis v[i+3] -
+    v[i].  That part is the double cross product axis x ((c - m) x axis),
+    which rounds at its own size: it stays orthogonal to the axis, and the
+    bridge at unit distance, even when c - m lies within 1e-8 of the axis
+    and its along-axis part is O(1).  When no farthest point exists, the
+    part being within ``EPS``, the bridge lies along axis x ``normal`` if
+    the plane ``normal`` of a planar remainder is given, and is None
+    otherwise.
     """
     n = len(v)
     p, q = points[v[i]], points[v[(i + 1) % n]]
@@ -548,9 +535,11 @@ def _local_bridge(points: list[list[float]], v: list[int], i: int) -> list[float
     radius = 1.0
     if span > EPS:
         axis = [(b - a) / span for a, b in zip(p, s)]
-        along = sum(x * u for x, u in zip(away, axis))
-        away = [x - along * u for x, u in zip(away, axis)]
-        radius = math.sqrt(1.0 - 0.25 * span * span)
+        away = cross3(axis, cross3(away, axis))
+        # a fallback window spans up to 2 + EPS
+        radius = math.sqrt(max(0.0, 1.0 - 0.25 * span * span))
+        if normal is not None and math.hypot(*away) <= EPS:
+            away = cross3(axis, normal)
     norm = math.hypot(*away)
     if norm <= EPS:
         return None
@@ -563,10 +552,10 @@ def _peel_tight(state: Replayer, cid: int, next_id: int) -> int:
 
     Window i is [v_i .. v_i+3] (cyclic), its span |v_i - v_i+3|.  Each peel
     takes the first window of least span, if that span is within
-    ``_TIGHT_SPAN`` and :func:`_local_bridge` finds its bridge, and stops at
-    5 vertices or when no window qualifies.  The remainder [v_i z v_i+3 ..
-    v_i-1] starts at v_i, so its spans are the old ones rotated, except for
-    the four windows that meet the bridge.
+    ``_TIGHT_SPAN`` and :func:`_local_bridge`, given no plane, finds its
+    bridge, and stops at 5 vertices or when no window qualifies.  The
+    remainder [v_i z v_i+3 .. v_i-1] starts at v_i, so its spans are the old
+    ones rotated, except for the four windows that meet the bridge.
     """
     ids, points = state.component(cid), state.points
     n = len(ids)
@@ -596,7 +585,9 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     yields two rhombi and one triangle: each peel is local, at the tightest
     window of four vertices (:func:`_peel_tight`).  A remainder of more than
     5 vertices with no tight window is flattened, packed, and peeled at
-    vertex 0.  A 5-vertex component is packed around vertex 0 already.  The
+    vertex 0.  Every bridge comes from :func:`_local_bridge`; at vertex 0 it
+    is given the remainder's plane, which places a bridge with no farthest
+    point.  A 5-vertex component is packed around vertex 0 already.  The
     total number of rhombi used stays within n^2 + 2n - 12 per component.
     """
     curve.validate()
@@ -616,7 +607,8 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
                 plane = _planarize_component(state, root)
                 _pack_component(state, root)
                 while len(state.component(root)) > 5:
-                    z = _choose_bridge(state.rows(root), plane)
+                    z = _local_bridge(state.points, state.component(root), 0,
+                                      plane.normal)
                     state.apply(SplitMove(root, next_id, z))
                     _consume_pentagon(state, next_id)
                     next_id += 1

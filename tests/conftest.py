@@ -57,6 +57,24 @@ def crown_union(seed: int) -> IntegralCurve:
     return IntegralCurve([crown_curve().components[0], loop + np.array([10.0, 0, 0])])
 
 
+def near_axis_seven_gon(delta: float, alpha: float = 0.05) -> np.ndarray:
+    """Vertices of a unit-edge 7-gon whose tightest window [v0 v1 v2 v3] has
+    the midpoint of v1 and v2 at distance ``delta`` from the line v0 v3, far
+    from the middle of v0 and v3.
+
+    v0 = 0, v1 = (cos alpha, sin alpha, 0), v2 = (S + sqrt(1 - b^2), b, 0)
+    with b = -sin alpha + 2 delta, and v3 = (S, 0, 0), with S solved so that
+    |v1 v2| = 1; the curve returns through (S, 0, 1), the apex of a unit
+    triangle over it, and (0, 0, 1).
+    """
+    b = -math.sin(alpha) + 2.0 * delta
+    rise = b - math.sin(alpha)
+    s = math.cos(alpha) + math.sqrt(1.0 - rise * rise) - math.sqrt(1.0 - b * b)
+    return np.array([[0.0, 0.0, 0.0], [math.cos(alpha), math.sin(alpha), 0.0],
+                     [s + math.sqrt(1.0 - b * b), b, 0.0], [s, 0.0, 0.0], [s, 0.0, 1.0],
+                     [s / 2.0, 0.0, 1.0 + math.sqrt(1.0 - s * s / 4.0)], [0.0, 0.0, 1.0]])
+
+
 def folded_rhombus_curve(angle: float = np.pi / 2) -> IntegralCurve:
     """Unit rhombus folded by ``angle`` along the diagonal (a, c)."""
     s3 = np.sqrt(3.0) / 2.0

@@ -10,6 +10,7 @@ from conftest import (
     crown_curve,
     crown_union,
     folded_rhombus_curve,
+    near_axis_seven_gon,
     pack_as_pivots,
     replayed_cells,
 )
@@ -17,6 +18,7 @@ from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
     PlanarizeBudgetError,
+    _local_bridge,
     apply_pivot,
     pack,
     pentagon_split,
@@ -31,6 +33,7 @@ from rhombidome.curve import (
     is_planar,
     random_integral_curve,
 )
+from rhombidome.geom import EPS
 from rhombidome.surface import (
     NotOnPivotCircleError,
     PackMove,
@@ -525,6 +528,18 @@ def test_pentagon_split_rejects_bad_sides(regular_pentagon):
         pentagon_split(good[:4])
 
 
+def test_fix_budget_error_names_the_pentagon():
+    # the fallback's pentagon of the out_and_back_walk_16 lattice walk below:
+    # v1 = v4 and |v0 v2| = 2, so no apex opens within three fixes
+    pentagon = [[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 0.0],
+                [2.0, 1.5, -np.sqrt(3) / 2], [2.0, 1.0, 0.0]]
+    with pytest.raises(FixBudgetExceededError) as caught:
+        pentagon_split(pentagon)
+    assert str(caught.value).endswith(
+        " on the pentagon (2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 1.5, -0.866025403784),"
+        " (2, 1, 0)")
+
+
 # ---------------------------------------------------------------------------
 # full reduction
 
@@ -642,6 +657,49 @@ def test_decisions_ignore_last_bit_noise():
         for toward in (np.inf, -np.inf):
             moved = IntegralCurve([np.nextafter(c, toward) for c in curve.components])
             assert reduce_to_rhombi(moved).stats == stats, (i, toward)
+
+
+def test_local_bridge_is_unit_near_the_axis_and_up_to_span_two():
+    # the midpoint m of v1 and v2 lies 2 EPS ... 1e-8 across the axis v3 - v0
+    # and far along it, and the span runs up to 2 + EPS, where the circle of
+    # bridges shrinks to its centre
+    rng = np.random.default_rng(28)
+    for trial in range(300):
+        p, axis, across = rng.normal(size=(3, 3))
+        axis /= np.linalg.norm(axis)
+        across -= (across @ axis) * axis
+        across /= np.linalg.norm(across)
+        span = rng.uniform(0.1, 2.0) if trial % 3 else 2.0 + rng.uniform(0.0, EPS)
+        s = p + span * axis
+        m = p + rng.uniform(-1.0, 3.0) * axis + rng.uniform(2 * EPS, 1e-8) * across
+        half = rng.normal(size=3)
+        points = [p.tolist(), (m + half).tolist(), (m - half).tolist(), s.tolist()]
+        z = _local_bridge(points, [0, 1, 2, 3], 0)
+        assert z is not None, trial
+        assert abs(np.linalg.norm(np.subtract(z, points[0])) - 1.0) <= EPS, trial
+        assert abs(np.linalg.norm(np.subtract(z, points[3])) - 1.0) <= EPS, trial
+
+
+def test_local_bridge_takes_the_plane_when_no_point_is_farthest():
+    # m lies on the axis, so every point of the circle is as far from it
+    points = [[0.0, 0.0, 0.0], [0.3, 0.5, 0.0], [0.3, -0.5, 0.0], [1.5, 0.0, 0.0]]
+    assert _local_bridge(points, [0, 1, 2, 3], 0) is None
+    z = _local_bridge(points, [0, 1, 2, 3], 0, [0.0, 0.0, 1.0])
+    assert z == [0.75, -np.sqrt(1.0 - 0.75 ** 2), 0.0]  # along axis x normal = -y
+
+
+def test_reduce_window_near_its_axis():
+    # the tightest window's m lies within 1e-8 of its axis, off its centre;
+    # bridges taken by subtracting c - m's part along the axis came out up
+    # to 1e-7 off unit distance, and the replay refused the split
+    from scipy.spatial.transform import Rotation
+    from rhombidome.surface import validate_ledger
+
+    turns = Rotation.random(20, random_state=3).as_matrix()
+    for delta in (1.5e-9, 3e-9, 1e-8):
+        for turn in turns:
+            ledger = reduce_to_rhombi(IntegralCurve([near_axis_seven_gon(delta) @ turn.T]))
+            assert validate_ledger(ledger).passed, delta
 
 
 def test_component_budget_values():

@@ -2,11 +2,13 @@
 
 Each curve is stored as a file rather than rebuilt from a seed, because
 ``random_integral_curve`` and ``crown_curve`` go through numpy's ``cos`` and
-``sin``, whose last bits may vary with the CPU.  The four cover a reduction
+``sin``, whose last bits may vary with the CPU.  The five cover a reduction
 that only peels locally (a random n = 24 curve), the whole fallback with
-planarize, pack and fix pivots (the crown), degenerate pivots (a cubic
-out-and-back walk: a planarize pivot whose neighbours coincide, a pack swap
-of equal edges and a half-turn fix) and a union of both (the crown union).
+planarize, pack and fix pivots (the crown), a degenerate pivot (a cubic
+out-and-back walk, peeled locally, whose half-turn fix records a fold), a
+union of the crown and a loop (the crown union), and a window whose bridge
+direction lies 3e-9 off its axis (``conftest.near_axis_seven_gon(3e-9)``
+turned by the first of ``Rotation.random(20, random_state=3)``).
 """
 
 import hashlib
@@ -21,10 +23,11 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # sha256 of the version 5 ledger document ``reduce`` writes for each curve
 GOLDEN = {
-    "random_24": "1831ea261941b3373a3fe5af004a1322eea34cd28facc99a82e0806ac32c032b",
-    "crown_12": "d8d6647dc17c82a6a02f9d3aaf1eec6c85cc2c8628d6dce2c1d533f8e5447d9c",
-    "cubic_walk_18": "f86d25f99660566a7e8771fd50719fc2bb1fe6a18aa43e0ef15e37d408c68324",
-    "crown_union_3": "22d8c0bf74460a60c450211dc9ea5a569a6f46328007d7d954f067e1323c456d",
+    "random_24": "3e5a271c5fd15fcb8a393f93dfec42f3aad246b277de1186bfd1fe8f0b4f518b",
+    "crown_12": "a9f3a5994cb2cf3452a6264276709b18a98d7408973addc1c503d25df8998e31",
+    "cubic_walk_18": "9838d475bbf89278d391b4cf060ecc5612db6f6c895f2c9cd8c57b28c1b29165",
+    "crown_union_3": "f0ae44fc7d731c457f226b251b5b248f2bcd8c7513e6a4b8f6f147968406da79",
+    "near_axis_7": "9c28c1194e2aba3e8e942c9622405c88ae0755ecb8afecbc81a7171ec8c72c9f",
 }
 
 

@@ -1,8 +1,8 @@
 """Golden validate reports: ``rhombidome validate`` prints the same report
 for fixed ledgers, and ``reduce --off`` writes the same mesh.
 
-The ledgers come from the stored curves of ``test_golden_ledgers.py``, so
-no ``cos`` or ``sin`` of the host goes into them.  Besides the four passing
+The ledgers come from four of the stored curves of ``test_golden_ledgers.py``,
+so no ``cos`` or ``sin`` of the host goes into them.  Besides the four passing
 ledgers there is one tampered ledger per kind of edit of the tamper sweep
 (``test_surface._tamper_edits``, run on the stored crown union), whose
 reports name the failing replay step or budget key, and two hand-built
@@ -101,7 +101,7 @@ GOLDEN = {
     "golden crown_12":
         (0, "2d55ce559e7f35ddcf72a9b6366ac71cf946426014bf0005c3fe845294e94502"),
     "golden cubic_walk_18":
-        (0, "3f21da91e9cb600c596039071bdd43493667685f0b2884bafe60e465cf2f70ad"),
+        (0, "897e7fadc99a94e856717a85537fd81ef5fb40523dacec8e151595a088d0b56a"),
     "golden crown_union_3":
         (0, "4ab4269974a5be15090cab25c4fc1090a2e014bce535933626b911d78400207c"),
     "tamper move # new":
@@ -165,7 +165,7 @@ GOLDEN = {
 }
 
 # sha256 of the OFF file ``reduce --off`` writes for the stored crown_curve(12, 0.3)
-GOLDEN_OFF = "f0d81aec96ffa7bb02253d72e2ffb0218c3dd53fa44f0d20366b1f6c9c598e1c"
+GOLDEN_OFF = "b24ab53e24d74e727ccbd54e9ff946530dc8784bf93b829e3de5ef14dad28782"
 
 
 def _validate_stdout(tmp_path, capsys, doc) -> tuple[int, str]:

@@ -7,7 +7,12 @@ independent checker can replay and verify.  The numerical half treats
 polygon and polyhedron realizations as constraint manifolds and certifies
 tangent dimensions, the kernel of the skew pairing, and the isotropy/rank
 bounds of the boundary map of oriented surfaces.
+
+Only the numerical half needs scipy, so ``rhombidome.moduli`` is imported on
+first use: reducing and validating load numpy alone.
 """
+
+import importlib
 
 from .geom import EPS, Circle3, Plane
 from .curve import (
@@ -35,7 +40,6 @@ from .surface import (
     hexagon_join,
     validate_ledger,
 )
-from . import moduli
 
 __all__ = [
     "EPS",
@@ -64,3 +68,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: ``rhombidome.moduli`` imports scipy, so load it on first access.
+    # importlib, not ``from . import moduli``: the fromlist lookup of a module
+    # not yet imported calls this hook again and recurses.
+    if name == "moduli":
+        return importlib.import_module(f"{__name__}.moduli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -195,17 +195,27 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
     h[j-1] < h[j] >= h[j+1], and the replacement height never exceeds
     h[j-1]; both are asserted because the move budget rests on them.  The
     path's heights are measured once; a pivot changes only its own vertex's.
+    A :class:`PlanarizeBudgetError` names the component, the vertex with its
+    coordinates and the path heights before, at and after it.
     """
     ids, points = state.component(cid), state.points
     n = len(ids)
     heights = np.abs((np.array(state.rows(cid))[path] - plane.base) @ plane.normal).tolist()
     interior = range(1, len(path) - 1)
+
+    def refuse(j: int, reason: str) -> PlanarizeBudgetError:
+        row = ", ".join(f"{x:.12g}" for x in points[ids[path[j]]])
+        around = ", ".join(f"{h:.12g}" for h in heights[j - 1:j + 2])
+        return PlanarizeBudgetError(
+            f"{reason} at component {cid} vertex {path[j]} ({row});"
+            f" path heights before, at and after it {around}")
+
     while interior:
         j = max(interior, key=heights.__getitem__)  # the first maximum
         if heights[j] <= _PLANAR_STOP:
             return
         if not (heights[j - 1] < heights[j] >= heights[j + 1]):
-            raise PlanarizeBudgetError("height maximum selection is inconsistent")
+            raise refuse(j, "height maximum selection is inconsistent")
         g = path[j]
         prev = points[ids[(g - 1) % n]]
         nxt = points[ids[(g + 1) % n]]
@@ -216,12 +226,11 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
             target = point_on_circle_nearest_plane(circle, plane)
         new_height = distance_to_plane(target, plane)
         if new_height > heights[j - 1] + 1e-12:
-            raise PlanarizeBudgetError(
-                f"pivot did not descend: {new_height} > {heights[j - 1]}")
+            raise refuse(j, f"pivot did not descend: new height {new_height:.12g}")
         if state.tally[cid]["pivot", "planarize"] + 1 > budget:
-            raise PlanarizeBudgetError("planarize exceeded its move budget")
+            raise refuse(j, f"planarize exceeded its move budget of {budget}")
         if not _make_pivot(state, cid, g, target, "planarize"):
-            raise PlanarizeBudgetError("planarize produced a no-op pivot")
+            raise refuse(j, "planarize produced a no-op pivot")
         heights[j] = new_height
 
 

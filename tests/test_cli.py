@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,37 @@ def test_moduli_benchmark_surface_dimension(capsys):
                  "--trials", "1", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tangent_dims"] == [29] and report["passed"]
+
+
+# Run in a fresh interpreter: this process imported scipy long ago.
+_SCIPY_FREE = """
+import json, sys
+from rhombidome.cli import main
+curve, work = sys.argv[1:]
+codes = [main(["reduce", "--in", curve, "--out", work + "/ledger.json",
+               "--off", work + "/chain.off"]),
+         main(["validate", "--in", work + "/ledger.json"]),
+         main(["census", "--n-min", "6", "--n-max", "6", "--samples", "2",
+               "--csv", work + "/census.csv"])]
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import rhombidome
+resolved = callable(rhombidome.moduli.isotropy_certificate)
+from rhombidome import moduli
+codes.append(main(["moduli", "dims", "--surface", "polygon:k=4"]))
+print(json.dumps({"codes": codes, "scipy": scipy, "resolved": resolved,
+                  "same": moduli is rhombidome.moduli}))
+"""
+
+
+def test_reduction_commands_load_no_scipy(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, str(repo / "tests" / "data" / "curve_crown_12.json"),
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": [], "resolved": True, "same": True}
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-9"])

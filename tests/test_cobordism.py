@@ -182,6 +182,23 @@ def test_planarize_each_pivot_descends():
             work[move.vertex] = move.new_point
 
 
+def test_planarize_budget_error_names_the_vertex():
+    # the chair hexagon of the unit cube; its path 2 .. 5 climbs to z = 1, and
+    # the first pivot, of vertex 3, already overruns a budget of 0
+    from rhombidome.cobordism import _flatten_path
+    from rhombidome.geom import Plane
+
+    chair = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [0, 1, 1], [0, 0, 1.0]])
+    state = Replayer(IntegralCurve([chair]))
+    plane = Plane(base=[0.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0])
+    with pytest.raises(PlanarizeBudgetError) as caught:
+        _flatten_path(state, 0, [2, 3, 4, 5], plane, budget=0)
+    assert str(caught.value) == (
+        "planarize exceeded its move budget of 0 at component 0 vertex 3 (1, 1, 1);"
+        " path heights before, at and after it 0, 1, 1")
+    assert state.moves == []
+
+
 # ---------------------------------------------------------------------------
 # bounded-prefix ordering
 

@@ -7,10 +7,20 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rhombidome"
 
 
-def _package_imports(name: str) -> set[str]:
+def _nodes(name: str, module_level: bool = False):
+    """The AST nodes of ``name``.py; with ``module_level``, none in a function body."""
+    stack = [ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not (module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(name: str, module_level: bool = False) -> set[str]:
     """The package modules ``name``.py imports, relatively or by absolute name."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+    for node in _nodes(name, module_level):
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= ({node.module.split(".")[0]} if node.module
                       else {alias.name for alias in node.names})
@@ -21,6 +31,20 @@ def _package_imports(name: str) -> set[str]:
             found |= {alias.name.split(".")[1] for alias in node.names
                       if alias.name.startswith("rhombidome.")}
     return found
+
+
+def _absolute_imports(name: str) -> set[str]:
+    """The top-level packages ``name``.py imports by absolute name, anywhere in it."""
+    found = set()
+    for node in _nodes(name):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def test_checker_imports_only_geometry_and_curves():
@@ -47,10 +71,17 @@ def test_every_exported_name_resolves_once():
 
 def test_geometry_kernels_import_neither_numpy_nor_the_package():
     # geom computes on rows of Python floats and sits below every module
-    tree = ast.parse((PACKAGE / "geom.py").read_text(encoding="utf-8"))
-    modules = {alias.name.split(".")[0] for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names}
-    modules |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)}
-    assert "numpy" not in modules
+    assert "numpy" not in _absolute_imports("geom")
     assert _package_imports("geom") == set()
+
+
+def test_only_moduli_imports_scipy():
+    # the reduction half (reduce, validate, census) runs on numpy alone
+    assert [name for name in MODULES if "scipy" in _absolute_imports(name)] == ["moduli"]
+
+
+def test_no_module_imports_moduli_at_module_level():
+    # the CLI imports moduli inside its moduli command, which the finder
+    # sees once function bodies count, and the package resolves it on access
+    assert "moduli" in _package_imports("cli")
+    assert [name for name in MODULES if "moduli" in _package_imports(name, module_level=True)] == []

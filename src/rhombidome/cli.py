@@ -126,6 +126,7 @@ def _moduli_dims(args) -> int:
               and report["moduli_dim"] == report["expected_moduli_dim"])
     else:
         s = payload
+        s.validate()  # the certificates validate their own surface
         realization = moduli.realize_surface(s, seed=args.seed)
         dim = len(moduli.surface_tangent_basis(realization))
         report = {

@@ -82,6 +82,7 @@ from .surface import (
 __all__ = [
     "PentagonSplit",
     "PlanarizeBudgetError",
+    "RhombusBudgetError",
     "NotClosedError",
     "SearchFailedError",
     "FixBudgetExceededError",
@@ -99,6 +100,10 @@ FIX_PIVOT_BUDGET = 3
 
 class PlanarizeBudgetError(RuntimeError):
     """Flattening exceeded its move budget; indicates a numerical-policy bug."""
+
+
+class RhombusBudgetError(RuntimeError):
+    """A component used more rhombi than its budget n^2 + 2n - 12."""
 
 
 class NotClosedError(ValueError):
@@ -597,7 +602,8 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     vertex 0.  Every bridge comes from :func:`_local_bridge`; at vertex 0 it
     is given the remainder's plane, which places a bridge with no farthest
     point.  A 5-vertex component is packed around vertex 0 already.  The
-    total number of rhombi used stays within n^2 + 2n - 12 per component.
+    total number of rhombi used stays within n^2 + 2n - 12 per component; a
+    component above it raises :class:`RhombusBudgetError`.
     """
     curve.validate()
     initial = curve.copy()
@@ -624,7 +630,7 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:
-            raise PlanarizeBudgetError(
+            raise RhombusBudgetError(
                 f"component {root} used {used} rhombi, budget {budget}")
 
     ledger.final_curve = state.final_curve()

@@ -8,12 +8,17 @@ holding that edge's vector, and three rows per polygon closure, one per
 coordinate.  A polyhedron is a set of vertex positions with fixed edge
 lengths, so its scheme is the length map on positions modulo translation;
 its linearization is the rigidity matrix (row e holds edge e's vector in
-its head's columns and the negated vector in its tail's).  Tangent spaces are numerical kernels of these matrices (SVD
-with a relative singular-value cutoff); polyhedron tangents are the
-rigidity kernel with vertex 0 pinned, mapped to edge vectors through the
-incidence.  A perturbed polyhedron is reprojected onto its length equations
-by Gauss-Newton; each step is the minimum-norm least-squares solution from
-QR with column pivoting and a complete orthogonal factorization (LAPACK
+its head's columns and the negated vector in its tail's).  Tangent spaces
+are numerical kernels of these matrices, taken from QR with column pivoting
+of the transpose (Businger and Golub): the rank counts the diagonal entries
+of R above ``_RANK_REL_EPS`` times the first, and the kernel is the rest of
+the complete Q.  Polyhedron tangents are the rigidity kernel with vertex 0
+pinned, mapped to edge vectors through the incidence.  Only the quantities
+that report a spectrum use an SVD: the pairing's kernel, the rotation
+orbits, the ranks of the rank certificate and principal angles.  A
+perturbed polyhedron is reprojected onto its length equations by
+Gauss-Newton; each step is the minimum-norm least-squares solution from QR
+with column pivoting and a complete orthogonal factorization (LAPACK
 gelsy), with rank cut at eps * max(E, 3V).  The skew pairing on polygon
 tangents is
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 # Factorizations come from scipy.linalg only: numpy and scipy each bundle an
 # OpenBLAS, and alternating between the two makes their thread pools contend.
-from scipy.linalg import lstsq, null_space, orth, qr, subspace_angles, svd
+from scipy.linalg import lstsq, orth, qr, subspace_angles, svd
 
 from .curve import random_integral_curve
 from .geom import EPS
@@ -91,8 +96,22 @@ _STEP = 0.15
 # Gauss-Newton reprojection: residual target and iteration cap.
 _PROJECTION_TARGET = 1e-13
 _PROJECTION_MAX_ITER = 60
-# Relative singular-value cutoff of every numerical rank and kernel.
+# Relative cutoff of every numerical rank and kernel: on singular values,
+# or on the diagonal of a column-pivoted R.
 _RANK_REL_EPS = 1e-7
+
+
+def _kernel(a: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel (n, n - rank) of the (m, n) matrix ``a``.
+
+    QR with column pivoting of ``a.T`` orders R's diagonal by magnitude; the
+    rank counts the entries above ``_RANK_REL_EPS`` times the first (zero for
+    no rows or a zero matrix), and the kernel is the rest of the complete Q.
+    """
+    q, r, _ = qr(a.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > _RANK_REL_EPS * diag[0])) if len(diag) else 0
+    return q[:, rank:]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +159,7 @@ def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
     closures = np.repeat(np.eye(len(point.sizes)), point.sizes, axis=1)
     sum_rows = np.kron(closures, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
     stacked = np.vstack([edge_rows.reshape(count, 3 * count), sum_rows])
-    kernel = null_space(stacked, rcond=_RANK_REL_EPS)
-    return kernel.T.reshape(-1, count, 3)
+    return _kernel(stacked).T.reshape(-1, count, 3)
 
 
 def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> float:
@@ -231,11 +249,10 @@ def _signed_refs(refs) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(refs) - 1, np.sign(refs)
 
 
-def _rigidity_matrix(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+def _rigidity_matrix(q: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                     vertex_count: int) -> np.ndarray:
     """(E, 3V) rows: row e holds q_e in its head's columns, -q_e in its tail's."""
-    tails, heads = _edge_ends(s)
-    q = x[heads] - x[tails]
-    rows = np.zeros((len(q), s.vertex_count, 3))
+    rows = np.zeros((len(q), vertex_count, 3))
     rows[np.arange(len(q)), heads] += q
     rows[np.arange(len(q)), tails] -= q
     return rows.reshape(len(q), -1)
@@ -261,27 +278,33 @@ def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
                 stack.append(w)
     if not all(reached):
         raise DisconnectedError("surface skeleton is not connected")
-    return null_space(_rigidity_matrix(s, x)[:, 3:], rcond=_RANK_REL_EPS)
-
-
-def _length_residual(s: GraphSurface, x: np.ndarray) -> np.ndarray:
-    """Squared edge lengths at positions x minus their targets."""
-    q = SurfaceRealization(s, x).q
-    return np.einsum("ij,ij->i", q, q) - np.asarray(s.lengths, dtype=float) ** 2
+    tails, heads = _edge_ends(s)
+    rigidity = _rigidity_matrix(x[heads] - x[tails], tails, heads, s.vertex_count)
+    return _kernel(rigidity[:, 3:])
 
 
 def surface_constraint_residual(s: GraphSurface, x: np.ndarray) -> float:
-    """Max-norm residual of the edge-length equations at vertex positions x."""
-    return float(np.max(np.abs(_length_residual(s, x))))
+    """Max-norm residual of the edge-length equations at vertex positions x:
+    squared edge lengths minus their targets."""
+    q = SurfaceRealization(s, x).q
+    residual = np.einsum("ij,ij->i", q, q) - np.asarray(s.lengths, dtype=float) ** 2
+    return float(np.max(np.abs(residual)))
 
 
 def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the E length equations, Jacobian twice the rigidity matrix."""
+    """Gauss-Newton on the E length equations, Jacobian twice the rigidity matrix.
+
+    Each step forms the edge vectors once; the residual and the Jacobian
+    both read them (the Jacobian as the rigidity matrix of 2q, which is
+    twice that of q exactly)."""
+    tails, heads = _edge_ends(s)
+    targets = np.asarray(s.lengths, dtype=float) ** 2
     for _ in range(_PROJECTION_MAX_ITER):
-        residual = _length_residual(s, x)
+        q = x[heads] - x[tails]
+        residual = np.einsum("ij,ij->i", q, q) - targets
         if float(np.max(np.abs(residual))) <= _PROJECTION_TARGET:
             return x
-        jac = 2 * _rigidity_matrix(s, x)
+        jac = _rigidity_matrix(2 * q, tails, heads, s.vertex_count)
         # The minimum-norm step from QR with column pivoting and a complete
         # orthogonal factorization (gelsy), at QR cost rather than an SVD's.
         # A self-stress (three_rhombus_pants has one) leaves R a diagonal entry

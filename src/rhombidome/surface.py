@@ -445,21 +445,21 @@ def catalog(name: str, k: int | None = None) -> GraphSurface:
     """Named test surfaces with explicit unit-edge coordinates.
 
     Only ``antiprism_band`` takes ``k``; giving it to another name raises.
+    The surface is returned unvalidated: each consumer that needs the
+    invariants (the certificates, ``rhombidome moduli dims``) calls
+    :meth:`GraphSurface.validate` once itself.
     """
     if k is not None and name != "antiprism_band":
         raise UnknownNameError(f"catalog surface {name!r} takes no parameter k")
     if name == "triangle_disk":
-        s = _triangle_disk()
-    elif name == "antiprism_band":
-        s = _antiprism_band(4 if k is None else k)
-    elif name == "pentagon_pants":
-        s = _pentagon_pants()
-    elif name == "three_rhombus_pants":
-        s = _three_rhombus_pants()
-    else:
-        raise UnknownNameError(f"unknown catalog surface {name!r}")
-    s.validate()
-    return s
+        return _triangle_disk()
+    if name == "antiprism_band":
+        return _antiprism_band(4 if k is None else k)
+    if name == "pentagon_pants":
+        return _pentagon_pants()
+    if name == "three_rhombus_pants":
+        return _three_rhombus_pants()
+    raise UnknownNameError(f"unknown catalog surface {name!r}")
 
 
 # ---------------------------------------------------------------------------

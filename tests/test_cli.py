@@ -242,6 +242,16 @@ def test_reduce_failure_exits_1_and_writes_nothing(pentagon_file, tmp_path, monk
     assert not out.exists()
 
 
+def test_reduce_rhombus_budget_overrun_exits_1(pentagon_file, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.setattr(cobordism, "component_budget", lambda n: 1)
+    out = tmp_path / "ledger.json"
+    assert main(["reduce", "--in", pentagon_file, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "rhombidome: reduction failed: component 0 used 2 rhombi, budget 1\n")
+    assert not out.exists()
+
+
 def test_reduce_invalid_ledger_exits_1_and_names_each_failure(pentagon_file, tmp_path,
                                                               monkeypatch, capsys):
     # two of the report's entries fail; the ledger is still written
@@ -318,6 +328,20 @@ def test_moduli_benchmark_surface_dimension(capsys):
                  "--trials", "1", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tangent_dims"] == [29] and report["passed"]
+
+
+@pytest.mark.parametrize("args", [
+    ["isotropy", "--surface", "antiprism_band:k=16", "--trials", "1"],
+    ["rank", "--surface", "three_rhombus_pants"],
+    ["dims", "--surface", "pentagon_pants"]])
+def test_moduli_item_validates_its_surface_once(monkeypatch, capsys, args):
+    calls = []
+    validate = surface.GraphSurface.validate
+    monkeypatch.setattr(surface.GraphSurface, "validate",
+                        lambda s: calls.append(s.name) or validate(s))
+    assert main(["moduli", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(calls) == 1
 
 
 # Run in a fresh interpreter: this process imported scipy long ago.

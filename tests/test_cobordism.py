@@ -12,12 +12,15 @@ from conftest import (
     folded_rhombus_curve,
     near_axis_seven_gon,
     pack_as_pivots,
+    regular_polygon_curve,
     replayed_cells,
 )
+from rhombidome import cobordism
 from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
     PlanarizeBudgetError,
+    RhombusBudgetError,
     _local_bridge,
     apply_pivot,
     pack,
@@ -180,6 +183,15 @@ def test_planarize_each_pivot_descends():
             assert h_new <= max(h_prev, h_next) + 1e-12
             assert h_new < h_old
             work[move.vertex] = move.new_point
+
+
+def test_rhombus_budget_overrun_is_not_a_planarize_error(monkeypatch):
+    # a regular pentagon takes 2 rhombi; a budget of 1 is overrun after the peel
+    monkeypatch.setattr(cobordism, "component_budget", lambda n: 1)
+    with pytest.raises(RhombusBudgetError) as caught:
+        reduce_to_rhombi(regular_polygon_curve(5))
+    assert not isinstance(caught.value, PlanarizeBudgetError)
+    assert str(caught.value) == "component 0 used 2 rhombi, budget 1"
 
 
 def test_planarize_budget_error_names_the_vertex():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import null_space, qr
 
 from conftest import edge_vector_constraint_rows
 from rhombidome import moduli as md
@@ -209,10 +209,8 @@ def test_boundary_differential_linearity_and_equivariance():
     assert np.allclose(image, point.vectors @ gen.T, atol=1e-12)
 
 
-def test_constraint_rows_match_loop_reference():
-    """The polygon scheme's tangents are the kernel of the edge and closure
-    rows built one edge at a time, bit for bit."""
-    point = md.boundary_point(md.realize_surface(catalog("pentagon_pants"), seed=5))
+def loop_polygon_rows(point: md.PolygonPoint) -> np.ndarray:
+    """The polygon scheme's edge and closure rows, built one edge at a time."""
     count = len(point.vectors)
     closure = np.zeros((3 * len(point.sizes), 3 * count))
     first = 0
@@ -220,10 +218,61 @@ def test_constraint_rows_match_loop_reference():
         for j in range(first, first + size):
             closure[3 * p:3 * p + 3, 3 * j:3 * j + 3] = np.eye(3)
         first += size
-    reference = null_space(np.vstack([loop_edge_rows(point.vectors), closure]),
-                           rcond=md._RANK_REL_EPS)
-    assert np.array_equal(md.polygon_tangent_basis(point),
-                          reference.T.reshape(-1, count, 3))
+    return np.vstack([loop_edge_rows(point.vectors), closure])
+
+
+def test_constraint_rows_match_loop_reference():
+    """The polygon scheme's tangents are the kernel of the edge and closure
+    rows built one edge at a time, bit for bit, and span the SVD kernel."""
+    point = md.boundary_point(md.realize_surface(catalog("pentagon_pants"), seed=5))
+    rows = loop_polygon_rows(point)
+    basis = md.polygon_tangent_basis(point)
+    assert np.array_equal(basis, md._kernel(rows).T.reshape(basis.shape))
+    reference = null_space(rows, rcond=md._RANK_REL_EPS)
+    assert len(basis) == reference.shape[1]
+    assert md.subspace_max_angle(basis, reference.T) <= 1e-10
+
+
+def _equilateral_triangle() -> md.PolygonPoint:
+    turns = 2 * np.pi * np.arange(3) / 3
+    return md.polygon_point([np.stack([np.cos(turns), np.sin(turns), 0 * turns], 1)])
+
+
+def _kernel_cases():
+    """(label, matrix): every catalog surface's pinned rigidity matrix at the
+    reference positions and at seeds 0-9, and the polygon scheme's rows at
+    random k-gons (k = 3 ... 11), the all-parallel quad and the equilateral
+    triangle."""
+    for name, k in CATALOG:
+        s = catalog(name, k=k)
+        tails, heads = md._edge_ends(s)
+        for seed in (None, *range(10)):
+            x = md.realize_surface(s, seed=seed).x
+            rigidity = md._rigidity_matrix(x[heads] - x[tails], tails, heads,
+                                           s.vertex_count)
+            yield f"{name}:k={k} seed={seed}", rigidity[:, 3:]
+    rng = np.random.default_rng(37)
+    for k in range(3, 12):
+        yield f"polygon:k={k}", loop_polygon_rows(md.random_polygon_point([k], rng))
+    yield "all_parallel_quad", loop_polygon_rows(md.all_parallel_quad())
+    yield "equilateral_triangle", loop_polygon_rows(_equilateral_triangle())
+
+
+def test_kernel_matches_svd_reference():
+    """The pivoted-QR kernel has the SVD kernel's rank and span, is
+    orthonormal, and every rank it cuts has a wide margin: kept diagonal
+    entries of R at least 1e-3 of the first, dropped ones at most 1e-12."""
+    for label, a in _kernel_cases():
+        kernel = md._kernel(a)
+        reference = null_space(a, rcond=md._RANK_REL_EPS)
+        assert kernel.shape == reference.shape, label
+        assert md.subspace_max_angle(kernel.T, reference.T) <= 1e-10, label
+        gram = kernel.T @ kernel
+        assert np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) <= 1e-12, label
+        diag = np.abs(np.diag(qr(a.T, pivoting=True, mode="r")[0]))
+        rank = a.shape[1] - kernel.shape[1]
+        assert np.min(diag[:rank] / diag[0]) >= 1e-3, label
+        assert np.max(diag[rank:] / diag[0], initial=0.0) <= 1e-12, label
 
 
 def test_boundary_differential_stacked_equals_per_tangent():

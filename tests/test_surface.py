@@ -76,6 +76,15 @@ def test_catalog_three_rhombus_pants():
     assert is_oriented_consistently(s)
 
 
+@pytest.mark.parametrize("name, k", [
+    *((name, None) for name in ("triangle_disk", "antiprism_band", "pentagon_pants",
+                                "three_rhombus_pants")),
+    *(("antiprism_band", k) for k in range(3, 65))])
+def test_catalog_surfaces_validate(name, k):
+    """``catalog`` does not validate; every surface it builds would pass."""
+    catalog(name, k=k).validate()
+
+
 def test_catalog_unknown_name():
     with pytest.raises(UnknownNameError):
         catalog("mystery_surface")

@@ -11,16 +11,16 @@ window, or no unique bridge, takes the paper's construction as the
 fallback: flatten it into a plane by pivoting the highest vertex onto the
 point of its pivot circle nearest the plane, gather all vertices within
 distance 2 of vertex 0 by realizing a bounded-prefix reordering of the edge
-vectors with adjacent transpositions, then peel planar pentagons off the
-front until nothing is left.  Their bridges follow the same rule, and one
-with no farthest point is taken in the plane, along the axis v_i+3 - v_i
-crossed with the plane's normal.  Each inversion of the reordering costs
-one pack pivot, so the order is a first-fit pass that prefers low indices;
-the Grinberg--Sevastyanov elimination, which proves the prefix bound 2 in
-the plane, is its fallback.  The pack is recorded as that order alone, and
-its replay runs the transpositions.  Every step is recorded as a replayable
-move so an independent checker can rebuild each intermediate curve bit for
-bit and verify the boundary bookkeeping.
+vectors with adjacent transpositions, then peel the planar remainder with
+the same loop.  A bridge with no farthest point is then taken in the plane,
+along the axis v_i+3 - v_i crossed with the plane's normal.  Each inversion
+of the reordering costs one pack pivot, so the order is a first-fit pass
+within 2 that prefers low indices; the Grinberg--Sevastyanov elimination,
+which proves the prefix bound 2 in the plane, is its fallback.  The pack is
+recorded as that order alone, and its replay runs the transpositions.
+Every step is recorded as a replayable move so an independent checker can
+rebuild each intermediate curve bit for bit and verify the boundary
+bookkeeping.
 
 The ledger model -- cells, moves, the move table, the ledger and its
 :class:`~rhombidome.surface.Replayer` -- belongs to that checker, in
@@ -111,7 +111,8 @@ class NotClosedError(ValueError):
 
 
 class SearchFailedError(RuntimeError):
-    """A packing postcondition failed: a packed vertex is farther than 2 from vertex 0."""
+    """A packing postcondition failed: a packed vertex is farther than 2 from
+    vertex 0, or the peel left a packed remainder above 5 vertices."""
 
 
 class FixBudgetExceededError(RuntimeError):
@@ -273,23 +274,16 @@ def planarize(curve: IntegralCurve) -> tuple[IntegralCurve, list[PivotMove]]:
 # bounded-prefix reordering (packing)
 
 
-# First-fit takes the lowest-index vector whose new prefix stays within this
-# radius.  It keeps the packed pentagons small: with the full bound 2 as the
-# threshold, ``census --n-min 5 --n-max 80 --samples 3 --seed 0`` needed 3.3x
-# as many fix pivots, and the collinear out-and-back digon raised
-# FixBudgetExceededError.
-_FIRST_FIT_RADIUS = 1.0
-
-
 def _max_prefix_norm(vectors: np.ndarray, order: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(np.cumsum(vectors[order], axis=0), axis=1)))
 
 
 def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
     """First fit: each step takes the lowest-index remaining vector whose new
-    prefix norm is at most ``_FIRST_FIT_RADIUS`` (within ``EPS``), or else
-    the one with the smallest new prefix norm.  Taking low indices first
-    keeps the order's inversions, and so the pack pivots that realize it, few.
+    prefix norm is at most ``STEINITZ_BOUND`` (within ``EPS``), or else the
+    one with the smallest new prefix norm.  Taking low indices first keeps
+    the order's inversions, and so the pack pivots that realize it, few; the
+    identity comes back whenever it qualifies.
     """
     pts = vectors.tolist()
     remaining = list(range(len(pts)))
@@ -298,7 +292,7 @@ def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
     while remaining:
         # |prefix + u| is the distance from u to minus the prefix
         norms = [math.dist(pts[i], back) for i in remaining]
-        j = next((k for k, r in enumerate(norms) if r <= _FIRST_FIT_RADIUS + EPS), None)
+        j = next((k for k, r in enumerate(norms) if r <= STEINITZ_BOUND + EPS), None)
         if j is None:
             j = norms.index(min(norms))
         i = remaining.pop(j)
@@ -357,12 +351,11 @@ def _elimination_order(vectors: np.ndarray) -> np.ndarray:
 def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     """Permutation keeping every prefix sum of unit plane vectors within 2.
 
-    The identity is returned when it already qualifies.  Otherwise the
-    first-fit order is returned (lowest-index vector keeping the prefix
-    within 1, else the smallest new prefix), unless one of its prefixes
-    exceeds 2; then the Grinberg--Sevastyanov elimination, which proves the
-    bound 2 for every closed set of plane vectors of norm at most 1, builds
-    the whole order.
+    The first-fit order is returned (lowest-index vector keeping the prefix
+    within 2, else the smallest new prefix), so the identity whenever it
+    qualifies, unless one of its prefixes exceeds 2; then the
+    Grinberg--Sevastyanov elimination, which proves the bound 2 for every
+    closed set of plane vectors of norm at most 1, builds the whole order.
     """
     vectors = np.asarray(vectors, dtype=float)
     n = len(vectors)
@@ -371,12 +364,8 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
         raise ValueError("vectors must be unit length")
     if float(np.linalg.norm(vectors.sum(axis=0))) > max(1.0, n) * 10 * EPS:
         raise NotClosedError("vectors do not sum to zero")
-    bound = STEINITZ_BOUND + EPS
-    identity = np.arange(n)
-    if _max_prefix_norm(vectors, identity) <= bound:
-        return identity
     order = _first_fit_order(vectors)
-    if _max_prefix_norm(vectors, order) <= bound:
+    if _max_prefix_norm(vectors, order) <= STEINITZ_BOUND + EPS:
         return order
     return _elimination_order(vectors)
 
@@ -494,10 +483,6 @@ def pentagon_split(pentagon: list | np.ndarray) -> PentagonSplit:
     """
     p = pentagon if type(pentagon) is list else np.asarray(pentagon, dtype=float).tolist()
     _check_unit_cycle(p, "pentagon", 5)
-    v0, bound = p[0], STEINITZ_BOUND + 10 * EPS
-    if (math.dist(p[1], v0) > bound or math.dist(p[2], v0) > bound
-            or math.dist(p[3], v0) > bound or math.dist(p[4], v0) > bound):
-        raise ValueError("pentagon is not packed around vertex 0")
     found = _search_fixes(p, FIX_PIVOT_BUDGET)
     if found is None:
         rows = ", ".join("(" + ", ".join(f"{x:.12g}" for x in row) + ")" for row in p)
@@ -550,8 +535,7 @@ def _local_bridge(points: list[list[float]], v: list[int], i: int,
     if span > EPS:
         axis = [(b - a) / span for a, b in zip(p, s)]
         away = cross3(axis, cross3(away, axis))
-        # a fallback window spans up to 2 + EPS
-        radius = math.sqrt(max(0.0, 1.0 - 0.25 * span * span))
+        radius = math.sqrt(1.0 - 0.25 * span * span)
         if normal is not None and math.hypot(*away) <= EPS:
             away = cross3(axis, normal)
     norm = math.hypot(*away)
@@ -560,16 +544,17 @@ def _local_bridge(points: list[list[float]], v: list[int], i: int,
     return [c + radius * x / norm for c, x in zip(center, away)]
 
 
-def _peel_tight(state: Replayer, cid: int, next_id: int) -> int:
+def _peel_tight(state: Replayer, cid: int, next_id: int,
+                normal: list[float] | None = None) -> int:
     """Peel pentagons off component ``cid`` at its tightest window while one
     qualifies, and return the next free component id.
 
     Window i is [v_i .. v_i+3] (cyclic), its span |v_i - v_i+3|.  Each peel
     takes the first window of least span, if that span is within
-    ``_TIGHT_SPAN`` and :func:`_local_bridge`, given no plane, finds its
-    bridge, and stops at 5 vertices or when no window qualifies.  The
-    remainder [v_i z v_i+3 .. v_i-1] starts at v_i, so its spans are the old
-    ones rotated, except for the four windows that meet the bridge.
+    ``_TIGHT_SPAN`` and :func:`_local_bridge`, given the plane ``normal``,
+    finds its bridge, and stops at 5 vertices or when no window qualifies.
+    The remainder [v_i z v_i+3 .. v_i-1] starts at v_i, so its spans are the
+    old ones rotated, except for the four windows that meet the bridge.
     """
     ids, points = state.component(cid), state.points
     n = len(ids)
@@ -577,7 +562,7 @@ def _peel_tight(state: Replayer, cid: int, next_id: int) -> int:
     while n > 5:
         tight = min(spans)
         i = spans.index(tight)
-        z = _local_bridge(points, ids, i) if tight <= _TIGHT_SPAN else None
+        z = _local_bridge(points, ids, i, normal) if tight <= _TIGHT_SPAN else None
         if z is None:
             break
         state.apply(SplitMove(cid, next_id, z, at=i))
@@ -598,12 +583,13 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     rhombus.  A longer component is peeled into pentagons, each of which
     yields two rhombi and one triangle: each peel is local, at the tightest
     window of four vertices (:func:`_peel_tight`).  A remainder of more than
-    5 vertices with no tight window is flattened, packed, and peeled at
-    vertex 0.  Every bridge comes from :func:`_local_bridge`; at vertex 0 it
-    is given the remainder's plane, which places a bridge with no farthest
-    point.  A 5-vertex component is packed around vertex 0 already.  The
-    total number of rhombi used stays within n^2 + 2n - 12 per component; a
-    component above it raises :class:`RhombusBudgetError`.
+    5 vertices with no tight window is flattened, packed, and peeled by the
+    same loop, whose bridges are then given the remainder's plane, which
+    places a bridge with no farthest point; a packed remainder left above 5
+    vertices raises :class:`SearchFailedError`.  A 5-vertex component is
+    packed around vertex 0 already.  The total number of rhombi used stays
+    within n^2 + 2n - 12 per component; a component above it raises
+    :class:`RhombusBudgetError`.
     """
     curve.validate()
     initial = curve.copy()
@@ -621,12 +607,14 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             if len(state.component(root)) > 5:
                 plane = _planarize_component(state, root)
                 _pack_component(state, root)
-                while len(state.component(root)) > 5:
-                    z = _local_bridge(state.points, state.component(root), 0,
-                                      plane.normal)
-                    state.apply(SplitMove(root, next_id, z))
-                    _consume_pentagon(state, next_id)
-                    next_id += 1
+                next_id = _peel_tight(state, root, next_id, plane.normal)
+                ids, points = state.component(root), state.points
+                if len(ids) > 5:
+                    least = min(math.dist(points[a], points[b])
+                                for a, b in zip(ids, ids[3:] + ids[:3]))
+                    raise SearchFailedError(
+                        f"packed component {root} kept {len(ids)} vertices"
+                        f" after its peel; least span {least:.12g}")
             _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:

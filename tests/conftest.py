@@ -35,8 +35,9 @@ def crown_curve(k: int = 12, height: float = 0.3) -> IntegralCurve:
 
     Every span |v_i - v_i+3| exceeds 2 for height below about 0.39, so no
     pentagon peels locally and :func:`~rhombidome.cobordism.reduce_to_rhombi`
-    takes the whole fallback: planarize, pack and peel at vertex 0 (at the
-    defaults 6 planarize, 18 pack and 4 fix pivots).
+    takes the whole fallback: planarize, pack and peel the packed remainder
+    at its tightest windows (at the defaults 6 planarize, 9 pack and 3 fix
+    pivots, k 34).
     """
     radius = math.sqrt(1.0 - 4.0 * height * height) / (2.0 * np.sin(np.pi / k))
     angles = 2.0 * np.pi * np.arange(k) / k
@@ -50,7 +51,7 @@ def crown_curve(k: int = 12, height: float = 0.3) -> IntegralCurve:
 def crown_union(seed: int) -> IntegralCurve:
     """The default crown and, 10 away along x, the random n = 9 curve of
     ``seed``: its ledger holds every kind of move but the closing ones, with
-    splits at vertex 0 (the crown's) and at other positions (the loop's)."""
+    splits at vertex 0 and at other positions."""
     from rhombidome.curve import random_integral_curve
 
     loop = random_integral_curve(9, np.random.default_rng(seed)).components[0]

@@ -432,3 +432,18 @@ def test_census_pentagon_fixture(tmp_path, capsys):
 def test_census_usage_error(tmp_path):
     assert main(["census", "--n-min", "3", "--n-max", "4",
                  "--csv", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_smoke_script(tmp_path):
+    # the console-script commands CI runs, through a `rhombidome` shim for
+    # `python -m rhombidome.cli` on PATH
+    repo = Path(__file__).resolve().parents[1]
+    shim = tmp_path / "bin" / "rhombidome"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m rhombidome.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**os.environ, "PATH": f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+           "PYTHONPATH": str(repo / "src"), "PYTHON": sys.executable}
+    run = subprocess.run(["bash", str(repo / "tests" / "cli_smoke.sh"), str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]

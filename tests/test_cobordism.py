@@ -21,6 +21,8 @@ from rhombidome.cobordism import (
     NotClosedError,
     PlanarizeBudgetError,
     RhombusBudgetError,
+    SearchFailedError,
+    _TIGHT_SPAN,
     _local_bridge,
     apply_pivot,
     pack,
@@ -194,6 +196,15 @@ def test_rhombus_budget_overrun_is_not_a_planarize_error(monkeypatch):
     assert str(caught.value) == "component 0 used 2 rhombi, budget 1"
 
 
+def test_unpeeled_packed_remainder_names_the_component(monkeypatch):
+    # with no window tight enough to peel, the packed crown keeps all 12
+    monkeypatch.setattr(cobordism, "_TIGHT_SPAN", -1.0)
+    with pytest.raises(SearchFailedError) as caught:
+        reduce_to_rhombi(crown_curve(12))
+    assert str(caught.value).startswith(
+        "packed component 0 kept 12 vertices after its peel; least span ")
+
+
 def test_planarize_budget_error_names_the_vertex():
     # the chair hexagon of the unit cube; its path 2 .. 5 climbs to z = 1, and
     # the first pivot, of vertex 3, already overruns a budget of 0
@@ -336,6 +347,10 @@ def test_steinitz_order_property(vectors):
     for order in (steinitz_order(vectors), _elimination_order(vectors)):
         assert sorted(order) == list(range(len(vectors)))
         assert max_prefix_norm(vectors, order) <= 2.0 + 1e-9
+    # first fit within 2 keeps an order that already qualifies
+    identity = np.arange(len(vectors))
+    if max_prefix_norm(vectors, identity) <= 2.0 + EPS:
+        assert np.array_equal(steinitz_order(vectors), identity)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +573,8 @@ def test_pentagon_split_rejects_bad_sides(regular_pentagon):
 
 
 def test_fix_budget_error_names_the_pentagon():
-    # the fallback's pentagon of the out_and_back_walk_16 lattice walk below:
-    # v1 = v4 and |v0 v2| = 2, so no apex opens within three fixes
+    # a planar pentagon with v1 = v4 and |v0 v2| = 2: no apex opens within
+    # three fixes
     pentagon = [[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 0.0],
                 [2.0, 1.5, -np.sqrt(3) / 2], [2.0, 1.0, 0.0]]
     with pytest.raises(FixBudgetExceededError) as caught:
@@ -690,15 +705,15 @@ def test_decisions_ignore_last_bit_noise():
 
 def test_local_bridge_is_unit_near_the_axis_and_up_to_span_two():
     # the midpoint m of v1 and v2 lies 2 EPS ... 1e-8 across the axis v3 - v0
-    # and far along it, and the span runs up to 2 + EPS, where the circle of
-    # bridges shrinks to its centre
+    # and far along it, and the span runs up to _TIGHT_SPAN, the widest window
+    # any peel takes, where the circle of bridges has radius 1e-3
     rng = np.random.default_rng(28)
     for trial in range(300):
         p, axis, across = rng.normal(size=(3, 3))
         axis /= np.linalg.norm(axis)
         across -= (across @ axis) * axis
         across /= np.linalg.norm(across)
-        span = rng.uniform(0.1, 2.0) if trial % 3 else 2.0 + rng.uniform(0.0, EPS)
+        span = rng.uniform(0.1, _TIGHT_SPAN) if trial % 3 else _TIGHT_SPAN
         s = p + span * axis
         m = p + rng.uniform(-1.0, 3.0) * axis + rng.uniform(2 * EPS, 1e-8) * across
         half = rng.normal(size=3)
@@ -780,17 +795,19 @@ def test_reduce_collinear_out_and_back():
     assert digon.edge_count == 6
     ledger = reduce_to_rhombi(digon)
     replay = Replayer(ledger.initial)
-    pack_cells = 0
+    pack_cells = pack_folds = 0
     for move in ledger.moves:
-        before = len(replay.rhombus_cells)
+        cells, folds = len(replay.rhombus_cells), len(replay.folds)
         replay.apply(move)
         if isinstance(move, PackMove):
-            pack_cells += len(replay.rhombus_cells) - before
+            pack_cells += len(replay.rhombus_cells) - cells
+            pack_folds += len(replay.folds) - folds
     # some swaps of the pack move are degenerate pivots: counted, with a
-    # fold and no cell
+    # fold and no cell; the half-turn fixes fold too
     assert ledger.stats["pack_moves"] > pack_cells
+    assert pack_folds == ledger.stats["pack_moves"] - pack_cells
     chain = assemble_from_ledger(ledger)
-    assert len(chain.fold_ids) == ledger.stats["pack_moves"] - pack_cells
+    assert len(chain.fold_ids) == len(replay.folds) >= pack_folds
     assert ledger.stats["k"] == len(replay.rhombus_cells) + len(replay.rhombi)
     assert validate_ledger(ledger).passed
     assert ledger.stats["k"] <= 36
@@ -818,17 +835,14 @@ def _walk(steps: np.ndarray) -> np.ndarray:
     return np.cumsum(np.vstack([np.zeros(3), steps[:-1]]), axis=0)
 
 
-# Each raised FixBudgetExceededError before a vertex whose neighbours coincide
-# could turn half a turn about them.  The 16-step walk still raises it: its
-# tight peels leave a remainder of 8, and the fallback then peels the planar
-# pentagon [(2,0,0), (2,1,0), (2,2,0), (2,1.5,-sqrt(3)/2), (2,1,0)], with
-# v1 = v4 and |v0 v2| = 2, on which pentagon_split alone raises too.
+# Each raised FixBudgetExceededError: the first three until a vertex whose
+# neighbours coincide could turn half a turn about them, the 16-step walk
+# until the fallback peeled its packed remainder at its tightest windows.
 @pytest.mark.parametrize("steps", [
     _CUBIC_STEPS[[1, 4, 0, 0, 3, 3]],
     _HEXAGONAL_STEPS[[1, 5, 5, 2, 4, 3, 2, 3, 0, 0]],
     _CUBIC_STEPS[[2, 2, 5, 2, 5, 3, 0, 2, 5, 2, 5, 5]],
-    pytest.param(_CUBIC_STEPS[[0, 4, 1, 0, 1, 2, 1, 5, 2, 4, 5, 4, 3, 4, 1, 3]],
-                 marks=pytest.mark.xfail(strict=True, raises=FixBudgetExceededError)),
+    _CUBIC_STEPS[[0, 4, 1, 0, 1, 2, 1, 5, 2, 4, 5, 4, 3, 4, 1, 3]],
 ], ids=["cubic_walk", "hexagonal_walk", "out_and_back_walk", "out_and_back_walk_16"])
 def test_reduce_lattice_walk_with_coinciding_neighbours(steps):
     from rhombidome.surface import validate_ledger

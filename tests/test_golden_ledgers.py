@@ -24,9 +24,9 @@ DATA = Path(__file__).resolve().parent / "data"
 # sha256 of the version 5 ledger document ``reduce`` writes for each curve
 GOLDEN = {
     "random_24": "3e5a271c5fd15fcb8a393f93dfec42f3aad246b277de1186bfd1fe8f0b4f518b",
-    "crown_12": "a9f3a5994cb2cf3452a6264276709b18a98d7408973addc1c503d25df8998e31",
+    "crown_12": "a770cc532a66b0389b4e4e4ffdd897361e4e7df70cd81ae290fee55832502bb5",
     "cubic_walk_18": "9838d475bbf89278d391b4cf060ecc5612db6f6c895f2c9cd8c57b28c1b29165",
-    "crown_union_3": "f0ae44fc7d731c457f226b251b5b248f2bcd8c7513e6a4b8f6f147968406da79",
+    "crown_union_3": "e6778e23c835b0199e772b55b2944e3bc961b16c247b220cbac2acf4afc960cc",
     "near_axis_7": "9c28c1194e2aba3e8e942c9622405c88ae0755ecb8afecbc81a7171ec8c72c9f",
 }
 

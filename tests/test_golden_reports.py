@@ -99,15 +99,15 @@ GOLDEN = {
     "golden random_24":
         (0, "8e2dd73eb1e4c4864999f4775c9f1394da60ca8e26cab79edff45b89825af8db"),
     "golden crown_12":
-        (0, "2d55ce559e7f35ddcf72a9b6366ac71cf946426014bf0005c3fe845294e94502"),
+        (0, "6340f7f38e4b6f4bb48bc0af4cbcad9404815744b881b2d5e0955c8aded72ef6"),
     "golden cubic_walk_18":
         (0, "897e7fadc99a94e856717a85537fd81ef5fb40523dacec8e151595a088d0b56a"),
     "golden crown_union_3":
-        (0, "4ab4269974a5be15090cab25c4fc1090a2e014bce535933626b911d78400207c"),
+        (0, "76c3048ae495dab8cfc646cc58459babbd0ecaf1bdc1a3c55c59dc67ba5f054d"),
     "tamper move # new":
         (1, "af19f1d94aaded4d488e9175b65db1a36005e28d2445e30a441c758ea4bb7482"),
     "tamper move # order swap # #":
-        (1, "f9d2308de4b18124cfbb765ce5e3b158c57a617bfbe644522b32217e8fe21ff6"),
+        (1, "def6c29b995c6a3c5eb75accdefe64c66789b0e0fbb55767dc89cc17f8e1a27b"),
     "tamper move # order short":
         (1, "35f370195958d3647a075a05b00febc3abc72fe6de65578d226e79353ce65129"),
     "tamper move # order long":
@@ -119,11 +119,11 @@ GOLDEN = {
     "tamper move # order n":
         (1, "35f370195958d3647a075a05b00febc3abc72fe6de65578d226e79353ce65129"),
     "tamper move # z":
-        (1, "755ea0a1894c521ce891c3f56c5b3553465e9e8c514090446364339ec88ce316"),
+        (1, "378127903ef76eb563f5f18fd882c6392690953b9558a2f3ec9b7d223b43d00c"),
     "tamper move # at=#":
         (1, "c701476311084b11d26e25d8d2806785539aa20ef692e1e796d89a8537e26c0d"),
     "tamper move # apex[#]":
-        (1, "a3affd9cb4e45b1fb8f13be517336339f98a6710cf217f57ef313c050b79d090"),
+        (1, "987a0194e7bd4d173944104a2deffab7b3e124622e691492d313902ba017d128"),
     "tamper initial vertex":
         (1, "d72b62fc883bd877b106644b988ce42f2051d4f6300940c9c5e571197ed3a42c"),
     "tamper final vertex":
@@ -135,29 +135,29 @@ GOLDEN = {
     "tamper move # vertex=#":
         (1, "13f347247d3b594ef074ef3c35b7fb1b01fdf6d0efac4063dcad12c3d55bf8e5"),
     "tamper stats n":
-        (1, "768711cdb5eac57e9e38cdc0a5620e50731cc350f2ed83815d3fdb3690f80ad6"),
+        (1, "df002b346e19047a1a763e8d3b65e5acfc2672e2f220f1e565de0d733c2eb098"),
     "tamper stats k":
-        (1, "c0d8956afaa419a4bf6ed80edcc99c110ba2fae5256775930a05015ec4051c55"),
+        (1, "b3823d2d7cee0f50468ee2fc36ae244346d36e0964541902f81ddc0eac6d6e64"),
     "tamper stats budget":
-        (1, "35b876db982ccc67b12d161481cb9cc104f4880c0ed126e12829f7e00562b40b"),
+        (1, "ddfd8c0f0372e9b1b7065b9ca6214759ef6af25ca806859486706160fe7f182c"),
     "tamper stats planarize_moves":
-        (1, "c648392c44400050429bd16b23c686771c9d4666a69c0d65d1c7b50fcb5868fc"),
+        (1, "faa04f3a0baa18064e139f8765e92fab6cb73365cec37c9cfc09bd7e87820f65"),
     "tamper stats pack_moves":
-        (1, "bd6c20385cf93e6d59dd87c3a3fd1e517b452055cb6c6d4bf3b35499b3262aa2"),
+        (1, "caf21989e2b1515042276ab00894e9487c55a46dd944ad7ba0feb10a5a1c9f8d"),
     "tamper stats splits":
-        (1, "bb1ad9247d0fd659f6233d5f347c4a703af19b8b1b232d9c3a679ee40e10c400"),
+        (1, "0086458dbc1c804e22f62971a851e223a8e4f41997f305acc538384d020ceade"),
     "tamper stats fixes":
-        (1, "b35ed7d31578e95ff8d78a2d5fd4c425fccf61fecaa01368268366c6200903b3"),
+        (1, "10645cdcf44ba55390ad359be44d249c07572b239b060080c913c6efae433418"),
     "tamper stats per_component[#] component":
-        (1, "b587ddf0bdd3bd394ab8ec5239117beca651f99b78d4ab8f8b15270069682f5d"),
+        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
     "tamper stats per_component[#] edges":
-        (1, "b587ddf0bdd3bd394ab8ec5239117beca651f99b78d4ab8f8b15270069682f5d"),
+        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
     "tamper stats per_component[#] rhombi_used":
-        (1, "b587ddf0bdd3bd394ab8ec5239117beca651f99b78d4ab8f8b15270069682f5d"),
+        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
     "tamper stats per_component[#] budget":
-        (1, "b587ddf0bdd3bd394ab8ec5239117beca651f99b78d4ab8f8b15270069682f5d"),
+        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
     "tamper move # stage=pack":
-        (1, "562a87c3d76974da55dd42e035969ac0192c0746375e64cc15d52d89aebd32c2"),
+        (1, "ec85055fc8d2064f59f4e8b888949f02fbe6ff99fb2bd5ace2761bd2d1c70235"),
     "straddling degenerate pivot":
         (0, "6f6751e6085dcb1326f7f1ad8c75e6a2f8e840f8f2f9ca9b020b2c929f9d536d"),
     "off the grid":
@@ -165,7 +165,7 @@ GOLDEN = {
 }
 
 # sha256 of the OFF file ``reduce --off`` writes for the stored crown_curve(12, 0.3)
-GOLDEN_OFF = "b24ab53e24d74e727ccbd54e9ff946530dc8784bf93b829e3de5ef14dad28782"
+GOLDEN_OFF = "319cf6d1642930588c6244e9e7ca644bf4ae23bf56536b8606c68edc00cacae0"
 
 
 def _validate_stdout(tmp_path, capsys, doc) -> tuple[int, str]:

@@ -12,7 +12,8 @@ fallback: flatten it into a plane by pivoting the highest vertex onto the
 point of its pivot circle nearest the plane, gather all vertices within
 distance 2 of vertex 0 by realizing a bounded-prefix reordering of the edge
 vectors with adjacent transpositions, then peel the planar remainder with
-the same loop.  A bridge with no farthest point is then taken in the plane,
+the same loop at spans up to 2, packing it again whenever no window
+qualifies.  A bridge with no farthest point is then taken in the plane,
 along the axis v_i+3 - v_i crossed with the plane's normal.  Each inversion
 of the reordering costs one pack pivot, so the order is a first-fit pass
 within 2 that prefers low indices; the Grinberg--Sevastyanov elimination,
@@ -111,8 +112,7 @@ class NotClosedError(ValueError):
 
 
 class SearchFailedError(RuntimeError):
-    """A packing postcondition failed: a packed vertex is farther than 2 from
-    vertex 0, or the peel left a packed remainder above 5 vertices."""
+    """A packing postcondition failed: a packed vertex is farther than 2 from vertex 0."""
 
 
 class FixBudgetExceededError(RuntimeError):
@@ -535,7 +535,8 @@ def _local_bridge(points: list[list[float]], v: list[int], i: int,
     if span > EPS:
         axis = [(b - a) / span for a, b in zip(p, s)]
         away = cross3(axis, cross3(away, axis))
-        radius = math.sqrt(1.0 - 0.25 * span * span)
+        # a fallback window spans up to 2 + EPS
+        radius = math.sqrt(max(0.0, 1.0 - 0.25 * span * span))
         if normal is not None and math.hypot(*away) <= EPS:
             away = cross3(axis, normal)
     norm = math.hypot(*away)
@@ -551,18 +552,22 @@ def _peel_tight(state: Replayer, cid: int, next_id: int,
 
     Window i is [v_i .. v_i+3] (cyclic), its span |v_i - v_i+3|.  Each peel
     takes the first window of least span, if that span is within
-    ``_TIGHT_SPAN`` and :func:`_local_bridge`, given the plane ``normal``,
-    finds its bridge, and stops at 5 vertices or when no window qualifies.
-    The remainder [v_i z v_i+3 .. v_i-1] starts at v_i, so its spans are the
-    old ones rotated, except for the four windows that meet the bridge.
+    ``_TIGHT_SPAN`` and :func:`_local_bridge` finds its bridge, and stops at
+    5 vertices or when no window qualifies.  Given the plane ``normal`` of a
+    packed remainder, a span qualifies up to the bound 2 (within ``EPS``),
+    which window 0 meets, and every bridge is found: at least one pentagon
+    peels.  The remainder [v_i z v_i+3 .. v_i-1] starts at v_i, so its spans
+    are the old ones rotated, except for the four windows that meet the
+    bridge.
     """
     ids, points = state.component(cid), state.points
     n = len(ids)
+    limit = _TIGHT_SPAN if normal is None else STEINITZ_BOUND + EPS
     spans = [math.dist(points[ids[j]], points[ids[(j + 3) % n]]) for j in range(n)]
     while n > 5:
         tight = min(spans)
         i = spans.index(tight)
-        z = _local_bridge(points, ids, i, normal) if tight <= _TIGHT_SPAN else None
+        z = _local_bridge(points, ids, i, normal) if tight <= limit else None
         if z is None:
             break
         state.apply(SplitMove(cid, next_id, z, at=i))
@@ -583,13 +588,12 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
     rhombus.  A longer component is peeled into pentagons, each of which
     yields two rhombi and one triangle: each peel is local, at the tightest
     window of four vertices (:func:`_peel_tight`).  A remainder of more than
-    5 vertices with no tight window is flattened, packed, and peeled by the
-    same loop, whose bridges are then given the remainder's plane, which
-    places a bridge with no farthest point; a packed remainder left above 5
-    vertices raises :class:`SearchFailedError`.  A 5-vertex component is
-    packed around vertex 0 already.  The total number of rhombi used stays
-    within n^2 + 2n - 12 per component; a component above it raises
-    :class:`RhombusBudgetError`.
+    5 vertices with no tight window is flattened, then packed and peeled by
+    the same loop, given the remainder's plane, until at most 5 vertices are
+    left; each round peels at least the packed window 0.  A 5-vertex
+    component is packed around vertex 0 already.  The total number of rhombi
+    used stays within n^2 + 2n - 12 per component; a component above it
+    raises :class:`RhombusBudgetError`.
     """
     curve.validate()
     initial = curve.copy()
@@ -606,15 +610,9 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             next_id = _peel_tight(state, root, next_id)
             if len(state.component(root)) > 5:
                 plane = _planarize_component(state, root)
-                _pack_component(state, root)
-                next_id = _peel_tight(state, root, next_id, plane.normal)
-                ids, points = state.component(root), state.points
-                if len(ids) > 5:
-                    least = min(math.dist(points[a], points[b])
-                                for a, b in zip(ids, ids[3:] + ids[:3]))
-                    raise SearchFailedError(
-                        f"packed component {root} kept {len(ids)} vertices"
-                        f" after its peel; least span {least:.12g}")
+                while len(state.component(root)) > 5:
+                    _pack_component(state, root)
+                    next_id = _peel_tight(state, root, next_id, plane.normal)
             _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)
         if used > budget:

@@ -21,8 +21,6 @@ from rhombidome.cobordism import (
     NotClosedError,
     PlanarizeBudgetError,
     RhombusBudgetError,
-    SearchFailedError,
-    _TIGHT_SPAN,
     _local_bridge,
     apply_pivot,
     pack,
@@ -196,13 +194,26 @@ def test_rhombus_budget_overrun_is_not_a_planarize_error(monkeypatch):
     assert str(caught.value) == "component 0 used 2 rhombi, budget 1"
 
 
-def test_unpeeled_packed_remainder_names_the_component(monkeypatch):
-    # with no window tight enough to peel, the packed crown keeps all 12
-    monkeypatch.setattr(cobordism, "_TIGHT_SPAN", -1.0)
-    with pytest.raises(SearchFailedError) as caught:
-        reduce_to_rhombi(crown_curve(12))
-    assert str(caught.value).startswith(
-        "packed component 0 kept 12 vertices after its peel; least span ")
+def test_fallback_packs_again_when_its_peel_stops(monkeypatch):
+    # every second bridge of the fallback is withheld, so each round peels one
+    # pentagon and the crown's remainder is packed again, 12 -> 5 in 7 rounds
+    from rhombidome.surface import validate_ledger
+
+    bridge, packs, asked = cobordism._local_bridge, [], []
+
+    def one_per_round(points, v, i, normal=None):
+        if normal is None:
+            return bridge(points, v, i)
+        asked.append(i)
+        return None if len(asked) % 2 == 0 else bridge(points, v, i, normal)
+
+    pack_component = cobordism._pack_component
+    monkeypatch.setattr(cobordism, "_local_bridge", one_per_round)
+    monkeypatch.setattr(cobordism, "_pack_component",
+                        lambda state, cid: packs.append(cid) or pack_component(state, cid))
+    ledger = reduce_to_rhombi(crown_curve(12))
+    assert packs == [0] * 7
+    assert validate_ledger(ledger).passed
 
 
 def test_planarize_budget_error_names_the_vertex():
@@ -616,6 +627,21 @@ def test_reduce_regular_pentagon(regular_pentagon):
     assert len(chain.triangles) == 1
 
 
+@pytest.mark.parametrize("turned", [False, True], ids=["planar", "rotated"])
+def test_reduce_regular_hexagon(turned):
+    # every window spans 2 up to an ulp, so none peels locally; the packed
+    # fallback peels one, its bridge at the centre where the circle shrinks
+    from rhombidome.surface import validate_ledger
+
+    curve = regular_polygon_curve(6)
+    if turned:
+        q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
+        curve = IntegralCurve([curve.components[0] @ q.T])
+    ledger = reduce_to_rhombi(curve)
+    assert ledger.stats["splits"] == 1
+    assert validate_ledger(ledger).passed
+
+
 def test_reduce_multicomponent():
     tri = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0.0]])
     rng = np.random.default_rng(14)
@@ -705,15 +731,15 @@ def test_decisions_ignore_last_bit_noise():
 
 def test_local_bridge_is_unit_near_the_axis_and_up_to_span_two():
     # the midpoint m of v1 and v2 lies 2 EPS ... 1e-8 across the axis v3 - v0
-    # and far along it, and the span runs up to _TIGHT_SPAN, the widest window
-    # any peel takes, where the circle of bridges has radius 1e-3
+    # and far along it, and the span runs up to 2 + EPS, the widest window a
+    # packed remainder peels, where the circle of bridges shrinks to its centre
     rng = np.random.default_rng(28)
     for trial in range(300):
         p, axis, across = rng.normal(size=(3, 3))
         axis /= np.linalg.norm(axis)
         across -= (across @ axis) * axis
         across /= np.linalg.norm(across)
-        span = rng.uniform(0.1, _TIGHT_SPAN) if trial % 3 else _TIGHT_SPAN
+        span = rng.uniform(0.1, 2.0) if trial % 3 else 2.0 + rng.uniform(0.0, EPS)
         s = p + span * axis
         m = p + rng.uniform(-1.0, 3.0) * axis + rng.uniform(2 * EPS, 1e-8) * across
         half = rng.normal(size=3)

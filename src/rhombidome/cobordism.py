@@ -283,7 +283,8 @@ def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
     prefix norm is at most ``STEINITZ_BOUND`` (within ``EPS``), or else the
     one with the smallest new prefix norm.  Taking low indices first keeps
     the order's inversions, and so the pack pivots that realize it, few; the
-    identity comes back whenever it qualifies.
+    identity comes back whenever it qualifies.  The scan stops at the first
+    vector within the bound, and measures every one only when none is.
     """
     pts = vectors.tolist()
     remaining = list(range(len(pts)))
@@ -291,9 +292,11 @@ def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
     order = []
     while remaining:
         # |prefix + u| is the distance from u to minus the prefix
-        norms = [math.dist(pts[i], back) for i in remaining]
-        j = next((k for k, r in enumerate(norms) if r <= STEINITZ_BOUND + EPS), None)
-        if j is None:
+        for j, i in enumerate(remaining):
+            if math.dist(pts[i], back) <= STEINITZ_BOUND + EPS:
+                break
+        else:
+            norms = [math.dist(pts[i], back) for i in remaining]
             j = norms.index(min(norms))
         i = remaining.pop(j)
         back = [b - x for b, x in zip(back, pts[i])]
@@ -391,7 +394,11 @@ def _pack_component(state: Replayer, cid: int) -> None:
         v = np.array(state.rows(cid))
     radii = np.linalg.norm(v - v[0], axis=1)
     if float(np.max(radii)) > STEINITZ_BOUND + EPS:
-        raise SearchFailedError("packing postcondition violated")
+        j = int(np.argmax(radii > STEINITZ_BOUND + EPS))
+        row = ", ".join(f"{x:.12g}" for x in v[j])
+        raise SearchFailedError(
+            f"packing postcondition violated at component {cid} vertex {j} ({row}):"
+            f" radius {radii[j]:.12g} from vertex 0 exceeds {STEINITZ_BOUND:g}")
 
 
 def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PackMove]]:
@@ -526,23 +533,29 @@ def _local_bridge(points: list[list[float]], v: list[int], i: int,
     otherwise.
     """
     n = len(v)
-    p, q = points[v[i]], points[v[(i + 1) % n]]
-    r, s = points[v[(i + 2) % n]], points[v[(i + 3) % n]]
-    center = [0.5 * (a + b) for a, b in zip(p, s)]
-    away = [c - 0.5 * (a + b) for c, a, b in zip(center, q, r)]
+    p, s = points[v[i]], points[v[(i + 3) % n]]
+    px, py, pz = p
+    sx, sy, sz = s
+    qx, qy, qz = points[v[(i + 1) % n]]
+    rx, ry, rz = points[v[(i + 2) % n]]
+    cx, cy, cz = 0.5 * (px + sx), 0.5 * (py + sy), 0.5 * (pz + sz)
+    wx, wy, wz = cx - 0.5 * (qx + rx), cy - 0.5 * (qy + ry), cz - 0.5 * (qz + rz)
     span = math.dist(p, s)
     radius = 1.0
     if span > EPS:
-        axis = [(b - a) / span for a, b in zip(p, s)]
-        away = cross3(axis, cross3(away, axis))
+        ax, ay, az = (sx - px) / span, (sy - py) / span, (sz - pz) / span
+        # w = c - m, then its part across the axis a x (w x a)
+        tx, ty, tz = wy * az - wz * ay, wz * ax - wx * az, wx * ay - wy * ax
+        wx, wy, wz = ay * tz - az * ty, az * tx - ax * tz, ax * ty - ay * tx
         # a fallback window spans up to 2 + EPS
         radius = math.sqrt(max(0.0, 1.0 - 0.25 * span * span))
-        if normal is not None and math.hypot(*away) <= EPS:
-            away = cross3(axis, normal)
-    norm = math.hypot(*away)
+        if normal is not None and math.hypot(wx, wy, wz) <= EPS:
+            nx, ny, nz = normal
+            wx, wy, wz = ay * nz - az * ny, az * nx - ax * nz, ax * ny - ay * nx
+    norm = math.hypot(wx, wy, wz)
     if norm <= EPS:
         return None
-    return [c + radius * x / norm for c, x in zip(center, away)]
+    return [cx + radius * wx / norm, cy + radius * wy / norm, cz + radius * wz / norm]
 
 
 def _peel_tight(state: Replayer, cid: int, next_id: int,
@@ -576,8 +589,10 @@ def _peel_tight(state: Replayer, cid: int, next_id: int,
         ids = state.component(cid)
         kept = (i + 3) % n
         n -= 1
-        ends = [math.dist(points[ids[j]], points[ids[(j + 3) % n]]) for j in (0, 1, -2, -1)]
-        spans = ends[:2] + (spans[kept:] + spans[:kept])[:n - 4] + ends[2:]
+        v0, v1, v2 = points[ids[0]], points[ids[1]], points[ids[2]]
+        spans = ([math.dist(v0, points[ids[3]]), math.dist(v1, points[ids[4]])]
+                 + (spans[kept:] + spans[:kept])[:n - 4]
+                 + [math.dist(points[ids[-2]], v1), math.dist(points[ids[-1]], v2)])
     return next_id
 
 

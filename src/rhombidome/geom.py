@@ -10,6 +10,13 @@ through its SIMD loops, whose last bits vary with the build and the CPU.
 So the bits of every point these kernels return depend on the
 interpreter's float arithmetic and libm alone.
 
+The kernels that every pentagon peel runs (the triangle frame behind
+:func:`circumcenter`, :func:`circumradius` and
+:func:`apex_at_unit_distance`, and the producer's bridge) unpack their rows
+into scalars, ``ax, ay, az = a``, and spell each formula out with the same
+operations in the same order as its row form, building no temporary rows.
+``tests/test_geom.py`` pins their output bits to the row formulas.
+
 Coincidence and unit-length predicates, here and in every other module,
 compare against one fixed absolute threshold, :data:`EPS` = 1e-9, so a
 verdict depends on its input alone.  Absolute means the inputs must sit
@@ -146,30 +153,35 @@ def unit_ball_intersection(u: list, w: list) -> Circle3:
                    radius=radius, axis=[(q - p) / d for p, q in zip(u, w)])
 
 
-def _triangle_frame(a: list, b: list, c: list) -> tuple[list, ...]:
+def _triangle_frame(a: list, b: list, c: list) -> tuple:
     """The circumcenter, the edge vectors u = b-a and v = c-a and their cross
-    product n of a triangle that is validated as proper."""
+    product n, each a 3-tuple, and |n| of a triangle that is validated as
+    proper."""
     if math.dist(a, b) <= EPS or math.dist(a, c) <= EPS or math.dist(b, c) <= EPS:
         raise DegenerateError("coincident triangle vertices")
-    u, v = _sub(b, a), _sub(c, a)
-    n = cross3(u, v)
-    if math.hypot(*n) <= EPS:
+    ax, ay, az = a
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    norm = math.hypot(nx, ny, nz)
+    if norm <= EPS:
         raise DegenerateError("collinear triangle vertices")
-    scale = 2.0 * _dot(n, n)
-    uu, vv = _dot(u, u), _dot(v, v)
-    center = [x + (vv * p + uu * q) / scale
-              for x, p, q in zip(a, cross3(n, u), cross3(v, n))]
-    return center, u, v, n
+    scale = 2.0 * (nx * nx + ny * ny + nz * nz)
+    uu, vv = ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz
+    # a + (vv * (n x u) + uu * (v x n)) / scale
+    center = (ax + (vv * (ny * uz - nz * uy) + uu * (vy * nz - vz * ny)) / scale,
+              ay + (vv * (nz * ux - nx * uz) + uu * (vz * nx - vx * nz)) / scale,
+              az + (vv * (nx * uy - ny * ux) + uu * (vx * ny - vy * nx)) / scale)
+    return center, (ux, uy, uz), (vx, vy, vz), (nx, ny, nz), norm
 
 
 def circumcenter(a: list, b: list, c: list) -> list[float]:
-    return _triangle_frame(a, b, c)[0]
+    return list(_triangle_frame(a, b, c)[0])
 
 
 def circumradius(a: list, b: list, c: list) -> float:
     """|ab| * |bc| * |ca| / (4 * area)."""
-    _, u, v, n = _triangle_frame(a, b, c)
-    area2 = math.hypot(*n)  # twice the triangle area
+    _, u, v, _, area2 = _triangle_frame(a, b, c)  # area2: twice the triangle area
     return math.hypot(*u) * math.dist(u, v) * math.hypot(*v) / (2.0 * area2)
 
 
@@ -180,12 +192,14 @@ def apex_at_unit_distance(a: list, b: list, c: list, side: int = +1) -> list[flo
     sqrt(1 - R^2) over the circumcenter, on the side of the triangle plane
     selected by the sign of ``side`` (relative to (b-a) x (c-a)).
     """
-    center, _, _, n = _triangle_frame(a, b, c)
+    center, _, _, (nx, ny, nz), norm = _triangle_frame(a, b, c)
     r2 = math.dist(center, a) ** 2
     if r2 >= 1.0:
         return None
     lift = (1 if side >= 0 else -1) * math.sqrt(1.0 - r2)
-    return [x + lift * y for x, y in zip(center, normalize(n))]
+    ox, oy, oz = center
+    # n / |n| is normalize(n): the frame refused |n| <= EPS
+    return [ox + lift * (nx / norm), oy + lift * (ny / norm), oz + lift * (nz / norm)]
 
 
 def reflect_across_line(p: list, a: list, b: list) -> list[float]:

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the `rhombidome` console script end to end: reduce and validate the
 # stored crown, refuse a version 4 ledger (exit 2), reduce a far square and a
-# near-axis window, reduce and validate with scipy blocked, certify catalog
-# moduli surfaces and refuse a too-small band (exit 2).
+# near-axis window, reduce and validate with scipy blocked, check that the two
+# crown ledgers, written by separate processes, are the same bytes, certify
+# catalog moduli surfaces and refuse a too-small band (exit 2).
 #
 # Usage: tests/cli_smoke.sh OUTDIR   (from any directory; `rhombidome` must
 # be on PATH, and PYTHON, default `python`, must import rhombidome)
@@ -25,6 +26,7 @@ rhombidome validate --in "$out/near_axis_ledger.json"
 # a None entry in sys.modules makes any scipy import raise: reduce and validate need numpy alone
 "$py" -c 'import sys; sys.modules["scipy"] = None; from rhombidome.cli import main; sys.exit(main(sys.argv[1:]))' reduce --in tests/data/curve_crown_12.json --out "$out/crown_no_scipy.json"
 "$py" -c 'import sys; sys.modules["scipy"] = None; from rhombidome.cli import main; sys.exit(main(sys.argv[1:]))' validate --in "$out/crown_no_scipy.json"
+cmp "$out/crown.json" "$out/crown_no_scipy.json"
 
 rhombidome moduli dims --surface antiprism_band:k=4
 rhombidome moduli isotropy --surface antiprism_band:k=40 --trials 3 --seed 1

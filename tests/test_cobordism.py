@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from rhombidome.cobordism import (
     NotClosedError,
     PlanarizeBudgetError,
     RhombusBudgetError,
+    SearchFailedError,
     _local_bridge,
     apply_pivot,
     pack,
@@ -364,6 +366,42 @@ def test_steinitz_order_property(vectors):
         assert np.array_equal(steinitz_order(vectors), identity)
 
 
+
+def exhaustive_first_fit(vectors):
+    """First fit as a full scan: every remaining vector's new prefix norm,
+    then the first within the bound, or else the first least."""
+    pts, order = vectors.tolist(), []
+    remaining, back = list(range(len(pts))), [0.0] * vectors.shape[1]
+    while remaining:
+        norms = [math.dist(pts[i], back) for i in remaining]
+        j = next((k for k, r in enumerate(norms) if r <= 2.0 + EPS), None)
+        if j is None:
+            j = norms.index(min(norms))
+        i = remaining.pop(j)
+        back = [b - x for b, x in zip(back, pts[i])]
+        order.append(i)
+    return order
+
+
+@st.composite
+def fans(draw):
+    """Unit vectors at angles a and -a, then k each at +-(pi/2 + b1) and
+    +-(pi/2 + b2) that close them, in a drawn order: for small a and large
+    k no third vector keeps the prefix within 2, and the least new prefix
+    is at the larger of b1 and b2."""
+    a, k = draw(st.floats(0.0, 0.2)), draw(st.integers(6, 12))
+    sin_b1 = draw(st.floats(0.1, 0.9)) * math.cos(a) / k
+    bs = (math.asin(sin_b1), math.asin(math.cos(a) / k - sin_b1))
+    rest = _unit([sign * (0.5 * np.pi + b) for b in bs for sign in (1.0, -1.0)] * k)
+    return np.vstack([_unit([a, -a]), rest[draw(st.permutations(range(4 * k)))]])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(closed_unit_vectors(), fans()))
+def test_first_fit_stops_at_the_first_vector_within_the_bound(vectors):
+    assert cobordism._first_fit_order(vectors).tolist() == exhaustive_first_fit(vectors)
+
+
 # ---------------------------------------------------------------------------
 # pack
 
@@ -405,6 +443,16 @@ def test_pack_requires_planar():
     with pytest.raises(ValueError):
         pack(folded)
 
+
+
+def test_pack_postcondition_names_the_vertex(monkeypatch):
+    # with the identity order nothing is packed: the regular 12-gon's vertex 3
+    # lies sqrt(2) times its circumradius, 2.73..., from vertex 0
+    monkeypatch.setattr(cobordism, "steinitz_order", lambda vectors: np.arange(len(vectors)))
+    with pytest.raises(SearchFailedError,
+                       match=r"^packing postcondition violated at component 0 vertex 3 \(.+\):"
+                             r" radius 2\.7320508\d* from vertex 0 exceeds 2$"):
+        pack(regular_polygon_curve(12))
 
 def test_pack_permutes_the_edge_vectors():
     rng = np.random.default_rng(17)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conftest
 from rhombidome import geom
@@ -325,3 +327,195 @@ def test_float_kernel_raises_as_reference(name, args, error):
 def test_float_kernel_degenerate_values_match_reference(name, args):
     kernel, reference = _pair(name)
     _assert_agree(kernel(*args), reference(*args))
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernels against the row-form formulas they replaced, bit for bit
+
+
+def _row_sub(a, b):
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _row_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _row_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _row_normalize(v):
+    n = math.hypot(*v)
+    if n <= 1e-12:
+        raise DegenerateError("cannot normalize a (near-)zero vector")
+    return [x / n for x in v]
+
+
+def _row_triangle_frame(a, b, c):
+    if math.dist(a, b) <= geom.EPS or math.dist(a, c) <= geom.EPS or math.dist(b, c) <= geom.EPS:
+        raise DegenerateError("coincident triangle vertices")
+    u, v = _row_sub(b, a), _row_sub(c, a)
+    n = _row_cross(u, v)
+    if math.hypot(*n) <= geom.EPS:
+        raise DegenerateError("collinear triangle vertices")
+    scale = 2.0 * _row_dot(n, n)
+    uu, vv = _row_dot(u, u), _row_dot(v, v)
+    center = [x + (vv * p + uu * q) / scale
+              for x, p, q in zip(a, _row_cross(n, u), _row_cross(v, n))]
+    return center, u, v, n
+
+
+def row_circumcenter(a, b, c):
+    return _row_triangle_frame(a, b, c)[0]
+
+
+def row_circumradius(a, b, c):
+    _, u, v, n = _row_triangle_frame(a, b, c)
+    return math.hypot(*u) * math.dist(u, v) * math.hypot(*v) / (2.0 * math.hypot(*n))
+
+
+def row_apex_at_unit_distance(a, b, c, side=+1):
+    center, _, _, n = _row_triangle_frame(a, b, c)
+    r2 = math.dist(center, a) ** 2
+    if r2 >= 1.0:
+        return None
+    lift = (1 if side >= 0 else -1) * math.sqrt(1.0 - r2)
+    return [x + lift * y for x, y in zip(center, _row_normalize(n))]
+
+
+def row_local_bridge(points, v, i, normal=None):
+    n = len(v)
+    p, q = points[v[i]], points[v[(i + 1) % n]]
+    r, s = points[v[(i + 2) % n]], points[v[(i + 3) % n]]
+    center = [0.5 * (a + b) for a, b in zip(p, s)]
+    away = [c - 0.5 * (a + b) for c, a, b in zip(center, q, r)]
+    span = math.dist(p, s)
+    radius = 1.0
+    if span > geom.EPS:
+        axis = [(b - a) / span for a, b in zip(p, s)]
+        away = _row_cross(axis, _row_cross(away, axis))
+        radius = math.sqrt(max(0.0, 1.0 - 0.25 * span * span))
+        if normal is not None and math.hypot(*away) <= geom.EPS:
+            away = _row_cross(axis, normal)
+    norm = math.hypot(*away)
+    if norm <= geom.EPS:
+        return None
+    return [c + radius * x / norm for c, x in zip(center, away)]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` with every float as its bits, or the error it raised."""
+    try:
+        got = fn(*args)
+    except DegenerateError as exc:
+        return "DegenerateError", str(exc)
+    if isinstance(got, float):
+        return got.hex()
+    if got is None:
+        return None
+    assert type(got) is list and all(type(x) is float for x in got)
+    return [x.hex() for x in got]
+
+
+_COORD = st.floats(-2.0, 2.0)
+_ROW = st.lists(_COORD, min_size=3, max_size=3)
+# offsets from an exact degeneracy, around each threshold the kernels test
+_NUDGE = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 1e-13, 1e-12, 1e-10,
+                          1e-9, 2e-9, 1e-8, 1e-6, 1e-3])
+
+
+def _along(a, t, d, nudge, e):
+    """a + t * d + nudge * e."""
+    return [x + t * y + nudge * z for x, y, z in zip(a, d, e)]
+
+
+def _unit_row(draw):
+    v = draw(_ROW)
+    n = math.hypot(*v)
+    return [x / n for x in v] if n > 1e-3 else [0.0, 0.0, 1.0]
+
+
+def _across(x, d):
+    """A unit row orthogonal to the unit row ``x``, from d when it can."""
+    for w in (d, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
+        y = _row_cross(x, w)
+        if math.hypot(*y) > 1e-3:
+            return _row_normalize(y)
+
+
+@st.composite
+def triangles(draw):
+    """Three rows: random, nearly collinear, nearly coincident, or on a circle
+    of radius near 1, where the apex appears."""
+    a, d, e = draw(_ROW), draw(_ROW), draw(_ROW)
+    kind = draw(st.sampled_from(["random", "collinear", "coincident", "circle"]))
+    if kind == "random":
+        b, c = draw(_ROW), draw(_ROW)
+    elif kind == "collinear":
+        b = _along(a, 1.0, d, 0.0, e)
+        c = _along(a, draw(_COORD), d, draw(_NUDGE), e)
+    elif kind == "coincident":
+        b, c = draw(_ROW), _along(a, 0.0, d, draw(_NUDGE), e)
+    else:
+        x = _unit_row(draw)
+        y = _across(x, d)
+        radius = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(_NUDGE)
+        a, b, c = ([o + radius * (math.cos(t) * p + math.sin(t) * q) for o, p, q in zip(e, x, y)]
+                   for t in draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3)))
+    return draw(st.permutations([a, b, c]))
+
+
+@st.composite
+def bridge_windows(draw):
+    """``(points, ids, i, normal)`` of a window [p q r s]: random, or with the
+    midpoint m of q and r near the axis s - p, s near p, or a span near 2."""
+    p, e, half = draw(_ROW), draw(_ROW), draw(_ROW)
+    kind = draw(st.sampled_from(["random", "near_axis", "coincident_ends", "span_two"]))
+    if kind == "random":
+        q, r, s = draw(_ROW), draw(_ROW), draw(_ROW)
+    else:
+        axis = _unit_row(draw)
+        span = {"near_axis": draw(st.floats(0.0, 2.0)),
+                "coincident_ends": draw(_NUDGE),
+                "span_two": 2.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(_NUDGE)}[kind]
+        s = _along(p, span, axis, 0.0, e)
+        m = _along(p, draw(st.floats(-1.0, 3.0)), axis, draw(_NUDGE), e)
+        q, r = [x + y for x, y in zip(m, half)], [x - y for x, y in zip(m, half)]
+    turn = draw(st.integers(0, 3))
+    ids = [(j + turn) % 4 for j in range(4)]
+    normal = _unit_row(draw) if draw(st.booleans()) else None
+    return [p, q, r, s], ids, (-turn) % 4, normal
+
+
+_BITS = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+_FLAT = ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+_SAME = ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+_WIDE = ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.2, 0.0])  # circumradius above 1
+
+
+@_BITS
+@given(triangles(), st.sampled_from([-1, 0, 1]))
+@example(list(_FLAT), 1)
+@example(list(_SAME), 1)
+@example(list(_WIDE), -1)
+def test_triangle_kernels_keep_the_row_formula_bits(abc, side):
+    assert _outcome(circumcenter, *abc) == _outcome(row_circumcenter, *abc)
+    assert _outcome(circumradius, *abc) == _outcome(row_circumradius, *abc)
+    assert (_outcome(apex_at_unit_distance, *abc, side)
+            == _outcome(row_apex_at_unit_distance, *abc, side))
+
+
+_ON_AXIS = [[0.0, 0.0, 0.0], [0.3, 0.5, 0.0], [0.3, -0.5, 0.0], [1.5, 0.0, 0.0]]
+
+
+@_BITS
+@given(bridge_windows())
+@example((_ON_AXIS, [0, 1, 2, 3], 0, None))
+@example((_ON_AXIS, [0, 1, 2, 3], 0, [0.0, 0.0, 1.0]))
+def test_local_bridge_keeps_the_row_formula_bits(window):
+    from rhombidome.cobordism import _local_bridge
+
+    assert _outcome(_local_bridge, *window) == _outcome(row_local_bridge, *window)

@@ -8,10 +8,11 @@ and ``pentagon_split`` takes it as it is.  One rule, :func:`_local_bridge`,
 places every bridge: z is the point at unit distance from v_i and v_i+3
 farthest from the midpoint of v_i+1 and v_i+2.  A remainder with no tight
 window, or no unique bridge, takes the paper's construction as the
-fallback: flatten it into a plane by pivoting the highest vertex onto the
-point of its pivot circle nearest the plane, gather all vertices within
-distance 2 of vertex 0 by realizing a bounded-prefix reordering of the edge
-vectors with adjacent transpositions, then peel the planar remainder with
+fallback, in one plane through a farthest vertex pair: flatten it into
+that plane by pivoting the highest vertex onto the point of its pivot
+circle nearest the plane, gather all vertices within distance 2 of vertex
+0 by realizing a bounded-prefix reordering of the edge vectors in the
+plane with adjacent transpositions, then peel the planar remainder with
 the same loop at spans up to 2, packing it again whenever no window
 qualifies.  A bridge with no farthest point is then taken in the plane,
 along the axis v_i+3 - v_i crossed with the plane's normal.  Each inversion
@@ -33,11 +34,12 @@ Points are rows, lists of three Python floats, as in the replay and in
 ``points[ids]``: the planarize pivots and the local peel read them through
 the ids, the rest copy them with ``Replayer.rows``.  The public
 :func:`pentagon_split` takes a list of rows as given and converts any other
-input once, and :func:`apply_pivot` its target.  The array algorithms stay
-numpy: the plane fits (``eigh``), the height pass (``@``), the Steinitz
-orders (``cumsum``, ``svd``) and the farthest vertex pair.  So does every
-``np.dot`` of two 3-vectors: the BLAS may round a dot product differently
-from the left-to-right Python sum, and a ledger's bytes must not move.
+input once, and :func:`apply_pivot` its target.  Every decision reads rows,
+with Python sums: the plane (:func:`~rhombidome.curve.plane_through`), its
+heights and the pack's edges in it.  OpenBLAS picks its kernels by CPU, and
+they round differently, but a ledger's bytes must not move.  numpy is left
+in :func:`~rhombidome.curve.farthest_vertex_pair` (elementwise), in
+:func:`steinitz_order`'s checks and in its elimination's rare ``svd``.
 """
 
 from __future__ import annotations
@@ -51,20 +53,20 @@ from .curve import (
     IntegralCurve,
     component_plane,
     farthest_vertex_pair,
-    fit_plane,
+    plane_through,
 )
 from .geom import (
     EPS,
     DegenerateError,
     Plane,
     apex_at_unit_distance,
-    cross3,
     dist,
     distance_to_plane,
-    normalize,
+    dot,
     plane_basis,
     point_on_circle_nearest_plane,
     reflect_across_line,
+    signed_plane_distance,
     unit_ball_intersection,
 )
 from .surface import (
@@ -156,31 +158,9 @@ def apply_pivot(curve: IntegralCurve, comp: int, i: int,
 # planarize
 
 
-def _best_plane_through(points: np.ndarray, iv: int, iw: int) -> Plane:
-    """Among planes containing the line (v, w), minimize summed squared heights.
-
-    One-parameter family: unit normals orthogonal to w - v.  The quadratic
-    form of second moments restricted to that 2-plane is minimized by the
-    eigenvector of its smaller eigenvalue (closed form via ``eigh``).
-    """
-    v = points[iv]
-    d = normalize((points[iw] - v).tolist())
-    seed = [1.0, 0.0, 0.0]
-    if abs(float(np.dot(seed, d))) > 0.9:
-        seed = [0.0, 1.0, 0.0]
-    along = float(np.dot(seed, d))
-    e1 = normalize([s - along * x for s, x in zip(seed, d)])
-    rel = points - v
-    m = rel.T @ rel
-    basis = np.column_stack([e1, cross3(d, e1)])
-    restricted = basis.T @ m @ basis
-    eigvals, eigvecs = np.linalg.eigh(restricted)
-    return Plane(base=v.tolist(), normal=normalize((basis @ eigvecs[:, 0]).tolist()))
-
-
 def _sphere_point_nearest_plane(center: list[float], plane: Plane) -> list[float]:
     """Deterministic point of the unit sphere around ``center`` nearest the plane."""
-    s = float(np.dot(np.subtract(center, plane.base), plane.normal))
+    s = signed_plane_distance(center, plane)
     if abs(s) >= 1.0:
         sign = 1.0 if s > 0 else -1.0
         return [c - sign * x for c, x in zip(center, plane.normal)]
@@ -206,7 +186,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
     """
     ids, points = state.component(cid), state.points
     n = len(ids)
-    heights = np.abs((np.array(state.rows(cid))[path] - plane.base) @ plane.normal).tolist()
+    heights = [distance_to_plane(points[ids[g]], plane) for g in path]
     interior = range(1, len(path) - 1)
 
     def refuse(j: int, reason: str) -> PlanarizeBudgetError:
@@ -241,13 +221,10 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
 
 
 def _planarize_component(state: Replayer, cid: int) -> Plane:
-    v = np.array(state.rows(cid))
-    existing = component_plane(v)
-    if existing is not None:
-        return existing
-    n = len(v)
-    iv, iw = farthest_vertex_pair(v)
-    plane = _best_plane_through(v, iv, iw)
+    rows = state.rows(cid)
+    n = len(rows)
+    iv, iw = farthest_vertex_pair(np.array(rows))
+    plane = plane_through(rows, iv, iw)
     budget = n * (n - 1) // 2
     forward = [(iv + k) % n for k in range(((iw - iv) % n) + 1)]
     backward = [(iw + k) % n for k in range(((iv - iw) % n) + 1)]
@@ -363,9 +340,10 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=float)
     n = len(vectors)
     norms = np.linalg.norm(vectors, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > 1e-6:
+    # written as not <= so that NaN fails
+    if not float(np.max(np.abs(norms - 1.0))) <= 1e-6:
         raise ValueError("vectors must be unit length")
-    if float(np.linalg.norm(vectors.sum(axis=0))) > max(1.0, n) * 10 * EPS:
+    if not float(np.linalg.norm(vectors.sum(axis=0))) <= max(1.0, n) * 10 * EPS:
         raise NotClosedError("vectors do not sum to zero")
     order = _first_fit_order(vectors)
     if _max_prefix_norm(vectors, order) <= STEINITZ_BOUND + EPS:
@@ -373,8 +351,9 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     return _elimination_order(vectors)
 
 
-def _pack_component(state: Replayer, cid: int) -> None:
-    """Realize a bounded-prefix edge order as one :class:`PackMove`.
+def _pack_component(state: Replayer, cid: int, plane: Plane) -> None:
+    """Realize a bounded-prefix order of the edge vectors, in the basis
+    ``plane_basis(plane.normal)``, as one :class:`PackMove`.
 
     Its replay swaps consecutive edge vectors u_j, u_{j+1} by moving the
     shared vertex to v_j + u_{j+1}, which for a planar curve is its
@@ -382,19 +361,17 @@ def _pack_component(state: Replayer, cid: int) -> None:
     the order with at most C(n, 2) swaps; the base vertex 0 never moves.  An
     identity order records nothing.
     """
-    v = np.array(state.rows(cid))
+    v = state.rows(cid)
     n = len(v)
-    plane = fit_plane(v)
     e1, e2 = plane_basis(plane.normal)
-    edges = np.roll(v, -1, axis=0) - v
-    vecs2d = edges @ np.column_stack([e1, e2])
-    sigma = steinitz_order(vecs2d)
+    edges = [[y - x for x, y in zip(p, q)] for p, q in zip(v, v[1:] + v[:1])]
+    sigma = steinitz_order(np.array([[dot(u, e1), dot(u, e2)] for u in edges]))
     if np.any(sigma != np.arange(n)):
         state.apply(PackMove(cid, sigma.tolist()))
-        v = np.array(state.rows(cid))
-    radii = np.linalg.norm(v - v[0], axis=1)
-    if float(np.max(radii)) > STEINITZ_BOUND + EPS:
-        j = int(np.argmax(radii > STEINITZ_BOUND + EPS))
+        v = state.rows(cid)
+    radii = [math.dist(p, v[0]) for p in v]
+    if max(radii) > STEINITZ_BOUND + EPS:
+        j = next(j for j, r in enumerate(radii) if r > STEINITZ_BOUND + EPS)
         row = ", ".join(f"{x:.12g}" for x in v[j])
         raise SearchFailedError(
             f"packing postcondition violated at component {cid} vertex {j} ({row}):"
@@ -410,9 +387,10 @@ def pack(curve: IntegralCurve) -> tuple[IntegralCurve, list[PackMove]]:
     curve.validate()
     state = Replayer(curve)
     for cid, comp in enumerate(curve.components):
-        if component_plane(comp) is None:
+        plane = component_plane(comp)
+        if plane is None:
             raise ValueError(f"component {cid} is not planar")
-        _pack_component(state, cid)
+        _pack_component(state, cid, plane)
     return state.final_curve(), state.moves
 
 
@@ -626,7 +604,7 @@ def reduce_to_rhombi(curve: IntegralCurve) -> CobordismLedger:
             if len(state.component(root)) > 5:
                 plane = _planarize_component(state, root)
                 while len(state.component(root)) > 5:
-                    _pack_component(state, root)
+                    _pack_component(state, root, plane)
                     next_id = _peel_tight(state, root, next_id, plane.normal)
             _consume_pentagon(state, root)
         used, budget = state.tally[root]["rhombi"], component_budget(n0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import EPS, Plane, normalize
+from .geom import EPS, Plane, distance_to_plane, dot, normalize, plane_basis
 
 __all__ = [
     "IntegralCurve",
@@ -20,7 +20,7 @@ __all__ = [
     "NonIntegerEdgeError",
     "from_integer_curve",
     "farthest_vertex_pair",
-    "fit_plane",
+    "plane_through",
     "component_plane",
     "is_planar",
     "random_integral_curve",
@@ -162,27 +162,41 @@ def farthest_vertex_pair(component: np.ndarray) -> tuple[int, int]:
     return best
 
 
-def fit_plane(points: np.ndarray) -> Plane:
-    """Best-fit plane through a point cloud via second-moment analysis."""
-    points = np.asarray(points, dtype=float)
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    moments = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(moments)
-    return Plane(base=centroid.tolist(), normal=normalize(eigvecs[:, 0].tolist()))
+def plane_through(rows: list, iv: int, iw: int) -> Plane:
+    """The plane through rows ``iv`` and ``iw``, based at row ``iv``, with
+    the least summed squared heights of ``rows``.
+
+    Its normal is cos t * e1 + sin t * e2, with e1, e2 =
+    ``plane_basis(normalize(w - v))``; the summed squared height
+    a cos^2 t + 2b cos t sin t + c sin^2 t, from the second moments
+    [[a, b], [b, c]] of the rows about v in that basis, is least at
+    t = atan2(-2b, c - a) / 2.  No eigensolver, and Python sums: the bits
+    depend on the rows alone.  Collinear rows (a = b = c = 0) give e1.
+    """
+    v = rows[iv]
+    e1, e2 = plane_basis(normalize([x - y for x, y in zip(rows[iw], v)]))
+    a = b = c = 0.0
+    for p in rows:
+        r = [x - y for x, y in zip(p, v)]
+        x, y = dot(r, e1), dot(r, e2)
+        a, b, c = a + x * x, b + x * y, c + y * y
+    t = 0.5 * math.atan2(-2.0 * b, c - a)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    return Plane(base=list(v), normal=[cos_t * x + sin_t * y for x, y in zip(e1, e2)])
 
 
 def component_plane(component: np.ndarray) -> Plane | None:
-    """Best-fit plane of one component if all vertices lie on it, else None."""
-    plane = fit_plane(component)
-    residual = np.abs((np.asarray(component) - plane.base) @ plane.normal)
-    if float(np.max(residual)) <= EPS:
+    """The plane of :func:`plane_through` a farthest vertex pair of one
+    component, if every vertex lies on it within ``EPS``, else None."""
+    rows = np.asarray(component, dtype=float).tolist()
+    plane = plane_through(rows, *farthest_vertex_pair(component))
+    if max(distance_to_plane(p, plane) for p in rows) <= EPS:
         return plane
     return None
 
 
 def is_planar(curve: IntegralCurve) -> Plane | None:
-    """Best-fit plane of the whole curve if every vertex lies on it, else None."""
+    """:func:`component_plane` of all the curve's vertices together."""
     points = np.vstack(curve.components)
     return component_plane(points)
 

@@ -40,6 +40,7 @@ __all__ = [
     "DegenerateLineError",
     "dist",
     "normalize",
+    "dot",
     "cross3",
     "distance_to_plane",
     "signed_plane_distance",
@@ -91,7 +92,8 @@ def _sub(a: list, b: list) -> list[float]:
     return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
 
 
-def _dot(a: list, b: list) -> float:
+def dot(a: list, b: list) -> float:
+    """a . b, summed left to right."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -130,7 +132,7 @@ class Circle3:
 
 
 def signed_plane_distance(p: list, h: Plane) -> float:
-    return _dot(_sub(p, h.base), h.normal)
+    return dot(_sub(p, h.base), h.normal)
 
 
 def distance_to_plane(p: list, h: Plane) -> float:
@@ -205,10 +207,10 @@ def apex_at_unit_distance(a: list, b: list, c: list, side: int = +1) -> list[flo
 def reflect_across_line(p: list, a: list, b: list) -> list[float]:
     """Reflect ``p`` across the line through ``a`` and ``b`` (an isometric involution)."""
     d = _sub(b, a)
-    dd = _dot(d, d)
+    dd = dot(d, d)
     if dd <= EPS * EPS:
         raise DegenerateLineError("line endpoints coincide")
-    t = _dot(_sub(p, a), d) / dd
+    t = dot(_sub(p, a), d) / dd
     return [2.0 * (x + t * y) - z for x, y, z in zip(a, d, p)]
 
 
@@ -239,8 +241,8 @@ def point_on_circle_nearest_plane(c: Circle3, h: Plane) -> list[float]:
     r, center = c.radius, c.center
     e1, e2 = plane_basis(c.axis)
     s0 = signed_plane_distance(center, h)
-    amp_a = r * _dot(e1, h.normal)
-    amp_b = r * _dot(e2, h.normal)
+    amp_a = r * dot(e1, h.normal)
+    amp_b = r * dot(e2, h.normal)
     amp = math.hypot(amp_a, amp_b)
     if amp <= 1e-15:
         return [x + r * y for x, y in zip(center, e1)]

@@ -36,8 +36,8 @@ def crown_curve(k: int = 12, height: float = 0.3) -> IntegralCurve:
     Every span |v_i - v_i+3| exceeds 2 for height below about 0.39, so no
     pentagon peels locally and :func:`~rhombidome.cobordism.reduce_to_rhombi`
     takes the whole fallback: planarize, pack and peel the packed remainder
-    at its tightest windows (at the defaults 6 planarize, 9 pack and 3 fix
-    pivots, k 34).
+    at its tightest windows (at the defaults 6 planarize, 5 pack and 5 fix
+    pivots, k 32).
     """
     radius = math.sqrt(1.0 - 4.0 * height * height) / (2.0 * np.sin(np.pi / k))
     angles = 2.0 * np.pi * np.arange(k) / k

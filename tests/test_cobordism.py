@@ -162,15 +162,14 @@ def test_planarize_keeps_farthest_pair_fixed():
 def test_planarize_each_pivot_descends():
     # every move drops the pivoted vertex to at most its lower neighbour's
     # height, which is what the C(n, 2) budget rests on
-    from rhombidome.cobordism import _best_plane_through
-    from rhombidome.curve import farthest_vertex_pair
+    from rhombidome.curve import farthest_vertex_pair, plane_through
 
     rng = np.random.default_rng(16)
     for _ in range(5):
         curve = random_integral_curve(int(rng.integers(6, 14)), rng)
         comp = curve.components[0]
         iv, iw = farthest_vertex_pair(comp)
-        plane = _best_plane_through(comp, iv, iw)
+        plane = plane_through(comp.tolist(), iv, iw)
         _, moves = planarize(curve)
         work = comp.copy()
         n = len(work)
@@ -198,10 +197,11 @@ def test_rhombus_budget_overrun_is_not_a_planarize_error(monkeypatch):
 
 def test_fallback_packs_again_when_its_peel_stops(monkeypatch):
     # every second bridge of the fallback is withheld, so each round peels one
-    # pentagon and the crown's remainder is packed again, 12 -> 5 in 7 rounds
+    # pentagon and the crown's remainder is packed again, 12 -> 5 in 7 rounds;
+    # every round packs and peels in planarize's one plane, never refitted
     from rhombidome.surface import validate_ledger
 
-    bridge, packs, asked = cobordism._local_bridge, [], []
+    bridge, packs, asked, normals = cobordism._local_bridge, [], [], []
 
     def one_per_round(points, v, i, normal=None):
         if normal is None:
@@ -209,12 +209,21 @@ def test_fallback_packs_again_when_its_peel_stops(monkeypatch):
         asked.append(i)
         return None if len(asked) % 2 == 0 else bridge(points, v, i, normal)
 
-    pack_component = cobordism._pack_component
+    def peel_tight(state, cid, next_id, normal=None):
+        if normal is not None:
+            normals.append(normal)
+        return peel(state, cid, next_id, normal)
+
+    pack_component, peel = cobordism._pack_component, cobordism._peel_tight
     monkeypatch.setattr(cobordism, "_local_bridge", one_per_round)
+    monkeypatch.setattr(cobordism, "_peel_tight", peel_tight)
     monkeypatch.setattr(cobordism, "_pack_component",
-                        lambda state, cid: packs.append(cid) or pack_component(state, cid))
+                        lambda state, cid, plane: packs.append((cid, plane))
+                        or pack_component(state, cid, plane))
     ledger = reduce_to_rhombi(crown_curve(12))
-    assert packs == [0] * 7
+    plane = packs[0][1]
+    assert packs == [(0, plane)] * 7 and all(p is plane for _, p in packs)
+    assert len(normals) == 7 and all(normal is plane.normal for normal in normals)
     assert validate_ledger(ledger).passed
 
 
@@ -268,6 +277,17 @@ def test_steinitz_hexagon_vs_exhaustive():
 def test_steinitz_rejects_open_chain():
     with pytest.raises(NotClosedError):
         steinitz_order(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("vectors", [
+    [[1.0, 0.0], [np.nan, 0.0], [-1.0, 0.0]],
+    [[1.0, 0.0], [0.0, np.nan], [-1.0, 0.0]],
+    [[np.nan, np.nan], [np.nan, np.nan]],
+], ids=["nan_x", "nan_y", "all_nan"])
+def test_steinitz_rejects_nan(vectors):
+    # NaN fails every comparison, so the checks must refuse unless they pass
+    with pytest.raises(ValueError):
+        steinitz_order(np.array(vectors))
 
 
 def test_steinitz_fallback_searchers_directly():
@@ -686,6 +706,8 @@ def test_reduce_regular_hexagon(turned):
         q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
         curve = IntegralCurve([curve.components[0] @ q.T])
     ledger = reduce_to_rhombi(curve)
+    # planar already, within planarize's stop in the plane it fits: no pivot
+    assert ledger.stats["planarize_moves"] == 0
     assert ledger.stats["splits"] == 1
     assert validate_ledger(ledger).passed
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import folded_rhombus_curve, loop_farthest_vertex_pair, regular_polygon_curve
 from rhombidome import curve as curve_module
@@ -13,8 +15,10 @@ from rhombidome.curve import (
     farthest_vertex_pair,
     from_integer_curve,
     is_planar,
+    plane_through,
     random_integral_curve,
 )
+from rhombidome.geom import normalize, plane_basis
 from rhombidome.surface import validate_ledger
 
 
@@ -132,6 +136,63 @@ def test_is_planar(unit_square, unit_triangle):
     assert is_planar(unit_triangle) is not None
     folded = folded_rhombus_curve()
     assert is_planar(folded) is None
+
+
+# how far the drawn rows stray across the line, and off one plane through it
+_STRAY = st.sampled_from([1.0, 1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+
+
+@st.composite
+def line_clouds(draw):
+    """(rows, iv, iw): rows v and w 0.5 to 4 apart and up to 20 more rows
+    near the line through them, from a generic cloud to nearly collinear
+    and nearly planar ones, in a drawn order."""
+    frame = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+    if abs(np.linalg.det(frame)) < 0.1:
+        frame = np.eye(3)
+    d, across, up = np.linalg.qr(frame)[0].T
+    v = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    spread, lift = draw(_STRAY), draw(_STRAY)
+    rows = [v, v + draw(st.floats(0.5, 4.0)) * d]
+    for _ in range(draw(st.integers(0, 20))):
+        s, x, y = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+        rows.append(v + 5.0 * s * d + spread * (x * across + lift * y * up))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i].tolist() for i in order], order.index(0), order.index(1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(line_clouds())
+def test_plane_through_matches_eigh_of_the_restricted_form(cloud):
+    rows, iv, iw = cloud
+    plane = plane_through(rows, iv, iw)
+    normal, v = np.array(plane.normal), np.array(rows[iv])
+    d = normalize((np.array(rows[iw]) - v).tolist())
+    assert plane.base == rows[iv]
+    assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+    assert abs(normal @ d) <= 1e-12
+    # the reference: the eigenvector of the least eigenvalue of the second
+    # moments about v, restricted to the same basis across the line
+    basis = np.array(plane_basis(d)).T
+    rel = np.array(rows) - v
+    form = basis.T @ (rel.T @ rel) @ basis
+    reference = basis @ np.linalg.eigh(form)[1][:, 0]
+    ours, least = (float(np.sum((rel @ n) ** 2)) for n in (normal, reference))
+    assert ours <= least + 1e-15 * float(np.sum(rel ** 2))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.5, 0.0, 0.0]],
+    [[0.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 2.0, 0.0]],
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]],
+], ids=["x_axis", "y_axis", "z_out_and_back"])
+def test_plane_through_collinear_rows(rows):
+    # every row is on the line, so a = b = c = 0 and the normal is e1
+    d = normalize([x - y for x, y in zip(rows[1], rows[0])])
+    normal = plane_through(rows, 0, 1).normal
+    assert normal == plane_basis(d)[0]
+    assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+    assert abs(np.dot(normal, d)) <= 1e-12
 
 
 def test_random_integral_curve_is_valid():

@@ -99,15 +99,15 @@ GOLDEN = {
     "golden random_24":
         (0, "8e2dd73eb1e4c4864999f4775c9f1394da60ca8e26cab79edff45b89825af8db"),
     "golden crown_12":
-        (0, "6340f7f38e4b6f4bb48bc0af4cbcad9404815744b881b2d5e0955c8aded72ef6"),
+        (0, "99e5d4b264c5c4d30980eb26084f9a750ef272ad60514810ce489a18246e219d"),
     "golden cubic_walk_18":
         (0, "897e7fadc99a94e856717a85537fd81ef5fb40523dacec8e151595a088d0b56a"),
     "golden crown_union_3":
-        (0, "76c3048ae495dab8cfc646cc58459babbd0ecaf1bdc1a3c55c59dc67ba5f054d"),
+        (0, "52721fc52403e90c0dfef880a46e58da6d18f99085a36824457436cee1520791"),
     "tamper move # new":
-        (1, "af19f1d94aaded4d488e9175b65db1a36005e28d2445e30a441c758ea4bb7482"),
+        (1, "a1ff402fd671dab970f372c675c83d24d4dcfcf3344cbb6365ad57f96507ff4f"),
     "tamper move # order swap # #":
-        (1, "def6c29b995c6a3c5eb75accdefe64c66789b0e0fbb55767dc89cc17f8e1a27b"),
+        (1, "d5afbaeb0b4f0862ca47b233c5cdcf4a5801a99854b48eea029e9af6516d3740"),
     "tamper move # order short":
         (1, "35f370195958d3647a075a05b00febc3abc72fe6de65578d226e79353ce65129"),
     "tamper move # order long":
@@ -119,11 +119,11 @@ GOLDEN = {
     "tamper move # order n":
         (1, "35f370195958d3647a075a05b00febc3abc72fe6de65578d226e79353ce65129"),
     "tamper move # z":
-        (1, "378127903ef76eb563f5f18fd882c6392690953b9558a2f3ec9b7d223b43d00c"),
+        (1, "c59461e557b53162543626d318d0c9f9aa5784237d72bdb41545587b814579b2"),
     "tamper move # at=#":
         (1, "c701476311084b11d26e25d8d2806785539aa20ef692e1e796d89a8537e26c0d"),
     "tamper move # apex[#]":
-        (1, "987a0194e7bd4d173944104a2deffab7b3e124622e691492d313902ba017d128"),
+        (1, "ce1e9422d3fc0655d2aefe0e2991240144bf98741cb1ac9cf4e6efb7f40ae7bc"),
     "tamper initial vertex":
         (1, "d72b62fc883bd877b106644b988ce42f2051d4f6300940c9c5e571197ed3a42c"),
     "tamper final vertex":
@@ -135,29 +135,29 @@ GOLDEN = {
     "tamper move # vertex=#":
         (1, "13f347247d3b594ef074ef3c35b7fb1b01fdf6d0efac4063dcad12c3d55bf8e5"),
     "tamper stats n":
-        (1, "df002b346e19047a1a763e8d3b65e5acfc2672e2f220f1e565de0d733c2eb098"),
+        (1, "3dd23c66f863c6b39a68dca3ee2e40fc8f05ab9956c29b2879e9a0bf407c1cfd"),
     "tamper stats k":
-        (1, "b3823d2d7cee0f50468ee2fc36ae244346d36e0964541902f81ddc0eac6d6e64"),
+        (1, "dc853de45640efc5f1dc793c8c83081a63b3c027b37951b620117698803677dc"),
     "tamper stats budget":
-        (1, "ddfd8c0f0372e9b1b7065b9ca6214759ef6af25ca806859486706160fe7f182c"),
+        (1, "bdd2325c3b6cdc5b2936f1e0566342dd15a0aea9fef1922b8478c8365b93409d"),
     "tamper stats planarize_moves":
-        (1, "faa04f3a0baa18064e139f8765e92fab6cb73365cec37c9cfc09bd7e87820f65"),
+        (1, "cc108a48af9faf211a8f71f3ed471dc119d736a0ffe8942f792cca737c869b2a"),
     "tamper stats pack_moves":
-        (1, "caf21989e2b1515042276ab00894e9487c55a46dd944ad7ba0feb10a5a1c9f8d"),
+        (1, "217601e5384bbbd0d8f998a78bf3050b674d9ad22c30107a4f77cbb15835b41e"),
     "tamper stats splits":
-        (1, "0086458dbc1c804e22f62971a851e223a8e4f41997f305acc538384d020ceade"),
+        (1, "efa4a58b4ca9bdb14bdf522ab98b73fab269fbb54bb549acfa2fc11aad3a0bd3"),
     "tamper stats fixes":
-        (1, "10645cdcf44ba55390ad359be44d249c07572b239b060080c913c6efae433418"),
+        (1, "82a14eab0383a55db76460b423d26d4bd90af4114335b9b62ac0ff61abb47d2a"),
     "tamper stats per_component[#] component":
-        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
+        (1, "8297c4ab889c56657d1e68cad031ff65ecaf325fc498d9130affff72cc276dd4"),
     "tamper stats per_component[#] edges":
-        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
+        (1, "8297c4ab889c56657d1e68cad031ff65ecaf325fc498d9130affff72cc276dd4"),
     "tamper stats per_component[#] rhombi_used":
-        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
+        (1, "8297c4ab889c56657d1e68cad031ff65ecaf325fc498d9130affff72cc276dd4"),
     "tamper stats per_component[#] budget":
-        (1, "b6b5dddc978dabb5d4c231a47d84134b1c30a71ff3e6299a3fa20107fdec50ad"),
+        (1, "8297c4ab889c56657d1e68cad031ff65ecaf325fc498d9130affff72cc276dd4"),
     "tamper move # stage=pack":
-        (1, "ec85055fc8d2064f59f4e8b888949f02fbe6ff99fb2bd5ace2761bd2d1c70235"),
+        (1, "b3572e5c64bcf4b24c65ea792af593a8b407677bbb849d414372aa9973085133"),
     "straddling degenerate pivot":
         (0, "6f6751e6085dcb1326f7f1ad8c75e6a2f8e840f8f2f9ca9b020b2c929f9d536d"),
     "off the grid":
@@ -165,7 +165,7 @@ GOLDEN = {
 }
 
 # sha256 of the OFF file ``reduce --off`` writes for the stored crown_curve(12, 0.3)
-GOLDEN_OFF = "319cf6d1642930588c6244e9e7ca644bf4ae23bf56536b8606c68edc00cacae0"
+GOLDEN_OFF = "88f3d54ec228baa126dfff2a50813b7a40b868b89ae2d64072e8e084a90fdfc7"
 
 
 def _validate_stdout(tmp_path, capsys, doc) -> tuple[int, str]:

@@ -35,6 +35,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Largest K of a NAME:k=K surface spec.  antiprism_band:k=500 has 1,000
+# vertices, a 2,000 x 3,000 rigidity matrix (48 MB) and a 3,000 x 3,000
+# complete Q from its kernel's QR (72 MB); polygon:k=500 has a 503 x 1,500
+# scheme matrix (6 MB).  That is 2.5 times the 400 vertices of the largest
+# measured isotropy trial, whose time grows as K^3.
+MAX_SURFACE_K = 500
+
 CENSUS_SCHEMA = "1"
 CENSUS_HEADER = ["schema_version", "seed", "n", "k", "budget",
                  "planarize_moves", "pack_moves", "splits", "fixes"]
@@ -53,6 +60,9 @@ def parse_surface_spec(spec: str):
         if key != "k":
             raise surface.UnknownNameError(f"unknown surface parameter {key!r}")
         k = int(value)
+        if k > MAX_SURFACE_K:
+            raise ValueError(f"surface parameter k={k} is more than the limit of "
+                             f"{MAX_SURFACE_K}")
     if name == "polygon":
         if k is None:
             raise surface.UnknownNameError("polygon spec needs :k=K")

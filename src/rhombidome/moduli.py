@@ -151,14 +151,14 @@ def all_parallel_quad() -> PolygonPoint:
 
 def polygon_tangent_basis(point: PolygonPoint) -> np.ndarray:
     """Orthonormal basis (D, K, 3) of the polygon scheme tangent space."""
-    count = len(point.vectors)
+    count, polygons = len(point.vectors), len(point.sizes)
+    stacked = np.zeros((count + 3 * polygons, 3 * count))
+    edge = np.arange(count)
     # (K, 3K) edge rows: row j holds edge j's vector in its three columns
-    edge_rows = np.zeros((count, count, 3))
-    edge_rows[np.arange(count), np.arange(count)] = point.vectors
+    stacked[:count].reshape(count, count, 3)[edge, edge] = point.vectors
     # (3m, 3K) closure rows: each polygon's edge sum, per coordinate
-    closures = np.repeat(np.eye(len(point.sizes)), point.sizes, axis=1)
-    sum_rows = np.kron(closures, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
-    stacked = np.vstack([edge_rows.reshape(count, 3 * count), sum_rows])
+    polygon = np.repeat(np.arange(polygons), point.sizes)
+    stacked[count:].reshape(polygons, 3, count, 3)[polygon, :, edge, :] = np.eye(3)
     return _kernel(stacked).T.reshape(-1, count, 3)
 
 
@@ -170,12 +170,22 @@ def symplectic_pairing(point: PolygonPoint, t1: np.ndarray, t2: np.ndarray) -> f
 def pairing_gram(point: PolygonPoint, basis: np.ndarray) -> np.ndarray:
     """Exactly skew Gram of the pairing on a stack of D tangents.
 
-    Entry [a, b] is  sum over edges of  t_a . (t_b x p) / length^2 ; the
-    strict upper triangle is computed and mirrored with the opposite sign.
+    Entry [a, b] is  sum over edges of  t_a . (t_b x p) / length^2 : one
+    (D, 3K) by (3K, D) matrix product of the flattened tangents with their
+    turned copies.  Its strict upper triangle is mirrored with the opposite
+    sign, so the diagonal is exactly zero.
     """
     basis = np.asarray(basis, dtype=float).reshape(len(basis), len(point.vectors), 3)
-    turned = np.cross(basis, point.vectors) / (point.lengths ** 2)[:, None]
-    upper = np.triu(np.einsum("aki,bki->ab", basis, turned), 1)
+    tx, ty, tz = basis[..., 0], basis[..., 1], basis[..., 2]
+    px, py, pz = point.vectors.T
+    # t x p per coordinate, the products and differences np.cross forms
+    turned = np.empty_like(basis)
+    turned[..., 0] = ty * pz - tz * py
+    turned[..., 1] = tz * px - tx * pz
+    turned[..., 2] = tx * py - ty * px
+    turned /= (point.lengths ** 2)[:, None]
+    flat = basis.reshape(len(basis), -1)
+    upper = np.triu(flat @ turned.reshape(len(basis), -1).T, 1)
     return upper - upper.T
 
 
@@ -223,10 +233,32 @@ def subspace_max_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 
 @dataclass
 class SurfaceRealization:
-    """Vertex positions of a graph surface; edge vectors are derived."""
+    """Vertex positions of a graph surface; edge vectors are derived.
+
+    Construction raises :class:`DisconnectedError` unless the 1-skeleton is
+    connected: pinning vertex 0 removes the translations only then, so every
+    rigidity kernel of a realization may pin it.
+    """
 
     surface: GraphSurface
     x: np.ndarray  # (vertex_count, 3)
+
+    def __post_init__(self) -> None:
+        s = self.surface
+        neighbours = [[] for _ in range(s.vertex_count)]
+        for tail, head in s.edges:
+            neighbours[tail].append(head)
+            neighbours[head].append(tail)
+        reached = [False] * s.vertex_count
+        reached[0] = True
+        stack = [0]
+        while stack:  # depth-first search from vertex 0, O(V + E)
+            for w in neighbours[stack.pop()]:
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
+        if not all(reached):
+            raise DisconnectedError("surface skeleton is not connected")
 
     @property
     def q(self) -> np.ndarray:
@@ -261,23 +293,9 @@ def _rigidity_matrix(q: np.ndarray, tails: np.ndarray, heads: np.ndarray,
 def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
     """Orthonormal kernel (3V - 3, D) of the rigidity matrix, vertex 0 pinned.
 
-    Pinning one vertex removes the translations only on a connected skeleton,
-    so a disconnected one raises.
+    Pinning one vertex removes the translations only on a connected
+    skeleton; building a :class:`SurfaceRealization` of ``s`` checked that.
     """
-    neighbours = [[] for _ in range(s.vertex_count)]
-    for tail, head in s.edges:
-        neighbours[tail].append(head)
-        neighbours[head].append(tail)
-    reached = [False] * s.vertex_count
-    reached[0] = True
-    stack = [0]
-    while stack:  # depth-first search from vertex 0, O(V + E)
-        for w in neighbours[stack.pop()]:
-            if not reached[w]:
-                reached[w] = True
-                stack.append(w)
-    if not all(reached):
-        raise DisconnectedError("surface skeleton is not connected")
     tails, heads = _edge_ends(s)
     rigidity = _rigidity_matrix(x[heads] - x[tails], tails, heads, s.vertex_count)
     return _kernel(rigidity[:, 3:])
@@ -286,7 +304,8 @@ def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
 def surface_constraint_residual(s: GraphSurface, x: np.ndarray) -> float:
     """Max-norm residual of the edge-length equations at vertex positions x:
     squared edge lengths minus their targets."""
-    q = SurfaceRealization(s, x).q
+    tails, heads = _edge_ends(s)
+    q = x[heads] - x[tails]
     residual = np.einsum("ij,ij->i", q, q) - np.asarray(s.lengths, dtype=float) ** 2
     return float(np.max(np.abs(residual)))
 
@@ -321,39 +340,44 @@ def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealizat
 
     With a seed, the positions step ``_STEP`` along a random unit direction
     of the rigidity kernel (vertex 0 pinned) and are then reprojected onto
-    the length equations by Gauss-Newton (residual <= 1e-12).
+    the length equations by Gauss-Newton (residual <= 1e-12).  A disconnected
+    skeleton raises :class:`DisconnectedError`, seed or not.
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
-    x = np.array(s.coords, dtype=float)
-    if seed is None:
-        return SurfaceRealization(s, x)
-    return _perturbed(s, x, _pinned_kernel(s, x), seed)
+    realization = SurfaceRealization(s, np.array(s.coords, dtype=float))
+    if seed is not None:
+        x = realization.x
+        realization.x, _ = _perturbed(s, x, _pinned_kernel(s, x), seed)
+    return realization
 
 
 def _perturbed(s: GraphSurface, x: np.ndarray, kernel: np.ndarray,
-               seed: int) -> SurfaceRealization:
-    """:func:`realize_surface` at ``seed`` from the positions ``x``, whose
-    pinned rigidity kernel is ``kernel``; ``x`` itself is left as it was, so
-    one kernel serves every seed."""
+               seed: int) -> tuple[np.ndarray, float]:
+    """Positions of :func:`realize_surface` at ``seed`` from the positions
+    ``x``, whose pinned rigidity kernel is ``kernel``, and their length
+    residual.  ``x`` itself is left as it was, so one kernel serves every
+    seed."""
     x = x.copy()
     rng = np.random.default_rng(seed)
     if kernel.shape[1] == 0:
-        return SurfaceRealization(s, x)
+        return x, surface_constraint_residual(s, x)
     direction = kernel @ rng.normal(size=kernel.shape[1])
     direction /= max(np.linalg.norm(direction), 1e-300)
     x[1:] += _STEP * direction.reshape(-1, 3)
     x = _project_to_constraints(s, x)
-    if surface_constraint_residual(s, x) > 1e-12:
+    residual = surface_constraint_residual(s, x)
+    if residual > 1e-12:
         raise ProjectionDivergedError("projection residual above 1e-12")
-    return SurfaceRealization(s, x)
+    return x, residual
 
 
 def surface_tangent_basis(realization: SurfaceRealization) -> np.ndarray:
     """Orthonormal basis (D, n_edges, 3) of the polyhedron scheme tangents.
 
     The rigidity kernel (vertex motions keeping every length to first order,
-    vertex 0 pinned) is mapped to edge vectors through the incidence and
+    vertex 0 pinned, which the connected skeleton of every realization
+    allows) is mapped to edge vectors through the incidence and
     orthonormalized there by QR.
     """
     s = realization.surface
@@ -415,12 +439,13 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> di
     scale_seen = 0.0
     worst_residual = 0.0
     dims = set()
-    x = realize_surface(s).x
+    # one realization, so one connectivity search, serves every trial
+    realization = realize_surface(s)
+    x = realization.x
     kernel = _pinned_kernel(s, x)  # the same for every trial
     for t in range(trials):
-        realization = _perturbed(s, x, kernel, seed + 7919 * t)
-        worst_residual = max(worst_residual,
-                             surface_constraint_residual(s, realization.x))
+        realization.x, residual = _perturbed(s, x, kernel, seed + 7919 * t)
+        worst_residual = max(worst_residual, residual)
         basis = surface_tangent_basis(realization)
         dims.add(len(basis))
         point = boundary_point(realization)

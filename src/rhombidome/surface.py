@@ -189,18 +189,17 @@ class GraphSurface:
         for t in self.triangles:
             if len(t) != 3:
                 raise SurfaceInvariantError("triangles need exactly 3 edge refs")
-            self._check_cycle(t, "triangle")
-            a, b, c = (lengths[abs(r) - 1] for r in t)
+            eids = self._cycle_edges(t, "triangle")
+            a, b, c = (lengths[eid] for eid in eids)
             if not (a + b > c and b + c > a and c + a > b):
                 raise SurfaceInvariantError("triangle inequality violated")
-            for r in t:
-                usage[abs(r) - 1] += 1
+            for eid in eids:
+                usage[eid] += 1
         for walk in self.walks:
             if len(walk) < 1:
                 raise SurfaceInvariantError("empty boundary walk")
-            self._check_cycle(walk, "boundary walk")
-            for r in walk:
-                usage[abs(r) - 1] += 1
+            for eid in self._cycle_edges(walk, "boundary walk"):
+                usage[eid] += 1
         if any(count != 2 for count in usage):
             raise SurfaceInvariantError(
                 "every edge must be used exactly twice across triangles and walks")
@@ -219,34 +218,37 @@ class GraphSurface:
                     raise SurfaceInvariantError(
                         f"edge {eid} realizes length {got}, expected {lengths[eid]}")
 
-    def _check_cycle(self, refs, what: str) -> None:
+    def _cycle_edges(self, refs, what: str) -> list[int]:
+        """Edge ids of the signed references ``refs``, which must name edges
+        and close up head to tail; each reference is decoded once."""
+        eids, tails, heads = [], [], []
         for r in refs:
             # a float such as 2.5 or 3.0 names no edge, whatever its size
             if not isinstance(r, (int, np.integer)) or not 0 < abs(r) <= len(self.edges):
                 raise SurfaceInvariantError(f"{what} edge reference {r} names no edge")
-        ends = [self.ref_endpoints(r) for r in refs]
-        for (_, head), (tail, _) in zip(ends, ends[1:] + ends[:1]):
-            if head != tail:
-                raise SurfaceInvariantError(f"{what} is not a closed edge cycle")
-
-    def ref_endpoints(self, ref: int) -> tuple[int, int]:
-        eid, sign = ref_edge(ref)
-        tail, head = self.edges[eid]
-        return (tail, head) if sign > 0 else (head, tail)
+            eid = r - 1 if r > 0 else -r - 1
+            tail, head = self.edges[eid]
+            eids.append(eid)
+            tails.append(tail if r > 0 else head)
+            heads.append(head if r > 0 else tail)
+        if heads != tails[1:] + tails[:1]:
+            raise SurfaceInvariantError(f"{what} is not a closed edge cycle")
+        return eids
 
 
 def is_oriented_consistently(s: GraphSurface) -> bool:
     """True iff triangle boundaries minus walks cancel on every edge."""
-    acc = np.zeros(len(s.edges), dtype=int)
-    for t in s.triangles:
-        for r in t:
-            eid, sign = ref_edge(r)
-            acc[eid] += sign
-    for walk in s.walks:
-        for r in walk:
-            eid, sign = ref_edge(r)
-            acc[eid] -= sign
-    return bool(np.all(acc == 0))
+    acc = [0] * len(s.edges)
+    for cycles, sign in ((s.triangles, 1), (s.walks, -1)):
+        for refs in cycles:
+            for r in refs:
+                if r > 0:
+                    acc[r - 1] += sign
+                elif r < 0:
+                    acc[-r - 1] -= sign
+                else:
+                    raise ValueError("edge reference 0 is invalid")
+    return not any(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import crown_curve, crown_union, regular_polygon_curve
-from rhombidome import cobordism, files, surface
-from rhombidome.cli import build_parser, main
+from rhombidome import cobordism, files, moduli, surface
+from rhombidome.cli import MAX_SURFACE_K, build_parser, main, parse_surface_spec
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import random_integral_curve
 from rhombidome.surface import assemble_from_ledger, validate_ledger
@@ -318,6 +318,24 @@ def test_moduli_exit_codes(capsys):
         assert main(["moduli", "isotropy", "--surface", "antiprism_band:k=4",
                      "--trials", trials]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_moduli_refuses_a_k_above_the_limit(capsys, monkeypatch):
+    """k = MAX_SURFACE_K + 1 is a usage error, refused before anything is built."""
+    def build(*args, **kwargs):
+        raise AssertionError("built a surface past the limit")
+    monkeypatch.setattr(surface, "catalog", build)
+    monkeypatch.setattr(moduli, "random_polygon_point", build)
+    k = MAX_SURFACE_K + 1
+    for name in ("polygon", "antiprism_band"):
+        for what in ("dims", "isotropy", "rank"):
+            assert main(["moduli", what, "--surface", f"{name}:k={k}"]) == 2
+            assert capsys.readouterr().err == (
+                f"rhombidome: surface parameter k={k} is more than the limit of 500\n")
+    monkeypatch.undo()
+    assert parse_surface_spec(f"polygon:k={MAX_SURFACE_K}") == ("polygon", MAX_SURFACE_K)
+    kind, band = parse_surface_spec(f"antiprism_band:k={MAX_SURFACE_K}")
+    assert kind == "surface" and band.vertex_count == 2 * MAX_SURFACE_K
 
 
 def test_moduli_benchmark_surface_dimension(capsys):

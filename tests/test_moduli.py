@@ -76,6 +76,53 @@ def test_pairing_gram_matches_pairwise_reference(sizes):
         gram[0, 1], abs=1e-15)
 
 
+def stacked_scheme_matrix(point: md.PolygonPoint) -> np.ndarray:
+    """The (K + 3m, 3K) polygon scheme matrix as a (K, K, 3) edge block
+    stacked on ``kron`` closure rows: the construction the in-place one
+    replaced."""
+    count = len(point.vectors)
+    edge_rows = np.zeros((count, count, 3))
+    edge_rows[np.arange(count), np.arange(count)] = point.vectors
+    closures = np.repeat(np.eye(len(point.sizes)), point.sizes, axis=1)
+    sum_rows = np.kron(closures, np.eye(3)) + 0.0  # + 0.0 clears the -0.0 of -1 * 0
+    return np.vstack([edge_rows.reshape(count, 3 * count), sum_rows])
+
+
+def einsum_gram(point: md.PolygonPoint, basis: np.ndarray) -> np.ndarray:
+    """The pairing Gram as an ``einsum`` contraction of ``np.cross`` turns."""
+    turned = np.cross(basis, point.vectors) / (point.lengths ** 2)[:, None]
+    upper = np.triu(np.einsum("aki,bki->ab", basis, turned), 1)
+    return upper - upper.T
+
+
+def _scheme_case(case: str) -> md.PolygonPoint:
+    if case == "band16_boundary":
+        realization = md.realize_surface(catalog("antiprism_band", k=16), seed=1)
+        return md.boundary_point(realization)
+    return md.random_polygon_point([int(k) for k in case.split("_")],
+                                   np.random.default_rng(37))
+
+
+@pytest.mark.parametrize("case", ["5", "4_6", "band16_boundary"])
+def test_pairing_gram_matches_the_einsum_contraction(case):
+    point = _scheme_case(case)
+    basis = md.polygon_tangent_basis(point)
+    gram = md.pairing_gram(point, basis)
+    reference = einsum_gram(point, basis)
+    assert np.max(np.abs(gram - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert np.array_equal(gram, -gram.T)
+    assert np.all(np.diag(gram) == 0.0)
+
+
+@pytest.mark.parametrize("case", ["5", "4_6", "band16_boundary"])
+def test_polygon_tangent_basis_factors_the_stacked_matrix(case):
+    """The in-place scheme matrix has the stacked one's entries, so its
+    kernel is the same to the bit."""
+    point = _scheme_case(case)
+    reference = md._kernel(stacked_scheme_matrix(point)).T.reshape(-1, len(point.vectors), 3)
+    assert np.array_equal(md.polygon_tangent_basis(point), reference)
+
+
 def test_rotation_tangents_pair_to_zero():
     rng = np.random.default_rng(33)
     point = md.random_polygon_point([6], rng)
@@ -178,6 +225,8 @@ def test_disconnected_surface_raises():
         md.surface_tangent_basis(md.realize_surface(s))
     with pytest.raises(md.DisconnectedError):
         md.realize_surface(s, seed=0)
+    with pytest.raises(md.DisconnectedError):
+        md.SurfaceRealization(s, s.coords)
 
 
 def test_isolated_vertex_is_disconnected():
@@ -370,6 +419,17 @@ def test_isotropy_computes_the_reference_kernel_once(monkeypatch, name, k):
     x = np.array(s.coords, dtype=float)
     perturbed(s, x, kernel(s, x), 3)
     assert np.array_equal(x, s.coords)
+
+
+@pytest.mark.parametrize("name, k", [("antiprism_band", 5), ("triangle_disk", None)])
+def test_isotropy_reports_the_worst_trial_residual(name, k):
+    """``max_residual`` is the largest length residual of the trial
+    realizations, each the seeded ``realize_surface``."""
+    s = catalog(name, k=k)
+    report = md.isotropy_certificate(s, trials=3, seed=2)
+    residuals = [md.surface_constraint_residual(s, md.realize_surface(s, seed=2 + 7919 * t).x)
+                 for t in range(3)]
+    assert report["max_residual"] == max(residuals)
 
 
 def test_isotropy_needs_a_trial():

@@ -76,6 +76,15 @@ def test_catalog_three_rhombus_pants():
     assert is_oriented_consistently(s)
 
 
+def test_orientation_cancels_each_signed_reference():
+    s = catalog("pentagon_pants")
+    s.walks[1][0] = -6  # edge 6 now runs the same way on both walks
+    assert not is_oriented_consistently(s)
+    s.walks[1][0] = 0
+    with pytest.raises(ValueError, match="^edge reference 0 is invalid$"):
+        is_oriented_consistently(s)
+
+
 @pytest.mark.parametrize("name, k", [
     *((name, None) for name in ("triangle_disk", "antiprism_band", "pentagon_pants",
                                 "three_rhombus_pants")),
@@ -115,8 +124,10 @@ def test_validate_names_a_bad_edge_reference(part, refs, bad):
      "every edge must be used exactly twice across triangles and walks"),
     ({"genus_hat": 1}, "Euler characteristic 2 != 0"),
     ({"triangles": [(1, 3, 2)]}, "triangle is not a closed edge cycle"),
+    ({"walks": [[1, -2, 3]]}, "boundary walk is not a closed edge cycle"),
 ], ids=["lengths_short", "triangle_two_refs", "triangle_inequality", "walk_empty",
-        "edge_used_thrice", "euler_characteristic", "triangle_not_a_cycle"])
+        "edge_used_thrice", "euler_characteristic", "triangle_not_a_cycle",
+        "walk_not_a_cycle"])
 def test_validate_names_each_invariant_it_refuses(changes, message):
     s = catalog("triangle_disk")
     for part, value in changes.items():

@@ -4,8 +4,9 @@ Floats are serialized with Python's shortest-round-trip repr, so write ->
 read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
-Ledger version 5 records decisions only: each move is written from its row
-of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
+Ledger version 5 records decisions only: each move is written by its
+kind's encoder and read by its kind's decoder, both for the JSON keys of
+its row of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
 pentagon's from its recorded ``apex``, a pack's swaps and their cells from
 its recorded ``order``, a split's pieces from its position ``at``.  It is
 the only version read or written; a document of any other version is
@@ -26,7 +27,16 @@ from itertools import chain
 import numpy as np
 
 from .curve import IntegralCurve
-from .surface import MOVE_TABLE, CobordismLedger, Move
+from .surface import (
+    CloseRhombusMove,
+    CloseTriangleMove,
+    CobordismLedger,
+    Move,
+    PackMove,
+    PentagonMove,
+    PivotMove,
+    SplitMove,
+)
 
 __all__ = [
     "FileFormatError",
@@ -141,33 +151,87 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# codec name (see surface.MoveSpec) -> encoder / decoder
-_ENCODE = {"int": int, "ints": lambda xs: list(map(int, xs)),
-           "point": lambda p: list(map(float, p)), "str": str}
-_DECODE = {"int": _int, "ints": _ints, "point": _point, "str": _str}
-
-# JSON type -> the move class, and the (JSON key, decoder, error label) of
-# each field, in the order of the class's fields
-_PLANS = {kind: (spec.cls, tuple((key, _DECODE[codec], f"{kind} {key}")
-                                 for key, _, codec in spec.fields))
-          for kind, spec in MOVE_TABLE.items()}
+# One encoder and one decoder per move kind, each for the fields of its row
+# of ``surface.MOVE_TABLE`` in the class's field order.  A decoder checks
+# each field in that order, so a refusal names the first bad one.
 
 
-def _move_to_obj(move: Move) -> dict:
-    obj = {"type": move.kind}
-    for key, attr, codec in MOVE_TABLE[move.kind].fields:
-        obj[key] = _ENCODE[codec](getattr(move, attr))
-    return obj
+def _pivot_to_obj(move: PivotMove) -> dict:
+    return {"type": "pivot", "component": int(move.component), "vertex": int(move.vertex),
+            "new": list(map(float, move.new_point)), "stage": str(move.stage)}
+
+
+def _pivot_from_obj(obj: dict) -> PivotMove:
+    return PivotMove(_int(obj["component"], "pivot component"),
+                     _int(obj["vertex"], "pivot vertex"),
+                     _point(obj["new"], "pivot new"), _str(obj["stage"], "pivot stage"))
+
+
+def _pack_to_obj(move: PackMove) -> dict:
+    return {"type": "pack", "component": int(move.component),
+            "order": list(map(int, move.order))}
+
+
+def _pack_from_obj(obj: dict) -> PackMove:
+    return PackMove(_int(obj["component"], "pack component"),
+                    _ints(obj["order"], "pack order"))
+
+
+def _split_to_obj(move: SplitMove) -> dict:
+    return {"type": "split", "component": int(move.component),
+            "new_component": int(move.new_component), "z": list(map(float, move.z)),
+            "at": int(move.at)}
+
+
+def _split_from_obj(obj: dict) -> SplitMove:
+    return SplitMove(_int(obj["component"], "split component"),
+                     _int(obj["new_component"], "split new_component"),
+                     _point(obj["z"], "split z"), _int(obj["at"], "split at"))
+
+
+def _pentagon_to_obj(move: PentagonMove) -> dict:
+    return {"type": "pentagon", "component": int(move.component),
+            "apex": list(map(float, move.apex))}
+
+
+def _pentagon_from_obj(obj: dict) -> PentagonMove:
+    return PentagonMove(_int(obj["component"], "pentagon component"),
+                        _point(obj["apex"], "pentagon apex"))
+
+
+def _close_rhombus_to_obj(move: CloseRhombusMove) -> dict:
+    return {"type": "close_rhombus", "component": int(move.component)}
+
+
+def _close_rhombus_from_obj(obj: dict) -> CloseRhombusMove:
+    return CloseRhombusMove(_int(obj["component"], "close_rhombus component"))
+
+
+def _close_triangle_to_obj(move: CloseTriangleMove) -> dict:
+    return {"type": "close_triangle", "component": int(move.component)}
+
+
+def _close_triangle_from_obj(obj: dict) -> CloseTriangleMove:
+    return CloseTriangleMove(_int(obj["component"], "close_triangle component"))
+
+
+# move class -> encoder, and JSON ``type`` -> decoder
+_TO_OBJ = {PivotMove: _pivot_to_obj, PackMove: _pack_to_obj, SplitMove: _split_to_obj,
+           PentagonMove: _pentagon_to_obj, CloseRhombusMove: _close_rhombus_to_obj,
+           CloseTriangleMove: _close_triangle_to_obj}
+_FROM_OBJ = {"pivot": _pivot_from_obj, "pack": _pack_from_obj, "split": _split_from_obj,
+             "pentagon": _pentagon_from_obj, "close_rhombus": _close_rhombus_from_obj,
+             "close_triangle": _close_triangle_from_obj}
 
 
 def _moves_from_obj(objs: list) -> list[Move]:
     """Decode moves in order, each of a JSON ``type`` in ``MOVE_TABLE``."""
     moves = []
     for obj in objs:
-        if not isinstance(obj, dict) or obj.get("type") not in _PLANS:
+        decode = _FROM_OBJ.get(obj.get("type")) if isinstance(obj, dict) else None
+        if decode is None:
             raise FileFormatError(f"bad move: {obj!r:.80}")
-        cls, plan = _PLANS[obj["type"]]
-        moves.append(cls(*[decode(obj[key], what) for key, decode, what in plan]))
+        moves.append(decode(obj))
     return moves
 
 
@@ -175,7 +239,7 @@ def ledger_to_obj(ledger: CobordismLedger) -> dict:
     return {
         "version": LEDGER_VERSION,
         "initial": curve_to_obj(ledger.initial),
-        "moves": [_move_to_obj(m) for m in ledger.moves],
+        "moves": [_TO_OBJ[type(m)](m) for m in ledger.moves],
         "final_curve": curve_to_obj(ledger.final_curve),
         "stats": ledger.stats,
     }

@@ -65,8 +65,11 @@ the chain identity holds move by move: a pivot's row ``[prev old next new]``
 (cell or fold) bounds the segments it takes out of the cycle minus those it
 puts in, a consumed cycle equals the boundary of its cells, and a split's two
 pieces share the bridge segments with opposite orientation, so no seam is
-recorded.  ``MOVE_TABLE`` is the one place that maps a move's JSON ``type``
-to its class, its fields and its replay step.
+recorded.  ``MOVE_TABLE`` maps a move's JSON ``type`` to its class, its
+fields and its replay step: each kind has a step of its own, which
+:meth:`Replayer.apply` finds by the move's class, and
+:mod:`rhombidome.files` has one encoder and one decoder per kind, which
+write and read the fields of its row.
 
 Boundary rhombi are reversed so that the assembled 2-chain, folds included,
 has boundary equal to (initial curve) + (rhombi).
@@ -77,7 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
@@ -173,9 +176,10 @@ class GraphSurface:
         if len(self.lengths) != n_edges:
             raise SurfaceInvariantError("one length per edge pair required")
         lengths = np.asarray(self.lengths).tolist()
-        # NaN fails; a string or None is no length, and is not parsed as one
-        if not all(isinstance(length, numbers.Real) and 0 < length < math.inf
-                   for length in lengths):
+        # NaN fails; a string or None is no length, and is not parsed as one;
+        # a float, the common case, skips the costly abstract-class check
+        if not all((type(length) is float or isinstance(length, numbers.Real))
+                   and 0 < length < math.inf for length in lengths):
             raise SurfaceInvariantError("edge lengths must be finite and positive")
         for edge in self.edges:
             try:
@@ -492,23 +496,20 @@ def _cut(cycle: list, i: int, j: int, new) -> tuple[list, list]:
     return cycle[i:] + cycle[:j + 1] + [new], [cycle[i], new] + cycle[j:i]
 
 
-def _off_unit(point: list, ends: tuple) -> tuple[int, float] | None:
-    """``(k, distance)`` for the first ``ends[k]`` not at unit distance from
-    ``point``, or None when every end is."""
-    for k, end in enumerate(ends):
-        side = math.dist(end, point)
-        if not abs(side - 1.0) <= EPS:  # NaN fails
-            return k, side
-    return None
+def _off_unit(sides: tuple[float, ...]) -> tuple[int, float]:
+    """``(k, sides[k])`` for the first distance in ``sides`` not 1 within
+    ``EPS``; a replay step calls it to name the side once its test failed."""
+    return next((k, side) for k, side in enumerate(sides) if not abs(side - 1.0) <= EPS)
 
 
 def _pivot_derives_cell(prev: list, nxt: list, new: list) -> bool:
     """Whether a pivot to ``new`` between ``prev`` and ``nxt`` derives a cell,
     which it does unless the neighbours coincide and it derives a fold;
     raises unless ``new`` is at unit distance from both neighbours."""
-    off = _off_unit(new, (prev, nxt))
-    if off:
-        raise NotOnPivotCircleError(f"pivot target at distance {off[1]} from a neighbour")
+    d0, d1 = math.dist(prev, new), math.dist(nxt, new)
+    if not (abs(d0 - 1.0) <= EPS and abs(d1 - 1.0) <= EPS):  # NaN fails
+        raise NotOnPivotCircleError(
+            f"pivot target at distance {_off_unit((d0, d1))[1]} from a neighbour")
     return math.dist(prev, nxt) > EPS
 
 
@@ -626,10 +627,11 @@ class Replayer:
         self.folds: list[list[int]] = []
         self.triangles: list[list[int]] = []
         self.rhombi: list[list[int]] = []
-        # one Counter per input component; ``tally`` maps every component id,
-        # split pieces included, to the Counter of its input component
-        self.tallies = [Counter() for _ in self.edges]
-        self.tally: dict[int, Counter] = dict(enumerate(self.tallies))
+        # one count per key and input component (a ``defaultdict``, whose
+        # ``+=`` costs less than a ``Counter``'s); ``tally`` maps every
+        # component id, split pieces included, to that of its input component
+        self.tallies = [defaultdict(int) for _ in self.edges]
+        self.tally: dict[int, defaultdict] = dict(enumerate(self.tallies))
 
     def component(self, cid: int) -> list[int]:
         try:
@@ -644,33 +646,32 @@ class Replayer:
     def apply(self, move: Move) -> None:
         """Apply one move, and keep the cells it derives.  A move that does not
         replay raises and leaves the state as it was."""
-        spec = MOVE_TABLE.get(getattr(move, "kind", None))
-        if spec is None:
+        step = _STEPS.get(type(move))
+        if step is None:
             raise ReplayMismatchError(f"unknown move type {type(move)!r}")
-        spec.apply(self, move)
+        step(self, move)
         self.moves.append(move)
 
-    def _count_pivots(self, cid: int, stage: str, cells: list[list[int]],
-                      folds: list[list[int]]) -> None:
-        tally = self.tally[cid]
-        tally["pivot", stage] += len(cells) + len(folds)
-        tally["rhombi"] += len(cells)
-        self.rhombus_cells += cells
-        self.folds += folds
-
     def _apply_pivot(self, move: PivotMove) -> None:
-        ids = self.component(move.component)
-        n, i = len(ids), move.vertex
+        cid, i, stage = move.component, move.vertex, move.stage
+        ids = self.component(cid)
+        n = len(ids)
         if not 0 <= i < n:
             raise ReplayMismatchError("pivot vertex out of range")
-        if move.stage not in _PIVOT_STAGES:
-            raise ReplayMismatchError(f"unknown pivot stage {move.stage!r}")
-        new, j, points = move.new_point, (i + 1) % n, self.points
-        cells, folds, row = [], [], [ids[i - 1], ids[i], ids[j], len(points)]
-        (cells if _pivot_derives_cell(points[row[0]], points[row[2]], new) else folds).append(row)
-        ids[i] = len(points)
+        if stage not in _PIVOT_STAGES:
+            raise ReplayMismatchError(f"unknown pivot stage {stage!r}")
+        new, points = move.new_point, self.points
+        row = [ids[i - 1], ids[i], ids[(i + 1) % n], len(points)]
+        derives_cell = _pivot_derives_cell(points[row[0]], points[row[2]], new)
+        ids[i] = row[3]
         points.append(new)
-        self._count_pivots(move.component, move.stage, cells, folds)
+        tally = self.tally[cid]
+        tally["pivot", stage] += 1
+        if derives_cell:
+            tally["rhombi"] += 1
+            self.rhombus_cells.append(row)
+        else:
+            self.folds.append(row)
 
     def _apply_pack(self, move: PackMove) -> None:
         ids = self.component(move.component)
@@ -704,48 +705,64 @@ class Replayer:
                     fresh.append(new)
                     pts[j + 1], vids[j + 1] = new, new_id
         self.points += fresh
-        self._count_pivots(move.component, "pack", cells, folds)
+        tally = self.tally[move.component]
+        tally["pivot", "pack"] += len(fresh)
+        tally["rhombi"] += len(cells)
+        self.rhombus_cells += cells
+        self.folds += folds
         ids[:] = vids
 
     def _apply_split(self, move: SplitMove) -> None:
-        ids = self.component(move.component)
-        n, i = len(ids), move.at
+        cid, new_cid, i, z = move.component, move.new_component, move.at, move.z
+        ids = self.component(cid)
+        n = len(ids)
         if n < 6:
             raise ReplayMismatchError("split needs a component with > 5 edges")
-        if move.new_component in self.components:
+        if new_cid in self.components:
             raise ReplayMismatchError("split target id already in use")
         if not 0 <= i < n:
             raise ReplayMismatchError(f"split position {i} out of range({n})")
-        j, z = (i + 3) % n, move.z
-        off = _off_unit(z, (self.points[ids[i]], self.points[ids[j]]))
-        if off:
+        j, points = (i + 3) % n, self.points
+        d0, d1 = math.dist(points[ids[i]], z), math.dist(points[ids[j]], z)
+        if not (abs(d0 - 1.0) <= EPS and abs(d1 - 1.0) <= EPS):  # NaN fails
+            k, side = _off_unit((d0, d1))
             raise ReplayMismatchError(
-                f"split bridge at distance {off[1]} from vertex {(i, j)[off[0]]}")
-        z_id = len(self.points)
-        self.points.append(z)
-        self.components[move.new_component], self.components[move.component] = _cut(
-            ids, i, j, z_id)
-        self.tally[move.new_component] = self.tally[move.component]
-        self.tally[move.component]["split"] += 1
+                f"split bridge at distance {side} from vertex {(i, j)[k]}")
+        z_id = len(points)
+        points.append(z)
+        self.components[new_cid], self.components[cid] = _cut(ids, i, j, z_id)
+        tally = self.tally[new_cid] = self.tally[cid]
+        tally["split"] += 1
 
     def _apply_pentagon(self, move: PentagonMove) -> None:
-        w0, w1, w2, w3, w4 = self._cycle(move.component, 5)
-        a = move.apex
-        off = _off_unit(a, (self.points[w0], self.points[w2], self.points[w3]))
-        if off:
+        cid, a = move.component, move.apex
+        w0, w1, w2, w3, w4 = self._cycle(cid, 5)
+        points = self.points
+        d0, d2, d3 = math.dist(points[w0], a), math.dist(points[w2], a), math.dist(points[w3], a)
+        if not (abs(d0 - 1.0) <= EPS and abs(d2 - 1.0) <= EPS
+                and abs(d3 - 1.0) <= EPS):  # NaN fails
+            k, side = _off_unit((d0, d2, d3))
             raise ReplayMismatchError(
-                f"pentagon apex at distance {off[1]} from vertex {(0, 2, 3)[off[0]]}")
-        x = len(self.points)
-        self.points.append(a)
+                f"pentagon apex at distance {side} from vertex {(0, 2, 3)[k]}")
+        x = len(points)
+        points.append(a)
         # [v2 v3 a], and [v0 v1 v2 a] and [v0 a v3 v4] reversed
-        self._consume(move.component, [[w2, w3, x]], [[w0, x, w2, w1], [w0, w4, w3, x]])
+        self.triangles.append([w2, w3, x])
+        self.rhombi += ([w0, x, w2, w1], [w0, w4, w3, x])
+        self.tally[cid]["rhombi"] += 2
+        del self.components[cid]
 
     def _apply_close_rhombus(self, move: CloseRhombusMove) -> None:
-        w = self._cycle(move.component, 4)
-        self._consume(move.component, [], [[w[0], w[3], w[2], w[1]]])  # reversed
+        cid = move.component
+        w0, w1, w2, w3 = self._cycle(cid, 4)
+        self.rhombi.append([w0, w3, w2, w1])  # reversed
+        self.tally[cid]["rhombi"] += 1
+        del self.components[cid]
 
     def _apply_close_triangle(self, move: CloseTriangleMove) -> None:
-        self._consume(move.component, [self._cycle(move.component, 3)], [])
+        cid = move.component
+        self.triangles.append(self._cycle(cid, 3))
+        del self.components[cid]
 
     def _cycle(self, cid: int, expected_len: int) -> list[int]:
         """The vertex ids of component ``cid``, which a move consumes and
@@ -756,15 +773,6 @@ class Replayer:
                 f"component {cid} has {len(ids)} vertices, expected {expected_len}")
         return ids
 
-    def _consume(self, cid: int, triangles: list[list[int]],
-                 rhombi: list[list[int]]) -> None:
-        """Record the cells, as id rows, that fill component ``cid`` and drop
-        it."""
-        self.triangles += triangles
-        self.rhombi += rhombi
-        self.tally[cid]["rhombi"] += len(rhombi)
-        del self.components[cid]
-
     def final_curve(self) -> IntegralCurve:
         return IntegralCurve([np.array(self.rows(k)) for k in sorted(self.components)])
 
@@ -773,7 +781,7 @@ class Replayer:
         rows = [{"component": i, "edges": n, "rhombi_used": tally["rhombi"],
                  "budget": component_budget(n)}
                 for i, (n, tally) in enumerate(zip(self.edges, self.tallies))]
-        total = sum(self.tallies, Counter())
+        total = sum(map(Counter, self.tallies), Counter())
         return {
             "n": sum(self.edges),
             "k": sum(row["rhombi_used"] for row in rows),
@@ -791,7 +799,10 @@ class MoveSpec(NamedTuple):
 
     ``fields`` lists (JSON key, attribute, codec) in the order of the
     class's fields, with codec one of ``int``, ``ints``, ``point`` or
-    ``str``; ``files`` encodes by it and decodes each move positionally.
+    ``str``: the JSON value of each field.  ``files`` has one encoder and
+    one decoder per kind, which write and read these keys with these
+    codecs, and :meth:`Replayer.apply` runs ``apply``, the kind's own
+    replay step, looked up by the move's class.
     """
 
     cls: type
@@ -818,6 +829,9 @@ MOVE_TABLE: dict[str, MoveSpec] = {
     "close_triangle": MoveSpec(CloseTriangleMove, Replayer._apply_close_triangle, (
         _COMPONENT,)),
 }
+
+# move class -> its replay step, for :meth:`Replayer.apply`
+_STEPS = {spec.cls: spec.apply for spec in MOVE_TABLE.values()}
 
 
 # ---------------------------------------------------------------------------

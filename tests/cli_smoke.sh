@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the `rhombidome` console script end to end: reduce and validate the
-# stored crown, refuse a version 4 ledger (exit 2), reduce a far square and a
+# stored crown, refuse a version 4 ledger (exit 2), fail a ledger with one
+# pentagon apex moved by 1e-3 (exit 1), reduce a far square and a
 # near-axis window, reduce and validate with scipy blocked, check that the two
 # crown ledgers, written by separate processes, are the same bytes, certify
 # catalog moduli surfaces and refuse a too-small band (exit 2).
@@ -18,6 +19,11 @@ rhombidome validate --in "$out/crown.json"
 status=0
 rhombidome validate --in "$out/crown_v4.json" || status=$?
 test "$status" -eq 2
+"$py" -c 'import json, sys; doc = json.load(open(sys.argv[1])); next(m for m in doc["moves"] if m["type"] == "pentagon")["apex"][0] += 1e-3; json.dump(doc, open(sys.argv[2], "w"))' "$out/crown.json" "$out/crown_apex.json"
+status=0
+rhombidome validate --in "$out/crown_apex.json" > "$out/crown_apex_report.json" || status=$?
+test "$status" -eq 1
+grep -q '"detail": "pentagon apex at distance' "$out/crown_apex_report.json"
 "$py" -c 'import json, sys; json.dump({"version": 1, "components": [[[1e10, 0, 0], [1e10 + 1, 0, 0], [1e10 + 1, 1, 0], [1e10, 1, 0]]]}, open(sys.argv[1], "w"))' "$out/far_square.json"
 rhombidome reduce --in "$out/far_square.json" --out "$out/far_square_ledger.json"
 rhombidome validate --in "$out/far_square_ledger.json"

@@ -122,6 +122,29 @@ def test_move_table_fields_follow_each_class():
                 == [f.name for f in dataclasses.fields(spec.cls)])
 
 
+# one JSON value per codec of a move table row
+_SAMPLE = {"int": 3, "ints": [2, 0, 1], "point": [0.5, -0.25, 2.0], "str": "fix"}
+
+
+@pytest.mark.parametrize("kind", sorted(MOVE_TABLE))
+def test_codec_covers_each_row_of_the_move_table(kind):
+    # each kind's encoder writes the type and the row's keys, no more, and
+    # its decoder gives back the move, each point a fresh row of floats
+    spec = MOVE_TABLE[kind]
+    assert set(files._TO_OBJ) == {row.cls for row in MOVE_TABLE.values()}
+    assert set(files._FROM_OBJ) == set(MOVE_TABLE)
+    move = spec.cls(*[_SAMPLE[codec] for _, _, codec in spec.fields])
+    obj = json.loads(json.dumps(files._TO_OBJ[spec.cls](move)))
+    assert obj.keys() == {"type"} | {key for key, _, _ in spec.fields}
+    assert obj["type"] == kind
+    decoded = files._FROM_OBJ[kind](obj)
+    assert type(decoded) is spec.cls and decoded == move
+    for key, attr, codec in spec.fields:
+        if codec == "point":
+            assert getattr(decoded, attr) is not obj[key]
+            assert list(map(type, getattr(decoded, attr))) == [float] * 3
+
+
 def test_points_decode_to_float_rows_on_either_path():
     # three finite floats take the fast path; an int, or floats whose sum
     # overflows, take the full check, and every path gives a row of floats

@@ -473,3 +473,14 @@ def test_rank_certificate_bounds():
 def test_rank_certificate_rejects_wrong_boundary():
     with pytest.raises(md.BoundaryShapeMismatchError):
         md.rank_certificate(catalog("pentagon_pants"))
+
+
+def test_perturbed_with_an_empty_kernel_keeps_the_positions():
+    """With no direction to move in, ``_perturbed`` returns an equal copy of
+    ``x`` and the true length residual of it, here far from 0."""
+    s = catalog("antiprism_band", k=5)
+    x = 1.1 * np.array(s.coords, dtype=float)
+    kernel = np.zeros((3 * (len(x) - 1), 0))
+    moved, residual = md._perturbed(s, x, kernel, 3)
+    assert moved is not x and np.array_equal(moved, x)
+    assert residual == md.surface_constraint_residual(s, x) > 0.2

@@ -1,6 +1,9 @@
 import json
 import re
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from rhombidome.surface import (
     NotInTriangleError,
     NotOnPivotCircleError,
     PackMove,
+    PentagonMove,
     PivotMove,
     PositioningViolatedError,
     Replayer,
@@ -151,6 +155,24 @@ def test_validate_refuses_a_non_finite_or_non_positive_length(length, drop_coord
         s.validate()
     with pytest.raises(SurfaceInvariantError):
         isotropy_certificate(s, trials=1)
+
+
+@pytest.mark.parametrize("length, accepted", [
+    (1.0, True), (1, True), (np.float32(1.0), True), (Fraction(1), True),
+    (Decimal(1), False), (1 + 0j, False)],
+    ids=["float", "int", "float32", "fraction", "decimal", "complex"])
+def test_validate_takes_any_real_length(length, accepted):
+    # the test for a float, ahead of ``numbers.Real``, accepts nothing more:
+    # any real number is a length, and a Decimal or a complex is not
+    s = catalog("pentagon_pants")
+    s.lengths = s.lengths.astype(object)
+    s.lengths[0] = length
+    if accepted:
+        s.validate()
+    else:
+        with pytest.raises(SurfaceInvariantError,
+                           match="^edge lengths must be finite and positive$"):
+            s.validate()
 
 
 @pytest.mark.parametrize("edge, message", [
@@ -386,6 +408,24 @@ def test_validator_reports_instead_of_raising(edit, failed, message):
     report = validate_ledger(ledger)
     assert [name for name, ok, _ in report.entries if not ok] == failed
     assert all(message in detail for _, ok, detail in report.entries if not ok)
+
+
+class _MarkedPentagon(PentagonMove):
+    """A pentagon move of a class the move table does not name."""
+
+
+@pytest.mark.parametrize("move", [
+    object(), _MarkedPentagon(0, [0.0, 0.0, 1.0]),
+    SimpleNamespace(kind="pivot", component=0, vertex=1, new_point=[0.5, 0.5, 0.5],
+                    stage="pivot")],
+    ids=["object", "subclass", "look_alike"])
+def test_replay_refuses_a_move_of_another_class(move):
+    # the replay dispatches on the move's class, so neither a subclass of a
+    # move class nor an object with a move's ``kind`` and fields replays
+    state = Replayer(regular_polygon_curve(6))
+    with pytest.raises(ReplayMismatchError, match="^unknown move type "):
+        state.apply(move)
+    assert state.moves == []
 
 
 def _split_into_itself(ledger):

@@ -5,14 +5,14 @@ read -> write is byte-identical and replay stays exact across the disk
 boundary.
 
 Ledger version 5 records decisions only: each move is written by its
-kind's encoder and read by its kind's decoder, both for the JSON keys of
-its row of ``surface.MOVE_TABLE``, and every cell is derived on replay, a
-pentagon's from its recorded ``apex``, a pack's swaps and their cells from
-its recorded ``order``, a split's pieces from its position ``at``.  It is
-the only version read or written; a document of any other version is
-refused.  An older ledger's ``initial`` is a version 1 curve document, so
-reducing it gives a version 5 ledger of the same curve (a new reduction,
-not the old moves).
+kind's encoder and read by its kind's decoder, and this module alone maps
+moves to JSON: their keys, and their ``type``, the class's ``kind``.  Every
+cell is derived on replay, a pentagon's from its recorded ``apex``, a pack's
+swaps and their cells from its recorded ``order``, a split's pieces from
+its position ``at``.  It is the only version read or written; a document of
+any other version is refused.  An older ledger's ``initial`` is a version 1
+curve document, so reducing it gives a version 5 ledger of the same curve (a
+new reduction, not the old moves).
 
 The ledger types come from the checker's module, :mod:`rhombidome.surface`,
 so reading a ledger needs nothing of the producer.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -151,13 +152,14 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# One encoder and one decoder per move kind, each for the fields of its row
-# of ``surface.MOVE_TABLE`` in the class's field order.  A decoder checks
-# each field in that order, so a refusal names the first bad one.
+# One encoder and one decoder per move kind, each for its JSON keys in the
+# class's field order; the ``type`` of a move is its class's ``kind``.  A
+# decoder checks each field in that order, so a refusal names the first bad
+# one.
 
 
 def _pivot_to_obj(move: PivotMove) -> dict:
-    return {"type": "pivot", "component": int(move.component), "vertex": int(move.vertex),
+    return {"type": move.kind, "component": int(move.component), "vertex": int(move.vertex),
             "new": list(map(float, move.new_point)), "stage": str(move.stage)}
 
 
@@ -168,7 +170,7 @@ def _pivot_from_obj(obj: dict) -> PivotMove:
 
 
 def _pack_to_obj(move: PackMove) -> dict:
-    return {"type": "pack", "component": int(move.component),
+    return {"type": move.kind, "component": int(move.component),
             "order": list(map(int, move.order))}
 
 
@@ -178,7 +180,7 @@ def _pack_from_obj(obj: dict) -> PackMove:
 
 
 def _split_to_obj(move: SplitMove) -> dict:
-    return {"type": "split", "component": int(move.component),
+    return {"type": move.kind, "component": int(move.component),
             "new_component": int(move.new_component), "z": list(map(float, move.z)),
             "at": int(move.at)}
 
@@ -190,7 +192,7 @@ def _split_from_obj(obj: dict) -> SplitMove:
 
 
 def _pentagon_to_obj(move: PentagonMove) -> dict:
-    return {"type": "pentagon", "component": int(move.component),
+    return {"type": move.kind, "component": int(move.component),
             "apex": list(map(float, move.apex))}
 
 
@@ -199,33 +201,28 @@ def _pentagon_from_obj(obj: dict) -> PentagonMove:
                         _point(obj["apex"], "pentagon apex"))
 
 
-def _close_rhombus_to_obj(move: CloseRhombusMove) -> dict:
-    return {"type": "close_rhombus", "component": int(move.component)}
+def _close_to_obj(move: CloseRhombusMove | CloseTriangleMove) -> dict:
+    return {"type": move.kind, "component": int(move.component)}
 
 
-def _close_rhombus_from_obj(obj: dict) -> CloseRhombusMove:
-    return CloseRhombusMove(_int(obj["component"], "close_rhombus component"))
+def _close_from_obj(cls: type, obj: dict) -> CloseRhombusMove | CloseTriangleMove:
+    return cls(_int(obj["component"], f"{cls.kind} component"))
 
 
-def _close_triangle_to_obj(move: CloseTriangleMove) -> dict:
-    return {"type": "close_triangle", "component": int(move.component)}
-
-
-def _close_triangle_from_obj(obj: dict) -> CloseTriangleMove:
-    return CloseTriangleMove(_int(obj["component"], "close_triangle component"))
-
-
+# move class -> (encoder, decoder)
+_CODECS = {PivotMove: (_pivot_to_obj, _pivot_from_obj),
+           PackMove: (_pack_to_obj, _pack_from_obj),
+           SplitMove: (_split_to_obj, _split_from_obj),
+           PentagonMove: (_pentagon_to_obj, _pentagon_from_obj),
+           CloseRhombusMove: (_close_to_obj, partial(_close_from_obj, CloseRhombusMove)),
+           CloseTriangleMove: (_close_to_obj, partial(_close_from_obj, CloseTriangleMove))}
 # move class -> encoder, and JSON ``type`` -> decoder
-_TO_OBJ = {PivotMove: _pivot_to_obj, PackMove: _pack_to_obj, SplitMove: _split_to_obj,
-           PentagonMove: _pentagon_to_obj, CloseRhombusMove: _close_rhombus_to_obj,
-           CloseTriangleMove: _close_triangle_to_obj}
-_FROM_OBJ = {"pivot": _pivot_from_obj, "pack": _pack_from_obj, "split": _split_from_obj,
-             "pentagon": _pentagon_from_obj, "close_rhombus": _close_rhombus_from_obj,
-             "close_triangle": _close_triangle_from_obj}
+_TO_OBJ = {cls: encode for cls, (encode, _) in _CODECS.items()}
+_FROM_OBJ = {cls.kind: decode for cls, (_, decode) in _CODECS.items()}
 
 
 def _moves_from_obj(objs: list) -> list[Move]:
-    """Decode moves in order, each of a JSON ``type`` in ``MOVE_TABLE``."""
+    """Decode moves in order, each by the decoder of its JSON ``type``."""
     moves = []
     for obj in objs:
         decode = _FROM_OBJ.get(obj.get("type")) if isinstance(obj, dict) else None

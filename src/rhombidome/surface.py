@@ -65,11 +65,9 @@ the chain identity holds move by move: a pivot's row ``[prev old next new]``
 (cell or fold) bounds the segments it takes out of the cycle minus those it
 puts in, a consumed cycle equals the boundary of its cells, and a split's two
 pieces share the bridge segments with opposite orientation, so no seam is
-recorded.  ``MOVE_TABLE`` maps a move's JSON ``type`` to its class, its
-fields and its replay step: each kind has a step of its own, which
-:meth:`Replayer.apply` finds by the move's class, and
-:mod:`rhombidome.files` has one encoder and one decoder per kind, which
-write and read the fields of its row.
+recorded.  Each kind has a replay step of its own, which
+:meth:`Replayer.apply` finds by the move's class.  The module knows no file
+format: :mod:`rhombidome.files` alone writes and reads moves.
 
 Boundary rhombi are reversed so that the assembled 2-chain, folds included,
 has boundary equal to (initial curve) + (rhombi).
@@ -82,7 +80,7 @@ import math
 import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -97,8 +95,6 @@ __all__ = [
     "CloseRhombusMove",
     "CloseTriangleMove",
     "Move",
-    "MoveSpec",
-    "MOVE_TABLE",
     "CobordismLedger",
     "Replayer",
     "NotOnPivotCircleError",
@@ -794,44 +790,11 @@ class Replayer:
         }
 
 
-class MoveSpec(NamedTuple):
-    """One row of the move table.
-
-    ``fields`` lists (JSON key, attribute, codec) in the order of the
-    class's fields, with codec one of ``int``, ``ints``, ``point`` or
-    ``str``: the JSON value of each field.  ``files`` has one encoder and
-    one decoder per kind, which write and read these keys with these
-    codecs, and :meth:`Replayer.apply` runs ``apply``, the kind's own
-    replay step, looked up by the move's class.
-    """
-
-    cls: type
-    apply: Callable[[Replayer, Move], None]
-    fields: tuple[tuple[str, str, str], ...]
-
-
-_COMPONENT = ("component", "component", "int")
-
-# JSON ``type`` -> move class, replay step and fields.
-MOVE_TABLE: dict[str, MoveSpec] = {
-    "pivot": MoveSpec(PivotMove, Replayer._apply_pivot, (
-        _COMPONENT, ("vertex", "vertex", "int"), ("new", "new_point", "point"),
-        ("stage", "stage", "str"))),
-    "pack": MoveSpec(PackMove, Replayer._apply_pack, (
-        _COMPONENT, ("order", "order", "ints"))),
-    "split": MoveSpec(SplitMove, Replayer._apply_split, (
-        _COMPONENT, ("new_component", "new_component", "int"), ("z", "z", "point"),
-        ("at", "at", "int"))),
-    "pentagon": MoveSpec(PentagonMove, Replayer._apply_pentagon, (
-        _COMPONENT, ("apex", "apex", "point"))),
-    "close_rhombus": MoveSpec(CloseRhombusMove, Replayer._apply_close_rhombus, (
-        _COMPONENT,)),
-    "close_triangle": MoveSpec(CloseTriangleMove, Replayer._apply_close_triangle, (
-        _COMPONENT,)),
-}
-
 # move class -> its replay step, for :meth:`Replayer.apply`
-_STEPS = {spec.cls: spec.apply for spec in MOVE_TABLE.values()}
+_STEPS = {PivotMove: Replayer._apply_pivot, PackMove: Replayer._apply_pack,
+          SplitMove: Replayer._apply_split, PentagonMove: Replayer._apply_pentagon,
+          CloseRhombusMove: Replayer._apply_close_rhombus,
+          CloseTriangleMove: Replayer._apply_close_triangle}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs the `rhombidome` console script end to end: reduce and validate the
-# stored crown, refuse a version 4 ledger (exit 2), fail a ledger with one
-# pentagon apex moved by 1e-3 (exit 1), reduce a far square and a
-# near-axis window, reduce and validate with scipy blocked, check that the two
-# crown ledgers, written by separate processes, are the same bytes, certify
-# catalog moduli surfaces and refuse a too-small band (exit 2).
+# stored crown, refuse a version 4 ledger and one with a move of unknown
+# type `seam` (exit 2), fail a ledger with one pentagon apex moved by 1e-3
+# (exit 1), reduce a far square and a near-axis window, reduce and validate
+# with scipy blocked, check that the two crown ledgers, written by separate
+# processes, are the same bytes, certify catalog moduli surfaces and refuse a
+# too-small band (exit 2).
 #
 # Usage: tests/cli_smoke.sh OUTDIR   (from any directory; `rhombidome` must
 # be on PATH, and PYTHON, default `python`, must import rhombidome)
@@ -18,6 +19,10 @@ rhombidome validate --in "$out/crown.json"
 "$py" -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["version"] = 4; json.dump(doc, open(sys.argv[2], "w"))' "$out/crown.json" "$out/crown_v4.json"
 status=0
 rhombidome validate --in "$out/crown_v4.json" || status=$?
+test "$status" -eq 2
+"$py" -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["moves"][0]["type"] = "seam"; json.dump(doc, open(sys.argv[2], "w"))' "$out/crown.json" "$out/crown_seam.json"
+status=0
+rhombidome validate --in "$out/crown_seam.json" || status=$?
 test "$status" -eq 2
 "$py" -c 'import json, sys; doc = json.load(open(sys.argv[1])); next(m for m in doc["moves"] if m["type"] == "pentagon")["apex"][0] += 1e-3; json.dump(doc, open(sys.argv[2], "w"))' "$out/crown.json" "$out/crown_apex.json"
 status=0

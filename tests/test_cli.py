@@ -111,10 +111,15 @@ _BAD_AT = "bad split at: expected an integer"
     (lambda doc: _first(doc, "split").update(at=True), _BAD_AT),
     (lambda doc: _first(doc, "split").update(at=1.5), _BAD_AT),
     (lambda doc: _first(doc, "split").update(at="0"), _BAD_AT),
+    # a move ``type`` the format has no decoder for
+    (lambda doc: doc["moves"][0].update(type="seam"), "bad move: {"),
+    (lambda doc: doc["moves"][0].pop("type"), "bad move: {"),
+    (lambda doc: doc["moves"][0].update(type=["pivot"]), "malformed ledger document"),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
         "moves_object", "version_true",
         "version_float", "order_not_array", "order_string", "order_true", "order_float",
-        "pack_in_v3", "at_true", "at_float", "at_string"])
+        "pack_in_v3", "at_true", "at_float", "at_string", "type_unknown", "type_missing",
+        "type_not_string"])
 def test_validate_malformed_ledger_exits_2(tmp_path, capsys, edit, message):
     # the crown's ledger has a pack move
     ledger = reduce_to_rhombi(crown_union(5))

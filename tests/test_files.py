@@ -14,7 +14,7 @@ from conftest import crown_curve, crown_union
 from rhombidome import files
 from rhombidome.cobordism import reduce_to_rhombi
 from rhombidome.curve import IntegralCurve, random_integral_curve
-from rhombidome.surface import MOVE_TABLE, assemble_from_ledger, validate_ledger
+from rhombidome.surface import _STEPS, assemble_from_ledger, validate_ledger
 
 DATA = Path(__file__).parent / "data"
 # the reduction of a closed 8-step cubic-lattice walk with a backtrack
@@ -103,46 +103,47 @@ def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
     assert type(info.value.__cause__) is (cause or type(None))
 
 
+def _point_fields(cls) -> list[str]:
+    """The names of a move class's point fields, its ``list[float]`` ones."""
+    return [f.name for f in dataclasses.fields(cls) if f.type == "list[float]"]
+
+
 def test_move_points_are_float_rows_and_round_trip(ledger):
     # the reduction and the decoder both give each point field as a row of
     # three Python floats, so decoded moves compare equal to the written ones
     decoded = files.ledger_from_obj(json.loads(files.dump_json(files.ledger_to_obj(ledger))))
     for moves in (ledger.moves, decoded.moves):
-        points = [getattr(move, attr) for move in moves
-                  for _, attr, codec in MOVE_TABLE[move.kind].fields if codec == "point"]
+        points = [getattr(move, name) for move in moves for name in _point_fields(type(move))]
         assert {move.kind for move in moves} >= {"pivot", "split", "pentagon"}
-        assert all(type(p) is list and list(map(type, p)) == [float] * 3 for p in points)
+        assert points and all(type(p) is list and list(map(type, p)) == [float] * 3
+                              for p in points)
     assert decoded.moves == ledger.moves
 
 
-def test_move_table_fields_follow_each_class():
-    # the decoder builds each move positionally from its table row
-    for spec in MOVE_TABLE.values():
-        assert ([attr for _, attr, _ in spec.fields]
-                == [f.name for f in dataclasses.fields(spec.cls)])
+# one distinct value per field of every move class, by annotation: an int
+# field takes the next integer, so a decoder that builds its move's fields
+# out of order gives back a different move
+_SAMPLE = {"list[int]": [2, 0, 1], "list[float]": [0.5, -0.25, 2.0], "str": "fix"}
 
 
-# one JSON value per codec of a move table row
-_SAMPLE = {"int": 3, "ints": [2, 0, 1], "point": [0.5, -0.25, 2.0], "str": "fix"}
-
-
-@pytest.mark.parametrize("kind", sorted(MOVE_TABLE))
-def test_codec_covers_each_row_of_the_move_table(kind):
-    # each kind's encoder writes the type and the row's keys, no more, and
-    # its decoder gives back the move, each point a fresh row of floats
-    spec = MOVE_TABLE[kind]
-    assert set(files._TO_OBJ) == {row.cls for row in MOVE_TABLE.values()}
-    assert set(files._FROM_OBJ) == set(MOVE_TABLE)
-    move = spec.cls(*[_SAMPLE[codec] for _, _, codec in spec.fields])
-    obj = json.loads(json.dumps(files._TO_OBJ[spec.cls](move)))
-    assert obj.keys() == {"type"} | {key for key, _, _ in spec.fields}
-    assert obj["type"] == kind
-    decoded = files._FROM_OBJ[kind](obj)
-    assert type(decoded) is spec.cls and decoded == move
-    for key, attr, codec in spec.fields:
-        if codec == "point":
-            assert getattr(decoded, attr) is not obj[key]
-            assert list(map(type, getattr(decoded, attr))) == [float] * 3
+@pytest.mark.parametrize("cls", list(_STEPS), ids=lambda cls: cls.kind)
+def test_codec_covers_each_row_of_the_move_table(cls):
+    # the codec covers the move classes the replay knows, and each kind's
+    # decoder gives back what its encoder writes, each point a fresh row of
+    # floats
+    assert set(files._TO_OBJ) == set(_STEPS)
+    assert set(files._FROM_OBJ) == {c.kind for c in _STEPS}
+    ints = iter(range(3, 100))
+    fields = dataclasses.fields(cls)
+    move = cls(*[next(ints) if f.type == "int" else _SAMPLE[f.type] for f in fields])
+    obj = json.loads(json.dumps(files._TO_OBJ[cls](move)))
+    assert obj["type"] == cls.kind and len(obj) == len(fields) + 1
+    decoded = files._FROM_OBJ[cls.kind](obj)
+    assert type(decoded) is cls and decoded == move
+    for name in _point_fields(cls):
+        point = getattr(decoded, name)
+        assert point == _SAMPLE["list[float]"] and list(map(type, point)) == [float] * 3
+        assert all(point is not value for value in obj.values())
 
 
 def test_points_decode_to_float_rows_on_either_path():

@@ -1,10 +1,11 @@
 """The README's library example runs as documented, and its move table
-lists the moves the ledger format has."""
+lists the moves the ledger format has, with the keys each encoder writes."""
 
+import dataclasses
 import re
 from pathlib import Path
 
-from rhombidome.surface import MOVE_TABLE
+from rhombidome import files
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,5 +28,12 @@ def test_readme_move_table_matches_move_table():
         types, keys = row.strip("|").split("|")
         for kind in re.findall(r"`(\w+)`", types):
             documented[kind] = re.findall(r"`(\w+)`", keys)
-    assert documented == {kind: [key for key, _, _ in spec.fields]
-                          for kind, spec in MOVE_TABLE.items()}
+    # one move of each class, each field a zero, a string or a list, and the
+    # keys its encoder writes besides ``type``
+    sample = {"int": 0, "str": "pivot", "list[int]": [], "list[float]": [0.0] * 3}
+    written = {}
+    for cls, encode in files._TO_OBJ.items():
+        obj = encode(cls(*[sample[f.type] for f in dataclasses.fields(cls)]))
+        kind = obj.pop("type")
+        written[kind] = list(obj)
+    assert documented == written

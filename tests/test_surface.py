@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from collections import Counter
@@ -660,18 +661,35 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     assert np.array_equal(cell, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
 
 
-def test_failed_pack_leaves_the_state_as_it_was():
+_HEXAGON = regular_polygon_curve(6).components[0].tolist()
+_FAR = [5.0, 5.0, 5.0]
+
+
+@pytest.mark.parametrize("rows, move, error, match", [
+    (_HEXAGON, PivotMove(0, 1, _FAR), NotOnPivotCircleError, "^pivot target at distance"),
+    (_HEXAGON, SplitMove(0, 1, _FAR), ReplayMismatchError, "^split bridge at distance"),
+    (_HEXAGON, SplitMove(0, 0, _FAR), ReplayMismatchError, "^split target id already in use"),
+    (regular_polygon_curve(5).components[0].tolist(), PentagonMove(0, _FAR),
+     ReplayMismatchError, "^pentagon apex at distance"),
+    (_HEXAGON, CloseRhombusMove(0), ReplayMismatchError, "has 6 vertices, expected 4"),
     # slot 0 swaps, then the swap of edges 2 and 3 moves vertex 3 to a point
     # at distance 1.5 (edge 3's length) from its neighbour: the move raises,
     # and the swap it already made must not show
-    rows = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 2.5, 0], [0, 1.5, 0.5]]
+    ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 2.5, 0], [0, 1.5, 0.5]],
+     PackMove(0, [1, 0, 3, 2, 4, 5]), NotOnPivotCircleError, "distance 1.5 from a neighbour"),
+], ids=["pivot", "split_bridge", "split_id", "pentagon", "close", "pack"])
+def test_failed_move_leaves_the_state_as_it_was(rows, move, error, match):
     state = Replayer(IntegralCurve([rows]))
-    stats = state.stats()
-    with pytest.raises(NotOnPivotCircleError, match="distance 1.5 from a neighbour"):
-        state.apply(PackMove(0, [1, 0, 3, 2, 4, 5]))
-    assert np.array_equal(state.rows(0), rows)
-    assert state.rhombus_cells == [] and state.moves == [] and state.stats() == stats
-    assert state.points == rows
+
+    def snapshot():
+        return copy.deepcopy((state.points, state.components, state.rhombus_cells,
+                              state.folds, state.triangles, state.rhombi, state.moves,
+                              state.stats()))
+
+    before = snapshot()
+    with pytest.raises(error, match=match):
+        state.apply(move)
+    assert snapshot() == before and state.points == rows
 
 
 def test_point_table_holds_each_point_in_creation_order():

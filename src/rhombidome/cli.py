@@ -87,7 +87,7 @@ def cmd_reduce(args) -> int:
     try:
         files.write_ledger(args.out, ledger)
         if args.off and report.chain is not None:
-            files.export_off(args.off, report.chain.triangles, report.chain.rhombus_cells)
+            files.export_off(args.off, report.chain)
     except OSError as exc:
         _err(str(exc))
         return EXIT_USAGE

@@ -251,17 +251,12 @@ def planarize(curve: IntegralCurve) -> tuple[IntegralCurve, list[PivotMove]]:
 # bounded-prefix reordering (packing)
 
 
-def _max_prefix_norm(vectors: np.ndarray, order: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(np.cumsum(vectors[order], axis=0), axis=1)))
-
-
-def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
+def _first_fit_order(vectors: np.ndarray) -> list[int] | None:
     """First fit: each step takes the lowest-index remaining vector whose new
-    prefix norm is at most ``STEINITZ_BOUND`` (within ``EPS``), or else the
-    one with the smallest new prefix norm.  Taking low indices first keeps
-    the order's inversions, and so the pack pivots that realize it, few; the
-    identity comes back whenever it qualifies.  The scan stops at the first
-    vector within the bound, and measures every one only when none is.
+    prefix norm is at most ``STEINITZ_BOUND`` (within ``EPS``), or ``None``
+    as soon as no remaining vector does.  Taking low indices first keeps the
+    order's inversions, and so the pack pivots that realize it, few; the
+    identity comes back whenever it qualifies.
     """
     pts = vectors.tolist()
     remaining = list(range(len(pts)))
@@ -273,12 +268,11 @@ def _first_fit_order(vectors: np.ndarray) -> np.ndarray:
             if math.dist(pts[i], back) <= STEINITZ_BOUND + EPS:
                 break
         else:
-            norms = [math.dist(pts[i], back) for i in remaining]
-            j = norms.index(min(norms))
+            return None
         i = remaining.pop(j)
         back = [b - x for b, x in zip(back, pts[i])]
         order.append(i)
-    return np.array(order, dtype=int)
+    return order
 
 
 def _step_limit(lam: list[float], w: list[float]) -> tuple[float, int, float]:
@@ -331,9 +325,9 @@ def _elimination_order(vectors: np.ndarray) -> np.ndarray:
 def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     """Permutation keeping every prefix sum of unit plane vectors within 2.
 
-    The first-fit order is returned (lowest-index vector keeping the prefix
-    within 2, else the smallest new prefix), so the identity whenever it
-    qualifies, unless one of its prefixes exceeds 2; then the
+    The first-fit order is returned (each step the lowest-index vector
+    keeping the prefix within 2), so the identity whenever it qualifies; if
+    at some step no vector keeps the prefix within 2, the
     Grinberg--Sevastyanov elimination, which proves the bound 2 for every
     closed set of plane vectors of norm at most 1, builds the whole order.
     """
@@ -346,9 +340,7 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     if not float(np.linalg.norm(vectors.sum(axis=0))) <= max(1.0, n) * 10 * EPS:
         raise NotClosedError("vectors do not sum to zero")
     order = _first_fit_order(vectors)
-    if _max_prefix_norm(vectors, order) <= STEINITZ_BOUND + EPS:
-        return order
-    return _elimination_order(vectors)
+    return _elimination_order(vectors) if order is None else np.array(order, dtype=int)
 
 
 def _pack_component(state: Replayer, cid: int, plane: Plane) -> None:
@@ -365,9 +357,9 @@ def _pack_component(state: Replayer, cid: int, plane: Plane) -> None:
     n = len(v)
     e1, e2 = plane_basis(plane.normal)
     edges = [[y - x for x, y in zip(p, q)] for p, q in zip(v, v[1:] + v[:1])]
-    sigma = steinitz_order(np.array([[dot(u, e1), dot(u, e2)] for u in edges]))
-    if np.any(sigma != np.arange(n)):
-        state.apply(PackMove(cid, sigma.tolist()))
+    sigma = steinitz_order(np.array([[dot(u, e1), dot(u, e2)] for u in edges])).tolist()
+    if sigma != list(range(n)):
+        state.apply(PackMove(cid, sigma))
         v = state.rows(cid)
     radii = [math.dist(p, v[0]) for p in v]
     if max(radii) > STEINITZ_BOUND + EPS:

@@ -32,6 +32,7 @@ from .surface import (
     CloseRhombusMove,
     CloseTriangleMove,
     CobordismLedger,
+    DomeChain,
     Move,
     PackMove,
     PentagonMove,
@@ -222,10 +223,12 @@ _FROM_OBJ = {cls.kind: decode for cls, (_, decode) in _CODECS.items()}
 
 
 def _moves_from_obj(objs: list) -> list[Move]:
-    """Decode moves in order, each by the decoder of its JSON ``type``."""
+    """Decode moves in order, each by the decoder of its JSON ``type``, a
+    string; any other move is refused as a bad move."""
     moves = []
     for obj in objs:
-        decode = _FROM_OBJ.get(obj.get("type")) if isinstance(obj, dict) else None
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        decode = _FROM_OBJ.get(kind) if isinstance(kind, str) else None
         if decode is None:
             raise FileFormatError(f"bad move: {obj!r:.80}")
         moves.append(decode(obj))
@@ -297,29 +300,22 @@ def read_ledger(path: str) -> CobordismLedger:
     return ledger_from_obj(_read_json(path))
 
 
-def export_off(path: str, triangles: np.ndarray, rhombus_cells: np.ndarray) -> None:
-    """Write chain cells, (m, 3, 3) triangles and (m, 4, 3) rhombus cells, as
-    an OFF mesh (visualization only).
+def export_off(path: str, chain: DomeChain) -> None:
+    """Write a dome chain's triangles and rhombus cells as an OFF mesh
+    (visualization only).
 
-    Rhombus cells are triangulated along their first diagonal purely for
-    export; the split edges are not part of the chain.
+    The mesh has one vertex per chain vertex id that a face uses, in order
+    of first use, at its coordinates in ``chain.points``; distinct ids stay
+    distinct vertices even where their coordinates coincide, as in the
+    chain identity.  Rhombus cells are triangulated along their first
+    diagonal purely for export; the split edges are not part of the chain.
     """
-    vertices: list[tuple[float, float, float]] = []
-    index: dict[tuple[float, float, float], int] = {}
-
-    def vid(p) -> int:
-        key = (float(p[0]), float(p[1]), float(p[2]))
-        if key not in index:
-            index[key] = len(vertices)
-            vertices.append(key)
-        return index[key]
-
-    faces: list[tuple[int, int, int]] = []
-    for v in triangles:
-        faces.append((vid(v[0]), vid(v[1]), vid(v[2])))
-    for v in rhombus_cells:
-        faces.append((vid(v[0]), vid(v[1]), vid(v[2])))
-        faces.append((vid(v[0]), vid(v[2]), vid(v[3])))
+    cells = chain.triangle_ids.tolist()
+    for a, b, c, d in chain.rhombus_cell_ids.tolist():
+        cells += [[a, b, c], [a, c, d]]
+    index: dict[int, int] = {}  # chain vertex id -> OFF vertex
+    faces = [[index.setdefault(i, len(index)) for i in cell] for cell in cells]
+    vertices = chain.points[list(index)].tolist()
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("OFF\n")

@@ -478,8 +478,7 @@ def _rank_with_gap(matrix: np.ndarray, scale: float) -> dict:
     projection reads as rank zero instead of full of noise.  A scale of zero
     falls back to the matrix's own largest singular value.
     """
-    spectrum = (np.linalg.svd(matrix, compute_uv=False)
-                if matrix.size else np.zeros(0))
+    spectrum = svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
     if scale <= 0.0:
         scale = float(spectrum[0]) if len(spectrum) else 0.0
     rank = int(np.sum(spectrum > _RANK_REL_EPS * scale)) if scale > 0 else 0
@@ -495,7 +494,7 @@ def _rank_with_gap(matrix: np.ndarray, scale: float) -> dict:
     }
 
 
-def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
+def rank_certificate(s: GraphSurface, seed: int = 0) -> dict:
     """Rank bounds of the boundary differential on a 3-rhombus-boundary surface.
 
     Reports the rank of the pushed tangents modulo the rotation-orbit
@@ -507,14 +506,15 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
         raise BoundaryShapeMismatchError("need exactly three 4-gon boundaries")
     if np.max(np.abs(np.asarray(s.lengths) - 1.0)) > EPS:
         raise BoundaryShapeMismatchError("boundary rhombi must have unit edges")
-    realization = realize_surface(s, seed=seed)
+    realization = realize_surface(s)
+    x = realization.x
+    realization.x, residual = _perturbed(s, x, _pinned_kernel(s, x), seed)
     basis = surface_tangent_basis(realization)
     point = boundary_point(realization)
     pushed = boundary_differential(realization, basis)  # (D, 12, 3)
     images = pushed.reshape(len(basis), -1)
 
-    image_scale = float(np.linalg.svd(images, compute_uv=False)[0]) \
-        if images.size else 0.0
+    image_scale = float(svd(images, compute_uv=False)[0]) if images.size else 0.0
     orbit = rotation_orbit_basis(point).reshape(-1, point.vectors.size)
     proj = images - images @ orbit.T @ orbit
     moduli = _rank_with_gap(proj, image_scale)
@@ -541,7 +541,7 @@ def rank_certificate(s: GraphSurface, seed: int | None = 0) -> dict:
         "rank_projected": projected,
         "bound_moduli": 3,
         "bound_projected": 4,
-        "max_residual": surface_constraint_residual(s, realization.x),
+        "max_residual": residual,
         "tangent_dim": len(basis),
         "passed": bool(passed),
     }

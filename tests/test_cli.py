@@ -114,7 +114,7 @@ _BAD_AT = "bad split at: expected an integer"
     # a move ``type`` the format has no decoder for
     (lambda doc: doc["moves"][0].update(type="seam"), "bad move: {"),
     (lambda doc: doc["moves"][0].pop("type"), "bad move: {"),
-    (lambda doc: doc["moves"][0].update(type=["pivot"]), "malformed ledger document"),
+    (lambda doc: doc["moves"][0].update(type=["pivot"]), "bad move: {"),
 ], ids=["component_not_int", "move_not_object", "stats_null", "pivot_point_nan",
         "moves_object", "version_true",
         "version_float", "order_not_array", "order_string", "order_true", "order_float",
@@ -188,10 +188,15 @@ def test_unwritable_output_exits_2(tmp_path, pentagon_file, capsys, argv):
     assert "No such file or directory" in err and "unexpected error" not in err
 
 
-def test_off_export(tmp_path, capsys):
+@pytest.mark.parametrize("curve", [
+    crown_curve(),
+    # its chain has two vertex ids, 496 and 540, at the same coordinates
+    random_integral_curve(200, np.random.default_rng(1)),
+], ids=["crown", "random_200"])
+def test_off_export(tmp_path, capsys, curve):
     # the crown's pack derives pivot cells
     infile = tmp_path / "curve.json"
-    files.write_curve(str(infile), crown_curve())
+    files.write_curve(str(infile), curve)
     out = tmp_path / "ledger.json"
     off = tmp_path / "dome.off"
     assert main(["reduce", "--in", str(infile), "--out", str(out),
@@ -209,6 +214,9 @@ def test_off_export(tmp_path, capsys):
     halves = chain.rhombus_cells[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 3)
     assert len(chain.triangles) > 0 and len(halves) > 0
     assert np.array_equal(faces, np.concatenate([chain.triangles, halves]))
+    # one vertex per vertex id a face uses, even where two share coordinates
+    used = np.concatenate([chain.triangle_ids.ravel(), chain.rhombus_cell_ids.ravel()])
+    assert n_vert == len(np.unique(used))
 
 
 def test_reduce_off_replays_once(tmp_path, monkeypatch, capsys):
@@ -229,7 +237,7 @@ def test_reduce_off_replays_once(tmp_path, monkeypatch, capsys):
     # the bytes an export of a second replay writes
     chain = assemble_from_ledger(files.read_ledger(str(out)))
     again = tmp_path / "again.off"
-    files.export_off(str(again), chain.triangles, chain.rhombus_cells)
+    files.export_off(str(again), chain)
     assert off.read_bytes() == again.read_bytes()
 
 

@@ -389,14 +389,14 @@ def test_steinitz_order_property(vectors):
 
 def exhaustive_first_fit(vectors):
     """First fit as a full scan: every remaining vector's new prefix norm,
-    then the first within the bound, or else the first least."""
+    then the first within the bound, or else ``None``."""
     pts, order = vectors.tolist(), []
     remaining, back = list(range(len(pts))), [0.0] * vectors.shape[1]
     while remaining:
         norms = [math.dist(pts[i], back) for i in remaining]
         j = next((k for k, r in enumerate(norms) if r <= 2.0 + EPS), None)
         if j is None:
-            j = norms.index(min(norms))
+            return None
         i = remaining.pop(j)
         back = [b - x for b, x in zip(back, pts[i])]
         order.append(i)
@@ -407,8 +407,7 @@ def exhaustive_first_fit(vectors):
 def fans(draw):
     """Unit vectors at angles a and -a, then k each at +-(pi/2 + b1) and
     +-(pi/2 + b2) that close them, in a drawn order: for small a and large
-    k no third vector keeps the prefix within 2, and the least new prefix
-    is at the larger of b1 and b2."""
+    k no third vector keeps the prefix within 2, so first fit gives up."""
     a, k = draw(st.floats(0.0, 0.2)), draw(st.integers(6, 12))
     sin_b1 = draw(st.floats(0.1, 0.9)) * math.cos(a) / k
     bs = (math.asin(sin_b1), math.asin(math.cos(a) / k - sin_b1))
@@ -419,7 +418,14 @@ def fans(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.one_of(closed_unit_vectors(), fans()))
 def test_first_fit_stops_at_the_first_vector_within_the_bound(vectors):
-    assert cobordism._first_fit_order(vectors).tolist() == exhaustive_first_fit(vectors)
+    assert cobordism._first_fit_order(vectors) == exhaustive_first_fit(vectors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(fans())
+def test_steinitz_order_falls_back_to_the_elimination(vectors):
+    # first fit gives up on every fan, so the elimination builds the order
+    assert np.array_equal(steinitz_order(vectors), cobordism._elimination_order(vectors))
 
 
 # ---------------------------------------------------------------------------

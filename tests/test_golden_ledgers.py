@@ -12,7 +12,9 @@ turned by the first of ``Rotation.random(20, random_state=3)``).
 
 The two crowns take the fallback, whose plane and heights must not depend
 on the BLAS or LAPACK kernel: numpy's OpenBLAS picks one per CPU, and
-``OPENBLAS_CORETYPE`` overrides that pick for one process.
+``OPENBLAS_CORETYPE`` overrides that pick for one process.  The census CSV
+is pinned here too, so that CI's run of this file under another kernel
+gates its bytes.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ import pytest
 
 import rhombidome
 from rhombidome import files
+from rhombidome.cli import main
 from rhombidome.cobordism import reduce_to_rhombi
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -70,3 +73,16 @@ def test_fallback_ledgers_do_not_depend_on_the_blas_kernel(kernel):
     child = subprocess.run([sys.executable, "-c", _CHILD, *paths], env=env,
                            capture_output=True, check=True)
     assert child.stdout == "".join(map(_ledger_text, paths)).encode("utf-8")
+
+
+# sha256 of the CSV ``census --n-min 5 --n-max 80 --samples 3 --seed 0``
+# writes, the stats of 228 reductions.  Its curves are drawn from seeds, so
+# the digest also pins numpy's ``cos`` and ``sin``.
+GOLDEN_CENSUS = "374abeb9df3caf09081e804a8a5a79dc0869726841874d47643dc4aee5b1823f"
+
+
+def test_census_bytes_match_golden(tmp_path, capsys):
+    out = tmp_path / "census.csv"
+    assert main(["census", "--n-min", "5", "--n-max", "80", "--samples", "3",
+                 "--seed", "0", "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CENSUS

@@ -73,7 +73,7 @@ def parse_surface_spec(spec: str):
 def cmd_reduce(args) -> int:
     try:
         raw = files.read_curve(args.infile)
-        curve = from_integer_curve([np.asarray(c) for c in raw.components])
+        curve = from_integer_curve(raw.components)
     except (OSError, files.FileFormatError, NonIntegerEdgeError,
             InvalidCurveError) as exc:
         _err(str(exc))

@@ -223,7 +223,7 @@ def _flatten_path(state: Replayer, cid: int, path: list[int], plane: Plane,
 def _planarize_component(state: Replayer, cid: int) -> Plane:
     rows = state.rows(cid)
     n = len(rows)
-    iv, iw = farthest_vertex_pair(np.array(rows))
+    iv, iw = farthest_vertex_pair(rows)
     plane = plane_through(rows, iv, iw)
     budget = n * (n - 1) // 2
     forward = [(iv + k) % n for k in range(((iw - iv) % n) + 1)]
@@ -335,7 +335,7 @@ def steinitz_order(vectors: np.ndarray) -> np.ndarray:
     n = len(vectors)
     norms = np.linalg.norm(vectors, axis=1)
     # written as not <= so that NaN fails
-    if not float(np.max(np.abs(norms - 1.0))) <= 1e-6:
+    if not float(np.max(np.abs(norms - 1.0), initial=0.0)) <= 1e-6:
         raise ValueError("vectors must be unit length")
     if not float(np.linalg.norm(vectors.sum(axis=0))) <= max(1.0, n) * 10 * EPS:
         raise NotClosedError("vectors do not sum to zero")

@@ -1,6 +1,7 @@
 """Closed unit-edge space curves and the scalar sequences the reducers use.
 
-A curve may have several closed components.  Internally every component is
+A curve may have several closed components, each a list of rows (lists of
+three Python floats, into which :class:`IntegralCurve` converts arrays) and
 unit-subdivided: integer-length input edges exist only at the input boundary
 and are split into unit steps by :func:`from_integer_curve`.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -40,30 +42,48 @@ class NonIntegerEdgeError(ValueError):
             f"edge {index} of component {component} has non-integer length {length!r}")
 
 
+def _is_rows(comp) -> bool:
+    """True if ``comp`` is a list of rows, lists of three Python floats."""
+    return type(comp) is list and all(
+        type(p) is list and len(p) == 3 and type(p[0]) is type(p[1]) is type(p[2]) is float
+        for p in comp)
+
+
+def _rows(comp):
+    """``comp`` as nested lists of floats if numpy reads it as a float array,
+    else as given; :meth:`IntegralCurve.validate` refuses any but rows."""
+    try:
+        return np.asarray(comp, dtype=float).tolist()
+    except (TypeError, ValueError, OverflowError):
+        return comp
+
+
 @dataclass
 class IntegralCurve:
     """Closed curve(s) whose consecutive vertices are at distance exactly 1.
 
-    ``components`` holds one (k, 3) float array per closed component, k >= 3,
-    with the edge from the last vertex back to the first implied.
+    ``components`` holds one list of k >= 3 rows, lists of three Python
+    floats, per closed component, with the edge from the last vertex back to
+    the first implied; anything else numpy reads as (k, 3) becomes rows.
     """
 
-    components: list[np.ndarray] = field(default_factory=list)
+    components: list[list[list[float]]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.components = [c if _is_rows(c) else _rows(c) for c in self.components]
 
     def validate(self) -> None:
         for ci, comp in enumerate(self.components):
-            comp = np.asarray(comp, dtype=float)
-            if comp.ndim != 2 or comp.shape[1] != 3:
+            if not _is_rows(comp):
                 raise InvalidCurveError(f"component {ci} is not a (k, 3) array")
             if len(comp) < 3:
                 raise InvalidCurveError(f"component {ci} has fewer than 3 vertices")
-            if not np.all(np.isfinite(comp)):
-                raise InvalidCurveError(f"component {ci} has non-finite coordinates")
-            pts = comp.tolist()
-            worst = max(abs(math.dist(p, q) - 1.0) for p, q in zip(pts, pts[1:] + pts[:1]))
-            if worst > EPS:
+            offs = [abs(math.dist(p, q) - 1.0) for p, q in zip(comp, comp[1:] + comp[:1])]
+            if not all(map(EPS.__ge__, offs)):  # a non-finite coordinate gives NaN or inf
+                if not all(map(math.isfinite, chain.from_iterable(comp))):
+                    raise InvalidCurveError(f"component {ci} has non-finite coordinates")
                 raise InvalidCurveError(
-                    f"component {ci} has a non-unit edge (off by {worst:.3g})")
+                    f"component {ci} has a non-unit edge (off by {max(offs):.3g})")
 
     @property
     def edge_count(self) -> int:
@@ -71,10 +91,10 @@ class IntegralCurve:
         return sum(len(c) for c in self.components)
 
     def copy(self) -> "IntegralCurve":
-        return IntegralCurve([c.copy() for c in self.components])
+        return IntegralCurve([list(map(list, c)) for c in self.components])
 
 
-# Most unit edges a curve may have after subdivision: 24 MB of coordinates,
+# Most unit edges a curve may have after subdivision: 160 MB of float rows,
 # 500 times the n = 2,000 of the largest measured reduction, whose rhombus
 # budget grows as n^2.
 MAX_UNIT_EDGES = 1_000_000
@@ -92,13 +112,11 @@ def from_integer_curve(raw: list) -> IntegralCurve:
     edges would number more than :data:`MAX_UNIT_EDGES`.
     """
     parsed = []
-    for ci, comp in enumerate(raw):
-        comp = np.asarray(comp, dtype=float)
-        if comp.ndim != 2 or comp.shape[1] != 3 or len(comp) < 2:
+    for ci, comp in enumerate(IntegralCurve(raw).components):
+        if not _is_rows(comp) or len(comp) < 2:
             raise InvalidCurveError(f"component {ci} is not a list of 3-d points")
-        pts = comp.tolist()
         steps = []
-        for i, (a, b) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        for i, (a, b) in enumerate(zip(comp, comp[1:] + comp[:1])):
             length = math.dist(a, b)
             count = int(round(length)) if math.isfinite(length) else 0
             if count < 1 or abs(length - count) > EPS:
@@ -111,14 +129,12 @@ def from_integer_curve(raw: list) -> IntegralCurve:
             f"curve has {total} unit edges, more than the limit of {MAX_UNIT_EDGES}")
     components = []
     for comp, steps in parsed:
-        # row r is step j of the edge a -> b it lies on
-        steps = np.array(steps)
-        j = np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
-        a = np.repeat(comp, steps, axis=0)
-        out = a + (j / np.repeat(steps, steps))[:, None] * np.repeat(
-            np.roll(comp, -1, axis=0) - comp, steps, axis=0)
-        out[j == 0] = comp  # a + 0.0 * (b - a) would turn a -0.0 into 0.0
-        components.append(out)
+        rows = []
+        for a, b, count in zip(comp, comp[1:] + comp[:1], steps):
+            rows.append(a)  # a + 0.0 * (b - a) would turn a -0.0 into 0.0
+            for j in range(1, count):
+                rows.append([x + (j / count) * (y - x) for x, y in zip(a, b)])
+        components.append(rows)
     curve = IntegralCurve(components)
     curve.validate()
     return curve
@@ -128,7 +144,7 @@ def from_integer_curve(raw: list) -> IntegralCurve:
 _PAIR_BLOCK = 256
 
 
-def farthest_vertex_pair(component: np.ndarray) -> tuple[int, int]:
+def farthest_vertex_pair(component: list) -> tuple[int, int]:
     """Indices of a maximum-distance vertex pair, first lexicographic on ties.
 
     Rows i of a block are measured against every later vertex j > i at once.
@@ -185,20 +201,18 @@ def plane_through(rows: list, iv: int, iw: int) -> Plane:
     return Plane(base=list(v), normal=[cos_t * x + sin_t * y for x, y in zip(e1, e2)])
 
 
-def component_plane(component: np.ndarray) -> Plane | None:
+def component_plane(component: list) -> Plane | None:
     """The plane of :func:`plane_through` a farthest vertex pair of one
-    component, if every vertex lies on it within ``EPS``, else None."""
-    rows = np.asarray(component, dtype=float).tolist()
-    plane = plane_through(rows, *farthest_vertex_pair(component))
-    if max(distance_to_plane(p, plane) for p in rows) <= EPS:
+    component's rows, if every vertex lies on it within ``EPS``, else None."""
+    plane = plane_through(component, *farthest_vertex_pair(component))
+    if max(distance_to_plane(p, plane) for p in component) <= EPS:
         return plane
     return None
 
 
 def is_planar(curve: IntegralCurve) -> Plane | None:
     """:func:`component_plane` of all the curve's vertices together."""
-    points = np.vstack(curve.components)
-    return component_plane(points)
+    return component_plane(list(chain.from_iterable(curve.components)))
 
 
 def random_integral_curve(n: int, rng: np.random.Generator) -> IntegralCurve:

@@ -63,26 +63,20 @@ class FileFormatError(ValueError):
     """Malformed or unsupported input document."""
 
 
-def _numbers(rows, depth: int) -> bool:
-    """True if every leaf of ``rows``, lists nested ``depth`` deep, is a JSON
-    number.  numpy would parse a string such as ``"0.5"`` and take ``true``
-    as 1.0; ``bool`` is a subclass of ``int`` but not a number here."""
-    for _ in range(depth - 1):
-        rows = chain.from_iterable(rows)
-    return set(map(type, rows)) <= _NUMBER_TYPES
-
-
 def _floats(obj, what: str, expected: str, shape_ok) -> np.ndarray:
-    """``obj`` as a finite float array of JSON numbers whose shape passes
-    ``shape_ok``; any other value is refused as ``bad {what}: expected
-    {expected}``."""
+    """``obj`` as a finite float array of JSON numbers (numpy also reads ``"0.5"``
+    and ``true``) whose shape passes ``shape_ok``; any other value is refused
+    as ``bad {what}: expected {expected}``."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad {what}: expected {expected}") from exc
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"bad {what}: non-finite coordinate")
-    if not shape_ok(arr.shape) or not _numbers(obj, arr.ndim):
+    leaves = obj
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not shape_ok(arr.shape) or not set(map(type, leaves)) <= _NUMBER_TYPES:
         raise FileFormatError(f"bad {what}: expected {expected}")
     return arr
 
@@ -95,7 +89,7 @@ def _array(obj, what: str) -> np.ndarray:
 def curve_to_obj(curve: IntegralCurve) -> dict:
     return {
         "version": CURVE_VERSION,
-        "components": [np.asarray(c, dtype=float).tolist() for c in curve.components],
+        "components": [list(map(list, c)) for c in curve.components],
     }
 
 
@@ -136,15 +130,10 @@ def _point(obj, what: str) -> list[float]:
         # the full check below, like any other value
         if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
             return [x, y, z]
-    try:
-        if type(obj) is list and len(obj) == 3 and set(map(type, obj)) <= _NUMBER_TYPES:
-            row = list(map(float, obj))
-            if all(map(math.isfinite, row)):
-                return row
-    except OverflowError:  # an integer past the float range
-        pass
-    _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
-    raise FileFormatError(f"bad {what}: expected a 3-d point")  # not a JSON list
+    point = _floats(obj, what, "a 3-d point", lambda shape: shape == (3,))
+    if type(obj) is not list:
+        raise FileFormatError(f"bad {what}: expected a 3-d point")
+    return point.tolist()
 
 
 def _str(obj, what: str) -> str:

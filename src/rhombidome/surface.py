@@ -593,12 +593,12 @@ class Replayer:
     ``points``, in creation order: the initial vertices, component by
     component, then each pivot and pack target, split bridge and pentagon
     apex as its move is applied.  A point is a row, a float list ``[x, y,
-    z]``, and a move's point is taken as given; its vertex id is its index
-    in ``points``.  The component state is one id cycle per component,
-    which :meth:`component` returns live; the component's points are
-    ``points[ids]``, and :meth:`rows` returns them as a fresh list.  A move
-    edits or replaces id cycles and never edits a row in place, so points
-    and moves may share rows.
+    z]``, taken as given from the initial curve or a move; its vertex id is
+    its index in ``points``.  The component state is one id cycle per
+    component, which :meth:`component` returns live; the component's points
+    are ``points[ids]``, and :meth:`rows` returns them as a fresh list.  A
+    move edits or replaces id cycles and never edits a row in place, so
+    points, moves and curves may share rows.
 
     Besides the state it keeps ``moves``, every move applied, in order, and
     the cells the moves derive, in move order, as id rows (lists of vertex
@@ -613,8 +613,7 @@ class Replayer:
     def __init__(self, initial: IntegralCurve):
         self.points: list[list[float]] = []
         self.components: dict[int, list[int]] = {}
-        for cid, c in enumerate(initial.components):
-            rows = np.asarray(c, dtype=float).tolist()
+        for cid, rows in enumerate(initial.components):
             self.components[cid] = list(range(len(self.points), len(self.points) + len(rows)))
             self.points += rows
         self.edges = [len(c) for c in self.components.values()]
@@ -770,7 +769,7 @@ class Replayer:
         return ids
 
     def final_curve(self) -> IntegralCurve:
-        return IntegralCurve([np.array(self.rows(k)) for k in sorted(self.components)])
+        return IntegralCurve([self.rows(k) for k in sorted(self.components)])
 
     def stats(self) -> dict:
         """The ledger ``stats`` of the moves applied so far."""
@@ -913,13 +912,11 @@ def assemble_from_ledger(ledger: CobordismLedger) -> DomeChain:
     state = Replayer(ledger.initial)
     for move in ledger.moves:
         state.apply(move)
-    final = state.final_curve()
-    recorded = ledger.final_curve
-    if len(final.components) != len(recorded.components):
+    final, recorded = state.final_curve().components, ledger.final_curve.components
+    if len(final) != len(recorded):
         raise ReplayMismatchError("final curve component count mismatch")
-    for a, b in zip(final.components, recorded.components):
-        if not np.array_equal(a, b):
-            raise ReplayMismatchError("final curve does not match replay")
+    if final != recorded:
+        raise ReplayMismatchError("final curve does not match replay")
     # the initial vertices are the first points, component by component
     initial_ids = np.split(np.arange(sum(state.edges)), np.cumsum(state.edges)[:-1])
     return DomeChain(points=_array(state.points, 3, float),

@@ -76,7 +76,7 @@ def test_criterion_2_planarize(corpus):
         for comp in flat.components:
             plane = component_plane(comp)
             assert plane is not None
-            residual = float(np.max(np.abs((comp - plane.base) @ plane.normal)))
+            residual = float(np.max(np.abs((np.array(comp) - plane.base) @ plane.normal)))
             worst_residual = max(worst_residual, residual)
     assert worst_residual <= 1e-9
     print(f"PASS criterion 2: planarize residual <= {worst_residual:.2e}, "
@@ -94,7 +94,7 @@ def test_criterion_3_pack(corpus):
         for move in moves:
             state.apply(move)
         assert state.stats()["pack_moves"] <= n * (n - 1) // 2
-        v = packed.components[0]
+        v = np.array(packed.components[0])
         worst_radius = max(worst_radius,
                            float(np.max(np.linalg.norm(v - v[0], axis=1))))
         # prefix norms of the realized order are the distances from vertex 0;

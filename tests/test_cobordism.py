@@ -16,7 +16,7 @@ from conftest import (
     regular_polygon_curve,
     replayed_cells,
 )
-from rhombidome import cobordism
+from rhombidome import cobordism, files
 from rhombidome.cobordism import (
     FixBudgetExceededError,
     NotClosedError,
@@ -35,6 +35,7 @@ from rhombidome.curve import (
     IntegralCurve,
     InvalidCurveError,
     component_plane,
+    from_integer_curve,
     is_planar,
     random_integral_curve,
 )
@@ -169,9 +170,9 @@ def test_planarize_each_pivot_descends():
         curve = random_integral_curve(int(rng.integers(6, 14)), rng)
         comp = curve.components[0]
         iv, iw = farthest_vertex_pair(comp)
-        plane = plane_through(comp.tolist(), iv, iw)
+        plane = plane_through(comp, iv, iw)
         _, moves = planarize(curve)
-        work = comp.copy()
+        work = np.array(comp)
         n = len(work)
         for move in moves:
             heights = np.abs((work - plane.base) @ plane.normal)
@@ -272,6 +273,12 @@ def test_steinitz_hexagon_vs_exhaustive():
     best = min(max_prefix_norm(vectors, p)
                for p in itertools.permutations(range(6)))
     assert best <= 2.0
+
+
+def test_steinitz_order_of_no_vectors_is_empty():
+    # no vectors are closed, and their only order is empty
+    order = steinitz_order(np.zeros((0, 2)))
+    assert order.tolist() == [] and order.dtype.kind == "i"
 
 
 def test_steinitz_rejects_open_chain():
@@ -441,7 +448,7 @@ def test_pack_identity_when_already_packed(regular_pentagon):
 
 def test_pack_hexagon_boundary_case(regular_hexagon):
     packed, moves = pack(regular_hexagon)
-    v = packed.components[0]
+    v = np.array(packed.components[0])
     assert float(np.max(np.linalg.norm(v - v[0], axis=1))) <= 2.0 + 1e-9
 
 
@@ -452,7 +459,7 @@ def test_pack_random_curves():
         curve = random_integral_curve(n, rng)
         flat, _ = planarize(curve)
         packed, moves = pack(flat)
-        v = packed.components[0]
+        v = np.array(packed.components[0])
         assert float(np.max(np.linalg.norm(v - v[0], axis=1))) <= 2.0 + 1e-9
         # one pack move, which bubble sort realizes in at most C(n, 2) swaps
         assert all(isinstance(move, PackMove) for move in moves) and len(moves) <= 1
@@ -509,9 +516,9 @@ def _pack_parity_curves():
         for height in (0.1, 0.3):
             yield crown_curve(k, height)
     rng = np.random.default_rng(12)
-    yield IntegralCurve([random_integral_curve(m, rng).components[0] + [10.0 * i, 0, 0]
+    yield IntegralCurve([np.array(random_integral_curve(m, rng).components[0]) + [10.0 * i, 0, 0]
                          for i, m in enumerate((3, 4, 7))]
-                        + [crown_curve().components[0] + [30.0, 0, 0]])
+                        + [np.array(crown_curve().components[0]) + [30.0, 0, 0]])
 
 
 def test_pack_move_replays_as_its_pivots():
@@ -615,7 +622,7 @@ def _isoceles_between(a, b):
 
 def test_pentagon_split_apex_on_positive_side(regular_pentagon):
     split = pentagon_split(regular_pentagon.components[0])
-    p = regular_pentagon.components[0]
+    p = np.array(regular_pentagon.components[0])
     normal = np.cross(p[2] - p[0], p[3] - p[0])
     assert float(np.dot(split.apex - p[0], normal)) > 0
 
@@ -628,9 +635,10 @@ def _assert_rows(points):
 
 
 def test_public_entry_points_take_arrays_and_rows(regular_pentagon, unit_square):
-    # pentagon_split and apply_pivot convert their input once: an array and
-    # its rows give equal results, and what they record is rows
-    for pentagon in (regular_pentagon.components[0], _flat_triangle_pentagon()):
+    # pentagon_split, apply_pivot, IntegralCurve and from_integer_curve
+    # convert their input once: an array and its rows give equal results,
+    # and what they record is rows
+    for pentagon in (np.array(regular_pentagon.components[0]), _flat_triangle_pentagon()):
         split = pentagon_split(pentagon)
         assert split == pentagon_split(pentagon.tolist())
         _assert_rows([split.apex] + [fix.new_point for fix in split.fixes])
@@ -641,10 +649,18 @@ def test_public_entry_points_take_arrays_and_rows(regular_pentagon, unit_square)
     assert move == same
     assert np.array_equal(from_array.components[0], from_rows.components[0])
     _assert_rows([move.new_point])
+    walk = random_integral_curve(12, np.random.default_rng(5)).components[0]
+    triangle = [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 4.0, 0.0]]
+    for build, rows in ((IntegralCurve, walk), (from_integer_curve, triangle)):
+        curves = [build([np.array(rows)]), build([rows])]
+        for curve in curves:
+            _assert_rows(curve.components[0])
+        ledgers = {files.dump_json(files.ledger_to_obj(reduce_to_rhombi(c))) for c in curves}
+        assert len(ledgers) == 1
 
 
 def test_pentagon_split_rejects_bad_sides(regular_pentagon):
-    good = regular_pentagon.components[0]
+    good = np.array(regular_pentagon.components[0])
     nan = good.copy()
     nan[2, 0] = np.nan  # a NaN side must fail here, not later as a rhombus side
     with pytest.raises(ValueError, match="pentagon side 1 "):
@@ -689,7 +705,7 @@ def test_reduce_rhombus_identity(unit_square):
     assert len(ledger.moves) == 1
     # derived with reversed orientation relative to the curve
     assert np.array_equal(rhombus,
-                          unit_square.components[0][[0, 3, 2, 1]])
+                          np.array(unit_square.components[0])[[0, 3, 2, 1]])
 
 
 def test_reduce_regular_pentagon(regular_pentagon):

@@ -40,18 +40,18 @@ def test_from_integer_curve_subdivides_long_edges():
 
 def test_from_integer_curve_preserves_points_and_length():
     rng = np.random.default_rng(4)
-    base = random_integral_curve(7, rng).components[0]
+    base = np.array(random_integral_curve(7, rng).components[0])
     scaled = base * 3.0  # every edge now has length 3
     out = from_integer_curve([scaled])
     assert out.edge_count == 21
     for original in scaled:
-        assert min(np.linalg.norm(out.components[0] - original, axis=1)) < 1e-9
+        assert min(np.linalg.norm(np.array(out.components[0]) - original, axis=1)) < 1e-9
 
 
 def test_from_integer_curve_keeps_negative_zero():
     # each edge starts at its input row itself, signed zeros included
     raw = np.array([[-0.0, 0.0, -0.0], [3.0, -0.0, 0.0], [3.0, 4.0, 0.0]])
-    out = from_integer_curve([raw]).components[0]
+    out = np.array(from_integer_curve([raw]).components[0])
     assert np.signbit(out[0]).tolist() == [True, False, True]
     assert np.signbit(out[3]).tolist() == [False, True, False]
     assert np.array_equal(out[[0, 3, 7]], raw)
@@ -73,6 +73,22 @@ def test_from_integer_curve_rejects_fractional_edge():
     assert err.value.length == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("component", [
+    [[0, 0, 0], [1, 0]],
+    [["a", "a", "a"], ["a", "a", "a"], ["a", "a", "a"]],
+    [0.0, 1.0, 2.0],
+], ids=["ragged", "strings", "flat_floats"])
+def test_curve_checks_raise_only_invalid_curve_error(component):
+    # numpy's own ValueError for input it cannot read must not escape; a flat
+    # list of floats is no list of rows, whichever check sees it
+    with pytest.raises(InvalidCurveError) as caught:
+        IntegralCurve([component]).validate()
+    assert type(caught.value) is InvalidCurveError
+    with pytest.raises(InvalidCurveError) as caught:
+        from_integer_curve([component])
+    assert type(caught.value) is InvalidCurveError
+
+
 def test_curve_validation_rejects_short_component():
     with pytest.raises(InvalidCurveError):
         IntegralCurve([np.array([[0, 0, 0], [1, 0, 0.0]])]).validate()
@@ -83,7 +99,7 @@ def test_curve_validation_measures_huge_edges_without_overflow():
     # non-unit edge, not a RuntimeWarning (pytest turns warnings into errors)
     rng = np.random.default_rng(3)
     ledger = reduce_to_rhombi(random_integral_curve(9, rng))
-    ledger.initial.components[0][4, 1] = 1e300
+    ledger.initial.components[0][4][1] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_ledger(ledger)
@@ -95,8 +111,9 @@ def test_curve_validation_measures_huge_edges_without_overflow():
 
 
 def test_farthest_pair_square(unit_square):
-    i, j = farthest_vertex_pair(unit_square.components[0])
-    d = np.linalg.norm(unit_square.components[0][i] - unit_square.components[0][j])
+    comp = np.array(unit_square.components[0])
+    i, j = farthest_vertex_pair(comp)
+    d = np.linalg.norm(comp[i] - comp[j])
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -105,9 +122,9 @@ def test_farthest_pair_triangle_tiebreak(unit_triangle):
 
 
 def test_farthest_pair_hexagon(regular_hexagon):
-    i, j = farthest_vertex_pair(regular_hexagon.components[0])
-    d = np.linalg.norm(regular_hexagon.components[0][i] -
-                       regular_hexagon.components[0][j])
+    comp = np.array(regular_hexagon.components[0])
+    i, j = farthest_vertex_pair(comp)
+    d = np.linalg.norm(comp[i] - comp[j])
     assert d == pytest.approx(2.0, abs=1e-12)
 
 

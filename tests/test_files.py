@@ -1,5 +1,6 @@
 """Ledger and curve files: decode errors, decoded move points and round trips."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -101,6 +102,20 @@ def test_decode_error_names_first_bad_item(ledger, edit, message, cause):
         files.ledger_from_obj(json.loads(json.dumps(doc)))
     assert str(info.value) == message
     assert type(info.value.__cause__) is (cause or type(None))
+
+
+def test_documents_never_alias_the_curve(ledger):
+    # an edit to a written document reaches neither the ledger's curves nor
+    # the next document written from them
+    before = files.dump_json(files.ledger_to_obj(ledger))
+    initial = copy.deepcopy(ledger.initial.components)
+    doc = files.ledger_to_obj(ledger)
+    for curve_doc in (files.curve_to_obj(ledger.initial), doc["initial"], doc["final_curve"]):
+        for comp in curve_doc["components"]:
+            comp[0][0] = 99.0
+            comp.append([0.0, 0.0, 0.0])
+    assert ledger.initial.components == initial
+    assert files.dump_json(files.ledger_to_obj(ledger)) == before
 
 
 def _point_fields(cls) -> list[str]:

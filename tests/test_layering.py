@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rhombidome"
 
 
@@ -85,3 +87,25 @@ def test_no_module_imports_moduli_at_module_level():
     # sees once function bodies count, and the package resolves it on access
     assert "moduli" in _package_imports("cli")
     assert [name for name in MODULES if "moduli" in _package_imports(name, module_level=True)] == []
+
+
+def _definition(name: str, qualname: str) -> ast.AST:
+    """The definition of ``qualname``, a function or ``Class.method``, in ``name``.py."""
+    node = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    for part in qualname.split("."):
+        node = next(child for child in node.body if getattr(child, "name", None) == part)
+    return node
+
+
+@pytest.mark.parametrize("name, qualname", [
+    ("curve", "IntegralCurve.validate"),
+    ("surface", "Replayer.__init__"),
+    ("surface", "Replayer.final_curve"),
+    ("files", "curve_to_obj"),
+])
+def test_curve_rows_are_not_converted_again(name, qualname):
+    # IntegralCurve turns an array into rows once; what reads a curve's rows
+    # afterwards takes them as they are, with no numpy in between
+    used = {node.id for node in ast.walk(_definition(name, qualname))
+            if isinstance(node, ast.Name)}
+    assert "np" not in used

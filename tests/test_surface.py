@@ -357,7 +357,8 @@ def test_validator_flags_wrong_stats():
 
 def test_validator_flags_invalid_initial_curve():
     ledger = reduce_to_rhombi(regular_polygon_curve(5))
-    ledger.initial.components[0][0] *= 1.5
+    comp = ledger.initial.components[0]
+    comp[0] = [1.5 * x for x in comp[0]]
     report = validate_ledger(ledger)
     assert not report.passed
     assert report.entries[0][0] == "initial_curve" and not report.entries[0][1]
@@ -661,7 +662,7 @@ def test_pack_swap_of_equal_edges_is_a_no_op():
     assert np.array_equal(cell, [[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]])
 
 
-_HEXAGON = regular_polygon_curve(6).components[0].tolist()
+_HEXAGON = regular_polygon_curve(6).components[0]
 _FAR = [5.0, 5.0, 5.0]
 
 
@@ -669,7 +670,7 @@ _FAR = [5.0, 5.0, 5.0]
     (_HEXAGON, PivotMove(0, 1, _FAR), NotOnPivotCircleError, "^pivot target at distance"),
     (_HEXAGON, SplitMove(0, 1, _FAR), ReplayMismatchError, "^split bridge at distance"),
     (_HEXAGON, SplitMove(0, 0, _FAR), ReplayMismatchError, "^split target id already in use"),
-    (regular_polygon_curve(5).components[0].tolist(), PentagonMove(0, _FAR),
+    (regular_polygon_curve(5).components[0], PentagonMove(0, _FAR),
      ReplayMismatchError, "^pentagon apex at distance"),
     (_HEXAGON, CloseRhombusMove(0), ReplayMismatchError, "has 6 vertices, expected 4"),
     # slot 0 swaps, then the swap of edges 2 and 3 moves vertex 3 to a point
@@ -699,7 +700,7 @@ def test_point_table_holds_each_point_in_creation_order():
     # its ids into a fresh list
     ledger = reduce_to_rhombi(crown_union(5))
     state = Replayer(ledger.initial)
-    assert state.points == [row for c in ledger.initial.components for row in c.tolist()]
+    assert state.points == [row for c in ledger.initial.components for row in c]
     for move in ledger.moves:
         before, swaps = len(state.points), state.stats()["pack_moves"]
         state.apply(move)

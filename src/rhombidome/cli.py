@@ -238,6 +238,17 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+def _moduli_seed(text: str) -> int:
+    """A moduli --seed: numpy's generators take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("what", choices=["dims", "isotropy", "rank"])
     p_mod.add_argument("--surface", required=True,
                        help="catalog name[:k=K] or polygon:k=K")
-    p_mod.add_argument("--seed", type=int, default=0)
+    p_mod.add_argument("--seed", type=_moduli_seed, default=0)
     p_mod.add_argument("--trials", type=int, default=20)
     p_mod.set_defaults(func=cmd_moduli)
 

@@ -16,11 +16,11 @@ the complete Q.  Polyhedron tangents are the rigidity kernel with vertex 0
 pinned, mapped to edge vectors through the incidence.  Only the quantities
 that report a spectrum use an SVD: the pairing's kernel, the rotation
 orbits, the ranks of the rank certificate and principal angles.  A
-perturbed polyhedron is reprojected onto its length equations by
-Gauss-Newton; each step is the minimum-norm least-squares solution from QR
-with column pivoting and a complete orthogonal factorization (LAPACK
-gelsy), with rank cut at eps * max(E, 3V).  The skew pairing on polygon
-tangents is
+perturbed polyhedron is reprojected onto its length equations by chord
+(simplified) Gauss-Newton: the QR that gives the pinned kernel at the
+reference positions also gives a generalized inverse of the rigidity matrix
+there, and every step of every trial is one product with it.  The skew
+pairing on polygon tangents is
 
     sum over edges of  det[t(f), t'(f), p(f)] / length(f)^2 ,
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 # Factorizations come from scipy.linalg only: numpy and scipy each bundle an
 # OpenBLAS, and alternating between the two makes their thread pools contend.
-from scipy.linalg import lstsq, orth, qr, subspace_angles, svd
+from scipy.linalg import orth, qr, solve_triangular, subspace_angles, svd
 
 from .curve import random_integral_curve
 from .geom import EPS
@@ -74,7 +74,7 @@ class DisconnectedError(ValueError):
 
 
 class ProjectionDivergedError(RuntimeError):
-    """Gauss-Newton reprojection did not reach the target residual."""
+    """Chord Gauss-Newton reprojection did not reach the target residual."""
 
 
 class NotOrientableError(ValueError):
@@ -93,7 +93,7 @@ _SO3_BASIS = np.array([
 
 # Size of the random tangent step in ``realize_surface``.
 _STEP = 0.15
-# Gauss-Newton reprojection: residual target and iteration cap.
+# Chord Gauss-Newton reprojection: residual target and cap on the steps.
 _PROJECTION_TARGET = 1e-13
 _PROJECTION_MAX_ITER = 60
 # Relative cutoff of every numerical rank and kernel: on singular values,
@@ -101,16 +101,23 @@ _PROJECTION_MAX_ITER = 60
 _RANK_REL_EPS = 1e-7
 
 
-def _kernel(a: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel (n, n - rank) of the (m, n) matrix ``a``.
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Complete Q, R, pivots and numerical rank of ``a.T`` = Q R (columns pivoted).
 
-    QR with column pivoting of ``a.T`` orders R's diagonal by magnitude; the
-    rank counts the entries above ``_RANK_REL_EPS`` times the first (zero for
-    no rows or a zero matrix), and the kernel is the rest of the complete Q.
+    Pivoting orders R's diagonal by magnitude; the rank counts the entries
+    above ``_RANK_REL_EPS`` times the first (zero for no rows or a zero
+    matrix).
     """
-    q, r, _ = qr(a.T, pivoting=True)
+    q, r, perm = qr(a.T, pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > _RANK_REL_EPS * diag[0])) if len(diag) else 0
+    return q, r, perm, rank
+
+
+def _kernel(a: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel (n, n - rank) of the (m, n) matrix ``a``: the
+    columns of the complete Q past the rank."""
+    q, _, _, rank = _pivoted_qr(a)
     return q[:, rank:]
 
 
@@ -290,15 +297,36 @@ def _rigidity_matrix(q: np.ndarray, tails: np.ndarray, heads: np.ndarray,
     return rows.reshape(len(q), -1)
 
 
-def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel (3V - 3, D) of the rigidity matrix, vertex 0 pinned.
+def _pinned_rigidity(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+    """(E, 3V - 3) rigidity matrix at positions ``x`` with vertex 0 pinned.
 
     Pinning one vertex removes the translations only on a connected
     skeleton; building a :class:`SurfaceRealization` of ``s`` checked that.
     """
     tails, heads = _edge_ends(s)
-    rigidity = _rigidity_matrix(x[heads] - x[tails], tails, heads, s.vertex_count)
-    return _kernel(rigidity[:, 3:])
+    return _rigidity_matrix(x[heads] - x[tails], tails, heads, s.vertex_count)[:, 3:]
+
+
+def _pinned_kernel(s: GraphSurface, x: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel (3V - 3, D) of the rigidity matrix, vertex 0 pinned."""
+    return _kernel(_pinned_rigidity(s, x))
+
+
+def _pinned_factors(s: GraphSurface, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel (3V - 3, D) and generalized inverse (3V - 3, E) of the pinned
+    rigidity matrix ``a`` at ``x``, from one QR with column pivoting.
+
+    With ``a.T[:, perm]`` = Q R and rank r, the pivot rows of ``a`` are
+    R11^T Q1^T, so G with ``G[:, perm[:r]]`` = Q1 R11^-T (zero on the other
+    columns) solves them exactly: G is the pseudo-inverse when ``a`` has
+    full row rank, and a basic solution on the pivot rows when a self-stress
+    makes a row dependent.
+    """
+    a = _pinned_rigidity(s, x)
+    q, r, perm, rank = _pivoted_qr(a)
+    inverse = np.zeros(a.T.shape)
+    inverse[:, perm[:rank]] = solve_triangular(r[:rank, :rank], q[:, :rank].T).T
+    return q[:, rank:], inverse
 
 
 def surface_constraint_residual(s: GraphSurface, x: np.ndarray) -> float:
@@ -310,29 +338,25 @@ def surface_constraint_residual(s: GraphSurface, x: np.ndarray) -> float:
     return float(np.max(np.abs(residual)))
 
 
-def _project_to_constraints(s: GraphSurface, x: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the E length equations, Jacobian twice the rigidity matrix.
+def _project_to_constraints(s: GraphSurface, x: np.ndarray, inverse: np.ndarray) -> None:
+    """Move ``x`` onto the E length equations in place, by chord Gauss-Newton.
 
-    Each step forms the edge vectors once; the residual and the Jacobian
-    both read them (the Jacobian as the rigidity matrix of 2q, which is
-    twice that of q exactly)."""
+    The Jacobian of the squared lengths is twice the rigidity matrix; every
+    step reuses the generalized inverse ``inverse`` of the pinned rigidity
+    matrix at the reference positions (simplified Gauss-Newton), so a step
+    is one matrix-vector product: ``x[1:] -= inverse @ residual / 2``, with
+    vertex 0 pinned.  Raises :class:`ProjectionDivergedError` unless the
+    residual reaches ``_PROJECTION_TARGET`` within ``_PROJECTION_MAX_ITER``
+    steps."""
     tails, heads = _edge_ends(s)
     targets = np.asarray(s.lengths, dtype=float) ** 2
     for _ in range(_PROJECTION_MAX_ITER):
         q = x[heads] - x[tails]
         residual = np.einsum("ij,ij->i", q, q) - targets
         if float(np.max(np.abs(residual))) <= _PROJECTION_TARGET:
-            return x
-        jac = _rigidity_matrix(2 * q, tails, heads, s.vertex_count)
-        # The minimum-norm step from QR with column pivoting and a complete
-        # orthogonal factorization (gelsy), at QR cost rather than an SVD's.
-        # A self-stress (three_rhombus_pants has one) leaves R a diagonal entry
-        # at rounding level, which grows with the matrix size: cut at
-        # eps * max(E, 3V) (numpy's default), not at scipy's default eps.
-        step, *_ = lstsq(jac, -residual, cond=np.finfo(float).eps * max(jac.shape),
-                         lapack_driver="gelsy")
-        x = x + step.reshape(-1, 3)
-    raise ProjectionDivergedError("Gauss-Newton projection did not converge")
+            return
+        x[1:] -= 0.5 * (inverse @ residual).reshape(-1, 3)
+    raise ProjectionDivergedError("chord Gauss-Newton projection did not converge")
 
 
 def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealization:
@@ -340,24 +364,27 @@ def realize_surface(s: GraphSurface, seed: int | None = None) -> SurfaceRealizat
 
     With a seed, the positions step ``_STEP`` along a random unit direction
     of the rigidity kernel (vertex 0 pinned) and are then reprojected onto
-    the length equations by Gauss-Newton (residual <= 1e-12).  A disconnected
-    skeleton raises :class:`DisconnectedError`, seed or not.
+    the length equations by chord Gauss-Newton steps, each through the
+    generalized inverse of the rigidity matrix at the catalog coordinates
+    (residual <= 1e-13).  A disconnected skeleton raises
+    :class:`DisconnectedError`, seed or not.
     """
     if s.coords is None:
         raise ValueError(f"surface {s.name} carries no reference coordinates")
     realization = SurfaceRealization(s, np.array(s.coords, dtype=float))
     if seed is not None:
         x = realization.x
-        realization.x, _ = _perturbed(s, x, _pinned_kernel(s, x), seed)
+        realization.x, _ = _perturbed(s, x, *_pinned_factors(s, x), seed)
     return realization
 
 
 def _perturbed(s: GraphSurface, x: np.ndarray, kernel: np.ndarray,
-               seed: int) -> tuple[np.ndarray, float]:
+               inverse: np.ndarray, seed: int) -> tuple[np.ndarray, float]:
     """Positions of :func:`realize_surface` at ``seed`` from the positions
-    ``x``, whose pinned rigidity kernel is ``kernel``, and their length
-    residual.  ``x`` itself is left as it was, so one kernel serves every
-    seed."""
+    ``x``, and their length residual.  ``kernel`` and ``inverse`` are the
+    :func:`_pinned_factors` of ``x``: the step direction is drawn from the
+    kernel and the chord projection steps through the inverse.  ``x`` itself
+    is left as it was, so one factorization serves every seed."""
     x = x.copy()
     rng = np.random.default_rng(seed)
     if kernel.shape[1] == 0:
@@ -365,7 +392,7 @@ def _perturbed(s: GraphSurface, x: np.ndarray, kernel: np.ndarray,
     direction = kernel @ rng.normal(size=kernel.shape[1])
     direction /= max(np.linalg.norm(direction), 1e-300)
     x[1:] += _STEP * direction.reshape(-1, 3)
-    x = _project_to_constraints(s, x)
+    _project_to_constraints(s, x, inverse)
     residual = surface_constraint_residual(s, x)
     if residual > 1e-12:
         raise ProjectionDivergedError("projection residual above 1e-12")
@@ -442,9 +469,9 @@ def isotropy_certificate(s: GraphSurface, trials: int = 20, seed: int = 0) -> di
     # one realization, so one connectivity search, serves every trial
     realization = realize_surface(s)
     x = realization.x
-    kernel = _pinned_kernel(s, x)  # the same for every trial
+    kernel, inverse = _pinned_factors(s, x)  # the same for every trial
     for t in range(trials):
-        realization.x, residual = _perturbed(s, x, kernel, seed + 7919 * t)
+        realization.x, residual = _perturbed(s, x, kernel, inverse, seed + 7919 * t)
         worst_residual = max(worst_residual, residual)
         basis = surface_tangent_basis(realization)
         dims.add(len(basis))
@@ -508,7 +535,7 @@ def rank_certificate(s: GraphSurface, seed: int = 0) -> dict:
         raise BoundaryShapeMismatchError("boundary rhombi must have unit edges")
     realization = realize_surface(s)
     x = realization.x
-    realization.x, residual = _perturbed(s, x, _pinned_kernel(s, x), seed)
+    realization.x, residual = _perturbed(s, x, *_pinned_factors(s, x), seed)
     basis = surface_tangent_basis(realization)
     point = boundary_point(realization)
     pushed = boundary_differential(realization, basis)  # (D, 12, 3)

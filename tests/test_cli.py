@@ -333,6 +333,18 @@ def test_moduli_exit_codes(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("what", ["dims", "isotropy", "rank"])
+@pytest.mark.parametrize("seed", ["-1", "-7919", "x", "1.5"])
+def test_moduli_refuses_a_negative_seed(capsys, what, seed):
+    """A moduli --seed below 0 (or not an integer) is refused at parse time,
+    naming the flag, before any surface is built."""
+    assert main(["moduli", what, "--surface", "three_rhombus_pants", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
+
+
 def test_moduli_refuses_a_k_above_the_limit(capsys, monkeypatch):
     """k = MAX_SURFACE_K + 1 is a usage error, refused before anything is built."""
     def build(*args, **kwargs):

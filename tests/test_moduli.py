@@ -167,16 +167,60 @@ def test_realize_catalog_surfaces_exactly():
         assert _edge_vector_residual(s, realization) <= 1e-12
 
 
-def test_perturbed_realization_stays_on_manifold():
-    s = catalog("antiprism_band", k=5)
-    for seed in range(5):
-        realization = md.realize_surface(s, seed=seed)
-        assert _edge_vector_residual(s, realization) <= 1e-12
-
-
 CATALOG = (("triangle_disk", None), ("antiprism_band", 4), ("antiprism_band", 16),
            ("antiprism_band", 40), ("pentagon_pants", None),
            ("three_rhombus_pants", None))
+
+
+def test_perturbed_realization_stays_on_manifold():
+    """Every seeded realization of every catalog surface, the self-stressed
+    three_rhombus_pants and antiprism_band:k=40 included, reaches the
+    projection's target, on the length equations and on the edge vectors."""
+    for name, k in CATALOG:
+        s = catalog(name, k=k)
+        for seed in range(5):
+            realization = md.realize_surface(s, seed=seed)
+            assert _edge_vector_residual(s, realization) <= md._PROJECTION_TARGET
+
+
+def test_projection_without_progress_raises_at_the_iteration_cap():
+    """A step operator that cannot reduce the residual raises
+    :class:`ProjectionDivergedError` after exactly ``_PROJECTION_MAX_ITER``
+    steps, leaving the positions where they were."""
+    s = catalog("antiprism_band", k=5)
+    x = 1.1 * np.array(s.coords, dtype=float)
+    start = x.copy()
+
+    class ZeroInverse:
+        steps = 0
+
+        def __matmul__(self, residual):
+            self.steps += 1
+            return np.zeros(x[1:].size)
+
+    inverse = ZeroInverse()
+    with pytest.raises(md.ProjectionDivergedError):
+        md._project_to_constraints(s, x, inverse)
+    assert inverse.steps == md._PROJECTION_MAX_ITER == 60
+    assert np.array_equal(x, start)
+
+
+def test_projection_inverse_solves_the_pinned_rigidity_rows():
+    """The generalized inverse is a right inverse of the pinned rigidity
+    matrix on its pivot rows: all of them without a self-stress, and all
+    but one on three_rhombus_pants, whose self-stress it leaves unsolved."""
+    for name, k, stresses in (("antiprism_band", 16, 0), ("three_rhombus_pants", None, 1)):
+        s = catalog(name, k=k)
+        x = np.array(s.coords, dtype=float)
+        kernel, inverse = md._pinned_factors(s, x)
+        a = md._pinned_rigidity(s, x)
+        assert inverse.shape == a.T.shape
+        assert np.array_equal(kernel, md._pinned_kernel(s, x))
+        product = a @ inverse
+        solved = np.flatnonzero(np.any(inverse, axis=0))
+        assert len(solved) == len(a) - stresses
+        assert np.max(np.abs(product[np.ix_(solved, solved)] - np.eye(len(solved)))) <= 1e-12
+        assert np.max(np.abs(a @ kernel)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, k", CATALOG)
@@ -397,27 +441,30 @@ def test_isotropy_certificates():
 @pytest.mark.parametrize("name, k", (("antiprism_band", 16), ("pentagon_pants", None),
                                      ("three_rhombus_pants", None)))
 def test_isotropy_computes_the_reference_kernel_once(monkeypatch, name, k):
-    """``trials + 1`` pinned kernels, and the report of one kernel per trial."""
+    """One factorization of the reference positions and one tangent kernel
+    per trial, and the report of one factorization per trial."""
     s = catalog(name, k=k)
     trials = 4
-    calls = []
-    kernel = md._pinned_kernel
-    monkeypatch.setattr(md, "_pinned_kernel", lambda *a: calls.append(1) or kernel(*a))
+    factored, kernels = [], []
+    factors, kernel = md._pinned_factors, md._pinned_kernel
+    monkeypatch.setattr(md, "_pinned_factors", lambda *a: factored.append(1) or factors(*a))
+    monkeypatch.setattr(md, "_pinned_kernel", lambda *a: kernels.append(1) or kernel(*a))
     report = md.isotropy_certificate(s, trials=trials, seed=3)
-    assert len(calls) == trials + 1
+    assert (len(factored), len(kernels)) == (1, trials)
 
-    # the same certificate with each trial recomputing the kernel at s.coords
+    # the same certificate with each trial refactoring s.coords
     perturbed = md._perturbed
-    monkeypatch.setattr(md, "_perturbed", lambda s, x, kernel, seed:
-                        perturbed(s, x, md._pinned_kernel(s, x), seed))
-    calls.clear()
+    monkeypatch.setattr(md, "_perturbed", lambda s, x, kernel, inverse, seed:
+                        perturbed(s, x, *md._pinned_factors(s, x), seed))
+    factored.clear()
+    kernels.clear()
     reference = md.isotropy_certificate(s, trials=trials, seed=3)
-    assert len(calls) == 2 * trials + 1
+    assert (len(factored), len(kernels)) == (trials + 1, trials)
     assert json.dumps(report) == json.dumps(reference)
 
     # each trial perturbs a copy of the reference positions
     x = np.array(s.coords, dtype=float)
-    perturbed(s, x, kernel(s, x), 3)
+    perturbed(s, x, *factors(s, x), 3)
     assert np.array_equal(x, s.coords)
 
 
@@ -481,6 +528,7 @@ def test_perturbed_with_an_empty_kernel_keeps_the_positions():
     s = catalog("antiprism_band", k=5)
     x = 1.1 * np.array(s.coords, dtype=float)
     kernel = np.zeros((3 * (len(x) - 1), 0))
-    moved, residual = md._perturbed(s, x, kernel, 3)
+    inverse = np.zeros((3 * (len(x) - 1), len(s.edges)))
+    moved, residual = md._perturbed(s, x, kernel, inverse, 3)
     assert moved is not x and np.array_equal(moved, x)
     assert residual == md.surface_constraint_residual(s, x) > 0.2

@@ -59,7 +59,10 @@ def parse_surface_spec(spec: str):
         key, _, value = params.partition("=")
         if key != "k":
             raise surface.UnknownNameError(f"unknown surface parameter {key!r}")
-        k = int(value)
+        try:
+            k = int(value)
+        except ValueError:
+            raise ValueError(f"surface parameter k={value!r} is not an integer") from None
         if k > MAX_SURFACE_K:
             raise ValueError(f"surface parameter k={k} is more than the limit of "
                              f"{MAX_SURFACE_K}")

@@ -474,10 +474,21 @@ def pentagon_split(pentagon: list | np.ndarray) -> PentagonSplit:
 
 
 def _consume_pentagon(state: Replayer, cid: int) -> None:
-    split = pentagon_split(state.rows(cid))
-    for fix in split.fixes:
-        _make_pivot(state, cid, fix.vertex, fix.new_point, "fix")
-    state.apply(PentagonMove(cid, split.apex))
+    """Split off the replayed pentagon ``cid`` at its apex.
+
+    The replay measured each of its sides as unit when it created it (the
+    curve's validation, a split's bridge, a pivot's target), and the checker
+    measures them again, so a pentagon with an apex takes it directly; only
+    one with none goes through :func:`pentagon_split` and its fix search.
+    """
+    rows = state.rows(cid)
+    apex = _apex(rows)
+    if apex is None:
+        split = pentagon_split(rows)
+        for fix in split.fixes:
+            _make_pivot(state, cid, fix.vertex, fix.new_point, "fix")
+        apex = split.apex
+    state.apply(PentagonMove(cid, apex))
 
 
 # A local pentagon [v_i .. v_i+3 z] is packed around v_i once |v_i - v_i+3|

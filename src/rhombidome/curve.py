@@ -109,7 +109,11 @@ def from_integer_curve(raw: list) -> IntegralCurve:
     consecutive distance is not a positive integer within
     :data:`~rhombidome.geom.EPS`; an infinite distance is not.  Raises
     :class:`InvalidCurveError`, before building any vertex, when the unit
-    edges would number more than :data:`MAX_UNIT_EDGES`.
+    edges would number more than :data:`MAX_UNIT_EDGES`.  Each input edge is
+    measured once: a curve of unit edges alone has passed
+    :meth:`IntegralCurve.validate`'s test here and comes back as fresh
+    component lists of its rows, if each has 3 vertices or more; a
+    subdivided curve is validated.
     """
     parsed = []
     for ci, comp in enumerate(IntegralCurve(raw).components):
@@ -127,6 +131,12 @@ def from_integer_curve(raw: list) -> IntegralCurve:
     if total > MAX_UNIT_EDGES:
         raise InvalidCurveError(
             f"curve has {total} unit edges, more than the limit of {MAX_UNIT_EDGES}")
+    if total == sum(len(steps) for _, steps in parsed):
+        # every edge a unit, measured above by validate()'s own test
+        for ci, (comp, _) in enumerate(parsed):
+            if len(comp) < 3:
+                raise InvalidCurveError(f"component {ci} has fewer than 3 vertices")
+        return IntegralCurve([list(comp) for comp, _ in parsed])
     components = []
     for comp, steps in parsed:
         rows = []

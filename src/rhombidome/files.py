@@ -1,16 +1,20 @@
 """JSON file formats for curves and ledgers, plus OFF mesh export.
 
-Floats are serialized with Python's shortest-round-trip repr, so write ->
-read -> write is byte-identical and replay stays exact across the disk
-boundary.
+Documents are written as canonical JSON text: one line, keys sorted, ``,``
+and ``:`` separators, the bytes :func:`dump_json` gives for the same
+document.  Floats are serialized with Python's shortest-round-trip repr, so
+write -> read -> write is byte-identical and replay stays exact across the
+disk boundary.
 
 Ledger version 5 records decisions only: each move is written by its
-kind's encoder and read by its kind's decoder, and this module alone maps
-moves to JSON: their keys, and their ``type``, the class's ``kind``.  Every
-cell is derived on replay, a pentagon's from its recorded ``apex``, a pack's
-swaps and their cells from its recorded ``order``, a split's pieces from
-its position ``at``.  It is the only version read or written; a document of
-any other version is refused.  An older ledger's ``initial`` is a version 1
+kind's text encoder and read by its kind's decoder, and this module alone
+maps moves to JSON: their keys, and their ``type``, the class's ``kind``.
+Each format has one encoder: :func:`ledger_to_obj` and
+:func:`curve_to_obj` parse the text that the writers write.  Every cell is
+derived on replay, a pentagon's from its recorded ``apex``, a pack's swaps
+and their cells from its recorded ``order``, a split's pieces from its
+position ``at``.  It is the only version read or written; a document of any
+other version is refused.  An older ledger's ``initial`` is a version 1
 curve document, so reducing it gives a version 5 ledger of the same curve (a
 new reduction, not the old moves).
 
@@ -86,11 +90,22 @@ def _array(obj, what: str) -> np.ndarray:
                    lambda shape: len(shape) == 2 and shape[1] == 3)
 
 
+def _point_json(point) -> str:
+    """A point, three numbers, as canonical JSON floats: each finite one in
+    ``float.__repr__``, as json writes it, and any other point through json."""
+    x, y, z = map(float, point)
+    if math.isfinite(x + y + z):  # a sum that overflows takes json's path too
+        return f"[{x!r},{y!r},{z!r}]"
+    return json.dumps([x, y, z], separators=(",", ":"))
+
+
+def _curve_json(curve: IntegralCurve) -> str:
+    comps = ",".join(["[" + ",".join(map(_point_json, c)) + "]" for c in curve.components])
+    return f'{{"components":[{comps}],"version":{CURVE_VERSION}}}'
+
+
 def curve_to_obj(curve: IntegralCurve) -> dict:
-    return {
-        "version": CURVE_VERSION,
-        "components": [list(map(list, c)) for c in curve.components],
-    }
+    return json.loads(_curve_json(curve))
 
 
 def _has_version(obj, version: int) -> bool:
@@ -142,15 +157,17 @@ def _str(obj, what: str) -> str:
     return obj
 
 
-# One encoder and one decoder per move kind, each for its JSON keys in the
-# class's field order; the ``type`` of a move is its class's ``kind``.  A
-# decoder checks each field in that order, so a refusal names the first bad
-# one.
+# One encoder and one decoder per move kind.  An encoder returns the move's
+# canonical JSON text: its keys sorted, each field coerced with ``int()``,
+# ``float()`` or ``str()``, the string through ``json.dumps``, and the
+# ``type`` its class's ``kind``, an ASCII word.  A decoder checks each field
+# in the class's field order, so a refusal names the first bad one.
 
 
-def _pivot_to_obj(move: PivotMove) -> dict:
-    return {"type": move.kind, "component": int(move.component), "vertex": int(move.vertex),
-            "new": list(map(float, move.new_point)), "stage": str(move.stage)}
+def _pivot_json(move: PivotMove) -> str:
+    return (f'{{"component":{int(move.component)},"new":{_point_json(move.new_point)},'
+            f'"stage":{json.dumps(str(move.stage))},"type":"{move.kind}",'
+            f'"vertex":{int(move.vertex)}}}')
 
 
 def _pivot_from_obj(obj: dict) -> PivotMove:
@@ -159,9 +176,9 @@ def _pivot_from_obj(obj: dict) -> PivotMove:
                      _point(obj["new"], "pivot new"), _str(obj["stage"], "pivot stage"))
 
 
-def _pack_to_obj(move: PackMove) -> dict:
-    return {"type": move.kind, "component": int(move.component),
-            "order": list(map(int, move.order))}
+def _pack_json(move: PackMove) -> str:
+    order = ",".join(map(str, map(int, move.order)))
+    return f'{{"component":{int(move.component)},"order":[{order}],"type":"{move.kind}"}}'
 
 
 def _pack_from_obj(obj: dict) -> PackMove:
@@ -169,10 +186,10 @@ def _pack_from_obj(obj: dict) -> PackMove:
                     _ints(obj["order"], "pack order"))
 
 
-def _split_to_obj(move: SplitMove) -> dict:
-    return {"type": move.kind, "component": int(move.component),
-            "new_component": int(move.new_component), "z": list(map(float, move.z)),
-            "at": int(move.at)}
+def _split_json(move: SplitMove) -> str:
+    return (f'{{"at":{int(move.at)},"component":{int(move.component)},'
+            f'"new_component":{int(move.new_component)},"type":"{move.kind}",'
+            f'"z":{_point_json(move.z)}}}')
 
 
 def _split_from_obj(obj: dict) -> SplitMove:
@@ -181,9 +198,9 @@ def _split_from_obj(obj: dict) -> SplitMove:
                      _point(obj["z"], "split z"), _int(obj["at"], "split at"))
 
 
-def _pentagon_to_obj(move: PentagonMove) -> dict:
-    return {"type": move.kind, "component": int(move.component),
-            "apex": list(map(float, move.apex))}
+def _pentagon_json(move: PentagonMove) -> str:
+    return (f'{{"apex":{_point_json(move.apex)},"component":{int(move.component)},'
+            f'"type":"{move.kind}"}}')
 
 
 def _pentagon_from_obj(obj: dict) -> PentagonMove:
@@ -191,8 +208,8 @@ def _pentagon_from_obj(obj: dict) -> PentagonMove:
                         _point(obj["apex"], "pentagon apex"))
 
 
-def _close_to_obj(move: CloseRhombusMove | CloseTriangleMove) -> dict:
-    return {"type": move.kind, "component": int(move.component)}
+def _close_json(move: CloseRhombusMove | CloseTriangleMove) -> str:
+    return f'{{"component":{int(move.component)},"type":"{move.kind}"}}'
 
 
 def _close_from_obj(cls: type, obj: dict) -> CloseRhombusMove | CloseTriangleMove:
@@ -200,14 +217,14 @@ def _close_from_obj(cls: type, obj: dict) -> CloseRhombusMove | CloseTriangleMov
 
 
 # move class -> (encoder, decoder)
-_CODECS = {PivotMove: (_pivot_to_obj, _pivot_from_obj),
-           PackMove: (_pack_to_obj, _pack_from_obj),
-           SplitMove: (_split_to_obj, _split_from_obj),
-           PentagonMove: (_pentagon_to_obj, _pentagon_from_obj),
-           CloseRhombusMove: (_close_to_obj, partial(_close_from_obj, CloseRhombusMove)),
-           CloseTriangleMove: (_close_to_obj, partial(_close_from_obj, CloseTriangleMove))}
+_CODECS = {PivotMove: (_pivot_json, _pivot_from_obj),
+           PackMove: (_pack_json, _pack_from_obj),
+           SplitMove: (_split_json, _split_from_obj),
+           PentagonMove: (_pentagon_json, _pentagon_from_obj),
+           CloseRhombusMove: (_close_json, partial(_close_from_obj, CloseRhombusMove)),
+           CloseTriangleMove: (_close_json, partial(_close_from_obj, CloseTriangleMove))}
 # move class -> encoder, and JSON ``type`` -> decoder
-_TO_OBJ = {cls: encode for cls, (encode, _) in _CODECS.items()}
+_TO_JSON = {cls: encode for cls, (encode, _) in _CODECS.items()}
 _FROM_OBJ = {cls.kind: decode for cls, (_, decode) in _CODECS.items()}
 
 
@@ -224,14 +241,18 @@ def _moves_from_obj(objs: list) -> list[Move]:
     return moves
 
 
+def _ledger_json(ledger: CobordismLedger) -> str:
+    """The ledger's canonical JSON text; ``stats``, free-form, goes through
+    json's own encoder."""
+    moves = ",".join([_TO_JSON[type(m)](m) for m in ledger.moves])
+    stats = json.dumps(ledger.stats, sort_keys=True, separators=(",", ":"))
+    return (f'{{"final_curve":{_curve_json(ledger.final_curve)},'
+            f'"initial":{_curve_json(ledger.initial)},"moves":[{moves}],'
+            f'"stats":{stats},"version":{LEDGER_VERSION}}}')
+
+
 def ledger_to_obj(ledger: CobordismLedger) -> dict:
-    return {
-        "version": LEDGER_VERSION,
-        "initial": curve_to_obj(ledger.initial),
-        "moves": [_TO_OBJ[type(m)](m) for m in ledger.moves],
-        "final_curve": curve_to_obj(ledger.final_curve),
-        "stats": ledger.stats,
-    }
+    return json.loads(_ledger_json(ledger))
 
 
 def ledger_from_obj(obj) -> CobordismLedger:
@@ -257,22 +278,27 @@ def ledger_from_obj(obj) -> CobordismLedger:
 
 
 def dump_json(obj: dict) -> str:
-    """One line of compact, key-sorted JSON (the C encoder's fast path)."""
+    """One line of compact, key-sorted JSON (the C encoder's fast path): the
+    generic encoder, whose bytes the writers' text matches."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_curve(path: str, curve: IntegralCurve) -> None:
+    text = _curve_json(curve) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(curve_to_obj(curve)))
+        fh.write(text)
 
 
 def _read_json(path: str):
-    """The JSON document at ``path``; text that is not UTF-8 or not JSON, or
-    nests past the decoder's recursion limit, is refused as not valid JSON."""
+    """The JSON document at ``path``; text that is not UTF-8 or not JSON,
+    nests past the decoder's recursion limit or has an integer longer than
+    Python converts (``sys.get_int_max_str_digits()``), is refused as not
+    valid JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: UnicodeDecodeError, JSONDecodeError and the digit limit
+        except (ValueError, RecursionError) as exc:
             raise FileFormatError(f"not valid JSON: {exc}") from exc
 
 
@@ -281,8 +307,9 @@ def read_curve(path: str) -> IntegralCurve:
 
 
 def write_ledger(path: str, ledger: CobordismLedger) -> None:
+    text = _ledger_json(ledger) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(ledger_to_obj(ledger)))
+        fh.write(text)
 
 
 def read_ledger(path: str) -> CobordismLedger:

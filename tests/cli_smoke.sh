@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the `rhombidome` console script end to end: reduce and validate the
-# stored crown, refuse a version 4 ledger and one with a move of unknown
+# stored crown, re-encode its ledger through the generic JSON encoder to the
+# same bytes, refuse a version 4 ledger and one with a move of unknown
 # type `seam` (exit 2), fail a ledger with one pentagon apex moved by 1e-3
 # (exit 1), reduce a far square and a near-axis window, reduce and validate
 # with scipy blocked, check that the two crown ledgers, written by separate
@@ -16,6 +17,10 @@ cd "$(dirname "$0")/.."
 
 rhombidome reduce --in tests/data/curve_crown_12.json --out "$out/crown.json" --off "$out/crown.off"
 rhombidome validate --in "$out/crown.json"
+# the generic encoder, in another process, writes the crown's pivots and pack
+# to the bytes of reduce's text encoders
+"$py" -c 'import sys; from rhombidome import files; open(sys.argv[2], "w").write(files.dump_json(files.ledger_to_obj(files.read_ledger(sys.argv[1]))))' "$out/crown.json" "$out/crown_generic.json"
+cmp "$out/crown.json" "$out/crown_generic.json"
 "$py" -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["version"] = 4; json.dump(doc, open(sys.argv[2], "w"))' "$out/crown.json" "$out/crown_v4.json"
 status=0
 rhombidome validate --in "$out/crown_v4.json" || status=$?

@@ -140,8 +140,10 @@ def test_curve_version_true_exits_2(tmp_path, capsys):
     assert "unsupported curve document" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000],
-                         ids=["not_utf8", "nested_too_deep"])
+# an integer literal past Python's 4,300-digit conversion limit is no JSON
+# number the decoder can read
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000, b"[" + b"1" * 5000 + b"]"],
+                         ids=["not_utf8", "nested_too_deep", "int_too_long"])
 @pytest.mark.parametrize("command", ["reduce", "validate"])
 def test_unreadable_json_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "doc.json"
@@ -346,7 +348,8 @@ def test_moduli_refuses_a_negative_seed(capsys, what, seed):
 
 
 def test_moduli_refuses_a_k_above_the_limit(capsys, monkeypatch):
-    """k = MAX_SURFACE_K + 1 is a usage error, refused before anything is built."""
+    """k = MAX_SURFACE_K + 1, or a k that is no integer, is a usage error,
+    refused before anything is built."""
     def build(*args, **kwargs):
         raise AssertionError("built a surface past the limit")
     monkeypatch.setattr(surface, "catalog", build)
@@ -357,6 +360,11 @@ def test_moduli_refuses_a_k_above_the_limit(capsys, monkeypatch):
             assert main(["moduli", what, "--surface", f"{name}:k={k}"]) == 2
             assert capsys.readouterr().err == (
                 f"rhombidome: surface parameter k={k} is more than the limit of 500\n")
+    # a k that int() does not read is named as it was given
+    for value in ("x", "1e3", "", "16:foo"):
+        assert main(["moduli", "dims", "--surface", f"polygon:k={value}"]) == 2
+        assert capsys.readouterr().err == (
+            f"rhombidome: surface parameter k={value!r} is not an integer\n")
     monkeypatch.undo()
     assert parse_surface_spec(f"polygon:k={MAX_SURFACE_K}") == ("polygon", MAX_SURFACE_K)
     kind, band = parse_surface_spec(f"antiprism_band:k={MAX_SURFACE_K}")

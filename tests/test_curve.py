@@ -65,6 +65,26 @@ def test_from_integer_curve_limits_the_unit_edges(monkeypatch):
         from_integer_curve([triangle, np.array([[0, 0, 5], [1, 0, 5.0]])])
 
 
+def test_from_integer_curve_measures_unit_edges_once(monkeypatch, unit_triangle):
+    # a curve of unit edges comes back without a second pass over its edges,
+    # as fresh component lists of the given rows
+    def validate(self):
+        raise AssertionError("validated the edges again")
+    monkeypatch.setattr(IntegralCurve, "validate", validate)
+    rows = unit_triangle.components[0]
+    out = from_integer_curve([rows])
+    assert out.components == [rows] and out.components[0] is not rows
+    assert all(new is old for new, old in zip(out.components[0], rows))
+
+
+def test_from_integer_curve_refuses_a_two_vertex_unit_component():
+    # both edges of [a b] are units, so it takes the unit path, which keeps
+    # validate()'s refusal of a component of fewer than 3 vertices
+    with pytest.raises(InvalidCurveError, match="component 1 has fewer than 3 vertices"):
+        from_integer_curve([regular_polygon_curve(3).components[0],
+                            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+
+
 def test_from_integer_curve_rejects_fractional_edge():
     bad = np.array([[0, 0, 0], [1.5, 0, 0], [0.75, 1.0, 0]], dtype=float)
     with pytest.raises(NonIntegerEdgeError) as err:

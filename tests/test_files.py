@@ -146,12 +146,12 @@ def test_codec_covers_each_row_of_the_move_table(cls):
     # the codec covers the move classes the replay knows, and each kind's
     # decoder gives back what its encoder writes, each point a fresh row of
     # floats
-    assert set(files._TO_OBJ) == set(_STEPS)
+    assert set(files._TO_JSON) == set(_STEPS)
     assert set(files._FROM_OBJ) == {c.kind for c in _STEPS}
     ints = iter(range(3, 100))
     fields = dataclasses.fields(cls)
     move = cls(*[next(ints) if f.type == "int" else _SAMPLE[f.type] for f in fields])
-    obj = json.loads(json.dumps(files._TO_OBJ[cls](move)))
+    obj = json.loads(files._TO_JSON[cls](move))
     assert obj["type"] == cls.kind and len(obj) == len(fields) + 1
     decoded = files._FROM_OBJ[cls.kind](obj)
     assert type(decoded) is cls and decoded == move
@@ -159,6 +159,56 @@ def test_codec_covers_each_row_of_the_move_table(cls):
         point = getattr(decoded, name)
         assert point == _SAMPLE["list[float]"] and list(map(type, point)) == [float] * 3
         assert all(point is not value for value in obj.values())
+
+
+# Field values for the text encoders: floats at the edges of repr and json
+# (signed zero, the least subnormal, the exponent switch at 1e16, NaN and the
+# infinities), numpy scalars, and strings beyond ASCII.
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 1e308, math.nan, math.inf, -math.inf])
+_FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats(), st.floats().map(np.float64),
+                    st.floats(width=32).map(np.float32), st.integers(-10 ** 6, 10 ** 6))
+_INTS = st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                  st.booleans())
+_POINTS = st.lists(_FLOATS, min_size=3, max_size=3)
+_FIELDS = {"int": _INTS, "list[int]": st.lists(_INTS, max_size=8),
+           "list[float]": st.one_of(_POINTS, _POINTS.map(np.array)),
+           "str": st.one_of(st.sampled_from(["fix", "fïx", "ピボット", "\u2028", '"\\']),
+                            st.text())}
+# the JSON key of a field, where it is not the field's name
+_KEYS = {"new_point": "new"}
+_COERCE = {"int": int, "list[int]": lambda v: list(map(int, v)),
+           "list[float]": lambda v: list(map(float, v)), "str": str}
+
+
+def _move_obj(move) -> dict:
+    """A move's JSON object, each field coerced as its encoder does."""
+    obj = {"type": move.kind}
+    for f in dataclasses.fields(move):
+        obj[_KEYS.get(f.name, f.name)] = _COERCE[f.type](getattr(move, f.name))
+    return obj
+
+
+_MOVES = st.sampled_from(list(_STEPS)).flatmap(
+    lambda cls: st.builds(cls, *[_FIELDS[f.type] for f in dataclasses.fields(cls)]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(move=_MOVES)
+def test_move_text_is_json_of_its_fields(move):
+    # each kind's text encoder writes the bytes json writes for the same fields
+    text = files._TO_JSON[type(move)](move)
+    assert text == json.dumps(_move_obj(move), sort_keys=True, separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(components=st.lists(st.lists(_POINTS, max_size=5), max_size=3))
+def test_curve_text_is_json_of_its_points(components):
+    curve = IntegralCurve(components)
+    expected = {"version": 1, "components": [[list(map(float, p)) for p in c]
+                                             for c in curve.components]}
+    text = files._curve_json(curve)
+    assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
+    assert files.curve_to_obj(curve) == json.loads(text)
 
 
 def test_points_decode_to_float_rows_on_either_path():
@@ -219,6 +269,7 @@ def test_ledger_file_is_one_compact_line(ledger, tmp_path):
     assert text.count("\n") == 1 and text.endswith("\n")
     assert ", " not in text and ": " not in text
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text == files.dump_json(files.ledger_to_obj(ledger))
 
 
 def test_compact_ledger_round_trips_byte_for_byte(ledger, tmp_path):

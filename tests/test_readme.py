@@ -2,6 +2,7 @@
 lists the moves the ledger format has, with the keys each encoder writes."""
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -28,12 +29,15 @@ def test_readme_move_table_matches_move_table():
         types, keys = row.strip("|").split("|")
         for kind in re.findall(r"`(\w+)`", types):
             documented[kind] = re.findall(r"`(\w+)`", keys)
-    # one move of each class, each field a zero, a string or a list, and the
-    # keys its encoder writes besides ``type``
-    sample = {"int": 0, "str": "pivot", "list[int]": [], "list[float]": [0.0] * 3}
+    # one move of each class, field i holding a value of its type made from i,
+    # and the keys its encoder writes besides ``type``; the encoder sorts
+    # them, the table lists them in the class's field order, so each key is
+    # put back at the field whose value it holds
     written = {}
-    for cls, encode in files._TO_OBJ.items():
-        obj = encode(cls(*[sample[f.type] for f in dataclasses.fields(cls)]))
+    for cls, encode in files._TO_JSON.items():
+        values = [{"int": i, "str": f"s{i}", "list[int]": [i], "list[float]": [float(i)] * 3}[f.type]
+                  for i, f in enumerate(dataclasses.fields(cls))]
+        obj = json.loads(encode(cls(*values)))
         kind = obj.pop("type")
-        written[kind] = list(obj)
+        written[kind] = sorted(obj, key=lambda key: values.index(obj[key]))
     assert documented == written
